@@ -44,18 +44,28 @@ func (s *Subscriptions) AddSubscriber(localUser, domain string) {
 	s.peers[domain]++
 }
 
-// RemoveSubscriber drops one subscription of domain to localUser.
-func (s *Subscriptions) RemoveSubscriber(localUser, domain string) {
+// RemoveSubscriber drops one subscription of domain to localUser and
+// reports whether there was one; without one nothing changes, so an
+// unsolicited Undo cannot erase a peer that other relationships hold.
+func (s *Subscriptions) RemoveSubscriber(localUser, domain string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if m := s.subscribers[localUser]; m != nil {
-		if m[domain]--; m[domain] <= 0 {
-			delete(m, domain)
-		}
-		if len(m) == 0 {
-			delete(s.subscribers, localUser)
-		}
+	m := s.subscribers[localUser]
+	if m[domain] == 0 {
+		return false
 	}
+	if m[domain]--; m[domain] == 0 {
+		delete(m, domain)
+	}
+	if len(m) == 0 {
+		delete(s.subscribers, localUser)
+	}
+	s.dropPeer(domain)
+	return true
+}
+
+// dropPeer releases one of the relationships that keep domain a peer.
+func (s *Subscriptions) dropPeer(domain string) {
 	if s.peers[domain]--; s.peers[domain] <= 0 {
 		delete(s.peers, domain)
 	}
@@ -82,17 +92,20 @@ func (s *Subscriptions) AddRemoteFollow(remote Actor) {
 	s.peers[remote.Domain]++
 }
 
-// RemoveRemoteFollow drops one local follow of the remote actor.
-func (s *Subscriptions) RemoveRemoteFollow(remote Actor) {
+// RemoveRemoteFollow drops one local follow of the remote actor and reports
+// whether there was one.
+func (s *Subscriptions) RemoveRemoteFollow(remote Actor) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	key := remote.String()
-	if s.remoteFollows[key]--; s.remoteFollows[key] <= 0 {
+	if s.remoteFollows[key] == 0 {
+		return false
+	}
+	if s.remoteFollows[key]--; s.remoteFollows[key] == 0 {
 		delete(s.remoteFollows, key)
 	}
-	if s.peers[remote.Domain]--; s.peers[remote.Domain] <= 0 {
-		delete(s.peers, remote.Domain)
-	}
+	s.dropPeer(remote.Domain)
+	return true
 }
 
 // RemoteFollowCount returns the number of live remote-follow relationships.
@@ -106,8 +119,16 @@ func (s *Subscriptions) RemoteFollowCount() int {
 	return n
 }
 
+// PeerCount returns the number of distinct remote domains this instance
+// federates with — the "federated subscriptions" count of the instance API.
+func (s *Subscriptions) PeerCount() int {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return len(s.peers)
+}
+
 // PeerDomains returns the distinct remote domains this instance federates
-// with, sorted — the "federated subscriptions" count of the instance API.
+// with, sorted — the peer list of the instance API.
 func (s *Subscriptions) PeerDomains() []string {
 	s.mu.RLock()
 	defer s.mu.RUnlock()

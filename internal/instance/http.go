@@ -19,14 +19,28 @@ import (
 //
 // Every GET endpoint renders through a per-page byte cache: responses are
 // encoded once with the internal/wire append codecs and replayed verbatim
-// until a mutation (new toot, new follower, inbox delivery, stats change)
-// bumps the server's page generation. A crawler hammering a quiet instance
-// — the §3 steady state — costs one buffer write per request, no JSON
-// encoder, no reflection.
+// until a mutation that changes them bumps the generation of their page
+// kind. A crawler hammering a quiet instance — the §3 steady state — costs
+// one buffer write per request, no JSON encoder, no reflection; an inbox
+// delivery — the write a live instance sees most — costs only the federated
+// timeline's pages.
+
+// pageKind groups the pages that the same mutations change. Each kind has
+// its own generation; a mutation names the kinds it dirtied.
+type pageKind uint8
+
+const (
+	kindMeta      pageKind = iota // home, instance API, peers
+	kindLocal                     // local timeline pages
+	kindFederated                 // federated timeline pages
+	kindFollowers                 // follower pages
+	numKinds
+)
 
 // pageKey identifies one cacheable rendered response.
 type pageKey struct {
-	kind byte   // 'h' home, 'i' instance API, 'p' peers, 't' timeline, 'f' followers
+	kind pageKind
+	page byte   // kindMeta: 'h' home, 'i' instance API, 'p' peers
 	name string // follower pages: the account
 	a, b int64  // timeline: maxID, limit; followers: page number
 	c    int64  // timeline: sinceID (delta-crawl pages cache separately)
@@ -41,47 +55,67 @@ type pageEntry struct {
 // in play rebuild on the next pass).
 const maxCachedPages = 4096
 
-// pageCache holds rendered pages, each stamped with the generation that
-// was current before its render started. A lookup only hits when the
-// entry's generation still is the server's: any mutation invalidates every
-// page at the cost of one atomic increment.
+// pageCache holds rendered pages, each stamped with the generation of its
+// kind that was current before its render started. A lookup only hits when
+// the entry's generation still is the kind's: a mutation invalidates every
+// page of the kinds it names at the cost of one atomic increment each.
 type pageCache struct {
-	gen     atomic.Uint64
+	gens    [numKinds]atomic.Uint64
 	mu      sync.Mutex
 	entries map[pageKey]pageEntry
 
-	// etag caches the rendered ETag for the generation it was built under,
-	// so the conditional-GET hot path costs one pointer load per request
-	// instead of one string allocation.
+	// etag caches the rendered ETag for the generation vector it was built
+	// under, so the conditional-GET hot path costs one pointer load per
+	// request instead of one string allocation.
 	etag atomic.Pointer[etagVal]
 }
 
 type etagVal struct {
-	gen uint64
-	val string
+	gens [numKinds]uint64
+	val  string
 }
 
-// etagFor returns the entity tag for generation g: one server-wide tag,
-// because any visible mutation bumps g and therefore changes every page.
-func (c *pageCache) etagFor(g uint64) string {
-	if ev := c.etag.Load(); ev != nil && ev.gen == g {
+// etagFor returns the entity tag of a page of kind stamped g: the version
+// vector of all kind generations, "g<meta>.<local>.<fed>.<followers>". The
+// tag is server-wide in form because clients remember one tag per host and
+// revalidate any page with it; etagMatch reads only the component of the
+// page asked for, which is exactly g — the other components are whatever
+// their counters held during this request.
+func (c *pageCache) etagFor(kind pageKind, g uint64) string {
+	var v [numKinds]uint64
+	for k := range v {
+		v[k] = c.gens[k].Load()
+	}
+	v[kind] = g
+	if ev := c.etag.Load(); ev != nil && ev.gens == v {
 		return ev.val
 	}
-	v := `"g` + strconv.FormatUint(g, 10) + `"`
-	c.etag.Store(&etagVal{gen: g, val: v})
-	return v
+	var buf [3 + numKinds*21]byte // "g", then up to 20 digits and a separator per kind
+	b := append(buf[:0], `"g`...)
+	for k, g := range v {
+		if k > 0 {
+			b = append(b, '.')
+		}
+		b = strconv.AppendUint(b, g, 10)
+	}
+	val := string(append(b, '"'))
+	c.etag.Store(&etagVal{gens: v, val: val})
+	return val
 }
 
-func (c *pageCache) invalidate() { c.gen.Add(1) }
+func (c *pageCache) invalidate(kinds ...pageKind) {
+	for _, k := range kinds {
+		c.gens[k].Add(1)
+	}
+}
 
+// get returns the entry's body and whether it is still fresh; a stale body
+// is returned too, as the best guess at the size of its replacement.
 func (c *pageCache) get(key pageKey, g uint64) ([]byte, bool) {
 	c.mu.Lock()
 	e, ok := c.entries[key]
 	c.mu.Unlock()
-	if ok && e.gen == g {
-		return e.body, true
-	}
-	return nil, false
+	return e.body, ok && e.gen == g
 }
 
 func (c *pageCache) put(key pageKey, g uint64, body []byte) {
@@ -103,22 +137,22 @@ func (c *pageCache) put(key pageKey, g uint64, body []byte) {
 var pageBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
 
 // servePage writes one cacheable response: a cache hit replays stored
-// bytes; a miss renders under the generation read before any state, so a
-// concurrent mutation can only strand the entry stale, never serve stale.
+// bytes; a miss renders under the generation of the page's kind read before
+// any state, so a concurrent mutation can only strand the entry stale, never
+// serve stale.
 //
-// Conditional GET rides the same generation counter: the ETag is the
-// generation loaded at the top of the request, so an If-None-Match hit
-// (304) certifies "no mutation has completed since that tag was issued" —
-// the same linearization point the byte cache uses. A write that completes
-// before the load flips the tag and forces a full 200; a write that lands
-// after the load is concurrent with this request and may legitimately
-// order after it.
+// Conditional GET rides the same counter: the page's component of the ETag
+// is the generation loaded at the top of the request, so an If-None-Match
+// hit (304) certifies "no mutation of this kind of page has completed since
+// that tag was issued" — the same linearization point the byte cache uses.
+// A write that completes before the load flips the component and forces a
+// full 200; a write that lands after the load is concurrent with this
+// request and may legitimately order after it.
 func (s *Server) servePage(w http.ResponseWriter, r *http.Request, ctype string, key pageKey, render func(dst []byte) []byte) {
-	g := s.pages.gen.Load()
+	g := s.pages.gens[key.kind].Load()
 	if !s.cfg.DisableETag {
-		etag := s.pages.etagFor(g)
-		w.Header().Set("Etag", etag)
-		if inm := r.Header.Get("If-None-Match"); inm != "" && etagMatch(inm, etag) {
+		w.Header().Set("Etag", s.pages.etagFor(key.kind, g))
+		if inm := r.Header.Get("If-None-Match"); inm != "" && etagMatch(inm, key.kind, g) {
 			w.WriteHeader(http.StatusNotModified)
 			return
 		}
@@ -132,19 +166,23 @@ func (s *Server) servePage(w http.ResponseWriter, r *http.Request, ctype string,
 		pageBufPool.Put(bp)
 		return
 	}
-	if body, ok := s.pages.get(key, g); ok {
-		w.Write(body)
-		return
+	body, fresh := s.pages.get(key, g)
+	if !fresh {
+		// Sized from the entry being replaced, a re-render is one allocation
+		// instead of an append-doubling chain.
+		body = render(make([]byte, 0, len(body)+len(body)/8))
+		s.pages.put(key, g, body)
 	}
-	body := render(nil)
-	s.pages.put(key, g, body)
 	w.Write(body)
 }
 
-// etagMatch reports whether the If-None-Match header value matches etag
-// under RFC 7232 weak comparison: "*" matches anything, W/ prefixes are
-// ignored, and the header may list several comma-separated tags.
-func etagMatch(header, etag string) bool {
+// etagMatch reports whether the If-None-Match header value certifies
+// generation g of kind, under RFC 7232 weak comparison: "*" matches
+// anything, W/ prefixes are ignored, and the header may list several
+// comma-separated tags. A listed tag matches when it is a well-formed
+// generation vector whose kind component is g; its other components are
+// not this page's business.
+func etagMatch(header string, kind pageKind, g uint64) bool {
 	for {
 		header = strings.TrimLeft(header, " \t,")
 		if header == "" {
@@ -164,11 +202,33 @@ func etagMatch(header, etag string) bool {
 		if end < 0 {
 			return false
 		}
-		if cand[:end+2] == etag {
+		if vectorHas(cand[1:end+1], kind, g) {
 			return true
 		}
 		header = cand[end+2:]
 	}
+}
+
+// vectorHas reports whether tag (quotes stripped) is "g" followed by
+// exactly numKinds dot-separated decimal generations, kind's being g.
+func vectorHas(tag string, kind pageKind, g uint64) bool {
+	if tag == "" || tag[0] != 'g' {
+		return false
+	}
+	tag = tag[1:]
+	match := false
+	for k := pageKind(0); k < numKinds; k++ {
+		comp, rest, more := strings.Cut(tag, ".")
+		n, err := strconv.ParseUint(comp, 10, 64)
+		if err != nil || more != (k < numKinds-1) {
+			return false
+		}
+		if k == kind {
+			match = n == g
+		}
+		tag = rest
+	}
+	return match
 }
 
 // ServeHTTP implements http.Handler for one instance.
@@ -196,7 +256,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) serveHome(w http.ResponseWriter, r *http.Request) {
-	s.servePage(w, r, "text/html; charset=utf-8", pageKey{kind: 'h'}, func(dst []byte) []byte {
+	s.servePage(w, r, "text/html; charset=utf-8", pageKey{kind: kindMeta, page: 'h'}, func(dst []byte) []byte {
 		st := s.Stats()
 		dst = append(dst, "<html><head><title>"...)
 		dst = wire.AppendHTMLEscaped(dst, st.Domain)
@@ -211,7 +271,7 @@ func (s *Server) serveHome(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) serveInstanceAPI(w http.ResponseWriter, r *http.Request) {
-	s.servePage(w, r, "application/json; charset=utf-8", pageKey{kind: 'i'}, func(dst []byte) []byte {
+	s.servePage(w, r, "application/json; charset=utf-8", pageKey{kind: kindMeta, page: 'i'}, func(dst []byte) []byte {
 		st := s.Stats()
 		info := wire.InstanceInfo{
 			URI:           st.Domain,
@@ -237,7 +297,7 @@ func versionString(st Stats) string {
 }
 
 func (s *Server) servePeers(w http.ResponseWriter, r *http.Request) {
-	s.servePage(w, r, "application/json; charset=utf-8", pageKey{kind: 'p'}, func(dst []byte) []byte {
+	s.servePage(w, r, "application/json; charset=utf-8", pageKey{kind: kindMeta, page: 'p'}, func(dst []byte) []byte {
 		return append(wire.AppendPeers(dst, s.subs.PeerDomains()), '\n')
 	})
 }
@@ -282,9 +342,9 @@ func (s *Server) serveTimeline(w http.ResponseWriter, r *http.Request) {
 		}
 		limit = n
 	}
-	key := pageKey{kind: 't', a: maxID, b: int64(limit), c: sinceID}
+	key := pageKey{kind: kindFederated, a: maxID, b: int64(limit), c: sinceID}
 	if kind == TimelineLocal {
-		key.name = "local"
+		key.kind = kindLocal
 	}
 	s.servePage(w, r, "application/json; charset=utf-8", key, func(dst []byte) []byte {
 		if !s.cfg.DisableTimelineStream {
@@ -358,7 +418,7 @@ func (s *Server) serveFollowers(w http.ResponseWriter, r *http.Request) {
 		http.NotFound(w, r)
 		return
 	}
-	s.servePage(w, r, "text/html; charset=utf-8", pageKey{kind: 'f', name: name, a: int64(page)},
+	s.servePage(w, r, "text/html; charset=utf-8", pageKey{kind: kindFollowers, name: name, a: int64(page)},
 		func(dst []byte) []byte {
 			actors, hasNext, err := s.Followers(name, page, 40)
 			if err != nil {

@@ -91,7 +91,8 @@ type Server struct {
 	transport federation.Transport
 
 	// pages caches rendered HTTP responses; every visible mutation calls
-	// pages.invalidate() after the state change lands (see http.go).
+	// pages.invalidate, naming the page kinds it changed, after the state
+	// change lands (see http.go).
 	pages pageCache
 }
 
@@ -177,7 +178,7 @@ func (s *Server) CreateAccount(name string, private, invited bool, at time.Time)
 	}
 	a := &Account{Name: name, CreatedAt: at, Private: private}
 	s.accounts[name] = a
-	s.pages.invalidate()
+	s.pages.invalidate(kindMeta)
 	return a, nil
 }
 
@@ -240,10 +241,10 @@ func (s *Server) PostToot(ctx context.Context, author, content string, hashtags 
 	actor := federation.Actor{User: author, Domain: s.cfg.Domain}
 	ri := s.store.add(s.nextID, at, actor, content, "", "", hashtags, false)
 	s.store.local = append(s.store.local, ri)
+	t := s.store.get(ri, s.cfg.Domain) // before the append: a compaction renumbers rows
 	s.store.appendFederated(ri, s.cfg.MaxFederated)
-	t := s.store.get(ri, s.cfg.Domain)
 	private := acct.Private
-	s.pages.invalidate()
+	s.pages.invalidate(kindMeta, kindLocal, kindFederated)
 	s.mu.Unlock()
 
 	if !private {
@@ -277,7 +278,7 @@ func (s *Server) Boost(ctx context.Context, booster, noteID string, origAuthor f
 	actor := federation.Actor{User: booster, Domain: s.cfg.Domain}
 	ri := s.store.add(s.nextID, at, actor, "", "", noteID, nil, false)
 	s.store.appendFederated(ri, s.cfg.MaxFederated)
-	s.pages.invalidate()
+	s.pages.invalidate(kindFederated)
 	s.mu.Unlock()
 
 	s.push(ctx, booster, &federation.Activity{
@@ -318,7 +319,7 @@ func (s *Server) FollowLocal(follower, target string) error {
 	}
 	f.following++
 	t.followers = append(t.followers, s.store.intern(federation.Actor{User: follower, Domain: s.cfg.Domain}))
-	s.pages.invalidate()
+	s.pages.invalidate(kindFollowers)
 	return nil
 }
 
@@ -335,7 +336,7 @@ func (s *Server) FollowRemote(ctx context.Context, follower string, target feder
 	s.mu.Unlock()
 
 	s.subs.AddRemoteFollow(target)
-	s.pages.invalidate()
+	s.pages.invalidate(kindMeta)
 	if s.transport == nil {
 		return nil
 	}
@@ -365,11 +366,12 @@ func (s *Server) Receive(ctx context.Context, a *federation.Activity) error {
 		t.followers = append(t.followers, s.store.intern(a.From))
 		s.mu.Unlock()
 		s.subs.AddSubscriber(a.Target.User, a.From.Domain)
-		s.pages.invalidate()
+		s.pages.invalidate(kindMeta, kindFollowers)
 		return nil
 	case federation.TypeUndo:
-		s.subs.RemoveSubscriber(a.Target.User, a.From.Domain)
-		s.pages.invalidate()
+		if s.subs.RemoveSubscriber(a.Target.User, a.From.Domain) {
+			s.pages.invalidate(kindMeta)
+		}
 		return nil
 	case federation.TypeCreate, federation.TypeBoost:
 		s.mu.Lock()
@@ -381,7 +383,7 @@ func (s *Server) Receive(ctx context.Context, a *federation.Activity) error {
 		ri := s.store.add(s.nextID, a.Note.CreatedAt, a.Note.Author,
 			a.Note.Content, a.Note.ID, boostOf, a.Note.Hashtags, true)
 		s.store.appendFederated(ri, s.cfg.MaxFederated)
-		s.pages.invalidate()
+		s.pages.invalidate(kindFederated)
 		s.mu.Unlock()
 		return nil
 	}
@@ -413,7 +415,7 @@ func (s *Server) Stats() Stats {
 		Users:         len(s.accounts),
 		Statuses:      s.statuses,
 		Boosts:        s.boosts,
-		Peers:         len(s.subs.PeerDomains()),
+		Peers:         s.subs.PeerCount(),
 		RemoteFollows: s.subs.RemoteFollowCount(),
 		Open:          s.cfg.Open,
 	}
