@@ -36,7 +36,7 @@ import (
 var (
 	worldOnce sync.Once
 	world     *dataset.World
-	twGraph   *graph.Directed
+	twGraph   *graph.CSR
 	twDaily   []float64
 )
 
@@ -313,87 +313,39 @@ func BenchmarkAblationCrawlSocket(b *testing.B) {
 
 // --- Ablations (DESIGN.md) ---
 
-// Weakly connected components: the CSR union-find engine (hot path) against
-// the adjacency-list union-find and the two BFS variants. The social CSR is
-// frozen once in benchWorld-time via the world cache, so these measure the
-// per-call component cost only.
-// Note: until this PR the UnionFind name measured the adjacency-list
-// engine; it now measures the CSR engine (the live hot path), and the
-// adjacency baseline lives under the AdjList name. WCCCSR is an explicit
-// alias so both the trajectory name and the DESIGN.md pair name exist.
+// Weakly connected components: the union-find engine. Its adjacency-list
+// and BFS baselines are settled (DESIGN.md, "Settled ablations").
 func BenchmarkAblationWCCUnionFind(b *testing.B) {
 	w := benchWorld(b)
-	csr := w.SocialCSR()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		csr.WeaklyConnected(nil)
+		w.Social.WeaklyConnected(nil)
 	}
 }
 
-func BenchmarkAblationWCCCSR(b *testing.B) { BenchmarkAblationWCCUnionFind(b) }
-
-func BenchmarkAblationWCCAdjList(b *testing.B) {
-	w := benchWorld(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		graph.WeaklyConnected(w.Social, nil)
-	}
-}
-
-func BenchmarkAblationWCCBFS(b *testing.B) {
-	w := benchWorld(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		graph.WeaklyConnectedBFS(w.Social, nil)
-	}
-}
-
-func BenchmarkAblationWCCBFSCSR(b *testing.B) {
-	w := benchWorld(b)
-	csr := w.SocialCSR()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		csr.WeaklyConnectedBFS(nil)
-	}
-}
-
-// Fig 12 sweep engine: CSR Sweeper with buffers allocated once per sweep vs
-// the adjacency-list path that reallocates degree arrays, sort scratch and
-// component tallies every round.
+// Fig 12 sweep engine: the Sweeper, buffers allocated once per sweep.
 func BenchmarkAblationSweepCSRReuse(b *testing.B) {
 	w := benchWorld(b)
-	csr := w.SocialCSR()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		graph.IterativeDegreeRemovalCSR(csr, 0.01, 5, graph.SweepOptions{})
+		graph.NewSweeper(w.Social).IterativeDegreeRemoval(0.01, 5, graph.SweepOptions{})
 	}
 }
 
-func BenchmarkAblationSweepAdjListNoReuse(b *testing.B) {
-	w := benchWorld(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		graph.IterativeDegreeRemoval(w.Social, 0.01, 5, graph.SweepOptions{})
-	}
-}
-
-// Per-round SCC recomputation cost in the Fig 12 sweep (CSR engine): the
+// Per-round SCC recomputation cost in the Fig 12 sweep: the
 // no-SCC side is exactly the SweepCSRReuse measurement, aliased explicitly
 // so the trajectory name survives.
 func BenchmarkAblationRemovalNoSCC(b *testing.B) { BenchmarkAblationSweepCSRReuse(b) }
 
 func BenchmarkAblationRemovalWithSCC(b *testing.B) {
 	w := benchWorld(b)
-	csr := w.SocialCSR()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		graph.IterativeDegreeRemovalCSR(csr, 0.01, 5, graph.SweepOptions{WithSCC: true})
+		graph.NewSweeper(w.Social).IterativeDegreeRemoval(0.01, 5, graph.SweepOptions{WithSCC: true})
 	}
 }
 
-// Federation-graph induction: the stamped group-bucket kernel (live path,
-// adjacency-list and CSR walks) vs the sorted flat edge buffer vs the
-// original hash-map dedup.
+// Federation-graph induction by the stamped group-bucket kernel.
 func BenchmarkAblationInduceStamp(b *testing.B) {
 	w := benchWorld(b)
 	group := w.UserInstance()
@@ -403,46 +355,8 @@ func BenchmarkAblationInduceStamp(b *testing.B) {
 	}
 }
 
-func BenchmarkAblationInduceSort(b *testing.B) {
-	w := benchWorld(b)
-	group := w.UserInstance()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		w.Social.InduceSort(group, len(w.Instances))
-	}
-}
-
-func BenchmarkAblationInduceCSR(b *testing.B) {
-	w := benchWorld(b)
-	csr := w.SocialCSR()
-	group := w.UserInstance()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		csr.Induce(group, len(w.Instances))
-	}
-}
-
-func BenchmarkAblationInduceMap(b *testing.B) {
-	w := benchWorld(b)
-	group := w.UserInstance()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		w.Social.InduceMap(group, len(w.Instances))
-	}
-}
-
-// Top-degree selection: counting-sort partial selection on the CSR vs the
-// full comparison sort on adjacency lists.
+// Top-degree selection by counting-sort partial selection.
 func BenchmarkAblationTopDegreeBucket(b *testing.B) {
-	w := benchWorld(b)
-	csr := w.SocialCSR()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		csr.TopByDegree(100, nil)
-	}
-}
-
-func BenchmarkAblationTopDegreeSort(b *testing.B) {
 	w := benchWorld(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -454,25 +368,23 @@ func BenchmarkAblationTopDegreeSort(b *testing.B) {
 // Fig 13a workload (no SCC tracking).
 func BenchmarkAblationBatchSweepReverse(b *testing.B) {
 	w := benchWorld(b)
-	csr := w.FederationCSR()
 	order := graph.RankDescending(w.InstanceUserWeights())
 	batches := graph.SingletonBatches(order, 100)
 	opt := graph.SweepOptions{Weights: w.InstanceUserWeights()}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		graph.RemoveBatchesCSR(csr, batches, opt)
+		graph.RemoveBatches(w.Federation, batches, opt)
 	}
 }
 
 func BenchmarkAblationBatchSweepForward(b *testing.B) {
 	w := benchWorld(b)
-	csr := w.FederationCSR()
 	order := graph.RankDescending(w.InstanceUserWeights())
 	batches := graph.SingletonBatches(order, 100)
 	opt := graph.SweepOptions{Weights: w.InstanceUserWeights()}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		graph.NewSweeper(csr).RemoveBatches(batches, opt)
+		graph.NewSweeper(w.Federation).RemoveBatches(batches, opt)
 	}
 }
 
@@ -480,13 +392,12 @@ func BenchmarkAblationBatchSweepForward(b *testing.B) {
 // per-point engine, which is what the shards accelerate).
 func benchBatchSweepWorkers(b *testing.B, workers int) {
 	w := benchWorld(b)
-	csr := w.FederationCSR()
 	order := graph.RankDescending(w.InstanceUserWeights())
 	batches := graph.SingletonBatches(order, 100)
 	opt := graph.SweepOptions{Weights: w.InstanceUserWeights(), WithSCC: true}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		graph.RemoveBatchesParallel(csr, batches, opt, workers)
+		graph.RemoveBatchesParallel(w.Federation, batches, opt, workers)
 	}
 }
 
@@ -918,8 +829,8 @@ func BenchmarkWorldSaveLoad(b *testing.B) {
 	}
 }
 
-// Columnar world file vs the legacy gzip+gob encoding (ablation pairs
-// WorldSave/AblationWorldSaveGob and WorldLoad/AblationWorldLoadGob).
+// World file save and load. The gob baselines are settled (DESIGN.md,
+// "Settled ablations").
 
 func BenchmarkWorldSave(b *testing.B) {
 	w := benchWorld(b)
@@ -928,19 +839,6 @@ func BenchmarkWorldSave(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		buf.Reset()
 		if err := w.Save(&buf); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.SetBytes(int64(buf.Len()))
-}
-
-func BenchmarkAblationWorldSaveGob(b *testing.B) {
-	w := benchWorld(b)
-	var buf bytes.Buffer
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf.Reset()
-		if err := w.SaveGob(&buf); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -957,21 +855,6 @@ func BenchmarkWorldLoad(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := dataset.Load(bytes.NewReader(raw)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAblationWorldLoadGob(b *testing.B) {
-	var buf bytes.Buffer
-	if err := benchWorld(b).SaveGob(&buf); err != nil {
-		b.Fatal(err)
-	}
-	raw := buf.Bytes()
-	b.SetBytes(int64(len(raw)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := dataset.LoadGob(bytes.NewReader(raw)); err != nil {
 			b.Fatal(err)
 		}
 	}

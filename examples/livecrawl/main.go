@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"log"
 	"net/http/httptest"
+	"slices"
 	"time"
 
 	"repro/internal/crawler"
@@ -106,7 +107,7 @@ func main() {
 		ok := int(fu) < len(world.Users) && int(tu) < len(world.Users) &&
 			world.Instances[world.Users[fu].Instance].Domain == fromDomain &&
 			world.Instances[world.Users[tu].Instance].Domain == toDomain &&
-			world.Social.HasEdge(fu, tu)
+			slices.Contains(world.Social.Out(fu), tu)
 		if ok {
 			verified++
 		} else {

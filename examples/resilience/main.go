@@ -28,8 +28,8 @@ func main() {
 	tw := twitter.Graph(twitter.DefaultGraphConfig(7, 20000))
 	fmt.Println("\nFig 12 — removing the top 1% of accounts per round:")
 	fmt.Println("round  Mastodon-LCC  Twitter-LCC")
-	m := graph.IterativeDegreeRemovalCSR(world.SocialCSR(), 0.01, 10, graph.SweepOptions{})
-	t := graph.IterativeDegreeRemovalCSR(tw.Freeze(), 0.01, 10, graph.SweepOptions{})
+	m := graph.NewSweeper(world.Social).IterativeDegreeRemoval(0.01, 10, graph.SweepOptions{})
+	t := graph.NewSweeper(tw).IterativeDegreeRemoval(0.01, 10, graph.SweepOptions{})
 	for i := 0; i <= 10; i++ {
 		fmt.Printf("%5d  %12.3f  %11.3f\n", i, m[i].LCCFrac, t[i].LCCFrac)
 	}

@@ -28,10 +28,10 @@ type flows struct {
 	tootsOut []int64
 }
 
-// computeFlows walks the social graph (frozen CSR view) once.
+// computeFlows walks the social graph once.
 func computeFlows(w *dataset.World) *flows {
 	n := len(w.Instances)
-	social := w.SocialCSR()
+	social := w.Social
 	f := &flows{
 		remoteFollowees: make([]int, n),
 		remoteFollowers: make([]int, n),

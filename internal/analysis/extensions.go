@@ -45,10 +45,9 @@ func ExtBlocking(w *dataset.World) BlockingResult {
 		return blocks[int64(a)<<32|int64(b)] || blocks[int64(b)<<32|int64(a)]
 	}
 
-	// Federation graph with severed edges removed, scanned off the frozen
-	// CSR view.
-	fed := w.FederationCSR()
-	fedAfter := graph.NewDirected(n)
+	// Federation graph with severed edges removed.
+	fed := w.Federation
+	fedAfter := graph.NewBuilder(n)
 	cut := 0
 	for v := 0; v < n; v++ {
 		for _, u := range fed.Out(int32(v)) {
@@ -64,7 +63,7 @@ func ExtBlocking(w *dataset.World) BlockingResult {
 	}
 
 	// Social edges crossing a blocked pair.
-	social := w.SocialCSR()
+	social := w.Social
 	cutSocial := 0
 	for u := 0; u < len(w.Users); u++ {
 		iu := w.Users[u].Instance
@@ -81,9 +80,7 @@ func ExtBlocking(w *dataset.World) BlockingResult {
 
 	users := w.InstanceUserWeights()
 	before := fed.WeaklyConnected(nil)
-	// fedAfter is queried exactly once; the adjacency-list WCC returns the
-	// identical result without paying for a throwaway Freeze.
-	after := graph.WeaklyConnected(fedAfter, nil)
+	after := fedAfter.Freeze().WeaklyConnected(nil)
 	r.LCCBefore = float64(before.LargestSize) / float64(n)
 	r.LCCAfter = float64(after.LargestSize) / float64(n)
 	var totalW, lccW float64

@@ -119,12 +119,11 @@ type DegreeCDFs struct {
 	Twitter    *stats.ECDF
 }
 
-// Fig11DegreeCDF computes Fig 11 from the frozen CSR views (offset
-// subtraction instead of per-node slice-header loads).
-func Fig11DegreeCDF(w *dataset.World, twitterGraph *graph.Directed) DegreeCDFs {
+// Fig11DegreeCDF computes Fig 11.
+func Fig11DegreeCDF(w *dataset.World, twitterGraph *graph.CSR) DegreeCDFs {
 	return DegreeCDFs{
-		Social:     stats.NewECDF(w.SocialCSR().OutDegrees()),
-		Federation: stats.NewECDF(w.FederationCSR().OutDegrees()),
+		Social:     stats.NewECDF(w.Social.OutDegrees()),
+		Federation: stats.NewECDF(w.Federation.OutDegrees()),
 		Twitter:    stats.NewECDF(twitterGraph.OutDegrees()),
 	}
 }
@@ -138,10 +137,10 @@ type RemovalSeries struct {
 // Fig12UserRemoval runs the §5.1 social-graph sensitivity experiment:
 // iteratively remove the top 1% of remaining accounts by degree from both
 // the Mastodon social graph and the Twitter baseline, tracking LCC size and
-// the number of strongly connected components. Both sweeps run on CSR
+// the number of strongly connected components. Both sweeps run on
 // Sweepers (buffers allocated once per sweep, DESIGN.md), concurrently —
 // each goroutine fills a fixed slot, so the output order is deterministic.
-func Fig12UserRemoval(w *dataset.World, twitterGraph *graph.Directed, rounds int) []RemovalSeries {
+func Fig12UserRemoval(w *dataset.World, twitterGraph *graph.CSR, rounds int) []RemovalSeries {
 	opt := graph.SweepOptions{WithSCC: true}
 	series := []RemovalSeries{
 		{Label: "Mastodon"},
@@ -151,11 +150,11 @@ func Fig12UserRemoval(w *dataset.World, twitterGraph *graph.Directed, rounds int
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		series[0].Points = graph.IterativeDegreeRemovalCSR(w.SocialCSR(), 0.01, rounds, opt)
+		series[0].Points = graph.NewSweeper(w.Social).IterativeDegreeRemoval(0.01, rounds, opt)
 	}()
 	go func() {
 		defer wg.Done()
-		series[1].Points = graph.IterativeDegreeRemovalCSR(twitterGraph.Freeze(), 0.01, rounds, opt)
+		series[1].Points = graph.NewSweeper(twitterGraph).IterativeDegreeRemoval(0.01, rounds, opt)
 	}()
 	wg.Wait()
 	return series
@@ -163,13 +162,12 @@ func Fig12UserRemoval(w *dataset.World, twitterGraph *graph.Directed, rounds int
 
 // Fig13aInstanceRemoval removes the top-N instances from the federation
 // graph ranked by hosted users and by hosted toots (Fig 13a). Each ranking
-// is a parallel shard sweep over the frozen federation CSR; the two
+// is a parallel shard sweep over the federation graph; the two
 // rankings also run concurrently, writing fixed output slots.
 func Fig13aInstanceRemoval(w *dataset.World, topN int) []RemovalSeries {
 	users := w.InstanceUserWeights()
 	toots := w.InstanceTootWeights()
 	opt := graph.SweepOptions{Weights: users}
-	fed := w.FederationCSR()
 	series := []RemovalSeries{
 		{Label: "by Users Hosted"},
 		{Label: "by Toots Posted"},
@@ -180,7 +178,7 @@ func Fig13aInstanceRemoval(w *dataset.World, topN int) []RemovalSeries {
 		go func(i int, scores []float64) {
 			defer wg.Done()
 			order := graph.RankDescending(scores)
-			series[i].Points = graph.RemoveBatchesParallel(fed, graph.SingletonBatches(order, topN), opt, 0)
+			series[i].Points = graph.RemoveBatchesParallel(w.Federation, graph.SingletonBatches(order, topN), opt, 0)
 		}(i, scores)
 	}
 	wg.Wait()
@@ -234,7 +232,6 @@ func Fig13bASRemoval(w *dataset.World, topN int) []RemovalSeries {
 		}
 		return s
 	}, topN)
-	fed := w.FederationCSR()
 	series := []RemovalSeries{
 		{Label: "by Instances Hosted"},
 		{Label: "by Users Hosted"},
@@ -244,7 +241,7 @@ func Fig13bASRemoval(w *dataset.World, topN int) []RemovalSeries {
 		wg.Add(1)
 		go func(i int, batches [][]int32) {
 			defer wg.Done()
-			series[i].Points = graph.RemoveBatchesParallel(fed, batches, opt, 0)
+			series[i].Points = graph.RemoveBatchesParallel(w.Federation, batches, opt, 0)
 		}(i, batches)
 	}
 	wg.Wait()

@@ -96,7 +96,6 @@ type ConnectivityRow struct {
 // world's precomputed placement state (replication.New(w)) — passed in so
 // callers sharing it for other measurements build it once.
 func ReplicationConnectivity(w *dataset.World, exp *replication.Experiment, strategies []replication.Strategy, down []bool) []ConnectivityRow {
-	csr := w.SocialCSR()
 	rows := make([]ConnectivityRow, 0, len(strategies))
 	for _, s := range strategies {
 		alive := exp.Survivors(s, down)
@@ -106,7 +105,7 @@ func ReplicationConnectivity(w *dataset.World, exp *replication.Experiment, stra
 				surv++
 			}
 		}
-		wcc := csr.WeaklyConnected(alive)
+		wcc := w.Social.WeaklyConnected(alive)
 		row := ConnectivityRow{
 			Strategy:        s.Name(),
 			AvailabilityPct: exp.Availability(s, down),

@@ -14,10 +14,7 @@ import (
 //	instance 0: users 0, 1   instance 1: user 2   instance 2: user 3
 //	follows: 1→0 (local), 2→1, 3→2
 func connWorld() *dataset.World {
-	g := graph.NewDirected(4)
-	g.AddEdge(1, 0)
-	g.AddEdge(2, 1)
-	g.AddEdge(3, 2)
+	g := graph.FromRows([][]int32{nil, {0}, {1}, {2}})
 	return &dataset.World{
 		Days: 1,
 		Instances: []dataset.Instance{
@@ -72,13 +69,13 @@ func TestProbeLossBiasCoverage(t *testing.T) {
 	mk := func(downSlots int, users int) *dataset.World {
 		w := connWorld()
 		w.Users = w.Users[:users]
-		g := graph.NewDirected(users)
+		g := graph.NewBuilder(users)
 		for _, e := range [][2]int32{{1, 0}, {2, 1}, {3, 2}} {
 			if int(e[0]) < users && int(e[1]) < users {
 				g.AddEdge(e[0], e[1])
 			}
 		}
-		w.Social = g
+		w.Social = g.Freeze()
 		ts := sim.NewTraceSet(len(w.Instances), 1, dataset.SlotsPerDay)
 		ts.Traces[0].SetDownRange(0, downSlots)
 		w.Traces = ts

@@ -97,14 +97,15 @@ func Assemble(p WorldParts) (*World, []string) {
 		}
 		return edges[i].To < edges[j].To
 	})
-	social := graph.NewDirected(len(users))
+	b := graph.NewBuilder(len(users))
 	for _, e := range edges {
 		from, okF := idx[e.From]
 		to, okT := idx[e.To]
 		if okF && okT {
-			social.AddEdge(from, to)
+			b.AddEdge(from, to)
 		}
 	}
+	social := b.Freeze()
 	group := make([]int32, len(users))
 	for i := range users {
 		group[i] = users[i].Instance

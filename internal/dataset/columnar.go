@@ -11,8 +11,8 @@ import (
 	"repro/internal/sim"
 )
 
-// Columnar world files ("FDWC", v1). The format replaces the gob shell:
-// a short preamble (magic + version) followed by self-framed sections,
+// Columnar world files ("FDWC", v1), the one world-file format: a short
+// preamble (magic + version) followed by self-framed sections,
 // each [tag byte][uvarint payload length][payload]. Large tables —
 // instances, users, graph adjacency, traces — are split across multiple
 // fixed-budget chunk sections, so both Save and Load touch one section's
@@ -23,8 +23,7 @@ import (
 // legal), strings are length-prefixed, floats are fixed 8-byte LE.
 //
 // Compatibility rule: a reader accepts exactly its own version; any layout
-// change bumps colVersion. Files written by the old gob/gzip Save remain
-// loadable forever — Load sniffs the gzip magic and routes to LoadGob.
+// change bumps colVersion.
 
 // colMagic opens every columnar world file.
 const colMagic = "FDWC"
@@ -82,10 +81,9 @@ var colDecodeBudget = int64(8) << 30
 // ScratchCap is the peak decode memory beyond the world being built — the
 // O(one section) bound the streaming design promises.
 type LoadStats struct {
-	Sections     int
-	MaxSection   int
-	ScratchCap   int
-	LegacyFormat bool // file was gob/gzip and took the legacy path
+	Sections   int
+	MaxSection int
+	ScratchCap int
 }
 
 // ---------------------------------------------------------------------------
@@ -469,7 +467,7 @@ func (w *World) Save(out io.Writer) error {
 	return bw.Flush()
 }
 
-func saveGraphSections(sw *sectionWriter, gid byte, g *graph.Directed) error {
+func saveGraphSections(sw *sectionWriter, gid byte, g *graph.CSR) error {
 	if g == nil {
 		return nil
 	}
@@ -546,8 +544,7 @@ func (d *colDecoder) alloc(bytes int64, what string) error {
 	return nil
 }
 
-// Load reads a world written by Save (columnar) or by the old gob/gzip
-// format, which it detects by magic. Corrupt or truncated input fails with
+// Load reads a world written by Save. Corrupt or truncated input fails with
 // an error naming the format, version and byte offset — never a partially
 // populated world.
 func Load(in io.Reader) (*World, error) {
@@ -560,21 +557,12 @@ func Load(in io.Reader) (*World, error) {
 func LoadWithStats(in io.Reader) (*World, LoadStats, error) {
 	var stats LoadStats
 	br := bufio.NewReaderSize(in, 64<<10)
-	head, err := br.Peek(2)
-	if err != nil {
-		return nil, stats, fmt.Errorf("dataset: world file: reading magic: %w", err)
-	}
-	if head[0] == 0x1f && head[1] == 0x8b { // gzip: the legacy gob format
-		stats.LegacyFormat = true
-		w, err := LoadGob(br)
-		return w, stats, err
-	}
 	magic := make([]byte, len(colMagic))
 	if _, err := io.ReadFull(br, magic); err != nil {
 		return nil, stats, fmt.Errorf("dataset: world file: reading magic: %w", err)
 	}
 	if string(magic) != colMagic {
-		return nil, stats, fmt.Errorf("dataset: world file: bad magic %q (neither %q nor gzip)", magic, colMagic)
+		return nil, stats, fmt.Errorf("dataset: world file: bad magic %q (want %q)", magic, colMagic)
 	}
 	off := len(colMagic)
 	version, err := readUvarintCounted(br, &off)
@@ -695,8 +683,7 @@ func (d *colDecoder) section(tag byte, r *colReader) error {
 		if err := d.alloc(int64(d.nInst)*300+int64(d.nUsers)*32+int64(d.nAS)*64, "header tables"); err != nil {
 			return err
 		}
-		// nil stays nil so a columnar round trip lands on the same world
-		// shape as the legacy gob one.
+		// nil stays nil so a round trip lands on the same world shape.
 		if d.nInst > 0 {
 			d.w.Instances = make([]Instance, d.nInst)
 		}
@@ -792,7 +779,7 @@ func (d *colDecoder) section(tag byte, r *colReader) error {
 			if k := r.count(len(r.b), "block"); k > 0 {
 				rows[i].Blocks = make([]int32, k)
 				for j := range rows[i].Blocks {
-					rows[i].Blocks[j] = int32(r.zigzag())
+					rows[i].Blocks[j] = d.instanceID(r, "block")
 				}
 			}
 		}
@@ -838,7 +825,7 @@ func (d *colDecoder) section(tag byte, r *colReader) error {
 			rows[i].ID = int32(r.zigzag())
 		}
 		for i := range rows {
-			rows[i].Instance = int32(r.zigzag())
+			rows[i].Instance = d.instanceID(r, "user instance")
 		}
 		for i := range rows {
 			rows[i].JoinDay = int(r.zigzag())
@@ -871,7 +858,20 @@ func (d *colDecoder) section(tag byte, r *colReader) error {
 		if r.err != nil {
 			return nil
 		}
-		if err := d.alloc(int64(nodes)*48+int64(edges)*8, "graph"); err != nil {
+		// The social graph is indexed by user id and the federation graph by
+		// instance id, so each must be exactly as large as its table.
+		table := d.nUsers
+		if gid == gidFederation {
+			table = d.nInst
+		}
+		if nodes != table {
+			return fmt.Errorf("graph %d has %d nodes, its table has %d rows", gid, nodes, table)
+		}
+		// What Load allocates for a graph: the decoded rows (a slice header
+		// per node, an int32 per edge) and the CSR built from them (three
+		// int64 offset arrays and a scatter cursor per node; out, in and the
+		// twice-as-long merged array per edge).
+		if err := d.alloc(int64(nodes)*(24+4*8)+int64(edges)*(4+4*4), "graph"); err != nil {
 			return err
 		}
 		d.graphs[gid] = &graphDecode{
@@ -994,6 +994,16 @@ func (d *colDecoder) section(tag byte, r *colReader) error {
 		return fmt.Errorf("unknown section tag")
 	}
 	return nil
+}
+
+// instanceID reads an instance id and fails the section unless it indexes
+// the instance table the header announced.
+func (d *colDecoder) instanceID(r *colReader, what string) int32 {
+	id := r.zigzag()
+	if r.err == nil && (id < 0 || id >= int64(d.nInst)) {
+		r.fail("%s id %d out of range [0,%d)", what, id, d.nInst)
+	}
+	return int32(id)
 }
 
 func (d *colDecoder) graphFor(r *colReader) (int, *graphDecode, error) {

@@ -7,9 +7,10 @@ import (
 
 // FuzzWorldFile throws arbitrary bytes at the world-file decoder. The
 // contract under fuzz: Load never panics and never allocates past the
-// decode budget; any input it does accept must re-encode into a
-// byte-stable, re-loadable columnar file (decode is a retraction onto the
-// canonical encoding).
+// decode budget; any input it does accept is a consistent world — graphs as
+// large as their tables, every instance id in range — and re-encodes into a
+// byte-stable, re-loadable file (decode is a retraction onto the canonical
+// encoding). Nothing that opens with the gzip magic is accepted.
 func FuzzWorldFile(f *testing.F) {
 	valid := func(w *World) []byte {
 		var buf bytes.Buffer
@@ -22,11 +23,7 @@ func FuzzWorldFile(f *testing.F) {
 	f.Add(sample)
 	f.Add(sample[:len(sample)/2])
 	f.Add(valid(&World{Seed: 1}))
-	var gobBuf bytes.Buffer
-	if err := sampleWorld().SaveGob(&gobBuf); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(gobBuf.Bytes())
+	f.Add(append([]byte{0x1f, 0x8b, 8}, sample...))
 	f.Add([]byte("FDWC"))
 	f.Add([]byte{'F', 'D', 'W', 'C', 1, secHeader, 0})
 
@@ -36,6 +33,26 @@ func FuzzWorldFile(f *testing.F) {
 		w, err := Load(bytes.NewReader(data))
 		if err != nil {
 			return
+		}
+		if bytes.HasPrefix(data, []byte{0x1f, 0x8b}) {
+			t.Fatal("gzip-framed input accepted")
+		}
+		if w.Social != nil && w.Social.NumNodes() != len(w.Users) ||
+			w.Federation != nil && w.Federation.NumNodes() != len(w.Instances) {
+			t.Fatal("accepted world's graphs do not match its tables")
+		}
+		inRange := func(id int32) bool { return id >= 0 && int(id) < len(w.Instances) }
+		for i := range w.Users {
+			if !inRange(w.Users[i].Instance) {
+				t.Fatalf("accepted user %d on instance %d of %d", i, w.Users[i].Instance, len(w.Instances))
+			}
+		}
+		for i := range w.Instances {
+			for _, b := range w.Instances[i].Blocks {
+				if !inRange(b) {
+					t.Fatalf("accepted instance %d blocking %d of %d", i, b, len(w.Instances))
+				}
+			}
 		}
 		var first bytes.Buffer
 		if err := w.Save(&first); err != nil {

@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"bytes"
+	"compress/gzip"
 	"fmt"
 	"math/rand/v2"
 	"reflect"
@@ -61,10 +62,11 @@ func bigSyntheticWorld() *World {
 			Private:  r.IntN(5) == 0,
 		}
 	}
-	social := graph.NewDirected(nUsers)
+	b := graph.NewBuilder(nUsers)
 	for e := 0; e < 300000; e++ {
-		social.AddEdge(int32(r.IntN(nUsers)), int32(r.IntN(nUsers)))
+		b.AddEdge(int32(r.IntN(nUsers)), int32(r.IntN(nUsers)))
 	}
+	social := b.Freeze()
 	group := make([]int32, nUsers)
 	for i := range users {
 		group[i] = users[i].Instance
@@ -93,8 +95,8 @@ func bigSyntheticWorld() *World {
 	}
 }
 
-// requireWorldsEquivalent holds two worlds equal field-by-field, comparing
-// graphs and traces through their canonical encodings.
+// requireWorldsEquivalent holds two worlds equal field-by-field: graphs row
+// by row (out, in and merged), traces through their canonical encoding.
 func requireWorldsEquivalent(t *testing.T, a, b *World) {
 	t.Helper()
 	if a.Seed != b.Seed || a.Days != b.Days {
@@ -112,20 +114,10 @@ func requireWorldsEquivalent(t *testing.T, a, b *World) {
 	if !reflect.DeepEqual(a.CertOutageDays, b.CertOutageDays) {
 		t.Fatal("cert outage tables differ")
 	}
-	encode := func(g *graph.Directed) []byte {
-		if g == nil {
-			return nil
-		}
-		var buf bytes.Buffer
-		if err := g.Encode(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	if !bytes.Equal(encode(a.Social), encode(b.Social)) {
+	if !reflect.DeepEqual(a.Social, b.Social) {
 		t.Fatal("social graphs differ")
 	}
-	if !bytes.Equal(encode(a.Federation), encode(b.Federation)) {
+	if !reflect.DeepEqual(a.Federation, b.Federation) {
 		t.Fatal("federation graphs differ")
 	}
 	marshal := func(ts *sim.TraceSet) []byte {
@@ -141,22 +133,6 @@ func requireWorldsEquivalent(t *testing.T, a, b *World) {
 	if !bytes.Equal(marshal(a.Traces), marshal(b.Traces)) {
 		t.Fatal("traces differ")
 	}
-	ina := inDegreeSum(a.Social)
-	inb := inDegreeSum(b.Social)
-	if ina != inb {
-		t.Fatalf("in-adjacency differs: %d vs %d", ina, inb)
-	}
-}
-
-func inDegreeSum(g *graph.Directed) int {
-	if g == nil {
-		return 0
-	}
-	s := 0
-	for v := 0; v < g.NumNodes(); v++ {
-		s += g.InDegree(int32(v)) * (v + 1)
-	}
-	return s
 }
 
 func saveColumnar(t *testing.T, w *World) []byte {
@@ -168,9 +144,9 @@ func saveColumnar(t *testing.T, w *World) []byte {
 	return buf.Bytes()
 }
 
-// The differential oracle: for the same world, the columnar round trip and
-// the legacy gob round trip must land on equivalent worlds, and columnar
-// Save→Load→Save must be byte-identical.
+// The round-trip oracle: Save→Load must land on a world equivalent to the
+// original, and Save→Load→Save must be byte-identical. (The name dates from
+// when a gob round trip was a third leg; these two subsumed it.)
 func TestColumnarMatchesGobOracle(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -182,20 +158,11 @@ func TestColumnarMatchesGobOracle(t *testing.T) {
 		{"nographs", &World{Seed: 2, Days: 3, Instances: []Instance{{ID: 0, Domain: "x.test", GoneDay: -1}}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			var gobBuf bytes.Buffer
-			if err := tc.world.SaveGob(&gobBuf); err != nil {
-				t.Fatal(err)
-			}
-			viaGob, err := LoadGob(bytes.NewReader(gobBuf.Bytes()))
-			if err != nil {
-				t.Fatal(err)
-			}
 			b1 := saveColumnar(t, tc.world)
 			viaCol, err := Load(bytes.NewReader(b1))
 			if err != nil {
 				t.Fatal(err)
 			}
-			requireWorldsEquivalent(t, viaGob, viaCol)
 			requireWorldsEquivalent(t, tc.world, viaCol)
 			if b2 := saveColumnar(t, viaCol); !bytes.Equal(b1, b2) {
 				t.Fatal("Save→Load→Save is not byte-identical")
@@ -204,21 +171,48 @@ func TestColumnarMatchesGobOracle(t *testing.T) {
 	}
 }
 
-// Legacy files (gzip+gob) still load through the front door.
+// A gzip stream — the framing of the deleted gob format — is no longer
+// sniffed: it gets the bad-magic error like any other foreign file.
 func TestLoadLegacyGobFormat(t *testing.T) {
-	w := sampleWorld()
 	var buf bytes.Buffer
-	if err := w.SaveGob(&buf); err != nil {
-		t.Fatal(err)
+	zw := gzip.NewWriter(&buf)
+	zw.Write([]byte("a gob-encoded world"))
+	zw.Close()
+	if _, err := Load(&buf); err == nil || !strings.Contains(err.Error(), "bad magic") {
+		t.Fatalf("gzip file: %v", err)
 	}
-	back, stats, err := LoadWithStats(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
+}
+
+// A file whose graphs or instance ids disagree with its tables must fail at
+// Load, in the descriptive-error style, instead of panicking the first
+// reader that indexes one by the other (instance.LoadWorld walks
+// Social.Out(u) for every user u and Instances[User.Instance]).
+func TestLoadRejectsInconsistentWorld(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		mutate func(w *World)
+		want   string
+	}{
+		{"social-nodes", func(w *World) { w.Social = graph.NewBuilder(1).Freeze() }, "graph 0 has 1 nodes"},
+		{"federation-nodes", func(w *World) { w.Federation = graph.NewBuilder(5).Freeze() }, "graph 1 has 5 nodes"},
+		{"user-instance", func(w *World) { w.Users[2].Instance = 7 }, "user instance id 7 out of range"},
+		{"user-instance-negative", func(w *World) { w.Users[0].Instance = -1 }, "user instance id -1 out of range"},
+		{"block", func(w *World) { w.Instances[1].Blocks = []int32{0, 2} }, "block id 2 out of range"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := sampleWorld()
+			tc.mutate(w)
+			_, err := Load(bytes.NewReader(saveColumnar(t, w)))
+			if err == nil {
+				t.Fatal("inconsistent world accepted")
+			}
+			for _, part := range []string{tc.want, "FDWC v1", "offset"} {
+				if !strings.Contains(err.Error(), part) {
+					t.Fatalf("error lacks %q: %v", part, err)
+				}
+			}
+		})
 	}
-	if !stats.LegacyFormat {
-		t.Fatal("legacy file not flagged as legacy")
-	}
-	requireWorldsEquivalent(t, w, back)
 }
 
 // The streaming contract: the decoder's scratch memory is exactly one

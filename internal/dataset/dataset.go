@@ -6,7 +6,6 @@
 package dataset
 
 import (
-	"sync"
 	"time"
 
 	"repro/internal/graph"
@@ -181,10 +180,10 @@ type World struct {
 	ASes      []AS
 
 	// Social is the user follower graph G(V,E): edge u→v means u follows v.
-	Social *graph.Directed
+	Social *graph.CSR
 	// Federation is the instance federation graph GF(I,E) induced from
 	// Social exactly as §3 defines it.
-	Federation *graph.Directed
+	Federation *graph.CSR
 
 	// Traces holds one availability bitset per instance at 5-minute
 	// resolution (the mnm.social probe record).
@@ -197,33 +196,10 @@ type World struct {
 
 	// Provenance, when non-nil, records per-instance harvest outcomes for
 	// crawled worlds (aligned with Instances; see CrawlProvenance). It is
-	// in-memory crawl metadata, not part of the serialised world: Save and
-	// SaveGob ignore it, which is also what keeps a partial-harvest world
+	// in-memory crawl metadata, not part of the serialised world: Save
+	// ignores it, which is also what keeps a partial-harvest world
 	// byte-comparable with its fault-free twin.
 	Provenance []CrawlProvenance
-
-	// Lazily frozen CSR views of the two graphs (DESIGN.md). Built on first
-	// use and shared by every analysis; safe under the concurrent experiment
-	// runner.
-	socialOnce sync.Once
-	socialCSR  *graph.CSR
-	fedOnce    sync.Once
-	fedCSR     *graph.CSR
-}
-
-// SocialCSR returns the frozen CSR view of the social graph, building it on
-// first call. The result is immutable and safe for concurrent use; it must
-// not be requested before Social is fully built.
-func (w *World) SocialCSR() *graph.CSR {
-	w.socialOnce.Do(func() { w.socialCSR = w.Social.Freeze() })
-	return w.socialCSR
-}
-
-// FederationCSR returns the frozen CSR view of the federation graph,
-// building it on first call.
-func (w *World) FederationCSR() *graph.CSR {
-	w.fedOnce.Do(func() { w.fedCSR = w.Federation.Freeze() })
-	return w.fedCSR
 }
 
 // NumSlots returns the total number of 5-minute probe slots in the

@@ -3,6 +3,7 @@ package dataset
 import (
 	"bytes"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/graph"
@@ -10,9 +11,7 @@ import (
 )
 
 func sampleWorld() *World {
-	g := graph.NewDirected(3)
-	g.AddEdge(0, 1)
-	g.AddEdge(2, 0)
+	g := graph.FromRows([][]int32{{1}, nil, {0}})
 	fed := g.Induce([]int32{0, 0, 1}, 2)
 	ts := sim.NewTraceSet(2, 2, SlotsPerDay)
 	ts.Traces[0].SetDownRange(10, 20)
@@ -39,6 +38,10 @@ func sampleWorld() *World {
 
 func TestWorldAccessors(t *testing.T) {
 	w := sampleWorld()
+	// A World holds no lock — its graphs are immutable CSRs — so copying
+	// one is legal. go vet's copylocks check fails this line the day a
+	// sync type moves back in.
+	_ = *w
 	if w.NumSlots() != 2*SlotsPerDay {
 		t.Fatalf("slots = %d", w.NumSlots())
 	}
@@ -90,10 +93,10 @@ func TestWorldSaveLoadRoundTrip(t *testing.T) {
 	if len(back.Users) != 3 || back.Users[1].Toots != 20 {
 		t.Fatal("users lost")
 	}
-	if !back.Social.HasEdge(0, 1) || !back.Social.HasEdge(2, 0) {
+	if !reflect.DeepEqual(back.Social, w.Social) {
 		t.Fatal("social graph lost")
 	}
-	if !back.Federation.HasEdge(1, 0) {
+	if !reflect.DeepEqual(back.Federation, w.Federation) {
 		t.Fatal("federation graph lost")
 	}
 	if !back.Traces.Traces[0].IsDown(15) || back.Traces.Traces[0].IsDown(25) {
@@ -123,8 +126,8 @@ func TestWorldFileRoundTrip(t *testing.T) {
 }
 
 func TestLoadErrors(t *testing.T) {
-	if _, err := Load(bytes.NewReader([]byte("not gzip"))); err == nil {
-		t.Fatal("expected gzip error")
+	if _, err := Load(bytes.NewReader([]byte("not a world"))); err == nil {
+		t.Fatal("expected bad-magic error")
 	}
 }
 

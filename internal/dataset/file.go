@@ -1,99 +1,6 @@
 package dataset
 
-import (
-	"bytes"
-	"compress/gzip"
-	"encoding/gob"
-	"fmt"
-	"io"
-	"os"
-
-	"repro/internal/graph"
-	"repro/internal/sim"
-)
-
-// The original world file format: gob-encoded and gzip-compressed, the two
-// graphs and the probe traces nested as their own compact binary encodings.
-// It buffers the whole world on both sides, so it tops out well short of
-// paper scale; Save/Load now use the columnar format (columnar.go) and keep
-// this one as the legacy reader (Load sniffs the gzip magic) and as the
-// baseline side of the WorldSave/WorldLoad ablation benchmarks.
-
-// worldFile is the serialisable shell of a World in the legacy gob format.
-type worldFile struct {
-	Seed           uint64
-	Days           int
-	Instances      []Instance
-	Users          []User
-	ASes           []AS
-	SocialBytes    []byte
-	FedBytes       []byte
-	TraceBytes     []byte
-	CertOutageDays map[int32][]int
-}
-
-// SaveGob writes the world to w in the legacy gzip+gob format.
-func (w *World) SaveGob(out io.Writer) error {
-	zw := gzip.NewWriter(out)
-	var wf worldFile
-	wf.Seed = w.Seed
-	wf.Days = w.Days
-	wf.Instances = w.Instances
-	wf.Users = w.Users
-	wf.ASes = w.ASes
-	wf.CertOutageDays = w.CertOutageDays
-	var err error
-	if wf.SocialBytes, err = encodeGraph(w.Social); err != nil {
-		return err
-	}
-	if wf.FedBytes, err = encodeGraph(w.Federation); err != nil {
-		return err
-	}
-	if w.Traces != nil {
-		if wf.TraceBytes, err = w.Traces.MarshalBinary(); err != nil {
-			return err
-		}
-	}
-	if err := gob.NewEncoder(zw).Encode(&wf); err != nil {
-		return fmt.Errorf("dataset: encode world: %w", err)
-	}
-	return zw.Close()
-}
-
-// LoadGob reads a world written by SaveGob (or by Save before the columnar
-// format).
-func LoadGob(in io.Reader) (*World, error) {
-	zr, err := gzip.NewReader(in)
-	if err != nil {
-		return nil, fmt.Errorf("dataset: open world: %w", err)
-	}
-	defer zr.Close()
-	var wf worldFile
-	if err := gob.NewDecoder(zr).Decode(&wf); err != nil {
-		return nil, fmt.Errorf("dataset: decode world: %w", err)
-	}
-	w := &World{
-		Seed:           wf.Seed,
-		Days:           wf.Days,
-		Instances:      wf.Instances,
-		Users:          wf.Users,
-		ASes:           wf.ASes,
-		CertOutageDays: wf.CertOutageDays,
-	}
-	if w.Social, err = decodeGraph(wf.SocialBytes); err != nil {
-		return nil, err
-	}
-	if w.Federation, err = decodeGraph(wf.FedBytes); err != nil {
-		return nil, err
-	}
-	if len(wf.TraceBytes) > 0 {
-		w.Traces = new(sim.TraceSet)
-		if err := w.Traces.UnmarshalBinary(wf.TraceBytes); err != nil {
-			return nil, err
-		}
-	}
-	return w, nil
-}
+import "os"
 
 // SaveFile writes the world to path.
 func (w *World) SaveFile(path string) error {
@@ -116,22 +23,4 @@ func LoadFile(path string) (*World, error) {
 	}
 	defer f.Close()
 	return Load(f)
-}
-
-func encodeGraph(g *graph.Directed) ([]byte, error) {
-	if g == nil {
-		return nil, nil
-	}
-	var buf bytes.Buffer
-	if err := g.Encode(&buf); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-func decodeGraph(b []byte) (*graph.Directed, error) {
-	if len(b) == 0 {
-		return nil, nil
-	}
-	return graph.DecodeGraph(bytes.NewReader(b))
 }

@@ -235,7 +235,7 @@ func TestSocialGraphShape(t *testing.T) {
 	if mean < 5 || mean > 14 {
 		t.Fatalf("mean out-degree = %.2f, want ≈10.8", mean)
 	}
-	wcc := graph.WeaklyConnected(w.Social, nil)
+	wcc := w.Social.WeaklyConnected(nil)
 	if f := wcc.LCCFraction(); f < 0.97 {
 		t.Fatalf("social LCC = %.4f, want ≥0.97 (§5.1: 99.95%%)", f)
 	}
@@ -253,7 +253,7 @@ func TestSocialGraphFragility(t *testing.T) {
 	// The headline Fig 12 result needs the larger world for a stable shape:
 	// removing the top 1% of accounts must collapse the LCC.
 	w := Generate(SmallConfig(1))
-	pts := graph.IterativeDegreeRemoval(w.Social, 0.01, 1, graph.SweepOptions{})
+	pts := graph.NewSweeper(w.Social).IterativeDegreeRemoval(0.01, 1, graph.SweepOptions{})
 	if pts[0].LCCFrac < 0.97 {
 		t.Fatalf("baseline LCC = %.3f", pts[0].LCCFrac)
 	}
@@ -267,7 +267,7 @@ func TestFederationGraphShape(t *testing.T) {
 	if w.Federation.NumNodes() != len(w.Instances) {
 		t.Fatal("federation graph node count mismatch")
 	}
-	wcc := graph.WeaklyConnected(w.Federation, nil)
+	wcc := w.Federation.WeaklyConnected(nil)
 	if f := wcc.LCCFraction(); f < 0.80 || f > 0.995 {
 		t.Fatalf("federation LCC = %.3f, want ≈0.92 (§5.1)", f)
 	}

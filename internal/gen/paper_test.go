@@ -46,9 +46,6 @@ func TestPaperScaleWorld(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.LegacyFormat {
-		t.Fatal("paper world loaded through the legacy gob path")
-	}
 	// The decoder's promise at scale: transient memory is bounded by one
 	// section, never by the world. 8 MB mirrors the encoder's section cap.
 	if stats.ScratchCap > 8<<20 {

@@ -15,10 +15,10 @@ import (
 // infinite-mean Pareto, the follow mass concentrates in a tiny celebrity
 // core — reproducing both the degree skew of Fig 11 and the extreme
 // fragility of Fig 12 (removing the top 1% of accounts collapses the LCC).
-func genSocial(cfg Config, insts []dataset.Instance, users []dataset.User, fame []float64) *graph.Directed {
+func genSocial(cfg Config, insts []dataset.Instance, users []dataset.User, fame []float64) *graph.CSR {
 	n := len(users)
 	if n < 2 {
-		return graph.NewDirected(n)
+		return graph.NewBuilder(n).Freeze()
 	}
 
 	// Out-degrees: power law scaled so the overall mean (including
@@ -200,9 +200,8 @@ func (s *fameSampler) sample(r *rand.Rand) int32 {
 // induceFederation builds GF(I,E) from the social graph exactly as §3
 // defines it: a directed edge Ia→Ib exists iff at least one user on Ia
 // follows a user on Ib, deduplicated by the stamped group-bucket kernel
-// (DESIGN.md) straight off the adjacency lists — freezing a throwaway CSR
-// here would only add an edge copy.
-func induceFederation(social *graph.Directed, users []dataset.User, numInstances int) *graph.Directed {
+// (DESIGN.md).
+func induceFederation(social *graph.CSR, users []dataset.User, numInstances int) *graph.CSR {
 	group := make([]int32, len(users))
 	for i := range users {
 		group[i] = users[i].Instance

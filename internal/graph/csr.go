@@ -1,15 +1,10 @@
 package graph
 
-// This file implements the frozen compressed-sparse-row (CSR) engine
-// (DESIGN.md): flat neighbour arrays with per-node offset indexes, built
-// once from a Directed via Freeze, plus CSR rewrites of the hot analysis
-// paths — weakly/strongly connected components, quotient-graph induction,
-// and top-degree selection. The mutable adjacency-list implementations stay
-// in graph.go/components.go as the ablation baselines.
-
-import (
-	"slices"
-)
+// This file implements the frozen compressed-sparse-row (CSR) graph
+// (DESIGN.md) — flat neighbour arrays with per-node offset indexes, built
+// once by FromRows / Builder.Freeze — and the analyses that run on it:
+// weakly/strongly connected components, quotient-graph induction, and
+// top-degree selection.
 
 // CSR is a frozen directed graph in compressed-sparse-row form. Neighbour
 // ids live in flat []int32 arrays indexed by per-node offsets, so every
@@ -28,34 +23,6 @@ type CSR struct {
 	inAdj  []int32
 	undOff []int64 // merged view: und degree of v = outDeg(v)+inDeg(v)
 	undAdj []int32
-}
-
-// Freeze builds the CSR form of g. Neighbour order within each node is
-// preserved exactly, so CSR traversals visit edges in the same order as the
-// adjacency lists (the equivalence tests rely on this).
-func (g *Directed) Freeze() *CSR {
-	n := g.NumNodes()
-	c := &CSR{
-		n:      n,
-		edges:  g.edges,
-		outOff: make([]int64, n+1),
-		outAdj: make([]int32, g.edges),
-		inOff:  make([]int64, n+1),
-		inAdj:  make([]int32, g.edges),
-		undOff: make([]int64, n+1),
-		undAdj: make([]int32, 2*g.edges),
-	}
-	for v := 0; v < n; v++ {
-		c.outOff[v+1] = c.outOff[v] + int64(len(g.out[v]))
-		c.inOff[v+1] = c.inOff[v] + int64(len(g.in[v]))
-		c.undOff[v+1] = c.undOff[v] + int64(len(g.out[v])+len(g.in[v]))
-		copy(c.outAdj[c.outOff[v]:], g.out[v])
-		copy(c.inAdj[c.inOff[v]:], g.in[v])
-		u := c.undOff[v]
-		u += int64(copy(c.undAdj[u:], g.out[v]))
-		copy(c.undAdj[u:], g.in[v])
-	}
-	return c
 }
 
 // NumNodes returns the number of nodes.
@@ -115,10 +82,41 @@ func (c *CSR) InDegrees() []float64 {
 	return ds
 }
 
+// WCCResult summarises the weakly-connected-component structure of a graph
+// restricted to its alive nodes.
+type WCCResult struct {
+	NumComponents int // number of weakly connected components
+	LargestSize   int // node count of the largest component
+	AliveNodes    int // nodes considered
+	// LargestRoot is the root label of the largest component (internal).
+	// Equal-sized components tie towards the one containing the smallest
+	// node id — the canonical, union-order-independent rule shared with the
+	// reverse-incremental sweep (DESIGN.md).
+	LargestRoot int32
+	roots       []int32
+}
+
+// LCCFraction returns LargestSize / AliveNodes, or 0 when no nodes are alive.
+func (r WCCResult) LCCFraction() float64 {
+	if r.AliveNodes == 0 {
+		return 0
+	}
+	return float64(r.LargestSize) / float64(r.AliveNodes)
+}
+
+// InLargest reports whether node v belongs to the largest component.
+// It returns false for dead or out-of-range nodes.
+func (r WCCResult) InLargest(v int32) bool {
+	if int(v) >= len(r.roots) || r.roots[v] < 0 {
+		return false
+	}
+	return r.roots[v] == r.LargestRoot
+}
+
 // WeaklyConnected computes the weakly-connected components of c restricted
-// to alive nodes (alive == nil means all), with results identical to the
-// adjacency-list WeaklyConnected. The component tally uses a flat size
-// array indexed by union-find root instead of a hash map.
+// to nodes where alive[v] is true (alive == nil means all nodes) by weighted
+// quick-union with path halving. Edges with a dead endpoint are ignored,
+// matching the paper's node-removal semantics.
 func (c *CSR) WeaklyConnected(alive []bool) WCCResult {
 	n := c.n
 	parent := make([]int32, n)
@@ -140,12 +138,12 @@ func csrUnionFind(c *CSR, alive []bool, parent, size []int32) int {
 		size[i] = 1
 	}
 	// The find loops are inlined by hand (a closure would cost a call per
-	// edge), with path halving exactly like the adjacency-list unionFind.
-	// One find per source node instead of one per edge: rv stays v's root
-	// across the row because every union involving v's tree leaves its
-	// result in rv. The union sequence (and therefore the final forest) is
-	// identical to finding v afresh per edge. The nil-mask case gets its
-	// own loop so the hot path carries no alive branches.
+	// edge), with path halving. One find per source node instead of one per
+	// edge: rv stays v's root across the row because every union involving
+	// v's tree leaves its result in rv. The union sequence (and therefore
+	// the final forest) is identical to finding v afresh per edge. The
+	// nil-mask case gets its own loop so the hot path carries no alive
+	// branches.
 	if alive == nil {
 		for v := 0; v < n; v++ {
 			row := c.outAdj[c.outOff[v]:c.outOff[v+1]]
@@ -218,8 +216,7 @@ func csrUnionFind(c *CSR, alive []bool, parent, size []int32) int {
 // every alive self-root is a component and the union-find size at that root
 // is exactly the component's node count (dead nodes stay isolated singleton
 // roots and are skipped). The largest component uses the canonical
-// tie-break (max size, tie towards the smallest member id — DESIGN.md),
-// matching the adjacency-list implementation.
+// tie-break (max size, tie towards the smallest member id — DESIGN.md).
 func csrTally(alive []bool, parent, size, roots []int32) (numComponents, largestSize int, largestRoot int32) {
 	largestRoot = -1
 	for v := range roots {
@@ -250,48 +247,10 @@ func csrTally(alive []bool, parent, size, roots []int32) (numComponents, largest
 	return numComponents, largestSize, largestRoot
 }
 
-// WeaklyConnectedBFS computes weakly-connected components by breadth-first
-// search over the merged undirected view — one sequential row scan per node
-// instead of the out+in double scan of the adjacency-list BFS. Results are
-// identical to WeaklyConnected.
-func (c *CSR) WeaklyConnectedBFS(alive []bool) WCCResult {
-	n := c.n
-	roots := make([]int32, n)
-	for i := range roots {
-		roots[i] = -1
-	}
-	res := WCCResult{roots: roots, LargestRoot: -1}
-	queue := make([]int32, 0, 1024)
-	for s := 0; s < n; s++ {
-		sv := int32(s)
-		if (alive != nil && !alive[s]) || roots[s] >= 0 {
-			continue
-		}
-		res.NumComponents++
-		roots[s] = sv
-		queue = append(queue[:0], sv)
-		for head := 0; head < len(queue); head++ {
-			v := queue[head]
-			for _, w := range c.undAdj[c.undOff[v]:c.undOff[v+1]] {
-				if (alive == nil || alive[w]) && roots[w] < 0 {
-					roots[w] = sv
-					queue = append(queue, w)
-				}
-			}
-		}
-		size := len(queue)
-		res.AliveNodes += size
-		if size > res.LargestSize {
-			res.LargestSize = size
-			res.LargestRoot = sv
-		}
-	}
-	return res
-}
-
 // StronglyConnectedCount returns the number of strongly connected
-// components of c restricted to alive nodes, via the same iterative Tarjan
-// as the adjacency-list implementation but scanning flat CSR rows.
+// components of c restricted to alive nodes (the "#Strongly Connected
+// Components" axis of Fig 12), using an iterative Tarjan — safe for graphs
+// far deeper than the goroutine stack would allow recursively.
 func (c *CSR) StronglyConnectedCount(alive []bool) int {
 	s := newSCCScratch(c.n)
 	return s.count(c, alive)
@@ -397,24 +356,21 @@ func (s *sccScratch) count(c *CSR, alive []bool) int {
 	return sccs
 }
 
-// Induce builds the quotient graph of c under the group mapping, exactly as
-// (*Directed).Induce — an edge a→b exists iff some edge u→v has group[u]=a,
-// group[v]=b, a≠b — via the stamped group-bucket dedup (DESIGN.md).
-func (c *CSR) Induce(group []int32, numGroups int) *Directed {
+// Induce builds the quotient graph obtained by mapping every node v of c to
+// group[v] (e.g. user → hosting instance, producing the federation graph
+// GF(I,E) of §3). An edge a→b exists in the result iff some edge u→v of c
+// has group[u]=a, group[v]=b and a≠b. numGroups is the node count of the
+// result.
+//
+// The kernel is the stamped group-bucket dedup (DESIGN.md): bucket the
+// nodes by group (counting sort), then walk each group's nodes in turn,
+// using a per-destination-group stamp array for O(1) dedup — no hash map,
+// no sort, O(n + m + numGroups) total. Processing source groups in
+// ascending order keeps the stamps monotone so they never need clearing.
+func (c *CSR) Induce(group []int32, numGroups int) *CSR {
 	if len(group) != c.n {
 		panic("graph: Induce group length mismatch")
 	}
-	return induceStamped(c.n, func(u int32) []int32 {
-		return c.outAdj[c.outOff[u]:c.outOff[u+1]]
-	}, group, numGroups)
-}
-
-// induceStamped is the shared quotient-graph kernel: bucket the nodes by
-// group (counting sort), then walk each group's nodes in turn, using a
-// per-destination-group stamp array for O(1) dedup — no hash map, no sort,
-// O(n + m + numGroups) total. Processing source groups in ascending order
-// keeps the stamps monotone so they never need clearing.
-func induceStamped(n int, out func(u int32) []int32, group []int32, numGroups int) *Directed {
 	uoff := make([]int64, numGroups+1)
 	for _, g := range group {
 		uoff[g+1]++
@@ -422,14 +378,14 @@ func induceStamped(n int, out func(u int32) []int32, group []int32, numGroups in
 	for g := 0; g < numGroups; g++ {
 		uoff[g+1] += uoff[g]
 	}
-	nodes := make([]int32, n)
+	nodes := make([]int32, c.n)
 	pos := make([]int64, numGroups)
 	copy(pos, uoff[:numGroups])
 	for u, g := range group {
 		nodes[pos[g]] = int32(u)
 		pos[g]++
 	}
-	q := NewDirected(numGroups)
+	q := NewBuilder(numGroups)
 	seen := make([]int32, numGroups)
 	for i := range seen {
 		seen[i] = -1
@@ -437,7 +393,7 @@ func induceStamped(n int, out func(u int32) []int32, group []int32, numGroups in
 	for gu := 0; gu < numGroups; gu++ {
 		sg := int32(gu)
 		for _, u := range nodes[uoff[gu]:uoff[gu+1]] {
-			for _, v := range out(u) {
+			for _, v := range c.Out(u) {
 				gv := group[v]
 				if gv == sg || seen[gv] == sg {
 					continue
@@ -447,47 +403,13 @@ func induceStamped(n int, out func(u int32) []int32, group []int32, numGroups in
 			}
 		}
 	}
-	return q
-}
-
-// buildInducedSorted deduplicates packed (from,to) edge keys by
-// counting-bucketing them by source group, sorting each destination row and
-// dropping duplicates. Kept behind InduceSort for the induce ablation
-// benchmark (DESIGN.md).
-func buildInducedSorted(buf []uint64, numGroups int) *Directed {
-	off := make([]int64, numGroups+1)
-	for _, k := range buf {
-		off[(k>>32)+1]++
-	}
-	for g := 0; g < numGroups; g++ {
-		off[g+1] += off[g]
-	}
-	dst := make([]int32, len(buf))
-	pos := make([]int64, numGroups)
-	copy(pos, off[:numGroups])
-	for _, k := range buf {
-		gu := k >> 32
-		dst[pos[gu]] = int32(uint32(k))
-		pos[gu]++
-	}
-	q := NewDirected(numGroups)
-	for gu := 0; gu < numGroups; gu++ {
-		row := dst[off[gu]:off[gu+1]]
-		slices.Sort(row)
-		for i, gv := range row {
-			if i > 0 && gv == row[i-1] {
-				continue
-			}
-			q.AddEdge(int32(gu), gv)
-		}
-	}
-	return q
+	return q.Freeze()
 }
 
 // TopByDegree returns the n alive nodes with the highest total degree in
-// descending order, ties towards lower ids — identical to the
-// adjacency-list TopByDegree but via counting-sort partial selection
-// instead of a full comparison sort.
+// descending order, ties towards lower ids, via counting-sort partial
+// selection instead of a full comparison sort. If alive is nil all nodes
+// are considered.
 func (c *CSR) TopByDegree(n int, alive []bool) []int32 {
 	if n < 0 {
 		n = 0

@@ -3,6 +3,7 @@ package graph
 import (
 	"math/rand/v2"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -21,86 +22,50 @@ func randomMask(n int, seed uint64) []bool {
 	return alive
 }
 
+// Property: whatever order the edges are added in, Freeze keeps every
+// out-row in insertion order, lists In(v) by ascending source with ties in
+// row order, and lays Und(v) out as the out-row then the in-row.
 func TestCSRFreezePreservesStructure(t *testing.T) {
 	f := func(seed uint64, nRaw, mRaw uint16) bool {
 		n := int(nRaw%120) + 1
 		m := int(mRaw % 500)
-		g := randomGraph(n, m, seed)
-		c := g.Freeze()
-		if c.NumNodes() != g.NumNodes() || c.NumEdges() != g.NumEdges() {
+		b := NewBuilder(n)
+		out := make([][]int32, n)
+		for _, e := range randomEdges(n, m, seed) {
+			b.AddEdge(e[0], e[1])
+			out[e[0]] = append(out[e[0]], e[1])
+		}
+		in := make([][]int32, n)
+		for u := range out {
+			for _, v := range out[u] {
+				in[v] = append(in[v], int32(u))
+			}
+		}
+		c := b.Freeze()
+		if c.NumNodes() != n || c.NumEdges() != m {
 			return false
 		}
-		for v := 0; v < n; v++ {
-			vv := int32(v)
-			if !reflect.DeepEqual(nonNil(c.Out(vv)), nonNil(g.Out(vv))) {
+		outDegs, inDegs := c.OutDegrees(), c.InDegrees()
+		for v := int32(0); int(v) < n; v++ {
+			if !slices.Equal(c.Out(v), out[v]) || !slices.Equal(c.In(v), in[v]) ||
+				!slices.Equal(c.Und(v), append(slices.Clone(out[v]), in[v]...)) {
 				return false
 			}
-			if !reflect.DeepEqual(nonNil(c.In(vv)), nonNil(g.In(vv))) {
-				return false
-			}
-			if c.OutDegree(vv) != g.OutDegree(vv) || c.InDegree(vv) != g.InDegree(vv) || c.Degree(vv) != g.Degree(vv) {
-				return false
-			}
-			if len(c.Und(vv)) != g.Degree(vv) {
+			if c.OutDegree(v) != len(out[v]) || c.InDegree(v) != len(in[v]) || c.Degree(v) != len(out[v])+len(in[v]) ||
+				outDegs[v] != float64(len(out[v])) || inDegs[v] != float64(len(in[v])) {
 				return false
 			}
 		}
-		return reflect.DeepEqual(c.OutDegrees(), g.OutDegrees()) &&
-			reflect.DeepEqual(c.InDegrees(), g.InDegrees())
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func nonNil(s []int32) []int32 {
-	if s == nil {
-		return []int32{}
-	}
-	return s
-}
-
-// wccEqual compares the full observable WCCResult state, including the
-// per-node root assignment used by InLargest.
-func wccEqual(a, b WCCResult) bool {
-	return a.NumComponents == b.NumComponents &&
-		a.LargestSize == b.LargestSize &&
-		a.AliveNodes == b.AliveNodes &&
-		a.LargestRoot == b.LargestRoot &&
-		reflect.DeepEqual(a.roots, b.roots)
-}
-
-func TestCSRWCCMatchesAdjList(t *testing.T) {
-	f := func(seed uint64, nRaw, mRaw uint16, maskSeed uint64) bool {
-		n := int(nRaw%200) + 1
-		m := int(mRaw % 600)
-		g := randomGraph(n, m, seed)
-		alive := randomMask(n, maskSeed)
-		want := WeaklyConnected(g, alive)
-		got := g.Freeze().WeaklyConnected(alive)
-		return wccEqual(got, want)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestCSRWCCBFSMatchesAdjList(t *testing.T) {
-	f := func(seed uint64, nRaw, mRaw uint16, maskSeed uint64) bool {
-		n := int(nRaw%200) + 1
-		m := int(mRaw % 600)
-		g := randomGraph(n, m, seed)
-		alive := randomMask(n, maskSeed)
-		want := WeaklyConnectedBFS(g, alive)
-		got := g.Freeze().WeaklyConnectedBFS(alive)
-		// BFS roots are component seed nodes in both variants, so the full
-		// state must agree.
-		return wccEqual(got, want)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
-		t.Fatal(err)
-	}
-}
+// The *MatchesAdjList properties hold each engine to its reference in
+// reference_test.go, which walks the Out/In/Und adjacency rows the obvious
+// way and rebuilds all state at every step.
 
 func TestCSRSCCMatchesAdjList(t *testing.T) {
 	f := func(seed uint64, nRaw, mRaw uint16, maskSeed uint64) bool {
@@ -108,25 +73,14 @@ func TestCSRSCCMatchesAdjList(t *testing.T) {
 		m := int(mRaw % 500)
 		g := randomGraph(n, m, seed)
 		alive := randomMask(n, maskSeed)
-		return g.Freeze().StronglyConnectedCount(alive) == StronglyConnectedCount(g, alive)
+		return g.StronglyConnectedCount(alive) == refSCC(g, alive)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// edgeSet flattens a graph into a sorted (from,to) key list.
-func edgeSet(g *Directed) map[uint64]bool {
-	set := make(map[uint64]bool)
-	for v := 0; v < g.NumNodes(); v++ {
-		for _, w := range g.Out(int32(v)) {
-			set[uint64(uint32(v))<<32|uint64(uint32(w))] = true
-		}
-	}
-	return set
-}
-
-func TestInduceSortMatchesMap(t *testing.T) {
+func TestInduceMatchesMap(t *testing.T) {
 	f := func(seed uint64, nRaw, mRaw uint16, groupsRaw uint8) bool {
 		n := int(nRaw%150) + 1
 		m := int(mRaw % 500)
@@ -137,21 +91,11 @@ func TestInduceSortMatchesMap(t *testing.T) {
 		for i := range group {
 			group[i] = int32(r.IntN(numGroups))
 		}
-		want := g.InduceMap(group, numGroups)
-		wantSet := edgeSet(want)
-		for _, got := range []*Directed{
-			g.Induce(group, numGroups),
-			g.InduceSort(group, numGroups),
-			g.Freeze().Induce(group, numGroups),
-		} {
-			if got.NumNodes() != want.NumNodes() || got.NumEdges() != want.NumEdges() {
-				return false
-			}
-			if !reflect.DeepEqual(edgeSet(got), wantSet) {
-				return false
-			}
-		}
-		return true
+		want := refInduce(g, group)
+		got := g.Induce(group, numGroups)
+		// Equal edge count on top of equal edge sets: no edge is doubled.
+		return got.NumNodes() == numGroups && got.NumEdges() == len(want) &&
+			reflect.DeepEqual(edgeSet(got), want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
@@ -164,9 +108,8 @@ func TestCSRTopByDegreeMatchesAdjList(t *testing.T) {
 		m := int(mRaw % 500)
 		g := randomGraph(n, m, seed)
 		alive := randomMask(n, maskSeed)
-		c := g.Freeze()
 		for _, k := range []int{0, 1, int(kRaw) % (n + 2), n, n + 10} {
-			if !reflect.DeepEqual(c.TopByDegree(k, alive), g.TopByDegree(k, alive)) {
+			if !slices.Equal(g.TopByDegree(k, alive), refTopBy(g, k, alive, g.Degree)) {
 				return false
 			}
 		}
@@ -212,13 +155,12 @@ func TestSweeperRemoveBatchesMatchesAdjList(t *testing.T) {
 		g := randomGraph(n, m, seed)
 		batches := randomBatches(n, batchSeed)
 		opt := SweepOptions{Weights: randomWeights(n, wSeed), WithSCC: wSeed%3 == 0}
-		want := RemoveBatches(g, batches, opt)
-		c := g.Freeze()
-		// RemoveBatchesCSR picks the reverse-incremental engine when SCCs
-		// are off; the explicit Sweeper path is the forward per-point
-		// engine. Both must match the adjacency-list forward sweep.
-		return reflect.DeepEqual(RemoveBatchesCSR(c, batches, opt), want) &&
-			reflect.DeepEqual(NewSweeper(c).RemoveBatches(batches, opt), want)
+		want := refRemoveBatches(g, batches, opt)
+		// RemoveBatches picks the reverse-incremental engine when SCCs are
+		// off; the explicit Sweeper path is the forward per-point engine.
+		// Both must match the rebuild-per-point reference.
+		return reflect.DeepEqual(RemoveBatches(g, batches, opt), want) &&
+			reflect.DeepEqual(NewSweeper(g).RemoveBatches(batches, opt), want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Fatal(err)
@@ -233,8 +175,8 @@ func TestSweeperIterativeMatchesAdjList(t *testing.T) {
 		fraction := float64(int(fRaw)%50+1) / 100 // 0.01 .. 0.50
 		rounds := int(roundsRaw % 6)
 		opt := SweepOptions{Weights: randomWeights(n, wSeed), WithSCC: wSeed%3 == 0}
-		want := IterativeDegreeRemoval(g, fraction, rounds, opt)
-		got := IterativeDegreeRemovalCSR(g.Freeze(), fraction, rounds, opt)
+		want := refIterativeDegreeRemoval(g, fraction, rounds, opt)
+		got := NewSweeper(g).IterativeDegreeRemoval(fraction, rounds, opt)
 		return reflect.DeepEqual(got, want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
@@ -246,11 +188,10 @@ func TestRemoveBatchesParallelMatchesSequential(t *testing.T) {
 	f := func(seed uint64, nRaw, mRaw uint16, batchSeed, wSeed uint64, workersRaw uint8) bool {
 		n := int(nRaw%120) + 1
 		m := int(mRaw % 400)
-		g := randomGraph(n, m, seed)
-		c := g.Freeze()
+		c := randomGraph(n, m, seed)
 		batches := randomBatches(n, batchSeed)
 		opt := SweepOptions{Weights: randomWeights(n, wSeed), WithSCC: wSeed%3 == 0}
-		want := RemoveBatchesCSR(c, batches, opt)
+		want := RemoveBatches(c, batches, opt)
 		for _, workers := range []int{0, 1, 2, 3, int(workersRaw%16) + 1} {
 			if !reflect.DeepEqual(RemoveBatchesParallel(c, batches, opt, workers), want) {
 				return false
@@ -264,9 +205,7 @@ func TestRemoveBatchesParallelMatchesSequential(t *testing.T) {
 }
 
 func TestSweeperResetAndReuse(t *testing.T) {
-	g := star(50)
-	c := g.Freeze()
-	s := NewSweeper(c)
+	s := NewSweeper(star(50))
 	first := s.IterativeDegreeRemoval(0.02, 3, SweepOptions{})
 	s.Reset()
 	second := s.IterativeDegreeRemoval(0.02, 3, SweepOptions{})
@@ -286,8 +225,7 @@ func TestSweeperResetAndReuse(t *testing.T) {
 // a Sweeper warms up, a remove+measure round performs zero heap
 // allocations.
 func TestSweeperRoundsDoNotAllocate(t *testing.T) {
-	g := randomGraph(2000, 12000, 42)
-	s := NewSweeper(g.Freeze())
+	s := NewSweeper(randomGraph(2000, 12000, 42))
 	w := randomWeights(2000, 1)
 	opt := SweepOptions{Weights: w, WithSCC: true}
 	s.Measure(opt) // warm the Tarjan stacks
@@ -303,7 +241,7 @@ func TestSweeperRoundsDoNotAllocate(t *testing.T) {
 }
 
 func TestCSREmptyGraph(t *testing.T) {
-	c := NewDirected(0).Freeze()
+	c := NewBuilder(0).Freeze()
 	res := c.WeaklyConnected(nil)
 	if res.NumComponents != 0 || res.LargestSize != 0 || res.LCCFraction() != 0 {
 		t.Fatalf("unexpected %+v", res)
@@ -313,16 +251,5 @@ func TestCSREmptyGraph(t *testing.T) {
 	}
 	if got := c.TopByDegree(5, nil); len(got) != 0 {
 		t.Fatalf("top = %v", got)
-	}
-}
-
-func TestCSRSCCDeepPath(t *testing.T) {
-	n := 200000
-	g := NewDirected(n)
-	for i := 0; i < n-1; i++ {
-		g.AddEdge(int32(i), int32(i+1))
-	}
-	if got := g.Freeze().StronglyConnectedCount(nil); got != n {
-		t.Fatalf("SCCs = %d, want %d", got, n)
 	}
 }

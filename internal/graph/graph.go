@@ -4,231 +4,85 @@
 // degree distributions (Fig 11), connected-component structure, and the
 // targeted node-removal sweeps of Figs 12 and 13.
 //
-// Nodes are dense integer ids 0..N-1. Graphs are append-only; removal
-// experiments operate on an "alive" mask so a single graph can be swept
-// many times without rebuilding.
+// Nodes are dense integer ids 0..N-1. There is one graph representation,
+// the frozen CSR (csr.go); a Builder collects edges and freezes into it.
+// Removal experiments operate on an "alive" mask so a single graph can be
+// swept many times without rebuilding.
 package graph
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
-// Directed is a directed graph over nodes 0..N-1 with adjacency lists.
-type Directed struct {
-	out   [][]int32
-	in    [][]int32
-	edges int
+// Builder collects the edges of a directed graph over nodes 0..N-1. It is
+// write-only: Freeze turns it into the CSR every reader uses.
+type Builder struct {
+	out [][]int32
 }
 
-// NewDirected returns an empty directed graph with n nodes.
-func NewDirected(n int) *Directed {
-	return &Directed{
-		out: make([][]int32, n),
-		in:  make([][]int32, n),
+// NewBuilder returns an empty builder for a graph with n nodes.
+func NewBuilder(n int) *Builder {
+	return &Builder{out: make([][]int32, n)}
+}
+
+// AddEdge adds the directed edge from → to. It does not deduplicate. It
+// panics if either endpoint is out of range.
+func (b *Builder) AddEdge(from, to int32) {
+	if int(from) >= len(b.out) || int(to) >= len(b.out) || from < 0 || to < 0 {
+		panic(fmt.Sprintf("graph: edge (%d,%d) out of range [0,%d)", from, to, len(b.out)))
 	}
+	b.out[from] = append(b.out[from], to)
 }
 
-// FromRows builds a Directed that adopts out as its out-adjacency (the
-// rows are NOT copied) and reconstructs the in-adjacency canonically:
-// in[v] lists sources in ascending order, ties in row order — exactly the
-// lists AddEdge would have produced had every edge been added
-// source-by-source in ascending source order. The in-lists share one
-// exact-sized backing array, so the construction costs two passes and two
-// allocations regardless of node count. Streaming decoders and sharded
-// generators use it to assemble a graph from independently produced rows.
-func FromRows(out [][]int32) *Directed {
+// Freeze returns the CSR of the edges added so far; see FromRows for the
+// neighbour order.
+func (b *Builder) Freeze() *CSR { return FromRows(b.out) }
+
+// FromRows builds the CSR whose out-neighbours of u are out[u], in row
+// order (the rows are copied). The in-neighbours are derived canonically:
+// In(v) lists sources in ascending order, ties in row order — the order in
+// which the edges into v would arrive were every edge added source by
+// source. Und(v) is Out(v) followed by In(v). It panics on a target outside
+// [0, len(out)). The construction is two passes over the rows and a fixed
+// number of allocations regardless of node count; sharded generators and
+// the streaming file decoder use it to assemble a graph from independently
+// produced rows.
+func FromRows(out [][]int32) *CSR {
 	n := len(out)
-	indeg := make([]int32, n)
-	edges := 0
-	for u := range out {
-		edges += len(out[u])
-		for _, v := range out[u] {
+	c := &CSR{
+		n:      n,
+		outOff: make([]int64, n+1),
+		inOff:  make([]int64, n+1),
+		undOff: make([]int64, n+1),
+	}
+	for u, row := range out {
+		c.outOff[u+1] = c.outOff[u] + int64(len(row))
+		for _, v := range row {
 			if int(v) >= n || v < 0 {
 				panic(fmt.Sprintf("graph: edge (%d,%d) out of range [0,%d)", u, v, n))
 			}
-			indeg[v]++
+			c.inOff[v+1]++
 		}
 	}
-	backing := make([]int32, edges)
-	in := make([][]int32, n)
-	off := 0
-	for v := range in {
-		d := int(indeg[v])
-		in[v] = backing[off : off : off+d]
-		off += d
+	c.edges = int(c.outOff[n])
+	for v := 0; v < n; v++ {
+		c.inOff[v+1] += c.inOff[v]
+		c.undOff[v+1] = c.outOff[v+1] + c.inOff[v+1]
 	}
-	for u := range out {
-		for _, v := range out[u] {
-			in[v] = append(in[v], int32(u))
+	c.outAdj = make([]int32, c.edges)
+	c.inAdj = make([]int32, c.edges)
+	c.undAdj = make([]int32, 2*c.edges)
+	next := make([]int64, n) // next free slot of each in-row
+	copy(next, c.inOff)
+	for u, row := range out {
+		copy(c.outAdj[c.outOff[u]:], row)
+		for _, v := range row {
+			c.inAdj[next[v]] = int32(u)
+			next[v]++
 		}
 	}
-	return &Directed{out: out, in: in, edges: edges}
-}
-
-// NumNodes returns the number of nodes.
-func (g *Directed) NumNodes() int { return len(g.out) }
-
-// NumEdges returns the number of edges added.
-func (g *Directed) NumEdges() int { return g.edges }
-
-// AddEdge adds the directed edge from → to. It does not deduplicate;
-// callers that need simple graphs should use AddEdgeUnique or deduplicate
-// upstream. It panics if either endpoint is out of range.
-func (g *Directed) AddEdge(from, to int32) {
-	if int(from) >= len(g.out) || int(to) >= len(g.out) || from < 0 || to < 0 {
-		panic(fmt.Sprintf("graph: edge (%d,%d) out of range [0,%d)", from, to, len(g.out)))
+	for v := int32(0); int(v) < n; v++ {
+		k := c.undOff[v]
+		k += int64(copy(c.undAdj[k:], c.Out(v)))
+		copy(c.undAdj[k:], c.In(v))
 	}
-	g.out[from] = append(g.out[from], to)
-	g.in[to] = append(g.in[to], from)
-	g.edges++
-}
-
-// HasEdge reports whether the edge from → to exists (linear scan).
-func (g *Directed) HasEdge(from, to int32) bool {
-	if int(from) >= len(g.out) || from < 0 {
-		return false
-	}
-	for _, v := range g.out[from] {
-		if v == to {
-			return true
-		}
-	}
-	return false
-}
-
-// AddEdgeUnique adds from → to only if it is not already present and
-// reports whether it was added.
-func (g *Directed) AddEdgeUnique(from, to int32) bool {
-	if g.HasEdge(from, to) {
-		return false
-	}
-	g.AddEdge(from, to)
-	return true
-}
-
-// Out returns the out-neighbours of v. The returned slice must not be
-// modified.
-func (g *Directed) Out(v int32) []int32 { return g.out[v] }
-
-// In returns the in-neighbours of v. The returned slice must not be
-// modified.
-func (g *Directed) In(v int32) []int32 { return g.in[v] }
-
-// OutDegree returns the out-degree of v.
-func (g *Directed) OutDegree(v int32) int { return len(g.out[v]) }
-
-// InDegree returns the in-degree of v.
-func (g *Directed) InDegree(v int32) int { return len(g.in[v]) }
-
-// Degree returns the total degree (in + out) of v.
-func (g *Directed) Degree(v int32) int { return len(g.out[v]) + len(g.in[v]) }
-
-// OutDegrees returns every node's out-degree as float64s, the form consumed
-// by the CDF plots of Fig 11.
-func (g *Directed) OutDegrees() []float64 {
-	ds := make([]float64, len(g.out))
-	for i := range g.out {
-		ds[i] = float64(len(g.out[i]))
-	}
-	return ds
-}
-
-// InDegrees returns every node's in-degree as float64s.
-func (g *Directed) InDegrees() []float64 {
-	ds := make([]float64, len(g.in))
-	for i := range g.in {
-		ds[i] = float64(len(g.in[i]))
-	}
-	return ds
-}
-
-// Induce builds the quotient graph obtained by mapping every node v of g to
-// group[v] (e.g. user → hosting instance, producing the federation graph
-// GF(I,E) of §3). An edge a→b exists in the result iff some edge u→v of g
-// has group[u]=a, group[v]=b and a≠b. Edges are deduplicated via the
-// stamped group-bucket kernel (DESIGN.md); see InduceSort and InduceMap for
-// the ablation alternatives. numGroups is the node count of the result.
-func (g *Directed) Induce(group []int32, numGroups int) *Directed {
-	if len(group) != len(g.out) {
-		panic("graph: Induce group length mismatch")
-	}
-	return induceStamped(len(g.out), func(u int32) []int32 { return g.out[u] }, group, numGroups)
-}
-
-// InduceSort is the sort-based Induce variant: cross-group edges are packed
-// into a flat edge buffer, counting-bucketed by source group, sorted per
-// row and deduplicated. Kept for the induce ablation benchmark (DESIGN.md).
-func (g *Directed) InduceSort(group []int32, numGroups int) *Directed {
-	if len(group) != len(g.out) {
-		panic("graph: Induce group length mismatch")
-	}
-	buf := make([]uint64, 0, g.edges)
-	for u := range g.out {
-		gu := group[u]
-		for _, v := range g.out[u] {
-			if gv := group[v]; gu != gv {
-				buf = append(buf, uint64(uint32(gu))<<32|uint64(uint32(gv)))
-			}
-		}
-	}
-	return buildInducedSorted(buf, numGroups)
-}
-
-// InduceMap is the original hash-map Induce, kept as the reference
-// implementation for the equivalence tests and the induce ablation
-// benchmark (DESIGN.md). New code should use Induce.
-func (g *Directed) InduceMap(group []int32, numGroups int) *Directed {
-	if len(group) != len(g.out) {
-		panic("graph: Induce group length mismatch")
-	}
-	q := NewDirected(numGroups)
-	seen := make(map[int64]struct{}, g.edges/4+1)
-	for u := range g.out {
-		gu := group[u]
-		for _, v := range g.out[u] {
-			gv := group[v]
-			if gu == gv {
-				continue
-			}
-			key := int64(gu)<<32 | int64(uint32(gv))
-			if _, ok := seen[key]; ok {
-				continue
-			}
-			seen[key] = struct{}{}
-			q.AddEdge(gu, gv)
-		}
-	}
-	return q
-}
-
-// TopByDegree returns the n alive nodes with the highest total degree,
-// in descending order. Ties break by lower id first for determinism.
-// If alive is nil all nodes are considered.
-func (g *Directed) TopByDegree(n int, alive []bool) []int32 {
-	type nd struct {
-		v int32
-		d int
-	}
-	nodes := make([]nd, 0, len(g.out))
-	for v := range g.out {
-		if alive != nil && !alive[v] {
-			continue
-		}
-		nodes = append(nodes, nd{int32(v), g.Degree(int32(v))})
-	}
-	sort.Slice(nodes, func(i, j int) bool {
-		if nodes[i].d != nodes[j].d {
-			return nodes[i].d > nodes[j].d
-		}
-		return nodes[i].v < nodes[j].v
-	})
-	if n > len(nodes) {
-		n = len(nodes)
-	}
-	top := make([]int32, n)
-	for i := 0; i < n; i++ {
-		top[i] = nodes[i].v
-	}
-	return top
+	return c
 }

@@ -3,15 +3,17 @@ package graph
 import (
 	"math/rand/v2"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
 
 func TestAddEdgeAndDegrees(t *testing.T) {
-	g := NewDirected(3)
-	g.AddEdge(0, 1)
-	g.AddEdge(0, 2)
-	g.AddEdge(1, 2)
+	b := NewBuilder(3)
+	b.AddEdge(0, 1)
+	b.AddEdge(0, 2)
+	b.AddEdge(1, 2)
+	g := b.Freeze()
 	if g.NumNodes() != 3 || g.NumEdges() != 3 {
 		t.Fatalf("nodes/edges = %d/%d", g.NumNodes(), g.NumEdges())
 	}
@@ -27,7 +29,7 @@ func TestAddEdgeAndDegrees(t *testing.T) {
 }
 
 func TestAddEdgePanicsOutOfRange(t *testing.T) {
-	g := NewDirected(2)
+	g := NewBuilder(2)
 	for _, e := range [][2]int32{{0, 2}, {2, 0}, {-1, 0}, {0, -1}} {
 		func() {
 			defer func() {
@@ -40,29 +42,8 @@ func TestAddEdgePanicsOutOfRange(t *testing.T) {
 	}
 }
 
-func TestHasEdgeAndUnique(t *testing.T) {
-	g := NewDirected(3)
-	if !g.AddEdgeUnique(0, 1) {
-		t.Fatal("first add should succeed")
-	}
-	if g.AddEdgeUnique(0, 1) {
-		t.Fatal("duplicate add should be rejected")
-	}
-	if !g.HasEdge(0, 1) || g.HasEdge(1, 0) {
-		t.Fatal("HasEdge is wrong")
-	}
-	if g.HasEdge(5, 0) || g.HasEdge(-1, 0) {
-		t.Fatal("out-of-range HasEdge should be false")
-	}
-	if g.NumEdges() != 1 {
-		t.Fatalf("edges = %d, want 1", g.NumEdges())
-	}
-}
-
 func TestOutInDegrees(t *testing.T) {
-	g := NewDirected(3)
-	g.AddEdge(0, 1)
-	g.AddEdge(0, 2)
+	g := fromEdges(3, [][2]int32{{0, 1}, {0, 2}})
 	out := g.OutDegrees()
 	in := g.InDegrees()
 	if out[0] != 2 || out[1] != 0 || in[1] != 1 || in[0] != 0 {
@@ -72,12 +53,13 @@ func TestOutInDegrees(t *testing.T) {
 
 func TestInduce(t *testing.T) {
 	// Users 0,1 on instance 0; users 2,3 on instance 1; user 4 on instance 2.
-	g := NewDirected(5)
-	g.AddEdge(0, 1) // intra-instance: must vanish
-	g.AddEdge(0, 2) // inst 0 -> 1
-	g.AddEdge(1, 3) // inst 0 -> 1 (duplicate after induction)
-	g.AddEdge(3, 4) // inst 1 -> 2
-	g.AddEdge(4, 0) // inst 2 -> 0
+	g := fromEdges(5, [][2]int32{
+		{0, 1}, // intra-instance: must vanish
+		{0, 2}, // inst 0 -> 1
+		{1, 3}, // inst 0 -> 1 (duplicate after induction)
+		{3, 4}, // inst 1 -> 2
+		{4, 0}, // inst 2 -> 0
+	})
 	group := []int32{0, 0, 1, 1, 2}
 	q := g.Induce(group, 3)
 	if q.NumNodes() != 3 {
@@ -86,11 +68,9 @@ func TestInduce(t *testing.T) {
 	if q.NumEdges() != 3 {
 		t.Fatalf("induced edges = %d, want 3 (dedup + drop intra)", q.NumEdges())
 	}
-	if !q.HasEdge(0, 1) || !q.HasEdge(1, 2) || !q.HasEdge(2, 0) {
-		t.Fatal("induced edges are wrong")
-	}
-	if q.HasEdge(1, 0) {
-		t.Fatal("induction must preserve direction")
+	want := map[[2]int32]bool{{0, 1}: true, {1, 2}: true, {2, 0}: true}
+	if got := edgeSet(q); !reflect.DeepEqual(got, want) {
+		t.Fatalf("induced edges = %v, want %v (direction preserved)", got, want)
 	}
 }
 
@@ -100,15 +80,11 @@ func TestInducePanicsOnMismatch(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewDirected(2).Induce([]int32{0}, 1)
+	NewBuilder(2).Freeze().Induce([]int32{0}, 1)
 }
 
 func TestTopByDegree(t *testing.T) {
-	g := NewDirected(4)
-	g.AddEdge(0, 1)
-	g.AddEdge(0, 2)
-	g.AddEdge(0, 3)
-	g.AddEdge(1, 2)
+	g := fromEdges(4, [][2]int32{{0, 1}, {0, 2}, {0, 3}, {1, 2}})
 	top := g.TopByDegree(2, nil)
 	if top[0] != 0 {
 		t.Fatalf("top[0] = %d, want 0 (hub)", top[0])
@@ -129,9 +105,7 @@ func TestTopByDegree(t *testing.T) {
 }
 
 func TestTopByDegreeTieBreak(t *testing.T) {
-	g := NewDirected(3)
-	g.AddEdge(1, 2)
-	g.AddEdge(2, 1)
+	g := fromEdges(3, [][2]int32{{1, 2}, {2, 1}})
 	top := g.TopByDegree(3, nil)
 	// Nodes 1 and 2 tie with degree 2; lower id first; node 0 last.
 	if top[0] != 1 || top[1] != 2 || top[2] != 0 {
@@ -139,35 +113,72 @@ func TestTopByDegreeTieBreak(t *testing.T) {
 	}
 }
 
-// randomGraph builds a pseudo-random directed graph for property tests.
-func randomGraph(n, m int, seed uint64) *Directed {
-	r := rand.New(rand.NewPCG(seed, seed^0x9e3779b9))
-	g := NewDirected(n)
-	for i := 0; i < m; i++ {
-		g.AddEdge(int32(r.IntN(n)), int32(r.IntN(n)))
+// fromEdges freezes the given edge list over n nodes.
+func fromEdges(n int, edges [][2]int32) *CSR {
+	b := NewBuilder(n)
+	for _, e := range edges {
+		b.AddEdge(e[0], e[1])
 	}
-	return g
+	return b.Freeze()
 }
 
-// Property: union-find WCC and BFS WCC agree on random graphs and masks.
+// edgeSet flattens a graph into its set of (from,to) pairs.
+func edgeSet(c *CSR) map[[2]int32]bool {
+	set := make(map[[2]int32]bool)
+	for v := int32(0); int(v) < c.NumNodes(); v++ {
+		for _, w := range c.Out(v) {
+			set[[2]int32{v, w}] = true
+		}
+	}
+	return set
+}
+
+// randomEdges draws m pseudo-random edges over n nodes, in random source
+// order, for property tests.
+func randomEdges(n, m int, seed uint64) [][2]int32 {
+	r := rand.New(rand.NewPCG(seed, seed^0x9e3779b9))
+	edges := make([][2]int32, m)
+	for i := range edges {
+		edges[i] = [2]int32{int32(r.IntN(n)), int32(r.IntN(n))}
+	}
+	return edges
+}
+
+// randomGraph builds a pseudo-random directed graph for property tests.
+func randomGraph(n, m int, seed uint64) *CSR {
+	return fromEdges(n, randomEdges(n, m, seed))
+}
+
+// Property: the union-find WCC and the reference queue BFS agree on random
+// graphs and masks — same counts, same partition of the alive nodes, and
+// the same largest component even when sizes tie.
 func TestWCCUnionFindMatchesBFS(t *testing.T) {
 	f := func(seed uint64, nRaw, mRaw uint16, maskSeed uint64) bool {
 		n := int(nRaw%200) + 1
 		m := int(mRaw % 600)
 		g := randomGraph(n, m, seed)
-		var alive []bool
-		if maskSeed%3 != 0 { // sometimes nil mask
-			r := rand.New(rand.NewPCG(maskSeed, 1))
-			alive = make([]bool, n)
-			for i := range alive {
-				alive[i] = r.IntN(4) != 0
+		alive := randomMask(n, maskSeed)
+		got, want := g.WeaklyConnected(alive), refWCC(g, alive)
+		if got.NumComponents != want.NumComponents || got.LargestSize != want.LargestSize ||
+			got.AliveNodes != want.AliveNodes {
+			return false
+		}
+		// Root labels differ between the engines, so relabel each union-find
+		// root by its component's smallest member — what the BFS's roots
+		// already are — before comparing the partitions.
+		smallest := make(map[int32]int32)
+		for v, r := range got.roots {
+			if r >= 0 {
+				if _, ok := smallest[r]; !ok {
+					smallest[r] = int32(v)
+				}
+				r = smallest[r]
+			}
+			if r != want.roots[v] || got.InLargest(int32(v)) != want.InLargest(int32(v)) {
+				return false
 			}
 		}
-		a := WeaklyConnected(g, alive)
-		b := WeaklyConnectedBFS(g, alive)
-		return a.NumComponents == b.NumComponents &&
-			a.LargestSize == b.LargestSize &&
-			a.AliveNodes == b.AliveNodes
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
@@ -176,11 +187,8 @@ func TestWCCUnionFindMatchesBFS(t *testing.T) {
 
 func TestWCCKnownGraph(t *testing.T) {
 	// Two components: {0,1,2} (path) and {3,4} (edge); 5 isolated.
-	g := NewDirected(6)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
-	g.AddEdge(3, 4)
-	res := WeaklyConnected(g, nil)
+	g := fromEdges(6, [][2]int32{{0, 1}, {1, 2}, {3, 4}})
+	res := g.WeaklyConnected(nil)
 	if res.NumComponents != 3 {
 		t.Fatalf("components = %d, want 3", res.NumComponents)
 	}
@@ -204,12 +212,9 @@ func TestWCCKnownGraph(t *testing.T) {
 
 func TestWCCWithMask(t *testing.T) {
 	// Path 0-1-2-3; killing node 1 splits it.
-	g := NewDirected(4)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
-	g.AddEdge(2, 3)
+	g := fromEdges(4, [][2]int32{{0, 1}, {1, 2}, {2, 3}})
 	alive := []bool{true, false, true, true}
-	res := WeaklyConnected(g, alive)
+	res := g.WeaklyConnected(alive)
 	if res.AliveNodes != 3 || res.NumComponents != 2 || res.LargestSize != 2 {
 		t.Fatalf("unexpected %+v", res)
 	}
@@ -219,8 +224,7 @@ func TestWCCWithMask(t *testing.T) {
 }
 
 func TestWCCEmpty(t *testing.T) {
-	g := NewDirected(0)
-	res := WeaklyConnected(g, nil)
+	res := NewBuilder(0).Freeze().WeaklyConnected(nil)
 	if res.NumComponents != 0 || res.LCCFraction() != 0 {
 		t.Fatalf("unexpected %+v", res)
 	}
@@ -231,41 +235,27 @@ func TestWCCEmpty(t *testing.T) {
 
 func TestSCCKnownGraphs(t *testing.T) {
 	// A 3-cycle is one SCC.
-	cyc := NewDirected(3)
-	cyc.AddEdge(0, 1)
-	cyc.AddEdge(1, 2)
-	cyc.AddEdge(2, 0)
-	if n := StronglyConnectedCount(cyc, nil); n != 1 {
+	cyc := fromEdges(3, [][2]int32{{0, 1}, {1, 2}, {2, 0}})
+	if n := cyc.StronglyConnectedCount(nil); n != 1 {
 		t.Fatalf("cycle SCCs = %d, want 1", n)
 	}
 	// A DAG has one SCC per node.
-	dag := NewDirected(4)
-	dag.AddEdge(0, 1)
-	dag.AddEdge(1, 2)
-	dag.AddEdge(2, 3)
-	if n := StronglyConnectedCount(dag, nil); n != 4 {
+	dag := fromEdges(4, [][2]int32{{0, 1}, {1, 2}, {2, 3}})
+	if n := dag.StronglyConnectedCount(nil); n != 4 {
 		t.Fatalf("DAG SCCs = %d, want 4", n)
 	}
 	// Two 2-cycles joined by a one-way bridge: 2 SCCs.
-	two := NewDirected(4)
-	two.AddEdge(0, 1)
-	two.AddEdge(1, 0)
-	two.AddEdge(2, 3)
-	two.AddEdge(3, 2)
-	two.AddEdge(1, 2)
-	if n := StronglyConnectedCount(two, nil); n != 2 {
+	two := fromEdges(4, [][2]int32{{0, 1}, {1, 0}, {2, 3}, {3, 2}, {1, 2}})
+	if n := two.StronglyConnectedCount(nil); n != 2 {
 		t.Fatalf("SCCs = %d, want 2", n)
 	}
 }
 
 func TestSCCWithMask(t *testing.T) {
 	// Cycle 0->1->2->0 with node 2 dead becomes a 2-node path: 2 SCCs.
-	g := NewDirected(3)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
-	g.AddEdge(2, 0)
+	g := fromEdges(3, [][2]int32{{0, 1}, {1, 2}, {2, 0}})
 	alive := []bool{true, true, false}
-	if n := StronglyConnectedCount(g, alive); n != 2 {
+	if n := g.StronglyConnectedCount(alive); n != 2 {
 		t.Fatalf("SCCs = %d, want 2", n)
 	}
 }
@@ -276,8 +266,8 @@ func TestSCCBoundsProperty(t *testing.T) {
 		n := int(nRaw%150) + 1
 		m := int(mRaw % 500)
 		g := randomGraph(n, m, seed)
-		wcc := WeaklyConnected(g, nil)
-		scc := StronglyConnectedCount(g, nil)
+		wcc := g.WeaklyConnected(nil)
+		scc := g.StronglyConnectedCount(nil)
 		return scc >= wcc.NumComponents && scc <= n
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
@@ -289,43 +279,36 @@ func TestSCCBoundsProperty(t *testing.T) {
 // (regression guard for the iterative Tarjan).
 func TestSCCDeepPath(t *testing.T) {
 	n := 200000
-	g := NewDirected(n)
+	g := NewBuilder(n)
 	for i := 0; i < n-1; i++ {
 		g.AddEdge(int32(i), int32(i+1))
 	}
-	if got := StronglyConnectedCount(g, nil); got != n {
+	if got := g.Freeze().StronglyConnectedCount(nil); got != n {
 		t.Fatalf("SCCs = %d, want %d", got, n)
 	}
 }
 
-// Property: FromRows on the out-rows of a graph whose edges were added in
-// ascending source order reproduces that graph exactly — same out rows,
-// same canonical in rows, same edge count.
+// Property: FromRows on out-rows and a Builder fed the same rows — source by
+// source, or with the sources visited in any other order — freeze to the
+// same CSR.
 func TestFromRowsMatchesAddEdge(t *testing.T) {
 	f := func(seed uint64, nRaw, mRaw uint16) bool {
 		n := int(nRaw%150) + 1
 		m := int(mRaw % 500)
-		r := rand.New(rand.NewPCG(seed, seed^0x9e3779b9))
 		rows := make([][]int32, n)
-		for i := 0; i < m; i++ {
-			u := r.IntN(n)
-			rows[u] = append(rows[u], int32(r.IntN(n)))
+		for _, e := range randomEdges(n, m, seed) {
+			rows[e[0]] = append(rows[e[0]], e[1])
 		}
-		want := NewDirected(n)
-		for u := range rows {
-			for _, v := range rows[u] {
-				want.AddEdge(int32(u), v)
+		want := FromRows(rows)
+		shuffled := rand.New(rand.NewPCG(seed, 11)).Perm(n)
+		for _, sources := range [][]int{slices.Sorted(slices.Values(shuffled)), shuffled} {
+			b := NewBuilder(n)
+			for _, u := range sources {
+				for _, v := range rows[u] {
+					b.AddEdge(int32(u), v)
+				}
 			}
-		}
-		got := FromRows(rows)
-		if got.NumEdges() != want.NumEdges() {
-			return false
-		}
-		for v := 0; v < n; v++ {
-			if !reflect.DeepEqual(append([]int32{}, got.Out(int32(v))...), append([]int32{}, want.Out(int32(v))...)) {
-				return false
-			}
-			if !reflect.DeepEqual(append([]int32{}, got.In(int32(v))...), append([]int32{}, want.In(int32(v))...)) {
+			if !reflect.DeepEqual(b.Freeze(), want) {
 				return false
 			}
 		}

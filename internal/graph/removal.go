@@ -2,9 +2,10 @@ package graph
 
 import "sort"
 
-// This file implements the node-removal resilience sweeps of §5.1:
-// Fig 12 (iteratively removing the top 1% of remaining users by degree) and
-// Fig 13 (removing the top-N instances or ASes from the federation graph).
+// This file holds the vocabulary of the node-removal resilience sweeps of
+// §5.1 — Fig 12 (iteratively removing the top 1% of remaining users by
+// degree) and Fig 13 (removing the top-N instances or ASes from the
+// federation graph); the engine is in sweeper.go.
 
 // SweepPoint is one measurement along a removal sweep. Fractions are
 // relative to the *original* graph, matching the paper's axes ("size of
@@ -25,125 +26,6 @@ type SweepOptions struct {
 	// WithSCC additionally counts strongly connected components at every
 	// point (the Y2 axis of Fig 12). Costs one Tarjan pass per point.
 	WithSCC bool
-}
-
-func measure(g *Directed, alive []bool, removed int, opt SweepOptions) SweepPoint {
-	res := WeaklyConnected(g, alive)
-	p := SweepPoint{
-		Removed:    removed,
-		LCCFrac:    float64(res.LargestSize) / float64(g.NumNodes()),
-		Components: res.NumComponents,
-		SCCs:       -1,
-	}
-	if opt.Weights != nil {
-		var total, lcc float64
-		for v, w := range opt.Weights {
-			total += w
-			if res.InLargest(int32(v)) {
-				lcc += w
-			}
-		}
-		if total > 0 {
-			p.LCCWeightFrac = lcc / total
-		}
-	}
-	if opt.WithSCC {
-		p.SCCs = StronglyConnectedCount(g, alive)
-	}
-	return p
-}
-
-// RemoveBatches removes the given batches of nodes one batch at a time and
-// returns a SweepPoint before any removal and after each batch. Nodes listed
-// twice are only removed once. This is the engine behind Fig 13 (batches of
-// one instance, or one AS's worth of instances).
-func RemoveBatches(g *Directed, batches [][]int32, opt SweepOptions) []SweepPoint {
-	alive := make([]bool, g.NumNodes())
-	for i := range alive {
-		alive[i] = true
-	}
-	points := make([]SweepPoint, 0, len(batches)+1)
-	removed := 0
-	points = append(points, measure(g, alive, removed, opt))
-	for _, batch := range batches {
-		for _, v := range batch {
-			if alive[v] {
-				alive[v] = false
-				removed++
-			}
-		}
-		points = append(points, measure(g, alive, removed, opt))
-	}
-	return points
-}
-
-// aliveDegrees returns the degree of every alive node counting only edges
-// whose other endpoint is also alive.
-func aliveDegrees(g *Directed, alive []bool) []int {
-	deg := make([]int, g.NumNodes())
-	for v := range g.out {
-		if !alive[v] {
-			continue
-		}
-		for _, w := range g.out[v] {
-			if alive[w] {
-				deg[v]++
-				deg[w]++
-			}
-		}
-	}
-	return deg
-}
-
-// IterativeDegreeRemoval reproduces the Fig 12 methodology: in each of
-// rounds iterations, remove the top `fraction` (e.g. 0.01) of the remaining
-// alive nodes ranked by their degree within the remaining subgraph, then
-// measure. The returned slice has rounds+1 points (index 0 = intact graph).
-func IterativeDegreeRemoval(g *Directed, fraction float64, rounds int, opt SweepOptions) []SweepPoint {
-	if fraction <= 0 || fraction > 1 {
-		panic("graph: IterativeDegreeRemoval fraction must be in (0,1]")
-	}
-	alive := make([]bool, g.NumNodes())
-	aliveCount := g.NumNodes()
-	for i := range alive {
-		alive[i] = true
-	}
-	points := make([]SweepPoint, 0, rounds+1)
-	removed := 0
-	points = append(points, measure(g, alive, removed, opt))
-	for r := 0; r < rounds && aliveCount > 0; r++ {
-		k := int(float64(aliveCount) * fraction)
-		if k < 1 {
-			k = 1
-		}
-		deg := aliveDegrees(g, alive)
-		type nd struct {
-			v int32
-			d int
-		}
-		nodes := make([]nd, 0, aliveCount)
-		for v := range alive {
-			if alive[v] {
-				nodes = append(nodes, nd{int32(v), deg[v]})
-			}
-		}
-		sort.Slice(nodes, func(i, j int) bool {
-			if nodes[i].d != nodes[j].d {
-				return nodes[i].d > nodes[j].d
-			}
-			return nodes[i].v < nodes[j].v
-		})
-		if k > len(nodes) {
-			k = len(nodes)
-		}
-		for i := 0; i < k; i++ {
-			alive[nodes[i].v] = false
-		}
-		aliveCount -= k
-		removed += k
-		points = append(points, measure(g, alive, removed, opt))
-	}
-	return points
 }
 
 // RankDescending returns node ids 0..n-1 sorted by descending score, ties

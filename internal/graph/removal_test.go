@@ -6,12 +6,12 @@ import (
 )
 
 // star returns a hub-and-spoke graph: node 0 follows everyone.
-func star(n int) *Directed {
-	g := NewDirected(n)
+func star(n int) *CSR {
+	g := NewBuilder(n)
 	for i := 1; i < n; i++ {
 		g.AddEdge(0, int32(i))
 	}
-	return g
+	return g.Freeze()
 }
 
 func TestRemoveBatchesBaseline(t *testing.T) {
@@ -57,9 +57,7 @@ func TestRemoveBatchesDeduplicates(t *testing.T) {
 
 func TestRemoveBatchesWeights(t *testing.T) {
 	// Two components: {0,1} with weight 10, {2,3} with weight 100.
-	g := NewDirected(4)
-	g.AddEdge(0, 1)
-	g.AddEdge(2, 3)
+	g := fromEdges(4, [][2]int32{{0, 1}, {2, 3}})
 	w := []float64{5, 5, 50, 50}
 	pts := RemoveBatches(g, [][]int32{{2}}, SweepOptions{Weights: w})
 	// Before removal both components have 2 nodes; ties by root id mean
@@ -76,10 +74,7 @@ func TestRemoveBatchesWeights(t *testing.T) {
 }
 
 func TestRemoveBatchesWithSCC(t *testing.T) {
-	g := NewDirected(3)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 0)
-	g.AddEdge(1, 2)
+	g := fromEdges(3, [][2]int32{{0, 1}, {1, 0}, {1, 2}})
 	pts := RemoveBatches(g, [][]int32{{0}}, SweepOptions{WithSCC: true})
 	if pts[0].SCCs != 2 { // {0,1} and {2}
 		t.Fatalf("baseline SCCs = %d, want 2", pts[0].SCCs)
@@ -91,7 +86,7 @@ func TestRemoveBatchesWithSCC(t *testing.T) {
 
 func TestIterativeDegreeRemovalStar(t *testing.T) {
 	g := star(100)
-	pts := IterativeDegreeRemoval(g, 0.01, 1, SweepOptions{})
+	pts := NewSweeper(g).IterativeDegreeRemoval(0.01, 1, SweepOptions{})
 	if len(pts) != 2 {
 		t.Fatalf("points = %d", len(pts))
 	}
@@ -106,7 +101,7 @@ func TestIterativeDegreeRemovalStar(t *testing.T) {
 
 func TestIterativeDegreeRemovalExhausts(t *testing.T) {
 	g := star(10)
-	pts := IterativeDegreeRemoval(g, 0.5, 100, SweepOptions{})
+	pts := NewSweeper(g).IterativeDegreeRemoval(0.5, 100, SweepOptions{})
 	last := pts[len(pts)-1]
 	if last.Removed != 10 {
 		t.Fatalf("final removed = %d, want all 10", last.Removed)
@@ -124,7 +119,7 @@ func TestIterativeDegreeRemovalPanics(t *testing.T) {
 					t.Fatalf("expected panic for fraction %g", f)
 				}
 			}()
-			IterativeDegreeRemoval(star(3), f, 1, SweepOptions{})
+			NewSweeper(star(3)).IterativeDegreeRemoval(f, 1, SweepOptions{})
 		}()
 	}
 }

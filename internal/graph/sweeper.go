@@ -74,7 +74,7 @@ func (s *Sweeper) Alive() []bool { return s.alive }
 func (s *Sweeper) Removed() int { return s.removed }
 
 // Remove marks the nodes of batch dead. Nodes already dead (or listed
-// twice) are only counted once, matching RemoveBatches semantics.
+// twice) are only counted once.
 func (s *Sweeper) Remove(batch []int32) {
 	for _, v := range batch {
 		if s.alive[v] {
@@ -118,8 +118,7 @@ func (s *Sweeper) Measure(opt SweepOptions) SweepPoint {
 }
 
 // RemoveBatches removes the batches one at a time, measuring before any
-// removal and after each batch — the CSR equivalent of the package-level
-// RemoveBatches, with O(1) allocations per round.
+// removal and after each batch, with O(1) allocations per round.
 func (s *Sweeper) RemoveBatches(batches [][]int32, opt SweepOptions) []SweepPoint {
 	points := make([]SweepPoint, 0, len(batches)+1)
 	points = append(points, s.Measure(opt))
@@ -130,12 +129,13 @@ func (s *Sweeper) RemoveBatches(batches [][]int32, opt SweepOptions) []SweepPoin
 	return points
 }
 
-// IterativeDegreeRemoval reproduces the Fig 12 methodology on the CSR: per
-// round, remove the top fraction of remaining nodes by alive-degree (degree
-// within the remaining subgraph), ties towards lower ids, then measure.
-// Results are identical to the package-level IterativeDegreeRemoval; the
-// per-round degree count is a single scan of the merged undirected view and
-// the top-k selection is a counting sort over the reusable bucket array.
+// IterativeDegreeRemoval reproduces the Fig 12 methodology: in each of
+// rounds iterations, remove the top fraction (e.g. 0.01) of the remaining
+// nodes by alive-degree (degree within the remaining subgraph), ties
+// towards lower ids, then measure. The returned slice has rounds+1 points
+// (index 0 = the graph as it stood). The per-round degree count is a single
+// scan of the merged undirected view and the top-k selection is a counting
+// sort over the reusable bucket array.
 func (s *Sweeper) IterativeDegreeRemoval(fraction float64, rounds int, opt SweepOptions) []SweepPoint {
 	if fraction <= 0 || fraction > 1 {
 		panic("graph: IterativeDegreeRemoval fraction must be in (0,1]")
@@ -161,8 +161,7 @@ func (s *Sweeper) IterativeDegreeRemoval(fraction float64, rounds int, opt Sweep
 func (s *Sweeper) removeTopK(k int) {
 	c := s.c
 	// Alive-degree of every alive node: one sequential scan of the merged
-	// undirected row counts each surviving edge at both endpoints, exactly
-	// like the adjacency-list aliveDegrees.
+	// undirected row counts each surviving edge at both endpoints.
 	maxDeg := 0
 	for v := 0; v < c.n; v++ {
 		if !s.alive[v] {
@@ -220,12 +219,14 @@ func (s *Sweeper) kill(v int32) {
 	s.removed++
 }
 
-// RemoveBatchesCSR is the drop-in CSR replacement for RemoveBatches.
-// Without SCC tracking it runs the reverse-incremental engine — one
-// union-find over the whole sweep instead of one per point; with SCC it
-// falls back to the per-point Sweeper (Tarjan cannot be incrementalised
-// this way).
-func RemoveBatchesCSR(c *CSR, batches [][]int32, opt SweepOptions) []SweepPoint {
+// RemoveBatches removes the given batches of nodes one batch at a time and
+// returns a SweepPoint before any removal and after each batch. Nodes listed
+// twice are only removed once. This is the engine behind Fig 13 (batches of
+// one instance, or one AS's worth of instances). Without SCC tracking it
+// runs the reverse-incremental engine — one union-find over the whole sweep
+// instead of one per point; with SCC it falls back to the per-point Sweeper
+// (Tarjan cannot be incrementalised this way).
+func RemoveBatches(c *CSR, batches [][]int32, opt SweepOptions) []SweepPoint {
 	if !opt.WithSCC {
 		return reverseBatchSweep(c, batches, opt)
 	}
@@ -366,12 +367,6 @@ func reverseBatchSweep(c *CSR, batches [][]int32, opt SweepOptions) []SweepPoint
 	return points
 }
 
-// IterativeDegreeRemovalCSR is the drop-in CSR replacement for
-// IterativeDegreeRemoval.
-func IterativeDegreeRemovalCSR(c *CSR, fraction float64, rounds int, opt SweepOptions) []SweepPoint {
-	return NewSweeper(c).IterativeDegreeRemoval(fraction, rounds, opt)
-}
-
 // RemoveBatchesParallel computes the same point series as RemoveBatches but
 // shards the measurement points across up to workers goroutines (≤0 means
 // GOMAXPROCS). Each worker owns a private Sweeper, fast-forwards the batch
@@ -393,7 +388,7 @@ func RemoveBatchesParallel(c *CSR, batches [][]int32, opt SweepOptions, workers 
 		workers = numPoints
 	}
 	if workers <= 1 {
-		return RemoveBatchesCSR(c, batches, opt)
+		return RemoveBatches(c, batches, opt)
 	}
 	points := make([]SweepPoint, numPoints)
 	var wg sync.WaitGroup

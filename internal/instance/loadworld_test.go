@@ -12,9 +12,7 @@ import (
 // microWorld: two instances; u0,u1 on a (u1 private), u2 on b.
 // Follows: u2→u0 (remote), u1→u0 (local).
 func microWorld() *dataset.World {
-	g := graph.NewDirected(3)
-	g.AddEdge(2, 0)
-	g.AddEdge(1, 0)
+	g := graph.FromRows([][]int32{nil, {0}, {0}})
 	ts := sim.NewTraceSet(2, 2, dataset.SlotsPerDay)
 	ts.Traces[1].SetDownRange(0, dataset.SlotsPerDay) // b down on day 0
 	return &dataset.World{

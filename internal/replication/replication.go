@@ -359,9 +359,9 @@ func New(w *dataset.World) *Experiment {
 		exp.toots[i] = float64(w.Users[i].Toots)
 		exp.totalToots += exp.toots[i]
 	}
-	// Follower instances per user off the frozen CSR view, deduplicated by
-	// sorting a reusable scratch slice instead of a per-user hash map.
-	social := w.SocialCSR()
+	// Follower instances per user, deduplicated by sorting a reusable
+	// scratch slice instead of a per-user hash map.
+	social := w.Social
 	var scratch []int32
 	for u := 0; u < n; u++ {
 		followers := social.In(int32(u))

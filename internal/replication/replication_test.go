@@ -21,10 +21,7 @@ import (
 // So user 0's toots replicate (S-Rep) onto instances 1 and 2; user 3's onto
 // instance 0; user 2's toots have no followers → no replicas.
 func microWorld() *dataset.World {
-	g := graph.NewDirected(4)
-	g.AddEdge(2, 0)
-	g.AddEdge(3, 0)
-	g.AddEdge(0, 3)
+	g := graph.FromRows([][]int32{{3}, nil, {0}, {0}})
 	return &dataset.World{
 		Days: 1,
 		Instances: []dataset.Instance{

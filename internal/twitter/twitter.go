@@ -41,12 +41,12 @@ func DefaultGraphConfig(seed uint64, users int) GraphConfig {
 }
 
 // Graph builds the baseline follower graph.
-func Graph(cfg GraphConfig) *graph.Directed {
+func Graph(cfg GraphConfig) *graph.CSR {
 	r := rand.New(rand.NewPCG(cfg.Seed, 0x7777))
 	n := cfg.Users
-	g := graph.NewDirected(n)
+	g := graph.NewBuilder(n)
 	if n < 2 {
-		return g
+		return g.Freeze()
 	}
 
 	fame := make([]float64, n)
@@ -105,7 +105,7 @@ func Graph(cfg GraphConfig) *graph.Directed {
 			added++
 		}
 	}
-	return g
+	return g.Freeze()
 }
 
 // UptimeConfig parameterises the 2007-style availability trace.

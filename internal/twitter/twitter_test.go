@@ -30,7 +30,7 @@ func TestGraphShape(t *testing.T) {
 			t.Fatalf("user %d follows nobody; Twitter baseline has a floor", v)
 		}
 	}
-	wcc := graph.WeaklyConnected(g, nil)
+	wcc := g.WeaklyConnected(nil)
 	if wcc.LCCFraction() < 0.95 {
 		t.Fatalf("baseline LCC = %.3f, want ≥0.95 (paper: Twitter 2011 LCC 95%%)", wcc.LCCFraction())
 	}
@@ -40,7 +40,7 @@ func TestGraphRobustness(t *testing.T) {
 	// The defining property vs Mastodon (Fig 12): after removing the top
 	// 10% of accounts (10 rounds of 1%), ≈80% of users stay connected.
 	g := Graph(DefaultGraphConfig(1, 8000))
-	pts := graph.IterativeDegreeRemoval(g, 0.01, 10, graph.SweepOptions{})
+	pts := graph.NewSweeper(g).IterativeDegreeRemoval(0.01, 10, graph.SweepOptions{})
 	if pts[10].LCCFrac < 0.65 {
 		t.Fatalf("Twitter LCC after 10 rounds = %.3f, want ≥0.65 (paper: 80%%)", pts[10].LCCFrac)
 	}

@@ -110,8 +110,8 @@ END {
 # snapshot, print the speedup the design choice buys (see DESIGN.md,
 # "Wire codecs and response caching", "Paper-scale worlds"). Pairs are
 # "fast:slow" benchmark names; missing names are skipped silently. Both
-# ns/op and allocs/op ratios are reported — the columnar world-file pairs
-# are primarily an allocation win.
+# ns/op and allocs/op ratios are reported — the streamed-timeline pair is
+# primarily an allocation win.
 echo
 echo "bench_check: ablation pairs in $new (fast vs baseline)"
 awk '
@@ -141,8 +141,6 @@ BEGIN {
 		"BenchmarkAblationFollowersCached:BenchmarkAblationFollowersRerendered " \
 		"BenchmarkAblationInstanceInfoCached:BenchmarkAblationInstanceInfoRerendered " \
 		"BenchmarkCrawlWorld:BenchmarkAblationCrawlSocket " \
-		"BenchmarkWorldSave:BenchmarkAblationWorldSaveGob " \
-		"BenchmarkWorldLoad:BenchmarkAblationWorldLoadGob " \
 		"BenchmarkGenerateParallel:BenchmarkAblationGenerateShard1 " \
 		"BenchmarkFleetCrawl:BenchmarkAblationFleetCrawlWorkers1 " \
 		"BenchmarkAblationETagRevalidate:BenchmarkAblationETagFullFetch " \
