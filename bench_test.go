@@ -405,12 +405,13 @@ func BenchmarkAblationBatchSweepWorkers1(b *testing.B) { benchBatchSweepWorkers(
 func BenchmarkAblationBatchSweepWorkers4(b *testing.B) { benchBatchSweepWorkers(b, 4) }
 func BenchmarkAblationBatchSweepWorkersN(b *testing.B) { benchBatchSweepWorkers(b, 0) }
 
-// Monte-Carlo sample size vs the closed form for random replication.
+// Monte-Carlo sample size vs the closed form for random replication, over
+// the instance sweep runFig16 runs.
 func benchRandRep(b *testing.B, s replication.Strategy) {
 	w := benchWorld(b)
 	exp := replication.New(w)
 	order := graph.RankDescending(w.InstanceTootWeights())
-	batches := graph.SingletonBatches(order, 10)
+	batches := graph.SingletonBatches(order, min(100, len(w.Instances)/4))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		exp.Sweep(s, batches)
@@ -772,11 +773,12 @@ func BenchmarkExtBlocking(b *testing.B) {
 	}
 }
 
+// runExtCapacity's parameters.
 func BenchmarkExtCapacity(b *testing.B) {
 	w := benchWorld(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		analysis.ExtCapacity(w, 2, 20, 8)
+		analysis.ExtCapacity(w, 2, min(50, len(w.Instances)/4), 12)
 	}
 }
 

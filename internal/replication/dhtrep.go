@@ -50,26 +50,9 @@ func NewDHTRep(w *dataset.World, ring *dht.Ring) DHTRep {
 // Name implements Strategy.
 func (s DHTRep) Name() string { return s.label }
 
-func (s DHTRep) available(exp *Experiment, u int32, down []bool) float64 {
-	if !down[exp.home[u]] {
-		return exp.toots[u]
-	}
-	for _, inst := range s.placed[u] {
-		if !down[inst] {
-			return exp.toots[u]
-		}
-	}
-	return 0
-}
+func (s DHTRep) displaced(sw *sweep, u int32) (float64, int32) { return sw.held(u, s.placed[u]) }
 
-func (s DHTRep) survives(exp *Experiment, u int32, down []bool) bool {
-	if !down[exp.home[u]] {
-		return true
-	}
-	for _, inst := range s.placed[u] {
-		if !down[inst] {
-			return true
-		}
-	}
-	return false
+func (s DHTRep) survives(sw *sweep, u int32) bool {
+	value, _ := sw.held(u, s.placed[u])
+	return value > 0
 }

@@ -60,13 +60,13 @@ func TestDHTRepPlacementFollowsRing(t *testing.T) {
 				wantAlive = true
 			}
 		}
-		if got := s.survives(exp, int32(u), down); got != wantAlive {
+		if got := exp.Survivors(s, down)[u]; got != wantAlive {
 			t.Fatalf("user %d: survives=%v with home down, holders %v", u, got, holders)
 		}
 		for i := range down {
 			down[i] = true
 		}
-		if s.survives(exp, int32(u), down) {
+		if exp.Survivors(s, down)[u] {
 			t.Fatalf("user %d survives with every instance down", u)
 		}
 	}

@@ -6,25 +6,28 @@
 package replication
 
 import (
-	"math/rand/v2"
 	"slices"
-	"sort"
 
 	"repro/internal/dataset"
 )
 
-// Strategy selects a toot-placement policy.
+// Strategy selects a toot-placement policy. Every policy keeps a user's
+// toots on the home instance, where all of them are reachable while it is
+// up; a Strategy says what is left once it is down. Its methods are asked
+// only about users who tooted and whose home is down at the current point of
+// the sweep (sweep.go) they are handed.
 type Strategy interface {
-	// available reports how many of the user's toots survive given the down
-	// mask over instances. exp carries the precomputed placement state.
-	available(exp *Experiment, user int32, down []bool) float64
+	// displaced returns how many of the user's toots are still reachable,
+	// and the first later point at which that answer can differ: the
+	// smallest removal time among the instances the evaluation saw up
+	// (never, if nothing it saw can still fall).
+	displaced(sw *sweep, user int32) (value float64, validUntil int32)
 	// survives reports whether ANY copy of the user's content remains
-	// reachable under the down mask — the per-user signal behind the
-	// recovered-graph connectivity measure of the live scenarios. For
-	// randomised strategies the replica placement is the deterministic
-	// pseudo-random draw seeded by (Seed, user), so the answer never
-	// changes between calls.
-	survives(exp *Experiment, user int32, down []bool) bool
+	// reachable — the per-user signal behind the recovered-graph
+	// connectivity measure of the live scenarios. For randomised strategies
+	// the replica placement is the deterministic pseudo-random draw seeded
+	// by (Seed, user), so the answer never changes between calls.
+	survives(sw *sweep, user int32) bool
 	// Name labels the strategy in reports.
 	Name() string
 }
@@ -35,16 +38,9 @@ type NoRep struct{}
 // Name implements Strategy.
 func (NoRep) Name() string { return "No-Rep" }
 
-func (NoRep) available(exp *Experiment, u int32, down []bool) float64 {
-	if down[exp.home[u]] {
-		return 0
-	}
-	return exp.toots[u]
-}
+func (NoRep) displaced(*sweep, int32) (float64, int32) { return 0, never }
 
-func (NoRep) survives(exp *Experiment, u int32, down []bool) bool {
-	return !down[exp.home[u]]
-}
+func (NoRep) survives(*sweep, int32) bool { return false }
 
 // SubRep replicates every toot of a user onto the instances hosting the
 // user's followers (Mastodon's federation already pushes the content there;
@@ -54,28 +50,13 @@ type SubRep struct{}
 // Name implements Strategy.
 func (SubRep) Name() string { return "S-Rep" }
 
-func (SubRep) available(exp *Experiment, u int32, down []bool) float64 {
-	if !down[exp.home[u]] {
-		return exp.toots[u]
-	}
-	for _, inst := range exp.followerInsts[u] {
-		if !down[inst] {
-			return exp.toots[u]
-		}
-	}
-	return 0
+func (SubRep) displaced(sw *sweep, u int32) (float64, int32) {
+	return sw.held(u, sw.exp.followerInsts(u))
 }
 
-func (SubRep) survives(exp *Experiment, u int32, down []bool) bool {
-	if !down[exp.home[u]] {
-		return true
-	}
-	for _, inst := range exp.followerInsts[u] {
-		if !down[inst] {
-			return true
-		}
-	}
-	return false
+func (SubRep) survives(sw *sweep, u int32) bool {
+	value, _ := sw.held(u, sw.exp.followerInsts(u))
+	return value > 0
 }
 
 // RandRep replicates each toot onto N uniformly random instances (distinct
@@ -116,89 +97,47 @@ func itoa(n int) string {
 	return string(b[i:])
 }
 
-func (s RandRep) available(exp *Experiment, u int32, down []bool) float64 {
-	if !down[exp.home[u]] {
-		return exp.toots[u]
-	}
-	// Home is down; a toot survives iff at least one replica is up.
+// displaced: a toot survives iff at least one of its replicas is up.
+func (s RandRep) displaced(sw *sweep, u int32) (float64, int32) {
 	if s.Exact {
-		// P(all N replicas down) drawing distinct instances uniformly.
-		p := 1.0
-		d, m := exp.downCount(down), len(exp.w.Instances)
-		for i := 0; i < s.N; i++ {
-			p *= float64(d-i) / float64(m-i)
-			if p <= 0 {
-				p = 0
-				break
-			}
-		}
-		return exp.toots[u] * (1 - p)
+		// The closed form reads the down count, which any later point may
+		// change, not particular instances.
+		return sw.exp.toots[u] * (1 - sw.allDown(s.N)), sw.k + 1
 	}
-	r := rand.New(rand.NewPCG(s.Seed, uint64(u)))
 	samples := s.Samples
 	if samples <= 0 {
 		samples = 16
 	}
-	if t := int(exp.toots[u]); t < samples {
-		samples = t
-	}
-	if samples == 0 {
-		return 0
-	}
-	m := len(exp.w.Instances)
-	surviving := 0
-	for k := 0; k < samples; k++ {
-		alive := false
-		seen := make(map[int]struct{}, s.N)
-		for i := 0; i < s.N; i++ {
-			var inst int
-			for {
-				inst = r.IntN(m)
-				if _, dup := seen[inst]; !dup {
-					break
-				}
-			}
-			seen[inst] = struct{}{}
-			if !down[inst] {
-				alive = true
-				break
-			}
-		}
-		if alive {
-			surviving++
-		}
-	}
-	return exp.toots[u] * float64(surviving) / float64(samples)
+	return sw.monteCarlo(u, s.Seed, samples, s.place)
 }
 
 // survives treats the first N distinct draws of the user's deterministic
 // stream as THE replica placement: the user's content remains reachable iff
-// the home or any of those N instances is up.
-func (s RandRep) survives(exp *Experiment, u int32, down []bool) bool {
-	if !down[exp.home[u]] {
-		return true
-	}
-	r := rand.New(rand.NewPCG(s.Seed, uint64(u)))
-	m := len(exp.w.Instances)
-	n := s.N
-	if n > m {
-		n = m
-	}
-	seen := make(map[int]struct{}, n)
-	for i := 0; i < n; i++ {
-		var inst int
-		for {
-			inst = r.IntN(m)
-			if _, dup := seen[inst]; !dup {
-				break
-			}
+// the home or any of those N instances is up. That is the one-sample
+// estimate being non-zero.
+func (s RandRep) survives(sw *sweep, u int32) bool {
+	value, _ := sw.monteCarlo(u, s.Seed, 1, s.place)
+	return value > 0
+}
+
+// place draws one toot's replicas from the stream sw.rng is at — N distinct
+// uniform instances, or all of them when the world has fewer — and stops at
+// the first that is up, returning its removal time.
+func (s RandRep) place(sw *sweep) (int32, bool) {
+	m := len(sw.at)
+	n := min(s.N, m)
+	sw.seen = sw.seen[:0]
+	for len(sw.seen) < n {
+		inst := sw.rng.IntN(m)
+		if slices.Contains(sw.seen, inst) {
+			continue
 		}
-		seen[inst] = struct{}{}
-		if !down[inst] {
-			return true
+		sw.seen = append(sw.seen, inst)
+		if t := sw.at[inst]; t > sw.k {
+			return t, true
 		}
 	}
-	return false
+	return never, false
 }
 
 // WeightedRep replicates each toot onto N instances drawn without
@@ -212,7 +151,11 @@ type WeightedRep struct {
 	Samples int
 	Seed    uint64
 	label   string
-	cum     []float64 // cumulative weights for O(log n) sampling
+	cum     []float64 // cumulative weights
+	// guide[b] is the search result for the lower edge of the b-th of
+	// len(cum) equal slices of [0, total]; perUnit maps a draw to its slice.
+	guide   []int32
+	perUnit float64
 }
 
 // NewWeightedRep builds the strategy. weights must have one non-negative
@@ -234,7 +177,18 @@ func NewWeightedRep(n int, weights []float64, samples int, seed uint64, label st
 	if samples <= 0 {
 		samples = 16
 	}
-	return WeightedRep{N: n, Samples: samples, Seed: seed, label: label, cum: cum}
+	parts := float64(len(cum))
+	guide := make([]int32, len(cum)+1)
+	i := 0
+	for b := range guide {
+		edge := float64(b) * total / parts
+		for i < len(cum) && cum[i] < edge {
+			i++
+		}
+		guide[b] = int32(i)
+	}
+	return WeightedRep{N: n, Samples: samples, Seed: seed, label: label,
+		cum: cum, guide: guide, perUnit: parts / total}
 }
 
 // Name implements Strategy.
@@ -246,148 +200,119 @@ func (s WeightedRep) Name() string {
 	return "W-Rep(" + l + ",n=" + itoa(s.N) + ")"
 }
 
-func (s WeightedRep) available(exp *Experiment, u int32, down []bool) float64 {
-	if !down[exp.home[u]] {
-		return exp.toots[u]
+// search returns sort.SearchFloat64s(s.cum, x), the smallest i with
+// cum[i] >= x. The guide table only picks where to start; the two walks
+// settle on the exact index however the slice index rounded, and the
+// expected walk is one step because a draw lands in each slice equally
+// often and the slices hold one entry on average.
+func (s WeightedRep) search(x float64) int {
+	b := max(0, min(int(x*s.perUnit), len(s.guide)-1))
+	i := int(s.guide[b])
+	for i > 0 && s.cum[i-1] >= x {
+		i--
 	}
-	if len(s.cum) != len(down) {
-		panic("replication: WeightedRep weights length mismatch")
+	for i < len(s.cum) && s.cum[i] < x {
+		i++
 	}
-	r := rand.New(rand.NewPCG(s.Seed, uint64(u)))
-	samples := s.Samples
-	if t := int(exp.toots[u]); t < samples {
-		samples = t
-	}
-	if samples == 0 {
-		return 0
-	}
-	total := s.cum[len(s.cum)-1]
-	surviving := 0
-	for k := 0; k < samples; k++ {
-		alive := false
-		seen := make(map[int]struct{}, s.N)
-		for len(seen) < s.N {
-			inst := -1
-			for attempt := 0; attempt < 64; attempt++ {
-				x := r.Float64() * total
-				i := sort.SearchFloat64s(s.cum, x)
-				if i >= len(s.cum) {
-					i = len(s.cum) - 1
-				}
-				if _, dup := seen[i]; !dup {
-					inst = i
-					break
-				}
-			}
-			if inst < 0 {
-				break // weight mass exhausted by duplicates
-			}
-			seen[inst] = struct{}{}
-			if !down[inst] {
-				alive = true
-				break
-			}
-		}
-		if alive {
-			surviving++
-		}
-	}
-	return exp.toots[u] * float64(surviving) / float64(samples)
+	return i
+}
+
+func (s WeightedRep) displaced(sw *sweep, u int32) (float64, int32) {
+	return sw.monteCarlo(u, s.Seed, s.Samples, s.place)
 }
 
 // survives mirrors RandRep.survives with weighted draws: the first N
 // distinct weighted picks of the user's deterministic stream are the
 // placement.
-func (s WeightedRep) survives(exp *Experiment, u int32, down []bool) bool {
-	if !down[exp.home[u]] {
-		return true
-	}
-	if len(s.cum) != len(down) {
+func (s WeightedRep) survives(sw *sweep, u int32) bool {
+	value, _ := sw.monteCarlo(u, s.Seed, 1, s.place)
+	return value > 0
+}
+
+// place is RandRep.place with weighted draws. A draw that keeps hitting
+// instances already picked gives up after 64 attempts: the weight mass is
+// exhausted by duplicates and the toot has fewer than N replicas.
+func (s WeightedRep) place(sw *sweep) (int32, bool) {
+	if len(s.cum) != len(sw.at) {
 		panic("replication: WeightedRep weights length mismatch")
 	}
-	r := rand.New(rand.NewPCG(s.Seed, uint64(u)))
 	total := s.cum[len(s.cum)-1]
-	seen := make(map[int]struct{}, s.N)
-	for len(seen) < s.N {
+	sw.seen = sw.seen[:0]
+	for len(sw.seen) < s.N {
 		inst := -1
 		for attempt := 0; attempt < 64; attempt++ {
-			x := r.Float64() * total
-			i := sort.SearchFloat64s(s.cum, x)
-			if i >= len(s.cum) {
-				i = len(s.cum) - 1
-			}
-			if _, dup := seen[i]; !dup {
+			i := min(s.search(sw.rng.Float64()*total), len(s.cum)-1)
+			if !slices.Contains(sw.seen, i) {
 				inst = i
 				break
 			}
 		}
 		if inst < 0 {
-			return false // weight mass exhausted by duplicates
+			break
 		}
-		seen[inst] = struct{}{}
-		if !down[inst] {
-			return true
+		sw.seen = append(sw.seen, inst)
+		if t := sw.at[inst]; t > sw.k {
+			return t, true
 		}
 	}
-	return false
+	return never, false
 }
 
 // Experiment precomputes the placement state for a world: every user's home
 // instance, toot weight, and the distinct instances hosting their followers.
+// It is read-only after New, so any number of goroutines may sweep it.
 type Experiment struct {
-	w             *dataset.World
-	home          []int32
-	toots         []float64
-	followerInsts [][]int32
-	totalToots    float64
+	w          *dataset.World
+	home       []int32
+	toots      []float64
+	tooting    []int32 // users with toots, ascending: the only ones a sweep evaluates
+	totalToots float64
 
-	cachedDown      []bool
-	cachedDownCount int
+	// Follower instances in CSR form: user u's are folInst[folOff[u]:folOff[u+1]].
+	folOff  []int64
+	folInst []int32
 }
 
 // New builds an Experiment from a world.
 func New(w *dataset.World) *Experiment {
 	n := len(w.Users)
 	exp := &Experiment{
-		w:             w,
-		home:          make([]int32, n),
-		toots:         make([]float64, n),
-		followerInsts: make([][]int32, n),
+		w:      w,
+		home:   make([]int32, n),
+		toots:  make([]float64, n),
+		folOff: make([]int64, n+1),
 	}
 	for i := range w.Users {
 		exp.home[i] = w.Users[i].Instance
 		exp.toots[i] = float64(w.Users[i].Toots)
 		exp.totalToots += exp.toots[i]
+		if exp.toots[i] != 0 {
+			exp.tooting = append(exp.tooting, int32(i))
+		}
 	}
 	// Follower instances per user, deduplicated by sorting a reusable
 	// scratch slice instead of a per-user hash map.
 	social := w.Social
 	var scratch []int32
 	for u := 0; u < n; u++ {
-		followers := social.In(int32(u))
-		if len(followers) == 0 {
-			continue
-		}
 		scratch = scratch[:0]
-		for _, f := range followers {
+		for _, f := range social.In(int32(u)) {
 			inst := w.Users[f].Instance
 			if inst != exp.home[u] {
 				scratch = append(scratch, inst)
 			}
 		}
-		if len(scratch) == 0 {
-			continue
-		}
 		slices.Sort(scratch)
-		insts := make([]int32, 0, 4)
-		for i, inst := range scratch {
-			if i == 0 || inst != scratch[i-1] {
-				insts = append(insts, inst)
-			}
-		}
-		exp.followerInsts[u] = insts
+		exp.folInst = append(exp.folInst, slices.Compact(scratch)...)
+		exp.folOff[u+1] = int64(len(exp.folInst))
 	}
 	return exp
+}
+
+// followerInsts returns the distinct instances, other than the home, that
+// host followers of u, ascending. The slice aliases the Experiment.
+func (exp *Experiment) followerInsts(u int32) []int32 {
+	return exp.folInst[exp.folOff[u]:exp.folOff[u+1]]
 }
 
 // TotalToots returns the toot mass of the world.
@@ -398,7 +323,7 @@ func (exp *Experiment) TotalToots() float64 { return exp.totalToots }
 func (exp *Experiment) ReplicaStats() (noReplicaTootFrac, over10TootFrac float64) {
 	var none, many float64
 	for u := range exp.toots {
-		switch n := len(exp.followerInsts[u]); {
+		switch n := exp.folOff[u+1] - exp.folOff[u]; {
 		case n == 0:
 			none += exp.toots[u]
 		case n > 10:
@@ -409,81 +334,4 @@ func (exp *Experiment) ReplicaStats() (noReplicaTootFrac, over10TootFrac float64
 		return 0, 0
 	}
 	return none / exp.totalToots, many / exp.totalToots
-}
-
-func (exp *Experiment) downCount(down []bool) int {
-	if len(down) > 0 && len(exp.cachedDown) > 0 && &down[0] == &exp.cachedDown[0] {
-		return exp.cachedDownCount
-	}
-	c := 0
-	for _, d := range down {
-		if d {
-			c++
-		}
-	}
-	return c
-}
-
-// Availability returns the percentage (0-100) of toots still reachable when
-// the instances marked in down are offline.
-func (exp *Experiment) Availability(s Strategy, down []bool) float64 {
-	if len(down) != len(exp.w.Instances) {
-		panic("replication: down mask length mismatch")
-	}
-	if exp.totalToots == 0 {
-		return 100
-	}
-	exp.cachedDown = down
-	exp.cachedDownCount = 0
-	for _, d := range down {
-		if d {
-			exp.cachedDownCount++
-		}
-	}
-	var avail float64
-	for u := range exp.toots {
-		if exp.toots[u] == 0 {
-			continue
-		}
-		avail += s.available(exp, int32(u), down)
-	}
-	return 100 * avail / exp.totalToots
-}
-
-// Survivors reports, for every user, whether any copy of the user's
-// content remains reachable under strategy s with the given down mask —
-// the node mask behind the live scenarios' recovered-graph connectivity
-// measure (a follow edge survives iff both endpoints do). Users who never
-// tooted have nothing replicated anywhere, so they survive iff their home
-// instance is up, under every strategy.
-func (exp *Experiment) Survivors(s Strategy, down []bool) []bool {
-	if len(down) != len(exp.w.Instances) {
-		panic("replication: down mask length mismatch")
-	}
-	alive := make([]bool, len(exp.toots))
-	for u := range exp.toots {
-		if exp.toots[u] == 0 {
-			alive[u] = !down[exp.home[u]]
-			continue
-		}
-		alive[u] = s.survives(exp, int32(u), down)
-	}
-	return alive
-}
-
-// Sweep removes the given instance batches cumulatively (batch k is removed
-// before measuring point k+1) and returns the availability series,
-// starting with the intact system. This drives Figs 15 and 16: batches are
-// single instances or whole ASes, ranked by users/toots/connections.
-func (exp *Experiment) Sweep(s Strategy, batches [][]int32) []float64 {
-	down := make([]bool, len(exp.w.Instances))
-	out := make([]float64, 0, len(batches)+1)
-	out = append(out, exp.Availability(s, down))
-	for _, batch := range batches {
-		for _, id := range batch {
-			down[id] = true
-		}
-		out = append(out, exp.Availability(s, down))
-	}
-	return out
 }

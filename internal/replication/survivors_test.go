@@ -89,11 +89,16 @@ func TestSurvivorsConsistentWithAvailability(t *testing.T) {
 			{false, false, true}, {true, true, false}, {true, true, true},
 		} {
 			alive := exp.Survivors(s, down)
+			sw := newSweep(exp, exp.maskTimes(down))
 			for u, w := range exp.toots {
 				if w == 0 {
 					continue
 				}
-				avail := s.available(exp, int32(u), down) > 0
+				avail := !down[exp.home[u]]
+				if !avail {
+					value, _ := s.displaced(sw, int32(u))
+					avail = value > 0
+				}
 				if alive[u] != avail {
 					t.Fatalf("%s user %d down=%v: survives=%v but available=%v",
 						s.Name(), u, down, alive[u], avail)
