@@ -25,6 +25,7 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/vclock"
@@ -383,39 +384,37 @@ func (c *Client) GetJSON(ctx context.Context, domain, path string, v any) error 
 	return err
 }
 
-// forEach runs fn over items with at most workers goroutines, stopping early
-// on context cancellation. Errors from fn are returned in item order (nil
-// entries for successes).
-func forEach[T any](ctx context.Context, items []T, workers int, fn func(ctx context.Context, item T) error) []error {
-	if workers < 1 {
-		workers = 1
+// forEach calls fn(ctx, i) for every i in [0, n) from min(workers, n)
+// goroutines (workers < 1 means one) and returns when all of them have
+// exited. Each goroutine claims the next unclaimed index until none is
+// left, so an index runs exactly once and at most workers calls of fn are
+// in flight. fn sees the caller's ctx. errs[i] is what fn returned for i;
+// an index claimed after ctx is cancelled gets ctx.Err() and fn is not
+// called for it. A long-lived worker, not a goroutine per item: a newborn
+// goroutine regrows its stack on the way down through the HTTP client,
+// which cost more than the request it carried.
+func forEach(ctx context.Context, n, workers int, fn func(ctx context.Context, i int) error) []error {
+	errs := make([]error, n)
+	workers = min(max(workers, 1), n)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				if err := ctx.Err(); err != nil {
+					errs[i] = err
+					continue
+				}
+				errs[i] = fn(ctx, i)
+			}
+		}()
 	}
-	errs := make([]error, len(items))
-	sem := make(chan struct{}, workers)
-	done := make(chan int, len(items))
-	launched := 0
-	for i := range items {
-		if err := ctx.Err(); err != nil {
-			errs[i] = err
-			continue
-		}
-		select {
-		case <-ctx.Done():
-			errs[i] = ctx.Err()
-			continue
-		case sem <- struct{}{}:
-		}
-		launched++
-		go func(i int) {
-			defer func() {
-				<-sem
-				done <- i
-			}()
-			errs[i] = fn(ctx, items[i])
-		}(i)
-	}
-	for k := 0; k < launched; k++ {
-		<-done
-	}
+	wg.Wait()
 	return errs
 }

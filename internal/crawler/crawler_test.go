@@ -3,8 +3,10 @@ package crawler
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -182,25 +184,47 @@ func TestClientContextCancel(t *testing.T) {
 	}
 }
 
+// TestForEach pins the contract the four crawl loops rely on: every index
+// runs exactly once, errs comes back in index order, no more than workers
+// calls are in flight — for workers below, at and above n — and fn sees
+// the caller's context itself, not a derived one.
 func TestForEach(t *testing.T) {
-	var sum atomic.Int64
-	items := make([]int, 100)
-	for i := range items {
-		items[i] = i
-	}
-	errs := forEach(context.Background(), items, 7, func(_ context.Context, v int) error {
-		sum.Add(int64(v))
-		if v == 13 {
-			return errors.New("unlucky")
+	type key struct{}
+	ctx := context.WithValue(context.Background(), key{}, "mine")
+	for _, tc := range []struct{ n, workers int }{
+		{100, 7}, {100, 1}, {3, 16}, {1, 1}, {0, 4}, {50, 0}, {50, -3},
+	} {
+		limit := int64(max(tc.workers, 1))
+		runs := make([]atomic.Int32, tc.n)
+		var inFlight, peak atomic.Int64
+		errs := forEach(ctx, tc.n, tc.workers, func(got context.Context, i int) error {
+			if got != ctx {
+				t.Errorf("fn saw %v, want the caller's context", got)
+			}
+			cur := inFlight.Add(1)
+			for p := peak.Load(); cur > p && !peak.CompareAndSwap(p, cur); p = peak.Load() {
+			}
+			runs[i].Add(1)
+			runtime.Gosched() // let the other workers overlap this call
+			inFlight.Add(-1)
+			if i%13 == 0 {
+				return fmt.Errorf("item %d", i)
+			}
+			return nil
+		})
+		if len(errs) != tc.n {
+			t.Fatalf("n=%d workers=%d: %d errs", tc.n, tc.workers, len(errs))
 		}
-		return nil
-	})
-	if sum.Load() != 4950 {
-		t.Fatalf("sum = %d", sum.Load())
-	}
-	for i, err := range errs {
-		if (i == 13) != (err != nil) {
-			t.Fatalf("errs[%d] = %v", i, err)
+		for i, err := range errs {
+			if got := runs[i].Load(); got != 1 {
+				t.Fatalf("n=%d workers=%d: item %d ran %d times", tc.n, tc.workers, i, got)
+			}
+			if want := i%13 == 0; (err != nil) != want || want && err.Error() != fmt.Sprintf("item %d", i) {
+				t.Fatalf("n=%d workers=%d: errs[%d] = %v", tc.n, tc.workers, i, err)
+			}
+		}
+		if p := peak.Load(); p > limit {
+			t.Fatalf("n=%d workers=%d: %d calls in flight", tc.n, tc.workers, p)
 		}
 	}
 }
@@ -208,10 +232,44 @@ func TestForEach(t *testing.T) {
 func TestForEachCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	errs := forEach(ctx, []int{1, 2, 3}, 2, func(context.Context, int) error { return nil })
-	for _, err := range errs {
-		if err == nil {
-			t.Fatal("expected ctx errors for all items")
+	errs := forEach(ctx, 3, 2, func(context.Context, int) error {
+		t.Error("fn ran under a cancelled context")
+		return nil
+	})
+	for i, err := range errs {
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("errs[%d] = %v, want context.Canceled", i, err)
+		}
+	}
+}
+
+// TestForEachCancelMidRun cancels from inside the k-th call. Items already
+// running finish with their own result; every item claimed afterwards is
+// marked with ctx.Err() and never runs.
+func TestForEachCancelMidRun(t *testing.T) {
+	const n, workers, cancelAt = 200, 4, 20
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	ran := make([]atomic.Bool, n)
+	var calls atomic.Int64
+	errs := forEach(ctx, n, workers, func(_ context.Context, i int) error {
+		ran[i].Store(true)
+		if calls.Add(1) == cancelAt {
+			cancel()
+		}
+		return nil
+	})
+	// Each of the other workers can have claimed one more item before it
+	// could observe the cancellation.
+	if c := calls.Load(); c < cancelAt || c >= cancelAt+workers {
+		t.Fatalf("%d calls ran, want [%d, %d)", c, cancelAt, cancelAt+workers)
+	}
+	for i, err := range errs {
+		switch {
+		case ran[i].Load() && err != nil:
+			t.Fatalf("item %d ran and still got %v", i, err)
+		case !ran[i].Load() && !errors.Is(err, context.Canceled):
+			t.Fatalf("item %d did not run, errs = %v", i, err)
 		}
 	}
 }

@@ -58,7 +58,8 @@ func (d *Discoverer) Discover(ctx context.Context, seeds []string) []string {
 		// Workers only gather this round's peer lists; admission to the
 		// discovered set happens after the round, under a total order.
 		var found []string
-		forEach(ctx, frontier, workers, func(ctx context.Context, domain string) error {
+		forEach(ctx, len(frontier), workers, func(ctx context.Context, i int) error {
+			domain := frontier[i]
 			bp := getBuf()
 			// Decode inside the integrity check so a corrupt peer list is
 			// retried rather than dropping the whole domain from discovery.

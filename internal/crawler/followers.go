@@ -52,14 +52,16 @@ func ParseFollowerPageRegexp(acct string, body []byte) (edges []Edge, hasNext bo
 // a mangled page. The follower strings are copied out, so body may be a
 // reused buffer.
 func ParseFollowerPage(acct string, body []byte) (edges []Edge, hasNext bool) {
+	return appendFollowerEdges(nil, acct, body)
+}
+
+// appendFollowerEdges appends one page's follower→acct edges to dst, one
+// allocation per edge (the concatenation converts its operands in place).
+func appendFollowerEdges(dst []Edge, acct string, body []byte) ([]Edge, bool) {
 	wire.ScanFollowerPage(body, func(domain, user []byte) {
-		b := make([]byte, 0, len(user)+1+len(domain))
-		b = append(b, user...)
-		b = append(b, '@')
-		b = append(b, domain...)
-		edges = append(edges, Edge{From: string(b), To: acct})
+		dst = append(dst, Edge{From: string(user) + "@" + string(domain), To: acct})
 	})
-	return edges, wire.FollowerPageHasNext(body)
+	return dst, wire.FollowerPageHasNext(body)
 }
 
 // ScrapeAccount collects every follower of acct (user@domain). It returns
@@ -89,8 +91,8 @@ func (fs *FollowerScraper) ScrapeAccount(ctx context.Context, acct string) ([]Ed
 		if err != nil {
 			return edges, err
 		}
-		pageEdges, hasNext := ParseFollowerPage(acct, body)
-		edges = append(edges, pageEdges...)
+		var hasNext bool
+		edges, hasNext = appendFollowerEdges(edges, acct, body)
 		if !hasNext {
 			return edges, nil
 		}
@@ -111,11 +113,7 @@ func (fs *FollowerScraper) Scrape(ctx context.Context, accts []string) ScrapeRes
 		workers = 10
 	}
 	perAcct := make([][]Edge, len(accts))
-	idx := make([]int, len(accts))
-	for i := range idx {
-		idx[i] = i
-	}
-	errs := forEach(ctx, idx, workers, func(ctx context.Context, i int) error {
+	errs := forEach(ctx, len(accts), workers, func(ctx context.Context, i int) error {
 		edges, err := fs.ScrapeAccount(ctx, accts[i])
 		perAcct[i] = edges
 		return err

@@ -53,11 +53,7 @@ func (m *Monitor) PollOnce(ctx context.Context) []Sample {
 	if workers < 1 {
 		workers = 16
 	}
-	idx := make([]int, len(m.Domains))
-	for i := range idx {
-		idx[i] = i
-	}
-	forEach(ctx, idx, workers, func(ctx context.Context, i int) error {
+	forEach(ctx, len(m.Domains), workers, func(ctx context.Context, i int) error {
 		domain := m.Domains[i]
 		s := Sample{Domain: domain, At: now()}
 		bp := getBuf()

@@ -188,11 +188,7 @@ func (tc *TootCrawler) Crawl(ctx context.Context, domains []string) []InstanceCr
 		workers = 10
 	}
 	results := make([]InstanceCrawl, len(domains))
-	idx := make([]int, len(domains))
-	for i := range idx {
-		idx[i] = i
-	}
-	forEach(ctx, idx, workers, func(ctx context.Context, i int) error {
+	forEach(ctx, len(domains), workers, func(ctx context.Context, i int) error {
 		results[i] = tc.CrawlInstance(ctx, domains[i])
 		return nil
 	})

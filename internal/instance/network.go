@@ -84,7 +84,7 @@ func (n *Network) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	s := n.Server(host)
 	if s == nil {
-		http.Error(w, fmt.Sprintf("no such instance: %q", host), http.StatusBadGateway)
+		refuse(w, http.StatusBadGateway, fmt.Sprintf("no such instance: %q", host))
 		return
 	}
 	s.ServeHTTP(w, r)

@@ -45,13 +45,15 @@ func TestFlashCrowdFairness(t *testing.T) {
 	}
 
 	ctx := context.Background()
-	var issued atomic.Int64
+	var issued, live atomic.Int64
+	live.Store(workers)
 	counts := make([]int64, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			defer live.Add(-1)
 			for issued.Add(1) <= budget {
 				if _, err := cli.Get(ctx, "hot.sim", "/api/v1/instance"); err != nil {
 					t.Error(err)
@@ -63,15 +65,20 @@ func TestFlashCrowdFairness(t *testing.T) {
 	}
 	done := make(chan struct{})
 	go func() { wg.Wait(); close(done) }()
-	// The driver owns virtual time: step the clock whenever someone is
-	// waiting on the limiter, yield otherwise.
+	// The driver owns virtual time and moves it only at quiescence: when
+	// every live worker is parked on the limiter. Stepping as soon as one
+	// worker waits would let the Go scheduler, not the token bucket, decide
+	// who is served next — a runnable worker that has not reserved yet
+	// would find the clock already past the slot it was owed.
 drive:
 	for {
 		select {
 		case <-done:
 			break drive
 		default:
-			if !clk.Step() {
+			if n := live.Load(); n > 0 && int64(clk.WaiterCount()) == n {
+				clk.Step()
+			} else {
 				runtime.Gosched()
 			}
 		}

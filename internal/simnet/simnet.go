@@ -14,7 +14,6 @@ package simnet
 import (
 	"context"
 	"net/http"
-	"net/http/httptest"
 	"time"
 
 	"repro/internal/crawler"
@@ -25,26 +24,6 @@ import (
 
 // SlotDuration is the wall length of one probe slot (five minutes, §3).
 const SlotDuration = 24 * time.Hour / time.Duration(dataset.SlotsPerDay)
-
-// MemoryTransport is an http.RoundTripper that serves requests straight
-// from an http.Handler — no sockets, no listeners, no ports. The handler
-// (an instance.Network) routes on the Host header, so the crawler stack
-// runs unmodified against a fediverse that exists only in memory.
-type MemoryTransport struct {
-	Handler http.Handler
-}
-
-// RoundTrip implements http.RoundTripper.
-func (t *MemoryTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	if err := req.Context().Err(); err != nil {
-		return nil, err
-	}
-	rec := httptest.NewRecorder()
-	t.Handler.ServeHTTP(rec, req)
-	resp := rec.Result()
-	resp.Request = req
-	return resp, nil
-}
 
 // Options configures a Harness.
 type Options struct {
