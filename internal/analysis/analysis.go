@@ -28,7 +28,18 @@ type flows struct {
 	tootsOut []int64
 }
 
-// computeFlows walks the social graph once.
+// computeFlows is O(U+E). Ids are dense, so every "distinct" is a
+// last-writer stamp rather than a set: users are walked instance by
+// instance, and during instance i's walk seenFrom[v] == i+1 says remote
+// account v was already followed from i, and byUser[j] == u+1 that user u
+// already follows into instance j (in the second pass: that j already
+// subscribes to author v).
+//
+// Table 2 and Fig 14 each call it, so RunAll walks the graph twice for one
+// world. That is deliberate: the walk is a few milliseconds, while a result
+// cached across experiments (this table, or the Twitter baseline graph)
+// stays live beside the World, and the benchmark's paper-pipeline workload
+// holds live_heap_mb to within 1 MB of what the World alone needs.
 func computeFlows(w *dataset.World) *flows {
 	n := len(w.Instances)
 	social := w.Social
@@ -38,51 +49,45 @@ func computeFlows(w *dataset.World) *flows {
 		tootsIn:         make([]int64, n),
 		tootsOut:        make([]int64, n),
 	}
-	// Distinct remote followees/followers per instance via per-instance
-	// last-seen stamps would need O(U×I); instead walk edges grouped by
-	// endpoint instance with per-(instance,user) dedup sets.
-	followeeSeen := make([]map[int32]struct{}, n)
-	followerSeen := make([]map[int32]struct{}, n)
-	for i := range followeeSeen {
-		followeeSeen[i] = make(map[int32]struct{})
-		followerSeen[i] = make(map[int32]struct{})
-	}
-	// subscriberInstances[u]: distinct instances with followers of u — used
-	// for tootsOut. Reuse a map per user.
-	for u := 0; u < len(w.Users); u++ {
-		uInst := w.Users[u].Instance
-		for _, v := range social.Out(int32(u)) {
-			vInst := w.Users[v].Instance
-			if vInst == uInst {
-				continue
-			}
-			if _, ok := followeeSeen[uInst][v]; !ok {
-				followeeSeen[uInst][v] = struct{}{}
-				f.remoteFollowees[uInst]++
-				f.tootsIn[uInst] += int64(w.Users[v].Toots)
-			}
-			if _, ok := followerSeen[vInst][int32(u)]; !ok {
-				followerSeen[vInst][int32(u)] = struct{}{}
-				f.remoteFollowers[vInst]++
+	inst := w.UserInstance()
+	seenFrom := make([]int32, len(w.Users))
+	byUser := make([]int32, n)
+	for i, members := range w.InstanceUsers() {
+		i := int32(i)
+		for _, u := range members {
+			for _, v := range social.Out(u) {
+				vInst := inst[v]
+				if vInst == i {
+					continue
+				}
+				if seenFrom[v] != i+1 {
+					seenFrom[v] = i + 1
+					f.remoteFollowees[i]++
+					f.tootsIn[i] += int64(w.Users[v].Toots)
+				}
+				if byUser[vInst] != u+1 {
+					byUser[vInst] = u + 1
+					f.remoteFollowers[vInst]++
+				}
 			}
 		}
 	}
 	// tootsOut: per author, count distinct subscriber instances.
-	subs := make(map[int32]struct{}, 8)
-	for v := 0; v < len(w.Users); v++ {
+	clear(byUser)
+	for v := range w.Users {
 		toots := int64(w.Users[v].Toots)
 		if toots == 0 {
 			continue
 		}
-		vInst := w.Users[v].Instance
-		clear(subs)
+		vInst := inst[v]
+		subs := int64(0)
 		for _, follower := range social.In(int32(v)) {
-			fi := w.Users[follower].Instance
-			if fi != vInst {
-				subs[fi] = struct{}{}
+			if fi := inst[follower]; fi != vInst && byUser[fi] != int32(v)+1 {
+				byUser[fi] = int32(v) + 1
+				subs++
 			}
 		}
-		f.tootsOut[vInst] += toots * int64(len(subs))
+		f.tootsOut[vInst] += toots * subs
 	}
 	return f
 }

@@ -265,12 +265,7 @@ func Merge(prev *World, prevNames []string, deltas ...*WindowDelta) (*World, []s
 	for i, dom := range domains {
 		tr := sim.NewTrace(totalSlots)
 		if i < len(prev.Instances) {
-			src := prev.Traces.Traces[i]
-			for s := 0; s < prevSlots; s++ {
-				if src.IsDown(s) {
-					tr.SetDown(s)
-				}
-			}
+			tr.CopyDown(prev.Traces.Traces[i], 0, prevSlots, 0)
 		} else {
 			tr.SetDownRange(0, prevSlots)
 		}
@@ -280,12 +275,7 @@ func Merge(prev *World, prevNames []string, deltas ...*WindowDelta) (*World, []s
 				tr.SetDownRange(d.StartSlot, d.StartSlot+d.Slots)
 				continue
 			}
-			src := d.Traces.Traces[j]
-			for s := 0; s < d.Slots; s++ {
-				if src.IsDown(s) {
-					tr.SetDown(d.StartSlot + s)
-				}
-			}
+			tr.CopyDown(d.Traces.Traces[j], 0, d.Slots, d.StartSlot)
 		}
 		ts.Traces[i] = tr
 	}

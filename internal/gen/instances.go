@@ -168,16 +168,16 @@ func genInstances(cfg Config) *instanceModel {
 			// Placement: country and AS sampled independently against their
 			// Fig 5 marginals (see DESIGN.md on the Table 2 US-IP anomaly).
 			if isHub {
-				in.Country = countries[countryHubPick.sample(r)].Name
-				spec := asSpecs[asHubPick.sample(r)]
+				in.Country = countries[countryHubPick.Sample(r)].Name
+				spec := asSpecs[asHubPick.Sample(r)]
 				in.ASN = spec.ASN
 			} else {
-				in.Country = countries[countryPick.sample(r)].Name
-				spec := asSpecs[asPick.sample(r)]
+				in.Country = countries[countryPick.Sample(r)].Name
+				spec := asSpecs[asPick.Sample(r)]
 				in.ASN = spec.ASN
 			}
 			in.IP = fmt.Sprintf("10.%d.%d.%d", (id>>16)&255, (id>>8)&255, id&255)
-			in.CA = cas[caPick.sample(r)].Name
+			in.CA = cas[caPick.Sample(r)].Name
 
 			// Registration type (§4.1): larger instances are likelier open.
 			pOpen := clamp(cfg.OpenFrac+cfg.OpenSizeBias*(0.5-pct), 0.05, 0.95)

@@ -3,7 +3,6 @@ package gen
 import (
 	"math"
 	"math/rand/v2"
-	"sort"
 )
 
 // This file provides the deterministic sampling primitives of the generative
@@ -11,11 +10,69 @@ import (
 // categorical choice (country/AS/CA assignment) and Zipf-Mandelbrot size
 // ladders (users per instance).
 
-// powerLaw samples integers k in [1, max] with P(k) ∝ k^-alpha using a
-// precomputed inverse CDF.
-type powerLaw struct {
-	cum []float64 // cum[i] = P(K <= i+1), normalised
+// CumSampler inverts a cumulative-weight table: Index(u) is the smallest i
+// with cum[i] >= u·cum[len-1], the index sort.SearchFloat64s finds. Every
+// weighted draw of the generator and of the Twitter baseline goes through
+// it, so a draw costs one guide-table lookup and a bisection of the few
+// entries one bucket spans instead of a bisection of the whole table.
+//
+// The guide table is exact, not approximate. K = len(guide)-1 is a power
+// of two, so for u in [0,1) the product u·K is exact and g = int(u·K) puts
+// u in [g/K, (g+1)/K), both ends representable. A correctly rounded
+// multiplication by total is monotone in u and the search is monotone in
+// its target, so the answer for u lies in [Index(g/K), Index((g+1)/K)] =
+// [guide[g], guide[g+1]], and guide is filled by the same u·total rule.
+type CumSampler struct {
+	cum   []float64
+	guide []int32
 }
+
+// NewCumSampler builds a sampler over cum, which must be non-empty, finite,
+// non-negative and non-decreasing. It keeps cum, not a copy.
+func NewCumSampler(cum []float64) *CumSampler {
+	if len(cum) == 0 {
+		panic("gen: empty cumulative table")
+	}
+	k := 1
+	for k < len(cum) {
+		k <<= 1
+	}
+	last := len(cum) - 1
+	total := cum[last]
+	guide := make([]int32, k+1)
+	i := 0
+	for g := range guide {
+		x := float64(g) / float64(k) * total
+		for i < last && cum[i] < x {
+			i++
+		}
+		guide[g] = int32(i)
+	}
+	return &CumSampler{cum: cum, guide: guide}
+}
+
+// Index returns the table index u in [0,1) falls on.
+func (s *CumSampler) Index(u float64) int {
+	x := u * s.cum[len(s.cum)-1]
+	g := int(u * float64(len(s.guide)-1))
+	lo, hi := int(s.guide[g]), int(s.guide[g+1])
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if s.cum[mid] < x {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// Sample draws one index, consuming one Float64 of r.
+func (s *CumSampler) Sample(r *rand.Rand) int { return s.Index(r.Float64()) }
+
+// powerLaw samples integers k in [1, max] with P(k) ∝ k^-alpha; its table
+// is the normalised CDF, cum[i] = P(K <= i+1).
+type powerLaw struct{ *CumSampler }
 
 // newPowerLaw builds a sampler. alpha must be > 0 and max ≥ 1.
 func newPowerLaw(alpha float64, max int) *powerLaw {
@@ -31,18 +88,11 @@ func newPowerLaw(alpha float64, max int) *powerLaw {
 	for i := range cum {
 		cum[i] /= total
 	}
-	return &powerLaw{cum: cum}
+	return &powerLaw{NewCumSampler(cum)}
 }
 
 // sample draws one value in [1, max].
-func (p *powerLaw) sample(r *rand.Rand) int {
-	u := r.Float64()
-	i := sort.SearchFloat64s(p.cum, u)
-	if i >= len(p.cum) {
-		i = len(p.cum) - 1
-	}
-	return i + 1
-}
+func (p *powerLaw) sample(r *rand.Rand) int { return p.Sample(r) + 1 }
 
 // mean returns the analytic mean of the distribution.
 func (p *powerLaw) mean() float64 {
@@ -55,14 +105,9 @@ func (p *powerLaw) mean() float64 {
 	return m
 }
 
-// weighted samples indices with probability proportional to fixed weights.
-type weighted struct {
-	cum []float64
-}
-
-// newWeighted builds a sampler over the given non-negative weights. At least
-// one weight must be positive.
-func newWeighted(ws []float64) *weighted {
+// newWeighted builds a sampler of indices with probability proportional to
+// the given non-negative weights. At least one weight must be positive.
+func newWeighted(ws []float64) *CumSampler {
 	cum := make([]float64, len(ws))
 	total := 0.0
 	for i, w := range ws {
@@ -78,17 +123,7 @@ func newWeighted(ws []float64) *weighted {
 	for i := range cum {
 		cum[i] /= total
 	}
-	return &weighted{cum: cum}
-}
-
-// sample draws one index.
-func (w *weighted) sample(r *rand.Rand) int {
-	u := r.Float64()
-	i := sort.SearchFloat64s(w.cum, u)
-	if i >= len(w.cum) {
-		i = len(w.cum) - 1
-	}
-	return i
+	return NewCumSampler(cum)
 }
 
 // zipfMandelbrot returns n sizes proportional to (rank+q)^-s, rank = 1..n,

@@ -78,7 +78,7 @@ func TestWeighted(t *testing.T) {
 	counts := [3]int{}
 	n := 40000
 	for i := 0; i < n; i++ {
-		counts[w.sample(r)]++
+		counts[w.Sample(r)]++
 	}
 	if counts[1] != 0 {
 		t.Fatalf("zero-weight index sampled %d times", counts[1])

@@ -98,7 +98,9 @@ func genSocial(cfg Config, insts []dataset.Instance, users []dataset.User, fame 
 	meanDeg := int(cfg.MeanFollows) + 2
 	cfg.runShards(n, func(src *unitSource, lo, hi int) {
 		arena := make([]int32, 0, (hi-lo)*meanDeg)
-		seen := make(map[int32]struct{}, 64)
+		// followedBy[v] == u+1 iff u already follows v: user ids are dense,
+		// so one array per shard dedups every row and is never cleared.
+		followedBy := make([]int32, n)
 		for ui := lo; ui < hi; ui++ {
 			r := src.unit(stageSocial, uint64(ui))
 			if r.Float64() < cfg.NoFollowFrac {
@@ -120,7 +122,6 @@ func genSocial(cfg Config, insts []dataset.Instance, users []dataset.User, fame 
 				continue // a lone user on an isolated instance has nobody to follow
 			}
 			c := userCountry[ui]
-			clear(seen)
 			rowStart := len(arena)
 			attempts := 0
 			for added := 0; added < want && attempts < want*20+50; attempts++ {
@@ -142,13 +143,10 @@ func genSocial(cfg Config, insts []dataset.Instance, users []dataset.User, fame 
 				default:
 					v = global.sample(r)
 				}
-				if v == u {
+				if v == u || followedBy[v] == u+1 {
 					continue
 				}
-				if _, dup := seen[v]; dup {
-					continue
-				}
-				seen[v] = struct{}{}
+				followedBy[v] = u + 1
 				arena = append(arena, v)
 				added++
 			}
@@ -171,11 +169,10 @@ func medianUsers(insts []dataset.Instance) int {
 	return sizes[len(sizes)/2]
 }
 
-// fameSampler draws ids proportionally to their fame via binary search over
-// a cumulative-weight table.
+// fameSampler draws ids proportionally to their fame.
 type fameSampler struct {
-	ids []int32
-	cum []float64
+	ids  []int32
+	pick *CumSampler
 }
 
 func newFameSampler(ids []int32, fame []float64) *fameSampler {
@@ -185,17 +182,10 @@ func newFameSampler(ids []int32, fame []float64) *fameSampler {
 		total += fame[id]
 		cum[i] = total
 	}
-	return &fameSampler{ids: ids, cum: cum}
+	return &fameSampler{ids: ids, pick: NewCumSampler(cum)}
 }
 
-func (s *fameSampler) sample(r *rand.Rand) int32 {
-	x := r.Float64() * s.cum[len(s.cum)-1]
-	i := sort.SearchFloat64s(s.cum, x)
-	if i >= len(s.ids) {
-		i = len(s.ids) - 1
-	}
-	return s.ids[i]
-}
+func (s *fameSampler) sample(r *rand.Rand) int32 { return s.ids[s.pick.Sample(r)] }
 
 // induceFederation builds GF(I,E) from the social graph exactly as §3
 // defines it: a directed edge Ia→Ib exists iff at least one user on Ia

@@ -167,20 +167,53 @@ func TestSweeperRemoveBatchesMatchesAdjList(t *testing.T) {
 	}
 }
 
+// The sweep is held to the recount-per-round reference from three starts: a
+// fresh Sweeper, one whose graph already lost some nodes (which Removed must
+// keep counting), and one continuing straight after its own earlier sweep,
+// when deg holds that sweep's leftovers. Fractions up to 1 and up to 12
+// rounds drive many sweeps past the last node.
 func TestSweeperIterativeMatchesAdjList(t *testing.T) {
-	f := func(seed uint64, nRaw, mRaw uint16, fRaw, roundsRaw uint8, wSeed uint64) bool {
+	exhausted := 0
+	f := func(seed uint64, nRaw, mRaw uint16, fRaw, roundsRaw uint8, wSeed, deadSeed uint64) bool {
 		n := int(nRaw%120) + 2
 		m := int(mRaw % 400)
 		g := randomGraph(n, m, seed)
-		fraction := float64(int(fRaw)%50+1) / 100 // 0.01 .. 0.50
-		rounds := int(roundsRaw % 6)
+		fraction := float64(int(fRaw)%100+1) / 100 // 0.01 .. 1.00
+		rounds := int(roundsRaw % 13)
 		opt := SweepOptions{Weights: randomWeights(n, wSeed), WithSCC: wSeed%3 == 0}
-		want := refIterativeDegreeRemoval(g, fraction, rounds, opt)
-		got := NewSweeper(g).IterativeDegreeRemoval(fraction, rounds, opt)
-		return reflect.DeepEqual(got, want)
+		var dead []int32
+		for _, batch := range randomBatches(n, deadSeed) {
+			dead = append(dead, batch...)
+		}
+
+		s := NewSweeper(g)
+		if !reflect.DeepEqual(s.IterativeDegreeRemoval(fraction, rounds, opt), refIterativeDegreeRemoval(g, nil, fraction, rounds, opt)) {
+			return false
+		}
+		if s.Removed() == n {
+			exhausted++
+		}
+		// Continue the same Sweeper: everything it removed is now "dead
+		// before the sweep".
+		for v, alive := range s.Alive() {
+			if !alive {
+				dead = append(dead, int32(v))
+			}
+		}
+		s.Remove(dead)
+		want := refIterativeDegreeRemoval(g, dead, fraction, rounds, opt)
+		if !reflect.DeepEqual(s.IterativeDegreeRemoval(fraction, rounds, opt), want) {
+			return false
+		}
+		fresh := NewSweeper(g)
+		fresh.Remove(dead)
+		return reflect.DeepEqual(fresh.IterativeDegreeRemoval(fraction, rounds, opt), want)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+	if exhausted == 0 {
+		t.Fatal("no sweep removed every node: the exhaustion path went untested")
 	}
 }
 

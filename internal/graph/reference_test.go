@@ -174,12 +174,20 @@ func refRemoveBatches(c *CSR, batches [][]int32, opt SweepOptions) []SweepPoint 
 	return points
 }
 
-// refIterativeDegreeRemoval is the Fig 12 sweep: per round, recount every
-// alive node's degree within the surviving subgraph, sort, kill the top
-// fraction, measure from scratch.
-func refIterativeDegreeRemoval(c *CSR, fraction float64, rounds int, opt SweepOptions) []SweepPoint {
+// refIterativeDegreeRemoval is the Fig 12 sweep as the Sweeper ran it before
+// it kept degrees between rounds: per round, recount every alive node's
+// degree within the surviving subgraph, sort, kill the top fraction, measure
+// from scratch. dead lists nodes removed before the sweep starts.
+func refIterativeDegreeRemoval(c *CSR, dead []int32, fraction float64, rounds int, opt SweepOptions) []SweepPoint {
 	alive := allAlive(c.NumNodes())
 	aliveCount, removed := c.NumNodes(), 0
+	for _, v := range dead {
+		if alive[v] {
+			alive[v] = false
+			aliveCount--
+			removed++
+		}
+	}
 	points := []SweepPoint{refMeasure(c, alive, removed, opt)}
 	for r := 0; r < rounds && aliveCount > 0; r++ {
 		k := int(float64(aliveCount) * fraction)

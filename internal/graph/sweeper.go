@@ -28,9 +28,12 @@ type Sweeper struct {
 	size   []int32
 	roots  []int32
 
-	// degree-selection scratch for IterativeDegreeRemoval.
+	// IterativeDegreeRemoval scratch: alive-degrees kept current across
+	// rounds, counting-sort buckets (len MaxDegree+2), and the removal order
+	// — every round's victims back to back, then the survivors.
 	deg    []int32
-	degCnt []int64 // counting-sort buckets, len MaxDegree+2
+	degCnt []int64
+	order  []int32
 
 	scc *sccScratch
 }
@@ -48,6 +51,7 @@ func NewSweeper(c *CSR) *Sweeper {
 		roots:      make([]int32, n),
 		deg:        make([]int32, n),
 		degCnt:     make([]int64, c.MaxDegree()+2),
+		order:      make([]int32, n),
 		scc:        newSCCScratch(n),
 	}
 	for i := range s.alive {
@@ -133,15 +137,24 @@ func (s *Sweeper) RemoveBatches(batches [][]int32, opt SweepOptions) []SweepPoin
 // rounds iterations, remove the top fraction (e.g. 0.01) of the remaining
 // nodes by alive-degree (degree within the remaining subgraph), ties
 // towards lower ids, then measure. The returned slice has rounds+1 points
-// (index 0 = the graph as it stood). The per-round degree count is a single
-// scan of the merged undirected view and the top-k selection is a counting
-// sort over the reusable bucket array.
+// (index 0 = the graph as it stood).
+//
+// Alive-degrees are counted once and then only decremented as victims die.
+// The forward pass decides who dies when and, if asked, runs one Tarjan per
+// point; component counts and LCC sizes need no pass per point — they come
+// from one reverse-incremental union-find over the recorded rounds.
 func (s *Sweeper) IterativeDegreeRemoval(fraction float64, rounds int, opt SweepOptions) []SweepPoint {
 	if fraction <= 0 || fraction > 1 {
 		panic("graph: IterativeDegreeRemoval fraction must be in (0,1]")
 	}
-	points := make([]SweepPoint, 0, rounds+1)
-	points = append(points, s.Measure(opt))
+	removedBefore := s.removed
+	maxDeg := s.countDegrees()
+	var sccs []int
+	if opt.WithSCC {
+		sccs = append(make([]int, 0, rounds+1), s.scc.count(s.c, s.alive))
+	}
+	batches := make([][]int32, 0, rounds)
+	victims := 0
 	for r := 0; r < rounds && s.aliveCount > 0; r++ {
 		k := int(float64(s.aliveCount) * fraction)
 		if k < 1 {
@@ -150,19 +163,31 @@ func (s *Sweeper) IterativeDegreeRemoval(fraction float64, rounds int, opt Sweep
 		if k > s.aliveCount {
 			k = s.aliveCount
 		}
-		s.removeTopK(k)
-		points = append(points, s.Measure(opt))
+		batch := s.removeTopK(k, maxDeg, s.order[victims:victims])
+		batches = append(batches, batch)
+		victims += len(batch)
+		if opt.WithSCC {
+			sccs = append(sccs, s.scc.count(s.c, s.alive))
+		}
+	}
+	survivors := s.order[victims:victims]
+	for v, alive := range s.alive {
+		if alive {
+			survivors = append(survivors, int32(v))
+		}
+	}
+	points := reverseSweep(s.c, survivors, batches, removedBefore, opt)
+	for p, n := range sccs {
+		points[p].SCCs = n
 	}
 	return points
 }
 
-// removeTopK kills the k alive nodes with the highest alive-degree, ties
-// towards lower ids, without allocating.
-func (s *Sweeper) removeTopK(k int) {
+// countDegrees sets deg[v] to the alive-degree of every alive node — one
+// scan of the merged undirected rows, which counts each surviving edge at
+// both endpoints — and returns the largest.
+func (s *Sweeper) countDegrees() (maxDeg int) {
 	c := s.c
-	// Alive-degree of every alive node: one sequential scan of the merged
-	// undirected row counts each surviving edge at both endpoints.
-	maxDeg := 0
 	for v := 0; v < c.n; v++ {
 		if !s.alive[v] {
 			continue
@@ -174,10 +199,18 @@ func (s *Sweeper) removeTopK(k int) {
 			}
 		}
 		s.deg[v] = int32(d)
-		if d > maxDeg {
-			maxDeg = d
-		}
+		maxDeg = max(maxDeg, d)
 	}
+	return maxDeg
+}
+
+// removeTopK kills the k alive nodes with the highest alive-degree, ties
+// towards lower ids, appends them to batch and brings deg up to date,
+// without allocating. No alive degree exceeds maxDeg. The whole batch is
+// chosen on the degrees the round started with; only then do the
+// survivors' degrees drop by their edges into it.
+func (s *Sweeper) removeTopK(k, maxDeg int, batch []int32) []int32 {
+	c := s.c
 	// Counting pass: how many alive nodes hold each degree.
 	cnt := s.degCnt[:maxDeg+1]
 	clear(cnt)
@@ -202,15 +235,22 @@ func (s *Sweeper) removeTopK(k int) {
 			continue
 		}
 		d := int(s.deg[v])
-		if d > t {
-			s.kill(int32(v))
-			k--
-		} else if d == t && need > 0 {
-			s.kill(int32(v))
+		if d < t || (d == t && need == 0) {
+			continue
+		}
+		if d == t {
 			need--
-			k--
+		}
+		s.kill(int32(v))
+		batch = append(batch, int32(v))
+		k--
+	}
+	for _, v := range batch {
+		for _, w := range c.undAdj[c.undOff[v]:c.undOff[v+1]] {
+			s.deg[w]-- // also on dead w, whose deg is never read again
 		}
 	}
+	return batch
 }
 
 func (s *Sweeper) kill(v int32) {
@@ -233,43 +273,46 @@ func RemoveBatches(c *CSR, batches [][]int32, opt SweepOptions) []SweepPoint {
 	return NewSweeper(c).RemoveBatches(batches, opt)
 }
 
-// reverseBatchSweep computes a RemoveBatches point series by replaying the
-// removal schedule backwards (DESIGN.md): start from the final survivor
-// set and re-activate each batch in reverse, unioning incrementally. Every
-// edge is processed O(1) times across the whole sweep — O(m·α + points·n)
-// total instead of O(points·(n+m)) — and the component count, largest size
-// and largest-component weight are maintained in O(1) per union under the
-// canonical tie-break, so the output is byte-identical to the forward
-// per-point engines.
+// reverseBatchSweep computes a RemoveBatches point series on the
+// reverse-incremental engine: it buckets every node by the batch that first
+// lists it, so that reverseSweep sees disjoint batches and the survivors.
 func reverseBatchSweep(c *CSR, batches [][]int32, opt SweepOptions) []SweepPoint {
 	n := c.n
 	numPoints := len(batches) + 1
-	points := make([]SweepPoint, numPoints)
-
 	// death[v] = first point index at which v is dead (numPoints = never):
-	// a node first listed in batch b is dead from point b+1 on. removedAt[p]
-	// carries the cumulative unique-removal count of point p.
+	// a node first listed in batch b is dead from point b+1 on.
 	death := make([]int32, n)
 	for i := range death {
 		death[i] = int32(numPoints)
 	}
-	removedAt := make([]int, numPoints)
-	removed := 0
 	for b, batch := range batches {
 		for _, v := range batch {
 			if death[v] == int32(numPoints) {
 				death[v] = int32(b + 1)
-				removed++
 			}
 		}
-		removedAt[b+1] = removed
 	}
-	// Bucket nodes by death point so each reverse step activates its batch
-	// with one slice scan.
 	byDeath := make([][]int32, numPoints+1)
 	for v := 0; v < n; v++ {
 		byDeath[death[v]] = append(byDeath[death[v]], int32(v))
 	}
+	return reverseSweep(c, byDeath[numPoints], byDeath[1:numPoints], 0, opt)
+}
+
+// reverseSweep computes the point series of a removal schedule by replaying
+// it backwards (DESIGN.md): start from the survivors and re-activate each
+// batch in reverse, unioning incrementally. batches must be disjoint from
+// each other and from survivors; nodes in neither were dead before the
+// sweep and stay dead, and removedBefore counts them into Removed. Every
+// edge is processed O(1) times across the whole sweep — O(m·α + points·n)
+// total instead of O(points·(n+m)) — and the component count, largest size
+// and largest-component weight are maintained in O(1) per union under the
+// canonical tie-break, so the output is byte-identical to the forward
+// per-point engines. SCCs is -1 at every point.
+func reverseSweep(c *CSR, survivors []int32, batches [][]int32, removedBefore int, opt SweepOptions) []SweepPoint {
+	n := c.n
+	numPoints := len(batches) + 1
+	points := make([]SweepPoint, numPoints)
 
 	var totalWeight float64
 	for _, w := range opt.Weights {
@@ -293,7 +336,6 @@ func reverseBatchSweep(c *CSR, batches [][]int32, opt SweepOptions) []SweepPoint
 	}
 
 	comps := 0
-	aliveCount := 0
 	largestSize := 0
 	var largestRoot int32 = -1
 	// updateBest re-evaluates the canonical largest component when root r's
@@ -316,7 +358,6 @@ func reverseBatchSweep(c *CSR, batches [][]int32, opt SweepOptions) []SweepPoint
 			wsum[v] = opt.Weights[v]
 		}
 		comps++
-		aliveCount++
 		updateBest(v, 1)
 		// Union with already-active neighbours over the merged undirected
 		// view: each surviving edge is unioned exactly when its later
@@ -346,9 +387,14 @@ func reverseBatchSweep(c *CSR, batches [][]int32, opt SweepOptions) []SweepPoint
 			updateBest(rv, int(size[rv]))
 		}
 	}
+	// removed counts down from the schedule's end as batches come back.
+	removed := removedBefore
+	for _, batch := range batches {
+		removed += len(batch)
+	}
 	record := func(p int) {
 		sp := SweepPoint{
-			Removed:    removedAt[p],
+			Removed:    removed,
 			LCCFrac:    float64(largestSize) / float64(n),
 			Components: comps,
 			SCCs:       -1,
@@ -358,10 +404,15 @@ func reverseBatchSweep(c *CSR, batches [][]int32, opt SweepOptions) []SweepPoint
 		}
 		points[p] = sp
 	}
-	for p := numPoints - 1; p >= 0; p-- {
-		for _, v := range byDeath[p+1] {
+	for _, v := range survivors {
+		activate(v)
+	}
+	record(numPoints - 1)
+	for p := numPoints - 2; p >= 0; p-- {
+		for _, v := range batches[p] {
 			activate(v)
 		}
+		removed -= len(batches[p])
 		record(p)
 	}
 	return points

@@ -39,7 +39,8 @@ func (t *Trace) SetDown(i int) {
 	t.words[i>>6] |= 1 << (uint(i) & 63)
 }
 
-// SetDownRange marks slots [from, to) as down. Bounds are clamped.
+// SetDownRange marks slots [from, to) as down. Bounds are clamped. The two
+// end words take a masked store and every word between them a whole one.
 func (t *Trace) SetDownRange(from, to int) {
 	if from < 0 {
 		from = 0
@@ -47,9 +48,21 @@ func (t *Trace) SetDownRange(from, to int) {
 	if to > t.n {
 		to = t.n
 	}
-	for i := from; i < to; i++ {
-		t.words[i>>6] |= 1 << (uint(i) & 63)
+	if from >= to {
+		return
 	}
+	first, last := from>>6, (to-1)>>6
+	head := ^uint64(0) << (uint(from) & 63)
+	tail := ^uint64(0) >> (63 - uint(to-1)&63)
+	if first == last {
+		t.words[first] |= head & tail
+		return
+	}
+	t.words[first] |= head
+	for w := first + 1; w < last; w++ {
+		t.words[w] = ^uint64(0)
+	}
+	t.words[last] |= tail
 }
 
 // IsDown reports whether slot i is down. Out-of-range slots report false.
@@ -125,19 +138,48 @@ func (t *Trace) Outages(from, to int) []Outage {
 		to = t.n
 	}
 	var outs []Outage
-	i := from
-	for i < to {
-		if !t.IsDown(i) {
-			i++
-			continue
+	for i := from; i < to; {
+		start := t.next(i, to, true)
+		if start == to {
+			break
 		}
-		start := i
-		for i < to && t.IsDown(i) {
-			i++
-		}
+		i = t.next(start, to, false)
 		outs = append(outs, Outage{Start: start, End: i})
 	}
 	return outs
+}
+
+// CopyDown marks down in t every slot that is down in src's window
+// [from, to), shifted so that the window starts at slot at: one
+// SetDownRange per down-run of src. Bounds clamp on both traces.
+func (t *Trace) CopyDown(src *Trace, from, to, at int) {
+	for _, o := range src.Outages(from, to) {
+		t.SetDownRange(at+o.Start-from, at+o.End-from)
+	}
+}
+
+// next returns the first slot in [i, to) whose down bit equals down, or to
+// if there is none; 0 <= i and to <= t.n. It reads a word at a time: the
+// slots below i are masked off the first word, and the lowest surviving
+// bit of the first non-zero word is the answer.
+func (t *Trace) next(i, to int, down bool) int {
+	if i >= to {
+		return to
+	}
+	var flip uint64 // xor turns "first clear bit" into "first set bit"
+	if !down {
+		flip = ^uint64(0)
+	}
+	w := i >> 6
+	word := (t.words[w] ^ flip) &^ (1<<(uint(i)&63) - 1)
+	for word == 0 {
+		w++
+		if w<<6 >= to {
+			return to
+		}
+		word = t.words[w] ^ flip
+	}
+	return min(w<<6+bits.TrailingZeros64(word), to)
 }
 
 // And returns a new trace that is down only where both t and o are down.

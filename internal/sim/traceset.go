@@ -79,11 +79,7 @@ func (ts *TraceSet) Window(from, to int) *TraceSet {
 	out := &TraceSet{SlotsPerDay: ts.SlotsPerDay, Traces: make([]*Trace, len(ts.Traces))}
 	for i, t := range ts.Traces {
 		w := NewTrace(to - from)
-		for s := from; s < to; s++ {
-			if t.IsDown(s) {
-				w.SetDown(s - from)
-			}
-		}
+		w.CopyDown(t, from, to, 0)
 		out.Traces[i] = w
 	}
 	return out

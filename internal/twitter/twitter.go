@@ -14,6 +14,7 @@ import (
 	"math"
 	"math/rand/v2"
 
+	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/sim"
 )
@@ -65,42 +66,28 @@ func Graph(cfg GraphConfig) *graph.CSR {
 		total += f
 		cum[i] = total
 	}
-	sampleFame := func() int32 {
-		x := r.Float64() * total
-		lo, hi := 0, n-1
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if cum[mid] < x {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		return int32(lo)
-	}
+	byFame := gen.NewCumSampler(cum)
 
 	// Out-degrees: geometric-ish around the mean with a hard floor.
+	// followedBy[v] == u+1 iff u already follows v.
+	followedBy := make([]int32, n)
 	for u := 0; u < n; u++ {
 		k := cfg.MinFollows + int(r.ExpFloat64()*(cfg.MeanFollows-float64(cfg.MinFollows)))
 		if k > n-1 {
 			k = n - 1
 		}
-		seen := make(map[int32]struct{}, k)
 		attempts := 0
 		for added := 0; added < k && attempts < k*10+20; attempts++ {
 			var v int32
 			if r.Float64() < cfg.UniformFrac {
 				v = int32(r.IntN(n))
 			} else {
-				v = sampleFame()
+				v = int32(byFame.Sample(r))
 			}
-			if v == int32(u) {
+			if v == int32(u) || followedBy[v] == int32(u)+1 {
 				continue
 			}
-			if _, dup := seen[v]; dup {
-				continue
-			}
-			seen[v] = struct{}{}
+			followedBy[v] = int32(u) + 1
 			g.AddEdge(int32(u), v)
 			added++
 		}
