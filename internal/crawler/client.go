@@ -24,6 +24,7 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -299,7 +300,7 @@ func (c *Client) getOnce(ctx context.Context, domain, path string, buf []byte) (
 		ctx, cancel = context.WithTimeout(ctx, c.RequestTimeout)
 		defer cancel()
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+path, nil)
+	req, err := newGet(ctx, base, path)
 	if err != nil {
 		return buf, err
 	}
@@ -321,6 +322,79 @@ func (c *Client) getOnce(ctx context.Context, domain, path string, buf []byte) (
 		return buf, se
 	}
 	return readBody(resp.Body, buf)
+}
+
+// newGet returns the request http.NewRequestWithContext(ctx, GET,
+// base+path, nil) returns. When base+path is a plain URL the parse is
+// skipped: the parts are already in hand, and url.Parse of the
+// concatenation would only cut them apart again.
+func newGet(ctx context.Context, base, path string) (*http.Request, error) {
+	host, p, query, ok := plainURL(base, path)
+	if !ok {
+		return http.NewRequestWithContext(ctx, http.MethodGet, base+path, nil)
+	}
+	// The empty URL parses to a zero url.URL, which is then filled in.
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, "", nil)
+	if err != nil {
+		return nil, err
+	}
+	req.URL.Scheme, req.URL.Host, req.URL.Path, req.URL.RawQuery = "http", host, p, query
+	req.Host = host
+	return req, nil
+}
+
+// plainURL splits base+path into the Host, Path and RawQuery url.Parse
+// would report, for the URLs it can vouch for without parsing: base is
+// "http://" + a host of letters, digits, '.' and '-' with an optional
+// ":port" of digits; path starts with '/' and is made of unreserved
+// characters and '/'; the query, if a '?' is present, is non-empty and made
+// of unreserved characters, '=' and '&'. url.Parse carries every such byte
+// through unchanged and sets no other field. Anything else — escapes, '#',
+// a trailing or second '?', userinfo, IPv6 literals, an empty port, https —
+// is not plain.
+func plainURL(base, path string) (host, p, query string, ok bool) {
+	host, ok = strings.CutPrefix(base, "http://")
+	if !ok || path == "" || path[0] != '/' {
+		return "", "", "", false
+	}
+	name, port, hasPort := strings.Cut(host, ":")
+	if hasPort && port == "" {
+		return "", "", "", false
+	}
+	for i := 0; i < len(name); i++ {
+		if c := name[i]; !isAlnum(c) && c != '.' && c != '-' {
+			return "", "", "", false
+		}
+	}
+	for i := 0; i < len(port); i++ {
+		if c := port[i]; c < '0' || c > '9' {
+			return "", "", "", false
+		}
+	}
+	p, query, hasQuery := strings.Cut(path, "?")
+	if hasQuery && query == "" {
+		return "", "", "", false
+	}
+	for i := 0; i < len(p); i++ {
+		if c := p[i]; !isUnreserved(c) && c != '/' {
+			return "", "", "", false
+		}
+	}
+	for i := 0; i < len(query); i++ {
+		if c := query[i]; !isUnreserved(c) && c != '=' && c != '&' {
+			return "", "", "", false
+		}
+	}
+	return host, p, query, true
+}
+
+func isAlnum(c byte) bool {
+	return 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9'
+}
+
+// isUnreserved reports whether c is an RFC 3986 unreserved character.
+func isUnreserved(c byte) bool {
+	return isAlnum(c) || c == '-' || c == '.' || c == '_' || c == '~'
 }
 
 // parseRetryAfter handles both RFC 7231 forms: delay-seconds and HTTP-date

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -270,6 +271,64 @@ func TestForEachCancelMidRun(t *testing.T) {
 			t.Fatalf("item %d ran and still got %v", i, err)
 		case !ran[i].Load() && !errors.Is(err, context.Canceled):
 			t.Fatalf("item %d did not run, errs = %v", i, err)
+		}
+	}
+}
+
+// roundTripFunc serves a Client's requests without a socket.
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripFunc) RoundTrip(req *http.Request) (*http.Response, error) { return f(req) }
+
+// TestPollOnceCancelled: forEach does not run an index claimed after the
+// context is cancelled, and a round used to return the zero Sample for
+// each — no domain, no time — which ProbeLog then filed under a domain
+// named "". An instance nobody probed must read as offline at the round's
+// time, whether the round was cancelled before it began or half-way.
+func TestPollOnceCancelled(t *testing.T) {
+	var domains []string
+	for i := 0; i < 40; i++ {
+		domains = append(domains, fmt.Sprintf("d%d.test", i))
+	}
+	at := time.Date(2018, 5, 1, 12, 0, 0, 0, time.UTC)
+	for _, cancelAt := range []int64{0, 1, 13} {
+		ctx, cancel := context.WithCancel(context.Background())
+		var calls atomic.Int64
+		cli := &Client{Retries: 1, HTTP: &http.Client{Transport: roundTripFunc(func(req *http.Request) (*http.Response, error) {
+			if calls.Add(1) == cancelAt {
+				cancel()
+			}
+			rec := httptest.NewRecorder()
+			rec.WriteString(`{"uri":"x","version":"2.4.0","registrations":true,"stats":{"user_count":3,"status_count":9,"domain_count":1}}`)
+			return rec.Result(), nil
+		})}}
+		if cancelAt == 0 {
+			cancel()
+		}
+		mon := &Monitor{Client: cli, Domains: domains, Workers: 3, Now: func() time.Time { return at }}
+		samples := mon.PollOnce(ctx)
+		cancel()
+		if len(samples) != len(domains) {
+			t.Fatalf("cancel at %d: %d samples for %d domains", cancelAt, len(samples), len(domains))
+		}
+		online := 0
+		for i, s := range samples {
+			if s.Domain != domains[i] || s.At != at {
+				t.Fatalf("cancel at %d: sample %d is %+v, want domain %q at %v", cancelAt, i, s, domains[i], at)
+			}
+			if s.Online {
+				online++
+			}
+		}
+		// Every probe that was sent was answered; each of the other workers
+		// can have sent one more before it could observe the cancellation.
+		if c := calls.Load(); int64(online) != c || c < cancelAt || c >= cancelAt+int64(mon.Workers) {
+			t.Fatalf("cancel at %d: %d requests made, %d samples online", cancelAt, c, online)
+		}
+		log := NewProbeLog()
+		log.Add(samples)
+		if got := log.Domains(); !reflect.DeepEqual(got, domains) {
+			t.Fatalf("cancel at %d: the log holds domains %q", cancelAt, got)
 		}
 	}
 }

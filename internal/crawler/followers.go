@@ -119,6 +119,13 @@ func (fs *FollowerScraper) Scrape(ctx context.Context, accts []string) ScrapeRes
 		return err
 	})
 	res := ScrapeResult{Errors: make(map[string]error)}
+	total := 0
+	for _, es := range perAcct {
+		total += len(es)
+	}
+	if total > 0 {
+		res.Edges = make([]Edge, 0, total)
+	}
 	for i, es := range perAcct {
 		res.Edges = append(res.Edges, es...)
 		if errs[i] != nil {

@@ -48,7 +48,15 @@ func (m *Monitor) PollOnce(ctx context.Context) []Sample {
 	if m.Now != nil {
 		now = m.Now
 	}
+	// Every sample carries its domain and the round's time before any
+	// fetch starts: forEach does not run an index claimed after ctx is
+	// cancelled, and such an instance must read as offline, not as a
+	// sample of a domain named "".
 	samples := make([]Sample, len(m.Domains))
+	at := now()
+	for i, d := range m.Domains {
+		samples[i] = Sample{Domain: d, At: at}
+	}
 	workers := m.Workers
 	if workers < 1 {
 		workers = 16
@@ -98,27 +106,39 @@ func (m *Monitor) Run(ctx context.Context, interval time.Duration, sink func([]S
 }
 
 // ProbeLog accumulates samples and answers availability questions — the
-// bridge from raw monitoring to the §4.4 analyses.
+// bridge from raw monitoring to the §4.4 analyses. A monitor reports a
+// fixed population in the same order every round, so samples are filed by
+// position: rows[i] holds the samples of domains[i], and index is read only
+// for a sample that does not arrive in its domain's position.
 type ProbeLog struct {
 	mu      sync.Mutex
-	byInst  map[string][]Sample
 	domains []string
+	rows    [][]Sample
+	index   map[string]int
 }
 
 // NewProbeLog returns an empty log.
 func NewProbeLog() *ProbeLog {
-	return &ProbeLog{byInst: make(map[string][]Sample)}
+	return &ProbeLog{index: make(map[string]int)}
 }
 
 // Add appends a round of samples.
 func (p *ProbeLog) Add(samples []Sample) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for _, s := range samples {
-		if _, ok := p.byInst[s.Domain]; !ok {
-			p.domains = append(p.domains, s.Domain)
+	for i := range samples {
+		s := &samples[i]
+		j := i
+		if i >= len(p.domains) || p.domains[i] != s.Domain {
+			var seen bool
+			if j, seen = p.index[s.Domain]; !seen {
+				j = len(p.domains)
+				p.index[s.Domain] = j
+				p.domains = append(p.domains, s.Domain)
+				p.rows = append(p.rows, nil)
+			}
 		}
-		p.byInst[s.Domain] = append(p.byInst[s.Domain], s)
+		p.rows[j] = append(p.rows[j], *s)
 	}
 }
 
@@ -129,11 +149,20 @@ func (p *ProbeLog) Domains() []string {
 	return append([]string(nil), p.domains...)
 }
 
+// row returns the samples filed under domain (nil if never probed). The
+// caller holds p.mu.
+func (p *ProbeLog) row(domain string) []Sample {
+	if j, ok := p.index[domain]; ok {
+		return p.rows[j]
+	}
+	return nil
+}
+
 // Samples returns the samples recorded for a domain.
 func (p *ProbeLog) Samples(domain string) []Sample {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return append([]Sample(nil), p.byInst[domain]...)
+	return append([]Sample(nil), p.row(domain)...)
 }
 
 // DowntimeFraction returns the fraction of probes that found the domain
@@ -141,7 +170,7 @@ func (p *ProbeLog) Samples(domain string) []Sample {
 func (p *ProbeLog) DowntimeFraction(domain string) float64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	ss := p.byInst[domain]
+	ss := p.row(domain)
 	if len(ss) == 0 {
 		return 0
 	}
@@ -164,15 +193,14 @@ func (p *ProbeLog) ToTraceSet(slotsPerDay int) (*sim.TraceSet, []string) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	rounds := 0
-	for _, ss := range p.byInst {
+	for _, ss := range p.rows {
 		if len(ss) > rounds {
 			rounds = len(ss)
 		}
 	}
 	ts := &sim.TraceSet{SlotsPerDay: slotsPerDay, Traces: make([]*sim.Trace, len(p.domains))}
-	for i, d := range p.domains {
+	for i, ss := range p.rows {
 		tr := sim.NewTrace(rounds)
-		ss := p.byInst[d]
 		for slot := 0; slot < rounds; slot++ {
 			if slot >= len(ss) || !ss[slot].Online {
 				tr.SetDown(slot)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"time"
 
@@ -66,6 +67,23 @@ type wireStatus = wire.Status
 // one status-page slice are reused across the whole paging loop.
 func (tc *TootCrawler) CrawlInstance(ctx context.Context, domain string) InstanceCrawl {
 	out := InstanceCrawl{Domain: domain}
+	// The harvest's length is unknown until the last page, and a TootRec
+	// slice grown by append is copied about four times over on its way to
+	// a large instance's size. Each page's records get a slice of their
+	// own instead, and the pages are merged once.
+	pages := tc.harvest(ctx, &out)
+	if len(pages) == 1 {
+		out.Toots = pages[0]
+	} else {
+		out.Toots = slices.Concat(pages...)
+	}
+	return out
+}
+
+// harvest is CrawlInstance's paging loop: it fills in everything but
+// out.Toots and returns the accepted records page by page, newest first.
+func (tc *TootCrawler) harvest(ctx context.Context, out *InstanceCrawl) (pages [][]TootRec) {
+	domain := out.Domain
 	pageSize := tc.PageSize
 	if pageSize <= 0 || pageSize > 40 {
 		pageSize = 40
@@ -82,6 +100,7 @@ func (tc *TootCrawler) CrawlInstance(ctx context.Context, domain string) Instanc
 	defer func() { putBuf(bp, body) }()
 	var page []wireStatus
 	var maxID int64
+	harvested := 0
 	base := "/api/v1/timelines/public?local=" + local + "&limit=" + strconv.Itoa(pageSize)
 	if since > 0 {
 		base += "&since_id=" + strconv.FormatInt(since, 10)
@@ -124,33 +143,45 @@ func (tc *TootCrawler) CrawlInstance(ctx context.Context, domain string) Instanc
 				out.Offline = true
 				out.Err = err
 			}
-			return out
+			return pages
 		}
 		out.Pages++
 		if len(page) == 0 {
-			return out
+			return pages
 		}
+		recs := make([]TootRec, 0, len(page))
+		done := false
 		for _, ws := range page {
 			rec, err := decodeStatus(ws)
 			if err != nil {
 				out.Err = err
-				return out
+				done = true
+				break
 			}
 			if since > 0 && rec.ID <= since {
 				// A server without since_id support paged past the mark:
 				// everything from here back was already harvested.
-				return out
+				done = true
+				break
 			}
-			out.Toots = append(out.Toots, rec)
+			recs = append(recs, rec)
 			if rec.ID > out.MaxID {
 				out.MaxID = rec.ID
 			}
 			if maxID == 0 || rec.ID < maxID {
 				maxID = rec.ID
 			}
-			if tc.MaxToots > 0 && len(out.Toots) >= tc.MaxToots {
-				return out
+			if tc.MaxToots > 0 && harvested+len(recs) >= tc.MaxToots {
+				done = true
+				break
 			}
+		}
+		if len(recs) > 0 {
+			pages = append(pages, recs)
+			harvested += len(recs)
+		}
+		if done {
+			return pages
 		}
 	}
 }
@@ -160,7 +191,10 @@ func decodeStatus(ws wireStatus) (TootRec, error) {
 	if err != nil {
 		return TootRec{}, fmt.Errorf("crawler: bad status id %q: %w", ws.ID, err)
 	}
-	at, err := time.Parse("2006-01-02T15:04:05.000Z", ws.CreatedAt)
+	at, ok := mastodonTime(ws.CreatedAt)
+	if !ok {
+		at, err = time.Parse(mastodonLayout, ws.CreatedAt)
+	}
 	if err != nil {
 		// Fall back to RFC3339 for non-Mastodon implementations.
 		at, err = time.Parse(time.RFC3339, ws.CreatedAt)
@@ -179,6 +213,59 @@ func decodeStatus(ws wireStatus) (TootRec, error) {
 		rec.Hashtags = append(rec.Hashtags, tg.Name)
 	}
 	return rec, nil
+}
+
+// mastodonLayout is the created_at format Mastodon serialises: UTC,
+// millisecond precision, always 24 bytes.
+const mastodonLayout = "2006-01-02T15:04:05.000Z"
+
+// mastodonTime reads a timestamp written exactly as mastodonLayout — every
+// digit and separator in its place, every field in range — and returns the
+// time time.Parse(mastodonLayout, s) returns for it. Anything else reports
+// false and is time.Parse's to judge: it accepts a few looser spellings (a
+// one-digit hour, ',' before the milliseconds) and words the errors.
+func mastodonTime(s string) (time.Time, bool) {
+	if len(s) != len(mastodonLayout) {
+		return time.Time{}, false
+	}
+	var f [7]int // year, month, day, hour, minute, second, millisecond
+	k := 0
+	for i := 0; i < len(s); i++ {
+		switch c := mastodonLayout[i]; c {
+		case '-', 'T', ':', '.', 'Z':
+			if s[i] != c {
+				return time.Time{}, false
+			}
+			k++
+		default:
+			d := s[i] - '0'
+			if d > 9 {
+				return time.Time{}, false
+			}
+			f[k] = f[k]*10 + int(d)
+		}
+	}
+	year, month, day := f[0], f[1], f[2]
+	if month < 1 || month > 12 || day < 1 || day > daysIn(month, year) ||
+		f[3] > 23 || f[4] > 59 || f[5] > 59 {
+		return time.Time{}, false
+	}
+	return time.Date(year, time.Month(month), day, f[3], f[4], f[5], f[6]*int(time.Millisecond), time.UTC), true
+}
+
+// daysIn returns the length of the month in the proleptic Gregorian
+// calendar, the one package time uses.
+func daysIn(month, year int) int {
+	switch month {
+	case 2:
+		if year%4 == 0 && (year%100 != 0 || year%400 == 0) {
+			return 29
+		}
+		return 28
+	case 4, 6, 9, 11:
+		return 30
+	}
+	return 31
 }
 
 // Crawl harvests all given domains with the configured worker pool.

@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"slices"
 	"sort"
 	"strings"
 
@@ -60,10 +61,11 @@ func SplitAcct(acct string) (user, domain string, ok bool) {
 }
 
 // Assemble builds the world one canonical way: dense user ids in sorted
-// account order, the social graph with edges inserted in sorted order, and
-// the federation graph induced from it. Accounts whose domain is not an
-// instance are dropped, as are edges touching them. It returns the world
-// plus the account name of every user id.
+// account order, the social graph with each user's follows in ascending id
+// order (duplicates kept), and the federation graph induced from it.
+// Accounts whose domain is not an instance are dropped, as are edges
+// touching them. It returns the world plus the account name of every user
+// id.
 func Assemble(p WorldParts) (*World, []string) {
 	instIdx := make(map[string]int32, len(p.Instances))
 	for i := range p.Instances {
@@ -90,22 +92,30 @@ func Assemble(p WorldParts) (*World, []string) {
 		}
 	}
 
-	edges := append([]FollowEdge(nil), p.Edges...)
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].From != edges[j].From {
-			return edges[i].From < edges[j].From
+	// Ids were handed out in sort.Strings order, so (From, To) byte order
+	// is (from, to) id order: resolving first and sorting each row's ids
+	// yields the rows a sort of the string pairs would, duplicates and
+	// dropped edges included. A scrape lists one account's followers
+	// together, so To is looked up once per run of equal values.
+	rows := make([][]int32, len(users))
+	var to int32
+	var okT bool
+	for i := range p.Edges {
+		e := &p.Edges[i]
+		if i == 0 || e.To != p.Edges[i-1].To {
+			to, okT = idx[e.To]
 		}
-		return edges[i].To < edges[j].To
-	})
-	b := graph.NewBuilder(len(users))
-	for _, e := range edges {
-		from, okF := idx[e.From]
-		to, okT := idx[e.To]
-		if okF && okT {
-			b.AddEdge(from, to)
+		if !okT {
+			continue
+		}
+		if from, okF := idx[e.From]; okF {
+			rows[from] = append(rows[from], to)
 		}
 	}
-	social := b.Freeze()
+	for _, row := range rows {
+		slices.Sort(row)
+	}
+	social := graph.FromRows(rows)
 	group := make([]int32, len(users))
 	for i := range users {
 		group[i] = users[i].Instance

@@ -46,8 +46,8 @@ func sampleMeta(samples []crawler.Sample) dataset.WindowMeta {
 // traces from the probe log.
 func Rebuild(res *CampaignResult) (*dataset.World, []string) {
 	parts := dataset.WorldParts{
-		Accounts: make(map[string]struct{}),
-		TootsOf:  make(map[string]int),
+		Accounts: make(map[string]struct{}, len(res.Authors)),
+		TootsOf:  make(map[string]int, len(res.Authors)),
 		Traces:   res.Traces,
 		Days:     res.Traces.Slots() / dataset.SlotsPerDay,
 	}
@@ -89,13 +89,20 @@ func Rebuild(res *CampaignResult) (*dataset.World, []string) {
 		}
 		parts.Provenance[i] = dataset.CrawlProvenance{Outcome: dataset.CrawlFull}
 		for _, t := range c.Toots {
-			parts.Accounts[t.Acct] = struct{}{}
 			parts.TootsOf[t.Acct]++
 		}
 	}
-	for _, e := range res.Scrape.Edges {
+	for acct := range parts.TootsOf {
+		parts.Accounts[acct] = struct{}{}
+	}
+	// A scrape lists one account's followers together, so To changes once
+	// per scraped account, not once per edge.
+	for i := range res.Scrape.Edges {
+		e := &res.Scrape.Edges[i]
 		parts.Accounts[e.From] = struct{}{}
-		parts.Accounts[e.To] = struct{}{}
+		if i == 0 || e.To != res.Scrape.Edges[i-1].To {
+			parts.Accounts[e.To] = struct{}{}
+		}
 	}
 	parts.Edges = res.Scrape.Edges
 	return dataset.Assemble(parts)
