@@ -17,18 +17,13 @@ import (
 )
 
 func main() {
-	config := flag.String("config", "", "world preset: tiny | small | paper")
-	scale := flag.String("scale", "small", "alias of -config (kept for older scripts)")
+	config := flag.String("config", "small", "world preset: tiny | small | paper")
 	seed := flag.Uint64("seed", 1, "generator seed")
 	shards := flag.Int("shards", 0, "generation shards (0 = one per CPU; output is identical for any value)")
 	out := flag.String("out", "world.fedi", "output world file")
 	flag.Parse()
 
-	preset := *scale
-	if *config != "" {
-		preset = *config
-	}
-	cfg, err := core.ConfigForScale(core.Scale(preset), *seed)
+	cfg, err := core.ConfigForScale(core.Scale(*config), *seed)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "fedigen:", err)
 		os.Exit(2)

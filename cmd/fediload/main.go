@@ -10,9 +10,7 @@
 //	fediload -scale tiny -seed 1 -rate 2000 -duration 5s
 //	fediload -world world.fedi -target http://127.0.0.1:8080 -json report.json
 //
-// The same seed always produces the same request sequence; ablation flags
-// (-no-keepalive, -no-revalidate, -page-cache=false, -etag=false,
-// -timeline-stream=false) switch off one serving-path mechanism at a time.
+// The same seed always produces the same request sequence.
 package main
 
 import (
@@ -42,11 +40,6 @@ func main() {
 	workers := flag.Int("workers", 16, "request workers (keep-alive connections)")
 	timeout := flag.Duration("timeout", 10*time.Second, "per-request timeout")
 	maxToots := flag.Int("max-toots", 10, "self-serve: toot objects materialised per user")
-	noKeepAlive := flag.Bool("no-keepalive", false, "ablation: new TCP connection per request")
-	noRevalidate := flag.Bool("no-revalidate", false, "ablation: never send If-None-Match")
-	pageCache := flag.Bool("page-cache", true, "self-serve: rendered-page byte cache")
-	etag := flag.Bool("etag", true, "self-serve: ETag / conditional GET")
-	stream := flag.Bool("timeline-stream", true, "self-serve: streamed timeline encoder")
 	jsonOut := flag.String("json", "", "write the JSON report here ('-' = stdout)")
 	flag.Parse()
 
@@ -75,12 +68,7 @@ func main() {
 	if base == "" {
 		// Self-serve: load the world into live servers behind one loopback
 		// listener — real TCP, no external process to coordinate.
-		liveNet, err := instance.LoadWorld(context.Background(), w, instance.LoadOptions{
-			MaxTootsPerUser:       *maxToots,
-			DisablePageCache:      !*pageCache,
-			DisableETag:           !*etag,
-			DisableTimelineStream: !*stream,
-		})
+		liveNet, err := instance.LoadWorld(context.Background(), w, instance.LoadOptions{MaxTootsPerUser: *maxToots})
 		if err != nil {
 			fatal(err)
 		}
@@ -98,11 +86,9 @@ func main() {
 	fmt.Fprintf(os.Stderr, "fediload: %d requests at %.0f req/s over %d workers → %s\n",
 		len(plan), *rate, *workers, base)
 	rep, err := loadgen.Run(context.Background(), plan, loadgen.RunConfig{
-		Target:       base,
-		Workers:      *workers,
-		Timeout:      *timeout,
-		NoKeepAlive:  *noKeepAlive,
-		NoRevalidate: *noRevalidate,
+		Target:  base,
+		Workers: *workers,
+		Timeout: *timeout,
 	})
 	if err != nil {
 		fatal(err)

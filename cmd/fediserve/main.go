@@ -30,9 +30,6 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	maxToots := flag.Int("max-toots", 10, "toot objects materialised per user")
 	offlineGone := flag.Bool("offline-gone", true, "serve churned instances as offline")
-	pageCache := flag.Bool("page-cache", true, "rendered-page byte cache (ablation switch)")
-	etag := flag.Bool("etag", true, "ETag / conditional GET (ablation switch)")
-	stream := flag.Bool("timeline-stream", true, "streamed timeline encoder (ablation switch)")
 	flag.Parse()
 
 	var w *dataset.World
@@ -49,11 +46,8 @@ func main() {
 
 	start := time.Now()
 	liveNet, err := instance.LoadWorld(context.Background(), w, instance.LoadOptions{
-		MaxTootsPerUser:       *maxToots,
-		OfflineGone:           *offlineGone,
-		DisablePageCache:      !*pageCache,
-		DisableETag:           !*etag,
-		DisableTimelineStream: !*stream,
+		MaxTootsPerUser: *maxToots,
+		OfflineGone:     *offlineGone,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "fediserve:", err)
@@ -69,8 +63,10 @@ func main() {
 	}
 	fmt.Printf("loaded %d instances in %v; serving on %s\n",
 		len(liveNet.Domains()), time.Since(start).Round(time.Millisecond), ln.Addr())
-	fmt.Printf("try: curl -H 'Host: %s' 'http://localhost%s/api/v1/instance'\n",
-		w.Instances[0].Domain, *addr)
+	if len(w.Instances) > 0 {
+		fmt.Printf("try: curl -H 'Host: %s' 'http://localhost%s/api/v1/instance'\n",
+			w.Instances[0].Domain, *addr)
+	}
 
 	srv := &http.Server{
 		Handler:           liveNet,

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"sync"
 	"testing"
@@ -118,4 +119,42 @@ func TestSummary(t *testing.T) {
 			t.Fatalf("summary missing %q:\n%s", want, s)
 		}
 	}
+}
+
+// BenchmarkExperiment regenerates each table and figure of the paper over
+// the calibrated small world, one sub-benchmark per experiment id
+// (-bench 'Experiment/fig12$' for one of them).
+func BenchmarkExperiment(b *testing.B) {
+	w := smallWorld(b)
+	for _, e := range Experiments() {
+		b.Run(e.ID, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if err := e.Run(w, io.Discard); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkRunAll regenerates the whole evaluation section in one go — bench's
+// core.runall_s seen from where the code is edited.
+func BenchmarkRunAll(b *testing.B) {
+	w := smallWorld(b)
+	b.ReportAllocs()
+	for b.Loop() {
+		if err := RunAll(w, io.Discard); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func smallWorld(b *testing.B) *dataset.World {
+	b.Helper()
+	w, err := BuildWorld(ScaleSmall, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return w
 }

@@ -18,7 +18,6 @@ package crawler
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -440,22 +439,6 @@ func readBody(r io.Reader, buf []byte) ([]byte, error) {
 			return buf, err
 		}
 	}
-}
-
-// GetJSON fetches and decodes a JSON document through a pooled buffer.
-// The hot paths (monitor, toot crawler, discoverer, follower scraper) use
-// the internal/wire decoders instead; this reflective variant remains for
-// ad-hoc shapes.
-func (c *Client) GetJSON(ctx context.Context, domain, path string, v any) error {
-	bp := getBuf()
-	body, err := c.GetBuffered(ctx, domain, path, *bp)
-	if err == nil {
-		if uerr := json.Unmarshal(body, v); uerr != nil {
-			err = fmt.Errorf("crawler: %s%s: bad JSON: %w", domain, path, uerr)
-		}
-	}
-	putBuf(bp, body)
-	return err
 }
 
 // forEach calls fn(ctx, i) for every i in [0, n) from min(workers, n)

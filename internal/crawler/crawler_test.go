@@ -96,11 +96,9 @@ func TestClientRetries(t *testing.T) {
 		Retries: 5,
 		Backoff: time.Millisecond,
 	}
-	var out struct {
-		OK bool `json:"ok"`
-	}
-	if err := c.GetJSON(context.Background(), "x.test", "/thing", &out); err != nil || !out.OK {
-		t.Fatalf("err=%v ok=%v", err, out.OK)
+	body, err := c.GetBuffered(context.Background(), "x.test", "/thing", nil)
+	if err != nil || string(body) != `{"ok":true}` {
+		t.Fatalf("err=%v body=%q", err, body)
 	}
 	if calls.Load() != 3 {
 		t.Fatalf("calls = %d, want 3", calls.Load())
@@ -157,18 +155,6 @@ func TestClientDoesNotRetryClientErrors(t *testing.T) {
 	}
 	if se.Error() == "" {
 		t.Fatal("empty error text")
-	}
-}
-
-func TestClientBadJSON(t *testing.T) {
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.Write([]byte("not json"))
-	}))
-	defer srv.Close()
-	c := &Client{Resolve: func(string) string { return srv.URL }, Backoff: time.Millisecond}
-	var v any
-	if err := c.GetJSON(context.Background(), "x.test", "/", &v); err == nil {
-		t.Fatal("expected JSON error")
 	}
 }
 

@@ -3,7 +3,6 @@ package crawler
 import (
 	"context"
 	"fmt"
-	"regexp"
 	"sort"
 
 	"repro/internal/dataset"
@@ -21,29 +20,6 @@ type FollowerScraper struct {
 	Client   *Client
 	Workers  int // concurrent accounts (0 = 10)
 	MaxPages int // per-account page cap (0 = unlimited)
-}
-
-// followerLink matches the anchor tags of a follower page. The page format
-// is the one Mastodon renders; parsing is anchored on the follower class so
-// navigation links are not mistaken for followers. The regexes are the
-// specification; the live path below runs wire's hand-rolled scanner,
-// which the FuzzFollowerPageScan differential target holds against them.
-var followerLink = regexp.MustCompile(`<a class="follower" href="https?://([^/"]+)/users/([^/"]+)"`)
-
-// nextLink matches the rel=next pagination anchor.
-var nextLink = regexp.MustCompile(`<a rel="next" href="[^"]*page=(\d+)"`)
-
-// ParseFollowerPageRegexp is the original regex-based parser, kept as the
-// differential-fuzz baseline and the codec-ablation benchmark side — the
-// one place the specification regexes are executed.
-func ParseFollowerPageRegexp(acct string, body []byte) (edges []Edge, hasNext bool) {
-	for _, m := range followerLink.FindAllSubmatch(body, -1) {
-		edges = append(edges, Edge{
-			From: string(m[2]) + "@" + string(m[1]),
-			To:   acct,
-		})
-	}
-	return edges, nextLink.Find(body) != nil
 }
 
 // ParseFollowerPage extracts follower→acct edges from one HTML follower

@@ -163,6 +163,23 @@ func FuzzInstanceInfo(f *testing.F) {
 	})
 }
 
+// followerLink and nextLink are the specification of a follower page: the
+// anchor tags Mastodon renders, anchored on the follower class so navigation
+// links are not mistaken for followers, and the rel=next pagination anchor.
+// The live path runs wire's hand-rolled scanner.
+var (
+	followerLink = regexp.MustCompile(`<a class="follower" href="https?://([^/"]+)/users/([^/"]+)"`)
+	nextLink     = regexp.MustCompile(`<a rel="next" href="[^"]*page=(\d+)"`)
+)
+
+// refParseFollowerPage is the original regex-based parser.
+func refParseFollowerPage(acct string, body []byte) (edges []Edge, hasNext bool) {
+	for _, m := range followerLink.FindAllSubmatch(body, -1) {
+		edges = append(edges, Edge{From: string(m[2]) + "@" + string(m[1]), To: acct})
+	}
+	return edges, nextLink.Find(body) != nil
+}
+
 // FuzzFollowerPageScan holds the wire follower-page scanner against the
 // original regexes on arbitrary bytes: same edges in the same order, same
 // next-page verdict.
@@ -178,7 +195,7 @@ func FuzzFollowerPageScan(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
 		const acct = "alice@a.test"
 		got, gotNext := ParseFollowerPage(acct, body)
-		want, wantNext := ParseFollowerPageRegexp(acct, body)
+		want, wantNext := refParseFollowerPage(acct, body)
 		if gotNext != wantNext {
 			t.Fatalf("hasNext: scanner %v, regex %v", gotNext, wantNext)
 		}

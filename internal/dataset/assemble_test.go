@@ -325,3 +325,32 @@ func BenchmarkAssemble(b *testing.B) {
 		dataset.Assemble(p)
 	}
 }
+
+// BenchmarkWorldSave and BenchmarkWorldLoad are bench's dataset.save_s and
+// dataset.load_s: the calibrated small world through the columnar file.
+func BenchmarkWorldSave(b *testing.B) {
+	w := gen.Generate(gen.SmallConfig(1))
+	var buf bytes.Buffer
+	b.ReportAllocs()
+	for b.Loop() {
+		buf.Reset()
+		if err := w.Save(&buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.SetBytes(int64(buf.Len()))
+}
+
+func BenchmarkWorldLoad(b *testing.B) {
+	var buf bytes.Buffer
+	if err := gen.Generate(gen.SmallConfig(1)).Save(&buf); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(buf.Len()))
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := dataset.Load(bytes.NewReader(buf.Bytes())); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

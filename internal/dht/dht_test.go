@@ -454,3 +454,20 @@ func TestLookupTerminatesProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func BenchmarkDHTLookup(b *testing.B) {
+	ring := ringOf(1024)
+	b.ReportAllocs()
+	for i := 0; b.Loop(); i++ {
+		if _, _, err := ring.Lookup(fmt.Sprintf("key-%d", i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkJoinAll(b *testing.B) {
+	b.ReportAllocs()
+	for b.Loop() {
+		ringOf(1024)
+	}
+}

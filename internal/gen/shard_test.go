@@ -57,3 +57,22 @@ func TestGenerateShardDeterminismSmall(t *testing.T) {
 		t.Fatal("Shards=5 produced different world bytes than Shards=1 at small scale")
 	}
 }
+
+// BenchmarkGenerate is bench's gen.generate_s seen from where the code is
+// edited: the calibrated small world on one shard and on one per CPU. The
+// bytes are the same either way; only wall time differs.
+func BenchmarkGenerate(b *testing.B) {
+	for _, bc := range []struct {
+		name   string
+		shards int
+	}{{"shards=1", 1}, {"shards=N", 0}} {
+		b.Run(bc.name, func(b *testing.B) {
+			cfg := SmallConfig(1)
+			cfg.Shards = bc.shards
+			b.ReportAllocs()
+			for b.Loop() {
+				Generate(cfg)
+			}
+		})
+	}
+}

@@ -405,58 +405,3 @@ func (c *CSR) Induce(group []int32, numGroups int) *CSR {
 	}
 	return q.Freeze()
 }
-
-// TopByDegree returns the n alive nodes with the highest total degree in
-// descending order, ties towards lower ids, via counting-sort partial
-// selection instead of a full comparison sort. If alive is nil all nodes
-// are considered.
-func (c *CSR) TopByDegree(n int, alive []bool) []int32 {
-	if n < 0 {
-		n = 0
-	}
-	maxDeg := 0
-	aliveCount := 0
-	for v := 0; v < c.n; v++ {
-		if alive != nil && !alive[v] {
-			continue
-		}
-		aliveCount++
-		if d := c.Degree(int32(v)); d > maxDeg {
-			maxDeg = d
-		}
-	}
-	if n > aliveCount {
-		n = aliveCount
-	}
-	if n == 0 {
-		return []int32{}
-	}
-	// start[d] = first output slot of the degree-d bucket when buckets are
-	// laid out from the highest degree down.
-	start := make([]int64, maxDeg+2)
-	for v := 0; v < c.n; v++ {
-		if alive != nil && !alive[v] {
-			continue
-		}
-		start[c.Degree(int32(v))]++
-	}
-	var off int64
-	for d := maxDeg; d >= 0; d-- {
-		cnt := start[d]
-		start[d] = off
-		off += cnt
-	}
-	top := make([]int32, n)
-	for v := 0; v < c.n; v++ {
-		if alive != nil && !alive[v] {
-			continue
-		}
-		d := c.Degree(int32(v))
-		p := start[d]
-		start[d]++
-		if p < int64(n) {
-			top[p] = int32(v)
-		}
-	}
-	return top
-}

@@ -102,24 +102,6 @@ func TestInduceMatchesMap(t *testing.T) {
 	}
 }
 
-func TestCSRTopByDegreeMatchesAdjList(t *testing.T) {
-	f := func(seed uint64, nRaw, mRaw uint16, kRaw uint8, maskSeed uint64) bool {
-		n := int(nRaw%150) + 1
-		m := int(mRaw % 500)
-		g := randomGraph(n, m, seed)
-		alive := randomMask(n, maskSeed)
-		for _, k := range []int{0, 1, int(kRaw) % (n + 2), n, n + 10} {
-			if !slices.Equal(g.TopByDegree(k, alive), refTopBy(g, k, alive, g.Degree)) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // randomBatches builds removal batches over n nodes, intentionally
 // including duplicate and repeated ids to exercise the dedup semantics.
 func randomBatches(n int, seed uint64) [][]int32 {
@@ -281,8 +263,5 @@ func TestCSREmptyGraph(t *testing.T) {
 	}
 	if got := c.StronglyConnectedCount(nil); got != 0 {
 		t.Fatalf("SCCs = %d", got)
-	}
-	if got := c.TopByDegree(5, nil); len(got) != 0 {
-		t.Fatalf("top = %v", got)
 	}
 }

@@ -83,36 +83,6 @@ func TestInducePanicsOnMismatch(t *testing.T) {
 	NewBuilder(2).Freeze().Induce([]int32{0}, 1)
 }
 
-func TestTopByDegree(t *testing.T) {
-	g := fromEdges(4, [][2]int32{{0, 1}, {0, 2}, {0, 3}, {1, 2}})
-	top := g.TopByDegree(2, nil)
-	if top[0] != 0 {
-		t.Fatalf("top[0] = %d, want 0 (hub)", top[0])
-	}
-	if top[1] != 2 && top[1] != 1 {
-		t.Fatalf("top[1] = %d", top[1])
-	}
-	// With node 0 dead, 2 has degree 2.
-	alive := []bool{false, true, true, true}
-	top = g.TopByDegree(1, alive)
-	if top[0] == 0 {
-		t.Fatal("dead node ranked")
-	}
-	// Request more than available.
-	if got := g.TopByDegree(100, alive); len(got) != 3 {
-		t.Fatalf("len = %d, want 3", len(got))
-	}
-}
-
-func TestTopByDegreeTieBreak(t *testing.T) {
-	g := fromEdges(3, [][2]int32{{1, 2}, {2, 1}})
-	top := g.TopByDegree(3, nil)
-	// Nodes 1 and 2 tie with degree 2; lower id first; node 0 last.
-	if top[0] != 1 || top[1] != 2 || top[2] != 0 {
-		t.Fatalf("order = %v", top)
-	}
-}
-
 // fromEdges freezes the given edge list over n nodes.
 func fromEdges(n int, edges [][2]int32) *CSR {
 	b := NewBuilder(n)

@@ -157,7 +157,7 @@ func TestSweepMonotoneProperty(t *testing.T) {
 		m := int(mRaw % 300)
 		g := randomGraph(n, m, seed)
 		k := int(kRaw)%n + 1
-		order := g.TopByDegree(k, nil)
+		order := refTopBy(g, k, nil, g.Degree)
 		pts := RemoveBatches(g, SingletonBatches(order, -1), SweepOptions{})
 		for i := 1; i < len(pts); i++ {
 			if pts[i].Removed < pts[i-1].Removed {

@@ -195,28 +195,6 @@ func TestConditionalGetSocket(t *testing.T) {
 	runConditionalGet(t, socketCondFetcher(t, s), s)
 }
 
-// The ETag path must not depend on the page cache being enabled: the
-// generation counter alone carries the freshness signal.
-func TestConditionalGetWithoutPageCache(t *testing.T) {
-	s := NewServer(Config{Domain: "etag.test", Open: true, DisablePageCache: true}, nil)
-	runConditionalGet(t, memoryCondFetcher(s), s)
-}
-
-func TestConditionalGetDisabled(t *testing.T) {
-	s := NewServer(Config{Domain: "etag.test", Open: true, DisableETag: true}, nil)
-	if _, err := s.CreateAccount("alice", false, false, etagT0); err != nil {
-		t.Fatal(err)
-	}
-	get := memoryCondFetcher(s)
-	code, tag, _ := get(t, "/api/v1/instance", "")
-	if code != 200 || tag != "" {
-		t.Fatalf("ablation: GET = %d etag %q, want 200 with no etag", code, tag)
-	}
-	if code, _, body := get(t, "/api/v1/instance", `*`); code != 200 || body == "" {
-		t.Fatalf("ablation: If-None-Match honoured despite DisableETag: %d", code)
-	}
-}
-
 // Concurrent revalidations against a mutating server, once per page kind:
 // every response must be a well-formed 200 or 304, and a tag observed
 // strictly before a mutation of the page's kind completes must never 304

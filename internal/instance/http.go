@@ -133,9 +133,6 @@ func (c *pageCache) put(key pageKey, g uint64, body []byte) {
 	c.mu.Unlock()
 }
 
-// pageBufPool recycles render buffers for the uncached (ablation) path.
-var pageBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
-
 // servePage writes one cacheable response: a cache hit replays stored
 // bytes; a miss renders under the generation of the page's kind read before
 // any state, so a concurrent mutation can only strand the entry stale, never
@@ -150,22 +147,12 @@ var pageBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return
 // request and may legitimately order after it.
 func (s *Server) servePage(w http.ResponseWriter, r *http.Request, ctype []string, key pageKey, render func(dst []byte) []byte) {
 	g := s.pages.gens[key.kind].Load()
-	if !s.cfg.DisableETag {
-		w.Header().Set("Etag", s.pages.etagFor(key.kind, g))
-		if inm := r.Header.Get("If-None-Match"); inm != "" && etagMatch(inm, key.kind, g) {
-			w.WriteHeader(http.StatusNotModified)
-			return
-		}
-	}
-	w.Header()["Content-Type"] = ctype
-	if s.cfg.DisablePageCache {
-		bp := pageBufPool.Get().(*[]byte)
-		b := render((*bp)[:0])
-		w.Write(b)
-		*bp = b[:0]
-		pageBufPool.Put(bp)
+	w.Header().Set("Etag", s.pages.etagFor(key.kind, g))
+	if inm := r.Header.Get("If-None-Match"); inm != "" && etagMatch(inm, key.kind, g) {
+		w.WriteHeader(http.StatusNotModified)
 		return
 	}
+	w.Header()["Content-Type"] = ctype
 	body, fresh := s.pages.get(key, g)
 	if !fresh {
 		// Sized from the entry being replaced, a re-render is one allocation
@@ -373,29 +360,7 @@ func (s *Server) serveTimeline(w http.ResponseWriter, r *http.Request) {
 		key.kind = kindLocal
 	}
 	s.servePage(w, r, ctypeJSON, key, func(dst []byte) []byte {
-		if !s.cfg.DisableTimelineStream {
-			return append(s.appendTimelineJSON(dst, kind, maxID, sinceID, limit), '\n')
-		}
-		toots := s.PublicTimelineSince(kind, maxID, sinceID, limit)
-		page := make([]wire.Status, len(toots))
-		for i, t := range toots {
-			page[i] = wire.Status{
-				ID:        strconv.FormatInt(t.ID, 10),
-				CreatedAt: t.CreatedAt.UTC().Format("2006-01-02T15:04:05.000Z"),
-				Content:   t.Content,
-				Account: wire.StatusAccount{
-					Username: t.Author.User,
-					Acct:     t.Author.String(),
-				},
-			}
-			if t.BoostOf != "" {
-				page[i].Reblog = &wire.StatusReblog{URI: t.BoostOf}
-			}
-			for _, h := range t.Hashtags {
-				page[i].Tags = append(page[i].Tags, wire.StatusTag{Name: h})
-			}
-		}
-		return append(wire.AppendStatuses(dst, page), '\n')
+		return append(s.appendTimelineJSON(dst, kind, maxID, sinceID, limit), '\n')
 	})
 }
 

@@ -28,22 +28,6 @@ type Config struct {
 	// MaxFederated bounds the federated timeline (oldest entries are
 	// dropped), like Mastodon's own timeline trimming. 0 means default.
 	MaxFederated int
-
-	// DisablePageCache turns off the rendered-response byte cache and
-	// re-encodes every page per request — the ablation baseline, never
-	// wanted in normal operation.
-	DisablePageCache bool
-
-	// DisableETag turns off conditional GET: no ETag header is emitted and
-	// If-None-Match is ignored, so every request pays for a full body —
-	// the ablation baseline for the 304 revalidation path.
-	DisableETag bool
-
-	// DisableTimelineStream makes the public-timeline endpoint materialise
-	// the page as []Toot and []wire.Status before encoding (the pre-stream
-	// path) instead of streaming straight from the slab store — the
-	// ablation baseline; output is byte-identical either way.
-	DisableTimelineStream bool
 }
 
 const defaultMaxFederated = 65536
@@ -488,19 +472,20 @@ func (s *Server) Followers(name string, page, pageSize int) (actors []federation
 	if !ok {
 		return nil, false, fmt.Errorf("instance %s: no account %q", s.cfg.Domain, name)
 	}
-	lo := (page - 1) * pageSize
-	if lo >= len(a.followers) {
+	// A page past the end is the empty page. Clamping to the first such page
+	// before multiplying keeps a hostile page number from overflowing the
+	// offset negative.
+	n := len(a.followers)
+	lo := min(page-1, n/pageSize+1) * pageSize
+	if lo >= n {
 		return nil, false, nil
 	}
-	hi := lo + pageSize
-	if hi > len(a.followers) {
-		hi = len(a.followers)
-	}
+	hi := min(lo+pageSize, n)
 	actors = make([]federation.Actor, 0, hi-lo)
 	for _, ai := range a.followers[lo:hi] {
 		actors = append(actors, s.store.actors[ai])
 	}
-	return actors, hi < len(a.followers), nil
+	return actors, hi < n, nil
 }
 
 // FollowerCount returns the number of followers of a local account.

@@ -122,12 +122,6 @@ type LoadOptions struct {
 	// FederationLatency, when positive, makes every bus delivery take this
 	// long on Clock.
 	FederationLatency time.Duration
-	// DisablePageCache / DisableETag / DisableTimelineStream are copied
-	// into every server's Config — the serving-path ablation switches
-	// (fediserve exposes them as flags; see Config for what each disables).
-	DisablePageCache      bool
-	DisableETag           bool
-	DisableTimelineStream bool
 }
 
 // UserName returns the canonical account name for a world user id.
@@ -151,13 +145,10 @@ func LoadWorld(ctx context.Context, w *dataset.World, opts LoadOptions) (*Networ
 	for i := range w.Instances {
 		in := &w.Instances[i]
 		srv := n.Add(Config{
-			Domain:                in.Domain,
-			Software:              string(in.Software),
-			Open:                  in.Open,
-			BlocksCrawl:           in.BlocksCrawl,
-			DisablePageCache:      opts.DisablePageCache,
-			DisableETag:           opts.DisableETag,
-			DisableTimelineStream: opts.DisableTimelineStream,
+			Domain:      in.Domain,
+			Software:    string(in.Software),
+			Open:        in.Open,
+			BlocksCrawl: in.BlocksCrawl,
 		})
 		if opts.OfflineGone && in.GoneDay >= 0 {
 			srv.SetOnline(false)

@@ -14,8 +14,8 @@ import (
 // slice the pre-stream path built (two slices, five string conversions and
 // a tag slice per toot, all dead the moment the buffer was rendered). The
 // output is byte-identical to wire.AppendStatuses over the materialised
-// page — pinned by TestTimelineStreamByteIdentity — so the page cache, the
-// crawler's decoder and the ablation baseline all agree on the bytes.
+// page — pinned by TestTimelineStreamByteIdentity against refTimelineBody —
+// so the page cache and the crawler's decoder agree on the bytes.
 
 // statusTimeLayout is the created_at format of the wire Status shape.
 const statusTimeLayout = "2006-01-02T15:04:05.000Z"

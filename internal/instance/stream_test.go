@@ -5,11 +5,13 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/federation"
+	"repro/internal/wire"
 )
 
 // buildStreamServer populates a server with every shape the timeline
@@ -72,44 +74,66 @@ func buildStreamServer(t *testing.T, cfg Config) *Server {
 	return s
 }
 
-// TestTimelineStreamByteIdentity pins the streamed timeline encoder to the
-// materialised wire.AppendStatuses path: two identically-populated servers,
-// differing only in DisableTimelineStream, must serve byte-identical
-// responses for every selection-parameter combination.
-func TestTimelineStreamByteIdentity(t *testing.T) {
-	streamed := buildStreamServer(t, Config{Domain: "stream.test", Open: true})
-	materialised := buildStreamServer(t, Config{Domain: "stream.test", Open: true, DisableTimelineStream: true})
-
-	queries := []string{
-		"",
-		"?local=true",
-		"?limit=1",
-		"?limit=3",
-		"?limit=40",
-		"?limit=100", // clamped to 40 server-side
-		"?max_id=5",
-		"?max_id=5&local=true",
-		"?since_id=3",
-		"?since_id=3&limit=2",
-		"?max_id=8&since_id=2&limit=4",
-		"?max_id=1", // empty page must still be []
-		"?local=1&limit=7",
+// refTimelineBody is the materialised render the streamed encoder
+// replaced: the page as []Toot, then []wire.Status, then
+// wire.AppendStatuses — the reference appendTimelineJSON is held to.
+func refTimelineBody(s *Server, kind Timeline, maxID, sinceID int64, limit int) string {
+	toots := s.PublicTimelineSince(kind, maxID, sinceID, limit)
+	page := make([]wire.Status, len(toots))
+	for i, t := range toots {
+		page[i] = wire.Status{
+			ID:        strconv.FormatInt(t.ID, 10),
+			CreatedAt: t.CreatedAt.UTC().Format("2006-01-02T15:04:05.000Z"),
+			Content:   t.Content,
+			Account:   wire.StatusAccount{Username: t.Author.User, Acct: t.Author.String()},
+		}
+		if t.BoostOf != "" {
+			page[i].Reblog = &wire.StatusReblog{URI: t.BoostOf}
+		}
+		for _, h := range t.Hashtags {
+			page[i].Tags = append(page[i].Tags, wire.StatusTag{Name: h})
+		}
 	}
-	for _, q := range queries {
-		path := "/api/v1/timelines/public" + q
-		got := fetchBody(t, streamed, path)
-		want := fetchBody(t, materialised, path)
+	return string(append(wire.AppendStatuses(nil, page), '\n'))
+}
+
+// TestTimelineStreamByteIdentity pins the streamed timeline encoder to the
+// materialised reference: the server's response must be byte-identical to
+// refTimelineBody for every selection-parameter combination.
+func TestTimelineStreamByteIdentity(t *testing.T) {
+	s := buildStreamServer(t, Config{Domain: "stream.test", Open: true})
+
+	for _, q := range []struct {
+		query          string
+		kind           Timeline
+		maxID, sinceID int64
+		limit          int
+	}{
+		{"", TimelineFederated, 0, 0, 20},
+		{"?local=true", TimelineLocal, 0, 0, 20},
+		{"?limit=1", TimelineFederated, 0, 0, 1},
+		{"?limit=3", TimelineFederated, 0, 0, 3},
+		{"?limit=40", TimelineFederated, 0, 0, 40},
+		{"?limit=100", TimelineFederated, 0, 0, 40}, // clamped to 40 server-side
+		{"?max_id=5", TimelineFederated, 5, 0, 20},
+		{"?max_id=5&local=true", TimelineLocal, 5, 0, 20},
+		{"?since_id=3", TimelineFederated, 0, 3, 20},
+		{"?since_id=3&limit=2", TimelineFederated, 0, 3, 2},
+		{"?max_id=8&since_id=2&limit=4", TimelineFederated, 8, 2, 4},
+		{"?max_id=1", TimelineFederated, 1, 0, 20}, // empty page must still be []
+		{"?local=1&limit=7", TimelineLocal, 0, 0, 7},
+	} {
+		path := "/api/v1/timelines/public" + q.query
+		got := fetchBody(t, s, path)
+		want := refTimelineBody(s, q.kind, q.maxID, q.sinceID, q.limit)
 		if got != want {
 			t.Errorf("%s:\n  streamed:     %q\n  materialised: %q", path, got, want)
 		}
-		if want == "" {
-			t.Errorf("%s: empty response from materialised path", path)
-		}
 	}
 
-	// The private author's content must be absent from both.
+	// The private author's content must be absent.
 	for _, q := range []string{"", "?local=true"} {
-		if body := fetchBody(t, streamed, "/api/v1/timelines/public"+q); strings.Contains(body, "private content") {
+		if body := fetchBody(t, s, "/api/v1/timelines/public"+q); strings.Contains(body, "private content") {
 			t.Errorf("streamed timeline leaked a private author's toot")
 		}
 	}

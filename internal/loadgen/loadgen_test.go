@@ -162,36 +162,6 @@ func TestRunAgainstServer(t *testing.T) {
 	}
 }
 
-// TestRunNoRevalidate: with conditional GET disabled every response
-// transfers a full body — no 304s.
-func TestRunNoRevalidate(t *testing.T) {
-	w := buildWorld(t)
-	ts := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
-		if r.Header.Get("If-None-Match") != "" {
-			rw.WriteHeader(http.StatusNotModified)
-			return
-		}
-		rw.Header().Set("Etag", `"fixed"`)
-		rw.Write([]byte(`[]`))
-	}))
-	defer ts.Close()
-
-	plan, err := BuildPlan(w, Config{Seed: 5, Rate: 5000, Count: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := Run(context.Background(), plan, RunConfig{Target: ts.URL, Workers: 4, NoRevalidate: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Status304 != 0 {
-		t.Fatalf("NoRevalidate still produced %d 304s", rep.Status304)
-	}
-	if rep.Status2xx != 100 {
-		t.Fatalf("got %d 2xx, want 100", rep.Status2xx)
-	}
-}
-
 func TestRunEmptyPlan(t *testing.T) {
 	if _, err := Run(context.Background(), nil, RunConfig{Target: "http://x"}); err == nil {
 		t.Fatal("empty plan accepted")

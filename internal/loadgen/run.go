@@ -23,12 +23,6 @@ type RunConfig struct {
 	Workers int
 	// Timeout bounds each request (0 = 10s).
 	Timeout time.Duration
-	// NoKeepAlive disables HTTP keep-alive: every request pays a fresh
-	// TCP dial — the connection-pooling ablation.
-	NoKeepAlive bool
-	// NoRevalidate disables conditional GET: workers forget ETags and
-	// every request transfers a full body — the 304-path ablation.
-	NoRevalidate bool
 	// HTTP overrides the HTTP client (tests inject a memory transport);
 	// nil builds a pooled keep-alive client sized to the worker count.
 	HTTP *http.Client
@@ -89,9 +83,7 @@ func Run(ctx context.Context, plan []Request, cfg RunConfig) (*Report, error) {
 	}
 	client := cfg.HTTP
 	if client == nil {
-		tr := crawler.PooledTransport(workers)
-		tr.DisableKeepAlives = cfg.NoKeepAlive
-		client = &http.Client{Transport: tr}
+		client = &http.Client{Transport: crawler.PooledTransport(workers)}
 	}
 
 	// The queue holds the whole plan so the dispatcher can never block on
@@ -121,10 +113,7 @@ func Run(ctx context.Context, plan []Request, cfg RunConfig) (*Report, error) {
 	states := make([]*workerState, workers)
 	var wg sync.WaitGroup
 	for wi := 0; wi < workers; wi++ {
-		st := &workerState{}
-		if !cfg.NoRevalidate {
-			st.etags = make(map[string]string)
-		}
+		st := &workerState{etags: make(map[string]string)}
 		states[wi] = st
 		wg.Add(1)
 		go func() {
@@ -171,12 +160,9 @@ func runOne(ctx context.Context, client *http.Client, target string, pr *Request
 		return
 	}
 	req.Host = pr.Domain
-	var etagKey string
-	if st.etags != nil {
-		etagKey = pr.Domain + pr.Path
-		if tag, ok := st.etags[etagKey]; ok {
-			req.Header.Set("If-None-Match", tag)
-		}
+	etagKey := pr.Domain + pr.Path
+	if tag, ok := st.etags[etagKey]; ok {
+		req.Header.Set("If-None-Match", tag)
 	}
 	resp, err := client.Do(req)
 	if err != nil {
@@ -195,9 +181,7 @@ func runOne(ctx context.Context, client *http.Client, target string, pr *Request
 	default:
 		st.sOth++
 	}
-	if st.etags != nil {
-		if tag := resp.Header.Get("Etag"); tag != "" {
-			st.etags[etagKey] = tag
-		}
+	if tag := resp.Header.Get("Etag"); tag != "" {
+		st.etags[etagKey] = tag
 	}
 }

@@ -272,3 +272,26 @@ func FuzzSweep(f *testing.F) {
 		}
 	})
 }
+
+// BenchmarkRandRepSweep is the Fig 16 instance sweep over the calibrated
+// small world: the closed form against the Monte-Carlo sample sizes.
+func BenchmarkRandRepSweep(b *testing.B) {
+	w := gen.Generate(gen.SmallConfig(1))
+	exp := New(w)
+	batches := graph.SingletonBatches(graph.RankDescending(w.InstanceTootWeights()), 100)
+	for _, bc := range []struct {
+		name string
+		s    Strategy
+	}{
+		{"exact", RandRep{N: 2, Exact: true}},
+		{"samples=16", RandRep{N: 2, Samples: 16, Seed: 1}},
+		{"samples=128", RandRep{N: 2, Samples: 128, Seed: 1}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				exp.Sweep(bc.s, batches)
+			}
+		})
+	}
+}

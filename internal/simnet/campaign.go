@@ -107,50 +107,48 @@ func (h *Harness) RunCampaign(ctx context.Context, cfg CampaignConfig) (*Campaig
 		log.Add(mon.PollOnce(ctx))
 	}
 
-	finalSlot := cfg.StartSlot + cfg.Slots - 1
-	tc := &crawler.TootCrawler{Client: h.Client, Workers: cfg.CrawlWorkers, Local: true}
-	if cfg.Resume != nil {
-		if cfg.StartSlot != cfg.Resume.StartSlot+cfg.Resume.Slots {
-			panic("simnet: delta campaign must start right after its checkpointed window")
-		}
-		tc.Since = cfg.Resume.HighWater
+	if cfg.Resume != nil && cfg.StartSlot != cfg.Resume.StartSlot+cfg.Resume.Slots {
+		panic("simnet: delta campaign must start right after its checkpointed window")
 	}
-	var crawls []crawler.InstanceCrawl
-	var fleetStats *fleet.Stats
-	if cfg.Fleet != nil {
-		fl := &fleet.Fleet{Crawler: tc, Clock: h.Clock, Options: *cfg.Fleet}
-		fres, err := fl.Crawl(ctx, domains)
-		if err != nil {
-			return nil, err
-		}
-		crawls = fres.Crawls
-		st := fres.Stats
-		fleetStats = &st
-	} else {
-		crawls = tc.Crawl(ctx, domains)
+	traces, _ := log.ToTraceSet(dataset.SlotsPerDay)
+	res := &CampaignResult{
+		Domains:   domains,
+		Log:       log,
+		Traces:    traces,
+		StartSlot: cfg.StartSlot,
+		FinalSlot: cfg.StartSlot + cfg.Slots - 1,
 	}
-	var authors []string
-	if cfg.Resume != nil {
-		authors = UnionAuthors(cfg.Resume, crawls)
-	} else {
-		authors = crawler.Authors(crawls)
-	}
-	fs := &crawler.FollowerScraper{Client: h.Client, Workers: cfg.ScrapeWorkers}
-	scrape := fs.Scrape(ctx, authors)
-	if err := ctx.Err(); err != nil {
+	if err := h.CrawlPhase(ctx, cfg, res); err != nil {
 		return nil, err
 	}
+	return res, nil
+}
 
-	traces, _ := log.ToTraceSet(dataset.SlotsPerDay)
-	return &CampaignResult{
-		Domains:    domains,
-		Log:        log,
-		Traces:     traces,
-		Crawls:     crawls,
-		Authors:    authors,
-		Scrape:     scrape,
-		StartSlot:  cfg.StartSlot,
-		FinalSlot:  finalSlot,
-		FleetStats: fleetStats,
-	}, nil
+// CrawlPhase runs the second half of the §3 pipeline against the network as
+// it stands — the toot crawl of res.Domains, then the follower scrape of the
+// authors it saw — and records it in res (Crawls, Authors, Scrape,
+// FleetStats). Of cfg it reads CrawlWorkers, ScrapeWorkers, Fleet and Resume.
+func (h *Harness) CrawlPhase(ctx context.Context, cfg CampaignConfig, res *CampaignResult) error {
+	tc := &crawler.TootCrawler{Client: h.Client, Workers: cfg.CrawlWorkers, Local: true}
+	if cfg.Resume != nil {
+		tc.Since = cfg.Resume.HighWater
+	}
+	if cfg.Fleet != nil {
+		fl := &fleet.Fleet{Crawler: tc, Clock: h.Clock, Options: *cfg.Fleet}
+		fres, err := fl.Crawl(ctx, res.Domains)
+		if err != nil {
+			return err
+		}
+		res.Crawls, res.FleetStats = fres.Crawls, &fres.Stats
+	} else {
+		res.Crawls, res.FleetStats = tc.Crawl(ctx, res.Domains), nil
+	}
+	if cfg.Resume != nil {
+		res.Authors = UnionAuthors(cfg.Resume, res.Crawls)
+	} else {
+		res.Authors = crawler.Authors(res.Crawls)
+	}
+	fs := &crawler.FollowerScraper{Client: h.Client, Workers: cfg.ScrapeWorkers}
+	res.Scrape = fs.Scrape(ctx, res.Authors)
+	return ctx.Err()
 }

@@ -5,15 +5,16 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/crawler/fleet"
 	"repro/internal/dataset"
 	"repro/internal/gen"
 )
 
-// benchCampaign runs one campaign of the repository benchmark's `campaign`
+// benchHarness serves the world of the repository benchmark's `campaign`
 // workload — SmallConfig(1) cut to 500 instances and 20,000 users over 8
-// days, 10 toots a user, 36 probe rounds from day 2 — and returns what it
-// collected, so a micro-benchmark here measures what bench/ measures.
-func benchCampaign(tb testing.TB) *CampaignResult {
+// days, 10 toots a user — so a micro-benchmark here measures what bench/
+// measures.
+func benchHarness(tb testing.TB) *Harness {
 	tb.Helper()
 	cfg := gen.SmallConfig(1)
 	cfg.Instances, cfg.Users, cfg.Days, cfg.MassExpiryDay = 500, 20000, 8, -1
@@ -23,7 +24,14 @@ func benchCampaign(tb testing.TB) *CampaignResult {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	res, err := h.RunCampaign(context.Background(), CampaignConfig{
+	return h
+}
+
+// benchCampaign runs that workload's campaign, 36 probe rounds from day 2,
+// and returns what it collected.
+func benchCampaign(tb testing.TB) *CampaignResult {
+	tb.Helper()
+	res, err := benchHarness(tb).RunCampaign(context.Background(), CampaignConfig{
 		StartSlot: 2 * dataset.SlotsPerDay, Slots: 36,
 		ProbeWorkers: 2, CrawlWorkers: 2, ScrapeWorkers: 2,
 	})
@@ -40,5 +48,32 @@ func BenchmarkRebuild(b *testing.B) {
 	b.ReportAllocs()
 	for b.Loop() {
 		Rebuild(res)
+	}
+}
+
+// BenchmarkCrawlPhase is bench's simnet.crawl_s plus simnet.scrape_s: every
+// timeline and every author's follower pages over the in-memory transport,
+// the toot crawl by the flat worker pool and by the leased fleet.
+func BenchmarkCrawlPhase(b *testing.B) {
+	h := benchHarness(b)
+	for _, bc := range []struct {
+		name string
+		cfg  CampaignConfig
+	}{
+		{"flat", CampaignConfig{CrawlWorkers: 2, ScrapeWorkers: 2}},
+		{"fleet", CampaignConfig{ScrapeWorkers: 2, Fleet: &fleet.Options{Workers: 2}}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			res := &CampaignResult{Domains: h.Net.Domains()}
+			b.ReportAllocs()
+			for b.Loop() {
+				if err := h.CrawlPhase(context.Background(), bc.cfg, res); err != nil {
+					b.Fatal(err)
+				}
+				if len(res.Authors) == 0 {
+					b.Fatal("empty crawl")
+				}
+			}
+		})
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/crawler"
 	"repro/internal/crawler/fleet"
 	"repro/internal/dataset"
 	"repro/internal/gen"
@@ -94,14 +93,11 @@ func FleetWorkerDeath(seed uint64) *Scenario {
 		// The differential oracle: a flat single-worker crawl of the same
 		// quiescent network, rebuilt and serialised, must match the fleet's
 		// harvest byte for byte.
-		flat := &crawler.TootCrawler{Client: r.H.Client, Workers: 1, Local: true}
-		crawls := flat.Crawl(context.Background(), res.Domains)
-		authors := crawler.Authors(crawls)
-		fs := &crawler.FollowerScraper{Client: r.H.Client, Workers: sc.ScrapeWorkers}
 		oracle := *res
-		oracle.Crawls = crawls
-		oracle.Authors = authors
-		oracle.Scrape = fs.Scrape(context.Background(), authors)
+		flat := simnet.CampaignConfig{CrawlWorkers: 1, ScrapeWorkers: sc.ScrapeWorkers}
+		if err := r.H.CrawlPhase(context.Background(), flat, &oracle); err != nil {
+			return err
+		}
 		fleetWorld, fleetNames := simnet.Rebuild(res)
 		flatWorld, flatNames := simnet.Rebuild(&oracle)
 		identical := len(fleetNames) == len(flatNames)

@@ -137,15 +137,6 @@ func IncrementalRecrawl(seed uint64) *Scenario {
 
 		// The delta path: a since-marker crawl and a union-author scrape
 		// against the network exactly as the engine's full crawl saw it.
-		tc := &crawler.TootCrawler{Client: r.H.Client, Workers: sc.CrawlWorkers, Local: true, Since: ck.HighWater}
-		crawls := tc.Crawl(ctx, res.Domains)
-		authors := simnet.UnionAuthors(ck, crawls)
-		fs := &crawler.FollowerScraper{Client: r.H.Client, Workers: sc.ScrapeWorkers}
-		scrape := fs.Scrape(ctx, authors)
-		if len(scrape.Errors) != 0 {
-			return fmt.Errorf("delta scrape errors: %v", scrape.Errors)
-		}
-
 		logB := crawler.NewProbeLog()
 		for _, d := range res.Domains {
 			logB.Add(r.Log.Samples(d)[checkpointAt:])
@@ -154,11 +145,18 @@ func IncrementalRecrawl(seed uint64) *Scenario {
 			Domains:   res.Domains,
 			Log:       logB,
 			Traces:    res.Traces.Window(checkpointAt, slots),
-			Crawls:    crawls,
-			Authors:   authors,
-			Scrape:    scrape,
 			StartSlot: startSlot + checkpointAt,
 			FinalSlot: startSlot + slots - 1,
+		}
+		err := r.H.CrawlPhase(ctx, simnet.CampaignConfig{
+			CrawlWorkers: sc.CrawlWorkers, ScrapeWorkers: sc.ScrapeWorkers, Resume: ck,
+		}, resB)
+		if err != nil {
+			return err
+		}
+		crawls := resB.Crawls
+		if len(resB.Scrape.Errors) != 0 {
+			return fmt.Errorf("delta scrape errors: %v", resB.Scrape.Errors)
 		}
 		delta, err := simnet.DeltaOf(resB, ck)
 		if err != nil {

@@ -166,38 +166,19 @@ type Snapshot struct {
 // wall, time; probing resumes at the next slot's pinned timestamp.
 func (r *Run) CrawlNow(ctx context.Context) (*Snapshot, error) {
 	sc := r.Scenario
-	tc := &crawler.TootCrawler{Client: r.H.Client, Workers: sc.CrawlWorkers, Local: true}
-	var crawls []crawler.InstanceCrawl
-	var fleetStats *fleet.Stats
-	if sc.Fleet != nil {
-		fl := &fleet.Fleet{Crawler: tc, Clock: r.H.Clock, Options: *sc.Fleet}
-		fres, err := fl.Crawl(ctx, r.domains)
-		if err != nil {
-			return nil, err
-		}
-		crawls = fres.Crawls
-		st := fres.Stats
-		fleetStats = &st
-	} else {
-		crawls = tc.Crawl(ctx, r.domains)
-	}
-	authors := crawler.Authors(crawls)
-	fs := &crawler.FollowerScraper{Client: r.H.Client, Workers: sc.ScrapeWorkers}
-	scrape := fs.Scrape(ctx, authors)
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
 	traces, _ := r.Log.ToTraceSet(dataset.SlotsPerDay)
 	res := &simnet.CampaignResult{
-		Domains:    r.Domains(),
-		Log:        r.Log,
-		Traces:     traces,
-		Crawls:     crawls,
-		Authors:    authors,
-		Scrape:     scrape,
-		StartSlot:  sc.StartSlot,
-		FinalSlot:  sc.StartSlot + r.rounds - 1,
-		FleetStats: fleetStats,
+		Domains:   r.Domains(),
+		Log:       r.Log,
+		Traces:    traces,
+		StartSlot: sc.StartSlot,
+		FinalSlot: sc.StartSlot + r.rounds - 1,
+	}
+	err := r.H.CrawlPhase(ctx, simnet.CampaignConfig{
+		CrawlWorkers: sc.CrawlWorkers, ScrapeWorkers: sc.ScrapeWorkers, Fleet: sc.Fleet,
+	}, res)
+	if err != nil {
+		return nil, err
 	}
 	w, names := simnet.Rebuild(res)
 	return &Snapshot{Slot: r.rounds, Res: res, World: w, Names: names}, nil

@@ -188,3 +188,102 @@ func TestAppendActivityGolden(t *testing.T) {
 		}
 	}
 }
+
+// The shapes a campaign moves most: a full 40-toot timeline page, the
+// instance document a probe fetches, the federation Create envelope, a full
+// follower page. What these codecs replaced (encoding/json, the regexp
+// scanner) is in DESIGN.md's Settled ablations.
+
+func benchStatusPage() []Status {
+	page := make([]Status, 40)
+	for i := range page {
+		page[i] = Status{
+			ID:        fmt.Sprint(4000 - i),
+			CreatedAt: "2018-05-01T10:00:00.000Z",
+			Content:   fmt.Sprintf("toot %d from u%d", i, i%7),
+			Account:   StatusAccount{Username: fmt.Sprintf("u%d", i%7), Acct: fmt.Sprintf("u%d@instance-%02d.fedi.test", i%7, i%5)},
+		}
+		if i%5 == 0 {
+			page[i].Tags = []StatusTag{{Name: "fediverse"}}
+		}
+		if i%11 == 0 {
+			page[i].Reblog = &StatusReblog{URI: fmt.Sprintf("far.test/%d", i)}
+		}
+	}
+	return page
+}
+
+var (
+	benchInfo = InstanceInfo{
+		URI: "instance-0001.fedi.test", Title: "instance-0001.fedi.test", Version: "2.4.0", Registrations: true,
+		Stats: InstanceStats{UserCount: 812, StatusCount: 90417, DomainCount: 214, RemoteFollows: 3321},
+	}
+	benchActor    = Actor{User: "u17", Domain: "instance-0001.fedi.test"}
+	benchActivity = Activity{Type: "Create", From: benchActor, Note: &Note{
+		ID: "instance-0001.fedi.test/4081", Author: benchActor, Content: "toot 3 from u17",
+		Hashtags: []string{"fediverse"}, CreatedAt: time.Date(2017, 7, 10, 0, 0, 0, 0, time.UTC),
+	}}
+)
+
+func BenchmarkEncode(b *testing.B) {
+	page := benchStatusPage()
+	var buf []byte
+	for _, bc := range []struct {
+		name string
+		enc  func()
+	}{
+		{"statuses", func() { buf = AppendStatuses(buf[:0], page) }},
+		{"instance", func() { buf = AppendInstanceInfo(buf[:0], &benchInfo) }},
+		{"activity", func() { buf, _ = AppendActivity(buf[:0], &benchActivity) }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				bc.enc()
+			}
+		})
+	}
+}
+
+func BenchmarkDecode(b *testing.B) {
+	statuses := AppendStatuses(nil, benchStatusPage())
+	instance := AppendInstanceInfo(nil, &benchInfo)
+	activity, err := AppendActivity(nil, &benchActivity)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var page []Status
+	for _, bc := range []struct {
+		name string
+		dec  func() error
+	}{
+		{"statuses", func() (err error) { page, err = DecodeStatuses(statuses, page[:0]); return }},
+		{"instance", func() error { return DecodeInstanceInfo(instance, new(InstanceInfo)) }},
+		{"activity", func() error { return UnmarshalActivity(activity, new(Activity)) }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if err := bc.dec(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+func BenchmarkScanFollowerPage(b *testing.B) {
+	actors := make([]Actor, 40)
+	for i := range actors {
+		actors[i] = Actor{User: fmt.Sprintf("f%d", i), Domain: fmt.Sprintf("far-%02d.test", i%7)}
+	}
+	page := AppendFollowerPage(nil, "alice", actors, 1, true)
+	b.ReportAllocs()
+	for b.Loop() {
+		n := 0
+		ScanFollowerPage(page, func(domain, user []byte) { n++ })
+		if n != 40 || !FollowerPageHasNext(page) {
+			b.Fatal("scan lost followers")
+		}
+	}
+}
