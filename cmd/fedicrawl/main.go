@@ -27,6 +27,11 @@
 // quarantine budget, so persistently hostile instances fail fast instead of
 // burning the crawl's deadline. -breaker-stats prints the per-host breaker
 // table (failures, circuit opens, quarantines) after the crawl.
+//
+// Exit status: 0 when every phase ran to its end, 1 when the -timeout
+// deadline cut the crawl short (the numbers printed are then partial, and a
+// toot crawl that was cut writes no marks file), 2 for a bad invocation or
+// an I/O failure.
 package main
 
 import (
@@ -42,7 +47,9 @@ import (
 	"repro/internal/dataset"
 )
 
-func main() {
+func main() { os.Exit(run()) }
+
+func run() int {
 	base := flag.String("base", "http://localhost:8080", "base URL all domains resolve to")
 	seeds := flag.String("seeds", "", "comma-separated seed domains for snowball discovery")
 	worldFile := flag.String("world", "", "take the domain list from a world file instead of discovering")
@@ -65,12 +72,19 @@ func main() {
 		}
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "fedicrawl:", err)
-			os.Exit(2)
+			return 2
 		}
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 	defer cancel()
+	// cutShort reports that the deadline expired during phase; instances the
+	// crawl never reached are counted offline in whatever was printed, and a
+	// toot crawl that was cut writes no marks file.
+	cutShort := func(phase string) int {
+		fmt.Fprintf(os.Stderr, "fedicrawl: the -timeout %v deadline cut the %s short: the numbers above are partial\n", *timeout, phase)
+		return 1
+	}
 
 	cli := &crawler.Client{
 		Resolve:   func(string) string { return *base },
@@ -105,7 +119,7 @@ func main() {
 		w, err := dataset.LoadFile(*worldFile)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "fedicrawl:", err)
-			os.Exit(2)
+			return 2
 		}
 		for i := range w.Instances {
 			domains = append(domains, w.Instances[i].Domain)
@@ -115,9 +129,12 @@ func main() {
 		domains = d.Discover(ctx, strings.Split(*seeds, ","))
 	default:
 		fmt.Fprintln(os.Stderr, "fedicrawl: need -seeds or -world")
-		os.Exit(2)
+		return 2
 	}
 	fmt.Printf("domain list: %d instances\n", len(domains))
+	if ctx.Err() != nil {
+		return cutShort("discovery")
+	}
 
 	// 2. Instance metadata (one monitor round).
 	mon := &crawler.Monitor{Client: cli, Domains: domains, Workers: *workers}
@@ -131,6 +148,9 @@ func main() {
 		}
 	}
 	fmt.Printf("monitor: %d/%d online, %d toots reported\n", online, len(domains), totalToots)
+	if ctx.Err() != nil {
+		return cutShort("monitor round")
+	}
 
 	// 3. Toots (incremental when -since marks exist; fleet-run with -fleet).
 	tc := &crawler.TootCrawler{Client: cli, Workers: *workers, Local: true, MaxToots: *maxToots, Since: since}
@@ -139,9 +159,12 @@ func main() {
 	if *fleetWorkers > 0 {
 		fl := &fleet.Fleet{Crawler: tc, Options: fleet.Options{Workers: *fleetWorkers}}
 		fres, err := fl.Crawl(ctx, domains)
+		if ctx.Err() != nil {
+			return cutShort("toot crawl")
+		}
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "fedicrawl:", err)
-			os.Exit(2)
+			return 2
 		}
 		results = fres.Crawls
 		st := fres.Stats
@@ -161,6 +184,9 @@ func main() {
 		fmt.Printf("coverage: %.1f%% of reported toots (paper: 62%%)\n",
 			100*float64(sum.Toots)/float64(totalToots))
 	}
+	if ctx.Err() != nil {
+		return cutShort("toot crawl")
+	}
 	if *writeSince != "" {
 		// fleet.Marks leaves out any domain whose harvest was incomplete
 		// (blocked, offline, failed partway): a mark past unfetched history
@@ -172,14 +198,14 @@ func main() {
 		}
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "fedicrawl:", err)
-			os.Exit(2)
+			return 2
 		}
 		fmt.Printf("high-water marks: %d domains -> %s\n", len(marks), *writeSince)
 	}
 
 	// 4. Follower graph.
 	if !*scrapeFollowers {
-		return
+		return 0
 	}
 	authors := crawler.Authors(results)
 	fs := &crawler.FollowerScraper{Client: cli, Workers: *workers}
@@ -189,4 +215,8 @@ func main() {
 	fmt.Printf("follower scrape (%v): %d edges over %d accounts (%d scrape errors)\n",
 		time.Since(start).Round(time.Millisecond), len(res.Edges), len(names), len(res.Errors))
 	_ = idx
+	if ctx.Err() != nil {
+		return cutShort("follower scrape")
+	}
+	return 0
 }

@@ -11,7 +11,6 @@ import (
 	"io"
 	"math"
 	"runtime"
-	"sort"
 	"strings"
 	"sync"
 
@@ -600,14 +599,4 @@ func Summary(w *dataset.World) string {
 	fmt.Fprintf(&b, "finding 4 (content centralisation): top-10 instances hold %.1f%% of toots\n",
 		100*top10/stats.Sum(toots))
 	return b.String()
-}
-
-// SortedExperimentIDs lists all experiment ids (for CLI help).
-func SortedExperimentIDs() []string {
-	var ids []string
-	for _, e := range Experiments() {
-		ids = append(ids, e.ID)
-	}
-	sort.Strings(ids)
-	return ids
 }

@@ -66,9 +66,6 @@ func TestExperimentIndexComplete(t *testing.T) {
 			t.Fatalf("experiment %s incomplete", id)
 		}
 	}
-	if len(SortedExperimentIDs()) != len(want) {
-		t.Fatal("SortedExperimentIDs mismatch")
-	}
 }
 
 func TestFind(t *testing.T) {

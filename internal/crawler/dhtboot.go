@@ -3,7 +3,6 @@ package crawler
 import (
 	"context"
 	"sort"
-	"sync"
 
 	"repro/internal/dht"
 )
@@ -27,85 +26,26 @@ type DirectoryIndex interface {
 type DHTBootstrap struct {
 	Index    DirectoryIndex
 	MaxHosts int // safety cap on the discovered set (0 = 100000)
-
-	mu       sync.Mutex
-	lookups  int
-	failures int
-	hops     int
 }
 
 // Discover returns all domains reachable through presence records from the
 // seeds, sorted. Mirroring Discoverer.Discover: a domain whose presence
 // record cannot be resolved (never published, or every index holder down)
 // is dropped unless it was a seed, and each round's newly seen peers are
-// admitted in sorted order so MaxHosts truncation is deterministic.
+// admitted in sorted order so MaxHosts truncation is deterministic. Seeds
+// are admitted in sorted order too.
 func (d *DHTBootstrap) Discover(ctx context.Context, seeds []string) []string {
-	maxHosts := d.MaxHosts
-	if maxHosts <= 0 {
-		maxHosts = 100000
-	}
-
-	seedSet := make(map[string]struct{}, len(seeds))
-	for _, s := range seeds {
-		seedSet[s] = struct{}{}
-	}
-
-	failed := make(map[string]struct{})
-	known := make(map[string]struct{})
-	frontier := make([]string, 0, len(seeds))
 	sorted := append([]string(nil), seeds...)
 	sort.Strings(sorted)
-	for _, s := range sorted {
-		if _, ok := known[s]; !ok && len(known) < maxHosts {
-			known[s] = struct{}{}
-			frontier = append(frontier, s)
-		}
-	}
-
-	for len(frontier) > 0 && ctx.Err() == nil {
-		var found []string
+	return discoveryWalk(ctx, sorted, d.MaxHosts, func(_ context.Context, frontier []string) (found, failed []string) {
 		for _, domain := range frontier {
-			peers, hops, err := d.Index.Resolve(dht.PresenceKey(domain))
-			d.mu.Lock()
-			d.lookups++
-			d.hops += hops
+			peers, _, err := d.Index.Resolve(dht.PresenceKey(domain))
 			if err != nil {
-				d.failures++
-				failed[domain] = struct{}{}
-			}
-			d.mu.Unlock()
-			if err == nil {
+				failed = append(failed, domain)
+			} else {
 				found = append(found, peers...)
 			}
 		}
-		sort.Strings(found)
-		frontier = frontier[:0]
-		for _, p := range found {
-			if _, ok := known[p]; !ok && len(known) < maxHosts {
-				known[p] = struct{}{}
-				frontier = append(frontier, p)
-			}
-		}
-	}
-
-	out := make([]string, 0, len(known))
-	for dom := range known {
-		if _, bad := failed[dom]; bad {
-			if _, isSeed := seedSet[dom]; !isSeed {
-				continue
-			}
-		}
-		out = append(out, dom)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Stats reports the directory traffic of all Discover calls so far:
-// lookups issued, lookups that failed to resolve, and the total finger
-// hops paid (mean hops = hops/lookups, the O(log N) routing check).
-func (d *DHTBootstrap) Stats() (lookups, failures, hops int) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.lookups, d.failures, d.hops
+		return found, failed
+	})
 }

@@ -11,18 +11,20 @@ import (
 )
 
 // fakeIndex is an in-memory DirectoryIndex: presence records keyed by
-// dht.PresenceKey, with a fixed per-lookup hop cost.
+// dht.PresenceKey, counting the lookups it serves and the ones it cannot.
 type fakeIndex struct {
-	records map[string][]string
-	hops    int
+	records           map[string][]string
+	lookups, failures int
 }
 
 func (f *fakeIndex) Resolve(key string) ([]string, int, error) {
+	f.lookups++
 	v, ok := f.records[key]
 	if !ok {
-		return nil, f.hops, errors.New("unresolvable")
+		f.failures++
+		return nil, 2, errors.New("unresolvable")
 	}
-	return v, f.hops, nil
+	return v, 2, nil
 }
 
 func presenceGraph(edges map[string][]string) *fakeIndex {
@@ -30,7 +32,7 @@ func presenceGraph(edges map[string][]string) *fakeIndex {
 	for dom, peers := range edges {
 		recs[dht.PresenceKey(dom)] = peers
 	}
-	return &fakeIndex{records: recs, hops: 2}
+	return &fakeIndex{records: recs}
 }
 
 func TestDHTBootstrapWalksPresenceRecords(t *testing.T) {
@@ -46,12 +48,11 @@ func TestDHTBootstrapWalksPresenceRecords(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("discovered %v, want %v", got, want)
 	}
-	lookups, failures, hops := d.Stats()
-	if failures != 0 {
-		t.Fatalf("failures = %d, want 0", failures)
+	if idx.failures != 0 {
+		t.Fatalf("failures = %d, want 0", idx.failures)
 	}
-	if lookups != 4 || hops != 8 {
-		t.Fatalf("lookups/hops = %d/%d, want 4/8", lookups, hops)
+	if idx.lookups != 4 {
+		t.Fatalf("lookups = %d, want 4 (each domain resolved once)", idx.lookups)
 	}
 }
 
@@ -69,8 +70,8 @@ func TestDHTBootstrapDropsUnresolvableNonSeeds(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("discovered %v, want %v", got, want)
 	}
-	if _, failures, _ := d.Stats(); failures != 2 {
-		t.Fatalf("failures = %d, want 2 (ghost + dead seed)", failures)
+	if idx.failures != 2 {
+		t.Fatalf("failures = %d, want 2 (ghost + dead seed)", idx.failures)
 	}
 }
 

@@ -33,31 +33,8 @@ func (d *Discoverer) Discover(ctx context.Context, seeds []string) []string {
 	if workers < 1 {
 		workers = 8
 	}
-	maxHosts := d.MaxHosts
-	if maxHosts <= 0 {
-		maxHosts = 100000
-	}
-
-	seedSet := make(map[string]struct{}, len(seeds))
-	for _, s := range seeds {
-		seedSet[s] = struct{}{}
-	}
-
-	var mu sync.Mutex
-	failed := make(map[string]struct{})
-	known := make(map[string]struct{})
-	frontier := make([]string, 0, len(seeds))
-	for _, s := range seeds {
-		if _, ok := known[s]; !ok && len(known) < maxHosts {
-			known[s] = struct{}{}
-			frontier = append(frontier, s)
-		}
-	}
-
-	for len(frontier) > 0 && ctx.Err() == nil {
-		// Workers only gather this round's peer lists; admission to the
-		// discovered set happens after the round, under a total order.
-		var found []string
+	return discoveryWalk(ctx, seeds, d.MaxHosts, func(ctx context.Context, frontier []string) (found, failed []string) {
+		var mu sync.Mutex
 		forEach(ctx, len(frontier), workers, func(ctx context.Context, i int) error {
 			domain := frontier[i]
 			bp := getBuf()
@@ -72,21 +49,53 @@ func (d *Discoverer) Discover(ctx context.Context, seeds []string) []string {
 			putBuf(bp, body)
 			mu.Lock()
 			if err != nil {
-				failed[domain] = struct{}{}
+				failed = append(failed, domain)
 			} else {
 				found = append(found, peers...)
 			}
 			mu.Unlock()
 			return err
 		})
-		sort.Strings(found)
-		frontier = frontier[:0]
-		for _, p := range found {
-			if _, ok := known[p]; !ok && len(known) < maxHosts {
-				known[p] = struct{}{}
-				frontier = append(frontier, p)
+		return found, failed
+	})
+}
+
+// discoveryWalk is the breadth-first walk behind both discovery sources.
+// Seeds are admitted in the order given; round fetches one frontier's peer
+// lists, from wherever its source keeps them, and names the frontier
+// domains it could not fetch. A round only gathers: admission to the
+// discovered set happens after it, in sorted order, so maxHosts (0 = 100000)
+// cuts the same domains whatever order round worked in. The result is
+// sorted, without the domains whose fetch failed unless they were seeds.
+func discoveryWalk(ctx context.Context, seeds []string, maxHosts int,
+	round func(ctx context.Context, frontier []string) (found, failed []string)) []string {
+	if maxHosts <= 0 {
+		maxHosts = 100000
+	}
+	seedSet := make(map[string]struct{}, len(seeds))
+	for _, s := range seeds {
+		seedSet[s] = struct{}{}
+	}
+	known := make(map[string]struct{})
+	admit := func(frontier, candidates []string) []string {
+		for _, c := range candidates {
+			if _, ok := known[c]; !ok && len(known) < maxHosts {
+				known[c] = struct{}{}
+				frontier = append(frontier, c)
 			}
 		}
+		return frontier
+	}
+
+	failed := make(map[string]struct{})
+	frontier := admit(make([]string, 0, len(seeds)), seeds)
+	for len(frontier) > 0 && ctx.Err() == nil {
+		found, bad := round(ctx, frontier)
+		for _, dom := range bad {
+			failed[dom] = struct{}{}
+		}
+		sort.Strings(found)
+		frontier = admit(frontier[:0], found)
 	}
 
 	out := make([]string, 0, len(known))

@@ -3,8 +3,12 @@ package fleet
 import (
 	"bytes"
 	"context"
+	"errors"
+	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -158,6 +162,59 @@ func TestFleetCancel(t *testing.T) {
 	}
 	if _, err := f.Crawl(ctx, domains); err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
+// cancelAfter cancels a context when the n-th request goes out.
+type cancelAfter struct {
+	inner  http.RoundTripper
+	n      int64
+	calls  atomic.Int64
+	cancel context.CancelFunc
+}
+
+func (c *cancelAfter) RoundTrip(req *http.Request) (*http.Response, error) {
+	if c.calls.Add(1) == c.n {
+		c.cancel()
+	}
+	return c.inner.RoundTrip(req)
+}
+
+// TestFlatCrawlCancelledMidRun: TootCrawler.Crawl used to return the zero
+// InstanceCrawl for every domain it had not reached when ctx was cancelled
+// — no domain, not offline, no error — which Summarize counted as online and
+// Marks checkpointed under the key "". A domain nobody visited must read as
+// offline with ctx's error, and must leave no mark.
+func TestFlatCrawlCancelledMidRun(t *testing.T) {
+	cli, domains := crawlNet(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cli.HTTP = &http.Client{Transport: &cancelAfter{inner: cli.HTTP.Transport, n: 4, cancel: cancel}}
+	tc := &crawler.TootCrawler{Client: cli, Workers: 2, Local: true}
+	crawls := tc.Crawl(ctx, domains)
+
+	unvisited := 0
+	for i, c := range crawls {
+		if c.Domain != domains[i] {
+			t.Errorf("result %d is for domain %q, want %q", i, c.Domain, domains[i])
+		}
+		if c.Pages == 0 && !c.Blocked {
+			if !c.Offline || !errors.Is(c.Err, context.Canceled) {
+				t.Errorf("%s was never harvested and reads as %+v, want offline with ctx's error", c.Domain, c)
+			}
+			unvisited++
+		}
+	}
+	if unvisited == 0 {
+		t.Fatal("the cancellation left no domain unvisited; the test exercises nothing")
+	}
+	if sum := crawler.Summarize(crawls); sum.Online+unvisited > len(domains) {
+		t.Errorf("%d online of %d instances with %d never visited", sum.Online, len(domains), unvisited)
+	}
+	for dom := range Marks(crawls) {
+		if i := slices.Index(domains, dom); i < 0 || crawls[i].Pages == 0 {
+			t.Errorf("mark for %q, which was not harvested", dom)
+		}
 	}
 }
 

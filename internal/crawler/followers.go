@@ -17,9 +17,8 @@ type Edge = dataset.FollowEdge
 // FollowerScraper rebuilds the social graph by paging through the HTML
 // follower lists at https://<domain>/users/<name>/followers (§3).
 type FollowerScraper struct {
-	Client   *Client
-	Workers  int // concurrent accounts (0 = 10)
-	MaxPages int // per-account page cap (0 = unlimited)
+	Client  *Client
+	Workers int // concurrent accounts (0 = 10)
 }
 
 // ParseFollowerPage extracts follower→acct edges from one HTML follower
@@ -54,9 +53,6 @@ func (fs *FollowerScraper) ScrapeAccount(ctx context.Context, acct string) ([]Ed
 	defer func() { putBuf(bp, body) }()
 	page := 1
 	for {
-		if fs.MaxPages > 0 && page > fs.MaxPages {
-			return edges, nil
-		}
 		path := fmt.Sprintf("/users/%s/followers?page=%d", user, page)
 		// The parser never fails on mangled HTML (zero edges is a legal
 		// page), so truncation-in-flight is caught by the structural

@@ -28,9 +28,8 @@ type Monitor struct {
 	Client  *Client
 	Domains []string
 	Workers int
-	// Clock drives the probe cadence and default timestamps (nil = the
-	// system clock). A vclock.Sim turns a multi-week probing campaign into
-	// a wall-clock-free simulation.
+	// Clock supplies the default sample timestamps (nil = the system
+	// clock).
 	Clock vclock.Clock
 	// Now overrides the sample timestamp source (defaults to Clock.Now);
 	// campaign drivers pin it per round so replayed probes carry exact
@@ -87,22 +86,6 @@ func (m *Monitor) PollOnce(ctx context.Context) []Sample {
 		return nil
 	})
 	return samples
-}
-
-// Run polls on the given cadence until ctx is cancelled, sending each round
-// of samples to sink. The first round fires immediately. The cadence runs on
-// the monitor's Clock, so a simulated campaign ticks in virtual time.
-func (m *Monitor) Run(ctx context.Context, interval time.Duration, sink func([]Sample)) {
-	t := vclock.OrSystem(m.Clock).NewTicker(interval)
-	defer t.Stop()
-	for {
-		sink(m.PollOnce(ctx))
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C():
-		}
-	}
 }
 
 // ProbeLog accumulates samples and answers availability questions — the

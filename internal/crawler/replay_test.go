@@ -5,12 +5,10 @@ import (
 	"math"
 	"net/http/httptest"
 	"testing"
-	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/gen"
 	"repro/internal/instance"
-	"repro/internal/vclock"
 )
 
 // The full §4.4 measurement loop: availability is driven by the generated
@@ -38,7 +36,9 @@ func TestMonitorRecoversAvailabilityTraces(t *testing.T) {
 	startSlot := 10 * dataset.SlotsPerDay
 	const rounds = 40
 	for s := 0; s < rounds; s++ {
-		net.ApplyTraceSlot(w, startSlot+s)
+		for i := range w.Instances {
+			net.Server(w.Instances[i].Domain).SetOnline(!w.Traces.Traces[i].IsDown(startSlot + s))
+		}
 		log.Add(mon.PollOnce(context.Background()))
 	}
 
@@ -80,66 +80,4 @@ func TestProbeLogToTraceSetPadding(t *testing.T) {
 	if !ts.Traces[1].IsDown(0) || !ts.Traces[1].IsDown(1) {
 		t.Fatal("b.test bits wrong (missing round must pad as down)")
 	}
-}
-
-func TestMonitorRunVirtualCadence(t *testing.T) {
-	// The probe loop ticks on the injected clock: rounds arrive only when
-	// virtual time crosses a 5-minute boundary, never from wall time.
-	lw := liveFediverse(t)
-	clk := vclock.NewSim(time.Unix(0, 0))
-	mon := &Monitor{Client: lw.cli, Domains: domainsOf(lw.w)[:3], Workers: 2, Clock: clk}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	rounds := make(chan []Sample, 16)
-	go mon.Run(ctx, 5*time.Minute, func(ss []Sample) { rounds <- ss })
-
-	recv := func(what string) []Sample {
-		select {
-		case ss := <-rounds:
-			return ss
-		case <-time.After(5 * time.Second):
-			t.Fatalf("%s never arrived", what)
-			return nil
-		}
-	}
-	first := recv("first round")
-	if len(first) != 3 {
-		t.Fatalf("round size %d", len(first))
-	}
-	if !first[0].At.Equal(time.Unix(0, 0)) {
-		t.Fatalf("first round stamped %v, want virtual epoch", first[0].At)
-	}
-	select {
-	case <-rounds:
-		t.Fatal("second round arrived without virtual time advancing")
-	case <-time.After(10 * time.Millisecond):
-	}
-	clk.Advance(5 * time.Minute)
-	second := recv("second round")
-	if !second[0].At.Equal(time.Unix(0, 0).Add(5 * time.Minute)) {
-		t.Fatalf("second round stamped %v", second[0].At)
-	}
-	cancel()
-}
-
-func TestMonitorRun(t *testing.T) {
-	lw := liveFediverse(t)
-	mon := &Monitor{Client: lw.cli, Domains: domainsOf(lw.w)[:5], Workers: 4}
-	ctx, cancel := context.WithCancel(context.Background())
-	roundCh := make(chan int, 16)
-	go mon.Run(ctx, time.Millisecond, func(ss []Sample) {
-		roundCh <- len(ss)
-	})
-	// At least two rounds arrive, then cancellation stops the loop.
-	for i := 0; i < 2; i++ {
-		select {
-		case n := <-roundCh:
-			if n != 5 {
-				t.Fatalf("round size %d", n)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatal("monitor rounds did not arrive")
-		}
-	}
-	cancel()
 }

@@ -49,7 +49,6 @@ type InstanceCrawl struct {
 type TootCrawler struct {
 	Client   *Client
 	Workers  int  // concurrent instances (0 = 10, matching the paper)
-	PageSize int  // toots per page (0 = 40, Mastodon's cap)
 	MaxToots int  // per-instance harvest cap (0 = unlimited)
 	Local    bool // crawl the local timeline (true) or federated (false)
 	// Since, when set, turns the crawl incremental: a domain with a
@@ -84,10 +83,6 @@ func (tc *TootCrawler) CrawlInstance(ctx context.Context, domain string) Instanc
 // out.Toots and returns the accepted records page by page, newest first.
 func (tc *TootCrawler) harvest(ctx context.Context, out *InstanceCrawl) (pages [][]TootRec) {
 	domain := out.Domain
-	pageSize := tc.PageSize
-	if pageSize <= 0 || pageSize > 40 {
-		pageSize = 40
-	}
 	local := "false"
 	if tc.Local {
 		local = "true"
@@ -101,7 +96,7 @@ func (tc *TootCrawler) harvest(ctx context.Context, out *InstanceCrawl) (pages [
 	var page []wireStatus
 	var maxID int64
 	harvested := 0
-	base := "/api/v1/timelines/public?local=" + local + "&limit=" + strconv.Itoa(pageSize)
+	base := "/api/v1/timelines/public?local=" + local + "&limit=40" // Mastodon's page cap
 	if since > 0 {
 		base += "&since_id=" + strconv.FormatInt(since, 10)
 	}
@@ -268,17 +263,24 @@ func daysIn(month, year int) int {
 	return 31
 }
 
-// Crawl harvests all given domains with the configured worker pool.
+// Crawl harvests all given domains with the configured worker pool. A
+// domain the crawl never reached because ctx was cancelled first is reported
+// Offline with ctx's error, not as an empty harvest of an online instance.
 func (tc *TootCrawler) Crawl(ctx context.Context, domains []string) []InstanceCrawl {
 	workers := tc.Workers
 	if workers < 1 {
 		workers = 10
 	}
 	results := make([]InstanceCrawl, len(domains))
-	forEach(ctx, len(domains), workers, func(ctx context.Context, i int) error {
+	unrun := forEach(ctx, len(domains), workers, func(ctx context.Context, i int) error {
 		results[i] = tc.CrawlInstance(ctx, domains[i])
 		return nil
 	})
+	for i, err := range unrun {
+		if err != nil {
+			results[i] = InstanceCrawl{Domain: domains[i], Offline: true, Err: err}
+		}
+	}
 	return results
 }
 

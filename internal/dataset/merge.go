@@ -302,9 +302,3 @@ func Merge(prev *World, prevNames []string, deltas ...*WindowDelta) (*World, []s
 	w.Seed = prev.Seed
 	return w, names, nil
 }
-
-// Delta is Merge with the receiver as the base world: it folds the given
-// window deltas into w and returns the merged world.
-func (w *World) Delta(names []string, deltas ...*WindowDelta) (*World, []string, error) {
-	return Merge(w, names, deltas...)
-}

@@ -17,9 +17,8 @@
 // ring members, up or down. Marking a node down (SetDown, the §5 failure
 // model) does not move its keyspace — the copies it holds simply become
 // unreachable until it recovers, so Put may name down holders and Get
-// serves from whichever holder is currently up. A graceful Leave, by
-// contrast, removes the node from the ring: its keyspace shifts to the
-// next successor, modelling Chord's transfer-on-leave. The invariant the
+// serves from whichever holder is currently up. Members never leave: a
+// departed instance is a member that stays down. The invariant the
 // property tests pin: a stored key is Get-able iff at least one of its
 // current holders (Holders) is up.
 package dht
@@ -133,26 +132,6 @@ func (r *Ring) joinLocked(name string) bool {
 	return true
 }
 
-// Leave removes a node permanently: its keyspace shifts to the next
-// successor (entries are re-homed implicitly — Chord's transfer-on-leave).
-func (r *Ring) Leave(name string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n, ok := r.byName[name]
-	if !ok {
-		return
-	}
-	delete(r.byName, name)
-	delete(r.down, name)
-	for i, m := range r.nodes {
-		if m == n {
-			r.nodes = append(r.nodes[:i], r.nodes[i+1:]...)
-			break
-		}
-	}
-	r.rebuildFingers()
-}
-
 // SetDown marks a node as failed (true) or recovered (false) without
 // removing it from the ring — the §5 failure model. A down node keeps its
 // keyspace; the index copies it holds are unreachable until recovery.
@@ -184,24 +163,6 @@ func (r *Ring) Size() int {
 	return len(r.nodes)
 }
 
-// Alive returns the number of ring members not marked down.
-func (r *Ring) Alive() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.nodes) - len(r.down)
-}
-
-// Members returns the member names in ring order (ascending id).
-func (r *Ring) Members() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, len(r.nodes))
-	for i, n := range r.nodes {
-		out[i] = n.name
-	}
-	return out
-}
-
 // Keys returns every stored key, sorted — the scenario's sampling frame.
 func (r *Ring) Keys() []string {
 	r.mu.RLock()
@@ -227,7 +188,7 @@ func (r *Ring) successorIndex(h uint64) int {
 }
 
 // rebuildFingers recomputes every node's finger table. O(n · 64 · log n);
-// called eagerly from Join/JoinAll/Leave under the write lock so the read
+// called eagerly from Join/JoinAll under the write lock so the read
 // paths never mutate.
 func (r *Ring) rebuildFingers() {
 	for _, n := range r.nodes {
@@ -243,9 +204,7 @@ func (r *Ring) rebuildFingers() {
 func distance(a, b uint64) uint64 { return b - a } // uint64 wraparound is exactly ring arithmetic
 
 // Lookup routes from an arbitrary start node to the key's successor,
-// returning the owner name and the hop count. It errors on an empty ring —
-// a churn script that drains the ring degrades gracefully instead of
-// crashing the campaign.
+// returning the owner name and the hop count. It errors on an empty ring.
 func (r *Ring) Lookup(key string) (owner string, hops int, err error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()

@@ -1,8 +1,7 @@
 // Package federation implements the subscription protocol between instances
 // — the ActivityPub-style layer (§2) that lets a user on one instance follow
 // a user on another. It defines the wire activities, the per-instance
-// subscription table, and pluggable transports (in-process for simulation,
-// HTTP for served networks).
+// subscription table, and the in-process transport they ride.
 //
 // The protocol is a faithful miniature of the Mastodon/Pleroma flow:
 //
@@ -11,11 +10,7 @@
 //	follower's instance --Undo-->   author's instance   (unsubscribe)
 package federation
 
-import (
-	"fmt"
-
-	"repro/internal/wire"
-)
+import "repro/internal/wire"
 
 // The wire shapes (and their hand-rolled codecs) live in internal/wire so
 // the instance server and the crawler can share them without importing the
@@ -34,19 +29,6 @@ const (
 
 // Actor identifies an account as user@domain.
 type Actor = wire.Actor
-
-// ParseActor parses user@domain.
-func ParseActor(s string) (Actor, error) {
-	for i := 0; i < len(s); i++ {
-		if s[i] == '@' {
-			if i == 0 || i == len(s)-1 {
-				break
-			}
-			return Actor{User: s[:i], Domain: s[i+1:]}, nil
-		}
-	}
-	return Actor{}, fmt.Errorf("federation: malformed actor %q", s)
-}
 
 // Note is the content payload of a Create activity (a toot on the wire).
 type Note = wire.Note

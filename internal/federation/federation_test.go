@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net/http"
-	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
@@ -13,21 +11,10 @@ import (
 	"repro/internal/vclock"
 )
 
-func TestActorParseAndString(t *testing.T) {
-	a, err := ParseActor("alice@example.social")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.User != "alice" || a.Domain != "example.social" {
-		t.Fatalf("parsed %+v", a)
-	}
+func TestActorString(t *testing.T) {
+	a := Actor{User: "alice", Domain: "example.social"}
 	if a.String() != "alice@example.social" {
 		t.Fatalf("String = %q", a.String())
-	}
-	for _, bad := range []string{"", "alice", "@domain", "alice@", "@"} {
-		if _, err := ParseActor(bad); err == nil {
-			t.Fatalf("expected error for %q", bad)
-		}
 	}
 }
 
@@ -120,15 +107,6 @@ func TestSubscriptionsRemoteFollows(t *testing.T) {
 	if peers := s.PeerDomains(); len(peers) != 1 || peers[0] != "far.test" {
 		t.Fatalf("peers = %v", peers)
 	}
-	s.RemoveRemoteFollow(r1)
-	s.RemoveRemoteFollow(r1)
-	s.RemoveRemoteFollow(r2)
-	if n := s.RemoteFollowCount(); n != 0 {
-		t.Fatalf("count after removals = %d", n)
-	}
-	if peers := s.PeerDomains(); len(peers) != 0 {
-		t.Fatalf("peers after removals = %v", peers)
-	}
 }
 
 func TestSubscriptionsConcurrent(t *testing.T) {
@@ -182,7 +160,7 @@ func follow(from, to string) *Activity {
 }
 
 func TestBusDeliver(t *testing.T) {
-	b := NewBus(4)
+	b := NewBus()
 	in := &sink{domain: "x.test"}
 	b.Register(in)
 	if err := b.Deliver(context.Background(), "x.test", follow("y.test", "x.test")); err != nil {
@@ -194,40 +172,13 @@ func TestBusDeliver(t *testing.T) {
 	if err := b.Deliver(context.Background(), "nowhere.test", follow("y", "n")); err == nil {
 		t.Fatal("expected error for unknown inbox")
 	}
-	b.Unregister("x.test")
-	if err := b.Deliver(context.Background(), "x.test", follow("y", "x")); err == nil {
-		t.Fatal("expected error after unregister")
-	}
-}
-
-func TestBusAsync(t *testing.T) {
-	b := NewBus(2)
-	in := &sink{domain: "x.test"}
-	bad := &sink{domain: "bad.test", fail: true}
-	b.Register(in)
-	b.Register(bad)
-	for i := 0; i < 50; i++ {
-		b.DeliverAsync(context.Background(), "x.test", follow("y.test", "x.test"))
-	}
-	b.DeliverAsync(context.Background(), "bad.test", follow("y.test", "bad.test"))
-	b.DeliverAsync(context.Background(), "missing.test", follow("y.test", "missing.test"))
-	b.Wait()
-	in.mu.Lock()
-	n := len(in.got)
-	in.mu.Unlock()
-	if n != 50 {
-		t.Fatalf("delivered %d, want 50", n)
-	}
-	if len(b.Errs()) != 2 {
-		t.Fatalf("errs = %v", b.Errs())
-	}
 }
 
 func TestBusLatencyOnVirtualClock(t *testing.T) {
 	// 200 deliveries at 250ms simulated latency = 50s of virtual delay,
 	// but no real sleeping: wall time stays trivially small.
 	clk := vclock.NewElastic(time.Unix(0, 0))
-	b := NewBus(4)
+	b := NewBus()
 	b.SetLatency(clk, 250*time.Millisecond)
 	in := &sink{domain: "x.test"}
 	b.Register(in)
@@ -247,48 +198,5 @@ func TestBusLatencyOnVirtualClock(t *testing.T) {
 	defer in.mu.Unlock()
 	if len(in.got) != 200 {
 		t.Fatalf("delivered %d", len(in.got))
-	}
-}
-
-func TestHTTPTransport(t *testing.T) {
-	in := &sink{domain: "far.test"}
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != "/inbox" || r.Host != "far.test" {
-			t.Errorf("unexpected request %s host=%s", r.URL.Path, r.Host)
-		}
-		body := make([]byte, r.ContentLength)
-		r.Body.Read(body)
-		a, err := DecodeActivity(body)
-		if err != nil {
-			http.Error(w, err.Error(), 400)
-			return
-		}
-		in.Receive(r.Context(), a)
-		w.WriteHeader(http.StatusAccepted)
-	}))
-	defer srv.Close()
-
-	tr := &HTTPTransport{Resolve: func(string) string { return srv.URL }}
-	if err := tr.Deliver(context.Background(), "far.test", follow("near.test", "far.test")); err != nil {
-		t.Fatal(err)
-	}
-	if len(in.got) != 1 {
-		t.Fatalf("got %d", len(in.got))
-	}
-}
-
-func TestHTTPTransportErrors(t *testing.T) {
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		http.Error(w, "nope", http.StatusBadGateway)
-	}))
-	defer srv.Close()
-	tr := &HTTPTransport{Resolve: func(string) string { return srv.URL }}
-	if err := tr.Deliver(context.Background(), "x.test", follow("a", "x")); err == nil {
-		t.Fatal("expected status error")
-	}
-	// Unreachable endpoint.
-	tr2 := &HTTPTransport{Resolve: func(string) string { return "http://127.0.0.1:1" }}
-	if err := tr2.Deliver(context.Background(), "x.test", follow("a", "x")); err == nil {
-		t.Fatal("expected connection error")
 	}
 }

@@ -60,15 +60,10 @@ func (s *Subscriptions) RemoveSubscriber(localUser, domain string) bool {
 	if len(m) == 0 {
 		delete(s.subscribers, localUser)
 	}
-	s.dropPeer(domain)
-	return true
-}
-
-// dropPeer releases one of the relationships that keep domain a peer.
-func (s *Subscriptions) dropPeer(domain string) {
 	if s.peers[domain]--; s.peers[domain] <= 0 {
 		delete(s.peers, domain)
 	}
+	return true
 }
 
 // SubscriberDomains returns the remote domains following localUser, sorted.
@@ -90,22 +85,6 @@ func (s *Subscriptions) AddRemoteFollow(remote Actor) {
 	defer s.mu.Unlock()
 	s.remoteFollows[remote.String()]++
 	s.peers[remote.Domain]++
-}
-
-// RemoveRemoteFollow drops one local follow of the remote actor and reports
-// whether there was one.
-func (s *Subscriptions) RemoveRemoteFollow(remote Actor) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	key := remote.String()
-	if s.remoteFollows[key] == 0 {
-		return false
-	}
-	if s.remoteFollows[key]--; s.remoteFollows[key] == 0 {
-		delete(s.remoteFollows, key)
-	}
-	s.dropPeer(remote.Domain)
-	return true
 }
 
 // RemoteFollowCount returns the number of live remote-follow relationships.

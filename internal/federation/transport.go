@@ -1,11 +1,8 @@
 package federation
 
 import (
-	"bytes"
 	"context"
 	"fmt"
-	"io"
-	"net/http"
 	"sync"
 	"time"
 
@@ -27,29 +24,19 @@ type Transport interface {
 	Deliver(ctx context.Context, domain string, a *Activity) error
 }
 
-// Bus is an in-process Transport: a registry of inboxes with a bounded
-// worker pool for asynchronous delivery. It backs whole simulated fediverses
-// running inside one process.
+// Bus is an in-process Transport: a registry of inboxes that delivers on the
+// caller's goroutine. It backs whole simulated fediverses running inside one
+// process.
 type Bus struct {
 	mu      sync.RWMutex
 	boxes   map[string]Inbox
 	clk     vclock.Clock
 	latency time.Duration
-	sem     chan struct{}
-	wg      sync.WaitGroup
-	errsMu  sync.Mutex
-	errs    []error
 }
 
-// NewBus returns a Bus allowing at most workers concurrent async deliveries.
-func NewBus(workers int) *Bus {
-	if workers < 1 {
-		workers = 1
-	}
-	return &Bus{
-		boxes: make(map[string]Inbox),
-		sem:   make(chan struct{}, workers),
-	}
+// NewBus returns a Bus with no inboxes.
+func NewBus() *Bus {
+	return &Bus{boxes: make(map[string]Inbox)}
 }
 
 // Register adds an inbox. Re-registering a domain replaces it.
@@ -57,13 +44,6 @@ func (b *Bus) Register(in Inbox) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.boxes[in.Domain()] = in
-}
-
-// Unregister removes a domain (an instance going offline).
-func (b *Bus) Unregister(domain string) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	delete(b.boxes, domain)
 }
 
 // SetLatency makes every delivery take d on the given clock (nil clk = the
@@ -84,7 +64,7 @@ func (b *Bus) Deliver(ctx context.Context, domain string, a *Activity) error {
 	b.mu.RUnlock()
 	if !ok {
 		// Fail fast: no point paying the network delay on a delivery that
-		// can never succeed (and no point holding an async worker slot).
+		// can never succeed.
 		return fmt.Errorf("federation: no inbox for %s", domain)
 	}
 	if latency > 0 {
@@ -93,73 +73,4 @@ func (b *Bus) Deliver(ctx context.Context, domain string, a *Activity) error {
 		}
 	}
 	return in.Receive(ctx, a)
-}
-
-// DeliverAsync queues a delivery on the worker pool. Errors are collected
-// and retrievable via Errs after Wait.
-func (b *Bus) DeliverAsync(ctx context.Context, domain string, a *Activity) {
-	b.wg.Add(1)
-	b.sem <- struct{}{}
-	go func() {
-		defer func() {
-			<-b.sem
-			b.wg.Done()
-		}()
-		if err := b.Deliver(ctx, domain, a); err != nil {
-			b.errsMu.Lock()
-			b.errs = append(b.errs, err)
-			b.errsMu.Unlock()
-		}
-	}()
-}
-
-// Wait blocks until all queued async deliveries complete.
-func (b *Bus) Wait() { b.wg.Wait() }
-
-// Errs returns delivery errors accumulated so far.
-func (b *Bus) Errs() []error {
-	b.errsMu.Lock()
-	defer b.errsMu.Unlock()
-	return append([]error(nil), b.errs...)
-}
-
-// HTTPTransport delivers activities by POSTing JSON to
-// http://<resolved>/inbox with the Host header set to the target domain.
-// Resolve maps a domain to a base URL ("http://127.0.0.1:4040"); when nil,
-// the domain itself is used ("http://<domain>").
-type HTTPTransport struct {
-	Client  *http.Client
-	Resolve func(domain string) string
-}
-
-// Deliver implements Transport.
-func (t *HTTPTransport) Deliver(ctx context.Context, domain string, a *Activity) error {
-	body, err := a.Encode()
-	if err != nil {
-		return err
-	}
-	base := "http://" + domain
-	if t.Resolve != nil {
-		base = t.Resolve(domain)
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/inbox", bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	req.Host = domain
-	req.Header.Set("Content-Type", "application/activity+json")
-	client := t.Client
-	if client == nil {
-		client = http.DefaultClient
-	}
-	resp, err := client.Do(req)
-	if err != nil {
-		return fmt.Errorf("federation: deliver to %s: %w", domain, err)
-	}
-	defer resp.Body.Close()
-	io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-	if resp.StatusCode/100 != 2 {
-		return fmt.Errorf("federation: deliver to %s: status %d", domain, resp.StatusCode)
-	}
-	return nil
 }

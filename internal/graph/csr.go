@@ -73,15 +73,6 @@ func (c *CSR) OutDegrees() []float64 {
 	return ds
 }
 
-// InDegrees returns every node's in-degree as float64s.
-func (c *CSR) InDegrees() []float64 {
-	ds := make([]float64, c.n)
-	for v := 0; v < c.n; v++ {
-		ds[v] = float64(c.inOff[v+1] - c.inOff[v])
-	}
-	return ds
-}
-
 // WCCResult summarises the weakly-connected-component structure of a graph
 // restricted to its alive nodes.
 type WCCResult struct {

@@ -45,14 +45,14 @@ func TestCSRFreezePreservesStructure(t *testing.T) {
 		if c.NumNodes() != n || c.NumEdges() != m {
 			return false
 		}
-		outDegs, inDegs := c.OutDegrees(), c.InDegrees()
+		outDegs := c.OutDegrees()
 		for v := int32(0); int(v) < n; v++ {
 			if !slices.Equal(c.Out(v), out[v]) || !slices.Equal(c.In(v), in[v]) ||
 				!slices.Equal(c.Und(v), append(slices.Clone(out[v]), in[v]...)) {
 				return false
 			}
 			if c.OutDegree(v) != len(out[v]) || c.InDegree(v) != len(in[v]) || c.Degree(v) != len(out[v])+len(in[v]) ||
-				outDegs[v] != float64(len(out[v])) || inDegs[v] != float64(len(in[v])) {
+				outDegs[v] != float64(len(out[v])) {
 				return false
 			}
 		}

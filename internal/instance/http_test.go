@@ -255,7 +255,7 @@ func TestHTTPNotFound(t *testing.T) {
 }
 
 func TestNetworkHostRouting(t *testing.T) {
-	n := NewNetwork(4)
+	n := NewNetwork()
 	a := n.Add(Config{Domain: "a.test", Open: true})
 	n.Add(Config{Domain: "b.test", Open: true})
 	a.CreateAccount("alice", false, false, t0)
@@ -294,7 +294,7 @@ func TestNetworkHostRouting(t *testing.T) {
 func TestLoadWorldPeersEndpoint(t *testing.T) {
 	// LoadWorld is exercised end-to-end in internal/crawler's integration
 	// tests; here just check the peers endpoint shape on a hand-built net.
-	n := NewNetwork(4)
+	n := NewNetwork()
 	a := n.Add(Config{Domain: "a.test", Open: true})
 	b := n.Add(Config{Domain: "b.test", Open: true})
 	a.CreateAccount("alice", false, false, t0)

@@ -69,8 +69,7 @@ type Server struct {
 	nextID   int64
 	statuses int64 // total statuses ever authored locally (incl. private)
 	boosts   int64
-	logins   map[string]time.Time // last login per account
-	blocked  map[string]bool      // defederated domains (§7)
+	blocked  map[string]bool // defederated domains (§7)
 
 	transport federation.Transport
 
@@ -97,7 +96,6 @@ func NewServer(cfg Config, t federation.Transport) *Server {
 		subs:      federation.NewSubscriptions(),
 		online:    true,
 		accounts:  make(map[string]*Account),
-		logins:    make(map[string]time.Time),
 		blocked:   make(map[string]bool),
 		transport: t,
 	}
@@ -130,9 +128,6 @@ func (s *Server) Domain() string { return s.cfg.Domain }
 // payload of the presence record an instance publishes to the DHT
 // directory.
 func (s *Server) PeerDomains() []string { return s.subs.PeerDomains() }
-
-// Config returns a copy of the server's configuration.
-func (s *Server) Config() Config { return s.cfg }
 
 // SetOnline flips the instance's availability (outage simulation).
 func (s *Server) SetOnline(v bool) {
@@ -171,43 +166,6 @@ func (s *Server) Account(name string) *Account {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.accounts[name]
-}
-
-// AccountNames returns all local account names, sorted.
-func (s *Server) AccountNames() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	names := make([]string, 0, len(s.accounts))
-	for n := range s.accounts {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// RecordLogin marks a login (drives the activity-level statistics).
-func (s *Server) RecordLogin(name string, at time.Time) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.accounts[name]; ok {
-		s.logins[name] = at
-	}
-}
-
-// ActiveSince returns the fraction of accounts that logged in at or after t.
-func (s *Server) ActiveSince(t time.Time) float64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if len(s.accounts) == 0 {
-		return 0
-	}
-	n := 0
-	for _, at := range s.logins {
-		if !at.Before(t) {
-			n++
-		}
-	}
-	return float64(n) / float64(len(s.accounts))
 }
 
 // PostToot publishes a toot by the named local account and pushes it to all
@@ -496,19 +454,4 @@ func (s *Server) FollowerCount(name string) int {
 		return len(a.followers)
 	}
 	return 0
-}
-
-// FederatedShare reports how many toots on the federated timeline are
-// home-made vs remote (Fig 14's raw signal).
-func (s *Server) FederatedShare() (home, remote int) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	for _, ri := range s.store.federated {
-		if s.store.rows[ri].flags&tootRemote != 0 {
-			remote++
-		} else {
-			home++
-		}
-	}
-	return home, remote
 }

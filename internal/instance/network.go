@@ -28,17 +28,16 @@ type Network struct {
 	domains []string
 }
 
-// NewNetwork returns an empty network with the given federation worker pool
-// on the system clock.
-func NewNetwork(workers int) *Network {
-	return NewNetworkClock(workers, nil)
+// NewNetwork returns an empty network on the system clock.
+func NewNetwork() *Network {
+	return NewNetworkClock(nil)
 }
 
 // NewNetworkClock is NewNetwork with an injectable clock (nil = the system
 // clock), shared with the federation bus.
-func NewNetworkClock(workers int, clk vclock.Clock) *Network {
+func NewNetworkClock(clk vclock.Clock) *Network {
 	return &Network{
-		Bus:     federation.NewBus(workers),
+		Bus:     federation.NewBus(),
 		clk:     vclock.OrSystem(clk),
 		servers: make(map[string]*Server),
 	}
@@ -90,21 +89,6 @@ func (n *Network) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.ServeHTTP(w, r)
 }
 
-// ApplyTraceSlot drives every server's availability from the world's probe
-// traces at the given 5-minute slot: servers whose trace is down at that
-// slot return 503s, exactly what the mnm.social prober observed. Instances
-// and traces are matched by position, so the network must have been built
-// from the same world.
-func (n *Network) ApplyTraceSlot(w *dataset.World, slot int) {
-	for i := range w.Instances {
-		srv := n.Server(w.Instances[i].Domain)
-		if srv == nil {
-			continue
-		}
-		srv.SetOnline(!w.Traces.Traces[i].IsDown(slot))
-	}
-}
-
 // LoadOptions controls how a dataset.World is replayed into live servers.
 type LoadOptions struct {
 	// MaxTootsPerUser caps how many toot objects are materialised per user
@@ -137,7 +121,7 @@ func LoadWorld(ctx context.Context, w *dataset.World, opts LoadOptions) (*Networ
 	if opts.Now.IsZero() {
 		opts.Now = dataset.Day(w.Days)
 	}
-	n := NewNetworkClock(64, opts.Clock)
+	n := NewNetworkClock(opts.Clock)
 	if opts.FederationLatency > 0 {
 		n.Bus.SetLatency(opts.Clock, opts.FederationLatency)
 	}

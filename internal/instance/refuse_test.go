@@ -35,7 +35,7 @@ func rawGet(t *testing.T, addr, host, path string) string {
 // socket, byte for byte, to what http.Error and http.NotFound put there
 // before refuse replaced them: status line, header set and order, body.
 func TestRefusalWireBytes(t *testing.T) {
-	n := NewNetwork(4)
+	n := NewNetwork()
 	n.Add(Config{Domain: "up.test", Open: true})
 	n.Add(Config{Domain: "blocked.test", Open: true, BlocksCrawl: true})
 	n.Add(Config{Domain: "down.test", Open: true}).SetOnline(false)

@@ -1,8 +1,10 @@
 package instance
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -17,8 +19,16 @@ import (
 // toots through a 32-slot federated ring, so trimming has run.
 func populatedServer(tb testing.TB) *Server {
 	tb.Helper()
+	s := NewServer(populatedConfig, nil)
+	populate(tb, s)
+	return s
+}
+
+var populatedConfig = Config{Domain: "x.test", Open: true, MaxFederated: 32}
+
+func populate(tb testing.TB, s *Server) {
+	tb.Helper()
 	ctx := context.Background()
-	s := NewServer(Config{Domain: "x.test", Open: true, MaxFederated: 32}, nil)
 	for _, name := range []string{"alice", "bob", "priv"} {
 		if _, err := s.CreateAccount(name, name == "priv", true, t0); err != nil {
 			tb.Fatal(err)
@@ -43,7 +53,6 @@ func populatedServer(tb testing.TB) *Server {
 			tb.Fatal(err)
 		}
 	}
-	return s
 }
 
 // FuzzServeGET: whatever path, query and If-None-Match a client sends, an
@@ -78,6 +87,110 @@ func FuzzServeGET(f *testing.F) {
 		}
 		if rec.Code == http.StatusNotModified && inm == "" {
 			t.Fatalf("GET %q ? %q: 304 to a request without If-None-Match", path, query)
+		}
+	})
+}
+
+// FuzzInboxPOST: whatever Host, method and body reach /inbox through the
+// network's Host routing, nothing panics and the status is one the handlers
+// document (502 is Network.ServeHTTP's answer to an unknown Host). A 202
+// means that what the handler read of the body — its first MiB — decodes to
+// a valid activity from a domain that is not blocked, and after a 202 no
+// page is staler than its tag: every page equals its re-render with the
+// whole cache invalidated.
+func FuzzInboxPOST(f *testing.F) {
+	from := federation.Actor{User: "u1", Domain: "far-00.test"}
+	alice := federation.Actor{User: "alice", Domain: "x.test"}
+	note := &federation.Note{ID: "far-00.test/900", Author: from, Content: "hi", Hashtags: []string{"a", "b"}, CreatedAt: t0}
+	encode := func(a *federation.Activity) []byte {
+		b, err := a.Encode()
+		if err != nil {
+			f.Fatal(err)
+		}
+		return b
+	}
+	for _, a := range []*federation.Activity{
+		{Type: federation.TypeCreate, From: from, Note: note},
+		{Type: federation.TypeFollow, From: from, Target: alice},
+		{Type: federation.TypeUndo, From: from, Target: alice},
+	} {
+		body := encode(a)
+		f.Add("x.test", http.MethodPost, body)
+		for i, c := range body { // cut at every field boundary
+			if c == ',' || c == '{' || c == '}' {
+				f.Add("x.test", http.MethodPost, body[:i])
+			}
+		}
+	}
+	follow := encode(&federation.Activity{Type: federation.TypeFollow, From: from, Target: alice})
+	f.Add("x.test", http.MethodPost, []byte(`{"type":"Like","from":{"user":"u1","domain":"far-00.test"}}`))
+	f.Add("x.test", http.MethodPost, append(follow, bytes.Repeat([]byte(" "), 1<<20+1-len(follow))...)) // valid within the MiB read
+	big := encode(&federation.Activity{Type: federation.TypeCreate, From: from,
+		Note: &federation.Note{ID: "far-00.test/901", Author: from, Content: strings.Repeat("a", 1<<20)}})
+	f.Add("x.test", http.MethodPost, big[:1<<20+1]) // cut by the read limit
+	f.Add("x.test", http.MethodPost, encode(&federation.Activity{Type: federation.TypeCreate,
+		From: federation.Actor{User: "u2", Domain: "blocked.test"}, Note: note}))
+	f.Add("nowhere.test", http.MethodPost, follow)
+	f.Add("down.test", http.MethodPost, follow)
+	f.Add("x.test:8080", http.MethodGet, follow)
+
+	pages := []string{"/api/v1/timelines/public?limit=40", "/api/v1/timelines/public?local=true",
+		"/users/alice/followers", "/users/alice/followers?page=2", "/api/v1/instance", "/api/v1/instance/peers"}
+	f.Fuzz(func(t *testing.T, host, method string, body []byte) {
+		n := NewNetwork()
+		s := n.Add(populatedConfig)
+		populate(t, s)
+		s.BlockDomain("blocked.test", true)
+		n.Add(Config{Domain: "down.test"}).SetOnline(false)
+		render := func() []string {
+			out := make([]string, len(pages))
+			for i, p := range pages {
+				rec := httptest.NewRecorder()
+				req := httptest.NewRequest(http.MethodGet, p, nil)
+				req.Host = "x.test"
+				n.ServeHTTP(rec, req)
+				out[i] = rec.Body.String()
+			}
+			return out
+		}
+		render() // every page is cached before the write arrives
+
+		rec := httptest.NewRecorder()
+		n.ServeHTTP(rec, &http.Request{
+			Method: method,
+			URL:    &url.URL{Path: "/inbox"},
+			Host:   host,
+			Header: http.Header{},
+			Body:   io.NopCloser(bytes.NewReader(body)),
+		})
+		switch rec.Code {
+		case http.StatusAccepted:
+			a, err := federation.DecodeActivity(body[:min(len(body), 1<<20)])
+			if err != nil {
+				t.Fatalf("202 for a body that does not decode to a valid activity: %v", err)
+			}
+			if a.From.Domain == "blocked.test" {
+				t.Fatal("202 for an activity from a blocked domain")
+			}
+			cached := render()
+			s.pages.invalidate(kindMeta, kindLocal, kindFederated, kindFollowers)
+			for i, fresh := range render() {
+				if cached[i] != fresh {
+					t.Fatalf("after a %s, GET %s served a page older than the write (%d bytes, re-rendered %d)",
+						a.Type, pages[i], len(cached[i]), len(fresh))
+				}
+			}
+		case http.StatusBadRequest, http.StatusUnprocessableEntity:
+		case http.StatusMethodNotAllowed:
+			if method == http.MethodPost {
+				t.Fatal("405 to a POST")
+			}
+		case http.StatusBadGateway, http.StatusServiceUnavailable:
+			if host == "x.test" {
+				t.Fatalf("status %d from an online, hosted instance", rec.Code)
+			}
+		default:
+			t.Fatalf("%s /inbox on %q: status %d", method, host, rec.Code)
 		}
 	})
 }

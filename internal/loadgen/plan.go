@@ -44,37 +44,15 @@ type Config struct {
 	// Count, when positive, fixes the exact number of requests instead of
 	// deriving it from Rate·Duration (tests want exact counts).
 	Count int
-
-	// Endpoint mix, as relative weights (zero values take the defaults
-	// 60% timeline / 20% instance API / 10% peers / 10% followers when
-	// all four are zero).
-	TimelineWeight  float64
-	InstanceWeight  float64
-	PeersWeight     float64
-	FollowersWeight float64
-
-	// DeepPageShare is the fraction of timeline requests that page past
-	// the head with max_id (default 0.2).
-	DeepPageShare float64
-	// TimelineLimit is the page size requested (default 20, capped at 40
-	// server-side like Mastodon).
-	TimelineLimit int
-}
-
-func (c Config) weights() (tl, in, pe, fo float64) {
-	tl, in, pe, fo = c.TimelineWeight, c.InstanceWeight, c.PeersWeight, c.FollowersWeight
-	if tl == 0 && in == 0 && pe == 0 && fo == 0 {
-		return 0.6, 0.2, 0.1, 0.1
-	}
-	return tl, in, pe, fo
 }
 
 // BuildPlan samples a request plan from the world. Domains are drawn with
 // probability proportional to their registered-user count — the world's
 // Zipf-Mandelbrot size law — so the big-instance hot path dominates, and
 // follower-page targets within an instance are rank-skewed the same way.
-// Instances that refuse timeline crawling still receive non-timeline
-// traffic. The plan is sorted by arrival time (Poisson arrivals are
+// The endpoint mix is 60% timeline / 20% instance API / 10% peers / 10%
+// followers; instances that refuse timeline crawling still receive
+// non-timeline traffic. The plan is sorted by arrival time (Poisson arrivals are
 // generated in order, so this is a no-op sort kept as a guarantee).
 func BuildPlan(w *dataset.World, cfg Config) ([]Request, error) {
 	if cfg.Rate <= 0 {
@@ -106,16 +84,9 @@ func BuildPlan(w *dataset.World, cfg Config) ([]Request, error) {
 	}
 
 	r := rand.New(rand.NewSource(int64(cfg.Seed)))
-	tlW, inW, peW, foW := cfg.weights()
+	// Variables, not constants: the thresholds below are float64 sums.
+	tlW, inW, peW, foW := 0.6, 0.2, 0.1, 0.1
 	mixTotal := tlW + inW + peW + foW
-	deep := cfg.DeepPageShare
-	if deep == 0 {
-		deep = 0.2
-	}
-	limit := cfg.TimelineLimit
-	if limit <= 0 {
-		limit = 20
-	}
 
 	var plan []Request
 	if cfg.Count > 0 {
@@ -147,7 +118,7 @@ func BuildPlan(w *dataset.World, cfg Config) ([]Request, error) {
 		var path string
 		switch pick := r.Float64() * mixTotal; {
 		case pick < tlW:
-			path = timelinePath(r, deep, limit)
+			path = timelinePath(r)
 		case pick < tlW+inW:
 			path = "/api/v1/instance"
 		case pick < tlW+inW+peW:
@@ -163,14 +134,14 @@ func BuildPlan(w *dataset.World, cfg Config) ([]Request, error) {
 
 // timelinePath builds one public-timeline request: mostly the head page
 // (what every client and crawler hits first), a deep page with max_id for
-// the paging share, local vs federated split 50/50.
-func timelinePath(r *rand.Rand, deep float64, limit int) string {
+// a fifth of them, local vs federated split 50/50.
+func timelinePath(r *rand.Rand) string {
 	local := r.Intn(2) == 0
 	maxID := int64(0)
-	if r.Float64() < deep {
+	if r.Float64() < 0.2 {
 		maxID = 1 + r.Int63n(200)
 	}
-	path := fmt.Sprintf("/api/v1/timelines/public?limit=%d", limit)
+	path := "/api/v1/timelines/public?limit=20"
 	if local {
 		path += "&local=true"
 	}

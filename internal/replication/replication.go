@@ -315,9 +315,6 @@ func (exp *Experiment) followerInsts(u int32) []int32 {
 	return exp.folInst[exp.folOff[u]:exp.folOff[u+1]]
 }
 
-// TotalToots returns the toot mass of the world.
-func (exp *Experiment) TotalToots() float64 { return exp.totalToots }
-
 // ReplicaStats summarises the subscription-replication placement: the
 // paper observes 9.7% of toots with no replica and 23% with more than ten.
 func (exp *Experiment) ReplicaStats() (noReplicaTootFrac, over10TootFrac float64) {

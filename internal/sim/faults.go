@@ -48,9 +48,6 @@ const (
 	faultKinds // count sentinel
 )
 
-// NumFaultKinds is the number of real fault kinds (FaultNone excluded).
-const NumFaultKinds = int(faultKinds) - 1
-
 var faultKindNames = [faultKinds]string{
 	"none", "hang", "reset", "truncate", "corrupt", "5xx", "429", "flap",
 }
@@ -85,9 +82,6 @@ func (f Fault) Persistent() bool { return f.Hits <= 0 }
 
 // Covers reports whether the fault is active at slot.
 func (f Fault) Covers(slot int) bool { return slot >= f.Start && slot < f.End }
-
-// Slots returns the fault length in slots.
-func (f Fault) Slots() int { return f.End - f.Start }
 
 // FaultSet is a fault schedule over an instance population: Faults[i]
 // scripts instance i, sorted by Start (then End, then Kind). It is the
@@ -187,9 +181,6 @@ type FaultConfig struct {
 	Hits int
 	// Kinds is the episode kind population drawn from (empty = all seven).
 	Kinds []FaultKind
-	// RetryAfterMax bounds the Retry-After seconds drawn for 429 episodes
-	// (0 = 8).
-	RetryAfterMax int
 	// WindowStart/WindowEnd bound the slots an episode may cover, clamped
 	// to [0, Slots). WindowEnd 0 means Slots.
 	WindowStart, WindowEnd int
@@ -242,10 +233,6 @@ func GenFaultSchedule(n int, cfg FaultConfig) *FaultSet {
 		if k <= FaultNone || k >= faultKinds {
 			panic("sim: GenFaultSchedule: invalid fault kind in Kinds")
 		}
-	}
-	raMax := cfg.RetryAfterMax
-	if raMax <= 0 {
-		raMax = 8
 	}
 	lo, hi := cfg.WindowStart, cfg.WindowEnd
 	if lo < 0 {
@@ -301,7 +288,7 @@ func GenFaultSchedule(n int, cfg FaultConfig) *FaultSet {
 			}
 			start := lo + r.IntN(window-dur+1)
 			kind := kinds[r.IntN(len(kinds))]
-			ra := 1 + r.IntN(raMax)
+			ra := 1 + r.IntN(8) // Retry-After seconds of a 429 episode
 			fl = append(fl, Fault{
 				Kind:       kind,
 				Start:      start,

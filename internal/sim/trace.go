@@ -182,19 +182,6 @@ func (t *Trace) next(i, to int, down bool) int {
 	return min(w<<6+bits.TrailingZeros64(word), to)
 }
 
-// And returns a new trace that is down only where both t and o are down.
-// Both traces must have the same length.
-func (t *Trace) And(o *Trace) *Trace {
-	if t.n != o.n {
-		panic("sim: And on traces of different lengths")
-	}
-	r := NewTrace(t.n)
-	for i := range t.words {
-		r.words[i] = t.words[i] & o.words[i]
-	}
-	return r
-}
-
 // MarshalBinary encodes the trace (length + packed words).
 func (t *Trace) MarshalBinary() ([]byte, error) {
 	return t.AppendBinary(make([]byte, 0, t.EncodedSize())), nil

@@ -107,23 +107,6 @@ func TestOutages(t *testing.T) {
 	}
 }
 
-func TestAnd(t *testing.T) {
-	a := NewTrace(64)
-	b := NewTrace(64)
-	a.SetDownRange(0, 10)
-	b.SetDownRange(5, 15)
-	c := a.And(b)
-	if got := c.CountDown(0, 64); got != 5 {
-		t.Fatalf("And count = %d, want 5", got)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on length mismatch")
-		}
-	}()
-	a.And(NewTrace(10))
-}
-
 func TestTraceRoundTrip(t *testing.T) {
 	tr := NewTrace(130)
 	tr.SetDown(0)

@@ -34,23 +34,9 @@ func (ts *TraceSet) Slots() int {
 	return ts.Traces[0].N()
 }
 
-// Days returns the number of probed days.
-func (ts *TraceSet) Days() int {
-	if ts.SlotsPerDay == 0 {
-		return 0
-	}
-	return ts.Slots() / ts.SlotsPerDay
-}
-
 // DaySlots returns the slot window [from, to) covering day d.
 func (ts *TraceSet) DaySlots(d int) (from, to int) {
 	return d * ts.SlotsPerDay, (d + 1) * ts.SlotsPerDay
-}
-
-// DowntimeFraction returns instance i's down fraction over the window
-// [fromSlot, toSlot).
-func (ts *TraceSet) DowntimeFraction(i int32, fromSlot, toSlot int) float64 {
-	return ts.Traces[i].DownFraction(fromSlot, toSlot)
 }
 
 // DailyDowntime returns instance i's per-day downtime fractions (Fig 8's
@@ -62,11 +48,6 @@ func (ts *TraceSet) DailyDowntime(i int32, fromDay, toDay int) []float64 {
 		out = append(out, ts.Traces[i].DownFraction(lo, hi))
 	}
 	return out
-}
-
-// OutagesOf returns instance i's maximal outages within [fromSlot, toSlot).
-func (ts *TraceSet) OutagesOf(i int32, fromSlot, toSlot int) []Outage {
-	return ts.Traces[i].Outages(fromSlot, toSlot)
 }
 
 // Window returns a new trace set covering slots [from, to) of every trace —

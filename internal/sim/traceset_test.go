@@ -13,16 +13,16 @@ func newTestSet() *TraceSet {
 
 func TestTraceSetGeometry(t *testing.T) {
 	ts := newTestSet()
-	if ts.Len() != 3 || ts.Slots() != 20 || ts.Days() != 2 {
-		t.Fatalf("geometry: len=%d slots=%d days=%d", ts.Len(), ts.Slots(), ts.Days())
+	if ts.Len() != 3 || ts.Slots() != 20 {
+		t.Fatalf("geometry: len=%d slots=%d", ts.Len(), ts.Slots())
 	}
 	lo, hi := ts.DaySlots(1)
 	if lo != 10 || hi != 20 {
 		t.Fatalf("DaySlots(1) = %d,%d", lo, hi)
 	}
 	empty := &TraceSet{}
-	if empty.Slots() != 0 || empty.Days() != 0 {
-		t.Fatal("empty set should have zero slots/days")
+	if empty.Slots() != 0 {
+		t.Fatal("empty set should have zero slots")
 	}
 }
 
@@ -35,17 +35,6 @@ func TestDailyDowntime(t *testing.T) {
 	d = ts.DailyDowntime(2, 0, 2)
 	if d[0] != 0 || d[1] != 1 {
 		t.Fatalf("daily = %v", d)
-	}
-}
-
-func TestDowntimeFractionAndOutagesOf(t *testing.T) {
-	ts := newTestSet()
-	if f := ts.DowntimeFraction(1, 0, 20); f != 0.25 {
-		t.Fatalf("fraction = %g", f)
-	}
-	outs := ts.OutagesOf(1, 0, 20)
-	if len(outs) != 1 || outs[0] != (Outage{3, 8}) {
-		t.Fatalf("outages = %v", outs)
 	}
 }
 

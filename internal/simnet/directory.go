@@ -32,7 +32,7 @@ import (
 // chatter never competes with Follow/Create deliveries.
 type Directory struct {
 	// Ring is the underlying Chord-style index (exported for metrics:
-	// RouteStats, Keys, Alive).
+	// RouteStats, Keys).
 	Ring *dht.Ring
 
 	net *instance.Network
@@ -41,7 +41,7 @@ type Directory struct {
 	mu              sync.Mutex
 	members         map[string]bool
 	publishes       int // individual holder deliveries attempted
-	publishFailures int // deliveries refused (holder down or gone)
+	publishFailures int // deliveries refused (holder down)
 }
 
 // DirectoryOptions configures NewDirectory.
@@ -67,7 +67,7 @@ func NewDirectory(net *instance.Network, opts DirectoryOptions) *Directory {
 	d := &Directory{
 		Ring:    dht.NewRing(opts.Replication),
 		net:     net,
-		bus:     federation.NewBus(8),
+		bus:     federation.NewBus(),
 		members: make(map[string]bool),
 	}
 	if opts.Latency > 0 {
@@ -112,16 +112,6 @@ func (d *Directory) Register(domain string) {
 	}
 	d.Ring.Join(domain)
 	d.bus.Register(&dirNode{domain: domain, net: d.net})
-}
-
-// Remove takes a domain out of the ring permanently (a graceful leave: its
-// keyspace shifts to the next successor).
-func (d *Directory) Remove(domain string) {
-	d.mu.Lock()
-	delete(d.members, domain)
-	d.mu.Unlock()
-	d.Ring.Leave(domain)
-	d.bus.Unregister(domain)
 }
 
 // Members returns the current ring membership, sorted.

@@ -32,7 +32,7 @@ import (
 func exchangeFixture(t testing.TB) http.Handler {
 	t.Helper()
 	ctx := context.Background()
-	net := instance.NewNetwork(4)
+	net := instance.NewNetwork()
 	up := net.Add(instance.Config{Domain: "up.test", Open: true})
 	if _, err := up.CreateAccount("alice", false, false, dataset.Day(0)); err != nil {
 		t.Fatal(err)

@@ -37,8 +37,7 @@ type FaultTransport struct {
 	index  map[string]int // domain -> schedule row
 	slotFn func() int     // current campaign slot (nil or -1 = no faults)
 	hits   map[faultKey]int
-	flap   map[faultKey]int           // per-(instance,slot,class) flap parity
-	counts [sim.NumFaultKinds + 1]int // injected faults by kind (diagnostics)
+	flap   map[faultKey]int // per-(instance,slot,class) flap parity
 }
 
 // faultKey scopes hit counting: one budget per instance, slot and endpoint
@@ -97,21 +96,6 @@ func (t *FaultTransport) SetSlotSource(fn func() int) {
 	t.mu.Unlock()
 }
 
-// Injected returns how many faults of each kind have been injected. The
-// counters depend on request interleaving (a retried request re-draws), so
-// they are diagnostics — never scenario-report material.
-func (t *FaultTransport) Injected() map[string]int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make(map[string]int)
-	for k, n := range t.counts {
-		if n > 0 {
-			out[sim.FaultKind(k).String()] = n
-		}
-	}
-	return out
-}
-
 // pick decides, under the lock, whether this request is bitten and by what.
 func (t *FaultTransport) pick(host, path string) (sim.Fault, bool) {
 	t.mu.Lock()
@@ -150,7 +134,6 @@ func (t *FaultTransport) pick(host, path string) (sim.Fault, bool) {
 		}
 		t.hits[key]++
 	}
-	t.counts[f.Kind]++
 	return f, true
 }
 

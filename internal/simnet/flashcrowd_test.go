@@ -34,7 +34,7 @@ func TestFlashCrowdFairness(t *testing.T) {
 		rate    = 20.0
 		burst   = 4.0
 	)
-	net := instance.NewNetwork(4)
+	net := instance.NewNetwork()
 	net.Add(instance.Config{Domain: "hot.sim", Open: true})
 	clk := vclock.NewSim(dataset.Day(0))
 	cli := &crawler.Client{
@@ -133,7 +133,7 @@ func (c *recordingClock) Sleep(ctx context.Context, d time.Duration) error {
 // instance must back off in strictly doubling virtual waits, request after
 // request, with no real sleeping.
 func TestFlashCrowdBackoffMonotone(t *testing.T) {
-	net := instance.NewNetwork(4)
+	net := instance.NewNetwork()
 	srv := net.Add(instance.Config{Domain: "hot.sim"})
 	srv.SetOnline(false)
 	rec := &recordingClock{Clock: vclock.NewElastic(dataset.Day(0))}

@@ -1,8 +1,6 @@
 package simnet
 
 import (
-	"sort"
-
 	"repro/internal/instance"
 	"repro/internal/sim"
 )
@@ -58,9 +56,6 @@ func (inj *Injector) SetOverlay(ts *sim.TraceSet) {
 	inj.overlay = ts
 }
 
-// Overlay returns the installed overlay (nil if none).
-func (inj *Injector) Overlay() *sim.TraceSet { return inj.overlay }
-
 // Kill takes the domain's server offline immediately and permanently: every
 // later Apply keeps it down no matter what the traces (or overlay) say.
 // Domains outside the injector's trace population — instances registered
@@ -74,16 +69,6 @@ func (inj *Injector) Kill(domain string) {
 
 // Killed reports whether domain has been killed.
 func (inj *Injector) Killed(domain string) bool { return inj.killed[domain] }
-
-// KilledDomains returns the killed domains, sorted.
-func (inj *Injector) KilledDomains() []string {
-	out := make([]string, 0, len(inj.killed))
-	for d := range inj.killed {
-		out = append(out, d)
-	}
-	sort.Strings(out)
-	return out
-}
 
 // Apply drives every server's availability from its trace at slot: down iff
 // the base trace, the overlay, or a kill says so. Slots outside the trace

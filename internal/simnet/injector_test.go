@@ -3,7 +3,6 @@ package simnet
 import (
 	"io"
 	"net/http"
-	"reflect"
 	"testing"
 
 	"repro/internal/dataset"
@@ -14,7 +13,7 @@ import (
 
 func injectorFixture(t *testing.T, n, slots int) (*instance.Network, []string, *sim.TraceSet) {
 	t.Helper()
-	net := instance.NewNetwork(1)
+	net := instance.NewNetwork()
 	domains := make([]string, n)
 	for i := range domains {
 		domains[i] = "inj" + string(rune('a'+i)) + ".test"
@@ -109,8 +108,8 @@ func TestInjectorKillUntracedDomain(t *testing.T) {
 	if late.Online() {
 		t.Fatal("Apply resurrected an untraced killed server")
 	}
-	if got := inj.KilledDomains(); !reflect.DeepEqual(got, []string{"late.test"}) {
-		t.Fatalf("KilledDomains = %v", got)
+	if !inj.Killed("late.test") {
+		t.Fatal("untraced kill not recorded")
 	}
 }
 

@@ -35,14 +35,3 @@ func ByName(name string, seed uint64) (*Scenario, error) {
 	}
 	return b(seed), nil
 }
-
-// All builds every registered scenario with its default seed, in name
-// order.
-func All() []*Scenario {
-	out := make([]*Scenario, 0, len(builders))
-	for _, n := range Names() {
-		sc, _ := ByName(n, 0)
-		out = append(out, sc)
-	}
-	return out
-}

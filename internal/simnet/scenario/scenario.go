@@ -116,9 +116,6 @@ type Run struct {
 // Domains returns the current probe population, in probe order.
 func (r *Run) Domains() []string { return append([]string(nil), r.domains...) }
 
-// Rounds returns the number of probe rounds completed so far.
-func (r *Run) Rounds() int { return r.rounds }
-
 // slotTime pins an absolute probe slot to its calendar time.
 func slotTime(slot int) time.Time {
 	return dataset.Day(0).Add(time.Duration(slot) * simnet.SlotDuration)

@@ -205,9 +205,6 @@ func TestScenarioRegistry(t *testing.T) {
 	if _, err := ByName("no-such-scenario", 0); err == nil {
 		t.Fatal("unknown scenario did not error")
 	}
-	if got := len(All()); got != len(names) {
-		t.Fatalf("All() built %d scenarios", got)
-	}
 }
 
 // TestScenarioEventValidation: events outside the campaign window are

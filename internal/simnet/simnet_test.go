@@ -12,7 +12,7 @@ import (
 )
 
 func TestMemoryTransportRoutesByHost(t *testing.T) {
-	net := instance.NewNetwork(4)
+	net := instance.NewNetwork()
 	net.Add(instance.Config{Domain: "a.test"})
 	cli := &http.Client{Transport: &MemoryTransport{Handler: net}}
 
@@ -36,7 +36,7 @@ func TestMemoryTransportRoutesByHost(t *testing.T) {
 }
 
 func TestInjectorRepliesTraceBits(t *testing.T) {
-	net := instance.NewNetwork(4)
+	net := instance.NewNetwork()
 	a := net.Add(instance.Config{Domain: "a.test"})
 	b := net.Add(instance.Config{Domain: "b.test"})
 	ts := sim.NewTraceSet(2, 1, 288)
@@ -67,7 +67,7 @@ func TestInjectorMismatchPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewInjector(instance.NewNetwork(1), []string{"a"}, sim.NewTraceSet(2, 1, 288))
+	NewInjector(instance.NewNetwork(), []string{"a"}, sim.NewTraceSet(2, 1, 288))
 }
 
 func TestHarnessServesWorld(t *testing.T) {

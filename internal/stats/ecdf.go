@@ -55,55 +55,10 @@ func (e *ECDF) Max() float64 {
 	return e.sorted[len(e.sorted)-1]
 }
 
-// Point is a single (X, F) coordinate on a CDF curve, with F in [0, 1].
-type Point struct {
-	X float64
-	F float64
-}
-
-// Points returns n evenly spaced CDF points suitable for plotting, stepping
-// through the quantiles from 0 to 1 inclusive. n must be ≥ 2.
-func (e *ECDF) Points(n int) []Point {
-	if n < 2 {
-		panic("stats: ECDF.Points needs n >= 2")
-	}
-	pts := make([]Point, n)
-	for i := 0; i < n; i++ {
-		q := float64(i) / float64(n-1)
-		pts[i] = Point{X: e.Quantile(q), F: q}
-	}
-	return pts
-}
-
 // String summarises the distribution for debugging.
 func (e *ECDF) String() string {
 	return fmt.Sprintf("ECDF(n=%d min=%g p50=%g p90=%g max=%g)",
 		e.Len(), e.Min(), e.Quantile(0.5), e.Quantile(0.9), e.Max())
-}
-
-// Histogram counts samples into equal-width bins over [lo, hi). Values
-// outside the range are clamped into the first/last bin. It returns the
-// counts and the bin width. bins must be ≥ 1.
-func Histogram(xs []float64, lo, hi float64, bins int) (counts []int, width float64) {
-	if bins < 1 {
-		panic("stats: Histogram needs bins >= 1")
-	}
-	if hi <= lo {
-		panic("stats: Histogram needs hi > lo")
-	}
-	counts = make([]int, bins)
-	width = (hi - lo) / float64(bins)
-	for _, x := range xs {
-		i := int((x - lo) / width)
-		if i < 0 {
-			i = 0
-		}
-		if i >= bins {
-			i = bins - 1
-		}
-		counts[i]++
-	}
-	return counts, width
 }
 
 // Box summarises a sample for a box-and-whisker plot.

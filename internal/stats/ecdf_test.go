@@ -34,68 +34,10 @@ func TestECDFEmpty(t *testing.T) {
 	}
 }
 
-func TestECDFPoints(t *testing.T) {
-	e := NewECDF([]float64{10, 20, 30, 40, 50})
-	pts := e.Points(5)
-	if len(pts) != 5 {
-		t.Fatalf("len = %d", len(pts))
-	}
-	if pts[0].X != 10 || pts[0].F != 0 {
-		t.Fatalf("first point %+v", pts[0])
-	}
-	if pts[4].X != 50 || pts[4].F != 1 {
-		t.Fatalf("last point %+v", pts[4])
-	}
-	for i := 1; i < len(pts); i++ {
-		if pts[i].X < pts[i-1].X || pts[i].F < pts[i-1].F {
-			t.Fatalf("points not monotone at %d: %+v %+v", i, pts[i-1], pts[i])
-		}
-	}
-}
-
-func TestECDFPointsPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for n < 2")
-		}
-	}()
-	NewECDF([]float64{1}).Points(1)
-}
-
 func TestECDFString(t *testing.T) {
 	s := NewECDF([]float64{1, 2, 3}).String()
 	if s == "" {
 		t.Fatal("empty String()")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	counts, width := Histogram([]float64{0, 1, 2, 3, 9.9, -5, 100}, 0, 10, 5)
-	if width != 2 {
-		t.Fatalf("width = %g, want 2", width)
-	}
-	// -5 clamps to bin 0; 100 clamps to bin 4.
-	want := []int{3, 2, 0, 0, 2}
-	for i := range want {
-		if counts[i] != want[i] {
-			t.Fatalf("counts = %v, want %v", counts, want)
-		}
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	for _, tc := range []struct {
-		lo, hi float64
-		bins   int
-	}{{0, 10, 0}, {5, 5, 3}, {10, 0, 3}} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("expected panic for lo=%g hi=%g bins=%d", tc.lo, tc.hi, tc.bins)
-				}
-			}()
-			Histogram(nil, tc.lo, tc.hi, tc.bins)
-		}()
 	}
 }
 
@@ -148,26 +90,6 @@ func TestECDFAtMaxProperty(t *testing.T) {
 		}
 		e := NewECDF(xs)
 		return math.Abs(e.At(e.Max())-1) < 1e-12
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: histogram counts always sum to the number of samples.
-func TestHistogramTotalProperty(t *testing.T) {
-	f := func(raw []int8, binsRaw uint8) bool {
-		bins := int(binsRaw%16) + 1
-		xs := make([]float64, len(raw))
-		for i, v := range raw {
-			xs[i] = float64(v)
-		}
-		counts, _ := Histogram(xs, -128, 128, bins)
-		total := 0
-		for _, c := range counts {
-			total += c
-		}
-		return total == len(xs)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)

@@ -20,7 +20,6 @@ type LatencyHistogram struct {
 	counts [latencyBuckets]uint64
 	count  uint64
 	sum    int64
-	min    int64
 	max    int64
 }
 
@@ -68,9 +67,6 @@ func (h *LatencyHistogram) RecordN(d time.Duration, n uint64) {
 		v = 0
 	}
 	h.counts[latencyBucket(v)] += n
-	if h.count == 0 || v < h.min {
-		h.min = v
-	}
 	if v > h.max {
 		h.max = v
 	}
@@ -86,9 +82,6 @@ func (h *LatencyHistogram) Merge(other *LatencyHistogram) {
 	for i, c := range other.counts {
 		h.counts[i] += c
 	}
-	if h.count == 0 || other.min < h.min {
-		h.min = other.min
-	}
 	if other.max > h.max {
 		h.max = other.max
 	}
@@ -98,14 +91,6 @@ func (h *LatencyHistogram) Merge(other *LatencyHistogram) {
 
 // Count returns the number of recorded observations.
 func (h *LatencyHistogram) Count() uint64 { return h.count }
-
-// Min returns the smallest recorded value (0 when empty).
-func (h *LatencyHistogram) Min() time.Duration {
-	if h.count == 0 {
-		return 0
-	}
-	return time.Duration(h.min)
-}
 
 // Max returns the largest recorded value (0 when empty).
 func (h *LatencyHistogram) Max() time.Duration { return time.Duration(h.max) }
@@ -120,7 +105,7 @@ func (h *LatencyHistogram) Mean() time.Duration {
 
 // Quantile returns the q-quantile (0 ≤ q ≤ 1) as the upper bound of the
 // bucket holding the ceil(q·count)-th smallest observation, clamped to the
-// recorded min/max so exact extremes survive bucketing. Returns 0 when
+// recorded max so the exact extreme survives bucketing. Returns 0 when
 // empty; panics if q is outside [0, 1].
 func (h *LatencyHistogram) Quantile(q float64) time.Duration {
 	if q < 0 || q > 1 {
@@ -141,9 +126,6 @@ func (h *LatencyHistogram) Quantile(q float64) time.Duration {
 		seen += c
 		if seen >= rank {
 			v := latencyBucketHigh(i)
-			if v < h.min {
-				v = h.min
-			}
 			if v > h.max {
 				v = h.max
 			}

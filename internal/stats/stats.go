@@ -1,18 +1,14 @@
 // Package stats provides the descriptive-statistics substrate used by every
-// analysis in the reproduction: empirical CDFs, quantiles, histograms,
-// box-plot summaries, correlation, and concentration measures (top-k shares,
-// Gini). All functions are deterministic and allocation-conscious; inputs are
+// analysis in the reproduction: empirical CDFs, quantiles, latency
+// histograms, box-plot summaries, correlation, and top-k concentration
+// shares. All functions are deterministic and allocation-conscious; inputs are
 // never mutated unless the function name says so (e.g. SortInPlace).
 package stats
 
 import (
-	"errors"
 	"math"
 	"sort"
 )
-
-// ErrEmpty is returned by functions that cannot operate on empty input.
-var ErrEmpty = errors.New("stats: empty input")
 
 // Mean returns the arithmetic mean of xs, or 0 for empty input.
 func Mean(xs []float64) float64 {
@@ -34,23 +30,6 @@ func Sum(xs []float64) float64 {
 	}
 	return s
 }
-
-// Variance returns the population variance of xs, or 0 if len(xs) < 2.
-func Variance(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var s float64
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return s / float64(len(xs))
-}
-
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
 // Median returns the median of xs, or 0 for empty input.
 func Median(xs []float64) float64 { return Quantile(xs, 0.5) }
@@ -108,27 +87,6 @@ func Pearson(xs, ys []float64) float64 {
 		return 0
 	}
 	return sxy / math.Sqrt(sxx*syy)
-}
-
-// Gini returns the Gini coefficient of the non-negative values xs, a measure
-// of concentration in [0, 1) where 0 is perfect equality. Returns 0 for
-// fewer than two values or a zero total.
-func Gini(xs []float64) float64 {
-	n := len(xs)
-	if n < 2 {
-		return 0
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	var cum, total float64
-	for i, x := range s {
-		cum += x * float64(i+1)
-		total += x
-	}
-	if total == 0 {
-		return 0
-	}
-	return (2*cum)/(float64(n)*total) - float64(n+1)/float64(n)
 }
 
 // TopShare returns the fraction of the total of xs held by the largest

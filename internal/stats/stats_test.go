@@ -38,14 +38,6 @@ func TestSum(t *testing.T) {
 	almost(t, Sum([]float64{1, 2, 3.5}), 6.5, 1e-12)
 }
 
-func TestVarianceAndStdDev(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	almost(t, Variance(xs), 4, 1e-12)
-	almost(t, StdDev(xs), 2, 1e-12)
-	almost(t, Variance([]float64{1}), 0, 0)
-	almost(t, Variance(nil), 0, 0)
-}
-
 func TestQuantile(t *testing.T) {
 	xs := []float64{3, 1, 2, 4, 5} // unsorted on purpose
 	tests := []struct {
@@ -106,17 +98,6 @@ func TestPearsonUncorrelated(t *testing.T) {
 	}
 }
 
-func TestGini(t *testing.T) {
-	// Perfect equality.
-	almost(t, Gini([]float64{5, 5, 5, 5}), 0, 1e-12)
-	// Total concentration approaches (n-1)/n.
-	g := Gini([]float64{0, 0, 0, 100})
-	almost(t, g, 0.75, 1e-12)
-	// Degenerate inputs.
-	almost(t, Gini([]float64{1}), 0, 0)
-	almost(t, Gini([]float64{0, 0}), 0, 0)
-}
-
 func TestTopShare(t *testing.T) {
 	xs := []float64{1, 1, 1, 1, 1, 1, 1, 1, 1, 91}
 	almost(t, TopShare(xs, 0.10), 0.91, 1e-12)
@@ -168,27 +149,6 @@ func TestPearsonBoundsProperty(t *testing.T) {
 		}
 		c1, c2 := Pearson(xs, ys), Pearson(ys, xs)
 		return c1 >= -1-1e-9 && c1 <= 1+1e-9 && math.Abs(c1-c2) < 1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: Gini in [0, 1) and scale-invariant.
-func TestGiniProperties(t *testing.T) {
-	f := func(raw []uint16) bool {
-		if len(raw) < 2 {
-			return true
-		}
-		xs := make([]float64, len(raw))
-		scaled := make([]float64, len(raw))
-		for i, v := range raw {
-			xs[i] = float64(v)
-			scaled[i] = float64(v) * 7.5
-		}
-		g := Gini(xs)
-		gs := Gini(scaled)
-		return g >= 0 && g < 1 && math.Abs(g-gs) < 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

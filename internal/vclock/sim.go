@@ -47,7 +47,7 @@ type waiter struct {
 	at  time.Time
 	seq uint64
 	// fire is invoked with s.mu held when virtual time reaches at.
-	fire func(now time.Time)
+	fire func()
 }
 
 type waiterHeap []*waiter
@@ -88,7 +88,7 @@ func (s *Sim) SetElastic(v bool) {
 // the witness that backoff/limiter paths really ran through virtual time.
 func (s *Sim) SleepCount() int64 { return s.sleeps.Load() }
 
-// WaiterCount reports how many sleepers/tickers are currently scheduled.
+// WaiterCount reports how many sleepers are currently scheduled.
 func (s *Sim) WaiterCount() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -96,7 +96,7 @@ func (s *Sim) WaiterCount() int {
 }
 
 // push registers a waiter; s.mu must be held.
-func (s *Sim) pushLocked(at time.Time, fire func(time.Time)) *waiter {
+func (s *Sim) pushLocked(at time.Time, fire func()) *waiter {
 	s.seq++
 	w := &waiter{at: at, seq: s.seq, fire: fire}
 	heap.Push(&s.waiters, w)
@@ -104,22 +104,21 @@ func (s *Sim) pushLocked(at time.Time, fire func(time.Time)) *waiter {
 }
 
 // advanceLocked moves virtual time to target, firing due waiters in
-// deterministic order. Waiters pushed by fire callbacks (ticker reschedules)
-// participate. Time never moves backwards: target <= now is a no-op.
+// deterministic order. Time never moves backwards: target <= now is a no-op.
 func (s *Sim) advanceLocked(target time.Time) {
 	for len(s.waiters) > 0 && !s.waiters[0].at.After(target) {
 		w := heap.Pop(&s.waiters).(*waiter)
 		if w.at.After(s.now) {
 			s.now = w.at
 		}
-		w.fire(s.now)
+		w.fire()
 	}
 	if target.After(s.now) {
 		s.now = target
 	}
 }
 
-// Advance moves virtual time forward by d, waking every sleeper and ticker
+// Advance moves virtual time forward by d, waking every sleeper
 // whose deadline falls inside the window.
 func (s *Sim) Advance(d time.Duration) {
 	s.mu.Lock()
@@ -166,7 +165,7 @@ func (s *Sim) Sleep(ctx context.Context, d time.Duration) error {
 		return nil
 	}
 	ch := make(chan struct{})
-	w := s.pushLocked(s.now.Add(d), func(time.Time) { close(ch) })
+	w := s.pushLocked(s.now.Add(d), func() { close(ch) })
 	s.mu.Unlock()
 
 	select {
@@ -185,64 +184,10 @@ func (s *Sim) Sleep(ctx context.Context, d time.Duration) error {
 func (s *Sim) remove(w *waiter) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.removeLocked(w)
-}
-
-// removeLocked deletes a waiter if it is still scheduled; s.mu must be held.
-func (s *Sim) removeLocked(w *waiter) {
 	for i, cand := range s.waiters {
 		if cand == w {
 			heap.Remove(&s.waiters, i)
 			return
 		}
-	}
-}
-
-// NewTicker implements Clock. Sim tickers deliver on the exact virtual
-// cadence; like time.Ticker, ticks are dropped when the receiver lags.
-func (s *Sim) NewTicker(d time.Duration) Ticker {
-	if d <= 0 {
-		panic("vclock: non-positive ticker interval")
-	}
-	t := &simTicker{s: s, d: d, ch: make(chan time.Time, 1)}
-	s.mu.Lock()
-	t.schedule(s.now.Add(d))
-	s.mu.Unlock()
-	return t
-}
-
-type simTicker struct {
-	s  *Sim
-	d  time.Duration
-	ch chan time.Time
-
-	// guarded by s.mu
-	stopped bool
-	w       *waiter
-}
-
-// schedule arms the next tick; s.mu must be held.
-func (t *simTicker) schedule(at time.Time) {
-	t.w = t.s.pushLocked(at, func(now time.Time) {
-		if t.stopped {
-			return
-		}
-		select {
-		case t.ch <- now:
-		default: // receiver lagging: drop the tick
-		}
-		t.schedule(at.Add(t.d))
-	})
-}
-
-func (t *simTicker) C() <-chan time.Time { return t.ch }
-
-func (t *simTicker) Stop() {
-	t.s.mu.Lock()
-	defer t.s.mu.Unlock()
-	t.stopped = true
-	if t.w != nil {
-		t.s.removeLocked(t.w)
-		t.w = nil
 	}
 }

@@ -1,7 +1,7 @@
 // Package vclock abstracts time for every time-dependent seam of the
-// reproduction: crawler retry backoff, per-host rate limiting, monitor probe
-// cadence and federation delivery latency. Production code takes a Clock and
-// never touches the time package directly for sleeping or ticking; tests and
+// reproduction: crawler retry backoff, per-host rate limiting, probe timestamps
+// and federation delivery latency. Production code takes a Clock and
+// never touches the time package directly for sleeping; tests and
 // the simnet harness inject a Sim clock so a multi-week measurement campaign
 // runs in milliseconds of wall time with zero real sleeps.
 package vclock
@@ -19,17 +19,6 @@ type Clock interface {
 	// returning ctx.Err() in the latter case. Non-positive d returns
 	// immediately (after a cancellation check).
 	Sleep(ctx context.Context, d time.Duration) error
-	// NewTicker returns a ticker that delivers ticks every d on this clock.
-	NewTicker(d time.Duration) Ticker
-}
-
-// Ticker is the clock-agnostic subset of time.Ticker.
-type Ticker interface {
-	// C returns the tick channel. Like time.Ticker, slow receivers drop
-	// ticks rather than accumulate them.
-	C() <-chan time.Time
-	// Stop ends the ticker. It does not close the channel.
-	Stop()
 }
 
 // System returns the real clock backed by the time package.
@@ -64,12 +53,3 @@ func (systemClock) Sleep(ctx context.Context, d time.Duration) error {
 		return nil
 	}
 }
-
-func (systemClock) NewTicker(d time.Duration) Ticker {
-	return systemTicker{time.NewTicker(d)}
-}
-
-type systemTicker struct{ t *time.Ticker }
-
-func (s systemTicker) C() <-chan time.Time { return s.t.C }
-func (s systemTicker) Stop()               { s.t.Stop() }

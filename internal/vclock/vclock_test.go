@@ -141,39 +141,6 @@ func TestSimElasticSleepAdvancesTime(t *testing.T) {
 	}
 }
 
-func TestSimTicker(t *testing.T) {
-	s := NewSim(epoch)
-	tk := s.NewTicker(5 * time.Minute)
-	defer tk.Stop()
-	s.Advance(5 * time.Minute)
-	select {
-	case at := <-tk.C():
-		if !at.Equal(epoch.Add(5 * time.Minute)) {
-			t.Fatalf("tick at %v", at)
-		}
-	default:
-		t.Fatal("no tick after one interval")
-	}
-	// Two intervals with a lagging receiver: one tick is dropped, the
-	// cadence continues.
-	s.Advance(10 * time.Minute)
-	select {
-	case <-tk.C():
-	default:
-		t.Fatal("no tick after lag")
-	}
-	tk.Stop()
-	s.Advance(time.Hour)
-	select {
-	case <-tk.C():
-		t.Fatal("tick after Stop")
-	default:
-	}
-	if s.WaiterCount() != 0 {
-		t.Fatal("stopped ticker still scheduled")
-	}
-}
-
 func TestSimDeterministicFireOrder(t *testing.T) {
 	// Waiters at the same instant fire in registration order.
 	s := NewSim(epoch)
@@ -181,7 +148,7 @@ func TestSimDeterministicFireOrder(t *testing.T) {
 	s.mu.Lock()
 	for i := 0; i < 5; i++ {
 		i := i
-		s.pushLocked(epoch.Add(time.Minute), func(time.Time) { order = append(order, i) })
+		s.pushLocked(epoch.Add(time.Minute), func() { order = append(order, i) })
 	}
 	s.mu.Unlock()
 	s.Advance(time.Minute)
@@ -210,13 +177,6 @@ func TestSystemClock(t *testing.T) {
 	cancel()
 	if err := c.Sleep(ctx, time.Hour); err != context.Canceled {
 		t.Fatalf("err = %v", err)
-	}
-	tk := c.NewTicker(time.Millisecond)
-	defer tk.Stop()
-	select {
-	case <-tk.C():
-	case <-time.After(5 * time.Second):
-		t.Fatal("system ticker never ticked")
 	}
 	if OrSystem(nil) == nil || OrSystem(c) != c {
 		t.Fatal("OrSystem wrong")
