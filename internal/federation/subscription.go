@@ -14,10 +14,9 @@ type Subscriptions struct {
 	// subscribers[localUser] = set of remote domains that must receive the
 	// user's toots (because somebody there follows the user).
 	subscribers map[string]map[string]int
-	// remoteFollows[localUser@] counts local follows of remote accounts,
-	// keyed by remote actor string; used for the instance-API subscription
-	// count and the federated-timeline bootstrap.
-	remoteFollows map[string]int
+	// remoteFollows counts local follows of remote accounts — the
+	// instance API's subscription count.
+	remoteFollows int
 	// peers = distinct remote domains this instance exchanges with.
 	peers map[string]int
 }
@@ -25,10 +24,18 @@ type Subscriptions struct {
 // NewSubscriptions returns an empty table.
 func NewSubscriptions() *Subscriptions {
 	return &Subscriptions{
-		subscribers:   make(map[string]map[string]int),
-		remoteFollows: make(map[string]int),
-		peers:         make(map[string]int),
+		subscribers: make(map[string]map[string]int),
+		peers:       make(map[string]int),
 	}
+}
+
+// RestoreSubscriptions returns the table a sequence of AddSubscriber and
+// AddRemoteFollow calls would have built: subscribers[localUser][domain]
+// counts that domain's follows of the user, peers[domain] counts the
+// relationships held with the domain in either direction, remoteFollows the
+// local follows of remote accounts. The table takes ownership of the maps.
+func RestoreSubscriptions(subscribers map[string]map[string]int, peers map[string]int, remoteFollows int) *Subscriptions {
+	return &Subscriptions{subscribers: subscribers, peers: peers, remoteFollows: remoteFollows}
 }
 
 // AddSubscriber registers that domain must receive localUser's toots.
@@ -83,7 +90,7 @@ func (s *Subscriptions) SubscriberDomains(localUser string) []string {
 func (s *Subscriptions) AddRemoteFollow(remote Actor) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.remoteFollows[remote.String()]++
+	s.remoteFollows++
 	s.peers[remote.Domain]++
 }
 
@@ -91,11 +98,7 @@ func (s *Subscriptions) AddRemoteFollow(remote Actor) {
 func (s *Subscriptions) RemoteFollowCount() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	n := 0
-	for _, c := range s.remoteFollows {
-		n += c
-	}
-	return n
+	return s.remoteFollows
 }
 
 // PeerCount returns the number of distinct remote domains this instance

@@ -153,12 +153,16 @@ func (s *Server) CreateAccount(name string, private, invited bool, at time.Time)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, ok := s.accounts[name]; ok {
-		return nil, fmt.Errorf("instance %s: account %q exists", s.cfg.Domain, name)
+		return nil, errAccountExists(s.cfg.Domain, name)
 	}
 	a := &Account{Name: name, CreatedAt: at, Private: private}
 	s.accounts[name] = a
 	s.pages.invalidate(kindMeta)
 	return a, nil
+}
+
+func errAccountExists(domain, name string) error {
+	return fmt.Errorf("instance %s: account %q exists", domain, name)
 }
 
 // Account returns the named local account, or nil.

@@ -75,6 +75,11 @@ func (st *tootStore) text(s string) span {
 	return span{off: off, n: uint32(len(s))}
 }
 
+// since returns the span of everything appended to the arena from off on.
+func (st *tootStore) since(off int) span {
+	return span{off: uint32(off), n: uint32(len(st.arena) - off)}
+}
+
 func (st *tootStore) packTags(tags []string) span {
 	if len(tags) == 0 {
 		return span{}
@@ -109,24 +114,31 @@ func (st *tootStore) unpackTags(s span) []string {
 // add appends the resting row for a toot and returns its row index. A toot
 // with an empty noteID gets the derived local id (tootSynthNote).
 func (st *tootStore) add(id int64, at time.Time, author federation.Actor, content, noteID, boostOf string, tags []string, remote bool) uint32 {
+	return st.addRow(id, at.UnixNano(), st.intern(author),
+		st.text(content), st.text(noteID), st.text(boostOf), st.packTags(tags), remote)
+}
+
+// addRow is add for a caller that has already interned the author and put
+// the text in the arena (content, note id, boost id, tags, in that order):
+// the one place a tootRow is written.
+func (st *tootStore) addRow(id, unixNano int64, author uint32, content, noteID, boostOf, tags span, remote bool) uint32 {
 	var flags uint8
 	if remote {
 		flags |= tootRemote
 	}
-	if noteID == "" {
+	if noteID.n == 0 {
 		flags |= tootSynthNote
 	}
-	row := tootRow{
+	st.rows = append(st.rows, tootRow{
 		id:       id,
-		unixNano: at.UnixNano(),
-		author:   st.intern(author),
+		unixNano: unixNano,
+		author:   author,
 		flags:    flags,
-		content:  st.text(content),
-		noteID:   st.text(noteID),
-		boostOf:  st.text(boostOf),
-		tags:     st.packTags(tags),
-	}
-	st.rows = append(st.rows, row)
+		content:  content,
+		noteID:   noteID,
+		boostOf:  boostOf,
+		tags:     tags,
+	})
 	return uint32(len(st.rows) - 1)
 }
 
@@ -155,7 +167,9 @@ func (st *tootStore) get(ri uint32, domain string) Toot {
 // appendFederated adds a row to the federated timeline, trimming it to max
 // entries like Mastodon's timeline trimming. Remote rows trimmed off the
 // front become dead (local rows stay referenced by the local timeline);
-// once dead rows outnumber live ones the store compacts.
+// once dead rows outnumber live ones the store compacts. The trim reslices:
+// the entries are copied only when append outgrows what is left of the
+// backing array, so a delivery to a full timeline costs O(1) amortised.
 func (st *tootStore) appendFederated(ri uint32, max int) {
 	st.federated = append(st.federated, ri)
 	over := len(st.federated) - max
@@ -167,7 +181,7 @@ func (st *tootStore) appendFederated(ri uint32, max int) {
 			st.dead++
 		}
 	}
-	st.federated = append([]uint32(nil), st.federated[over:]...)
+	st.federated = st.federated[over:]
 	if st.dead > len(st.rows)-st.dead {
 		st.compact()
 	}

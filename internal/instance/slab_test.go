@@ -3,6 +3,7 @@ package instance
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -122,5 +123,44 @@ func TestSlabMaterialisesAllFields(t *testing.T) {
 	}
 	if fed[0].BoostOf != posted.NoteID {
 		t.Fatalf("boost row BoostOf = %q, want %q", fed[0].BoostOf, posted.NoteID)
+	}
+}
+
+// A delivery to an instance whose federated timeline is full costs what one
+// to an empty instance does: trimming reslices, it does not copy the index.
+// (Copying it was 256 KB and 100+ µs per delivery at the default cap.)
+func TestReceivePastCapAllocatesConstant(t *testing.T) {
+	const window = 20_000
+	s := NewServer(Config{Domain: "a.test", Open: true}, nil)
+	for i := 0; i < defaultMaxFederated; i++ {
+		deliverRemote(t, s, i)
+	}
+	far := federation.Actor{User: "u", Domain: "far.test"}
+	acts := make([]federation.Activity, window)
+	for i := range acts {
+		acts[i] = federation.Activity{Type: federation.TypeCreate, From: far, Note: &federation.Note{
+			ID: fmt.Sprintf("far.test/%d", defaultMaxFederated+i), Author: far, Content: "one more", CreatedAt: time.Unix(int64(i), 0),
+		}}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range acts {
+		if err := s.Receive(context.Background(), &acts[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perDelivery := (after.TotalAlloc - before.TotalAlloc) / window
+	t.Logf("%d bytes allocated per delivery past the cap", perDelivery)
+	if perDelivery > 2048 {
+		t.Fatalf("%d bytes allocated per delivery past the cap, want a small constant (≤ 2048)", perDelivery)
+	}
+	if got := len(s.PublicTimeline(TimelineFederated, 0, 40)); got != 40 {
+		t.Fatalf("federated head page has %d toots", got)
+	}
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if len(s.store.federated) != defaultMaxFederated {
+		t.Fatalf("federated timeline holds %d entries, want %d", len(s.store.federated), defaultMaxFederated)
 	}
 }
