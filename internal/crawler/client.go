@@ -289,17 +289,19 @@ func RequestDeadline(ctx context.Context) time.Duration {
 
 func (c *Client) getOnce(ctx context.Context, domain, path string, buf []byte) ([]byte, error) {
 	buf = buf[:0]
-	base := "http://" + domain
-	if c.Resolve != nil {
-		base = c.Resolve(domain)
-	}
 	if c.RequestTimeout > 0 {
 		ctx = context.WithValue(ctx, deadlineKey{}, c.RequestTimeout)
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, c.RequestTimeout)
 		defer cancel()
 	}
-	req, err := newGet(ctx, base, path)
+	var req *http.Request
+	var err error
+	if c.Resolve != nil {
+		req, err = newGet(ctx, c.Resolve(domain), path)
+	} else {
+		req, err = newGetHost(ctx, domain, path)
+	}
 	if err != nil {
 		return buf, err
 	}
@@ -324,13 +326,21 @@ func (c *Client) getOnce(ctx context.Context, domain, path string, buf []byte) (
 }
 
 // newGet returns the request http.NewRequestWithContext(ctx, GET,
-// base+path, nil) returns. When base+path is a plain URL the parse is
-// skipped: the parts are already in hand, and url.Parse of the
-// concatenation would only cut them apart again.
+// base+path, nil) returns.
 func newGet(ctx context.Context, base, path string) (*http.Request, error) {
-	host, p, query, ok := plainURL(base, path)
+	if host, ok := strings.CutPrefix(base, "http://"); ok {
+		return newGetHost(ctx, host, path)
+	}
+	return http.NewRequestWithContext(ctx, http.MethodGet, base+path, nil)
+}
+
+// newGetHost is newGet for the base "http://" + host. When that and path
+// make a plain URL the parse is skipped: the parts are already in hand, and
+// url.Parse of the concatenation would only cut them apart again.
+func newGetHost(ctx context.Context, host, path string) (*http.Request, error) {
+	p, query, ok := plainURL(host, path)
 	if !ok {
-		return http.NewRequestWithContext(ctx, http.MethodGet, base+path, nil)
+		return http.NewRequestWithContext(ctx, http.MethodGet, "http://"+host+path, nil)
 	}
 	// The empty URL parses to a zero url.URL, which is then filled in.
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, "", nil)
@@ -342,49 +352,53 @@ func newGet(ctx context.Context, base, path string) (*http.Request, error) {
 	return req, nil
 }
 
-// plainURL splits base+path into the Host, Path and RawQuery url.Parse
-// would report, for the URLs it can vouch for without parsing: base is
-// "http://" + a host of letters, digits, '.' and '-' with an optional
-// ":port" of digits; path starts with '/' and is made of unreserved
-// characters and '/'; the query, if a '?' is present, is non-empty and made
-// of unreserved characters, '=' and '&'. url.Parse carries every such byte
-// through unchanged and sets no other field. Anything else — escapes, '#',
-// a trailing or second '?', userinfo, IPv6 literals, an empty port, https —
-// is not plain.
-func plainURL(base, path string) (host, p, query string, ok bool) {
-	host, ok = strings.CutPrefix(base, "http://")
-	if !ok || path == "" || path[0] != '/' {
-		return "", "", "", false
-	}
-	name, port, hasPort := strings.Cut(host, ":")
-	if hasPort && port == "" {
-		return "", "", "", false
-	}
-	for i := 0; i < len(name); i++ {
-		if c := name[i]; !isAlnum(c) && c != '.' && c != '-' {
-			return "", "", "", false
-		}
-	}
-	for i := 0; i < len(port); i++ {
-		if c := port[i]; c < '0' || c > '9' {
-			return "", "", "", false
-		}
+// plainURL splits "http://"+host+path into the Path and RawQuery url.Parse
+// would report beside that Host, for the URLs it can vouch for without
+// parsing: host is plain (plainHost); path starts with '/' and is made of
+// unreserved characters and '/'; the query, if a '?' is present, is
+// non-empty and made of unreserved characters, '=' and '&'. url.Parse
+// carries every such byte through unchanged and sets no other field.
+// Anything else — escapes, '#', a trailing or second '?', userinfo, IPv6
+// literals, an empty port — is not plain.
+func plainURL(host, path string) (p, query string, ok bool) {
+	if !plainHost(host) || path == "" || path[0] != '/' {
+		return "", "", false
 	}
 	p, query, hasQuery := strings.Cut(path, "?")
 	if hasQuery && query == "" {
-		return "", "", "", false
+		return "", "", false
 	}
 	for i := 0; i < len(p); i++ {
 		if c := p[i]; !isUnreserved(c) && c != '/' {
-			return "", "", "", false
+			return "", "", false
 		}
 	}
 	for i := 0; i < len(query); i++ {
 		if c := query[i]; !isUnreserved(c) && c != '=' && c != '&' {
-			return "", "", "", false
+			return "", "", false
 		}
 	}
-	return host, p, query, true
+	return p, query, true
+}
+
+// plainHost reports whether host is letters, digits, '.' and '-' with an
+// optional ":port" of digits: a URL authority that is nothing but a host.
+func plainHost(host string) bool {
+	name, port, hasPort := strings.Cut(host, ":")
+	if hasPort && port == "" {
+		return false
+	}
+	for i := 0; i < len(name); i++ {
+		if c := name[i]; !isAlnum(c) && c != '.' && c != '-' {
+			return false
+		}
+	}
+	for i := 0; i < len(port); i++ {
+		if c := port[i]; c < '0' || c > '9' {
+			return false
+		}
+	}
+	return true
 }
 
 func isAlnum(c byte) bool {

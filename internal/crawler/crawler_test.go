@@ -8,11 +8,13 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"runtime"
+	"strconv"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/vclock"
+	"repro/internal/wire"
 )
 
 func TestHostLimiter(t *testing.T) {
@@ -319,6 +321,31 @@ func TestPollOnceCancelled(t *testing.T) {
 	}
 }
 
+// TestPollOnceVersions: a Monitor keeps one version string per domain and
+// hands it to every sample that reports the same; a sample must still carry
+// what its own probe read, escapes decoded, when that changes.
+func TestPollOnceVersions(t *testing.T) {
+	var round atomic.Int32
+	cli := &Client{Retries: 1, HTTP: &http.Client{Transport: roundTripFunc(func(req *http.Request) (*http.Response, error) {
+		rec := httptest.NewRecorder()
+		switch v := [...]string{`"2.4.0"`, `"2.4.0"`, `"2.4.\u0031 (compatible; Pleroma)"`, `null`, `"2.4.0"`}[round.Load()]; req.Host {
+		case "a.test":
+			rec.WriteString(`{"version":` + v + `}`)
+		default:
+			rec.WriteString(`{"version":"b","stats":{"user_count":` + strconv.Itoa(int(round.Load())) + `}}`)
+		}
+		return rec.Result(), nil
+	})}}
+	mon := &Monitor{Client: cli, Domains: []string{"a.test", "b.test"}, Workers: 2}
+	for r, want := range []string{"2.4.0", "2.4.0", "2.4.1 (compatible; Pleroma)", "", "2.4.0"} {
+		round.Store(int32(r))
+		ss := mon.PollOnce(context.Background())
+		if !ss[0].Online || ss[0].Version != want || ss[1].Version != "b" || ss[1].Users != r {
+			t.Fatalf("round %d: samples %+v, want a.test at version %q", r, ss, want)
+		}
+	}
+}
+
 func TestSplitAcct(t *testing.T) {
 	u, d, ok := SplitAcct("alice@x.test")
 	if !ok || u != "alice" || d != "x.test" {
@@ -332,24 +359,23 @@ func TestSplitAcct(t *testing.T) {
 }
 
 func TestDecodeStatus(t *testing.T) {
-	ws := wireStatus{ID: "17", CreatedAt: "2018-05-01T10:00:00.000Z", Content: "hi"}
-	ws.Account.Acct = "a@b.test"
-	rec, err := decodeStatus(ws)
-	if err != nil || rec.ID != 17 || rec.Acct != "a@b.test" {
+	v := wire.StatusView{ID: []byte("17"), CreatedAt: []byte("2018-05-01T10:00:00.000Z"), Content: []byte("hi")}
+	rec, err := tootOf(&v)
+	if err != nil || rec.ID != 17 || rec.Content != "hi" || rec.Acct != "" {
 		t.Fatalf("rec=%+v err=%v", rec, err)
 	}
 	// RFC3339 fallback.
-	ws.CreatedAt = "2018-05-01T10:00:00Z"
-	if _, err := decodeStatus(ws); err != nil {
+	v.CreatedAt = []byte("2018-05-01T10:00:00Z")
+	if _, err := tootOf(&v); err != nil {
 		t.Fatalf("RFC3339 fallback failed: %v", err)
 	}
-	ws.CreatedAt = "yesterday"
-	if _, err := decodeStatus(ws); err == nil {
+	v.CreatedAt = []byte("yesterday")
+	if _, err := tootOf(&v); err == nil {
 		t.Fatal("bad timestamp accepted")
 	}
-	ws.CreatedAt = "2018-05-01T10:00:00Z"
-	ws.ID = "xyz"
-	if _, err := decodeStatus(ws); err == nil {
+	v.CreatedAt = []byte("2018-05-01T10:00:00Z")
+	v.ID = []byte("xyz")
+	if _, err := tootOf(&v); err == nil {
 		t.Fatal("bad id accepted")
 	}
 }

@@ -3,7 +3,9 @@ package crawler
 import (
 	"context"
 	"fmt"
+	"net/url"
 	"sort"
+	"strconv"
 
 	"repro/internal/dataset"
 	"repro/internal/wire"
@@ -20,6 +22,12 @@ type FollowerScraper struct {
 	Client  *Client
 	Workers int // concurrent accounts (0 = 10)
 }
+
+var edgeScratch scratchPool[Edge]
+
+// followerPage is the most followers a follower page lists (what
+// instance.serveFollowers renders; Mastodon itself lists fewer).
+const followerPage = 40
 
 // ParseFollowerPage extracts follower→acct edges from one HTML follower
 // page and reports whether the page links a next page. It never fails:
@@ -40,20 +48,25 @@ func appendFollowerEdges(dst []Edge, acct string, body []byte) ([]Edge, bool) {
 }
 
 // ScrapeAccount collects every follower of acct (user@domain). It returns
-// the edges follower→acct.
+// the edges follower→acct. An acct comes out of crawled pages, so it is
+// hostile input: the user part is escaped into one path segment, whatever
+// it holds, and a domain part that is not a plain host is refused before it
+// can name another path or authority.
 func (fs *FollowerScraper) ScrapeAccount(ctx context.Context, acct string) ([]Edge, error) {
 	user, domain, ok := SplitAcct(acct)
-	if !ok {
+	if !ok || !plainHost(domain) {
 		return nil, fmt.Errorf("crawler: malformed acct %q", acct)
 	}
-	var edges []Edge
+	segment := url.PathEscape(user)
+	edges := edgeScratch.get()
+	defer edgeScratch.put(edges)
 	bp := getBuf()
 	var body []byte
 	var err error
 	defer func() { putBuf(bp, body) }()
 	page := 1
 	for {
-		path := fmt.Sprintf("/users/%s/followers?page=%d", user, page)
+		path := "/users/" + segment + "/followers?page=" + strconv.Itoa(page)
 		// The parser never fails on mangled HTML (zero edges is a legal
 		// page), so truncation-in-flight is caught by the structural
 		// trailer check, retried by the fetch layer like a torn read.
@@ -61,13 +74,14 @@ func (fs *FollowerScraper) ScrapeAccount(ctx context.Context, acct string) ([]Ed
 		body, err = fs.Client.GetChecked(ctx, domain, path, (*bp)[:0], wire.FollowerPageComplete)
 		*bp = body[:0]
 		if err != nil {
-			return edges, err
+			return edges.result(), err
 		}
 		var hasNext bool
-		edges, hasNext = appendFollowerEdges(edges, acct, body)
+		edges.chunk, hasNext = appendFollowerEdges(edges.chunk, acct, body)
 		if !hasNext {
-			return edges, nil
+			return edges.result(), nil
 		}
+		edges.spill(followerPage)
 		page++
 	}
 }

@@ -104,61 +104,72 @@ func FuzzFollowerPageRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzDecodeStatuses pins the status-JSON decoder: arbitrary bytes either
-// fail to decode or produce records consistent with the wire form.
+// scanToots reads one page the way the harvest does: the records ahead of
+// the first status that is not a toot, that status's error, and the page's
+// own.
+func scanToots(data []byte) (recs []TootRec, statusErr, pageErr error) {
+	pageErr = wire.ScanStatuses(data, func(v *wire.StatusView) {
+		if statusErr != nil {
+			return
+		}
+		var rec TootRec
+		if rec, statusErr = tootOf(v); statusErr == nil {
+			rec.Acct = string(v.Acct)
+			recs = append(recs, rec)
+		}
+	})
+	return recs, statusErr, pageErr
+}
+
+// FuzzDecodeStatuses pins the status-page reader: it refuses the bytes
+// encoding/json refuses, and on any other page yields the records — and the
+// first bad status's error — that converting json's []wire.Status one by
+// one yields.
 func FuzzDecodeStatuses(f *testing.F) {
 	f.Add([]byte(`[{"id":"17","created_at":"2018-05-01T10:00:00.000Z","content":"hi","account":{"acct":"a@b.test"},"tags":[{"name":"x"}]}]`))
 	f.Add([]byte(`[{"id":"9","created_at":"2018-05-01T10:00:00Z","account":{"acct":"u@v"},"reblog":{"uri":"w"}}]`))
 	f.Add([]byte(`[]`))
 	f.Add([]byte(`[{"id":"007","created_at":"bogus"}]`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var page []wireStatus
-		if err := json.Unmarshal(data, &page); err != nil {
-			t.Skip("not a status page")
+		var page []wire.Status
+		jerr := json.Unmarshal(data, &page)
+		got, gotErr, pageErr := scanToots(data)
+		if (pageErr != nil) != (jerr != nil) {
+			t.Fatalf("page verdicts differ: scan %v, json %v", pageErr, jerr)
 		}
+		if jerr != nil {
+			return
+		}
+		var want []TootRec
+		var wantErr error
 		for _, ws := range page {
-			rec, err := decodeStatus(ws)
-			if err != nil {
-				continue
+			var rec TootRec
+			if rec, wantErr = refDecodeStatus(ws); wantErr != nil {
+				break
 			}
-			if rec.Acct != ws.Account.Acct {
-				t.Fatalf("acct %q != wire %q", rec.Acct, ws.Account.Acct)
-			}
-			if len(rec.Hashtags) != len(ws.Tags) {
-				t.Fatalf("hashtags %d != wire tags %d", len(rec.Hashtags), len(ws.Tags))
-			}
-			if rec.Boost != (ws.Reblog != nil) {
-				t.Fatal("boost flag mismatch")
-			}
-			if rec.CreatedAt.IsZero() && ws.CreatedAt != "" &&
-				ws.CreatedAt != "0001-01-01T00:00:00.000Z" && ws.CreatedAt != "0001-01-01T00:00:00Z" {
-				t.Fatalf("timestamp %q decoded to zero", ws.CreatedAt)
-			}
+			want = append(want, rec)
+		}
+		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || !reflect.DeepEqual(got, want) {
+			t.Fatalf("records differ:\n scan %+v, %v\n ref  %+v, %v", got, gotErr, want, wantErr)
 		}
 	})
 }
 
-// FuzzInstanceInfo pins the /api/v1/instance decoder: arbitrary bytes
-// either fail or decode to a document that survives a re-encode/decode
-// cycle unchanged (no lossy fields, no panics). The probe's live decoder
-// is internal/wire's; its agreement with encoding/json is pinned by the
-// differential targets in that package.
+// FuzzInstanceInfo pins the probe's reader the same way: encoding/json's
+// verdict on the document, and the fields a Sample keeps equal to json's.
 func FuzzInstanceInfo(f *testing.F) {
 	f.Add([]byte(`{"uri":"a.test","version":"2.4.0","registrations":true,"stats":{"user_count":5,"status_count":17,"domain_count":3}}`))
 	f.Add([]byte(`{"stats":{"user_count":-1}}`))
 	f.Add([]byte(`{}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var info wire.InstanceInfo
-		if err := wire.DecodeInstanceInfo(data, &info); err != nil {
-			t.Skip("not an instance document")
+		var got wire.InstanceView
+		var want wire.InstanceInfo
+		serr, jerr := wire.ScanInstanceInfo(data, &got), json.Unmarshal(data, &want)
+		if (serr != nil) != (jerr != nil) {
+			t.Fatalf("verdicts differ: scan %v, json %v", serr, jerr)
 		}
-		out := wire.AppendInstanceInfo(nil, &info)
-		var again wire.InstanceInfo
-		if err := wire.DecodeInstanceInfo(out, &again); err != nil {
-			t.Fatalf("re-decode failed: %v", err)
-		}
-		if !reflect.DeepEqual(info, again) {
-			t.Fatalf("decoder is lossy:\n first %+v\n again %+v", info, again)
+		if jerr == nil && (string(got.Version) != want.Version || got.Registrations != want.Registrations || got.Stats != want.Stats) {
+			t.Fatalf("fields differ:\n scan %q %+v\n json %+v", got.Version, got, want)
 		}
 	})
 }

@@ -35,13 +35,19 @@ type Monitor struct {
 	// campaign drivers pin it per round so replayed probes carry exact
 	// slot times.
 	Now func() time.Time
+
+	// versions[i] is the version string Domains[i] last reported. An
+	// instance reports the same one round after round, so its samples share
+	// it. Slot i is read and written only by the worker probing Domains[i].
+	versions []string
 }
 
 // PollOnce probes every domain once, concurrently, and returns one sample
 // per domain (offline instances yield Online=false samples). Each worker
-// fetches through a pooled body buffer and the internal/wire instance-info
-// decoder — the probe loop runs hundreds of thousands of times per
-// campaign and never touches encoding/json.
+// fetches through a pooled body buffer and reads the document with
+// internal/wire's instance-info scanner — the probe loop runs hundreds of
+// thousands of times per campaign and never touches encoding/json. One
+// PollOnce runs at a time on a Monitor.
 func (m *Monitor) PollOnce(ctx context.Context) []Sample {
 	now := vclock.OrSystem(m.Clock).Now
 	if m.Now != nil {
@@ -56,6 +62,9 @@ func (m *Monitor) PollOnce(ctx context.Context) []Sample {
 	for i, d := range m.Domains {
 		samples[i] = Sample{Domain: d, At: at}
 	}
+	if len(m.versions) != len(m.Domains) {
+		m.versions = make([]string, len(m.Domains))
+	}
 	workers := m.Workers
 	if workers < 1 {
 		workers = 16
@@ -68,10 +77,10 @@ func (m *Monitor) PollOnce(ctx context.Context) []Sample {
 		// payload is retried like a torn read instead of silently recording
 		// the instance as offline — an up instance behind a transient
 		// corruption fault must still probe as up.
-		var info wire.InstanceInfo
+		var info wire.InstanceView
 		body, err := m.Client.GetChecked(ctx, domain, "/api/v1/instance", *bp, func(b []byte) error {
-			info = wire.InstanceInfo{}
-			return wire.DecodeInstanceInfo(b, &info)
+			info = wire.InstanceView{}
+			return wire.ScanInstanceInfo(b, &info)
 		})
 		if err == nil {
 			s.Online = true
@@ -79,7 +88,11 @@ func (m *Monitor) PollOnce(ctx context.Context) []Sample {
 			s.Toots = info.Stats.StatusCount
 			s.Peers = info.Stats.DomainCount
 			s.Open = info.Registrations
-			s.Version = info.Version
+			// info.Version points into body, which is still this worker's.
+			if string(info.Version) != m.versions[i] {
+				m.versions[i] = string(info.Version)
+			}
+			s.Version = m.versions[i]
 		}
 		putBuf(bp, body)
 		samples[i] = s
@@ -89,14 +102,16 @@ func (m *Monitor) PollOnce(ctx context.Context) []Sample {
 }
 
 // ProbeLog accumulates samples and answers availability questions — the
-// bridge from raw monitoring to the §4.4 analyses. A monitor reports a
-// fixed population in the same order every round, so samples are filed by
-// position: rows[i] holds the samples of domains[i], and index is read only
-// for a sample that does not arrive in its domain's position.
+// bridge from raw monitoring to the §4.4 analyses. A round is filed once:
+// the log keeps the slice it is given and files a pointer to each sample
+// under the sample's domain. A monitor reports a fixed population in the
+// same order every round, so samples are filed by position: rows[i] holds
+// the samples of domains[i], and index is read only for a sample that does
+// not arrive in its domain's position.
 type ProbeLog struct {
 	mu      sync.Mutex
 	domains []string
-	rows    [][]Sample
+	rows    [][]*Sample
 	index   map[string]int
 }
 
@@ -105,7 +120,8 @@ func NewProbeLog() *ProbeLog {
 	return &ProbeLog{index: make(map[string]int)}
 }
 
-// Add appends a round of samples.
+// Add files a round of samples. The slice is the log's from here on: the
+// caller must not write to it again.
 func (p *ProbeLog) Add(samples []Sample) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -121,7 +137,7 @@ func (p *ProbeLog) Add(samples []Sample) {
 				p.rows = append(p.rows, nil)
 			}
 		}
-		p.rows[j] = append(p.rows[j], *s)
+		p.rows[j] = append(p.rows[j], s)
 	}
 }
 
@@ -134,18 +150,40 @@ func (p *ProbeLog) Domains() []string {
 
 // row returns the samples filed under domain (nil if never probed). The
 // caller holds p.mu.
-func (p *ProbeLog) row(domain string) []Sample {
+func (p *ProbeLog) row(domain string) []*Sample {
 	if j, ok := p.index[domain]; ok {
 		return p.rows[j]
 	}
 	return nil
 }
 
-// Samples returns the samples recorded for a domain.
+// Samples returns a copy of the samples recorded for a domain.
 func (p *ProbeLog) Samples(domain string) []Sample {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return append([]Sample(nil), p.row(domain)...)
+	row := p.row(domain)
+	if len(row) == 0 {
+		return nil
+	}
+	out := make([]Sample, len(row))
+	for k, s := range row {
+		out[k] = *s
+	}
+	return out
+}
+
+// LastOnline returns the latest sample that found the domain online — the
+// one its §3 instance metadata is read from — and false if none did.
+func (p *ProbeLog) LastOnline(domain string) (Sample, bool) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	row := p.row(domain)
+	for k := len(row) - 1; k >= 0; k-- {
+		if row[k].Online {
+			return *row[k], true
+		}
+	}
+	return Sample{}, false
 }
 
 // DowntimeFraction returns the fraction of probes that found the domain

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 	"strconv"
 	"time"
 
@@ -58,30 +57,26 @@ type TootCrawler struct {
 	Since map[string]int64
 }
 
-// wireStatus is the status wire shape, decoded by internal/wire.
-type wireStatus = wire.Status
-
 // CrawlInstance harvests one instance's entire toot history by paging
 // max_id backwards until the beginning of time. One pooled body buffer and
-// one status-page slice are reused across the whole paging loop.
+// one pooled scratch serve the whole paging loop.
 func (tc *TootCrawler) CrawlInstance(ctx context.Context, domain string) InstanceCrawl {
 	out := InstanceCrawl{Domain: domain}
-	// The harvest's length is unknown until the last page, and a TootRec
-	// slice grown by append is copied about four times over on its way to
-	// a large instance's size. Each page's records get a slice of their
-	// own instead, and the pages are merged once.
-	pages := tc.harvest(ctx, &out)
-	if len(pages) == 1 {
-		out.Toots = pages[0]
-	} else {
-		out.Toots = slices.Concat(pages...)
-	}
+	s := tootScratch.get()
+	tc.harvest(ctx, &out, s)
+	out.Toots = s.result()
+	tootScratch.put(s)
 	return out
 }
 
+var tootScratch scratchPool[TootRec]
+
+// statusPage is Mastodon's cap on a timeline page, and what harvest asks for.
+const statusPage = 40
+
 // harvest is CrawlInstance's paging loop: it fills in everything but
-// out.Toots and returns the accepted records page by page, newest first.
-func (tc *TootCrawler) harvest(ctx context.Context, out *InstanceCrawl) (pages [][]TootRec) {
+// out.Toots and leaves the accepted records, newest first, in acc.
+func (tc *TootCrawler) harvest(ctx context.Context, out *InstanceCrawl, acc *scratch[TootRec]) {
 	domain := out.Domain
 	local := "false"
 	if tc.Local {
@@ -93,10 +88,11 @@ func (tc *TootCrawler) harvest(ctx context.Context, out *InstanceCrawl) (pages [
 	bp := getBuf()
 	var body []byte
 	defer func() { putBuf(bp, body) }()
-	var page []wireStatus
 	var maxID int64
-	harvested := 0
-	base := "/api/v1/timelines/public?local=" + local + "&limit=40" // Mastodon's page cap
+	// One string per author, not per toot: a timeline names the same few
+	// accounts page after page.
+	var accts map[string]string
+	base := "/api/v1/timelines/public?local=" + local + "&limit=" + strconv.Itoa(statusPage)
 	if since > 0 {
 		base += "&since_id=" + strconv.FormatInt(since, 10)
 	}
@@ -105,14 +101,39 @@ func (tc *TootCrawler) harvest(ctx context.Context, out *InstanceCrawl) (pages [
 		if maxID > 0 {
 			path += "&max_id=" + strconv.FormatInt(maxID, 10)
 		}
+		// The page is read inside the fetch's integrity check: a corrupt page
+		// is retried like a torn read instead of ending the harvest, so each
+		// attempt starts from the records accepted before it. A status that
+		// is valid JSON but not a toot (pageErr) is not corruption: it ends
+		// the harvest after the records ahead of it.
+		acc.spill(statusPage)
+		kept := len(acc.chunk)
+		var pageErr error
 		var err error
-		// The page decode runs inside the fetch's integrity check: a corrupt
-		// page is retried like a torn read instead of ending the harvest.
 		// GetChecked always returns the current (possibly regrown) buffer.
 		body, err = tc.Client.GetChecked(ctx, domain, path, (*bp)[:0], func(b []byte) error {
-			var derr error
-			page, derr = wire.DecodeStatuses(b, page[:0])
-			return derr
+			acc.cut(kept)
+			pageErr = nil
+			return wire.ScanStatuses(b, func(v *wire.StatusView) {
+				if pageErr != nil {
+					return
+				}
+				rec, err := tootOf(v)
+				if err != nil {
+					pageErr = err
+					return
+				}
+				acct, ok := accts[string(v.Acct)]
+				if !ok {
+					if accts == nil {
+						accts = make(map[string]string)
+					}
+					acct = string(v.Acct)
+					accts[acct] = acct
+				}
+				rec.Acct = acct
+				acc.chunk = append(acc.chunk, rec)
+			})
 		})
 		*bp = body[:0]
 		if err != nil {
@@ -138,76 +159,64 @@ func (tc *TootCrawler) harvest(ctx context.Context, out *InstanceCrawl) (pages [
 				out.Offline = true
 				out.Err = err
 			}
-			return pages
+			acc.cut(kept)
+			return
 		}
 		out.Pages++
-		if len(page) == 0 {
-			return pages
+		if len(acc.chunk) == kept && pageErr == nil {
+			return
 		}
-		recs := make([]TootRec, 0, len(page))
-		done := false
-		for _, ws := range page {
-			rec, err := decodeStatus(ws)
-			if err != nil {
-				out.Err = err
-				done = true
-				break
-			}
-			if since > 0 && rec.ID <= since {
+		for i := kept; i < len(acc.chunk); i++ {
+			id := acc.chunk[i].ID
+			if since > 0 && id <= since {
 				// A server without since_id support paged past the mark:
 				// everything from here back was already harvested.
-				done = true
-				break
+				acc.cut(i)
+				return
 			}
-			recs = append(recs, rec)
-			if rec.ID > out.MaxID {
-				out.MaxID = rec.ID
+			if id > out.MaxID {
+				out.MaxID = id
 			}
-			if maxID == 0 || rec.ID < maxID {
-				maxID = rec.ID
+			if maxID == 0 || id < maxID {
+				maxID = id
 			}
-			if tc.MaxToots > 0 && harvested+len(recs) >= tc.MaxToots {
-				done = true
-				break
+			if tc.MaxToots > 0 && acc.n+i+1 >= tc.MaxToots {
+				acc.cut(i + 1)
+				return
 			}
 		}
-		if len(recs) > 0 {
-			pages = append(pages, recs)
-			harvested += len(recs)
-		}
-		if done {
-			return pages
+		if pageErr != nil {
+			out.Err = pageErr
+			return
 		}
 	}
 }
 
-func decodeStatus(ws wireStatus) (TootRec, error) {
-	id, err := strconv.ParseInt(ws.ID, 10, 64)
+// tootOf reads one scanned status as a record, all of it but Acct: the
+// caller has the string for that.
+func tootOf(v *wire.StatusView) (TootRec, error) {
+	id, err := strconv.ParseInt(string(v.ID), 10, 64)
 	if err != nil {
-		return TootRec{}, fmt.Errorf("crawler: bad status id %q: %w", ws.ID, err)
+		return TootRec{}, fmt.Errorf("crawler: bad status id %q: %w", v.ID, err)
 	}
-	at, ok := mastodonTime(ws.CreatedAt)
+	at, ok := mastodonTime(v.CreatedAt)
 	if !ok {
-		at, err = time.Parse(mastodonLayout, ws.CreatedAt)
+		at, err = time.Parse(mastodonLayout, string(v.CreatedAt))
 	}
 	if err != nil {
 		// Fall back to RFC3339 for non-Mastodon implementations.
-		at, err = time.Parse(time.RFC3339, ws.CreatedAt)
+		at, err = time.Parse(time.RFC3339, string(v.CreatedAt))
 		if err != nil {
-			return TootRec{}, fmt.Errorf("crawler: bad created_at %q", ws.CreatedAt)
+			return TootRec{}, fmt.Errorf("crawler: bad created_at %q", v.CreatedAt)
 		}
 	}
-	rec := TootRec{
+	return TootRec{
 		ID:        id,
-		Acct:      ws.Account.Acct,
 		CreatedAt: at,
-		Content:   ws.Content,
-		Boost:     ws.Reblog != nil,
-	}
-	for _, tg := range ws.Tags {
-		rec.Hashtags = append(rec.Hashtags, tg.Name)
-	}
-	return rec, nil
+		Content:   string(v.Content),
+		Hashtags:  v.Tags,
+		Boost:     v.Boost,
+	}, nil
 }
 
 // mastodonLayout is the created_at format Mastodon serialises: UTC,
@@ -219,7 +228,7 @@ const mastodonLayout = "2006-01-02T15:04:05.000Z"
 // time time.Parse(mastodonLayout, s) returns for it. Anything else reports
 // false and is time.Parse's to judge: it accepts a few looser spellings (a
 // one-digit hour, ',' before the milliseconds) and words the errors.
-func mastodonTime(s string) (time.Time, bool) {
+func mastodonTime(s []byte) (time.Time, bool) {
 	if len(s) != len(mastodonLayout) {
 		return time.Time{}, false
 	}

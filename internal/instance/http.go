@@ -3,6 +3,7 @@ package instance
 import (
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -70,9 +71,11 @@ type pageCache struct {
 	etag atomic.Pointer[etagVal]
 }
 
+// etagVal is a rendered tag as the header value it is served as: a header
+// map is assigned hdr itself, like ctypeJSON below.
 type etagVal struct {
 	gens [numKinds]uint64
-	val  string
+	hdr  []string
 }
 
 // etagFor returns the entity tag of a page of kind stamped g: the version
@@ -81,14 +84,14 @@ type etagVal struct {
 // revalidate any page with it; etagMatch reads only the component of the
 // page asked for, which is exactly g — the other components are whatever
 // their counters held during this request.
-func (c *pageCache) etagFor(kind pageKind, g uint64) string {
+func (c *pageCache) etagFor(kind pageKind, g uint64) []string {
 	var v [numKinds]uint64
 	for k := range v {
 		v[k] = c.gens[k].Load()
 	}
 	v[kind] = g
 	if ev := c.etag.Load(); ev != nil && ev.gens == v {
-		return ev.val
+		return ev.hdr
 	}
 	var buf [3 + numKinds*21]byte // "g", then up to 20 digits and a separator per kind
 	b := append(buf[:0], `"g`...)
@@ -98,9 +101,9 @@ func (c *pageCache) etagFor(kind pageKind, g uint64) string {
 		}
 		b = strconv.AppendUint(b, g, 10)
 	}
-	val := string(append(b, '"'))
-	c.etag.Store(&etagVal{gens: v, val: val})
-	return val
+	hdr := []string{string(append(b, '"'))}
+	c.etag.Store(&etagVal{gens: v, hdr: hdr})
+	return hdr
 }
 
 func (c *pageCache) invalidate(kinds ...pageKind) {
@@ -147,7 +150,7 @@ func (c *pageCache) put(key pageKey, g uint64, body []byte) {
 // request and may legitimately order after it.
 func (s *Server) servePage(w http.ResponseWriter, r *http.Request, ctype []string, key pageKey, render func(dst []byte) []byte) {
 	g := s.pages.gens[key.kind].Load()
-	w.Header().Set("Etag", s.pages.etagFor(key.kind, g))
+	w.Header()["Etag"] = s.pages.etagFor(key.kind, g)
 	if inm := r.Header.Get("If-None-Match"); inm != "" && etagMatch(inm, key.kind, g) {
 		w.WriteHeader(http.StatusNotModified)
 		return
@@ -320,7 +323,7 @@ func (s *Server) serveTimeline(w http.ResponseWriter, r *http.Request) {
 		refuse(w, http.StatusForbidden, "timeline crawling is not allowed on this instance")
 		return
 	}
-	q := r.URL.Query()
+	q := queryOf(r.URL.RawQuery)
 	kind := TimelineFederated
 	if q.Get("local") == "true" || q.Get("local") == "1" {
 		kind = TimelineLocal
@@ -364,14 +367,55 @@ func (s *Server) serveTimeline(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// query reads a URL's raw query the way r.URL.Query() does. Without '%',
+// '+' or ';' no key or value changes under url.ParseQuery and no pair is
+// refused, so such a query — every one a crawler sends — is read in place;
+// any other is parsed.
+type query struct {
+	raw    string
+	parsed url.Values // nil: raw is read in place
+}
+
+func queryOf(raw string) query {
+	q := query{raw: raw}
+	if strings.ContainsAny(raw, "%+;") {
+		q.parsed, _ = url.ParseQuery(raw) // what it refuses it leaves out, as r.URL.Query() does
+	}
+	return q
+}
+
+// Get returns the first value of key, "" if there is none.
+func (q query) Get(key string) string {
+	if q.parsed != nil {
+		return q.parsed.Get(key)
+	}
+	for rest := q.raw; rest != ""; {
+		var pair string
+		pair, rest, _ = strings.Cut(rest, "&")
+		if k, v, _ := strings.Cut(pair, "="); k == key && pair != "" {
+			return v
+		}
+	}
+	return ""
+}
+
+// maxInboxBody is the largest activity the inbox accepts.
+const maxInboxBody = 1 << 20
+
 func (s *Server) serveInbox(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		refuse(w, http.StatusMethodNotAllowed, "inbox accepts POST only")
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
+	// One byte past the limit is read so that a body over it is seen to be
+	// over it, and refused whole rather than delivered cut short.
+	body, err := io.ReadAll(io.LimitReader(r.Body, maxInboxBody+1))
 	if err != nil {
 		refuse(w, http.StatusBadRequest, "read error")
+		return
+	}
+	if len(body) > maxInboxBody {
+		refuse(w, http.StatusRequestEntityTooLarge, "inbox body too large")
 		return
 	}
 	a, err := federation.DecodeActivity(body)
@@ -395,7 +439,7 @@ func (s *Server) serveFollowers(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	page := 1
-	if v := r.URL.Query().Get("page"); v != "" {
+	if v := queryOf(r.URL.RawQuery).Get("page"); v != "" {
 		p, err := strconv.Atoi(v)
 		if err != nil || p < 1 {
 			refuse(w, http.StatusBadRequest, "bad page")

@@ -245,6 +245,19 @@ func TestHTTPInboxEndpoint(t *testing.T) {
 	if resp.StatusCode != 422 {
 		t.Fatalf("unprocessable inbox: %d, want 422", resp.StatusCode)
 	}
+	// A body over the limit is a 413 even when what fits in the limit is a
+	// whole, valid activity: nothing of it is delivered.
+	carol, _ := (&federation.Activity{
+		Type:   federation.TypeFollow,
+		From:   federation.Actor{User: "carol", Domain: "b.test"},
+		Target: federation.Actor{User: "alice", Domain: "x.test"},
+	}).Encode()
+	resp, _ = http.Post(ts.URL+"/inbox", "application/activity+json",
+		strings.NewReader(string(carol)+strings.Repeat(" ", maxInboxBody+1-len(carol))))
+	resp.Body.Close()
+	if resp.StatusCode != 413 || s.FollowerCount("alice") != 1 {
+		t.Fatalf("oversized inbox: %d with %d followers, want 413 with 1", resp.StatusCode, s.FollowerCount("alice"))
+	}
 }
 
 func TestHTTPNotFound(t *testing.T) {

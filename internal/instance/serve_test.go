@@ -93,11 +93,11 @@ func FuzzServeGET(f *testing.F) {
 
 // FuzzInboxPOST: whatever Host, method and body reach /inbox through the
 // network's Host routing, nothing panics and the status is one the handlers
-// document (502 is Network.ServeHTTP's answer to an unknown Host). A 202
-// means that what the handler read of the body — its first MiB — decodes to
-// a valid activity from a domain that is not blocked, and after a 202 no
-// page is staler than its tag: every page equals its re-render with the
-// whole cache invalidated.
+// document (502 is Network.ServeHTTP's answer to an unknown Host). A body
+// over the inbox limit is never a 202, and a POST of one to a live instance
+// is a 413. A 202 means that the body decodes to a valid activity from a
+// domain that is not blocked, and after a 202 no page is staler than its
+// tag: every page equals its re-render with the whole cache invalidated.
 func FuzzInboxPOST(f *testing.F) {
 	from := federation.Actor{User: "u1", Domain: "far-00.test"}
 	alice := federation.Actor{User: "alice", Domain: "x.test"}
@@ -124,10 +124,11 @@ func FuzzInboxPOST(f *testing.F) {
 	}
 	follow := encode(&federation.Activity{Type: federation.TypeFollow, From: from, Target: alice})
 	f.Add("x.test", http.MethodPost, []byte(`{"type":"Like","from":{"user":"u1","domain":"far-00.test"}}`))
-	f.Add("x.test", http.MethodPost, append(follow, bytes.Repeat([]byte(" "), 1<<20+1-len(follow))...)) // valid within the MiB read
+	f.Add("x.test", http.MethodPost, append(follow, bytes.Repeat([]byte(" "), maxInboxBody-len(follow))...))   // valid, exactly at the limit
+	f.Add("x.test", http.MethodPost, append(follow, bytes.Repeat([]byte(" "), maxInboxBody+1-len(follow))...)) // valid, one byte over it
 	big := encode(&federation.Activity{Type: federation.TypeCreate, From: from,
 		Note: &federation.Note{ID: "far-00.test/901", Author: from, Content: strings.Repeat("a", 1<<20)}})
-	f.Add("x.test", http.MethodPost, big[:1<<20+1]) // cut by the read limit
+	f.Add("x.test", http.MethodPost, big[:maxInboxBody+1])
 	f.Add("x.test", http.MethodPost, encode(&federation.Activity{Type: federation.TypeCreate,
 		From: federation.Actor{User: "u2", Domain: "blocked.test"}, Note: note}))
 	f.Add("nowhere.test", http.MethodPost, follow)
@@ -163,9 +164,17 @@ func FuzzInboxPOST(f *testing.F) {
 			Header: http.Header{},
 			Body:   io.NopCloser(bytes.NewReader(body)),
 		})
+		over := len(body) > maxInboxBody
+		if over && rec.Code == http.StatusAccepted {
+			t.Fatalf("202 for a body of %d bytes, over the limit", len(body))
+		}
+		if is413 := rec.Code == http.StatusRequestEntityTooLarge; is413 && !over ||
+			!is413 && over && host == "x.test" && method == http.MethodPost {
+			t.Fatalf("%s /inbox on %q with a %d-byte body: status %d", method, host, len(body), rec.Code)
+		}
 		switch rec.Code {
 		case http.StatusAccepted:
-			a, err := federation.DecodeActivity(body[:min(len(body), 1<<20)])
+			a, err := federation.DecodeActivity(body)
 			if err != nil {
 				t.Fatalf("202 for a body that does not decode to a valid activity: %v", err)
 			}
@@ -180,7 +189,7 @@ func FuzzInboxPOST(f *testing.F) {
 						a.Type, pages[i], len(cached[i]), len(fresh))
 				}
 			}
-		case http.StatusBadRequest, http.StatusUnprocessableEntity:
+		case http.StatusBadRequest, http.StatusUnprocessableEntity, http.StatusRequestEntityTooLarge:
 		case http.StatusMethodNotAllowed:
 			if method == http.MethodPost {
 				t.Fatal("405 to a POST")
@@ -191,6 +200,35 @@ func FuzzInboxPOST(f *testing.F) {
 			}
 		default:
 			t.Fatalf("%s /inbox on %q: status %d", method, host, rec.Code)
+		}
+	})
+}
+
+// FuzzQueryGet holds the handlers' query reader to the one it stands in
+// for, r.URL.Query().Get — url.ParseQuery with its error dropped — on any
+// raw query and key, and checks that what a crawler sends is read in place.
+func FuzzQueryGet(f *testing.F) {
+	for _, raw := range []string{
+		"local=true&limit=40&since_id=5&max_id=123456789", "page=3", "", "&&page=2&", "page", "page=", "=page", "=",
+		"page=1&page=2", "&=x&=y", "a=b=c&b==", "limit=4%30", "limit=4+0", "page=1;limit=2", "limit=%zz&page=2", "%70age=2", "p+q=1&p q=2",
+	} {
+		for _, key := range []string{"page", "limit", "max_id", "", "a", "p q"} {
+			f.Add(raw, key)
+		}
+	}
+	f.Fuzz(func(t *testing.T, raw, key string) {
+		want, _ := url.ParseQuery(raw)
+		q := queryOf(raw)
+		if got := q.Get(key); got != want.Get(key) {
+			t.Fatalf("query %q: Get(%q) = %q, url.ParseQuery has %q", raw, key, got, want.Get(key))
+		}
+		for k, vs := range want {
+			if got := q.Get(k); got != vs[0] {
+				t.Fatalf("query %q: Get(%q) = %q, url.ParseQuery has %q", raw, k, got, vs[0])
+			}
+		}
+		if (q.parsed == nil) != !strings.ContainsAny(raw, "%+;") {
+			t.Fatalf("query %q: parsed=%v", raw, q.parsed != nil)
 		}
 	})
 }

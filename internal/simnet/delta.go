@@ -127,7 +127,7 @@ func DeltaOf(res *CampaignResult, ck *Checkpoint) (*dataset.WindowDelta, error) 
 		Edges:     res.Scrape.Edges,
 	}
 	for i, dom := range res.Domains {
-		d.Meta[i] = sampleMeta(res.Log.Samples(dom))
+		d.Meta[i] = probedMeta(res.Log, dom)
 		c := &res.Crawls[i]
 		switch {
 		case c.Blocked:

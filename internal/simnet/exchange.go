@@ -94,7 +94,7 @@ func (e *exchange) WriteHeader(code int) {
 	}
 	e.wrote = true
 	e.resp.StatusCode = code
-	e.resp.Status = strconv.Itoa(code) + " " + http.StatusText(code)
+	e.resp.Status = statusLine(code)
 	e.resp.Header = e.Header()
 	e.hdr = nil
 	e.resp.ContentLength = -1
@@ -103,6 +103,20 @@ func (e *exchange) WriteHeader(code int) {
 			e.resp.ContentLength = int64(n)
 		}
 	}
+}
+
+// statusLine is the Status a net/http client reports for code. The three
+// answers a campaign gets nearly every time are constants.
+func statusLine(code int) string {
+	switch code {
+	case http.StatusOK:
+		return "200 OK"
+	case http.StatusForbidden:
+		return "403 Forbidden"
+	case http.StatusServiceUnavailable:
+		return "503 Service Unavailable"
+	}
+	return strconv.Itoa(code) + " " + http.StatusText(code)
 }
 
 // implicitHeader is the 200 a first write implies, with the content type

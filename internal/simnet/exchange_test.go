@@ -400,12 +400,12 @@ func TestFaultTransportOverExchange(t *testing.T) {
 			}
 
 			cli := &crawler.Client{HTTP: &http.Client{Transport: ft}, Retries: 4, Clock: clk}
-			var info wire.InstanceInfo
+			var info wire.InstanceView
 			body, err := cli.GetChecked(context.Background(), "up.test", "/api/v1/instance", nil, func(b []byte) error {
-				info = wire.InstanceInfo{}
-				return wire.DecodeInstanceInfo(b, &info)
+				info = wire.InstanceView{}
+				return wire.ScanInstanceInfo(b, &info)
 			})
-			if err != nil || string(body) != clean.Body || info.URI != "up.test" {
+			if err != nil || string(body) != clean.Body || info.Stats.StatusCount != 90 {
 				t.Fatalf("probe did not heal: %q, err %v", body, err)
 			}
 			page := observe(t, mem, "GET", "up.test", "/users/alice/followers?page=1", "")
@@ -519,8 +519,8 @@ func TestProbeAllocBudget(t *testing.T) {
 
 // Allocations of one Client.Get over MemoryTransport, as measured (go1.24).
 const (
-	probeAllocsOnline  = 19
-	probeAllocsOffline = 14
+	probeAllocsOnline  = 15
+	probeAllocsOffline = 11
 )
 
 func BenchmarkProbeExchange(b *testing.B) {

@@ -18,23 +18,17 @@ import (
 // the incremental-recrawl merge uses, so every world in the system is
 // built one way.
 
-// sampleMeta reduces a domain's probe samples to the §3 instance metadata:
-// the last online sample wins; a domain never seen online contributes
-// nothing (Seen=false).
-func sampleMeta(samples []crawler.Sample) dataset.WindowMeta {
-	var m dataset.WindowMeta
-	for k := range samples {
-		if !samples[k].Online {
-			continue
-		}
-		m.Seen = true
-		m.Software = dataset.SoftwareMastodon
-		if strings.Contains(samples[k].Version, "Pleroma") {
-			m.Software = dataset.SoftwarePleroma
-		}
-		m.Open = samples[k].Open
-		m.Users = samples[k].Users
-		m.Toots = samples[k].Toots
+// probedMeta reads a domain's §3 instance metadata off the probe log: the
+// last online sample wins; a domain never seen online contributes nothing
+// (Seen=false).
+func probedMeta(log *crawler.ProbeLog, domain string) dataset.WindowMeta {
+	s, ok := log.LastOnline(domain)
+	if !ok {
+		return dataset.WindowMeta{}
+	}
+	m := dataset.WindowMeta{Seen: true, Software: dataset.SoftwareMastodon, Open: s.Open, Users: s.Users, Toots: s.Toots}
+	if strings.Contains(s.Version, "Pleroma") {
+		m.Software = dataset.SoftwarePleroma
 	}
 	return m
 }
@@ -54,7 +48,7 @@ func Rebuild(res *CampaignResult) (*dataset.World, []string) {
 	parts.Instances = make([]dataset.Instance, len(res.Domains))
 	for i, d := range res.Domains {
 		in := dataset.Instance{ID: int32(i), Domain: d, GoneDay: -1}
-		if m := sampleMeta(res.Log.Samples(d)); m.Seen {
+		if m := probedMeta(res.Log, d); m.Seen {
 			in.Software = m.Software
 			in.Open = m.Open
 			in.Users = m.Users

@@ -38,6 +38,9 @@ type decoder struct {
 	// keyBuf is scratch for unescaping object keys (the rare
 	// escaped-key path); keys never allocate.
 	keyBuf []byte
+	// scratch holds the unescaped form of the string values a scanner
+	// hands out as views (viewValue).
+	scratch []byte
 }
 
 func (d *decoder) syntaxErr(what string) error {

@@ -2,7 +2,11 @@ package wire
 
 import (
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 )
@@ -75,6 +79,129 @@ func FuzzStatusesCodec(f *testing.F) {
 		}
 		if got := AppendStatuses(nil, w); string(got) != string(want) {
 			t.Fatalf("encode diverges:\n wire %s\n json %s", got, want)
+		}
+	})
+}
+
+// addCorpus seeds f with the inputs committed for other fuzz targets that
+// take one []byte, so a scanner starts from everything its reference
+// decoder was ever fuzzed into.
+func addCorpus(f *testing.F, dirs ...string) {
+	f.Helper()
+	for _, dir := range dirs {
+		names, _ := filepath.Glob(filepath.Join(dir, "*"))
+		if len(names) == 0 {
+			f.Fatalf("no corpus under %s", dir)
+		}
+		for _, name := range names {
+			raw, err := os.ReadFile(name)
+			if err != nil {
+				f.Fatal(err)
+			}
+			lit, ok := strings.CutPrefix(strings.TrimSpace(string(raw)), "go test fuzz v1\n[]byte(")
+			lit, ok2 := strings.CutSuffix(lit, ")")
+			data, err := strconv.Unquote(lit)
+			if !ok || !ok2 || err != nil {
+				f.Fatalf("%s is not a one-[]byte corpus file", name)
+			}
+			f.Add([]byte(data))
+		}
+	}
+}
+
+// sameError holds a scanner's verdict to its reference decoder's: both nil,
+// or the same message (offset included). It reports whether both accepted.
+func sameError(t *testing.T, scan, ref error) bool {
+	t.Helper()
+	if (scan == nil) != (ref == nil) || scan != nil && scan.Error() != ref.Error() {
+		t.Fatalf("error disagreement:\n scan %v\n ref  %v", scan, ref)
+	}
+	return scan == nil
+}
+
+// viewsOf runs ScanStatuses and copies what each callback saw into the
+// Status it stands for — inside the callback: a view holds until it
+// returns, not longer.
+func viewsOf(data []byte) ([]Status, error) {
+	page := []Status{}
+	err := ScanStatuses(data, func(v *StatusView) {
+		s := Status{ID: string(v.ID), CreatedAt: string(v.CreatedAt), Content: string(v.Content)}
+		s.Account.Acct = string(v.Acct)
+		if v.Boost {
+			s.Reblog = &StatusReblog{}
+		}
+		if v.Tags != nil && len(v.Tags) == 0 {
+			s.ID = "an empty Tags must be nil"
+		}
+		for _, name := range v.Tags {
+			s.Tags = append(s.Tags, StatusTag{Name: name})
+		}
+		page = append(page, s)
+	})
+	return page, err
+}
+
+// FuzzScanStatuses holds the page scanner to the materialising decoder:
+// the same error, or the same statuses in the fields a view has — the
+// fields it drops (username, reblog.uri) are blanked on the reference side,
+// which is also how their type errors are seen to survive.
+func FuzzScanStatuses(f *testing.F) {
+	addCorpus(f, "testdata/fuzz/FuzzStatusesCodec", "../crawler/testdata/fuzz/FuzzDecodeStatuses")
+	f.Add([]byte(`[{"id":"1","account":{"username":7}}]`))
+	f.Add([]byte(`[{"id":"1","reblog":{"uri":[]}},{"id":"2"}]`))
+	f.Add([]byte(`[{"id":"\u0031","created_at":"\u0032","content":"\u00e9","account":{"acct":"a\u0040b"}}]`))
+	f.Add([]byte(`[{"id":"1","id":"\u0032","account":{"acct":"é"},"account":{"username":"x"},"ACCOUNT":null}]`))
+	f.Add([]byte(`[{"tags":[{"name":"a"},{"name":"b"}],"tags":[{"name":null}],"tags":[{},{}]}]`))
+	f.Add([]byte(`[{"tags":[{"name":"a"}],"tags":null},{"tags":[]},{"reblog":{},"reblog":null},null]`))
+	f.Add([]byte(`[{"tags":[{"name":"a"}],"tags":[]}]`))
+	f.Add([]byte(`[{"id":"1","created_at":"2","content":"3","account":{"acct":"4"},"reblog":{},"tags":[{"name":"5"}]},{},null]`))
+	f.Add([]byte(`[{"account":{"username":true}}]`))
+	f.Add([]byte(`[{"reblog":{"uri":false}}]`))
+	f.Add([]byte(`[{"id":"1"},{"id":"2"}`))
+	f.Add([]byte(`[{"id":"1"}]]`))
+	f.Add([]byte(`null`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		got, serr := viewsOf(data)
+		want, rerr := DecodeStatuses(data, nil)
+		if !sameError(t, serr, rerr) {
+			return
+		}
+		if want == nil {
+			want = []Status{} // a null page: no statuses, as the scanner reports it
+		}
+		for i := range want {
+			want[i].Account.Username = ""
+			if want[i].Reblog != nil {
+				want[i].Reblog.URI = ""
+			}
+			if len(want[i].Tags) == 0 {
+				want[i].Tags = nil
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("scan diverges:\n scan %+v\n ref  %+v", got, want)
+		}
+	})
+}
+
+// FuzzScanInstanceInfo holds the probe's scanner to the materialising
+// decoder: the same error, or the same version, flag and counters.
+func FuzzScanInstanceInfo(f *testing.F) {
+	addCorpus(f, "testdata/fuzz/FuzzInstanceInfoCodec", "../crawler/testdata/fuzz/FuzzInstanceInfo")
+	f.Add([]byte(`{"title":7}`))
+	f.Add([]byte(`{"uri":{},"version":"1"}`))
+	f.Add([]byte(`{"uri":true}`))
+	f.Add([]byte(`{"version":"2.4.0","VERSION":"\u0033.0 \ud83d\ude00","version":null,"uri":null}`))
+	f.Add([]byte(`{"stats":{"user_count":1},"stats":{"status_count":2},"registrations":true,"registrations":null}`))
+	f.Add([]byte(`{"version":"1"} x`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var got InstanceView
+		var want InstanceInfo
+		if !sameError(t, ScanInstanceInfo(data, &got), DecodeInstanceInfo(data, &want)) {
+			return
+		}
+		if string(got.Version) != want.Version || got.Registrations != want.Registrations || got.Stats != want.Stats {
+			t.Fatalf("scan diverges:\n scan %q %+v\n ref  %+v", got.Version, got, want)
 		}
 	})
 }

@@ -102,6 +102,16 @@ func TestDecodeTruncatedInputs(t *testing.T) {
 			func(b []byte) error { _, err := DecodeStatuses(b, nil); return err },
 		},
 		{
+			"scan_instance_info",
+			[]byte(`{"uri":"a.test","title":"\u00e9","version":"2.4.0","registrations":true,"stats":{"user_count":5,"status_count":17,"domain_count":3}}`),
+			func(b []byte) error { return ScanInstanceInfo(b, new(InstanceView)) },
+		},
+		{
+			"scan_statuses",
+			[]byte(`[{"id":"17","created_at":"2018-05-01T10:00:00.000Z","content":"hi é!","account":{"username":"a","acct":"a@b.test"},"reblog":{"uri":"x"},"tags":[{"name":"x"}]}]`),
+			func(b []byte) error { return ScanStatuses(b, func(*StatusView) {}) },
+		},
+		{
 			"peers",
 			[]byte(`["a.test","b.test"]`),
 			func(b []byte) error { _, err := DecodePeers(b, nil); return err },
@@ -270,6 +280,31 @@ func BenchmarkDecode(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkScan is BenchmarkDecode's statuses and instance through the
+// scanners the crawler runs.
+func BenchmarkScan(b *testing.B) {
+	statuses := AppendStatuses(nil, benchStatusPage())
+	instance := AppendInstanceInfo(nil, &benchInfo)
+	b.Run("statuses", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			n := 0
+			if err := ScanStatuses(statuses, func(*StatusView) { n++ }); err != nil || n != 40 {
+				b.Fatal(n, err)
+			}
+		}
+	})
+	b.Run("instance", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			var v InstanceView
+			if err := ScanInstanceInfo(instance, &v); err != nil || string(v.Version) != benchInfo.Version {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 func BenchmarkScanFollowerPage(b *testing.B) {
