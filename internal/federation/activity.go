@@ -34,8 +34,5 @@ type Actor = wire.Actor
 type Note = wire.Note
 
 // Activity is the federation envelope. Encode and Validate are declared on
-// the wire type; DecodeActivity below is the matching entry point.
+// the wire type, and so is the decoder, wire.UnmarshalActivity.
 type Activity = wire.Activity
-
-// DecodeActivity parses and validates a wire activity.
-func DecodeActivity(data []byte) (*Activity, error) { return wire.DecodeActivity(data) }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/vclock"
+	"repro/internal/wire"
 )
 
 func TestActorString(t *testing.T) {
@@ -21,7 +22,8 @@ func TestActorString(t *testing.T) {
 func TestActivityValidate(t *testing.T) {
 	from := Actor{User: "a", Domain: "x"}
 	target := Actor{User: "b", Domain: "y"}
-	note := &Note{ID: "x/1", Author: from}
+	note := &Note{ID: "x/1", Author: from, CreatedAt: time.Date(2018, 5, 1, 0, 0, 0, 0, time.UTC)}
+	dated := func(t time.Time) *Note { return &Note{ID: "x/1", Author: from, CreatedAt: t} }
 	tests := []struct {
 		name string
 		a    Activity
@@ -33,7 +35,14 @@ func TestActivityValidate(t *testing.T) {
 		{"create ok", Activity{Type: TypeCreate, From: from, Note: note}, true},
 		{"create no note", Activity{Type: TypeCreate, From: from}, false},
 		{"create empty id", Activity{Type: TypeCreate, From: from, Note: &Note{}}, false},
+		{"create no created_at", Activity{Type: TypeCreate, From: from, Note: dated(time.Time{})}, false},
+		{"create dated 1600", Activity{Type: TypeCreate, From: from, Note: dated(time.Date(1600, 1, 1, 0, 0, 0, 0, time.UTC))}, false},
+		{"create dated 2300", Activity{Type: TypeCreate, From: from, Note: dated(time.Date(2300, 1, 1, 0, 0, 0, 0, time.UTC))}, false},
+		{"create dated 1678", Activity{Type: TypeCreate, From: from, Note: dated(time.Date(1678, 1, 1, 0, 0, 0, 0, time.UTC))}, true},
+		{"create dated 2262", Activity{Type: TypeCreate, From: from, Note: dated(time.Date(2262, 1, 1, 0, 0, 0, 0, time.UTC))}, true},
+		{"create at the epoch", Activity{Type: TypeCreate, From: from, Note: dated(time.Unix(0, 0))}, true},
 		{"boost ok", Activity{Type: TypeBoost, From: from, Note: note}, true},
+		{"boost no created_at", Activity{Type: TypeBoost, From: from, Note: dated(time.Time{})}, false},
 		{"undo ok", Activity{Type: TypeUndo, From: from, Target: target}, true},
 		{"unknown", Activity{Type: "Dance", From: from}, false},
 	}
@@ -56,17 +65,17 @@ func TestActivityRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := DecodeActivity(data)
+	back, err := wire.DecodeActivity(data)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if back.Note.Content != "hi" || back.From.User != "alice" {
 		t.Fatalf("round trip: %+v", back)
 	}
-	if _, err := DecodeActivity([]byte("{")); err == nil {
+	if _, err := wire.DecodeActivity([]byte("{")); err == nil {
 		t.Fatal("expected decode error")
 	}
-	if _, err := DecodeActivity([]byte(`{"type":"Create"}`)); err == nil {
+	if _, err := wire.DecodeActivity([]byte(`{"type":"Create"}`)); err == nil {
 		t.Fatal("expected validation error")
 	}
 }

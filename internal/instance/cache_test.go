@@ -106,9 +106,10 @@ func runCacheInvalidation(t *testing.T, get fetcher, s *Server) {
 		Type: federation.TypeCreate,
 		From: federation.Actor{User: "u1", Domain: "far.test"},
 		Note: &federation.Note{
-			ID:      "far.test/1",
-			Author:  federation.Actor{User: "u1", Domain: "far.test"},
-			Content: "remote toot",
+			ID:        "far.test/1",
+			Author:    federation.Actor{User: "u1", Domain: "far.test"},
+			Content:   "remote toot",
+			CreatedAt: t0,
 		},
 	})
 	if err != nil {
@@ -191,7 +192,7 @@ func TestResponsesByteIdenticalToEncodingJSON(t *testing.T) {
 	s.Receive(context.Background(), &federation.Activity{
 		Type: federation.TypeBoost,
 		From: federation.Actor{User: "u1", Domain: "far.test"},
-		Note: &federation.Note{ID: "far.test/9", Author: federation.Actor{User: "u1", Domain: "far.test"}},
+		Note: &federation.Note{ID: "far.test/9", Author: federation.Actor{User: "u1", Domain: "far.test"}, CreatedAt: t0},
 	})
 	s.Receive(context.Background(), &federation.Activity{
 		Type:   federation.TypeFollow,

@@ -29,7 +29,7 @@ func deliverNote(s *Server, remote federation.Actor, i int, content string) erro
 	return s.Receive(context.Background(), &federation.Activity{
 		Type: federation.TypeCreate,
 		From: remote,
-		Note: &federation.Note{ID: fmt.Sprintf("%s/%d", remote.Domain, i), Author: remote, Content: content},
+		Note: &federation.Note{ID: fmt.Sprintf("%s/%d", remote.Domain, i), Author: remote, Content: content, CreatedAt: etagT0},
 	})
 }
 

@@ -418,12 +418,14 @@ func (s *Server) serveInbox(w http.ResponseWriter, r *http.Request) {
 		refuse(w, http.StatusRequestEntityTooLarge, "inbox body too large")
 		return
 	}
-	a, err := federation.DecodeActivity(body)
-	if err != nil {
-		refuse(w, http.StatusBadRequest, err.Error())
+	// A body that is not an activity is a 400; one that is, but that
+	// Receive refuses — Validate included — is a 422.
+	var a federation.Activity
+	if err := wire.UnmarshalActivity(body, &a); err != nil {
+		refuse(w, http.StatusBadRequest, "federation: bad activity: "+err.Error())
 		return
 	}
-	if err := s.Receive(r.Context(), a); err != nil {
+	if err := s.Receive(r.Context(), &a); err != nil {
 		refuse(w, http.StatusUnprocessableEntity, err.Error())
 		return
 	}

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/federation"
 )
@@ -244,6 +245,20 @@ func TestHTTPInboxEndpoint(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != 422 {
 		t.Fatalf("unprocessable inbox: %d, want 422", resp.StatusCode)
+	}
+	// A note with no created_at, or one UnixNano cannot hold, is a 422 too:
+	// stored, it would be served back dated centuries off.
+	for _, at := range []time.Time{{}, time.Date(2300, 1, 1, 0, 0, 0, 0, time.UTC)} {
+		undated, _ := (&federation.Activity{
+			Type: federation.TypeCreate,
+			From: federation.Actor{User: "bob", Domain: "b.test"},
+			Note: &federation.Note{ID: "b.test/1", Author: federation.Actor{User: "bob", Domain: "b.test"}, CreatedAt: at},
+		}).Encode()
+		resp, _ = http.Post(ts.URL+"/inbox", "application/activity+json", strings.NewReader(string(undated)))
+		resp.Body.Close()
+		if resp.StatusCode != 422 {
+			t.Fatalf("note dated %v: %d, want 422", at, resp.StatusCode)
+		}
 	}
 	// A body over the limit is a 413 even when what fits in the limit is a
 	// whole, valid activity: nothing of it is delivered.

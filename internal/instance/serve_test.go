@@ -10,8 +10,10 @@ import (
 	"net/url"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/federation"
+	"repro/internal/wire"
 )
 
 // populatedServer has something behind every GET endpoint: three accounts
@@ -97,7 +99,9 @@ func FuzzServeGET(f *testing.F) {
 // over the inbox limit is never a 202, and a POST of one to a live instance
 // is a 413. A 202 means that the body decodes to a valid activity from a
 // domain that is not blocked, and after a 202 no page is staler than its
-// tag: every page equals its re-render with the whole cache invalidated.
+// tag: every page equals its re-render with the whole cache invalidated,
+// and no served created_at precedes 1970 unless the accepted note was sent
+// with such a time.
 func FuzzInboxPOST(f *testing.F) {
 	from := federation.Actor{User: "u1", Domain: "far-00.test"}
 	alice := federation.Actor{User: "alice", Domain: "x.test"}
@@ -131,6 +135,13 @@ func FuzzInboxPOST(f *testing.F) {
 	f.Add("x.test", http.MethodPost, big[:maxInboxBody+1])
 	f.Add("x.test", http.MethodPost, encode(&federation.Activity{Type: federation.TypeCreate,
 		From: federation.Actor{User: "u2", Domain: "blocked.test"}, Note: note}))
+	for _, at := range []time.Time{{}, time.Date(2300, 1, 1, 0, 0, 0, 0, time.UTC)} { // undated, and past UnixNano's range
+		f.Add("x.test", http.MethodPost, encode(&federation.Activity{Type: federation.TypeCreate, From: from,
+			Note: &federation.Note{ID: "far-00.test/902", Author: from, Content: "when?", CreatedAt: at}}))
+		f.Add("x.test", http.MethodPost, encode(&federation.Activity{Type: federation.TypeBoost, From: from,
+			Note: &federation.Note{ID: "x.test/1", Author: alice, CreatedAt: at}}))
+	}
+	f.Add("x.test", http.MethodPost, []byte(`{"type":"Create","from":{"user":"u1","domain":"far-00.test"},"note":{"id":"far-00.test/903","author":{"user":"u1","domain":"far-00.test"}}}`))
 	f.Add("nowhere.test", http.MethodPost, follow)
 	f.Add("down.test", http.MethodPost, follow)
 	f.Add("x.test:8080", http.MethodGet, follow)
@@ -174,7 +185,7 @@ func FuzzInboxPOST(f *testing.F) {
 		}
 		switch rec.Code {
 		case http.StatusAccepted:
-			a, err := federation.DecodeActivity(body)
+			a, err := wire.DecodeActivity(body)
 			if err != nil {
 				t.Fatalf("202 for a body that does not decode to a valid activity: %v", err)
 			}
@@ -187,6 +198,19 @@ func FuzzInboxPOST(f *testing.F) {
 				if cached[i] != fresh {
 					t.Fatalf("after a %s, GET %s served a page older than the write (%d bytes, re-rendered %d)",
 						a.Type, pages[i], len(cached[i]), len(fresh))
+				}
+			}
+			floor := time.Unix(0, 0)
+			if a.Note != nil && a.Note.CreatedAt.Before(floor) {
+				floor = a.Note.CreatedAt.Add(-time.Millisecond) // served to the millisecond
+			}
+			for _, page := range cached[:2] { // the two timelines
+				if err := wire.ScanStatuses([]byte(page), func(v *wire.StatusView) {
+					if at, err := time.Parse(time.RFC3339, string(v.CreatedAt)); err != nil || at.Before(floor) {
+						t.Fatalf("after a %s, a status is served with created_at %q", a.Type, v.CreatedAt)
+					}
+				}); err != nil {
+					t.Fatal(err)
 				}
 			}
 		case http.StatusBadRequest, http.StatusUnprocessableEntity, http.StatusRequestEntityTooLarge:

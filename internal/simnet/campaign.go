@@ -8,6 +8,7 @@ import (
 	"repro/internal/crawler/fleet"
 	"repro/internal/dataset"
 	"repro/internal/sim"
+	"repro/internal/vclock"
 )
 
 // CampaignConfig shapes a simulated measurement campaign: the §3 pipeline
@@ -67,6 +68,105 @@ type CampaignResult struct {
 	FleetStats *fleet.Stats
 }
 
+// Campaign is the §3 probe loop, written once: the injector that replays
+// the world's traces onto the servers, the monitor that probes them, the
+// log the rounds are filed in, the probe population and the rounds done.
+// One round is Apply then Probe. RunCampaign drives it straight through;
+// the scenario engine drives it with scripted events between rounds.
+type Campaign struct {
+	Injector *Injector
+	Log      *crawler.ProbeLog
+
+	clock  *vclock.Sim
+	mon    crawler.Monitor
+	start  int
+	rounds int
+	at     time.Time       // the applied slot's calendar time
+	known  map[string]bool // the population as a set, built by the first AddDomain
+}
+
+// NewCampaign starts a probe loop over every instance the network hosts,
+// whose first round probes slot start. probeWorkers bounds each round's
+// concurrency (0 = the monitor's default).
+func (h *Harness) NewCampaign(start, probeWorkers int) *Campaign {
+	domains := h.Net.Domains()
+	c := &Campaign{
+		Injector: NewInjector(h.Net, domains, h.World.Traces),
+		Log:      crawler.NewProbeLog(),
+		clock:    h.Clock,
+		mon:      crawler.Monitor{Client: h.Client, Domains: domains, Workers: probeWorkers, Clock: h.Clock},
+		start:    start,
+	}
+	c.mon.Now = func() time.Time { return c.at }
+	return c
+}
+
+// SlotTime is an absolute probe slot's calendar time.
+func SlotTime(slot int) time.Time {
+	return dataset.Day(0).Add(time.Duration(slot) * SlotDuration)
+}
+
+// Apply sets every server's availability to the next round's slot and moves
+// virtual time to that slot's calendar time. Virtual time may already be
+// past it (retry backoffs and mid-campaign crawls stretch the elastic
+// clock); the round's samples are stamped with the slot's time regardless.
+func (c *Campaign) Apply() {
+	slot := c.start + c.rounds
+	c.Injector.Apply(slot)
+	c.at = SlotTime(slot)
+	c.clock.AdvanceTo(c.at)
+}
+
+// Probe polls the whole population once and files the round under the
+// applied slot's time.
+func (c *Campaign) Probe(ctx context.Context) {
+	c.Log.Add(c.mon.PollOnce(ctx))
+	c.rounds++
+}
+
+// AddDomain adds a newly known domain to the probe population and reports
+// whether it was new. Its unobserved past — every round already probed — is
+// filed as offline: an instance the index has never seen is
+// indistinguishable from a dead one.
+func (c *Campaign) AddDomain(domain string) bool {
+	if c.known == nil {
+		c.known = make(map[string]bool, len(c.mon.Domains)+1)
+		for _, d := range c.mon.Domains {
+			c.known[d] = true
+		}
+	}
+	if c.known[domain] {
+		return false
+	}
+	c.known[domain] = true
+	for k := 0; k < c.rounds; k++ {
+		c.Log.Add([]crawler.Sample{{Domain: domain, At: SlotTime(c.start + k)}})
+	}
+	c.mon.Domains = append(c.mon.Domains, domain)
+	return true
+}
+
+// Domains returns the probe population in probe order. The population only
+// grows, so the slice stays valid; appending to it copies.
+func (c *Campaign) Domains() []string {
+	n := len(c.mon.Domains)
+	return c.mon.Domains[:n:n]
+}
+
+// Probed returns the campaign's result so far: the population, the probe
+// log and its traces over the rounds done. The crawl fields are CrawlPhase's
+// to fill.
+func (c *Campaign) Probed() *CampaignResult {
+	traces, _ := c.Log.ToTraceSet(dataset.SlotsPerDay)
+	return &CampaignResult{
+		Domains:   c.Domains(),
+		Log:       c.Log,
+		Traces:    traces,
+		StartSlot: c.start,
+		FinalSlot: c.start + c.rounds - 1,
+	}
+}
+
 // RunCampaign replays the paper's measurement campaign against the live
 // harness in virtual time: for every slot, the outage injector applies the
 // world's ground-truth traces to the running servers and the monitor probes
@@ -78,46 +178,22 @@ func (h *Harness) RunCampaign(ctx context.Context, cfg CampaignConfig) (*Campaig
 	if cfg.Slots <= 0 {
 		panic("simnet: campaign needs a positive slot count")
 	}
-	domains := h.Net.Domains()
-	inj := NewInjector(h.Net, domains, h.World.Traces)
+	if cfg.Resume != nil && cfg.StartSlot != cfg.Resume.StartSlot+cfg.Resume.Slots {
+		panic("simnet: delta campaign must start right after its checkpointed window")
+	}
+	c := h.NewCampaign(cfg.StartSlot, cfg.ProbeWorkers)
 	if cfg.Faults != nil {
-		inj.BindFaults(h.Faults, cfg.Faults)
-		defer inj.BindFaults(h.Faults, nil)
+		c.Injector.BindFaults(h.Faults, cfg.Faults)
+		defer c.Injector.BindFaults(h.Faults, nil)
 	}
-	mon := &crawler.Monitor{
-		Client:  h.Client,
-		Domains: domains,
-		Workers: cfg.ProbeWorkers,
-		Clock:   h.Clock,
-	}
-	log := crawler.NewProbeLog()
-
 	for s := 0; s < cfg.Slots; s++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		slot := cfg.StartSlot + s
-		inj.Apply(slot)
-		// Pin the round's sample timestamp to the slot's calendar time.
-		// (Virtual time itself may run ahead: retry backoffs inside the
-		// round stretch the elastic clock.)
-		at := dataset.Day(0).Add(time.Duration(slot) * SlotDuration)
-		h.Clock.AdvanceTo(at)
-		mon.Now = func() time.Time { return at }
-		log.Add(mon.PollOnce(ctx))
+		c.Apply()
+		c.Probe(ctx)
 	}
-
-	if cfg.Resume != nil && cfg.StartSlot != cfg.Resume.StartSlot+cfg.Resume.Slots {
-		panic("simnet: delta campaign must start right after its checkpointed window")
-	}
-	traces, _ := log.ToTraceSet(dataset.SlotsPerDay)
-	res := &CampaignResult{
-		Domains:   domains,
-		Log:       log,
-		Traces:    traces,
-		StartSlot: cfg.StartSlot,
-		FinalSlot: cfg.StartSlot + cfg.Slots - 1,
-	}
+	res := c.Probed()
 	if err := h.CrawlPhase(ctx, cfg, res); err != nil {
 		return nil, err
 	}

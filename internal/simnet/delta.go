@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/crawler"
+	"repro/internal/crawler/fleet"
 	"repro/internal/dataset"
 )
 
@@ -36,23 +37,20 @@ type Checkpoint struct {
 }
 
 // NewCheckpoint summarises a campaign result into the resume state for the
-// next window.
+// next window. Its marks are fleet.Marks, the one statement of which
+// harvests count as complete; only those domains carry authors.
 func NewCheckpoint(res *CampaignResult) *Checkpoint {
 	ck := &Checkpoint{
 		StartSlot: res.StartSlot,
 		Slots:     res.Traces.Slots(),
-		HighWater: make(map[string]int64),
+		HighWater: fleet.Marks(res.Crawls),
 		Authors:   make(map[string][]string),
 	}
 	for i := range res.Crawls {
 		c := &res.Crawls[i]
-		// A partial harvest (c.Err) must not checkpoint either: its mark
-		// would skip history the crawl never reached. The domain is left
-		// out so the next window refetches it in full.
-		if c.Blocked || c.Offline || c.Err != nil {
+		if _, marked := ck.HighWater[c.Domain]; !marked {
 			continue
 		}
-		ck.HighWater[c.Domain] = c.MaxID
 		seen := make(map[string]struct{}, len(c.Toots))
 		var authors []string
 		for _, t := range c.Toots {

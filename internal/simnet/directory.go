@@ -11,7 +11,6 @@ import (
 	"repro/internal/dht"
 	"repro/internal/federation"
 	"repro/internal/instance"
-	"repro/internal/vclock"
 )
 
 // Directory runs the dormant dht.Ring as the fediverse's decentralised
@@ -51,8 +50,6 @@ type DirectoryOptions struct {
 	// Latency is the virtual time each record delivery costs on the overlay
 	// bus (0 = instantaneous).
 	Latency time.Duration
-	// Clock paces the overlay bus (nil = the network's clock).
-	Clock vclock.Clock
 }
 
 // NewDirectory builds the directory over every instance the network
@@ -60,10 +57,6 @@ type DirectoryOptions struct {
 // an overlay inbox, and nothing is published yet — call PublishPresence /
 // PublishAll once the campaign is ready.
 func NewDirectory(net *instance.Network, opts DirectoryOptions) *Directory {
-	clk := opts.Clock
-	if clk == nil {
-		clk = net.Clock()
-	}
 	d := &Directory{
 		Ring:    dht.NewRing(opts.Replication),
 		net:     net,
@@ -71,7 +64,7 @@ func NewDirectory(net *instance.Network, opts DirectoryOptions) *Directory {
 		members: make(map[string]bool),
 	}
 	if opts.Latency > 0 {
-		d.bus.SetLatency(clk, opts.Latency)
+		d.bus.SetLatency(net.Clock(), opts.Latency)
 	}
 	domains := net.Domains()
 	d.Ring.JoinAll(domains)
@@ -149,7 +142,7 @@ func (d *Directory) Publish(ctx context.Context, source, key string, value []str
 	a := &federation.Activity{
 		Type: federation.TypeCreate,
 		From: federation.Actor{User: "dht", Domain: source},
-		Note: &federation.Note{ID: key, Content: strings.Join(value, " ")},
+		Note: &federation.Note{ID: key, Content: strings.Join(value, " "), CreatedAt: d.net.Clock().Now()},
 	}
 	for _, h := range holders {
 		d.mu.Lock()

@@ -1,7 +1,6 @@
 package scenario
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"sort"
@@ -34,7 +33,6 @@ func ChaosStorm(seed uint64) *Scenario {
 		onsetRel  = slots / 3 // persistent faults begin here; transients end
 		retries   = 4
 		hits      = 2
-		tootCap   = 3
 	)
 
 	sc := &Scenario{
@@ -50,10 +48,8 @@ func ChaosStorm(seed uint64) *Scenario {
 			cfg.MassExpiryDay = -1
 			return gen.Generate(cfg)
 		},
-		StartSlot:    startSlot,
-		Slots:        slots,
-		ProbeWorkers: 8,
-		CrawlWorkers: 8,
+		StartSlot: startSlot,
+		Slots:     slots,
 	}
 
 	// Size the breaker from the world the scenario will actually run: the
@@ -118,7 +114,6 @@ func ChaosStorm(seed uint64) *Scenario {
 	sc.Options = simnet.Options{
 		MaxTootsPerUser: tootCap,
 		Retries:         retries,
-		Backoff:         50 * time.Millisecond,
 		RequestTimeout:  10 * time.Second,
 		Breaker: &crawler.BreakerConfig{
 			Threshold:   8,
@@ -208,14 +203,11 @@ func ChaosStorm(seed uint64) *Scenario {
 			StartSlot: startSlot, Slots: slots, MaxTootsPerUser: tootCap,
 		})
 		recovered, _ := simnet.Rebuild(r.Result)
-		var eb, rb bytes.Buffer
-		if err := expected.Save(&eb); err != nil {
+		same, err := sameBytes(expected, recovered)
+		if err != nil {
 			return err
 		}
-		if err := recovered.Save(&rb); err != nil {
-			return err
-		}
-		rep.Add("convergence.byte_equal", b2f(bytes.Equal(eb.Bytes(), rb.Bytes())))
+		rep.Add("convergence.byte_equal", b2f(same))
 
 		// What the persistent faults cost against a fault-free campaign.
 		clean, _ := simnet.ExpectedWorld(r.World, simnet.ExpectedConfig{

@@ -4,12 +4,8 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"time"
 
 	"repro/internal/dataset"
-	"repro/internal/federation"
-	"repro/internal/gen"
-	"repro/internal/instance"
 	"repro/internal/simnet"
 )
 
@@ -32,34 +28,19 @@ func ChurnDuringCrawl(seed uint64) *Scenario {
 		killAt        = 150
 		newbies       = 2
 		hosts         = 3 // existing instances the newbies federate with
-		tootCap       = 3
 	)
 
 	var victim string
 
 	sc := &Scenario{
-		Name:  "churn-during-crawl",
-		Title: "Instances registering and dying mid-campaign, discovered by snowball",
-		Paper: "§3 (crawl population dynamics)",
-		Seed:  seed,
-		World: func(seed uint64) *dataset.World {
-			cfg := gen.TinyConfig(seed)
-			cfg.Instances = 15
-			cfg.Users = 240
-			cfg.Days = 6
-			cfg.MassExpiryDay = -1
-			cfg.ASOutages = nil
-			return gen.Generate(cfg)
-		},
-		Options: simnet.Options{
-			MaxTootsPerUser: tootCap,
-			Retries:         2,
-			Backoff:         50 * time.Millisecond,
-		},
+		Name:          "churn-during-crawl",
+		Title:         "Instances registering and dying mid-campaign, discovered by snowball",
+		Paper:         "§3 (crawl population dynamics)",
+		Seed:          seed,
+		World:         quietWorld(15, 240, 6),
+		Options:       baseOptions,
 		StartSlot:     startSlot,
 		Slots:         slots,
-		ProbeWorkers:  8,
-		CrawlWorkers:  8,
 		DiscoverEvery: discoverEvery,
 	}
 
@@ -68,40 +49,14 @@ func ChurnDuringCrawl(seed uint64) *Scenario {
 			At:   registerAt,
 			Name: "register newbie instances",
 			Do: func(ctx context.Context, r *Run) error {
-				at := slotTime(startSlot + registerAt)
-				anchors, err := anchorAccounts(r.World, hosts)
+				at := simnet.SlotTime(startSlot + registerAt)
+				anchors, err := pickAnchors(r.World, hosts, func(int) bool { return true })
 				if err != nil {
 					return err
 				}
 				for k := 0; k < newbies; k++ {
-					domain := fmt.Sprintf("newbie-%d.sim", k)
-					srv := r.H.Net.Add(instance.Config{
-						Domain:   domain,
-						Software: "mastodon",
-						Open:     true,
-					})
-					acct := fmt.Sprintf("n%d", k)
-					if _, err := srv.CreateAccount(acct, false, true, at); err != nil {
+					if _, err := registerNewbie(ctx, r, k, at, anchors); err != nil {
 						return err
-					}
-					for i := 0; i < tootCap; i++ {
-						content := fmt.Sprintf("toot %d from %s", i, acct)
-						if _, err := srv.PostToot(ctx, acct, content, nil, at.Add(time.Duration(i)*time.Minute)); err != nil {
-							return err
-						}
-					}
-					// Federate both ways with every anchor instance: the
-					// newbie's follows make the anchors its peers, and the
-					// Follow handshakes put the newbie on the anchors' peer
-					// lists — which is all a snowball discoverer gets.
-					for _, anchor := range anchors {
-						if err := srv.FollowRemote(ctx, acct, anchor); err != nil {
-							return err
-						}
-						anchorSrv := r.H.Net.Server(anchor.Domain)
-						if err := anchorSrv.FollowRemote(ctx, anchor.User, federation.Actor{User: acct, Domain: domain}); err != nil {
-							return err
-						}
 					}
 				}
 				return nil
@@ -112,7 +67,7 @@ func ChurnDuringCrawl(seed uint64) *Scenario {
 			Name: "kill an original instance",
 			Do: func(ctx context.Context, r *Run) error {
 				victim = r.World.Instances[len(r.World.Instances)-1].Domain
-				r.Kill(victim)
+				r.Injector.Kill(victim)
 				return nil
 			},
 		},
@@ -123,18 +78,7 @@ func ChurnDuringCrawl(seed uint64) *Scenario {
 
 		// When did the snowball first see the newbies, and did the monitor
 		// then track them as up for the rest of the campaign?
-		discSlot := -1
-		for _, d := range rep.Discoveries {
-			for _, f := range d.Found {
-				if strings.HasPrefix(f, "newbie-") {
-					discSlot = d.Slot
-					break
-				}
-			}
-			if discSlot >= 0 {
-				break
-			}
-		}
+		discSlot := newbieSlot(rep)
 		rep.Add("discovery.newbie_slot", float64(discSlot))
 		idx := make(map[string]int, len(res.Domains))
 		for i, d := range res.Domains {
@@ -215,26 +159,4 @@ func ChurnDuringCrawl(seed uint64) *Scenario {
 		return nil
 	}
 	return sc
-}
-
-// anchorAccounts picks one public, tooting user on each of the first n
-// instances — the federation anchors a newbie instance links up with.
-func anchorAccounts(w *dataset.World, n int) ([]federation.Actor, error) {
-	anchors := make([]federation.Actor, 0, n)
-	for inst := int32(0); int(inst) < len(w.Instances) && len(anchors) < n; inst++ {
-		for ui := range w.Users {
-			u := &w.Users[ui]
-			if u.Instance == inst && !u.Private && u.Toots > 0 {
-				anchors = append(anchors, federation.Actor{
-					User:   instance.UserName(u.ID),
-					Domain: w.Instances[inst].Domain,
-				})
-				break
-			}
-		}
-	}
-	if len(anchors) < n {
-		return nil, fmt.Errorf("only %d of %d anchor instances have a public tooting user", len(anchors), n)
-	}
-	return anchors, nil
 }

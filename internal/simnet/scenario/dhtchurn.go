@@ -4,18 +4,12 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"strings"
-	"time"
 
 	"repro/internal/analysis"
 	"repro/internal/crawler"
 	"repro/internal/dataset"
 	"repro/internal/dht"
-	"repro/internal/federation"
-	"repro/internal/gen"
-	"repro/internal/instance"
 	"repro/internal/replication"
-	"repro/internal/sim"
 	"repro/internal/simnet"
 )
 
@@ -44,9 +38,7 @@ func DHTChurn(seed uint64) *Scenario {
 		crawlAt     = 110 // pre-storm crawl: the healthy-world snapshot
 		stormAt     = 120 // correlated AS storms start mid-campaign
 		killAt      = 180
-		tailSlots   = 24 // pinned storm covering the crawl window (2h)
-		anchors     = 3  // existing instances the newbie federates with
-		tootCap     = 3
+		anchors     = 3 // existing instances the newbie federates with
 		probeStride = 6 // every 6th instance's presence record is sampled
 	)
 
@@ -62,28 +54,14 @@ func DHTChurn(seed uint64) *Scenario {
 	)
 
 	sc := &Scenario{
-		Name:  "dht-churn",
-		Title: "The DHT as decentralised directory vs a centralised registry under churn",
-		Paper: "§5.2 (decentralised global index)",
-		Seed:  seed,
-		World: func(seed uint64) *dataset.World {
-			cfg := gen.TinyConfig(seed)
-			cfg.Instances = 60
-			cfg.Users = 900
-			cfg.Days = 4
-			cfg.MassExpiryDay = -1
-			cfg.ASOutages = nil
-			return gen.Generate(cfg)
-		},
-		Options: simnet.Options{
-			MaxTootsPerUser: tootCap,
-			Retries:         2,
-			Backoff:         50 * time.Millisecond,
-		},
+		Name:          "dht-churn",
+		Title:         "The DHT as decentralised directory vs a centralised registry under churn",
+		Paper:         "§5.2 (decentralised global index)",
+		Seed:          seed,
+		World:         quietWorld(60, 900, 4),
+		Options:       baseOptions,
 		StartSlot:     startSlot,
 		Slots:         slots,
-		ProbeWorkers:  8,
-		CrawlWorkers:  8,
 		DiscoverEvery: 48,
 	}
 
@@ -118,11 +96,7 @@ func DHTChurn(seed uint64) *Scenario {
 		dhtSuccess = append(dhtSuccess, float64(ok)/float64(total))
 		// The baseline is all-or-nothing: a centralised registry answers
 		// every lookup while its host is up and none while it is down.
-		central := 0.0
-		if srv := r.H.Net.Server(registry); srv != nil && srv.Online() {
-			central = 1
-		}
-		centralSuccess = append(centralSuccess, central)
+		centralSuccess = append(centralSuccess, b2f(r.online(registry)))
 		return nil
 	}
 
@@ -181,34 +155,15 @@ func DHTChurn(seed uint64) *Scenario {
 			At:   registerAt,
 			Name: "newbie instance joins the directory",
 			Do: func(ctx context.Context, r *Run) error {
-				at := slotTime(startSlot + registerAt)
-				anchorActors, err := onlineAnchors(r, anchors)
+				anchorActors, err := pickAnchors(r.World, anchors, func(i int) bool {
+					return r.online(r.World.Instances[i].Domain)
+				})
 				if err != nil {
 					return err
 				}
-				domain := "newbie-0.sim"
-				srv := r.H.Net.Add(instance.Config{
-					Domain:   domain,
-					Software: "mastodon",
-					Open:     true,
-				})
-				if _, err := srv.CreateAccount("n0", false, true, at); err != nil {
+				domain, err := registerNewbie(ctx, r, 0, simnet.SlotTime(startSlot+registerAt), anchorActors)
+				if err != nil {
 					return err
-				}
-				for i := 0; i < tootCap; i++ {
-					content := fmt.Sprintf("toot %d from n0", i)
-					if _, err := srv.PostToot(ctx, "n0", content, nil, at.Add(time.Duration(i)*time.Minute)); err != nil {
-						return err
-					}
-				}
-				for _, anchor := range anchorActors {
-					if err := srv.FollowRemote(ctx, "n0", anchor); err != nil {
-						return err
-					}
-					anchorSrv := r.H.Net.Server(anchor.Domain)
-					if err := anchorSrv.FollowRemote(ctx, anchor.User, federation.Actor{User: "n0", Domain: domain}); err != nil {
-						return err
-					}
 				}
 				// Join the ring and publish: the newbie's own presence, plus a
 				// refresh of the anchors' records — their peer lists now carry
@@ -238,22 +193,9 @@ func DHTChurn(seed uint64) *Scenario {
 			At:   stormAt,
 			Name: "correlated AS storms, one pinned over the crawl window",
 			Do: func(ctx context.Context, r *Run) error {
-				overlay, _ := sim.GenCorrelatedOutages(len(r.World.Instances), groups, sim.StormConfig{
-					Seed:          sc.Seed,
-					Slots:         r.World.NumSlots(),
-					SlotsPerDay:   dataset.SlotsPerDay,
-					Storms:        2,
-					MinSlots:      18,
-					MeanSlots:     30,
-					Participation: 1,
-					WindowStart:   startSlot + stormAt,
-					WindowEnd:     startSlot + slots - tailSlots,
-				})
 				// The tail storm downs the registry's whole AS across the
 				// final crawl — the §5.2 case for not depending on one host.
-				for _, id := range groups[0] {
-					overlay.Traces[id].SetDownRange(startSlot+slots-tailSlots, startSlot+slots)
-				}
+				overlay, _ := stormOverlay(r.World, sc.Seed, groups, startSlot+stormAt, startSlot+slots)
 				r.Injector.SetOverlay(overlay)
 				return nil
 			},
@@ -262,14 +204,13 @@ func DHTChurn(seed uint64) *Scenario {
 			At:   killAt,
 			Name: "kill an original instance",
 			Do: func(ctx context.Context, r *Run) error {
-				r.Kill(victim)
+				r.Injector.Kill(victim)
 				return nil
 			},
 		},
 	}
 
 	sc.Collect = func(r *Run, rep *Report) error {
-		res := r.Result
 		ctx := context.Background()
 
 		// Directory vs registry lookup success over the campaign.
@@ -289,19 +230,7 @@ func DHTChurn(seed uint64) *Scenario {
 		rep.Add("dht.ring.members", float64(dir.Ring.Size()))
 
 		// When did the DHT bootstrap surface the newbie?
-		discSlot := -1
-		for _, d := range rep.Discoveries {
-			for _, f := range d.Found {
-				if strings.HasPrefix(f, "newbie-") {
-					discSlot = d.Slot
-					break
-				}
-			}
-			if discSlot >= 0 {
-				break
-			}
-		}
-		rep.Add("discovery.newbie_slot", float64(discSlot))
+		rep.Add("discovery.newbie_slot", float64(newbieSlot(rep)))
 
 		// The dead victim's presence record outlives it: still resolvable
 		// from the ring even though the instance itself is gone.
@@ -322,7 +251,7 @@ func DHTChurn(seed uint64) *Scenario {
 		seeds := make([]string, 0, anchors)
 		for i := range r.World.Instances {
 			dom := r.World.Instances[i].Domain
-			if srv := r.H.Net.Server(dom); srv != nil && srv.Online() && !inGroup0[dom] && dom != victim {
+			if r.online(dom) && !inGroup0[dom] && dom != victim {
 				seeds = append(seeds, dom)
 			}
 			if len(seeds) == anchors {
@@ -331,7 +260,7 @@ func DHTChurn(seed uint64) *Scenario {
 		}
 		boot := &crawler.DHTBootstrap{Index: dir}
 		dhtFound := boot.Discover(ctx, seeds)
-		snow := &crawler.Discoverer{Client: r.H.Client, Workers: sc.ProbeWorkers}
+		snow := &crawler.Discoverer{Client: r.H.Client}
 		snowFound := snow.Discover(ctx, seeds)
 		rep.Add("storm.discovery.dht_found", float64(len(dhtFound)))
 		rep.Add("storm.discovery.snowball_found", float64(len(snowFound)))
@@ -340,14 +269,7 @@ func DHTChurn(seed uint64) *Scenario {
 		// storm) under the down mask the final probe round measured:
 		// ring-keyspace placement (DHT-Rep) between the No-Rep and S-Rep
 		// extremes.
-		down := make([]bool, len(snap.World.Instances))
-		dead := 0
-		for i := range down {
-			down[i] = res.Traces.Traces[i].IsDown(slots - 1)
-			if down[i] {
-				dead++
-			}
-		}
+		down, dead := finalDown(r.Result, len(snap.World.Instances))
 		rep.Add("probe.final_dead", float64(dead))
 		exp := replication.New(snap.World)
 		strategies := []replication.Strategy{
@@ -367,10 +289,7 @@ func DHTChurn(seed uint64) *Scenario {
 		// the index resolves their record AND a listed replica host is up.
 		// The centralised baseline fails closed: registry down, nothing
 		// resolves.
-		registryUp := false
-		if srv := r.H.Net.Server(registry); srv != nil && srv.Online() {
-			registryUp = true
-		}
+		registryUp := r.online(registry)
 		e2eDHT, e2eCentral := 0, 0
 		for ui := range r.World.Users {
 			u := &r.World.Users[ui]
@@ -378,8 +297,7 @@ func DHTChurn(seed uint64) *Scenario {
 			replicaUp := false
 			if err == nil {
 				for _, dom := range value {
-					if srv := r.H.Net.Server(dom); srv != nil && srv.Online() {
-						replicaUp = true
+					if replicaUp = r.online(dom); replicaUp {
 						break
 					}
 				}
@@ -443,44 +361,4 @@ func DHTChurn(seed uint64) *Scenario {
 		return nil
 	}
 	return sc
-}
-
-// onlineAnchors picks one public, tooting user on each of the first n
-// instances whose server is currently online — a newbie can only complete
-// Follow handshakes (and the anchors republish presence) with live hosts.
-func onlineAnchors(r *Run, n int) ([]federation.Actor, error) {
-	w := r.World
-	out := make([]federation.Actor, 0, n)
-	for inst := int32(0); int(inst) < len(w.Instances) && len(out) < n; inst++ {
-		srv := r.H.Net.Server(w.Instances[inst].Domain)
-		if srv == nil || !srv.Online() {
-			continue
-		}
-		for ui := range w.Users {
-			u := &w.Users[ui]
-			if u.Instance == inst && !u.Private && u.Toots > 0 {
-				out = append(out, federation.Actor{
-					User:   instance.UserName(u.ID),
-					Domain: w.Instances[inst].Domain,
-				})
-				break
-			}
-		}
-	}
-	if len(out) < n {
-		return nil, fmt.Errorf("only %d of %d anchor instances are online with a public tooting user", len(out), n)
-	}
-	return out, nil
-}
-
-// mean averages a series (0 for an empty one).
-func mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
 }

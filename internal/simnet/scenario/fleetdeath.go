@@ -1,14 +1,13 @@
 package scenario
 
 import (
-	"bytes"
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/crawler/fleet"
 	"repro/internal/dataset"
-	"repro/internal/gen"
 	"repro/internal/simnet"
 )
 
@@ -35,27 +34,14 @@ func FleetWorkerDeath(seed uint64) *Scenario {
 	var victim string
 
 	sc := &Scenario{
-		Name:  "fleet-worker-death",
-		Title: "Crawler fleet losing workers mid-domain, leases re-assigned",
-		Paper: "§3 (crawl methodology, scaled out)",
-		Seed:  seed,
-		World: func(seed uint64) *dataset.World {
-			cfg := gen.TinyConfig(seed)
-			cfg.Instances = 14
-			cfg.Users = 220
-			cfg.Days = 5
-			cfg.MassExpiryDay = -1
-			cfg.ASOutages = nil
-			return gen.Generate(cfg)
-		},
-		Options: simnet.Options{
-			MaxTootsPerUser: 3,
-			Retries:         2,
-			Backoff:         50 * time.Millisecond,
-		},
-		StartSlot:    startSlot,
-		Slots:        slots,
-		ProbeWorkers: 8,
+		Name:      "fleet-worker-death",
+		Title:     "Crawler fleet losing workers mid-domain, leases re-assigned",
+		Paper:     "§3 (crawl methodology, scaled out)",
+		Seed:      seed,
+		World:     quietWorld(14, 220, 5),
+		Options:   baseOptions,
+		StartSlot: startSlot,
+		Slots:     slots,
 		Fleet: &fleet.Options{
 			Workers:  workers,
 			LeaseTTL: 10 * time.Minute,
@@ -70,7 +56,7 @@ func FleetWorkerDeath(seed uint64) *Scenario {
 		Name: "kill an instance for good",
 		Do: func(ctx context.Context, r *Run) error {
 			victim = r.World.Instances[len(r.World.Instances)-1].Domain
-			r.Kill(victim)
+			r.Injector.Kill(victim)
 			return nil
 		},
 	}}
@@ -94,27 +80,17 @@ func FleetWorkerDeath(seed uint64) *Scenario {
 		// quiescent network, rebuilt and serialised, must match the fleet's
 		// harvest byte for byte.
 		oracle := *res
-		flat := simnet.CampaignConfig{CrawlWorkers: 1, ScrapeWorkers: sc.ScrapeWorkers}
+		flat := simnet.CampaignConfig{CrawlWorkers: 1}
 		if err := r.H.CrawlPhase(context.Background(), flat, &oracle); err != nil {
 			return err
 		}
 		fleetWorld, fleetNames := simnet.Rebuild(res)
 		flatWorld, flatNames := simnet.Rebuild(&oracle)
-		identical := len(fleetNames) == len(flatNames)
-		for i := 0; identical && i < len(fleetNames); i++ {
-			identical = fleetNames[i] == flatNames[i]
+		identical, err := sameBytes(fleetWorld, flatWorld)
+		if err != nil {
+			return err
 		}
-		if identical {
-			var fb, sb bytes.Buffer
-			if err := fleetWorld.Save(&fb); err != nil {
-				return err
-			}
-			if err := flatWorld.Save(&sb); err != nil {
-				return err
-			}
-			identical = bytes.Equal(fb.Bytes(), sb.Bytes())
-		}
-		rep.Add("equivalence.byte_identical", b2f(identical))
+		rep.Add("equivalence.byte_identical", b2f(identical && slices.Equal(fleetNames, flatNames)))
 
 		// The victim's flatline and the harvest volume, as sanity anchors.
 		idx := -1

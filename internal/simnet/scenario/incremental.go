@@ -1,16 +1,15 @@
 package scenario
 
 import (
-	"bytes"
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/analysis"
 	"repro/internal/crawler"
 	"repro/internal/dataset"
 	"repro/internal/gen"
-	"repro/internal/instance"
 	"repro/internal/simnet"
 )
 
@@ -35,7 +34,6 @@ func IncrementalRecrawl(seed uint64) *Scenario {
 		checkpointAt = 1 * dataset.SlotsPerDay // window A = first day, window B = second
 		postAt       = checkpointAt + 112      // fresh content appears mid-window-B
 		anchorsN     = 3
-		tootCap      = 3
 		freshToots   = 2 // new toots per anchor author
 	)
 
@@ -57,16 +55,9 @@ func IncrementalRecrawl(seed uint64) *Scenario {
 			cfg.Days = 4
 			return gen.Generate(cfg)
 		},
-		Options: simnet.Options{
-			MaxTootsPerUser: tootCap,
-			Retries:         2,
-			Backoff:         50 * time.Millisecond,
-		},
-		StartSlot:     startSlot,
-		Slots:         slots,
-		ProbeWorkers:  8,
-		CrawlWorkers:  8,
-		ScrapeWorkers: 8,
+		Options:   baseOptions,
+		StartSlot: startSlot,
+		Slots:     slots,
 	}
 
 	sc.Events = []Event{
@@ -89,12 +80,19 @@ func IncrementalRecrawl(seed uint64) *Scenario {
 			At:   postAt,
 			Name: "fresh content lands mid-window-B",
 			Do: func(ctx context.Context, r *Run) error {
-				anchors, err := liveAnchors(r.World, anchorsN, startSlot+checkpointAt-1, startSlot+slots-1)
+				// Authors up (per ground truth) at both crawl instants, on
+				// instances that do not block crawling: their fresh posts
+				// must land in the delta window on both sides of the
+				// equivalence.
+				anchors, err := pickAnchors(r.World, anchorsN, func(i int) bool {
+					tr := r.World.Traces.Traces[i]
+					return !r.World.Instances[i].BlocksCrawl && !tr.IsDown(startSlot+checkpointAt-1) && !tr.IsDown(startSlot+slots-1)
+				})
 				if err != nil {
 					return err
 				}
 				posted = 0
-				at := slotTime(startSlot + postAt)
+				at := simnet.SlotTime(startSlot + postAt)
 				for k, anchor := range anchors {
 					srv := r.H.Net.Server(anchor.Domain)
 					if srv == nil {
@@ -148,10 +146,7 @@ func IncrementalRecrawl(seed uint64) *Scenario {
 			StartSlot: startSlot + checkpointAt,
 			FinalSlot: startSlot + slots - 1,
 		}
-		err := r.H.CrawlPhase(ctx, simnet.CampaignConfig{
-			CrawlWorkers: sc.CrawlWorkers, ScrapeWorkers: sc.ScrapeWorkers, Resume: ck,
-		}, resB)
-		if err != nil {
+		if err := r.H.CrawlPhase(ctx, simnet.CampaignConfig{Resume: ck}, resB); err != nil {
 			return err
 		}
 		crawls := resB.Crawls
@@ -167,25 +162,12 @@ func IncrementalRecrawl(seed uint64) *Scenario {
 			return err
 		}
 
-		namesEqual := len(mergedNames) == len(fullNames)
-		if namesEqual {
-			for i := range mergedNames {
-				if mergedNames[i] != fullNames[i] {
-					namesEqual = false
-					break
-				}
-			}
-		}
-		mb, err := saveBytes(merged)
+		same, err := sameBytes(merged, fullWorld)
 		if err != nil {
 			return err
 		}
-		fb, err := saveBytes(fullWorld)
-		if err != nil {
-			return err
-		}
-		rep.Add("merge.byte_equal", b2f(bytes.Equal(mb, fb)))
-		rep.Add("merge.names_equal", b2f(namesEqual))
+		rep.Add("merge.byte_equal", b2f(same))
+		rep.Add("merge.names_equal", b2f(slices.Equal(mergedNames, fullNames)))
 
 		deltaToots, newToots, fullToots := 0, 0, 0
 		deltaDomains, refetchDomains := 0, 0
@@ -242,52 +224,4 @@ func IncrementalRecrawl(seed uint64) *Scenario {
 		return nil
 	}
 	return sc
-}
-
-// liveAnchors picks one public, tooting author on each of n distinct
-// instances that are up (per ground truth) at both crawl instants and do
-// not block crawling — the accounts whose fresh posts must land in the
-// delta window on both sides of the equivalence.
-func liveAnchors(w *dataset.World, n, slotA, slotB int) ([]anchor, error) {
-	var out []anchor
-	for i := range w.Instances {
-		if len(out) == n {
-			break
-		}
-		in := &w.Instances[i]
-		if in.BlocksCrawl || w.Traces.Traces[i].IsDown(slotA) || w.Traces.Traces[i].IsDown(slotB) {
-			continue
-		}
-		for ui := range w.Users {
-			u := &w.Users[ui]
-			if u.Instance == int32(i) && !u.Private && u.Toots > 0 {
-				out = append(out, anchor{User: instance.UserName(u.ID), Domain: in.Domain})
-				break
-			}
-		}
-	}
-	if len(out) < n {
-		return nil, fmt.Errorf("only %d of %d anchor instances are up at both crawls", len(out), n)
-	}
-	return out, nil
-}
-
-type anchor struct {
-	User   string
-	Domain string
-}
-
-func saveBytes(w *dataset.World) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := w.Save(&buf); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-func b2f(v bool) float64 {
-	if v {
-		return 1
-	}
-	return 0
 }

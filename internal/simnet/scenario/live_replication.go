@@ -3,13 +3,10 @@ package scenario
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"repro/internal/analysis"
 	"repro/internal/dataset"
-	"repro/internal/gen"
 	"repro/internal/replication"
-	"repro/internal/simnet"
 )
 
 // LiveReplication reruns the §5.2 replication experiments on a live network
@@ -29,7 +26,6 @@ func LiveReplication(seed uint64) *Scenario {
 		startSlot = 1 * dataset.SlotsPerDay
 		slots     = 1 * dataset.SlotsPerDay
 		crawlAt   = 140 // pre-storm crawl: the paper's snapshot, taken live
-		tootCap   = 3
 	)
 	waveSlots := []int{150, 170, 190}
 
@@ -38,29 +34,14 @@ func LiveReplication(seed uint64) *Scenario {
 	var waves [][]int32
 
 	sc := &Scenario{
-		Name:  "live-replication",
-		Title: "§5.2 replication strategies against mid-campaign instance deaths",
-		Paper: "§5.2 (Fig 15, Fig 16)",
-		Seed:  seed,
-		World: func(seed uint64) *dataset.World {
-			cfg := gen.TinyConfig(seed)
-			cfg.Instances = 100
-			cfg.Users = 2400
-			cfg.Days = 6
-			cfg.MassExpiryDay = -1
-			cfg.ASOutages = nil
-			return gen.Generate(cfg)
-		},
-		Options: simnet.Options{
-			MaxTootsPerUser: tootCap,
-			Retries:         2,
-			Backoff:         50 * time.Millisecond,
-		},
-		StartSlot:     startSlot,
-		Slots:         slots,
-		ProbeWorkers:  16,
-		CrawlWorkers:  16,
-		ScrapeWorkers: 16,
+		Name:      "live-replication",
+		Title:     "§5.2 replication strategies against mid-campaign instance deaths",
+		Paper:     "§5.2 (Fig 15, Fig 16)",
+		Seed:      seed,
+		World:     quietWorld(100, 2400, 6),
+		Options:   baseOptions,
+		StartSlot: startSlot,
+		Slots:     slots,
 	}
 
 	events := []Event{{
@@ -87,7 +68,7 @@ func LiveReplication(seed uint64) *Scenario {
 			Name: fmt.Sprintf("kill wave %d (AS-wide death)", wi+1),
 			Do: func(ctx context.Context, r *Run) error {
 				for _, id := range waves[wi] {
-					r.Kill(r.World.Instances[id].Domain)
+					r.Injector.Kill(r.World.Instances[id].Domain)
 				}
 				return nil
 			},
@@ -96,17 +77,9 @@ func LiveReplication(seed uint64) *Scenario {
 	sc.Events = events
 
 	sc.Collect = func(r *Run, rep *Report) error {
-		res := r.Result
 		// The measured down mask: who the final probe round actually saw
 		// dead (kill waves plus whatever background outages hit).
-		down := make([]bool, len(snap.World.Instances))
-		dead := 0
-		for i := range down {
-			down[i] = res.Traces.Traces[i].IsDown(slots - 1)
-			if down[i] {
-				dead++
-			}
-		}
+		down, dead := finalDown(r.Result, len(snap.World.Instances))
 		killed := 0
 		for _, wave := range waves {
 			killed += len(wave)

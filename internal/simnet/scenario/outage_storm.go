@@ -4,11 +4,9 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"time"
 
 	"repro/internal/analysis"
 	"repro/internal/dataset"
-	"repro/internal/gen"
 	"repro/internal/sim"
 	"repro/internal/simnet"
 )
@@ -29,11 +27,7 @@ func outageStorm(seed uint64, days int) *Scenario {
 	if seed == 0 {
 		seed = 11
 	}
-	const (
-		startSlot = 1 * dataset.SlotsPerDay
-		tailSlots = 24 // pinned storm covering the crawl window (2h)
-		tootCap   = 3
-	)
+	const startSlot = 1 * dataset.SlotsPerDay
 	var (
 		slots   = days * dataset.SlotsPerDay
 		stormAt = slots / 2 // event slot: storm replay begins mid-campaign
@@ -41,33 +35,16 @@ func outageStorm(seed uint64, days int) *Scenario {
 
 	// Per-run state shared between the storm event and Collect.
 	var storms []sim.Storm
-	var overlay *sim.TraceSet
 
 	sc := &Scenario{
-		Name:  "outage-storm",
-		Title: "Correlated AS-wide outage storms replayed mid-campaign",
-		Paper: "§4.4 (Fig 7, Fig 10, Table 1)",
-		Seed:  seed,
-		World: func(seed uint64) *dataset.World {
-			cfg := gen.TinyConfig(seed)
-			cfg.Instances = 60
-			cfg.Users = 900
-			cfg.Days = days + 2
-			cfg.MassExpiryDay = -1
-			// The generator's own Table 1 injections are disabled so the
-			// replayed storm set is the only correlated signal.
-			cfg.ASOutages = nil
-			return gen.Generate(cfg)
-		},
-		Options: simnet.Options{
-			MaxTootsPerUser: tootCap,
-			Retries:         2,
-			Backoff:         50 * time.Millisecond,
-		},
-		StartSlot:    startSlot,
-		Slots:        slots,
-		ProbeWorkers: 8,
-		CrawlWorkers: 8,
+		Name:      "outage-storm",
+		Title:     "Correlated AS-wide outage storms replayed mid-campaign",
+		Paper:     "§4.4 (Fig 7, Fig 10, Table 1)",
+		Seed:      seed,
+		World:     quietWorld(60, 900, days+2),
+		Options:   baseOptions,
+		StartSlot: startSlot,
+		Slots:     slots,
 	}
 
 	sc.Events = []Event{{
@@ -78,30 +55,8 @@ func outageStorm(seed uint64, days int) *Scenario {
 			if len(groups) == 0 {
 				return fmt.Errorf("world has no multi-instance AS to storm")
 			}
-			overlay, storms = sim.GenCorrelatedOutages(len(r.World.Instances), groups, sim.StormConfig{
-				Seed:          sc.Seed,
-				Slots:         r.World.NumSlots(),
-				SlotsPerDay:   dataset.SlotsPerDay,
-				Storms:        2,
-				MinSlots:      18,
-				MeanSlots:     30,
-				Participation: 1, // AS-wide: every member fails together
-				WindowStart:   startSlot + stormAt,
-				WindowEnd:     startSlot + slots - tailSlots,
-			})
-			// Pin one extra storm of the largest group over the crawl
-			// window, so the §3 crawl phase itself runs against a fresh
-			// correlated failure and the recovered datasets show the bias.
-			tail := sim.Storm{
-				Group:   0,
-				Start:   startSlot + slots - tailSlots,
-				End:     startSlot + slots,
-				Members: append([]int32(nil), groups[0]...),
-			}
-			for _, id := range tail.Members {
-				overlay.Traces[id].SetDownRange(tail.Start, tail.End)
-			}
-			storms = append(storms, tail)
+			var overlay *sim.TraceSet
+			overlay, storms = stormOverlay(r.World, sc.Seed, groups, startSlot+stormAt, startSlot+slots)
 			r.Injector.SetOverlay(overlay)
 			return nil
 		},
@@ -194,33 +149,6 @@ func outageStorm(seed uint64, days int) *Scenario {
 		return nil
 	}
 	return sc
-}
-
-// topASGroups returns the instance-id groups of the n largest ASes hosting
-// at least two instances, biggest first (ties towards the smaller ASN).
-func topASGroups(w *dataset.World, n int) [][]int32 {
-	byAS := w.ASInstances()
-	asns := make([]int, 0, len(byAS))
-	for asn, ids := range byAS {
-		if len(ids) >= 2 {
-			asns = append(asns, asn)
-		}
-	}
-	sort.Slice(asns, func(i, j int) bool {
-		a, b := asns[i], asns[j]
-		if len(byAS[a]) != len(byAS[b]) {
-			return len(byAS[a]) > len(byAS[b])
-		}
-		return a < b
-	})
-	if len(asns) > n {
-		asns = asns[:n]
-	}
-	groups := make([][]int32, len(asns))
-	for i, asn := range asns {
-		groups[i] = byAS[asn]
-	}
-	return groups
 }
 
 // meanDownFrac averages the per-instance down fraction of the recovered

@@ -17,7 +17,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"time"
 
 	"repro/internal/crawler"
 	"repro/internal/crawler/fleet"
@@ -25,8 +24,8 @@ import (
 	"repro/internal/simnet"
 )
 
-// Event is one scripted action: Do fires once, right before the probe round
-// of campaign slot offset At (0 ≤ At < Slots).
+// Event is one scripted action: Do fires once, at the start of campaign slot
+// offset At (0 ≤ At < Slots), before that slot is applied.
 type Event struct {
 	At   int
 	Name string
@@ -51,15 +50,10 @@ type Scenario struct {
 	// StartSlot/Slots bound the probing window, as in simnet.CampaignConfig.
 	StartSlot int
 	Slots     int
-	// Worker counts for the three campaign phases (0 = crawler defaults).
-	ProbeWorkers  int
-	CrawlWorkers  int
-	ScrapeWorkers int
 	// Fleet, when set, routes every crawl phase (CrawlNow and the final
 	// crawl) through the distributed crawler fleet — coordinator, leased
 	// workers, work-stealing frontier — instead of the flat TootCrawler
-	// pool; CrawlWorkers is then ignored. The run's coordination counters
-	// land in Result.FleetStats.
+	// pool. The run's coordination counters land in Result.FleetStats.
 	Fleet *fleet.Options
 
 	// DiscoverEvery, when positive, runs a snowball discovery round
@@ -94,60 +88,24 @@ type Scenario struct {
 }
 
 // Run is the live state of an executing scenario, handed to event hooks and
-// Collect.
+// Collect. It is the campaign's probe loop (simnet.Campaign: the injector,
+// the probe log, the population and AddDomain) plus the harness it runs on.
 type Run struct {
+	*simnet.Campaign
 	Scenario *Scenario
 	World    *dataset.World
 	H        *simnet.Harness
-	Injector *simnet.Injector
-	Log      *crawler.ProbeLog
 	// Result is the assembled campaign artefact set; nil until the crawl
 	// and scrape phases complete (i.e. during events), set before Collect.
 	Result *simnet.CampaignResult
 
-	domains []string
-	known   map[string]bool
-	seeds   []string
-	mon     *crawler.Monitor
-	rounds  int // probe rounds completed so far
-	report  *Report
+	seeds  []string
+	report *Report
 }
-
-// Domains returns the current probe population, in probe order.
-func (r *Run) Domains() []string { return append([]string(nil), r.domains...) }
-
-// slotTime pins an absolute probe slot to its calendar time.
-func slotTime(slot int) time.Time {
-	return dataset.Day(0).Add(time.Duration(slot) * simnet.SlotDuration)
-}
-
-// AddDomain adds a newly known domain to the probe population. Its
-// unobserved past — every round already probed — is backfilled as offline:
-// an instance the index has never seen is indistinguishable from a dead
-// one. Known domains are a no-op.
-func (r *Run) AddDomain(domain string) {
-	if r.known[domain] {
-		return
-	}
-	r.known[domain] = true
-	for k := 0; k < r.rounds; k++ {
-		r.Log.Add([]crawler.Sample{{
-			Domain: domain,
-			At:     slotTime(r.Scenario.StartSlot + k),
-			Online: false,
-		}})
-	}
-	r.domains = append(r.domains, domain)
-}
-
-// Kill pins a domain down for the rest of the campaign (injector kill).
-func (r *Run) Kill(domain string) { r.Injector.Kill(domain) }
 
 // Snapshot is a mid-campaign crawl: the §3 toot and follower datasets as
 // observed at the instant an event fired, rebuilt into a world.
 type Snapshot struct {
-	// Slot is the campaign slot offset the snapshot was taken at.
-	Slot int
 	// Res carries the crawl artefacts (its Log and Traces cover only the
 	// rounds probed so far).
 	Res *simnet.CampaignResult
@@ -162,23 +120,12 @@ type Snapshot struct {
 // the observed world from the artefacts. The crawl costs virtual, not
 // wall, time; probing resumes at the next slot's pinned timestamp.
 func (r *Run) CrawlNow(ctx context.Context) (*Snapshot, error) {
-	sc := r.Scenario
-	traces, _ := r.Log.ToTraceSet(dataset.SlotsPerDay)
-	res := &simnet.CampaignResult{
-		Domains:   r.Domains(),
-		Log:       r.Log,
-		Traces:    traces,
-		StartSlot: sc.StartSlot,
-		FinalSlot: sc.StartSlot + r.rounds - 1,
-	}
-	err := r.H.CrawlPhase(ctx, simnet.CampaignConfig{
-		CrawlWorkers: sc.CrawlWorkers, ScrapeWorkers: sc.ScrapeWorkers, Fleet: sc.Fleet,
-	}, res)
-	if err != nil {
+	res := r.Probed()
+	if err := r.H.CrawlPhase(ctx, simnet.CampaignConfig{Fleet: r.Scenario.Fleet}, res); err != nil {
 		return nil, err
 	}
 	w, names := simnet.Rebuild(res)
-	return &Snapshot{Slot: r.rounds, Res: res, World: w, Names: names}, nil
+	return &Snapshot{Res: res, World: w, Names: names}, nil
 }
 
 // Seeds returns the scenario's discovery seed domains.
@@ -192,21 +139,18 @@ func (r *Run) discover(ctx context.Context, atSlot int) {
 	if r.Scenario.Discoverer != nil {
 		found = r.Scenario.Discoverer(ctx, r)
 	} else {
-		d := &crawler.Discoverer{Client: r.H.Client, Workers: r.Scenario.ProbeWorkers}
+		d := &crawler.Discoverer{Client: r.H.Client}
 		found = d.Discover(ctx, r.seeds)
 	}
-	fresh := make([]string, 0, 2)
+	var fresh []string
 	for _, dom := range found { // found is sorted
-		if !r.known[dom] {
+		if r.AddDomain(dom) {
 			fresh = append(fresh, dom)
 		}
 	}
-	for _, dom := range fresh {
-		r.AddDomain(dom)
-	}
 	r.report.Discoveries = append(r.report.Discoveries, DiscoveryRecord{
 		Slot:  atSlot,
-		Known: len(r.domains),
+		Known: len(r.Domains()),
 		Found: fresh,
 	})
 }
@@ -237,20 +181,13 @@ func (sc *Scenario) Run(ctx context.Context) (*Report, error) {
 	if err != nil {
 		return nil, fmt.Errorf("scenario %s: %w", sc.Name, err)
 	}
-	domains := h.Net.Domains()
 	r := &Run{
+		Campaign: h.NewCampaign(sc.StartSlot, 0),
 		Scenario: sc,
 		World:    w,
 		H:        h,
-		Injector: simnet.NewInjector(h.Net, domains, w.Traces),
-		Log:      crawler.NewProbeLog(),
-		domains:  append([]string(nil), domains...),
-		known:    make(map[string]bool, len(domains)),
-		seeds:    append([]string(nil), domains...),
 	}
-	for _, d := range domains {
-		r.known[d] = true
-	}
+	r.seeds = r.Domains() // the population only grows: this stays the initial one
 	rep := &Report{
 		Scenario:  sc.Name,
 		Title:     sc.Title,
@@ -258,15 +195,13 @@ func (sc *Scenario) Run(ctx context.Context) (*Report, error) {
 		Seed:      sc.Seed,
 		StartSlot: sc.StartSlot,
 		Slots:     sc.Slots,
-		Instances: len(domains),
+		Instances: len(r.seeds),
 	}
 	r.report = rep
-	r.mon = &crawler.Monitor{
-		Client:  h.Client,
-		Workers: sc.ProbeWorkers,
-		Clock:   h.Clock,
-	}
 
+	// Each slot: the events due, a discovery round, then the probe round —
+	// Apply, the EachSlot hook, Probe. Events run before Apply, so they see
+	// the previous slot's availability.
 	ei := 0
 	for s := 0; s < sc.Slots; s++ {
 		if err := ctx.Err(); err != nil {
@@ -283,22 +218,13 @@ func (sc *Scenario) Run(ctx context.Context) (*Report, error) {
 		if sc.DiscoverEvery > 0 && s > 0 && s%sc.DiscoverEvery == 0 {
 			r.discover(ctx, s)
 		}
-		slot := sc.StartSlot + s
-		r.Injector.Apply(slot)
-		// Pin the round's sample timestamp to the slot's calendar time;
-		// virtual time itself may already have run ahead (backoffs, event
-		// crawls and discovery rounds all stretch the elastic clock).
-		at := slotTime(slot)
-		h.Clock.AdvanceTo(at)
+		r.Apply()
 		if sc.EachSlot != nil {
 			if err := sc.EachSlot(ctx, r, s); err != nil {
 				return nil, fmt.Errorf("scenario %s: each-slot at %d: %w", sc.Name, s, err)
 			}
 		}
-		r.mon.Domains = r.domains
-		r.mon.Now = func() time.Time { return at }
-		r.Log.Add(r.mon.PollOnce(ctx))
-		r.rounds = s + 1
+		r.Probe(ctx)
 	}
 
 	// The §3 crawl and scrape phases against whatever is reachable at the
@@ -308,7 +234,7 @@ func (sc *Scenario) Run(ctx context.Context) (*Report, error) {
 		return nil, err
 	}
 	r.Result = snap.Res
-	rep.FinalDomains = len(r.domains)
+	rep.FinalDomains = len(r.Domains())
 
 	if sc.Collect != nil {
 		if err := sc.Collect(r, rep); err != nil {

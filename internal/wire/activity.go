@@ -2,6 +2,7 @@ package wire
 
 import (
 	"fmt"
+	"math"
 	"time"
 )
 
@@ -40,6 +41,12 @@ type Activity struct {
 	Note   *Note        `json:"note,omitempty"`   // payload for Create/Announce
 }
 
+// The times a note may carry: exactly those UnixNano represents.
+var (
+	minNoteTime = time.Unix(0, math.MinInt64)
+	maxNoteTime = time.Unix(0, math.MaxInt64)
+)
+
 // Validate checks structural invariants before an activity is accepted.
 func (a *Activity) Validate() error {
 	if a.From.User == "" || a.From.Domain == "" {
@@ -56,6 +63,12 @@ func (a *Activity) Validate() error {
 		}
 		if a.Note.ID == "" {
 			return fmt.Errorf("federation: note without id")
+		}
+		// A server stores a note's time as UnixNano, which wraps outside
+		// these bounds: a note sent without created_at (the zero time)
+		// would be served back dated 1754.
+		if t := a.Note.CreatedAt; t.Before(minNoteTime) || t.After(maxNoteTime) {
+			return fmt.Errorf("federation: note created_at %s outside 1677-2262", t.Format(time.RFC3339))
 		}
 	default:
 		return fmt.Errorf("federation: unknown activity type %q", a.Type)
