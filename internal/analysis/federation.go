@@ -137,9 +137,9 @@ type RemovalSeries struct {
 // Fig12UserRemoval runs the §5.1 social-graph sensitivity experiment:
 // iteratively remove the top 1% of remaining accounts by degree from both
 // the Mastodon social graph and the Twitter baseline, tracking LCC size and
-// the number of strongly connected components. Both sweeps run on
-// Sweepers (buffers allocated once per sweep, DESIGN.md), concurrently —
-// each goroutine fills a fixed slot, so the output order is deterministic.
+// the number of strongly connected components. The two sweeps run
+// concurrently, each on its own Sweeper (DESIGN.md), and each goroutine
+// fills a fixed slot, so the output order is deterministic.
 func Fig12UserRemoval(w *dataset.World, twitterGraph *graph.CSR, rounds int) []RemovalSeries {
 	opt := graph.SweepOptions{WithSCC: true}
 	series := []RemovalSeries{
@@ -161,9 +161,8 @@ func Fig12UserRemoval(w *dataset.World, twitterGraph *graph.CSR, rounds int) []R
 }
 
 // Fig13aInstanceRemoval removes the top-N instances from the federation
-// graph ranked by hosted users and by hosted toots (Fig 13a). Each ranking
-// is a parallel shard sweep over the federation graph; the two
-// rankings also run concurrently, writing fixed output slots.
+// graph ranked by hosted users and by hosted toots (Fig 13a). The two
+// rankings' sweeps run concurrently, writing fixed output slots.
 func Fig13aInstanceRemoval(w *dataset.World, topN int) []RemovalSeries {
 	users := w.InstanceUserWeights()
 	toots := w.InstanceTootWeights()
@@ -178,7 +177,7 @@ func Fig13aInstanceRemoval(w *dataset.World, topN int) []RemovalSeries {
 		go func(i int, scores []float64) {
 			defer wg.Done()
 			order := graph.RankDescending(scores)
-			series[i].Points = graph.RemoveBatchesParallel(w.Federation, graph.SingletonBatches(order, topN), opt, 0)
+			series[i].Points = graph.RemoveBatches(w.Federation, graph.SingletonBatches(order, topN), opt)
 		}(i, scores)
 	}
 	wg.Wait()
@@ -219,8 +218,8 @@ func ASBatches(w *dataset.World, score func(ids []int32) float64, topN int) (bat
 }
 
 // Fig13bASRemoval removes the top-N ASes (all instances within) from the
-// federation graph, ranked by hosted instances and by hosted users, as
-// parallel shard sweeps over the federation CSR.
+// federation graph, ranked by hosted instances and by hosted users; the two
+// rankings' sweeps run concurrently, writing fixed output slots.
 func Fig13bASRemoval(w *dataset.World, topN int) []RemovalSeries {
 	users := w.InstanceUserWeights()
 	opt := graph.SweepOptions{Weights: users}
@@ -241,7 +240,7 @@ func Fig13bASRemoval(w *dataset.World, topN int) []RemovalSeries {
 		wg.Add(1)
 		go func(i int, batches [][]int32) {
 			defer wg.Done()
-			series[i].Points = graph.RemoveBatchesParallel(w.Federation, batches, opt, 0)
+			series[i].Points = graph.RemoveBatches(w.Federation, batches, opt)
 		}(i, batches)
 	}
 	wg.Wait()

@@ -63,8 +63,9 @@ type Experiment struct {
 }
 
 // Experiments returns the full per-experiment index (DESIGN.md), in paper
-// order.
+// order. The experiments of one list share one Twitter baseline graph.
 func Experiments() []Experiment {
+	tw := new(twitterBaseline)
 	return []Experiment{
 		{"fig1", "Fig 1: instances/users/toots over time", runFig1},
 		{"fig2a", "Fig 2(a): per-instance users & toots CDF, open vs closed", runFig2a},
@@ -80,9 +81,9 @@ func Experiments() []Experiment {
 		{"fig9b", "Fig 9(b): certificate-expiry outages", runFig9b},
 		{"tab1", "Table 1: AS-wide failures", runTab1},
 		{"fig10", "Fig 10: continuous outage durations", runFig10},
-		{"fig11", "Fig 11: degree distributions", runFig11},
+		{"fig11", "Fig 11: degree distributions", tw.runFig11},
 		{"tab2", "Table 2: top-10 instances", runTab2},
-		{"fig12", "Fig 12: removing top users (vs Twitter)", runFig12},
+		{"fig12", "Fig 12: removing top users (vs Twitter)", tw.runFig12},
 		{"fig13a", "Fig 13(a): removing top instances from GF", runFig13a},
 		{"fig13b", "Fig 13(b): removing top ASes from GF", runFig13b},
 		{"fig14", "Fig 14: home vs remote toots", runFig14},
@@ -414,9 +415,29 @@ func runFig10(w *dataset.World, out io.Writer) error {
 	return nil
 }
 
-func runFig11(w *dataset.World, out io.Writer) error {
-	tw := twitter.Graph(twitter.DefaultGraphConfig(w.Seed, twitterBaselineUsers(w)))
-	r := analysis.Fig11DegreeCDF(w, tw)
+// twitterBaseline builds the Twitter baseline graph that Figs 11 and 12
+// compare against once for both. The graph is a pure function of its
+// config, which is a pure function of the world's seed and size, so the
+// config is the cache key; a list whose experiments run on another world
+// rebuilds it.
+type twitterBaseline struct {
+	mu  sync.Mutex
+	cfg twitter.GraphConfig
+	g   *graph.CSR
+}
+
+func (tb *twitterBaseline) graph(w *dataset.World) *graph.CSR {
+	cfg := twitter.DefaultGraphConfig(w.Seed, twitterBaselineUsers(w))
+	tb.mu.Lock()
+	defer tb.mu.Unlock()
+	if tb.g == nil || tb.cfg != cfg {
+		tb.cfg, tb.g = cfg, twitter.Graph(cfg)
+	}
+	return tb.g
+}
+
+func (tb *twitterBaseline) runFig11(w *dataset.World, out io.Writer) error {
+	r := analysis.Fig11DegreeCDF(w, tb.graph(w))
 	fmt.Fprintf(out, "out-degree social:     %s\n", analysis.CDFSummary(r.Social))
 	fmt.Fprintf(out, "out-degree federation: %s\n", analysis.CDFSummary(r.Federation))
 	fmt.Fprintf(out, "out-degree twitter:    %s\n", analysis.CDFSummary(r.Twitter))
@@ -440,9 +461,8 @@ func runTab2(w *dataset.World, out io.Writer) error {
 	return err
 }
 
-func runFig12(w *dataset.World, out io.Writer) error {
-	tw := twitter.Graph(twitter.DefaultGraphConfig(w.Seed, twitterBaselineUsers(w)))
-	series := analysis.Fig12UserRemoval(w, tw, 20)
+func (tb *twitterBaseline) runFig12(w *dataset.World, out io.Writer) error {
+	series := analysis.Fig12UserRemoval(w, tb.graph(w), 20)
 	return writeRemoval(out, series, 1)
 }
 
@@ -459,24 +479,31 @@ func runFig13b(w *dataset.World, out io.Writer) error {
 
 func writeRemoval(out io.Writer, series []analysis.RemovalSeries, step int) error {
 	for _, s := range series {
+		// The optional columns are decided once per series, so every row
+		// has as many cells as the header.
+		withSCC, withWeight := false, false
+		for _, p := range s.Points {
+			withSCC = withSCC || p.SCCs >= 0
+			withWeight = withWeight || p.LCCWeightFrac > 0
+		}
+		headers := []string{"removed", "LCC", "components"}
+		if withSCC {
+			headers = append(headers, "SCCs")
+		}
+		if withWeight {
+			headers = append(headers, "userLCC")
+		}
 		var cells [][]string
 		for i := 0; i < len(s.Points); i += step {
 			p := s.Points[i]
 			row := []string{analysis.I(p.Removed), analysis.F(p.LCCFrac, 3), analysis.I(p.Components)}
-			if p.SCCs >= 0 {
+			if withSCC {
 				row = append(row, analysis.I(p.SCCs))
 			}
-			if p.LCCWeightFrac > 0 {
+			if withWeight {
 				row = append(row, analysis.F(p.LCCWeightFrac, 3))
 			}
 			cells = append(cells, row)
-		}
-		headers := []string{"removed", "LCC", "components"}
-		if len(s.Points) > 0 && s.Points[0].SCCs >= 0 {
-			headers = append(headers, "SCCs")
-		}
-		if len(s.Points) > 0 && s.Points[0].LCCWeightFrac > 0 {
-			headers = append(headers, "userLCC")
 		}
 		if _, err := io.WriteString(out, analysis.Table(s.Label, headers, cells)); err != nil {
 			return err

@@ -7,7 +7,9 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/analysis"
 	"repro/internal/dataset"
+	"repro/internal/graph"
 )
 
 var (
@@ -154,4 +156,62 @@ func smallWorld(b *testing.B) *dataset.World {
 		b.Fatal(err)
 	}
 	return w
+}
+
+// Every row of a removal table has the header's columns, when a series'
+// weighted LCC falls to 0 after point 0 (rows used to come out short) and
+// when it is 0 at point 0 and positive later (analysis.Table used to panic).
+// A count of 0 SCCs is a count: the column stays.
+func TestWriteRemovalColumnsPerSeries(t *testing.T) {
+	series := []analysis.RemovalSeries{
+		{Label: "falls", Points: []graph.SweepPoint{{LCCWeightFrac: 0.5, SCCs: -1}, {SCCs: -1}, {SCCs: -1}}},
+		{Label: "rises", Points: []graph.SweepPoint{{SCCs: 0}, {LCCWeightFrac: 0.25, SCCs: 0}}},
+	}
+	var buf bytes.Buffer
+	if err := writeRemoval(&buf, series, 1); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(buf.String(), "\n")
+	for _, s := range series {
+		if lines[0] != s.Label {
+			t.Fatalf("table title %q, want %q:\n%s", lines[0], s.Label, buf.String())
+		}
+		cols := len(strings.Fields(lines[1]))
+		if want := map[string]int{"falls": 4, "rises": 5}[s.Label]; cols != want {
+			t.Fatalf("%s: header %q, want %d columns", s.Label, lines[1], want)
+		}
+		for _, row := range lines[2 : 3+len(s.Points)] { // the separator, then the rows
+			if got := len(strings.Fields(row)); got != cols {
+				t.Fatalf("%s: row %q has %d cells, header has %d:\n%s", s.Label, row, got, cols, buf.String())
+			}
+		}
+		lines = lines[3+len(s.Points):]
+	}
+}
+
+// Pool workers asking one list's Twitter baseline at once all get the one
+// graph; a world of another seed gets its own.
+func TestTwitterBaselineShared(t *testing.T) {
+	w := world(t)
+	var tb twitterBaseline
+	got := make([]*graph.CSR, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = tb.graph(w)
+		}()
+	}
+	wg.Wait()
+	for _, g := range got {
+		if g != got[0] {
+			t.Fatal("concurrent callers got different graphs")
+		}
+	}
+	other := *w
+	other.Seed++
+	if tb.graph(&other) == got[0] {
+		t.Fatal("a world of another seed got the cached graph")
+	}
 }

@@ -7,6 +7,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/twitter"
 )
 
 // The kernels behind Figs 12 and 13, over the graphs they run on: the
@@ -33,45 +34,47 @@ func BenchmarkInduce(b *testing.B) {
 	}
 }
 
-// The Fig 12 sweep: five rounds, the top 1% by degree removed in each.
+// The Fig 12 sweep, twenty rounds of the top 1% by degree, over the social
+// graph and over the Twitter baseline of the same size: the final state of
+// the first keeps no giant SCC, that of the second keeps one.
 func BenchmarkIterativeDegreeRemoval(b *testing.B) {
 	w := smallWorld()
+	tw := twitter.Graph(twitter.DefaultGraphConfig(1, len(w.Users)))
 	for _, bc := range []struct {
 		name string
+		g    *graph.CSR
 		opt  graph.SweepOptions
-	}{{"scc=false", graph.SweepOptions{}}, {"scc=true", graph.SweepOptions{WithSCC: true}}} {
+	}{
+		{"social/scc=false", w.Social, graph.SweepOptions{}},
+		{"social/scc=true", w.Social, graph.SweepOptions{WithSCC: true}},
+		{"twitter/scc=true", tw, graph.SweepOptions{WithSCC: true}},
+	} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for b.Loop() {
-				graph.NewSweeper(w.Social).IterativeDegreeRemoval(0.01, 5, bc.opt)
+				graph.NewSweeper(bc.g).IterativeDegreeRemoval(0.01, 20, bc.opt)
 			}
 		})
 	}
 }
 
-// The Fig 13a sweep, the top 100 instances removed one at a time: the
-// reverse-incremental engine RemoveBatches picks without SCC tracking, the
-// forward per-point Sweeper, and the sharded per-point sweep SCC tracking
-// forces.
+// The Fig 13a sweep, the top 100 instances removed one at a time, with and
+// without the SCC axis.
 func BenchmarkRemoveBatches(b *testing.B) {
 	w := smallWorld()
 	weights := w.InstanceUserWeights()
 	batches := graph.SingletonBatches(graph.RankDescending(weights), 100)
-	opt := graph.SweepOptions{Weights: weights}
-	scc := graph.SweepOptions{Weights: weights, WithSCC: true}
 	for _, bc := range []struct {
 		name string
-		run  func()
+		opt  graph.SweepOptions
 	}{
-		{"reverse", func() { graph.RemoveBatches(w.Federation, batches, opt) }},
-		{"forward", func() { graph.NewSweeper(w.Federation).RemoveBatches(batches, opt) }},
-		{"scc/workers=1", func() { graph.RemoveBatchesParallel(w.Federation, batches, scc, 1) }},
-		{"scc/workers=N", func() { graph.RemoveBatchesParallel(w.Federation, batches, scc, 0) }},
+		{"scc=false", graph.SweepOptions{Weights: weights}},
+		{"scc=true", graph.SweepOptions{Weights: weights, WithSCC: true}},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for b.Loop() {
-				bc.run()
+				graph.RemoveBatches(w.Federation, batches, bc.opt)
 			}
 		})
 	}

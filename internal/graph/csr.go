@@ -3,8 +3,8 @@ package graph
 // This file implements the frozen compressed-sparse-row (CSR) graph
 // (DESIGN.md) — flat neighbour arrays with per-node offset indexes, built
 // once by FromRows / Builder.Freeze — and the analyses that run on it:
-// weakly/strongly connected components, quotient-graph induction, and
-// top-degree selection.
+// weakly connected components and quotient-graph induction (strongly
+// connected components are in scc.go).
 
 // CSR is a frozen directed graph in compressed-sparse-row form. Neighbour
 // ids live in flat []int32 arrays indexed by per-node offsets, so every
@@ -236,115 +236,6 @@ func csrTally(alive []bool, parent, size, roots []int32) (numComponents, largest
 		}
 	}
 	return numComponents, largestSize, largestRoot
-}
-
-// StronglyConnectedCount returns the number of strongly connected
-// components of c restricted to alive nodes (the "#Strongly Connected
-// Components" axis of Fig 12), using an iterative Tarjan — safe for graphs
-// far deeper than the goroutine stack would allow recursively.
-func (c *CSR) StronglyConnectedCount(alive []bool) int {
-	s := newSCCScratch(c.n)
-	return s.count(c, alive)
-}
-
-// sccScratch holds the reusable state of one iterative Tarjan pass.
-type sccScratch struct {
-	index   []int32
-	lowlink []int32
-	onStack []bool
-	stack   []int32
-	call    []sccFrame
-}
-
-type sccFrame struct {
-	v  int32
-	ei int64 // next out-edge offset to consider (absolute into outAdj)
-}
-
-func newSCCScratch(n int) *sccScratch {
-	return &sccScratch{
-		index:   make([]int32, n),
-		lowlink: make([]int32, n),
-		onStack: make([]bool, n),
-	}
-}
-
-// count runs Tarjan over c restricted to alive nodes. The scratch arrays
-// are reset on entry, so one sccScratch serves many rounds without
-// reallocating.
-func (s *sccScratch) count(c *CSR, alive []bool) int {
-	const unvisited = -1
-	for i := range s.index {
-		s.index[i] = unvisited
-	}
-	// onStack and the two stacks always drain back to empty when a pass
-	// finishes, so they need no reset.
-	stack := s.stack[:0]
-	call := s.call[:0]
-	var counter int32
-	sccs := 0
-
-	for sv := 0; sv < c.n; sv++ {
-		if (alive != nil && !alive[sv]) || s.index[sv] != unvisited {
-			continue
-		}
-		call = append(call[:0], sccFrame{v: int32(sv), ei: c.outOff[sv]})
-		s.index[sv] = counter
-		s.lowlink[sv] = counter
-		counter++
-		stack = append(stack, int32(sv))
-		s.onStack[sv] = true
-
-		for len(call) > 0 {
-			f := &call[len(call)-1]
-			v := f.v
-			advanced := false
-			for f.ei < c.outOff[v+1] {
-				w := c.outAdj[f.ei]
-				f.ei++
-				if alive != nil && !alive[w] {
-					continue
-				}
-				if s.index[w] == unvisited {
-					s.index[w] = counter
-					s.lowlink[w] = counter
-					counter++
-					stack = append(stack, w)
-					s.onStack[w] = true
-					call = append(call, sccFrame{v: w, ei: c.outOff[w]})
-					advanced = true
-					break
-				}
-				if s.onStack[w] && s.index[w] < s.lowlink[v] {
-					s.lowlink[v] = s.index[w]
-				}
-			}
-			if advanced {
-				continue
-			}
-			if s.lowlink[v] == s.index[v] {
-				sccs++
-				for {
-					w := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					s.onStack[w] = false
-					if w == v {
-						break
-					}
-				}
-			}
-			call = call[:len(call)-1]
-			if len(call) > 0 {
-				parent := call[len(call)-1].v
-				if s.lowlink[v] < s.lowlink[parent] {
-					s.lowlink[parent] = s.lowlink[v]
-				}
-			}
-		}
-	}
-	s.stack = stack[:0]
-	s.call = call[:0]
-	return sccs
 }
 
 // Induce builds the quotient graph obtained by mapping every node v of c to

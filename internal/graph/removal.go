@@ -24,7 +24,7 @@ type SweepOptions struct {
 	// an instance); the sweep then also reports the LCC's weight share.
 	Weights []float64
 	// WithSCC additionally counts strongly connected components at every
-	// point (the Y2 axis of Fig 12). Costs one Tarjan pass per point.
+	// point (the Y2 axis of Fig 12), decrementally (scc.go).
 	WithSCC bool
 }
 

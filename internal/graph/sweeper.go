@@ -1,18 +1,10 @@
 package graph
 
-// This file implements the CSR sweep engine behind Figs 12 and 13
-// (DESIGN.md): a Sweeper owns every buffer a removal sweep needs — alive
-// mask, union-find arrays, component tallies, degree counters, Tarjan
-// scratch — allocated once per sweep instead of once per round, so the
-// per-round inner loop allocates nothing. RemoveBatchesParallel shards a
-// batch sweep's measurement points across worker goroutines, each with a
-// private Sweeper, and writes results into disjoint slots for fully
-// deterministic output.
-
-import (
-	"runtime"
-	"sync"
-)
+// This file implements the sweep engine behind Figs 12 and 13 (DESIGN.md).
+// A Sweeper runs Fig 12's iterative degree removal over buffers allocated
+// once per sweep; every point series, Fig 12's and RemoveBatches', is then
+// computed by replaying the recorded schedule backwards (reverseSweep), and
+// its SCC axis by the decremental engine in scc.go.
 
 // Sweeper runs removal sweeps over one frozen graph with reusable buffers.
 // A Sweeper is stateful (it carries the alive mask between rounds) and not
@@ -23,19 +15,12 @@ type Sweeper struct {
 	aliveCount int
 	removed    int
 
-	// union-find + component tally scratch (one set, reused every measure).
-	parent []int32
-	size   []int32
-	roots  []int32
-
 	// IterativeDegreeRemoval scratch: alive-degrees kept current across
 	// rounds, counting-sort buckets (len MaxDegree+2), and the removal order
 	// — every round's victims back to back, then the survivors.
 	deg    []int32
 	degCnt []int64
 	order  []int32
-
-	scc *sccScratch
 }
 
 // NewSweeper returns a Sweeper over c with every node alive. All sweep
@@ -46,13 +31,9 @@ func NewSweeper(c *CSR) *Sweeper {
 		c:          c,
 		alive:      make([]bool, n),
 		aliveCount: n,
-		parent:     make([]int32, n),
-		size:       make([]int32, n),
-		roots:      make([]int32, n),
 		deg:        make([]int32, n),
 		degCnt:     make([]int64, c.MaxDegree()+2),
 		order:      make([]int32, n),
-		scc:        newSCCScratch(n),
 	}
 	for i := range s.alive {
 		s.alive[i] = true
@@ -77,62 +58,6 @@ func (s *Sweeper) Alive() []bool { return s.alive }
 // Reset.
 func (s *Sweeper) Removed() int { return s.removed }
 
-// Remove marks the nodes of batch dead. Nodes already dead (or listed
-// twice) are only counted once.
-func (s *Sweeper) Remove(batch []int32) {
-	for _, v := range batch {
-		if s.alive[v] {
-			s.alive[v] = false
-			s.aliveCount--
-			s.removed++
-		}
-	}
-}
-
-// Measure computes the SweepPoint for the current alive set without
-// allocating: the union-find, tally and Tarjan state all live in the
-// Sweeper's buffers.
-func (s *Sweeper) Measure(opt SweepOptions) SweepPoint {
-	csrUnionFind(s.c, s.alive, s.parent, s.size)
-	numComp, largestSize, largestRoot := csrTally(s.alive, s.parent, s.size, s.roots)
-	p := SweepPoint{
-		Removed:    s.removed,
-		LCCFrac:    float64(largestSize) / float64(s.c.n),
-		Components: numComp,
-		SCCs:       -1,
-	}
-	if opt.Weights != nil {
-		var total, lcc float64
-		for v, w := range opt.Weights {
-			total += w
-			if v < len(s.roots) {
-				if r := s.roots[v]; r >= 0 && r == largestRoot {
-					lcc += w
-				}
-			}
-		}
-		if total > 0 {
-			p.LCCWeightFrac = lcc / total
-		}
-	}
-	if opt.WithSCC {
-		p.SCCs = s.scc.count(s.c, s.alive)
-	}
-	return p
-}
-
-// RemoveBatches removes the batches one at a time, measuring before any
-// removal and after each batch, with O(1) allocations per round.
-func (s *Sweeper) RemoveBatches(batches [][]int32, opt SweepOptions) []SweepPoint {
-	points := make([]SweepPoint, 0, len(batches)+1)
-	points = append(points, s.Measure(opt))
-	for _, batch := range batches {
-		s.Remove(batch)
-		points = append(points, s.Measure(opt))
-	}
-	return points
-}
-
 // IterativeDegreeRemoval reproduces the Fig 12 methodology: in each of
 // rounds iterations, remove the top fraction (e.g. 0.01) of the remaining
 // nodes by alive-degree (degree within the remaining subgraph), ties
@@ -140,19 +65,14 @@ func (s *Sweeper) RemoveBatches(batches [][]int32, opt SweepOptions) []SweepPoin
 // (index 0 = the graph as it stood).
 //
 // Alive-degrees are counted once and then only decremented as victims die.
-// The forward pass decides who dies when and, if asked, runs one Tarjan per
-// point; component counts and LCC sizes need no pass per point — they come
-// from one reverse-incremental union-find over the recorded rounds.
+// The forward pass only decides who dies when; every quantity of every
+// point comes from one reverseSweep over the recorded rounds.
 func (s *Sweeper) IterativeDegreeRemoval(fraction float64, rounds int, opt SweepOptions) []SweepPoint {
 	if fraction <= 0 || fraction > 1 {
 		panic("graph: IterativeDegreeRemoval fraction must be in (0,1]")
 	}
 	removedBefore := s.removed
 	maxDeg := s.countDegrees()
-	var sccs []int
-	if opt.WithSCC {
-		sccs = append(make([]int, 0, rounds+1), s.scc.count(s.c, s.alive))
-	}
 	batches := make([][]int32, 0, rounds)
 	victims := 0
 	for r := 0; r < rounds && s.aliveCount > 0; r++ {
@@ -166,9 +86,6 @@ func (s *Sweeper) IterativeDegreeRemoval(fraction float64, rounds int, opt Sweep
 		batch := s.removeTopK(k, maxDeg, s.order[victims:victims])
 		batches = append(batches, batch)
 		victims += len(batch)
-		if opt.WithSCC {
-			sccs = append(sccs, s.scc.count(s.c, s.alive))
-		}
 	}
 	survivors := s.order[victims:victims]
 	for v, alive := range s.alive {
@@ -176,11 +93,7 @@ func (s *Sweeper) IterativeDegreeRemoval(fraction float64, rounds int, opt Sweep
 			survivors = append(survivors, int32(v))
 		}
 	}
-	points := reverseSweep(s.c, survivors, batches, removedBefore, opt)
-	for p, n := range sccs {
-		points[p].SCCs = n
-	}
-	return points
+	return reverseSweep(s.c, survivors, batches, removedBefore, opt)
 }
 
 // countDegrees sets deg[v] to the alive-degree of every alive node — one
@@ -261,22 +174,11 @@ func (s *Sweeper) kill(v int32) {
 
 // RemoveBatches removes the given batches of nodes one batch at a time and
 // returns a SweepPoint before any removal and after each batch. Nodes listed
-// twice are only removed once. This is the engine behind Fig 13 (batches of
-// one instance, or one AS's worth of instances). Without SCC tracking it
-// runs the reverse-incremental engine — one union-find over the whole sweep
-// instead of one per point; with SCC it falls back to the per-point Sweeper
-// (Tarjan cannot be incrementalised this way).
+// twice are only removed once: a node dies with the batch that first lists
+// it. This is the engine behind Fig 13 (batches of one instance, or one AS's
+// worth of instances). It buckets every node by that batch, so that
+// reverseSweep sees disjoint batches and the survivors.
 func RemoveBatches(c *CSR, batches [][]int32, opt SweepOptions) []SweepPoint {
-	if !opt.WithSCC {
-		return reverseBatchSweep(c, batches, opt)
-	}
-	return NewSweeper(c).RemoveBatches(batches, opt)
-}
-
-// reverseBatchSweep computes a RemoveBatches point series on the
-// reverse-incremental engine: it buckets every node by the batch that first
-// lists it, so that reverseSweep sees disjoint batches and the survivors.
-func reverseBatchSweep(c *CSR, batches [][]int32, opt SweepOptions) []SweepPoint {
 	n := c.n
 	numPoints := len(batches) + 1
 	// death[v] = first point index at which v is dead (numPoints = never):
@@ -307,8 +209,9 @@ func reverseBatchSweep(c *CSR, batches [][]int32, opt SweepOptions) []SweepPoint
 // edge is processed O(1) times across the whole sweep — O(m·α + points·n)
 // total instead of O(points·(n+m)) — and the component count, largest size
 // and largest-component weight are maintained in O(1) per union under the
-// canonical tie-break, so the output is byte-identical to the forward
-// per-point engines. SCCs is -1 at every point.
+// canonical tie-break, so the output is byte-identical to measuring every
+// point from scratch. With opt.WithSCC the SCC engine (scc.go) fills SCCs;
+// otherwise it is -1 at every point.
 func reverseSweep(c *CSR, survivors []int32, batches [][]int32, removedBefore int, opt SweepOptions) []SweepPoint {
 	n := c.n
 	numPoints := len(batches) + 1
@@ -415,53 +318,8 @@ func reverseSweep(c *CSR, survivors []int32, batches [][]int32, removedBefore in
 		removed -= len(batches[p])
 		record(p)
 	}
-	return points
-}
-
-// RemoveBatchesParallel computes the same point series as RemoveBatches but
-// shards the measurement points across up to workers goroutines (≤0 means
-// GOMAXPROCS). Each worker owns a private Sweeper, fast-forwards the batch
-// prefix of its shard and then steps batch by batch, writing into disjoint
-// slots of the result — so the output is byte-identical to the sequential
-// sweep regardless of scheduling.
-func RemoveBatchesParallel(c *CSR, batches [][]int32, opt SweepOptions, workers int) []SweepPoint {
-	if !opt.WithSCC {
-		// The reverse-incremental engine does the whole sweep in roughly
-		// one union-find pass — cheaper than any sharding. Shards only pay
-		// off when every point needs a fresh Tarjan.
-		return reverseBatchSweep(c, batches, opt)
+	if opt.WithSCC {
+		newSCCScratch(n).series(c, survivors, batches, points)
 	}
-	numPoints := len(batches) + 1
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > numPoints {
-		workers = numPoints
-	}
-	if workers <= 1 {
-		return RemoveBatches(c, batches, opt)
-	}
-	points := make([]SweepPoint, numPoints)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		// Contiguous shard [lo, hi) of point indices; point p is measured
-		// after batches[:p] have been removed.
-		lo := w * numPoints / workers
-		hi := (w + 1) * numPoints / workers
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			s := NewSweeper(c)
-			for _, batch := range batches[:lo] {
-				s.Remove(batch)
-			}
-			points[lo] = s.Measure(opt)
-			for p := lo + 1; p < hi; p++ {
-				s.Remove(batches[p-1])
-				points[p] = s.Measure(opt)
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
 	return points
 }
