@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/gen"
+	"repro/internal/replication"
 	"repro/internal/stats"
 	"repro/internal/twitter"
 )
@@ -541,7 +542,7 @@ func TestTable2TopInstances(t *testing.T) {
 
 func TestFig15Replication(t *testing.T) {
 	w := smallWorld(t)
-	r := Fig15Replication(w, 50, 10)
+	r := Fig15Replication(w, replication.New(w), 50, 10)
 	if len(r.InstanceSweeps) != 6 || len(r.ASSweeps) != 6 {
 		t.Fatalf("sweeps = %d/%d", len(r.InstanceSweeps), len(r.ASSweeps))
 	}
@@ -599,7 +600,7 @@ func TestFig15Replication(t *testing.T) {
 
 func TestFig16RandomReplication(t *testing.T) {
 	w := smallWorld(t)
-	r := Fig16RandomReplication(w, 25, 10, []int{1, 2, 3, 4, 7, 9})
+	r := Fig16RandomReplication(w, replication.New(w), 25, 10, []int{1, 2, 3, 4, 7, 9})
 	if len(r.InstanceSweeps) != 8 || len(r.ASSweeps) != 8 {
 		t.Fatalf("sweeps = %d/%d", len(r.InstanceSweeps), len(r.ASSweeps))
 	}

@@ -1,6 +1,8 @@
 package analysis
 
 import (
+	"math"
+
 	"repro/internal/dataset"
 	"repro/internal/dht"
 	"repro/internal/graph"
@@ -106,9 +108,9 @@ type CapacityResult struct {
 	InverseCapacity []float64 // ∝ 1/users: replicas spread to the long tail
 }
 
-// ExtCapacity runs the placement comparison with n replicas per toot.
-func ExtCapacity(w *dataset.World, n, topN, samples int) CapacityResult {
-	exp := replication.New(w)
+// ExtCapacity runs the placement comparison with n replicas per toot on
+// the world's placement state exp.
+func ExtCapacity(w *dataset.World, exp *replication.Experiment, n, topN, samples int) CapacityResult {
 	order := graph.RankDescending(w.InstanceTootWeights())
 	batches := graph.SingletonBatches(order, topN)
 
@@ -118,16 +120,12 @@ func ExtCapacity(w *dataset.World, n, topN, samples int) CapacityResult {
 		inv[i] = 1 / (u + 1)
 	}
 
-	uniform := exp.Sweep(replication.RandRep{N: n, Exact: true}, batches)
-	capacity := exp.Sweep(replication.NewWeightedRep(n, users, samples, 1, "capacity"), batches)
-	inverse := exp.Sweep(replication.NewWeightedRep(n, inv, samples, 1, "inverse"), batches)
-
 	r := CapacityResult{
-		Uniform:         uniform,
-		Capacity:        capacity,
-		InverseCapacity: inverse,
+		Uniform:         exp.Sweep(replication.RandRep{N: n, Exact: true}, batches),
+		Capacity:        exp.Sweep(replication.NewWeightedRep(n, users, samples, 1, "capacity"), batches),
+		InverseCapacity: exp.Sweep(replication.NewWeightedRep(n, inv, samples, 1, "inverse"), batches),
 	}
-	for i := 0; i <= topN; i++ {
+	for i := range len(batches) + 1 {
 		r.Removed = append(r.Removed, i)
 	}
 	return r
@@ -151,12 +149,17 @@ type DHTResult struct {
 
 // ExtDHT builds the DHT over all federating instances, indexes every
 // tooting author's replica locations (home + follower instances, i.e. the
-// S-Rep placement), then removes top instances and measures index
-// resolvability and end-to-end discovery.
-func ExtDHT(w *dataset.World, topN, checkEvery int) DHTResult {
-	if checkEvery < 1 {
-		checkEvery = 1
-	}
+// S-Rep placement, read off exp), then removes top instances and measures
+// index resolvability and end-to-end discovery.
+//
+// A key resolves while one of its index holders is up (the ring's pinned
+// invariant), and is discoverable while it resolves and one of its
+// locations is up. Instances only fall, so each key is reduced to two
+// removal times: when its last holder falls and when it stops being
+// discoverable. Every measure point is then a sum of whole toot counts
+// over the keys still above it, exact in any order.
+func ExtDHT(w *dataset.World, exp *replication.Experiment, topN, checkEvery int) DHTResult {
+	checkEvery = max(checkEvery, 1)
 	ring := dht.NewRing(dht.DefaultReplication)
 	domains := make([]string, len(w.Instances))
 	for i := range w.Instances {
@@ -164,32 +167,59 @@ func ExtDHT(w *dataset.World, topN, checkEvery int) DHTResult {
 	}
 	ring.JoinAll(domains)
 
-	// Index: author → replica-holding domains.
-	type indexed struct {
-		key   string
-		toots float64
+	// falls[d]: how many removals domain d survives; at[i], instance i's.
+	order := graph.RankDescending(w.InstanceTootWeights())
+	removed := max(min(topN, len(order)), 0)
+	falls := make(map[string]int32, len(domains))
+	for k := removed - 1; k >= 0; k-- {
+		falls[domains[order[k]]] = int32(k)
 	}
-	var keys []indexed
+	fallsAt := func(d string) int32 {
+		if k, ok := falls[d]; ok {
+			return k
+		}
+		return math.MaxInt32
+	}
+	at := make([]int32, len(domains))
+	for i, d := range domains {
+		at[i] = fallsAt(d)
+	}
+
+	// unresolved[k] / hidden[k]: toots whose key stops resolving / being
+	// discoverable at the k-th removal.
+	unresolved := make([]float64, removed)
+	hidden := make([]float64, removed)
+	var totalT float64
+	indexed := 0
+	var locs []string
 	for u := range w.Users {
 		if w.Users[u].Toots == 0 {
 			continue
 		}
 		home := w.Users[u].Instance
-		locs := []string{w.Instances[home].Domain}
-		seen := map[int32]struct{}{home: {}}
-		for _, f := range w.Social.In(int32(u)) {
-			fi := w.Users[f].Instance
-			if _, ok := seen[fi]; ok {
-				continue
-			}
-			seen[fi] = struct{}{}
-			locs = append(locs, w.Instances[fi].Domain)
+		locs = append(locs[:0], domains[home])
+		located := at[home]
+		for _, fi := range exp.FollowerInstances(int32(u)) {
+			locs = append(locs, domains[fi])
+			located = max(located, at[fi])
 		}
-		key := dht.AuthorKey(int32(u))
-		if _, err := ring.Put(key, locs); err != nil {
+		holders, err := ring.Put(dht.AuthorKey(int32(u)), locs)
+		if err != nil {
 			continue // unreachable: the ring has every instance as a member
 		}
-		keys = append(keys, indexed{key: key, toots: float64(w.Users[u].Toots)})
+		indexed++
+		toots := float64(w.Users[u].Toots)
+		totalT += toots
+		resolved := int32(0)
+		for _, h := range holders {
+			resolved = max(resolved, fallsAt(h))
+		}
+		if resolved < int32(removed) {
+			unresolved[resolved] += toots
+		}
+		if found := min(resolved, located); found < int32(removed) {
+			hidden[found] += toots
+		}
 	}
 
 	rs := ring.RouteStats(256)
@@ -197,28 +227,11 @@ func ExtDHT(w *dataset.World, topN, checkEvery int) DHTResult {
 		Nodes:       ring.Size(),
 		MeanHops:    rs.MeanHops,
 		MaxHops:     rs.MaxHops,
-		IndexedKeys: len(keys),
+		IndexedKeys: indexed,
 		Replication: dht.DefaultReplication,
 	}
-
-	order := graph.RankDescending(w.InstanceTootWeights())
-	downDomain := make(map[string]bool)
+	indexUpT, discoverT := totalT, totalT
 	measure := func(removed int) {
-		var totalT, indexUpT, discoverT float64
-		for _, k := range keys {
-			totalT += k.toots
-			locs, _, err := ring.Get(k.key)
-			if err != nil {
-				continue
-			}
-			indexUpT += k.toots
-			for _, d := range locs {
-				if !downDomain[d] {
-					discoverT += k.toots
-					break
-				}
-			}
-		}
 		res.Removed = append(res.Removed, removed)
 		if totalT > 0 {
 			res.IndexUpPct = append(res.IndexUpPct, pct(indexUpT/totalT))
@@ -229,11 +242,10 @@ func ExtDHT(w *dataset.World, topN, checkEvery int) DHTResult {
 		}
 	}
 	measure(0)
-	for k := 0; k < topN && k < len(order); k++ {
-		domain := w.Instances[order[k]].Domain
-		ring.SetDown(domain, true)
-		downDomain[domain] = true
-		if (k+1)%checkEvery == 0 || k == topN-1 {
+	for k := range removed {
+		indexUpT -= unresolved[k]
+		discoverT -= hidden[k]
+		if (k+1)%checkEvery == 0 || k == removed-1 {
 			measure(k + 1)
 		}
 	}

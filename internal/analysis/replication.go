@@ -66,9 +66,9 @@ type ReplicationResult struct {
 }
 
 // Fig15Replication computes Fig 15 with No-Rep and S-Rep, removing up to
-// topInst instances and topAS ASes per ranking.
-func Fig15Replication(w *dataset.World, topInst, topAS int) ReplicationResult {
-	exp := replication.New(w)
+// topInst instances and topAS ASes per ranking. exp is the world's
+// placement state (replication.New(w)), shared by the §5.2 experiments.
+func Fig15Replication(w *dataset.World, exp *replication.Experiment, topInst, topAS int) ReplicationResult {
 	strategies := []replication.Strategy{replication.NoRep{}, replication.SubRep{}}
 	var r ReplicationResult
 	for ranking, order := range InstanceRankings(w) {
@@ -121,10 +121,9 @@ type RandomReplicationResult struct {
 	Over10ReplicaTootPct float64
 }
 
-// Fig16RandomReplication computes Fig 16. ns lists the replication factors
-// (the paper uses 1, 2, 3, 4, 7, 9).
-func Fig16RandomReplication(w *dataset.World, topInst, topAS int, ns []int) RandomReplicationResult {
-	exp := replication.New(w)
+// Fig16RandomReplication computes Fig 16 on the world's placement state
+// exp. ns lists the replication factors (the paper uses 1, 2, 3, 4, 7, 9).
+func Fig16RandomReplication(w *dataset.World, exp *replication.Experiment, topInst, topAS int, ns []int) RandomReplicationResult {
 	order := graph.RankDescending(w.InstanceTootWeights())
 	instBatches := graph.SingletonBatches(order, topInst)
 	asBatches := ASRankings(w, topAS)["by Toots Posted"]

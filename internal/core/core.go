@@ -18,6 +18,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/replication"
 	"repro/internal/stats"
 	"repro/internal/twitter"
 )
@@ -63,9 +64,11 @@ type Experiment struct {
 }
 
 // Experiments returns the full per-experiment index (DESIGN.md), in paper
-// order. The experiments of one list share one Twitter baseline graph.
+// order. The experiments of one list share one Twitter baseline graph and
+// one §5.2 placement state.
 func Experiments() []Experiment {
 	tw := new(twitterBaseline)
+	rep := new(placement)
 	return []Experiment{
 		{"fig1", "Fig 1: instances/users/toots over time", runFig1},
 		{"fig2a", "Fig 2(a): per-instance users & toots CDF, open vs closed", runFig2a},
@@ -87,11 +90,11 @@ func Experiments() []Experiment {
 		{"fig13a", "Fig 13(a): removing top instances from GF", runFig13a},
 		{"fig13b", "Fig 13(b): removing top ASes from GF", runFig13b},
 		{"fig14", "Fig 14: home vs remote toots", runFig14},
-		{"fig15", "Fig 15: toot availability without/with subscription replication", runFig15},
-		{"fig16", "Fig 16: random replication", runFig16},
+		{"fig15", "Fig 15: toot availability without/with subscription replication", rep.runFig15},
+		{"fig16", "Fig 16: random replication", rep.runFig16},
 		{"ext-blocking", "Extension (§7): graph impact of instance blocking", runExtBlocking},
-		{"ext-capacity", "Extension (§5.2): capacity-weighted replica placement", runExtCapacity},
-		{"ext-dht", "Extension (§5.2): DHT-indexed toot discovery under failures", runExtDHT},
+		{"ext-capacity", "Extension (§5.2): capacity-weighted replica placement", rep.runExtCapacity},
+		{"ext-dht", "Extension (§5.2): DHT-indexed toot discovery under failures", rep.runExtDHT},
 	}
 }
 
@@ -105,9 +108,9 @@ func runExtBlocking(w *dataset.World, out io.Writer) error {
 	return nil
 }
 
-func runExtCapacity(w *dataset.World, out io.Writer) error {
+func (p *placement) runExtCapacity(w *dataset.World, out io.Writer) error {
 	topN := minInt(50, len(w.Instances)/4)
-	r := analysis.ExtCapacity(w, 2, topN, 12)
+	r := analysis.ExtCapacity(w, p.experiment(w), 2, topN, 12)
 	var cells [][]string
 	step := maxInt(topN/10, 1)
 	for i := 0; i < len(r.Removed); i += step {
@@ -127,9 +130,9 @@ func runExtCapacity(w *dataset.World, out io.Writer) error {
 	return nil
 }
 
-func runExtDHT(w *dataset.World, out io.Writer) error {
+func (p *placement) runExtDHT(w *dataset.World, out io.Writer) error {
 	topN := minInt(100, len(w.Instances)/4)
-	r := analysis.ExtDHT(w, topN, maxInt(topN/10, 1))
+	r := analysis.ExtDHT(w, p.experiment(w), topN, maxInt(topN/10, 1))
 	fmt.Fprintf(out, "ring: %d nodes, %d indexed authors, k=%d index replication\n",
 		r.Nodes, r.IndexedKeys, r.Replication)
 	fmt.Fprintf(out, "routing: mean %.1f hops, max %d (log2(n)=%.1f)\n",
@@ -512,18 +515,36 @@ func writeRemoval(out io.Writer, series []analysis.RemovalSeries, step int) erro
 	return nil
 }
 
-func runFig15(w *dataset.World, out io.Writer) error {
+// placement builds the §5.2 placement state (replication.New) once for
+// Figs 15, 16, ext-capacity and ext-dht. It is a pure function of the
+// world it reads, so the world is the cache key.
+type placement struct {
+	mu  sync.Mutex
+	w   *dataset.World
+	exp *replication.Experiment
+}
+
+func (p *placement) experiment(w *dataset.World) *replication.Experiment {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.w != w {
+		p.w, p.exp = w, replication.New(w)
+	}
+	return p.exp
+}
+
+func (p *placement) runFig15(w *dataset.World, out io.Writer) error {
 	topInst := minInt(100, len(w.Instances)/4)
-	r := analysis.Fig15Replication(w, topInst, 20)
+	r := analysis.Fig15Replication(w, p.experiment(w), topInst, 20)
 	if err := writeAvailability(out, "instance removal:", r.InstanceSweeps, maxInt(topInst/10, 1)); err != nil {
 		return err
 	}
 	return writeAvailability(out, "AS removal:", r.ASSweeps, 2)
 }
 
-func runFig16(w *dataset.World, out io.Writer) error {
+func (p *placement) runFig16(w *dataset.World, out io.Writer) error {
 	topInst := minInt(100, len(w.Instances)/4)
-	r := analysis.Fig16RandomReplication(w, topInst, 20, []int{1, 2, 3, 4, 7, 9})
+	r := analysis.Fig16RandomReplication(w, p.experiment(w), topInst, 20, []int{1, 2, 3, 4, 7, 9})
 	fmt.Fprintf(out, "toots with no replica under S-Rep: %.1f%% (paper: 9.7%%); with >10 replicas: %.1f%% (paper: 23%%)\n",
 		r.NoReplicaTootPct, r.Over10ReplicaTootPct)
 	if err := writeAvailability(out, "instance removal (by toots):", r.InstanceSweeps, maxInt(topInst/10, 1)); err != nil {

@@ -10,6 +10,7 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/dataset"
 	"repro/internal/graph"
+	"repro/internal/replication"
 )
 
 var (
@@ -213,5 +214,31 @@ func TestTwitterBaselineShared(t *testing.T) {
 	other.Seed++
 	if tb.graph(&other) == got[0] {
 		t.Fatal("a world of another seed got the cached graph")
+	}
+}
+
+// Pool workers asking one list's §5.2 placement state at once all get the
+// one Experiment; another world, even a copy of this one, gets its own.
+func TestPlacementShared(t *testing.T) {
+	w := world(t)
+	var p placement
+	got := make([]*replication.Experiment, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = p.experiment(w)
+		}()
+	}
+	wg.Wait()
+	for _, exp := range got {
+		if exp != got[0] {
+			t.Fatal("concurrent callers got different Experiments")
+		}
+	}
+	other := *w
+	if p.experiment(&other) == got[0] {
+		t.Fatal("another world got the cached Experiment")
 	}
 }

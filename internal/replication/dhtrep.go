@@ -50,9 +50,10 @@ func NewDHTRep(w *dataset.World, ring *dht.Ring) DHTRep {
 // Name implements Strategy.
 func (s DHTRep) Name() string { return s.label }
 
-func (s DHTRep) displaced(sw *sweep, u int32) (float64, int32) { return sw.held(u, s.placed[u]) }
-
-func (s DHTRep) survives(sw *sweep, u int32) bool {
-	value, _ := sw.held(u, s.placed[u])
-	return value > 0
+func (s DHTRep) series(exp *Experiment, at []int32, points int) []float64 {
+	return exp.runFixed(s, at, points)
 }
+
+func (s DHTRep) replicas(_ *Experiment, u int32) []int32 { return s.placed[u] }
+
+func (s DHTRep) survives(sw *sweep, u int32) bool { return sw.held(s.placed[u]) }

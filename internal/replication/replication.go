@@ -13,23 +13,39 @@ import (
 
 // Strategy selects a toot-placement policy. Every policy keeps a user's
 // toots on the home instance, where all of them are reachable while it is
-// up; a Strategy says what is left once it is down. Its methods are asked
-// only about users who tooted and whose home is down at the current point of
-// the sweep (sweep.go) they are handed.
+// up; a Strategy says what is left once it is down. Each is one of three
+// kinds — a fixed placement, RandRep's closed form, a sampled placement —
+// and each kind has its own evaluator in sweep.go.
 type Strategy interface {
-	// displaced returns how many of the user's toots are still reachable,
-	// and the first later point at which that answer can differ: the
-	// smallest removal time among the instances the evaluation saw up
-	// (never, if nothing it saw can still fall).
-	displaced(sw *sweep, user int32) (value float64, validUntil int32)
+	// series returns the availability (0-100) at points 0..points-1 of the
+	// removal schedule at.
+	series(exp *Experiment, at []int32, points int) []float64
 	// survives reports whether ANY copy of the user's content remains
 	// reachable — the per-user signal behind the recovered-graph
-	// connectivity measure of the live scenarios. For randomised strategies
+	// connectivity measure of the live scenarios. It is asked only about
+	// users who tooted and whose home is down. For randomised strategies
 	// the replica placement is the deterministic pseudo-random draw seeded
 	// by (Seed, user), so the answer never changes between calls.
 	survives(sw *sweep, user int32) bool
 	// Name labels the strategy in reports.
 	Name() string
+}
+
+// fixedPlacement is a strategy that keeps a user's toots on the same
+// instances besides the home, whatever is down.
+type fixedPlacement interface {
+	Strategy
+	replicas(exp *Experiment, user int32) []int32
+}
+
+// sampler is a strategy evaluated by placing samples of a displaced user's
+// toots one at a time from the user's own stream (sweep.go's monteCarlo).
+type sampler interface {
+	Strategy
+	sampling() (seed uint64, samples, replicas int) // replicas per toot
+	// place draws one toot's replicas and stops at the first that is up,
+	// returning its removal time.
+	place(sw *sweep) (until int32, ok bool)
 }
 
 // NoRep keeps every toot only on its author's home instance.
@@ -38,7 +54,11 @@ type NoRep struct{}
 // Name implements Strategy.
 func (NoRep) Name() string { return "No-Rep" }
 
-func (NoRep) displaced(*sweep, int32) (float64, int32) { return 0, never }
+func (s NoRep) series(exp *Experiment, at []int32, points int) []float64 {
+	return exp.runFixed(s, at, points)
+}
+
+func (NoRep) replicas(*Experiment, int32) []int32 { return nil }
 
 func (NoRep) survives(*sweep, int32) bool { return false }
 
@@ -50,14 +70,13 @@ type SubRep struct{}
 // Name implements Strategy.
 func (SubRep) Name() string { return "S-Rep" }
 
-func (SubRep) displaced(sw *sweep, u int32) (float64, int32) {
-	return sw.held(u, sw.exp.followerInsts(u))
+func (s SubRep) series(exp *Experiment, at []int32, points int) []float64 {
+	return exp.runFixed(s, at, points)
 }
 
-func (SubRep) survives(sw *sweep, u int32) bool {
-	value, _ := sw.held(u, sw.exp.followerInsts(u))
-	return value > 0
-}
+func (SubRep) replicas(exp *Experiment, u int32) []int32 { return exp.FollowerInstances(u) }
+
+func (SubRep) survives(sw *sweep, u int32) bool { return sw.held(sw.exp.FollowerInstances(u)) }
 
 // RandRep replicates each toot onto N uniformly random instances (distinct
 // from each other). With Exact set it computes the expected availability in
@@ -97,18 +116,19 @@ func itoa(n int) string {
 	return string(b[i:])
 }
 
-// displaced: a toot survives iff at least one of its replicas is up.
-func (s RandRep) displaced(sw *sweep, u int32) (float64, int32) {
+// series: a toot survives iff at least one of its replicas is up.
+func (s RandRep) series(exp *Experiment, at []int32, points int) []float64 {
 	if s.Exact {
-		// The closed form reads the down count, which any later point may
-		// change, not particular instances.
-		return sw.exp.toots[u] * (1 - sw.allDown(s.N)), sw.k + 1
+		return exp.runExact(s.N, at, points)
 	}
-	samples := s.Samples
-	if samples <= 0 {
-		samples = 16
+	return exp.runSampled(&s, at, points)
+}
+
+func (s *RandRep) sampling() (uint64, int, int) {
+	if s.Samples <= 0 {
+		return s.Seed, 16, s.N
 	}
-	return sw.monteCarlo(u, s.Seed, samples, s.place)
+	return s.Seed, s.Samples, s.N
 }
 
 // survives treats the first N distinct draws of the user's deterministic
@@ -116,19 +136,22 @@ func (s RandRep) displaced(sw *sweep, u int32) (float64, int32) {
 // the home or any of those N instances is up. That is the one-sample
 // estimate being non-zero.
 func (s RandRep) survives(sw *sweep, u int32) bool {
-	value, _ := sw.monteCarlo(u, s.Seed, 1, s.place)
+	value, _ := sw.monteCarlo(&s, u, -1, 1)
 	return value > 0
 }
 
-// place draws one toot's replicas from the stream sw.rng is at — N distinct
+// place draws one toot's replicas from where the user's stream is — N distinct
 // uniform instances, or all of them when the world has fewer — and stops at
 // the first that is up, returning its removal time.
-func (s RandRep) place(sw *sweep) (int32, bool) {
+func (s *RandRep) place(sw *sweep) (int32, bool) {
 	m := len(sw.at)
 	n := min(s.N, m)
 	sw.seen = sw.seen[:0]
 	for len(sw.seen) < n {
-		inst := sw.rng.IntN(m)
+		inst, ok := sw.replay()
+		if !ok {
+			inst = sw.keep(int32(sw.rng.IntN(m)))
+		}
 		if slices.Contains(sw.seen, inst) {
 			continue
 		}
@@ -205,7 +228,7 @@ func (s WeightedRep) Name() string {
 // settle on the exact index however the slice index rounded, and the
 // expected walk is one step because a draw lands in each slice equally
 // often and the slices hold one entry on average.
-func (s WeightedRep) search(x float64) int {
+func (s *WeightedRep) search(x float64) int {
 	b := max(0, min(int(x*s.perUnit), len(s.guide)-1))
 	i := int(s.guide[b])
 	for i > 0 && s.cum[i-1] >= x {
@@ -217,31 +240,36 @@ func (s WeightedRep) search(x float64) int {
 	return i
 }
 
-func (s WeightedRep) displaced(sw *sweep, u int32) (float64, int32) {
-	return sw.monteCarlo(u, s.Seed, s.Samples, s.place)
+func (s WeightedRep) series(exp *Experiment, at []int32, points int) []float64 {
+	return exp.runSampled(&s, at, points)
 }
+
+func (s *WeightedRep) sampling() (uint64, int, int) { return s.Seed, s.Samples, s.N }
 
 // survives mirrors RandRep.survives with weighted draws: the first N
 // distinct weighted picks of the user's deterministic stream are the
 // placement.
 func (s WeightedRep) survives(sw *sweep, u int32) bool {
-	value, _ := sw.monteCarlo(u, s.Seed, 1, s.place)
+	value, _ := sw.monteCarlo(&s, u, -1, 1)
 	return value > 0
 }
 
 // place is RandRep.place with weighted draws. A draw that keeps hitting
 // instances already picked gives up after 64 attempts: the weight mass is
 // exhausted by duplicates and the toot has fewer than N replicas.
-func (s WeightedRep) place(sw *sweep) (int32, bool) {
+func (s *WeightedRep) place(sw *sweep) (int32, bool) {
 	if len(s.cum) != len(sw.at) {
 		panic("replication: WeightedRep weights length mismatch")
 	}
 	total := s.cum[len(s.cum)-1]
 	sw.seen = sw.seen[:0]
 	for len(sw.seen) < s.N {
-		inst := -1
+		inst := int32(-1)
 		for attempt := 0; attempt < 64; attempt++ {
-			i := min(s.search(sw.rng.Float64()*total), len(s.cum)-1)
+			i, ok := sw.replay()
+			if !ok {
+				i = sw.keep(int32(min(s.search(sw.rng.Float64()*total), len(s.cum)-1)))
+			}
 			if !slices.Contains(sw.seen, i) {
 				inst = i
 				break
@@ -265,7 +293,8 @@ type Experiment struct {
 	w          *dataset.World
 	home       []int32
 	toots      []float64
-	tooting    []int32 // users with toots, ascending: the only ones a sweep evaluates
+	tooting    []int32   // users with toots, ascending: the only ones a sweep evaluates
+	tootsOf    []float64 // tootsOf[j] = toots[tooting[j]]
 	totalToots float64
 
 	// Follower instances in CSR form: user u's are folInst[folOff[u]:folOff[u+1]].
@@ -288,6 +317,7 @@ func New(w *dataset.World) *Experiment {
 		exp.totalToots += exp.toots[i]
 		if exp.toots[i] != 0 {
 			exp.tooting = append(exp.tooting, int32(i))
+			exp.tootsOf = append(exp.tootsOf, exp.toots[i])
 		}
 	}
 	// Follower instances per user, deduplicated by sorting a reusable
@@ -309,9 +339,10 @@ func New(w *dataset.World) *Experiment {
 	return exp
 }
 
-// followerInsts returns the distinct instances, other than the home, that
-// host followers of u, ascending. The slice aliases the Experiment.
-func (exp *Experiment) followerInsts(u int32) []int32 {
+// FollowerInstances returns the distinct instances, other than the home,
+// that host followers of u, ascending: where S-Rep keeps u's toots. The
+// slice aliases the Experiment and must not be modified.
+func (exp *Experiment) FollowerInstances(u int32) []int32 {
 	return exp.folInst[exp.folOff[u]:exp.folOff[u+1]]
 }
 

@@ -79,8 +79,8 @@ func TestSurvivorsWeightedRep(t *testing.T) {
 }
 
 // TestSurvivorsConsistentWithAvailability pins the semantic link for the
-// deterministic strategies: a user survives iff their toots contribute to
-// Availability (zero-toot users aside, who carry no toot mass either way).
+// deterministic strategies: Availability is the toots of the users who
+// survive (zero-toot users aside, who carry no toot mass either way).
 func TestSurvivorsConsistentWithAvailability(t *testing.T) {
 	exp := New(microWorld())
 	for _, s := range []Strategy{NoRep{}, SubRep{}} {
@@ -88,21 +88,14 @@ func TestSurvivorsConsistentWithAvailability(t *testing.T) {
 			{false, false, false}, {true, false, false}, {false, true, false},
 			{false, false, true}, {true, true, false}, {true, true, true},
 		} {
-			alive := exp.Survivors(s, down)
-			sw := newSweep(exp, exp.maskTimes(down))
-			for u, w := range exp.toots {
-				if w == 0 {
-					continue
+			var survived float64
+			for u, alive := range exp.Survivors(s, down) {
+				if alive {
+					survived += exp.toots[u]
 				}
-				avail := !down[exp.home[u]]
-				if !avail {
-					value, _ := s.displaced(sw, int32(u))
-					avail = value > 0
-				}
-				if alive[u] != avail {
-					t.Fatalf("%s user %d down=%v: survives=%v but available=%v",
-						s.Name(), u, down, alive[u], avail)
-				}
+			}
+			if got, want := exp.Availability(s, down), 100*survived/exp.totalToots; got != want {
+				t.Fatalf("%s down=%v: availability %v, survivors hold %v%%", s.Name(), down, got, want)
 			}
 		}
 	}

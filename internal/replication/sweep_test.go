@@ -273,9 +273,54 @@ func FuzzSweep(f *testing.F) {
 	})
 }
 
-// BenchmarkRandRepSweep is the Fig 16 instance sweep over the calibrated
-// small world: the closed form against the Monte-Carlo sample sizes.
-func BenchmarkRandRepSweep(b *testing.B) {
+// A fixed placement's sweep files each user's toots once, at the point its
+// last copy falls, and subtracts; the reference adds users up in order at
+// every point. The two agree because every partial sum is an exact float64
+// integer, which holds up to 2^53 toots in all: here each tooting user has
+// about 2^48, so the world holds about 2^52.
+func TestHeldSweepExactAtLargeCounts(t *testing.T) {
+	w := fuzzWorld()
+	for u := range w.Users {
+		if w.Users[u].Toots != 0 {
+			w.Users[u].Toots = 1<<48 + u*7919 + 1
+		}
+	}
+	exp := New(w)
+	orders := [][]int32{{0, 1, 2, 3, 4, 5}, {5, 3, 1, 0, 2, 4}, {2, 2, 4, 0, 5, 1, 3}}
+	for _, s := range []Strategy{NoRep{}, SubRep{}, NewDHTRep(w, dhtWorldRing(w, 2))} {
+		for _, order := range orders {
+			batches := graph.SingletonBatches(order, len(order))
+			requireSameBits(t, fmt.Sprintf("%s, order %v", s.Name(), order), exp.Sweep(s, batches), refSweep(exp, s, batches))
+		}
+		requireSameBits(t, s.Name()+", two at a time", exp.Sweep(s, [][]int32{{0, 3}, {1, 4}, {2, 5}}),
+			refSweep(exp, s, [][]int32{{0, 3}, {1, 4}, {2, 5}}))
+	}
+}
+
+// A sampled sweep's draw cache is one arena sized up front: a sweep of 40
+// points, which displaces more users and re-evaluates them more often,
+// allocates no more often than one of 4.
+func TestSweepAllocsFlatInPoints(t *testing.T) {
+	w, exp := sharedWorld(t)
+	order := graph.RankDescending(w.InstanceTootWeights())
+	for _, s := range []Strategy{
+		RandRep{N: 2, Samples: 16, Seed: 1},
+		NewWeightedRep(2, w.InstanceUserWeights(), 12, 1, "capacity"),
+	} {
+		allocs := func(points int) float64 {
+			batches := graph.SingletonBatches(order, points-1)
+			return testing.AllocsPerRun(5, func() { exp.Sweep(s, batches) })
+		}
+		if few, many := allocs(4), allocs(40); many > few {
+			t.Fatalf("%s: %v allocations at 40 points, %v at 4", s.Name(), many, few)
+		}
+	}
+}
+
+// BenchmarkSweep is the Fig 16 instance sweep over the calibrated small
+// world, one strategy per kernel: a fixed placement, the closed form, and a
+// sampled strategy at two sample sizes and with ext-capacity's weighting.
+func BenchmarkSweep(b *testing.B) {
 	w := gen.Generate(gen.SmallConfig(1))
 	exp := New(w)
 	batches := graph.SingletonBatches(graph.RankDescending(w.InstanceTootWeights()), 100)
@@ -283,9 +328,11 @@ func BenchmarkRandRepSweep(b *testing.B) {
 		name string
 		s    Strategy
 	}{
+		{"fixed", SubRep{}},
 		{"exact", RandRep{N: 2, Exact: true}},
 		{"samples=16", RandRep{N: 2, Samples: 16, Seed: 1}},
 		{"samples=128", RandRep{N: 2, Samples: 128, Seed: 1}},
+		{"weighted", NewWeightedRep(2, w.InstanceUserWeights(), 12, 1, "capacity")},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
