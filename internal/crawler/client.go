@@ -22,6 +22,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -295,14 +297,16 @@ func (c *Client) getOnce(ctx context.Context, domain, path string, buf []byte) (
 		ctx, cancel = context.WithTimeout(ctx, c.RequestTimeout)
 		defer cancel()
 	}
+	f := fetchPool.Get().(*fetch)
 	var req *http.Request
 	var err error
 	if c.Resolve != nil {
-		req, err = newGet(ctx, c.Resolve(domain), path)
+		req, err = f.get(ctx, c.Resolve(domain), path)
 	} else {
-		req, err = newGetHost(ctx, domain, path)
+		req, err = f.getHost(ctx, domain, path)
 	}
 	if err != nil {
+		fetchPool.Put(f)
 		return buf, err
 	}
 	req.Host = domain
@@ -311,8 +315,11 @@ func (c *Client) getOnce(ctx context.Context, domain, path string, buf []byte) (
 	}
 	resp, err := c.httpClient().Do(req)
 	if err != nil {
+		// Without a response there is no Body whose Close says the
+		// transport is done with req, so f is left to the collector.
 		return buf, err
 	}
+	defer fetchPool.Put(f) // after the Close below: defers run last first
 	defer resp.Body.Close()
 	if resp.StatusCode/100 != 2 {
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
@@ -325,31 +332,57 @@ func (c *Client) getOnce(ctx context.Context, domain, path string, buf []byte) (
 	return readBody(resp.Body, buf)
 }
 
-// newGet returns the request http.NewRequestWithContext(ctx, GET,
-// base+path, nil) returns.
-func newGet(ctx context.Context, base, path string) (*http.Request, error) {
+// fetch is one fetch's request, kept for the next: an *http.Request with
+// its url.URL and header map, refilled for every plain URL instead of built
+// anew. net/http lets a caller reuse a request once the Body of its
+// response is closed, and getOnce pools a fetch only then. bound is the
+// context req carries when that context's type is comparable and nil
+// otherwise, so comparing a caller's context with it never panics.
+type fetch struct {
+	req   *http.Request
+	url   url.URL
+	bound context.Context
+}
+
+var fetchPool = sync.Pool{New: func() any {
+	f := new(fetch)
+	f.req = &http.Request{
+		Method: http.MethodGet, URL: &f.url, Header: make(http.Header),
+		Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
+	}
+	return f
+}}
+
+// get returns the request http.NewRequestWithContext(ctx, GET, base+path,
+// nil) returns. It is f's own request when the URL is plain, and valid
+// until f's next get or getHost.
+func (f *fetch) get(ctx context.Context, base, path string) (*http.Request, error) {
 	if host, ok := strings.CutPrefix(base, "http://"); ok {
-		return newGetHost(ctx, host, path)
+		return f.getHost(ctx, host, path)
 	}
 	return http.NewRequestWithContext(ctx, http.MethodGet, base+path, nil)
 }
 
-// newGetHost is newGet for the base "http://" + host. When that and path
-// make a plain URL the parse is skipped: the parts are already in hand, and
-// url.Parse of the concatenation would only cut them apart again.
-func newGetHost(ctx context.Context, host, path string) (*http.Request, error) {
+// getHost is get for the base "http://" + host. When that and path make a
+// plain URL the parse is skipped: the parts are already in hand, and
+// url.Parse of the concatenation would only cut them apart again. A nil
+// context goes to NewRequestWithContext, which refuses it.
+func (f *fetch) getHost(ctx context.Context, host, path string) (*http.Request, error) {
 	p, query, ok := plainURL(host, path)
-	if !ok {
+	if !ok || ctx == nil {
 		return http.NewRequestWithContext(ctx, http.MethodGet, "http://"+host+path, nil)
 	}
-	// The empty URL parses to a zero url.URL, which is then filled in.
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, "", nil)
-	if err != nil {
-		return nil, err
+	if ctx != f.bound {
+		// WithContext copies the Request; the copy shares url and Header.
+		f.req, f.bound = f.req.WithContext(ctx), nil
+		if reflect.TypeOf(ctx).Comparable() {
+			f.bound = ctx
+		}
 	}
-	req.URL.Scheme, req.URL.Host, req.URL.Path, req.URL.RawQuery = "http", host, p, query
-	req.Host = host
-	return req, nil
+	f.url = url.URL{Scheme: "http", Host: host, Path: p, RawQuery: query}
+	clear(f.req.Header)
+	f.req.Host = host
+	return f.req, nil
 }
 
 // plainURL splits "http://"+host+path into the Path and RawQuery url.Parse
@@ -421,7 +454,9 @@ func (c *Client) parseRetryAfter(v string) time.Duration {
 		if secs < 0 {
 			return 0
 		}
-		return time.Duration(secs) * time.Second
+		// Clamped before the multiplication, which would wrap past
+		// math.MaxInt64 nanoseconds; every wait past the cap is the cap.
+		return time.Duration(min(secs, int(maxRetryAfter/time.Second))) * time.Second
 	}
 	if at, err := http.ParseTime(v); err == nil {
 		if d := at.Sub(vclock.OrSystem(c.Clock).Now()); d > 0 {

@@ -79,24 +79,28 @@ func TestClientHonoursRetryAfterHTTPDate(t *testing.T) {
 }
 
 func TestClientCapsRetryAfter(t *testing.T) {
-	var calls atomic.Int32
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		if calls.Add(1) == 1 {
-			w.Header().Set("Retry-After", strconv.Itoa(3600))
-			http.Error(w, "go away", http.StatusTooManyRequests)
-			return
+	// A hostile hour-long header stalls one capped step, no more; so do the
+	// two whose seconds overflow a Duration: one wraps to 290ms, the other
+	// to a negative wait.
+	for _, header := range []string{strconv.Itoa(3600), "18446744074", "9223372037"} {
+		var calls atomic.Int32
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+			if calls.Add(1) == 1 {
+				w.Header().Set("Retry-After", header)
+				http.Error(w, "go away", http.StatusTooManyRequests)
+				return
+			}
+			w.Write([]byte(`{"ok":true}`))
+		}))
+		c, clk := retryAfterClient(srv, 3)
+		start := clk.Now()
+		if _, err := c.Get(context.Background(), "x.test", "/thing"); err != nil {
+			t.Fatal(err)
 		}
-		w.Write([]byte(`{"ok":true}`))
-	}))
-	defer srv.Close()
-	c, clk := retryAfterClient(srv, 3)
-	start := clk.Now()
-	if _, err := c.Get(context.Background(), "x.test", "/thing"); err != nil {
-		t.Fatal(err)
-	}
-	// A hostile hour-long header stalls one capped step, no more.
-	if got := clk.Now().Sub(start); got != maxRetryAfter {
-		t.Fatalf("virtual wait = %v, want the %v cap", got, maxRetryAfter)
+		srv.Close()
+		if got := clk.Now().Sub(start); got != maxRetryAfter {
+			t.Fatalf("Retry-After: %s: virtual wait = %v, want the %v cap", header, got, maxRetryAfter)
+		}
 	}
 }
 

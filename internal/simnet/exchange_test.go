@@ -519,8 +519,8 @@ func TestProbeAllocBudget(t *testing.T) {
 
 // Allocations of one Client.Get over MemoryTransport, as measured (go1.24).
 const (
-	probeAllocsOnline  = 15
-	probeAllocsOffline = 11
+	probeAllocsOnline  = 12
+	probeAllocsOffline = 8
 )
 
 func BenchmarkProbeExchange(b *testing.B) {

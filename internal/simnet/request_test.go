@@ -108,10 +108,10 @@ func requestHarness(t *testing.T) *Harness {
 // 40 statuses (content, tag slice, tag) and of 40 followers (the edge's
 // From).
 const (
-	probeUpAllocs      = 9
-	probeDownAllocs    = 22 // two attempts: the harness retries once
-	timelinePageAllocs = 131
-	followerPageAllocs = 50
+	probeUpAllocs      = 6
+	probeDownAllocs    = 16 // two attempts: the harness retries once
+	timelinePageAllocs = 128
+	followerPageAllocs = 47
 )
 
 // TestCampaignRequestAllocs makes those counts a bound. Each is a

@@ -1,7 +1,9 @@
 package wire
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"strconv"
 	"strings"
 	"unicode/utf16"
@@ -141,12 +143,17 @@ func (d *decoder) readNumber() ([]byte, error) {
 
 // scanString validates a string literal starting at the opening quote and
 // returns the raw bytes between the quotes plus whether they need the slow
-// unescape path (escapes or non-ASCII bytes).
+// unescape path (escapes or non-ASCII bytes). skipPlain steps over the
+// bytes the switch would only count, so the switch sees exactly the bytes
+// it has something to do for, plus a tail shorter than a word.
 func (d *decoder) scanString() (raw []byte, simple bool, err error) {
 	// d.data[d.off] == '"', checked by the caller.
 	i := d.off + 1
 	simple = true
-	for i < len(d.data) {
+	for {
+		if i = skipPlain(d.data, i, simple); i >= len(d.data) {
+			break
+		}
 		c := d.data[i]
 		switch {
 		case c == '"':
@@ -183,6 +190,35 @@ func (d *decoder) scanString() (raw []byte, simple bool, err error) {
 		}
 	}
 	return nil, false, d.syntaxErrAt("unterminated string literal", len(d.data))
+}
+
+const (
+	ones  = 0x0101010101010101 // 0x01 in every byte of a word
+	highs = 0x8080808080808080 // each byte's top bit
+)
+
+// skipPlain returns the offset of the first byte from i on that is a
+// quote, a backslash, a control byte or, while simple, a byte ≥ 0x80 — or
+// where fewer than eight bytes are left, if none of the whole words before
+// that holds one. It reads eight bytes at a time, lowest address in the
+// lowest byte. (w - n*ones) &^ w & highs flags the bytes below n (n ≤ 0x80),
+// and on w^(c*ones) with n = 1 the bytes equal to c. The subtraction
+// borrows only out of a byte that is below n, so every flag under the first
+// such byte is exact: the lowest flag of the union is the first byte the
+// byte loop has work for, and no flag means there is none.
+func skipPlain(data []byte, i int, simple bool) int {
+	var top uint64
+	if simple {
+		top = highs
+	}
+	for ; i+8 <= len(data); i += 8 {
+		w := binary.LittleEndian.Uint64(data[i:])
+		q, b := w^('"'*ones), w^('\\'*ones)
+		if m := ((w-0x20*ones)&^w|(q-ones)&^q|(b-ones)&^b)&highs | w&top; m != 0 {
+			return i + bits.TrailingZeros64(m)/8
+		}
+	}
+	return i
 }
 
 func isHex(c byte) bool {
@@ -496,10 +532,25 @@ func (d *decoder) object(field func(key []byte) (handled bool, err error)) error
 
 // fieldIs matches a decoded key against a struct field's JSON name with
 // encoding/json's rules: exact match, else Unicode simple case folding.
-// Callers check exact matches for all fields before folded ones. Both
-// comparisons are allocation-free (the conversions do not escape).
+// Every name is ASCII, and whatever folds to an ASCII byte is that byte's
+// other case or a longer rune (K, U+212A, is 3 bytes; ſ, U+017F, is 2), so
+// a shorter key never matches and one of the same length matches only
+// byte for byte up to ASCII case. Only a longer key needs
+// strings.EqualFold, which does not allocate (the conversion does not
+// escape).
 func fieldIs(key []byte, name string) bool {
-	return string(key) == name || strings.EqualFold(string(key), name)
+	switch {
+	case len(key) < len(name):
+		return false
+	case len(key) > len(name):
+		return strings.EqualFold(string(key), name)
+	}
+	for i := 0; i < len(name); i++ {
+		if c, n := key[i], name[i]; c != n && (c|0x20 != n|0x20 || c|0x20 < 'a' || c|0x20 > 'z') {
+			return false
+		}
+	}
+	return true
 }
 
 // stringValue decodes a string-typed field: string stores, null is a

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -204,6 +205,92 @@ func FuzzScanInstanceInfo(f *testing.F) {
 			t.Fatalf("scan diverges:\n scan %q %+v\n ref  %+v", got.Version, got, want)
 		}
 	})
+}
+
+// FuzzScanString holds scanString to refScanString, the byte loop it
+// replaced, on the inside of a string literal that opens at offset 1: the
+// same raw bytes, simple flag, offset after the literal and error text.
+func FuzzScanString(f *testing.F) {
+	// Every byte value at each offset that starts, ends or straddles one of
+	// the words of a 24-byte string.
+	for k := 0; k < 18; k++ {
+		for c := 0; c < 256; c++ {
+			s := []byte(strings.Repeat("a", 24) + `"`)
+			s[k] = byte(c)
+			f.Add(s)
+		}
+	}
+	// A closing quote at 7, 8 and 9 bytes: the last byte before a word, its
+	// first one, and one into it — with and without bytes after it.
+	for _, n := range []int{7, 8, 9} {
+		f.Add([]byte(strings.Repeat("b", n) + `"`))
+		f.Add([]byte(strings.Repeat("b", n) + `","next":"é"}`))
+	}
+	for n := 0; n <= 16; n++ {
+		f.Add([]byte(strings.Repeat("c", n))) // unterminated
+	}
+	// \u escapes, whole, bad and cut short, across every word boundary.
+	for k := 0; k < 10; k++ {
+		for _, esc := range []string{"\\u00e9", "\\ud83d\\ude00", "\\u00g9", "\\u00", "\\", "é"} {
+			f.Add([]byte(strings.Repeat("d", k) + esc + strings.Repeat("e", 9) + `"`))
+			f.Add([]byte(strings.Repeat("d", k) + esc))
+		}
+	}
+	f.Add([]byte("né\x01\"")) // a control byte after simple turned false
+	f.Fuzz(func(t *testing.T, inside []byte) {
+		data := append([]byte(`["`), inside...)
+		got, want := &decoder{data: data, off: 1}, &decoder{data: data, off: 1}
+		graw, gsimple, gerr := got.scanString()
+		wraw, wsimple, werr := want.refScanString()
+		if string(graw) != string(wraw) || (graw == nil) != (wraw == nil) || gsimple != wsimple ||
+			got.off != want.off || fmt.Sprint(gerr) != fmt.Sprint(werr) {
+			t.Fatalf("%q: scanString %q %v off %d %v, byte loop %q %v off %d %v",
+				data, graw, gsimple, got.off, gerr, wraw, wsimple, want.off, werr)
+		}
+	})
+}
+
+// TestFieldIsMatchesEqualFold holds fieldIs to encoding/json's rule on every
+// field name against keys that differ from it in case, in length, by the
+// two non-ASCII runes that fold to ASCII letters, and by the bytes that
+// agree with a letter once 0x20 is set.
+func TestFieldIsMatchesEqualFold(t *testing.T) {
+	// Every JSON name the scanners, the reference decoders and
+	// UnmarshalActivity match a key against.
+	fieldNames := []string{
+		"id", "created_at", "content", "account", "username", "acct", "reblog", "uri", "tags", "name",
+		"title", "version", "registrations", "stats", "user_count", "status_count", "domain_count", "remote_follows",
+		"type", "from", "target", "note", "user", "domain", "author", "hashtags",
+	}
+	keys := []string{"", "x", "ID", "Id", "iD", "K", "ſ", "\xff", "é"}
+	for _, n := range fieldNames {
+		keys = append(keys, n, strings.ToUpper(n), n[:len(n)-1], n+"s", "k"+n, n[1:], strings.ToUpper(n[:1])+n[1:])
+		keys = append(keys, strings.ReplaceAll(n, "k", "K"), strings.ReplaceAll(n, "s", "ſ"),
+			strings.ReplaceAll(strings.ToUpper(n), "S", "ſ"))
+		for i := 0; i < len(n); i++ {
+			for _, c := range []byte{n[i] ^ 0x20, n[i] | 0x80, n[i] + 1, 0x7f, '@', '[', '`', '{', 0} {
+				keys = append(keys, n[:i]+string([]byte{c})+n[i+1:])
+			}
+			keys = append(keys, n[:i]+"K"+n[i+1:], n[:i]+"ſ"+n[i+1:], n[:i]+n[i+1:])
+		}
+	}
+	matched := 0
+	for _, n := range fieldNames {
+		for _, k := range keys {
+			want := k == n || strings.EqualFold(k, n)
+			if got := fieldIs([]byte(k), n); got != want {
+				t.Errorf("fieldIs(%q, %q) = %v, want %v", k, n, got, want)
+			}
+			if want && k != n {
+				matched++
+			}
+		}
+	}
+	// The keys must fold onto names through both branches, or the table
+	// tests only refusals.
+	if matched < 3*len(fieldNames) {
+		t.Fatalf("only %d folded matches", matched)
+	}
 }
 
 // FuzzPeersCodec pins the peers-list decoder and encoder.

@@ -1,9 +1,57 @@
 package wire
 
+import "unicode/utf8"
+
 // The materialising decoders the crawler used before the scanners in
 // scan.go, moved here unchanged: FuzzScanStatuses and FuzzScanInstanceInfo
 // hold the scanners to them value for value and error for error, and
 // FuzzStatusesCodec and FuzzInstanceInfoCodec hold them to encoding/json.
+// With them, refScanString: the byte-at-a-time string scan FuzzScanString
+// holds the word-at-a-time scanString to.
+
+// refScanString is scanString as it was: one byte per step through the
+// switch.
+func (d *decoder) refScanString() (raw []byte, simple bool, err error) {
+	i := d.off + 1
+	simple = true
+	for i < len(d.data) {
+		c := d.data[i]
+		switch {
+		case c == '"':
+			raw = d.data[d.off+1 : i]
+			d.off = i + 1
+			return raw, simple, nil
+		case c == '\\':
+			simple = false
+			i++
+			if i >= len(d.data) {
+				return nil, false, d.syntaxErrAt("unterminated escape", i)
+			}
+			switch d.data[i] {
+			case '"', '\\', '/', 'b', 'f', 'n', 'r', 't':
+				i++
+			case 'u':
+				i++
+				for k := 0; k < 4; k++ {
+					if i >= len(d.data) || !isHex(d.data[i]) {
+						return nil, false, d.syntaxErrAt("invalid \\u escape", i)
+					}
+					i++
+				}
+			default:
+				return nil, false, d.syntaxErrAt("invalid escape character", i)
+			}
+		case c < 0x20:
+			return nil, false, d.syntaxErrAt("control character in string literal", i)
+		case c >= utf8.RuneSelf:
+			simple = false
+			i++
+		default:
+			i++
+		}
+	}
+	return nil, false, d.syntaxErrAt("unterminated string literal", len(d.data))
+}
 
 // DecodeInstanceInfo decodes data into v with encoding/json's semantics.
 // On error v may be partially filled.
