@@ -132,21 +132,33 @@ type DailyDowntimeResult struct {
 // Fig8DailyDowntime computes Fig 8. twitterDaily is the Twitter baseline's
 // per-day downtime series (see internal/twitter).
 func Fig8DailyDowntime(w *dataset.World, twitterDaily []float64) DailyDowntimeResult {
-	perBin := map[SizeBin][]float64{}
+	// Each alive instance-day lands once in all and once in its size bin;
+	// every slice is sized before any is filled.
+	days := map[SizeBin]int{}
+	total := 0
+	for i := range w.Instances {
+		if from, to := aliveWindow(w, i); to > from {
+			n := to/dataset.SlotsPerDay - from/dataset.SlotsPerDay
+			days[binOf(w.Instances[i].Toots)] += n
+			total += n
+		}
+	}
+	perBin := make(map[SizeBin][]float64, len(days))
+	for b, n := range days {
+		perBin[b] = make([]float64, 0, n)
+	}
 	binInsts := map[SizeBin]int{}
-	var all []float64
+	all := make([]float64, 0, total)
 	for i := range w.Instances {
 		from, to := aliveWindow(w, i)
 		if to <= from {
 			continue
 		}
-		fromDay := from / dataset.SlotsPerDay
-		toDay := to / dataset.SlotsPerDay
-		daily := w.Traces.DailyDowntime(int32(i), fromDay, toDay)
 		b := binOf(w.Instances[i].Toots)
-		perBin[b] = append(perBin[b], daily...)
+		start := len(all)
+		all = w.Traces.AppendDailyDowntime(all, int32(i), from/dataset.SlotsPerDay, to/dataset.SlotsPerDay)
+		perBin[b] = append(perBin[b], all[start:]...)
 		binInsts[b]++
-		all = append(all, daily...)
 	}
 	r := DailyDowntimeResult{
 		Bins:         make(map[SizeBin]stats.Box, 4),

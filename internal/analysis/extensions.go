@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/dataset"
 	"repro/internal/dht"
@@ -30,30 +31,39 @@ type BlockingResult struct {
 // ExtBlocking applies every instance's blocklist to both graphs: an edge
 // a→b (in GF, or between users of a and b in G) is severed when either side
 // blocks the other, and measures the damage.
+//
+// The relation is held as a dense n×n bitset, symmetric by construction:
+// row a has bit b iff a blocks b or b blocks a. Users of an instance whose
+// row is empty can sever no follow, so their rows of G are skipped.
 func ExtBlocking(w *dataset.World) BlockingResult {
 	n := len(w.Instances)
-	blocks := make(map[int64]bool) // packed (a,b): a blocks b
+	words := (n + 63) >> 6
+	bits := make([]uint64, n*words)
 	var r BlockingResult
 	for i := range w.Instances {
 		if len(w.Instances[i].Blocks) > 0 {
 			r.BlockingInstances++
 		}
 		for _, b := range w.Instances[i].Blocks {
-			blocks[int64(i)<<32|int64(b)] = true
 			r.BlockedPairs++
+			if b < 0 || int(b) >= n {
+				continue // an entry no edge can reach
+			}
+			bits[i*words+int(b)>>6] |= 1 << (b & 63)
+			bits[int(b)*words+i>>6] |= 1 << (i & 63)
 		}
 	}
-	severed := func(a, b int32) bool {
-		return blocks[int64(a)<<32|int64(b)] || blocks[int64(b)<<32|int64(a)]
-	}
+	row := func(a int32) []uint64 { return bits[int(a)*words : int(a+1)*words] }
+	severed := func(row []uint64, b int32) bool { return row[b>>6]>>(b&63)&1 != 0 }
 
 	// Federation graph with severed edges removed.
 	fed := w.Federation
 	fedAfter := graph.NewBuilder(n)
 	cut := 0
 	for v := 0; v < n; v++ {
+		rv := row(int32(v))
 		for _, u := range fed.Out(int32(v)) {
-			if severed(int32(v), u) {
+			if severed(rv, u) {
 				cut++
 				continue
 			}
@@ -65,13 +75,20 @@ func ExtBlocking(w *dataset.World) BlockingResult {
 	}
 
 	// Social edges crossing a blocked pair.
+	blocked := make([]bool, n) // row a is not empty
+	for a := range blocked {
+		blocked[a] = slices.ContainsFunc(row(int32(a)), func(x uint64) bool { return x != 0 })
+	}
 	social := w.Social
 	cutSocial := 0
-	for u := 0; u < len(w.Users); u++ {
+	for u := range w.Users {
 		iu := w.Users[u].Instance
+		if !blocked[iu] {
+			continue
+		}
+		ru := row(iu)
 		for _, v := range social.Out(int32(u)) {
-			iv := w.Users[v].Instance
-			if iu != iv && severed(iu, iv) {
+			if iv := w.Users[v].Instance; iu != iv && severed(ru, iv) {
 				cutSocial++
 			}
 		}

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/dataset"
+	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/replication"
 )
@@ -138,10 +139,14 @@ func BenchmarkExperiment(b *testing.B) {
 	}
 }
 
-// BenchmarkRunAll regenerates the whole evaluation section in one go — bench's
-// core.runall_s seen from where the code is edited.
+// BenchmarkRunAll regenerates the whole evaluation section in one go on the
+// world bench/ runs paper-pipeline on (the small preset at 500 instances
+// and 20,000 users) — bench's core.runall_s seen from where the code is
+// edited.
 func BenchmarkRunAll(b *testing.B) {
-	w := smallWorld(b)
+	cfg := gen.SmallConfig(1)
+	cfg.Instances, cfg.Users = 500, 20000
+	w := gen.Generate(cfg)
 	b.ReportAllocs()
 	for b.Loop() {
 		if err := RunAll(w, io.Discard); err != nil {

@@ -5,6 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand/v2"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -67,7 +70,7 @@ func TestRunExperimentsErrorSemantics(t *testing.T) {
 		}},
 	}
 	var buf bytes.Buffer
-	err := runExperiments(w, &buf, exps)
+	err := runExperiments(w, &buf, exps, dispatchOrder(exps))
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("err = %v, want wrapped sentinel", err)
 	}
@@ -82,5 +85,71 @@ func TestRunExperimentsErrorSemantics(t *testing.T) {
 	}
 	if strings.Contains(out, "ok2") || strings.Contains(out, "should not be written") {
 		t.Fatalf("output leaked past the failure:\n%s", out)
+	}
+}
+
+// The order the pool hands experiments out in changes no byte of the
+// report: the committed heavy-first order, its reverse and three seeded
+// shuffles, each on a fresh list (so a different experiment builds the
+// shared Twitter graph and §5.2 state), on one core and on four.
+func TestRunAllDispatchOrderIndependent(t *testing.T) {
+	w := world(t)
+	var want bytes.Buffer
+	if err := RunAll(w, &want); err != nil {
+		t.Fatal(err)
+	}
+	committed := dispatchOrder(Experiments())
+	orders := map[string][]int{"committed": committed}
+	reversed := slices.Clone(committed)
+	slices.Reverse(reversed)
+	orders["reversed"] = reversed
+	for seed := uint64(1); seed <= 3; seed++ {
+		shuffled := slices.Clone(committed)
+		rand.New(rand.NewPCG(seed, 0)).Shuffle(len(shuffled), func(i, j int) {
+			shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+		})
+		orders[fmt.Sprintf("shuffle %d", seed)] = shuffled
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		for name, order := range orders {
+			var got bytes.Buffer
+			if err := runExperiments(w, &got, Experiments(), order); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Bytes(), want.Bytes()) {
+				t.Errorf("GOMAXPROCS %d, %s order %v: the report differs from RunAll's", procs, name, order)
+			}
+		}
+	}
+}
+
+// Every id the heavy-first list names is an experiment, named once, so
+// the dispatch order is a permutation that starts with all of them.
+func TestHeavyFirstNamesExperiments(t *testing.T) {
+	exps := Experiments()
+	seen := map[string]bool{}
+	for _, id := range heavyFirst {
+		if seen[id] {
+			t.Fatalf("heavyFirst names %s twice", id)
+		}
+		seen[id] = true
+		if !slices.ContainsFunc(exps, func(e Experiment) bool { return e.ID == id }) {
+			t.Fatalf("heavyFirst names %s, which is not in Experiments()", id)
+		}
+	}
+	order := dispatchOrder(exps)
+	for k, id := range heavyFirst {
+		if exps[order[k]].ID != id {
+			t.Fatalf("dispatch %d is %s, want %s", k, exps[order[k]].ID, id)
+		}
+	}
+	want := make([]int, len(exps))
+	for i := range want {
+		want[i] = i
+	}
+	if !slices.Equal(slices.Sorted(slices.Values(order)), want) {
+		t.Fatalf("dispatch order %v is not a permutation of %d experiments", order, len(exps))
 	}
 }

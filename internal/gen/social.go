@@ -62,7 +62,12 @@ func genSocial(cfg Config, insts []dataset.Instance, users []dataset.User, fame 
 			all = append(all, int32(i))
 		}
 	}
-	global := newFameSampler(all, fame)
+	// Isolated instances' users never draw from the global pool, so a world
+	// where every instance is isolated has no global sampler.
+	var global *fameSampler
+	if len(all) > 0 {
+		global = newFameSampler(all, fame)
+	}
 	// Instance-uniform edges: the "uniform" share of follows picks a random
 	// federating instance first, then a random user on it. This spreads
 	// federation links across the instance long tail, producing the more

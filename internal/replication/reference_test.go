@@ -178,3 +178,49 @@ func refSurvives(exp *Experiment, s Strategy, u int32, down []bool) bool {
 	}
 	return refAvailable(exp, s, u, down) > 0
 }
+
+// replaySampled is runSampled as it was before the per-sample memo: a
+// re-evaluation rewinds the user's stream and re-places every sample,
+// replaying the cached draws. It is the baseline BenchmarkSweep measures
+// the memo against.
+func (exp *Experiment) replaySampled(s sampler, at []int32, points int) []float64 {
+	seed, samples, n := s.sampling()
+	out := make([]float64, points)
+	sw := newSweep(exp, at)
+	sw.cache = exp.newDrawCache(seed, max(samples*min(n, len(at)), 0))
+	contrib := make([]float64, len(exp.tooting))
+	validUntil := make([]int32, len(exp.tooting))
+	for k := range out {
+		sw.k = int32(k)
+		var avail float64
+		for j, u := range exp.tooting {
+			if validUntil[j] <= sw.k {
+				if t := at[exp.home[u]]; t > sw.k {
+					contrib[j], validUntil[j] = exp.toots[u], t
+				} else {
+					contrib[j], validUntil[j] = sw.replayMonteCarlo(s, u, j, samples)
+				}
+			}
+			avail += contrib[j]
+		}
+		out[k] = exp.share(avail)
+	}
+	return out
+}
+
+func (sw *sweep) replayMonteCarlo(s sampler, u int32, j, samples int) (float64, int32) {
+	toots := sw.exp.toots[u]
+	samples = min(samples, int(toots))
+	if samples == 0 {
+		return 0, never
+	}
+	sw.rewind(s, u, j)
+	surviving, valid := 0, int32(never)
+	for range samples {
+		if until, ok := s.place(sw); ok {
+			surviving++
+			valid = min(valid, until)
+		}
+	}
+	return toots * float64(surviving) / float64(samples), valid
+}

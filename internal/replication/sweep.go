@@ -27,7 +27,10 @@ type sweep struct {
 	cache drawCache // a sampled sweep's; empty for Survivors
 	ids   []int32   // the user's cached draws: a window on cache.ids whose cap is the segment
 	pos   int       // replay cursor into ids
+	past  bool      // the stream has drawn past its cached ids since rewind
 	j     int       // the user's row in the cache
+
+	memo sampleMemo // a sampled sweep's; for Survivors, one row every user reuses
 }
 
 func newSweep(exp *Experiment, at []int32) *sweep {
@@ -149,15 +152,16 @@ func kept(t float64, homeUp bool, q float64) float64 {
 
 // runSampled evaluates a sampled strategy. A displaced user's estimate
 // holds until the first replica that saved a sample falls, so it keeps
-// every user's contribution and re-evaluates it only then, replaying the
-// user's cached draws; contributions are summed in user order at every
-// point, the order the per-point evaluation added in, so each value has
-// the same bits.
+// every user's contribution and re-evaluates it only then, re-placing the
+// samples from that one on (sampleMemo); contributions are summed in user
+// order at every point, the order the per-point evaluation added in, so
+// each value has the same bits.
 func (exp *Experiment) runSampled(s sampler, at []int32, points int) []float64 {
 	seed, samples, n := s.sampling()
 	out := make([]float64, points)
 	sw := newSweep(exp, at)
 	sw.cache = exp.newDrawCache(seed, max(samples*min(n, len(at)), 0))
+	sw.memo = newSampleMemo(len(exp.tooting), samples)
 	contrib := make([]float64, len(exp.tooting))
 	validUntil := make([]int32, len(exp.tooting)) // zero: point 0 evaluates everyone
 	for k := range out {
@@ -181,7 +185,8 @@ func (exp *Experiment) runSampled(s sampler, at []int32, points int) []float64 {
 // monteCarlo estimates how many of a displaced user's toots survive by
 // placing samples of them (at most one per toot) from the user's stream,
 // read from its start. The estimate holds until the first replica that
-// saved a sample falls. j is the user's row in a sampled sweep's cache.
+// saved a sample falls. j is the user's row in a sampled sweep's cache and
+// memo.
 func (sw *sweep) monteCarlo(s sampler, u int32, j, samples int) (float64, int32) {
 	toots := sw.exp.toots[u]
 	samples = min(samples, int(toots))
@@ -189,14 +194,68 @@ func (sw *sweep) monteCarlo(s sampler, u int32, j, samples int) (float64, int32)
 		return 0, never
 	}
 	sw.rewind(s, u, j)
-	surviving, valid := 0, int32(never)
-	for range samples {
-		if until, ok := s.place(sw); ok {
-			surviving++
-			valid = min(valid, until)
+	saver, start := sw.memo.row(j, samples)
+	surviving, valid := 0, uint32(never)
+	for i := range saver {
+		// A sample that starts where it last did reads the same draws; if
+		// no replica saved it, or its saver is still up, they place it the
+		// same way, so the stream can jump to where its draws end.
+		if !sw.past && start[i] == int32(sw.pos) && uint32(saver[i]) > uint32(sw.k) &&
+			(i+1 == len(saver) || start[i+1] >= 0) {
+			if i+1 < len(saver) {
+				sw.pos = int(start[i+1])
+			}
+		} else {
+			start[i], saver[i] = int32(sw.pos), noSaver
+			if sw.past {
+				start[i] = -1
+			}
+			if until, ok := s.place(sw); ok {
+				saver[i] = until
+			}
 		}
+		if saver[i] != noSaver {
+			surviving++
+		}
+		valid = min(valid, uint32(saver[i]))
 	}
-	return toots * float64(surviving) / float64(samples), valid
+	return toots * float64(surviving) / float64(samples), int32(valid)
+}
+
+// noSaver marks a memoised sample no replica saved. As a uint32 it is above
+// every removal time, so it compares as a saver that never falls. A
+// saver's removal time is at least 1: it was up at the point it was
+// placed at.
+const noSaver = -1
+
+// sampleMemo keeps, for each user who tooted, what each of the user's
+// samples did when last placed: the removal time of the replica that
+// saved it (noSaver if none did; 0, below every saver, if it was never
+// placed) and where in the user's stream it started (-1: past the cached
+// draws, where no cursor reaches). Instances only
+// fall, so a sample that starts at the same position, and that no replica
+// saved or whose saver is still up, places the same way at every later
+// point. A re-evaluation re-places only the other samples: those whose
+// saver fell, and those after one that now reads a different number of
+// draws. A sample's draws end where the next one's start.
+type sampleMemo struct {
+	saver  []int32 // user j's sample i is at j*stride+i
+	start  []int32
+	stride int
+}
+
+func newSampleMemo(users, samples int) sampleMemo {
+	return sampleMemo{saver: make([]int32, users*samples), start: make([]int32, users*samples), stride: samples}
+}
+
+// row returns user j's memo. Survivors (j = -1) has a one-row memo that
+// every user places afresh.
+func (m *sampleMemo) row(j, samples int) (saver, start []int32) {
+	if j < 0 {
+		j, m.saver[0] = 0, 0
+	}
+	off := j * m.stride
+	return m.saver[off : off+samples], m.start[off : off+samples]
 }
 
 // drawCache keeps, for each user who tooted, the instance ids the user's
@@ -239,7 +298,7 @@ func (sw *sweep) rewind(s sampler, u int32, j int) {
 		return
 	}
 	off := j * c.span
-	sw.j, sw.pcg, sw.pos = j, c.saved[j], 0
+	sw.j, sw.pcg, sw.pos, sw.past = j, c.saved[j], 0, false
 	sw.ids = c.ids[off : off+int(c.n[j]) : off+c.span]
 }
 
@@ -260,6 +319,8 @@ func (sw *sweep) keep(id int32) int32 {
 		sw.pos++
 		sw.cache.n[sw.j]++
 		sw.cache.saved[sw.j] = sw.pcg
+	} else {
+		sw.past = true
 	}
 	return id
 }
@@ -289,6 +350,7 @@ func (exp *Experiment) Availability(s Strategy, down []bool) float64 {
 // instance is up, under every strategy.
 func (exp *Experiment) Survivors(s Strategy, down []bool) []bool {
 	sw := newSweep(exp, exp.maskTimes(down))
+	sw.memo = newSampleMemo(1, 1) // survives places one sample
 	alive := make([]bool, len(exp.toots))
 	for u := range exp.toots {
 		alive[u] = !down[exp.home[u]] || exp.toots[u] != 0 && s.survives(sw, int32(u))

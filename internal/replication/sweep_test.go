@@ -297,6 +297,77 @@ func TestHeldSweepExactAtLargeCounts(t *testing.T) {
 	}
 }
 
+// The per-sample memo is the per-point evaluation, and the replay it
+// replaced, on the world bench/ runs paper-pipeline on: ext-capacity's
+// two weightings over its 50 removals, and a uniform sampled placement.
+func TestMemoMatchesReference(t *testing.T) {
+	cfg := gen.SmallConfig(1)
+	cfg.Instances, cfg.Users = 500, 20000
+	w := gen.Generate(cfg)
+	exp := New(w)
+	batches := graph.SingletonBatches(graph.RankDescending(w.InstanceTootWeights()), 50)
+	users := w.InstanceUserWeights()
+	capacity, inverse := NewWeightedRep(2, users, 12, 1, "capacity"), NewWeightedRep(2, inverseWeights(users), 12, 1, "inverse")
+	uniform := RandRep{N: 2, Samples: 16, Seed: 1}
+	for _, s := range []sampler{&capacity, &inverse, &uniform} {
+		got := exp.Sweep(s, batches)
+		requireSameBits(t, s.Name(), got, refSweep(exp, derefSampler(s), batches))
+		requireSameBits(t, s.Name()+", replayed", got, exp.replaySampled(s, sweepTimes(exp, batches), len(batches)+1))
+	}
+}
+
+// countingSampler counts the samples a sweep places.
+type countingSampler struct {
+	sampler
+	placed int
+}
+
+func (c *countingSampler) place(sw *sweep) (int32, bool) {
+	c.placed++
+	return c.sampler.place(sw)
+}
+
+// The memo is used: on ext-capacity's capacity weighting, where a
+// re-evaluation is due every time a hub that saved a sample falls, it
+// places fewer samples than the replay, and the same series.
+func TestMemoPlacesFewerSamples(t *testing.T) {
+	w, exp := sharedWorld(t)
+	batches := graph.SingletonBatches(graph.RankDescending(w.InstanceTootWeights()), 40)
+	at := sweepTimes(exp, batches)
+	s := NewWeightedRep(2, w.InstanceUserWeights(), 12, 1, "capacity")
+	memo, replay := &countingSampler{sampler: &s}, &countingSampler{sampler: &s}
+	requireSameBits(t, "memo vs replay", exp.runSampled(memo, at, len(batches)+1), exp.replaySampled(replay, at, len(batches)+1))
+	t.Logf("%d samples placed with the memo, %d replayed", memo.placed, replay.placed)
+	if memo.placed >= replay.placed {
+		t.Fatalf("the memo placed %d samples, the replay %d", memo.placed, replay.placed)
+	}
+}
+
+// derefSampler is the strategy value refSweep's type switch knows.
+func derefSampler(s sampler) Strategy {
+	switch s := s.(type) {
+	case *WeightedRep:
+		return *s
+	case *RandRep:
+		return *s
+	}
+	return s
+}
+
+// sweepTimes is the removal schedule Sweep builds from batches.
+func sweepTimes(exp *Experiment, batches [][]int32) []int32 {
+	at := make([]int32, len(exp.w.Instances))
+	for i := range at {
+		at[i] = never
+	}
+	for k, batch := range batches {
+		for _, id := range batch {
+			at[id] = min(at[id], int32(k+1))
+		}
+	}
+	return at
+}
+
 // A sampled sweep's draw cache is one arena sized up front: a sweep of 40
 // points, which displaces more users and re-evaluates them more often,
 // allocates no more often than one of 4.
@@ -341,4 +412,13 @@ func BenchmarkSweep(b *testing.B) {
 			}
 		})
 	}
+	// The sampled sweep without its per-sample memo.
+	s := NewWeightedRep(2, w.InstanceUserWeights(), 12, 1, "capacity")
+	at := sweepTimes(exp, batches)
+	b.Run("weighted/replay", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			exp.replaySampled(&s, at, len(batches)+1)
+		}
+	})
 }

@@ -74,6 +74,8 @@ func (t *Trace) IsDown(i int) bool {
 }
 
 // CountDown returns the number of down slots in [from, to). Bounds clamp.
+// The two end words are masked as in SetDownRange, and every word is one
+// population count.
 func (t *Trace) CountDown(from, to int) int {
 	if from < 0 {
 		from = 0
@@ -84,23 +86,15 @@ func (t *Trace) CountDown(from, to int) int {
 	if from >= to {
 		return 0
 	}
-	count := 0
-	// Handle partial first word, full middle words, partial last word.
-	for from < to && from&63 != 0 {
-		if t.IsDown(from) {
-			count++
-		}
-		from++
+	first, last := from>>6, (to-1)>>6
+	head := ^uint64(0) << (uint(from) & 63)
+	tail := ^uint64(0) >> (63 - uint(to-1)&63)
+	if first == last {
+		return bits.OnesCount64(t.words[first] & head & tail)
 	}
-	for from+64 <= to {
-		count += bits.OnesCount64(t.words[from>>6])
-		from += 64
-	}
-	for from < to {
-		if t.IsDown(from) {
-			count++
-		}
-		from++
+	count := bits.OnesCount64(t.words[first]&head) + bits.OnesCount64(t.words[last]&tail)
+	for _, w := range t.words[first+1 : last] {
+		count += bits.OnesCount64(w)
 	}
 	return count
 }

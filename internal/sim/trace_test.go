@@ -142,7 +142,7 @@ func TestCountDownMatchesNaive(t *testing.T) {
 				tr.SetDown(i)
 			}
 		}
-		from, to := int(a)%n, int(b)%n
+		from, to := int(a)%(n+1), int(b)%(n+1)
 		if from > to {
 			from, to = to, from
 		}

@@ -39,15 +39,14 @@ func (ts *TraceSet) DaySlots(d int) (from, to int) {
 	return d * ts.SlotsPerDay, (d + 1) * ts.SlotsPerDay
 }
 
-// DailyDowntime returns instance i's per-day downtime fractions (Fig 8's
-// raw data) over days [fromDay, toDay).
-func (ts *TraceSet) DailyDowntime(i int32, fromDay, toDay int) []float64 {
-	out := make([]float64, 0, toDay-fromDay)
+// AppendDailyDowntime appends instance i's per-day downtime fractions
+// (Fig 8's raw data) over days [fromDay, toDay) to dst.
+func (ts *TraceSet) AppendDailyDowntime(dst []float64, i int32, fromDay, toDay int) []float64 {
 	for d := fromDay; d < toDay; d++ {
 		lo, hi := ts.DaySlots(d)
-		out = append(out, ts.Traces[i].DownFraction(lo, hi))
+		dst = append(dst, ts.Traces[i].DownFraction(lo, hi))
 	}
-	return out
+	return dst
 }
 
 // Window returns a new trace set covering slots [from, to) of every trace —

@@ -28,11 +28,11 @@ func TestTraceSetGeometry(t *testing.T) {
 
 func TestDailyDowntime(t *testing.T) {
 	ts := newTestSet()
-	d := ts.DailyDowntime(0, 0, 2)
+	d := ts.AppendDailyDowntime(nil, 0, 0, 2)
 	if d[0] != 0.5 || d[1] != 0 {
 		t.Fatalf("daily = %v", d)
 	}
-	d = ts.DailyDowntime(2, 0, 2)
+	d = ts.AppendDailyDowntime(d[:1], 2, 0, 2)[1:]
 	if d[0] != 0 || d[1] != 1 {
 		t.Fatalf("daily = %v", d)
 	}

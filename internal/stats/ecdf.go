@@ -1,7 +1,10 @@
 package stats
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 )
 
@@ -74,8 +77,7 @@ func NewBox(xs []float64) Box {
 	if len(xs) == 0 {
 		return Box{}
 	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
+	s := sortedCopy(xs)
 	b := Box{
 		Min:    s[0],
 		Q1:     QuantileSorted(s, 0.25),
@@ -93,4 +95,72 @@ func NewBox(xs []float64) Box {
 		}
 	}
 	return b
+}
+
+// maxDistinct is the most distinct values sortedCopy counts; a sample with
+// more is comparison-sorted.
+const maxDistinct = 512
+
+// sortedCopy returns the copy of xs that sort.Float64s sorts. A sample of
+// few distinct values (Fig 8's daily fractions take at most 289) is
+// counted value by value in a small hash table, and the runs are written
+// out in value order. Equal values have equal bits, so that is the
+// comparison sort's slice bit for bit, except where values compare equal
+// with different bits: a NaN, or -0 beside +0, which sort.Float64s leaves
+// in an order of its own. Such a sample, and one of more than maxDistinct
+// values, is handed to sort.Float64s.
+func sortedCopy(xs []float64) []float64 {
+	const empty = 0x7ff8_0000_0000_0001 // a NaN's bits: no counted value has them
+	var keys [2 * maxDistinct]uint64    // a value's bits, or empty
+	var counts [2 * maxDistinct]int
+	for i := range keys {
+		keys[i] = empty
+	}
+	distinct := 0
+	for _, x := range xs {
+		if x != x {
+			return comparisonSorted(xs)
+		}
+		b := math.Float64bits(x)
+		i := b * 0x9e3779b97f4a7c15 >> 54 // the top log2(len(keys)) bits
+		for keys[i] != b {
+			if keys[i] == empty {
+				if distinct == maxDistinct {
+					return comparisonSorted(xs)
+				}
+				distinct++
+				keys[i] = b
+				break
+			}
+			i = (i + 1) % uint64(len(keys))
+		}
+		counts[i]++
+	}
+	type run struct {
+		x float64
+		n int
+	}
+	runs := make([]run, 0, distinct)
+	for i, b := range keys {
+		if b != empty {
+			runs = append(runs, run{math.Float64frombits(b), counts[i]})
+		}
+	}
+	slices.SortFunc(runs, func(a, b run) int { return cmp.Compare(a.x, b.x) })
+	s := make([]float64, 0, len(xs))
+	for i, r := range runs {
+		if r.x == 0 && i > 0 && runs[i-1].x == 0 {
+			return comparisonSorted(xs) // -0 and +0
+		}
+		for range r.n {
+			s = append(s, r.x)
+		}
+	}
+	return s
+}
+
+func comparisonSorted(xs []float64) []float64 {
+	s := slices.Clone(xs)
+	sort.Float64s(s)
+	return s
 }

@@ -41,13 +41,14 @@ func DefaultGraphConfig(seed uint64, users int) GraphConfig {
 	}
 }
 
-// Graph builds the baseline follower graph.
+// Graph builds the baseline follower graph. Every row is appended to one
+// arena, user by user, and cut from it once all are drawn.
 func Graph(cfg GraphConfig) *graph.CSR {
 	r := rand.New(rand.NewPCG(cfg.Seed, 0x7777))
 	n := cfg.Users
-	g := graph.NewBuilder(n)
+	rows := make([][]int32, n)
 	if n < 2 {
-		return g.Freeze()
+		return graph.FromRows(rows)
 	}
 
 	fame := make([]float64, n)
@@ -69,8 +70,11 @@ func Graph(cfg GraphConfig) *graph.CSR {
 	byFame := gen.NewCumSampler(cum)
 
 	// Out-degrees: geometric-ish around the mean with a hard floor.
-	// followedBy[v] == u+1 iff u already follows v.
+	// followedBy[v] == u+1 iff u already follows v; user u's row is
+	// arena[end[u-1]:end[u]].
 	followedBy := make([]int32, n)
+	arena := make([]int32, 0, int(float64(n)*cfg.MeanFollows))
+	end := make([]int, n)
 	for u := 0; u < n; u++ {
 		k := cfg.MinFollows + int(r.ExpFloat64()*(cfg.MeanFollows-float64(cfg.MinFollows)))
 		if k > n-1 {
@@ -88,11 +92,16 @@ func Graph(cfg GraphConfig) *graph.CSR {
 				continue
 			}
 			followedBy[v] = int32(u) + 1
-			g.AddEdge(int32(u), v)
+			arena = append(arena, v)
 			added++
 		}
+		end[u] = len(arena)
 	}
-	return g.Freeze()
+	start := 0
+	for u, e := range end {
+		rows[u], start = arena[start:e], e
+	}
+	return graph.FromRows(rows)
 }
 
 // UptimeConfig parameterises the 2007-style availability trace.
