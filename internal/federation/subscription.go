@@ -1,7 +1,9 @@
 package federation
 
 import (
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 )
 
@@ -11,9 +13,10 @@ import (
 // for concurrent use.
 type Subscriptions struct {
 	mu sync.RWMutex
-	// subscribers[localUser] = set of remote domains that must receive the
-	// user's toots (because somebody there follows the user).
-	subscribers map[string]map[string]int
+	// subscribers[localUser] = the remote domains that must receive the
+	// user's toots (because somebody there follows the user), sorted by
+	// domain, each with its number of such follows.
+	subscribers map[string][]DomainCount
 	// remoteFollows counts local follows of remote accounts — the
 	// instance API's subscription count.
 	remoteFollows int
@@ -21,33 +24,45 @@ type Subscriptions struct {
 	peers map[string]int
 }
 
+// DomainCount is one remote domain's follows of a local user.
+type DomainCount struct {
+	Domain string
+	Count  int
+}
+
 // NewSubscriptions returns an empty table.
 func NewSubscriptions() *Subscriptions {
 	return &Subscriptions{
-		subscribers: make(map[string]map[string]int),
+		subscribers: make(map[string][]DomainCount),
 		peers:       make(map[string]int),
 	}
 }
 
 // RestoreSubscriptions returns the table a sequence of AddSubscriber and
-// AddRemoteFollow calls would have built: subscribers[localUser][domain]
-// counts that domain's follows of the user, peers[domain] counts the
-// relationships held with the domain in either direction, remoteFollows the
-// local follows of remote accounts. The table takes ownership of the maps.
-func RestoreSubscriptions(subscribers map[string]map[string]int, peers map[string]int, remoteFollows int) *Subscriptions {
+// AddRemoteFollow calls would have built: subscribers[localUser] lists, by
+// ascending domain, each domain with follows of the user and how many (none
+// zero, no list empty), peers[domain] counts the relationships held with the
+// domain in either direction, remoteFollows the local follows of remote
+// accounts. The table takes ownership of the maps and lists.
+func RestoreSubscriptions(subscribers map[string][]DomainCount, peers map[string]int, remoteFollows int) *Subscriptions {
 	return &Subscriptions{subscribers: subscribers, peers: peers, remoteFollows: remoteFollows}
+}
+
+// find returns where domain is or would be in the sorted list l.
+func find(l []DomainCount, domain string) (int, bool) {
+	return slices.BinarySearchFunc(l, domain, func(e DomainCount, d string) int { return strings.Compare(e.Domain, d) })
 }
 
 // AddSubscriber registers that domain must receive localUser's toots.
 func (s *Subscriptions) AddSubscriber(localUser, domain string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	m := s.subscribers[localUser]
-	if m == nil {
-		m = make(map[string]int)
-		s.subscribers[localUser] = m
+	l := s.subscribers[localUser]
+	if i, ok := find(l, domain); ok {
+		l[i].Count++
+	} else {
+		s.subscribers[localUser] = slices.Insert(l, i, DomainCount{Domain: domain, Count: 1})
 	}
-	m[domain]++
 	s.peers[domain]++
 }
 
@@ -57,15 +72,17 @@ func (s *Subscriptions) AddSubscriber(localUser, domain string) {
 func (s *Subscriptions) RemoveSubscriber(localUser, domain string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	m := s.subscribers[localUser]
-	if m[domain] == 0 {
+	l := s.subscribers[localUser]
+	i, ok := find(l, domain)
+	if !ok {
 		return false
 	}
-	if m[domain]--; m[domain] == 0 {
-		delete(m, domain)
-	}
-	if len(m) == 0 {
-		delete(s.subscribers, localUser)
+	if l[i].Count--; l[i].Count == 0 {
+		if l = slices.Delete(l, i, i+1); len(l) == 0 {
+			delete(s.subscribers, localUser)
+		} else {
+			s.subscribers[localUser] = l
+		}
 	}
 	if s.peers[domain]--; s.peers[domain] <= 0 {
 		delete(s.peers, domain)
@@ -77,12 +94,11 @@ func (s *Subscriptions) RemoveSubscriber(localUser, domain string) bool {
 func (s *Subscriptions) SubscriberDomains(localUser string) []string {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	m := s.subscribers[localUser]
-	out := make([]string, 0, len(m))
-	for d := range m {
-		out = append(out, d)
+	l := s.subscribers[localUser]
+	out := make([]string, len(l))
+	for i, e := range l {
+		out[i] = e.Domain
 	}
-	sort.Strings(out)
 	return out
 }
 

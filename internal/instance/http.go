@@ -112,13 +112,15 @@ func (c *pageCache) invalidate(kinds ...pageKind) {
 	}
 }
 
-// get returns the entry's body and whether it is still fresh; a stale body
-// is returned too, as the best guess at the size of its replacement.
-func (c *pageCache) get(key pageKey, g uint64) ([]byte, bool) {
+// get returns the entry's body if it is still fresh, else nil.
+func (c *pageCache) get(key pageKey, g uint64) []byte {
 	c.mu.Lock()
 	e, ok := c.entries[key]
 	c.mu.Unlock()
-	return e.body, ok && e.gen == g
+	if !ok || e.gen != g {
+		return nil
+	}
+	return e.body
 }
 
 func (c *pageCache) put(key pageKey, g uint64, body []byte) {
@@ -156,15 +158,22 @@ func (s *Server) servePage(w http.ResponseWriter, r *http.Request, ctype []strin
 		return
 	}
 	w.Header()["Content-Type"] = ctype
-	body, fresh := s.pages.get(key, g)
-	if !fresh {
-		// Sized from the entry being replaced, a re-render is one allocation
-		// instead of an append-doubling chain.
-		body = render(make([]byte, 0, len(body)+len(body)/8))
+	body := s.pages.get(key, g)
+	if body == nil {
+		// Rendered into a pooled buffer and cached as an exact copy, a page
+		// rests at its length and costs one allocation.
+		buf := renderBufs.Get().(*[]byte)
+		*buf = render((*buf)[:0])
+		body = make([]byte, len(*buf))
+		copy(body, *buf)
+		renderBufs.Put(buf)
 		s.pages.put(key, g, body)
 	}
 	w.Write(body)
 }
+
+// renderBufs holds the scratch buffers servePage renders misses into.
+var renderBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // etagMatch reports whether the If-None-Match header value certifies
 // generation g of kind, under RFC 7232 weak comparison: "*" matches

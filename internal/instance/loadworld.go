@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -160,7 +161,8 @@ type loadScratch struct {
 	peers   []int32  // by instance: relationships with it; zero between servers
 	peersAt []int32  // instances with peers != 0
 	actors  []int32
-	store   tootStore // rows are written here, then copied out exactly sized
+	dcs     []federation.DomainCount // one user's subscriber list, sorted, then copied out
+	store   tootStore                // rows are written here, then copied out exactly sized
 }
 
 // eachServer runs fn once per server on len(workers) goroutines.
@@ -245,7 +247,8 @@ func (ld *loader) plan(sc *loadScratch, s int) {
 	accounts := make(map[string]*Account, len(users))
 	accts := make([]Account, len(users))
 	followers := make([]uint32, inEdges)
-	subscribers := make(map[string]map[string]int)
+	subscribers := make(map[string][]federation.DomainCount)
+	dcs := sc.dcs[:0]
 	remoteIn := 0
 	for i, v := range users {
 		u := &w.Users[v]
@@ -275,14 +278,11 @@ func (ld *loader) plan(sc *loadScratch, s int) {
 				}
 			}
 		}
-		if len(sc.subsAt) == 0 {
-			continue
-		}
-		m := make(map[string]int, len(sc.subsAt))
+		dcs = dcs[:0]
 		for _, fi := range sc.subsAt {
 			c := sc.subs[fi]
 			sc.subs[fi] = 0
-			m[w.Instances[fi].Domain] = int(c)
+			dcs = append(dcs, federation.DomainCount{Domain: w.Instances[fi].Domain, Count: int(c)})
 			remoteIn += int(c)
 			if sc.peers[fi] == 0 {
 				sc.peersAt = append(sc.peersAt, fi)
@@ -290,8 +290,12 @@ func (ld *loader) plan(sc *loadScratch, s int) {
 			sc.peers[fi] += c
 		}
 		sc.subsAt = sc.subsAt[:0]
-		subscribers[name] = m
+		if len(dcs) > 0 {
+			slices.SortFunc(dcs, func(a, b federation.DomainCount) int { return strings.Compare(a.Domain, b.Domain) })
+			subscribers[name] = slices.Clone(dcs)
+		}
 	}
+	sc.dcs = dcs
 	if len(accounts) != len(users) {
 		seen := make(map[string]bool, len(users))
 		for _, v := range users {
@@ -335,7 +339,7 @@ func (ld *loader) fill(sc *loadScratch, s int) {
 	w, srv, p := ld.w, ld.servers[s], &ld.plans[s]
 	st := &srv.store
 	st.actors = make([]federation.Actor, 0, len(p.actors))
-	st.actorIdx = make(map[federation.Actor]uint32, len(p.actors))
+	st.sizeIndex(len(p.actors))
 	for _, u := range p.actors {
 		st.intern(federation.Actor{User: ld.names[u], Domain: ld.domainOf(u)})
 	}

@@ -204,9 +204,8 @@ func samePage(t *testing.T, stage string, r, g *Server, path string) (int, []byt
 	return rr.Code, rr.Body.Bytes()
 }
 
-// samePages walks every GET page of every server on both networks: home,
-// instance API, peers, both timelines paged to exhaustion (from the head and
-// above a since_id), and every follower page of every account.
+// samePages walks every GET page of every server on both networks (see
+// walkPages), the head page also as the server's online state serves it.
 func samePages(t *testing.T, stage string, w *dataset.World, ref, got *Network) {
 	t.Helper()
 	for i := range w.Instances {
@@ -216,47 +215,54 @@ func samePages(t *testing.T, stage string, w *dataset.World, ref, got *Network) 
 		online := r.Online()
 		r.SetOnline(true)
 		g.SetOnline(true)
-		for _, path := range []string{"/", "/about", "/api/v1/instance", "/api/v1/instance/peers", "/users/nobody/followers"} {
-			samePage(t, stage, r, g, path)
-		}
-		r.mu.RLock()
-		since := r.nextID / 2
-		r.mu.RUnlock()
-		for _, base := range []string{
-			"/api/v1/timelines/public?limit=40",
-			"/api/v1/timelines/public?local=true&limit=40",
-			"/api/v1/timelines/public?limit=17&since_id=" + strconv.FormatInt(since, 10),
-			"/api/v1/timelines/public?local=1&since_id=" + strconv.FormatInt(since, 10),
-		} {
-			path := base
-			for {
-				code, body := samePage(t, stage, r, g, path)
-				if code != http.StatusOK {
-					break
-				}
-				last := lastStatusID(body)
-				if last == "" {
-					break
-				}
-				path = base + "&max_id=" + last
-			}
-		}
-		r.mu.RLock()
-		names := make([]string, 0, len(r.accounts))
-		for name := range r.accounts {
-			names = append(names, name)
-		}
-		r.mu.RUnlock()
-		for _, name := range names {
-			for page := 1; ; page++ {
-				_, body := samePage(t, stage, r, g, "/users/"+name+"/followers?page="+strconv.Itoa(page))
-				if !bytes.Contains(body, []byte(`rel="next"`)) {
-					break
-				}
-			}
-		}
+		walkPages(r, func(path string) (int, []byte) { return samePage(t, stage, r, g, path) })
 		r.SetOnline(online)
 		g.SetOnline(online)
+	}
+}
+
+// walkPages GETs every page of srv through get: home, instance API, peers,
+// both timelines paged to exhaustion (from the head and above a since_id),
+// and every follower page of every account.
+func walkPages(srv *Server, get func(path string) (int, []byte)) {
+	for _, path := range []string{"/", "/about", "/api/v1/instance", "/api/v1/instance/peers", "/users/nobody/followers"} {
+		get(path)
+	}
+	srv.mu.RLock()
+	since := srv.nextID / 2
+	srv.mu.RUnlock()
+	for _, base := range []string{
+		"/api/v1/timelines/public?limit=40",
+		"/api/v1/timelines/public?local=true&limit=40",
+		"/api/v1/timelines/public?limit=17&since_id=" + strconv.FormatInt(since, 10),
+		"/api/v1/timelines/public?local=1&since_id=" + strconv.FormatInt(since, 10),
+	} {
+		path := base
+		for {
+			code, body := get(path)
+			if code != http.StatusOK {
+				break
+			}
+			last := lastStatusID(body)
+			if last == "" {
+				break
+			}
+			path = base + "&max_id=" + last
+		}
+	}
+	srv.mu.RLock()
+	names := make([]string, 0, len(srv.accounts))
+	for name := range srv.accounts {
+		names = append(names, name)
+	}
+	srv.mu.RUnlock()
+	for _, name := range names {
+		for page := 1; ; page++ {
+			_, body := get("/users/" + name + "/followers?page=" + strconv.Itoa(page))
+			if !bytes.Contains(body, []byte(`rel="next"`)) {
+				break
+			}
+		}
 	}
 }
 
@@ -383,7 +389,8 @@ func storedRows(n *Network) int {
 // edgeWorld is hand-built around the cases a per-server construction could
 // get wrong: account names that are not user indices, private authors with
 // remote followers, users with no toots, toot counts below, at and above the
-// cap, a self-follow, a duplicated edge (local and remote), an instance
+// cap, a self-follow, a duplicated edge (local and remote), a user whose
+// remote followers' domains come out of alphabetical order, an instance
 // nobody lives on, a gone instance and one that blocks crawling.
 func edgeWorld() *dataset.World {
 	users := []dataset.User{
@@ -396,6 +403,7 @@ func edgeWorld() *dataset.World {
 		{ID: 106, Instance: 4, Toots: 12},
 		{ID: 107, Instance: 0, Toots: 0},
 		{ID: 108, Instance: 4, Toots: 2},
+		{ID: 109, Instance: 0, Toots: 1},
 	}
 	rows := [][]int32{
 		0: {0, 2, 2, 4},    // self-follow, a duplicated remote edge, a private remote author
@@ -407,6 +415,7 @@ func edgeWorld() *dataset.World {
 		6: {7, 0, 2, 5},
 		7: nil,
 		8: {6, 3},
+		9: {6}, // u106's followers: b.test, then a.test
 	}
 	return &dataset.World{
 		Days: 3,
@@ -626,7 +635,8 @@ func TestLoadWorldAllocationBound(t *testing.T) {
 // took over seven minutes (the largest instance overflows its federated
 // timeline many times over); the ceiling is generous for a shared runner.
 // Like the two scale tests it skips itself under -short, and CI's
-// paper-scale job prints its "loaded in" line.
+// paper-scale job prints its "loaded in" line; under -v it also logs the
+// resident heap by structure.
 func TestLoadWorldPaperPopulation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paper-scale world")
@@ -634,12 +644,14 @@ func TestLoadWorldPaperPopulation(t *testing.T) {
 	cfg := gen.PaperConfig(1)
 	cfg.Users, cfg.Days, cfg.MassExpiryDay = 300_000, 8, -1
 	w := gen.Generate(cfg)
+	base := heapAfterGC()
 	start := time.Now()
 	n, err := LoadWorld(context.Background(), w, LoadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	took := time.Since(start)
+	resident := heapAfterGC() - base
 	var users int
 	var statuses int64
 	for _, d := range n.Domains() {
@@ -647,9 +659,14 @@ func TestLoadWorldPaperPopulation(t *testing.T) {
 		users += st.Users
 		statuses += st.Statuses
 	}
-	t.Logf("paper population of %d instances / %d users / %d statuses loaded in %v", len(w.Instances), users, statuses, took)
+	t.Logf("paper population of %d instances / %d users / %d statuses loaded in %v; %.0f MB resident, %d B an account",
+		len(w.Instances), users, statuses, took, float64(resident)/1e6, resident/int64(len(w.Users)))
 	if users != len(w.Users) {
 		t.Fatalf("%d accounts loaded, want %d", users, len(w.Users))
+	}
+	if testing.Verbose() {
+		restingBreakdown(t, n, base, len(w.Users))
+		runtime.KeepAlive(w)
 	}
 	if took > 60*time.Second {
 		t.Fatalf("load took %v, ceiling 60s", took)

@@ -2,6 +2,7 @@ package instance
 
 import (
 	"encoding/binary"
+	"hash/maphash"
 	"strconv"
 	"time"
 
@@ -46,24 +47,57 @@ type tootStore struct {
 	arena     []byte
 	rows      []tootRow
 	actors    []federation.Actor
-	actorIdx  map[federation.Actor]uint32
+	actorIdx  []uint32 // open-addressed over actors: index+1, 0 empty; see intern
 	local     []uint32 // home-authored rows, ascending id
 	federated []uint32 // home + remote rows, ascending id
 	dead      int      // rows referenced by neither timeline
 }
 
 // intern returns the stable index of an actor, registering it on first use.
+// The index is a linear-probing table of positions in st.actors, so an actor
+// is stored once, not again as a map key; the table is a power of two in
+// length and kept at most three quarters full.
 func (st *tootStore) intern(a federation.Actor) uint32 {
-	if i, ok := st.actorIdx[a]; ok {
-		return i
+	if 4*(len(st.actors)+1) > 3*len(st.actorIdx) {
+		st.sizeIndex(2 * (len(st.actors) + 1))
 	}
-	if st.actorIdx == nil {
-		st.actorIdx = make(map[federation.Actor]uint32)
+	mask := uint64(len(st.actorIdx) - 1)
+	for i := actorHash(a) & mask; ; i = (i + 1) & mask {
+		v := st.actorIdx[i]
+		if v == 0 {
+			st.actors = append(st.actors, a)
+			st.actorIdx[i] = uint32(len(st.actors))
+			return uint32(len(st.actors) - 1)
+		}
+		if st.actors[v-1] == a {
+			return v - 1
+		}
 	}
-	i := uint32(len(st.actors))
-	st.actors = append(st.actors, a)
-	st.actorIdx[a] = i
-	return i
+}
+
+// sizeIndex rebuilds the actor index with room for n actors.
+func (st *tootStore) sizeIndex(n int) {
+	size := 8
+	for 4*n > 3*size {
+		size *= 2
+	}
+	st.actorIdx = make([]uint32, size)
+	mask := uint64(size - 1)
+	for k, a := range st.actors {
+		i := actorHash(a) & mask
+		for st.actorIdx[i] != 0 {
+			i = (i + 1) & mask
+		}
+		st.actorIdx[i] = uint32(k + 1)
+	}
+}
+
+var actorUserSeed, actorDomainSeed = maphash.MakeSeed(), maphash.MakeSeed()
+
+// actorHash hashes the two fields under separate seeds, so that actors
+// sharing a user or a domain, or with the two swapped, still spread.
+func actorHash(a federation.Actor) uint64 {
+	return maphash.String(actorUserSeed, a.User) ^ maphash.String(actorDomainSeed, a.Domain)
 }
 
 func (st *tootStore) text(s string) span {

@@ -3,7 +3,10 @@ package instance
 import (
 	"context"
 	"fmt"
+	"math/rand/v2"
 	"runtime"
+	"slices"
+	"strconv"
 	"testing"
 	"time"
 
@@ -162,5 +165,64 @@ func TestReceivePastCapAllocatesConstant(t *testing.T) {
 	defer s.mu.RUnlock()
 	if len(s.store.federated) != defaultMaxFederated {
 		t.Fatalf("federated timeline holds %d entries, want %d", len(s.store.federated), defaultMaxFederated)
+	}
+}
+
+// refIntern is the actor index tootStore.intern replaced: a map from each
+// actor to its index, holding a second copy of every key.
+type refIntern struct {
+	actors []federation.Actor
+	idx    map[federation.Actor]uint32
+}
+
+func (r *refIntern) intern(a federation.Actor) uint32 {
+	if i, ok := r.idx[a]; ok {
+		return i
+	}
+	if r.idx == nil {
+		r.idx = make(map[federation.Actor]uint32)
+	}
+	i := uint32(len(r.actors))
+	r.actors = append(r.actors, a)
+	r.idx[a] = i
+	return i
+}
+
+// The open-addressed index interns as the map did: seeded sequences with
+// repeats, over actors that share only a user, only a domain, or nothing
+// (the zero Actor among them), give the same index at every call and the
+// same actor table, across the table's regrowths.
+func TestInternMatchesMapIndex(t *testing.T) {
+	for seed := uint64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewPCG(seed, 0))
+		users := []string{"", "u0", "u1", "alice", "u10", "u100"}
+		domains := []string{"", "a.test", "b.test", "u0", "mastodon.social"}
+		var pool []federation.Actor
+		for _, u := range users {
+			for _, d := range domains {
+				pool = append(pool, federation.Actor{User: u, Domain: d})
+			}
+		}
+		for i := range 600 {
+			pool = append(pool, federation.Actor{User: "u" + strconv.Itoa(i), Domain: domains[1+i%4]})
+		}
+		var st tootStore
+		var ref refIntern
+		sizes := map[int]bool{}
+		for step := range 6000 {
+			// Early steps draw from a growing prefix, so new actors keep
+			// arriving while old ones repeat.
+			a := pool[rng.IntN(min(len(pool), 1+step/4))]
+			if got, want := st.intern(a), ref.intern(a); got != want {
+				t.Fatalf("seed %d step %d: intern(%+v) = %d, want %d", seed, step, a, got, want)
+			}
+			sizes[len(st.actorIdx)] = true
+		}
+		if !slices.Equal(st.actors, ref.actors) {
+			t.Fatalf("seed %d: actor tables differ", seed)
+		}
+		if len(sizes) < 4 {
+			t.Fatalf("seed %d: the index took %d sizes, want at least three regrowths", seed, len(sizes))
+		}
 	}
 }
