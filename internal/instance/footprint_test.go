@@ -55,9 +55,10 @@ func restingBreakdown(t *testing.T, n *Network, base int64, accounts int) {
 }
 
 // maxRestingBytesPerAccount bounds what a loaded bench-size world leaves on
-// the heap: 2,484 B an account measured on go1.24, plus 5%. With a map as
-// the actor index and nested maps as the subscriber tables it was 3,077.
-const maxRestingBytesPerAccount = 2608
+// the heap: 1,842 B an account measured on go1.24, plus 5%. With 56-byte
+// toot rows and every remote note id as arena text it was 2,484; with a
+// map as the actor index and nested maps as the subscriber tables, 3,077.
+const maxRestingBytesPerAccount = 1934
 
 // TestLoadWorldRestingBytes holds the heap a loaded bench-size world rests
 // at to maxRestingBytesPerAccount, and logs it by structure.

@@ -186,7 +186,7 @@ func (s *Server) PostToot(ctx context.Context, author, content string, hashtags 
 	acct.toots++
 	actor := federation.Actor{User: author, Domain: s.cfg.Domain}
 	ri := s.store.add(s.nextID, at, actor, content, "", "", hashtags, false)
-	s.store.local = append(s.store.local, ri)
+	s.store.pushLocal(ri)
 	t := s.store.get(ri, s.cfg.Domain) // before the append: a compaction renumbers rows
 	s.store.appendFederated(ri, s.cfg.MaxFederated)
 	private := acct.Private

@@ -353,33 +353,31 @@ func (ld *loader) fill(sc *loadScratch, s int) {
 	cutoff := srv.nextID - int64(maxFed)
 	var id int64
 	for i, a := range p.actors[:p.authors] {
-		name, home, count := ld.names[a], ld.domainOf(a), ld.toots(a)
+		name, count := ld.names[a], ld.toots(a)
 		remote := int(w.Users[a].Instance) != s
 		for k := 0; k < count; k++ {
 			if id++; remote && id <= cutoff {
 				continue
 			}
-			off := len(tmp.arena)
+			var tags []string
+			if k%5 == 0 {
+				tags = loadTags
+			}
+			flags, off := tmp.openText("", tags)
 			tmp.arena = append(tmp.arena, "toot "...)
 			tmp.arena = strconv.AppendInt(tmp.arena, int64(k), 10)
 			tmp.arena = append(tmp.arena, " from "...)
 			tmp.arena = append(tmp.arena, name...)
-			content := tmp.since(off)
-			var noteID, tags span
+			var note uint64
 			if remote {
-				off = len(tmp.arena)
-				tmp.arena = append(tmp.arena, home...)
-				tmp.arena = append(tmp.arena, '/')
-				tmp.arena = strconv.AppendInt(tmp.arena, ld.firstID[a]+int64(k), 10)
-				noteID = tmp.since(off)
-			}
-			if k%5 == 0 {
-				tags = tmp.packTags(loadTags)
+				flags, note = flags|tootRemote|tootNoteNum, uint64(ld.firstID[a]+int64(k))
+			} else {
+				flags |= tootSynthNote
 			}
 			at := ld.nowNano - int64(count-k)*int64(time.Minute)
-			ri := tmp.addRow(id, at, uint32(i), content, noteID, span{}, tags, remote)
+			ri := tmp.addRow(id, at, uint32(i), flags, tmp.since(off), note)
 			if !remote {
-				tmp.local = append(tmp.local, ri)
+				tmp.pushLocal(ri)
 			}
 			if id > cutoff {
 				tmp.appendFederated(ri, maxFed)

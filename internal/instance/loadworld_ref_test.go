@@ -169,7 +169,7 @@ func serverDiff(r, g *Server) string {
 			return fmt.Sprintf("%s timeline has %d rows, want %d", tl.name, len(tl.g), len(tl.r))
 		}
 		for i := range tl.r {
-			if !sameRow(&r.store, tl.r[i], &g.store, tl.g[i]) {
+			if !sameRow(&r.store, tl.r[i], &g.store, tl.g[i], r.cfg.Domain) {
 				return fmt.Sprintf("%s timeline differs at %d: %+v, want %+v", tl.name, i,
 					g.store.get(tl.g[i], g.cfg.Domain), r.store.get(tl.r[i], r.cfg.Domain))
 			}
@@ -178,15 +178,16 @@ func serverDiff(r, g *Server) string {
 	return ""
 }
 
-// sameRow compares two resting rows by what they say, not where they sit.
-func sameRow(rs *tootStore, ri uint32, gs *tootStore, gi uint32) bool {
+// sameRow compares two resting rows by what they say, not where they sit:
+// flags, content, boost id, tags and note id part by part.
+func sameRow(rs *tootStore, ri uint32, gs *tootStore, gi uint32, domain string) bool {
 	r, g := &rs.rows[ri], &gs.rows[gi]
+	rb, rt, rc := rs.parts(r)
+	gb, gt, gc := gs.parts(g)
 	return r.id == g.id && r.unixNano == g.unixNano && r.flags == g.flags &&
 		rs.actors[r.author] == gs.actors[g.author] &&
-		bytes.Equal(rs.span(r.content), gs.span(g.content)) &&
-		bytes.Equal(rs.span(r.noteID), gs.span(g.noteID)) &&
-		bytes.Equal(rs.span(r.boostOf), gs.span(g.boostOf)) &&
-		bytes.Equal(rs.span(r.tags), gs.span(g.tags))
+		bytes.Equal(rc, gc) && bytes.Equal(rb, gb) && bytes.Equal(rt, gt) &&
+		rs.noteID(r, domain) == gs.noteID(g, domain)
 }
 
 // samePage GETs path from both servers and holds status, every header and

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"hash/maphash"
 	"strconv"
+	"strings"
 	"time"
 
 	"repro/internal/federation"
@@ -16,7 +17,9 @@ import (
 // fixed-width row table, and an actor intern table; the local and federated
 // timelines are just row-index slices. Toot values are materialised only at
 // the API surface (PostToot's return, PublicTimeline pages), so the resting
-// cost per toot is one tootRow plus its text bytes.
+// cost per toot is one 40-byte tootRow plus its text bytes. A note id is
+// text only when it cannot be derived: a local toot's is "<domain>/<ID>",
+// and a remote toot's is almost always "<author domain>/<n>", kept as n.
 
 // span references a byte range in the store's arena.
 type span struct {
@@ -24,21 +27,25 @@ type span struct {
 }
 
 const (
-	tootRemote    = 1 << 0 // arrived via federation
-	tootSynthNote = 1 << 1 // NoteID is "<domain>/<ID>", derived, not stored
+	tootRemote    = 1 << iota // arrived via federation
+	tootSynthNote             // NoteID is "<domain>/<ID>", derived, not stored
+	tootNoteNum               // NoteID is "<author domain>/<note>"; otherwise note is a span
+	tootBoost                 // text starts with the uvarint-prefixed boosted note id
+	tootTags                  // text then holds the packed tags
+	tootLocal                 // on the local timeline
 )
 
-// tootRow is the fixed-width resting form of one Toot. Text fields live in
-// the arena; the author is an index into the actor intern table.
+// tootRow is the fixed-width resting form of one Toot. The author is an
+// index into the actor intern table. text spans, in the arena, the boosted
+// note id and the tags when the flags say so, then the content; note is
+// what the flags say it is (see noteID).
 type tootRow struct {
 	id       int64
 	unixNano int64
 	author   uint32
 	flags    uint8
-	content  span
-	noteID   span
-	boostOf  span
-	tags     span // uvarint tag count, then uvarint-length-prefixed tags
+	text     span
+	note     uint64
 }
 
 // tootStore owns the arena, the rows and the two timeline index slices.
@@ -100,110 +107,162 @@ func actorHash(a federation.Actor) uint64 {
 	return maphash.String(actorUserSeed, a.User) ^ maphash.String(actorDomainSeed, a.Domain)
 }
 
-func (st *tootStore) text(s string) span {
-	if s == "" {
-		return span{}
-	}
-	off := uint32(len(st.arena))
-	st.arena = append(st.arena, s...)
-	return span{off: off, n: uint32(len(s))}
-}
-
 // since returns the span of everything appended to the arena from off on.
 func (st *tootStore) since(off int) span {
 	return span{off: uint32(off), n: uint32(len(st.arena) - off)}
 }
 
-func (st *tootStore) packTags(tags []string) span {
-	if len(tags) == 0 {
-		return span{}
+// pack and unpackSpan convert a span to and from a row's note field.
+func (s span) pack() uint64              { return uint64(s.off)<<32 | uint64(s.n) }
+func unpackSpan(v uint64) span           { return span{off: uint32(v >> 32), n: uint32(v)} }
+func (st *tootStore) span(s span) []byte { return st.arena[s.off : s.off+s.n] }
+
+// openText starts a row's text in the arena with the boosted note id
+// (uvarint-length-prefixed) and the packed tags (a uvarint count, then each
+// tag uvarint-length-prefixed), each only if there is one; the caller
+// appends the content. It returns the flags that say which are there and
+// the offset the text starts at.
+func (st *tootStore) openText(boostOf string, tags []string) (flags uint8, off int) {
+	off = len(st.arena)
+	if boostOf != "" {
+		flags |= tootBoost
+		st.arena = binary.AppendUvarint(st.arena, uint64(len(boostOf)))
+		st.arena = append(st.arena, boostOf...)
 	}
-	off := uint32(len(st.arena))
-	st.arena = binary.AppendUvarint(st.arena, uint64(len(tags)))
-	for _, t := range tags {
-		st.arena = binary.AppendUvarint(st.arena, uint64(len(t)))
-		st.arena = append(st.arena, t...)
+	if len(tags) > 0 {
+		flags |= tootTags
+		st.arena = binary.AppendUvarint(st.arena, uint64(len(tags)))
+		for _, t := range tags {
+			st.arena = binary.AppendUvarint(st.arena, uint64(len(t)))
+			st.arena = append(st.arena, t...)
+		}
 	}
-	return span{off: off, n: uint32(len(st.arena)) - off}
+	return flags, off
 }
 
-func (st *tootStore) span(s span) []byte {
-	return st.arena[s.off : s.off+s.n]
+// prefixed splits a uvarint-length-prefixed string off the front of b.
+func prefixed(b []byte) (s, rest []byte) {
+	n, k := binary.Uvarint(b)
+	return b[k : k+int(n)], b[k+int(n):]
 }
 
-func (st *tootStore) unpackTags(s span) []string {
-	b := st.span(s)
-	count, k := binary.Uvarint(b)
-	b = b[k:]
-	tags := make([]string, 0, count)
-	for i := uint64(0); i < count; i++ {
-		n, k := binary.Uvarint(b)
-		b = b[k:]
-		tags = append(tags, string(b[:n]))
-		b = b[n:]
+// parts splits a row's text into the boosted note id, the packed tags and
+// the content. The first two are nil when the row has none.
+func (st *tootStore) parts(r *tootRow) (boostOf, tags, content []byte) {
+	b := st.span(r.text)
+	if r.flags&tootBoost != 0 {
+		boostOf, b = prefixed(b)
+	}
+	if r.flags&tootTags != 0 {
+		count, k := binary.Uvarint(b)
+		rest := b[k:]
+		for ; count > 0; count-- {
+			_, rest = prefixed(rest)
+		}
+		tags, b = b[:len(b)-len(rest)], rest
+	}
+	return boostOf, tags, b
+}
+
+// unpackTags materialises a packed tag list.
+func unpackTags(packed []byte) []string {
+	count, k := binary.Uvarint(packed)
+	b := packed[k:]
+	tags := make([]string, count)
+	for i := range tags {
+		var tag []byte
+		tag, b = prefixed(b)
+		tags[i] = string(tag)
 	}
 	return tags
 }
 
-// add appends the resting row for a toot and returns its row index. A toot
-// with an empty noteID gets the derived local id (tootSynthNote).
+// noteNumber returns n when noteID is "<domain>/<n>" with n as
+// strconv.FormatUint prints it and below 2^63, so that the id can be
+// rebuilt from the author's domain and n.
+func noteNumber(noteID, domain string) (uint64, bool) {
+	rest, ok := strings.CutPrefix(noteID, domain)
+	if !ok || len(rest) < 2 || rest[0] != '/' || (rest[1] == '0' && len(rest) > 2) {
+		return 0, false
+	}
+	n, err := strconv.ParseUint(rest[1:], 10, 63)
+	return n, err == nil
+}
+
+// noteID returns a row's note id: the server's domain and the row id
+// (tootSynthNote), the author's domain and note (tootNoteNum), or the text
+// note spans.
+func (st *tootStore) noteID(r *tootRow, domain string) string {
+	switch {
+	case r.flags&tootSynthNote != 0:
+		return domain + "/" + strconv.FormatInt(r.id, 10)
+	case r.flags&tootNoteNum != 0:
+		return st.actors[r.author].Domain + "/" + strconv.FormatUint(r.note, 10)
+	}
+	return string(st.span(unpackSpan(r.note)))
+}
+
+// add appends the resting row for a toot and returns its row index. A local
+// toot with an empty noteID gets the derived local id (tootSynthNote).
 func (st *tootStore) add(id int64, at time.Time, author federation.Actor, content, noteID, boostOf string, tags []string, remote bool) uint32 {
-	return st.addRow(id, at.UnixNano(), st.intern(author),
-		st.text(content), st.text(noteID), st.text(boostOf), st.packTags(tags), remote)
+	ai := st.intern(author)
+	var flags uint8
+	if remote {
+		flags = tootRemote
+	}
+	var note uint64
+	if n, ok := noteNumber(noteID, author.Domain); ok {
+		flags, note = flags|tootNoteNum, n
+	} else if noteID == "" && !remote {
+		flags |= tootSynthNote
+	} else {
+		off := len(st.arena)
+		st.arena = append(st.arena, noteID...)
+		note = st.since(off).pack()
+	}
+	textFlags, off := st.openText(boostOf, tags)
+	st.arena = append(st.arena, content...)
+	return st.addRow(id, at.UnixNano(), ai, flags|textFlags, st.since(off), note)
 }
 
 // addRow is add for a caller that has already interned the author and put
-// the text in the arena (content, note id, boost id, tags, in that order):
-// the one place a tootRow is written.
-func (st *tootStore) addRow(id, unixNano int64, author uint32, content, noteID, boostOf, tags span, remote bool) uint32 {
-	var flags uint8
-	if remote {
-		flags |= tootRemote
-	}
-	if noteID.n == 0 {
-		flags |= tootSynthNote
-	}
-	st.rows = append(st.rows, tootRow{
-		id:       id,
-		unixNano: unixNano,
-		author:   author,
-		flags:    flags,
-		content:  content,
-		noteID:   noteID,
-		boostOf:  boostOf,
-		tags:     tags,
-	})
+// the row's text in the arena: the one place a tootRow is written.
+func (st *tootStore) addRow(id, unixNano int64, author uint32, flags uint8, text span, note uint64) uint32 {
+	st.rows = append(st.rows, tootRow{id: id, unixNano: unixNano, author: author, flags: flags, text: text, note: note})
 	return uint32(len(st.rows) - 1)
+}
+
+// pushLocal appends a row to the local timeline.
+func (st *tootStore) pushLocal(ri uint32) {
+	st.rows[ri].flags |= tootLocal
+	st.local = append(st.local, ri)
 }
 
 // get materialises the row as an API-surface Toot value.
 func (st *tootStore) get(ri uint32, domain string) Toot {
 	r := &st.rows[ri]
+	boostOf, tags, content := st.parts(r)
 	t := Toot{
 		ID:        r.id,
 		Author:    st.actors[r.author],
-		Content:   string(st.span(r.content)),
+		Content:   string(content),
 		CreatedAt: time.Unix(0, r.unixNano).UTC(),
 		Remote:    r.flags&tootRemote != 0,
-		BoostOf:   string(st.span(r.boostOf)),
+		BoostOf:   string(boostOf),
+		NoteID:    st.noteID(r, domain),
 	}
-	if r.flags&tootSynthNote != 0 {
-		t.NoteID = domain + "/" + strconv.FormatInt(r.id, 10)
-	} else {
-		t.NoteID = string(st.span(r.noteID))
-	}
-	if r.tags.n > 0 {
-		t.Hashtags = st.unpackTags(r.tags)
+	if tags != nil {
+		t.Hashtags = unpackTags(tags)
 	}
 	return t
 }
 
 // appendFederated adds a row to the federated timeline, trimming it to max
-// entries like Mastodon's timeline trimming. Remote rows trimmed off the
-// front become dead (local rows stay referenced by the local timeline);
-// once dead rows outnumber live ones the store compacts. The trim reslices:
-// the entries are copied only when append outgrows what is left of the
-// backing array, so a delivery to a full timeline costs O(1) amortised.
+// entries like Mastodon's timeline trimming. Rows trimmed off the front
+// become dead unless the local timeline still holds them; once dead rows
+// outnumber live ones the store compacts. The trim reslices: the entries
+// are copied only when append outgrows what is left of the backing array,
+// so a delivery to a full timeline costs O(1) amortised.
 func (st *tootStore) appendFederated(ri uint32, max int) {
 	st.federated = append(st.federated, ri)
 	over := len(st.federated) - max
@@ -211,7 +270,7 @@ func (st *tootStore) appendFederated(ri uint32, max int) {
 		return
 	}
 	for _, dropped := range st.federated[:over] {
-		if st.rows[dropped].flags&tootRemote != 0 {
+		if st.rows[dropped].flags&tootLocal == 0 {
 			st.dead++
 		}
 	}
@@ -247,10 +306,10 @@ func (st *tootStore) compact() {
 			continue
 		}
 		r := st.rows[ri]
-		r.content = move(r.content)
-		r.noteID = move(r.noteID)
-		r.boostOf = move(r.boostOf)
-		r.tags = move(r.tags)
+		r.text = move(r.text)
+		if r.flags&(tootSynthNote|tootNoteNum) == 0 {
+			r.note = move(unpackSpan(r.note)).pack()
+		}
 		remap[ri] = uint32(len(newRows))
 		newRows = append(newRows, r)
 	}

@@ -4,11 +4,14 @@ import (
 	"context"
 	"fmt"
 	"math/rand/v2"
+	"reflect"
 	"runtime"
 	"slices"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/federation"
 )
@@ -33,40 +36,54 @@ func deliverRemote(t *testing.T, s *Server, i int) {
 // Trimming the federated timeline must not let dead rows or their arena
 // text accumulate: once dead rows outnumber live ones the store compacts,
 // so resting memory stays proportional to the live timelines, not to the
-// total number of toots ever federated.
+// total number of toots ever federated or boosted.
 func TestSlabCompactionBoundsMemory(t *testing.T) {
 	const maxFed = 16
+	ctx := context.Background()
 	s := NewServer(Config{Domain: "a.test", Open: true, MaxFederated: maxFed}, nil)
 	if _, err := s.CreateAccount("alice", false, false, time.Unix(0, 0)); err != nil {
 		t.Fatal(err)
 	}
 	for k := 0; k < 5; k++ {
-		if _, err := s.PostToot(context.Background(), "alice", "home toot", nil, time.Unix(int64(k), 0)); err != nil {
+		if _, err := s.PostToot(ctx, "alice", "home toot", nil, time.Unix(int64(k), 0)); err != nil {
 			t.Fatal(err)
+		}
+	}
+	bounded := func(stage string) {
+		t.Helper()
+		s.mu.RLock()
+		defer s.mu.RUnlock()
+		rows, arena, dead := len(s.store.rows), len(s.store.arena), s.store.dead
+		// Live rows: 5 local + at most maxFed federated. Compaction keeps the
+		// row table within one trim cycle of that.
+		if limit := 5 + 2*maxFed + 1; rows > limit {
+			t.Fatalf("%s: row table grew to %d rows (limit %d): compaction is not happening", stage, rows, limit)
+		}
+		if dead > rows {
+			t.Fatalf("%s: dead=%d exceeds rows=%d", stage, dead, rows)
+		}
+		if arena > 64*1024 {
+			t.Fatalf("%s: arena grew to %d bytes: dead text is not being reclaimed", stage, arena)
+		}
+		if actors := len(s.store.actors); actors != 2 { // alice + the one remote author
+			t.Fatalf("%s: actor intern table has %d entries, want 2", stage, actors)
 		}
 	}
 	for i := 0; i < 2000; i++ {
 		deliverRemote(t, s, i)
 	}
-
+	bounded("after 2000 deliveries")
+	// Every delivered id is "far.test/<n>", which a row derives from its
+	// author's domain: the arena holds the rows' texts and nothing else.
 	s.mu.RLock()
-	rows, arena, dead := len(s.store.rows), len(s.store.arena), s.store.dead
-	actors := len(s.store.actors)
+	text := 0
+	for _, r := range s.store.rows {
+		text += int(r.text.n)
+	}
+	if extra := len(s.store.arena) - text; extra != 0 {
+		t.Errorf("the arena holds %d bytes besides the rows' texts: canonical note ids are stored", extra)
+	}
 	s.mu.RUnlock()
-	// Live rows: 5 local + at most maxFed federated. Compaction keeps the
-	// row table within one trim cycle of that.
-	if limit := 5 + 2*maxFed + 1; rows > limit {
-		t.Fatalf("row table grew to %d rows after 2000 federated toots (limit %d): compaction is not happening", rows, limit)
-	}
-	if dead > rows {
-		t.Fatalf("dead=%d exceeds rows=%d", dead, rows)
-	}
-	if arena > 64*1024 {
-		t.Fatalf("arena grew to %d bytes: dead text is not being reclaimed", arena)
-	}
-	if actors != 2 { // alice + the one remote author
-		t.Fatalf("actor intern table has %d entries, want 2", actors)
-	}
 
 	// The surviving state must still read back correctly through the API.
 	fed := s.PublicTimeline(TimelineFederated, 0, maxFed*2)
@@ -86,6 +103,82 @@ func TestSlabCompactionBoundsMemory(t *testing.T) {
 	if local[0].NoteID != "a.test/5" {
 		t.Fatalf("synthesized NoteID = %q, want a.test/5", local[0].NoteID)
 	}
+
+	// A local boost sits on no local timeline: trimmed off the federated
+	// one, it is dead like a remote row.
+	far := federation.Actor{User: "u", Domain: "far.test"}
+	for i := 0; i < 5000; i++ {
+		if err := s.Boost(ctx, "alice", "far.test/"+strconv.Itoa(i), far, time.Unix(int64(i), 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bounded("after 5000 boosts")
+	if fed := s.PublicTimeline(TimelineFederated, 0, 1); fed[0].BoostOf != "far.test/4999" {
+		t.Fatalf("newest boost reads back as %+v", fed[0])
+	}
+	if local := s.PublicTimeline(TimelineLocal, 0, 40); len(local) != 5 || local[4].NoteID != "a.test/1" {
+		t.Fatalf("local timeline after the boosts: %+v", local)
+	}
+}
+
+// A resting row is 40 bytes: the note id, the boosted id and the tags live
+// in the text span and the note field, not in spans of their own.
+func TestTootRowSize(t *testing.T) {
+	if got := unsafe.Sizeof(tootRow{}); got != 40 {
+		t.Fatalf("tootRow is %d bytes, want 40", got)
+	}
+}
+
+// FuzzTootRow holds a row to what was put in it: add then get returns every
+// field as given, before and after a compaction moves the row's text. A row
+// derives its note id exactly when the id is "<author domain>/<n>" with n
+// canonical and below 2^63, and stores any other (a sign, a leading zero,
+// 2^63, another domain, an empty number, no slash). A local row with no
+// note id reads back the synthesized "<domain>/<ID>".
+func FuzzTootRow(f *testing.F) {
+	for _, id := range []string{"d/007", "d/+7", "d/-1", "d/9223372036854775808", "d/", "d//1", "d/1/2", "D/1",
+		"d/0", "d/42", "d/9223372036854775807", "d12"} {
+		f.Add("d", "u", "content", id, "", "", true)
+	}
+	f.Add("d.test.x", "u", "content", "d.test/1", "", "", true)
+	f.Add("a/b", "u", "content", "a/b/5", "", "", true)    // a domain containing "/"
+	f.Add("d", "u", "", "d/3", "", "fediverse\nimc", true) // empty content with tags
+	f.Add("d", "u", "", "", "far.test/9", "t", false)      // a boost with tags
+	f.Add("d", "u", "content", "", "", "", true)           // a remote row with an empty id
+	f.Add("d", "u", "content", "", "", "\n", false)        // a local toot with two empty tags
+	f.Fuzz(func(t *testing.T, domain, user, content, noteID, boostOf, tagList string, remote bool) {
+		var tags []string
+		if tagList != "" {
+			tags = strings.Split(tagList, "\n")
+		}
+		author := federation.Actor{User: user, Domain: domain}
+		at := time.Unix(1_532_347_200, 123)
+		want := Toot{ID: 7, Author: author, Content: content, Hashtags: tags, CreatedAt: at.UTC(),
+			Remote: remote, BoostOf: boostOf, NoteID: noteID}
+		if noteID == "" && !remote {
+			want.NoteID = "home.test/7"
+		}
+		var st tootStore
+		// A row that compaction drops, so that the kept row's text moves.
+		st.add(6, at, federation.Actor{User: "x", Domain: "y"}, "gone", "y/01", "y/2", []string{"gone"}, true)
+		ri := st.add(7, at, author, content, noteID, boostOf, tags, remote)
+		derive := false
+		if rest, ok := strings.CutPrefix(noteID, domain+"/"); ok {
+			n, err := strconv.ParseUint(rest, 10, 64)
+			derive = err == nil && n < 1<<63 && strconv.FormatUint(n, 10) == rest
+		}
+		if derived := st.rows[ri].flags&tootNoteNum != 0; derived != derive {
+			t.Fatalf("note id %q under domain %q: derived = %v, want %v", noteID, domain, derived, derive)
+		}
+		if got := st.get(ri, "home.test"); !reflect.DeepEqual(got, want) {
+			t.Fatalf("get = %+v, want %+v", got, want)
+		}
+		st.federated, st.dead = []uint32{ri}, 1
+		st.compact()
+		if got := st.get(st.federated[0], "home.test"); !reflect.DeepEqual(got, want) {
+			t.Fatalf("after compact, get = %+v, want %+v", got, want)
+		}
+	})
 }
 
 // Materialised toots must round-trip every field through the slab rows.

@@ -82,8 +82,9 @@ func (s *Server) appendStatusRow(dst []byte, row *tootRow) []byte {
 	dst = strconv.AppendInt(dst, row.id, 10) // decimal digits never need escaping
 	dst = append(dst, `","created_at":"`...)
 	dst = time.Unix(0, row.unixNano).UTC().AppendFormat(dst, statusTimeLayout)
+	boostOf, tags, content := s.store.parts(row)
 	dst = append(dst, `","content":`...)
-	dst = wire.AppendJSONStringBytes(dst, s.store.span(row.content))
+	dst = wire.AppendJSONStringBytes(dst, content)
 	actor := &s.store.actors[row.author]
 	dst = append(dst, `,"account":{"username":`...)
 	dst = wire.AppendJSONString(dst, actor.User)
@@ -96,26 +97,24 @@ func (s *Server) appendStatusRow(dst []byte, row *tootRow) []byte {
 	acct = append(acct, actor.Domain...)
 	dst = wire.AppendJSONStringBytes(dst, acct)
 	dst = append(dst, '}')
-	if row.boostOf.n > 0 {
+	if boostOf != nil {
 		dst = append(dst, `,"reblog":{"uri":`...)
-		dst = wire.AppendJSONStringBytes(dst, s.store.span(row.boostOf))
+		dst = wire.AppendJSONStringBytes(dst, boostOf)
 		dst = append(dst, '}')
 	}
-	if row.tags.n > 0 {
+	if tags != nil {
 		dst = append(dst, `,"tags":[`...)
-		b := s.store.span(row.tags)
-		count, k := binary.Uvarint(b)
-		b = b[k:]
+		count, k := binary.Uvarint(tags)
+		b := tags[k:]
 		for t := uint64(0); t < count; t++ {
-			nlen, k := binary.Uvarint(b)
-			b = b[k:]
+			var tag []byte
+			tag, b = prefixed(b)
 			if t > 0 {
 				dst = append(dst, ',')
 			}
 			dst = append(dst, `{"name":`...)
-			dst = wire.AppendJSONStringBytes(dst, b[:nlen])
+			dst = wire.AppendJSONStringBytes(dst, tag)
 			dst = append(dst, '}')
-			b = b[nlen:]
 		}
 		dst = append(dst, ']')
 	}
