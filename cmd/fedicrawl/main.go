@@ -15,13 +15,10 @@
 //	fedicrawl -base ... -world world.fedi -write-since marks.json
 //	fedicrawl -base ... -world world.fedi -since marks.json -write-since marks.json
 //
-// Concurrency: -workers sizes the flat per-phase worker pools (the paper
-// used 10 threads). -fleet N instead runs the toot-crawl phase as a
-// distributed crawler fleet — a coordinator with a work-stealing per-domain
-// frontier and N leased workers; its harvest, coverage numbers and -since
-// marks are byte-identical to the flat crawl's.
-//
-//	fedicrawl -base ... -world world.fedi -fleet 8 -write-since marks.json
+// Concurrency: -workers sizes every phase (the paper used 10 threads). The
+// toot crawl hands domains to that many workers in order, one lease per
+// domain; its harvest, coverage numbers and -since marks do not depend on
+// the width.
 //
 // Robustness: every request runs behind a per-host circuit breaker with a
 // quarantine budget, so persistently hostile instances fail fast instead of
@@ -43,7 +40,6 @@ import (
 	"time"
 
 	"repro/internal/crawler"
-	"repro/internal/crawler/fleet"
 	"repro/internal/dataset"
 )
 
@@ -54,7 +50,6 @@ func run() int {
 	seeds := flag.String("seeds", "", "comma-separated seed domains for snowball discovery")
 	worldFile := flag.String("world", "", "take the domain list from a world file instead of discovering")
 	workers := flag.Int("workers", 10, "concurrent crawl workers (the paper used 10 threads)")
-	fleetWorkers := flag.Int("fleet", 0, "run the toot crawl as a crawler fleet with this many leased workers (0 = flat -workers pool)")
 	rate := flag.Float64("rate", 50, "per-host request rate limit (req/s)")
 	maxToots := flag.Int("max-toots", 0, "per-instance toot cap (0 = full history)")
 	scrapeFollowers := flag.Bool("followers", true, "also scrape follower lists of toot authors")
@@ -68,7 +63,7 @@ func run() int {
 	if *sinceFile != "" {
 		b, err := os.ReadFile(*sinceFile)
 		if err == nil {
-			since, err = fleet.DecodeMarks(b)
+			since, err = crawler.DecodeMarks(b)
 		}
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "fedicrawl:", err)
@@ -152,27 +147,11 @@ func run() int {
 		return cutShort("monitor round")
 	}
 
-	// 3. Toots (incremental when -since marks exist; fleet-run with -fleet).
+	// 3. Toots (incremental when -since marks exist). With no kill script
+	// the crawl fails only when the deadline cuts it.
 	tc := &crawler.TootCrawler{Client: cli, Workers: *workers, Local: true, MaxToots: *maxToots, Since: since}
 	start := time.Now()
-	var results []crawler.InstanceCrawl
-	if *fleetWorkers > 0 {
-		fl := &fleet.Fleet{Crawler: tc, Options: fleet.Options{Workers: *fleetWorkers}}
-		fres, err := fl.Crawl(ctx, domains)
-		if ctx.Err() != nil {
-			return cutShort("toot crawl")
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "fedicrawl:", err)
-			return 2
-		}
-		results = fres.Crawls
-		st := fres.Stats
-		fmt.Printf("fleet: %d workers, %d leases over %d domains (%d steals)\n",
-			st.Workers, st.Leases, st.Domains, st.Steals)
-	} else {
-		results = tc.Crawl(ctx, domains)
-	}
+	results, _, err := tc.Crawl(ctx, domains)
 	sum := crawler.Summarize(results)
 	mode := "full"
 	if len(since) > 0 {
@@ -184,15 +163,15 @@ func run() int {
 		fmt.Printf("coverage: %.1f%% of reported toots (paper: 62%%)\n",
 			100*float64(sum.Toots)/float64(totalToots))
 	}
-	if ctx.Err() != nil {
+	if err != nil {
 		return cutShort("toot crawl")
 	}
 	if *writeSince != "" {
-		// fleet.Marks leaves out any domain whose harvest was incomplete
+		// crawler.Marks leaves out any domain whose harvest was incomplete
 		// (blocked, offline, failed partway): a mark past unfetched history
 		// would silently drop toots, so those domains refetch in full.
-		marks := fleet.Marks(results)
-		b, err := fleet.EncodeMarks(marks)
+		marks := crawler.Marks(results)
+		b, err := crawler.EncodeMarks(marks)
 		if err == nil {
 			err = os.WriteFile(*writeSince, b, 0o644)
 		}
@@ -211,10 +190,9 @@ func run() int {
 	fs := &crawler.FollowerScraper{Client: cli, Workers: *workers}
 	start = time.Now()
 	res := fs.Scrape(ctx, authors)
-	idx, names := crawler.AccountIndex(res.Edges)
+	_, names := crawler.AccountIndex(res.Edges)
 	fmt.Printf("follower scrape (%v): %d edges over %d accounts (%d scrape errors)\n",
 		time.Since(start).Round(time.Millisecond), len(res.Edges), len(names), len(res.Errors))
-	_ = idx
 	if ctx.Err() != nil {
 		return cutShort("follower scrape")
 	}

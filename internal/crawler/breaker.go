@@ -12,7 +12,7 @@ import (
 
 // HostBreaker is a deterministic per-host circuit breaker shared by every
 // crawler component (monitor, toot crawler, follower scraper, discoverer)
-// and, through them, by every fleet worker. It tracks *consecutive*
+// and, through them, by every toot-crawl worker. It tracks *consecutive*
 // failures per host:
 //
 //	closed ──Threshold consecutive failures──▶ open

@@ -6,7 +6,8 @@
 //   - TootCrawler: the multi-worker harvester that pages through instance
 //     timelines ("we wrote a multi-threaded crawler ... iterating over the
 //     entire history of toots"), with per-host rate limiting so instances
-//     are not overwhelmed;
+//     are not overwhelmed; its workers lease domains, so a worker that dies
+//     mid-domain hands the domain on (lease.go);
 //   - FollowerScraper: the follower-list collector that pages through the
 //     HTML follower pages and rebuilds the social graph;
 //   - Discoverer: snowball instance discovery over /api/v1/instance/peers.

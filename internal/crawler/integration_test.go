@@ -112,7 +112,10 @@ func TestMonitorAgainstLiveWorld(t *testing.T) {
 func TestTootCrawlAgainstLiveWorld(t *testing.T) {
 	lw := liveFediverse(t)
 	tc := &TootCrawler{Client: lw.cli, Workers: 10, Local: true}
-	results := tc.Crawl(context.Background(), domainsOf(lw.w))
+	results, _, err := tc.Crawl(context.Background(), domainsOf(lw.w))
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	byDomain := make(map[string]*InstanceCrawl)
 	for i := range results {
@@ -264,7 +267,7 @@ func TestCrawlRespectsRateLimit(t *testing.T) {
 			break
 		}
 	}
-	results := tc.Crawl(ctx, domains)
+	results, _, _ := tc.Crawl(ctx, domains)
 	if len(results) != len(domains) {
 		t.Fatalf("results = %d", len(results))
 	}

@@ -1,4 +1,4 @@
-package fleet
+package crawler
 
 import (
 	"bytes"
@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/crawler"
 	"repro/internal/dataset"
 	"repro/internal/gen"
 	"repro/internal/instance"
@@ -20,8 +19,8 @@ import (
 )
 
 // crawlNet serves a small generated world over a real test listener; the
-// fleet under test reaches it exactly like fedicrawl reaches fediserve.
-func crawlNet(t *testing.T) (*crawler.Client, []string) {
+// crawl under test reaches it exactly like fedicrawl reaches fediserve.
+func crawlNet(t *testing.T) (*Client, []string) {
 	t.Helper()
 	cfg := gen.TinyConfig(4)
 	cfg.Instances = 12
@@ -34,48 +33,44 @@ func crawlNet(t *testing.T) (*crawler.Client, []string) {
 	}
 	srv := httptest.NewServer(net)
 	t.Cleanup(srv.Close)
-	domains := make([]string, len(w.Instances))
-	for i := range w.Instances {
-		domains[i] = w.Instances[i].Domain
-	}
-	cli := &crawler.Client{
+	cli := &Client{
 		HTTP:    srv.Client(),
 		Resolve: func(string) string { return srv.URL },
 	}
-	return cli, domains
+	return cli, domainsOf(w)
 }
 
-// flatCrawl is the single-worker oracle every fleet run must reproduce.
-func flatCrawl(cli *crawler.Client, domains []string) []crawler.InstanceCrawl {
-	tc := &crawler.TootCrawler{Client: cli, Workers: 1, Local: true}
-	return tc.Crawl(context.Background(), domains)
+// flatCrawl is the oracle every leased crawl must reproduce: one
+// CrawlInstance per domain, in order, on one goroutine.
+func flatCrawl(cli *Client, domains []string) []InstanceCrawl {
+	tc := &TootCrawler{Client: cli, Local: true}
+	out := make([]InstanceCrawl, len(domains))
+	for i, d := range domains {
+		out[i] = tc.CrawlInstance(context.Background(), d)
+	}
+	return out
 }
 
-// TestFleetMatchesFlatCrawl: the fleet's harvest equals the single-worker
-// TootCrawler crawl, result for result in domain order, for several worker
-// counts — the package-level half of simnet's TestFleetEquivalence.
+// TestFleetMatchesFlatCrawl: the leased crawl's harvest equals the flat
+// crawl, result for result in domain order, for several worker counts —
+// the package-level half of simnet's TestFleetEquivalence.
 func TestFleetMatchesFlatCrawl(t *testing.T) {
 	cli, domains := crawlNet(t)
 	want := flatCrawl(cli, domains)
 	wantMarks := Marks(want)
 	for _, workers := range []int{1, 2, 3, 8, 16} {
-		f := &Fleet{
-			Crawler: &crawler.TootCrawler{Client: cli, Local: true},
-			Options: Options{Workers: workers},
-		}
-		res, err := f.Crawl(context.Background(), domains)
+		tc := &TootCrawler{Client: cli, Workers: workers, Local: true}
+		crawls, st, err := tc.Crawl(context.Background(), domains)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		if !reflect.DeepEqual(res.Crawls, want) {
-			t.Fatalf("workers=%d: fleet harvest differs from the flat crawl", workers)
+		if !reflect.DeepEqual(crawls, want) {
+			t.Fatalf("workers=%d: leased harvest differs from the flat crawl", workers)
 		}
-		if !reflect.DeepEqual(res.HighWater(), wantMarks) {
-			t.Fatalf("workers=%d: fleet marks differ from the flat crawl's", workers)
+		if !reflect.DeepEqual(Marks(crawls), wantMarks) {
+			t.Fatalf("workers=%d: leased marks differ from the flat crawl's", workers)
 		}
-		st := res.Stats
-		if st.Workers != workers || st.Domains != len(domains) || st.Leases != len(domains) ||
-			st.Dead != 0 || st.Abandoned != 0 || st.Reassigned != 0 {
+		if st != (CrawlStats{Workers: workers, Domains: len(domains), Leases: len(domains)}) {
 			t.Fatalf("workers=%d: unexpected stats %+v", workers, st)
 		}
 	}
@@ -89,27 +84,17 @@ func TestFleetKillReassigns(t *testing.T) {
 	cli, domains := crawlNet(t)
 	want := flatCrawl(cli, domains)
 
-	const ttl = 10 * time.Minute
 	start := dataset.Day(0)
 	clk := vclock.NewElastic(start)
 	cli.Clock = clk
-	f := &Fleet{
-		Crawler: &crawler.TootCrawler{Client: cli, Local: true},
-		Clock:   clk,
-		Options: Options{
-			Workers:  3,
-			LeaseTTL: ttl,
-			Kill:     []Kill{{Domain: 7}},
-		},
-	}
-	res, err := f.Crawl(context.Background(), domains)
+	tc := &TootCrawler{Client: cli, Workers: 3, Local: true, Kill: []Kill{{Domain: 7}}}
+	crawls, st, err := tc.Crawl(context.Background(), domains)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(res.Crawls, want) {
+	if !reflect.DeepEqual(crawls, want) {
 		t.Fatal("harvest after worker death differs from the flat crawl")
 	}
-	st := res.Stats
 	if st.Dead != 1 || st.Abandoned != 1 || st.Reassigned != 1 {
 		t.Fatalf("kill not reflected in stats: %+v", st)
 	}
@@ -119,34 +104,32 @@ func TestFleetKillReassigns(t *testing.T) {
 	}
 	// Re-assignment happens at the lease deadline, so virtual time must
 	// have crossed at least one full TTL.
-	if adv := clk.Now().Sub(start); adv < ttl {
-		t.Fatalf("virtual time advanced only %v, want at least the %v lease TTL", adv, ttl)
+	if adv := clk.Now().Sub(start); adv < leaseTTL {
+		t.Fatalf("virtual time advanced only %v, want at least the %v lease TTL", adv, leaseTTL)
 	}
 }
 
-// TestFleetAllWorkersDead: a fleet with no survivors reports failure
-// instead of hanging on the orphaned leases.
+// TestFleetAllWorkersDead: a crawl with no surviving worker reports
+// failure instead of hanging on the orphaned leases, and every domain it
+// did not finish reads offline with that error.
 func TestFleetAllWorkersDead(t *testing.T) {
 	cli, domains := crawlNet(t)
-	clk := vclock.NewElastic(dataset.Day(0))
-	cli.Clock = clk
+	cli.Clock = vclock.NewElastic(dataset.Day(0))
 	// Every domain is a kill: both workers die on their very first lease,
 	// whatever those leases turn out to be.
 	kill := make([]Kill, len(domains))
 	for d := range domains {
 		kill[d] = Kill{Domain: d}
 	}
-	f := &Fleet{
-		Crawler: &crawler.TootCrawler{Client: cli, Local: true},
-		Clock:   clk,
-		Options: Options{
-			Workers:  2,
-			LeaseTTL: time.Minute,
-			Kill:     kill,
-		},
+	tc := &TootCrawler{Client: cli, Workers: 2, Local: true, Kill: kill}
+	crawls, _, err := tc.Crawl(context.Background(), domains)
+	if err == nil {
+		t.Fatal("crawl with every worker dead returned no error")
 	}
-	if _, err := f.Crawl(context.Background(), domains); err == nil {
-		t.Fatal("fleet with every worker dead returned no error")
+	for i, c := range crawls {
+		if c.Domain != domains[i] || !c.Offline || c.Err != err {
+			t.Fatalf("unharvested domain %d reads %+v, want %s offline with the crawl's error", i, c, domains[i])
+		}
 	}
 }
 
@@ -156,12 +139,13 @@ func TestFleetCancel(t *testing.T) {
 	cli, domains := crawlNet(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	f := &Fleet{
-		Crawler: &crawler.TootCrawler{Client: cli, Local: true},
-		Options: Options{Workers: 4},
-	}
-	if _, err := f.Crawl(ctx, domains); err != context.Canceled {
+	tc := &TootCrawler{Client: cli, Workers: 4, Local: true}
+	crawls, _, err := tc.Crawl(ctx, domains)
+	if err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if len(crawls) != len(domains) {
+		t.Fatalf("%d results for %d domains", len(crawls), len(domains))
 	}
 }
 
@@ -180,18 +164,21 @@ func (c *cancelAfter) RoundTrip(req *http.Request) (*http.Response, error) {
 	return c.inner.RoundTrip(req)
 }
 
-// TestFlatCrawlCancelledMidRun: TootCrawler.Crawl used to return the zero
+// TestFlatCrawlCancelledMidRun: the crawl once returned the zero
 // InstanceCrawl for every domain it had not reached when ctx was cancelled
 // — no domain, not offline, no error — which Summarize counted as online and
-// Marks checkpointed under the key "". A domain nobody visited must read as
-// offline with ctx's error, and must leave no mark.
+// Marks checkpointed under the key "". A domain nobody finished must read
+// as offline with ctx's error, and must leave no mark.
 func TestFlatCrawlCancelledMidRun(t *testing.T) {
 	cli, domains := crawlNet(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	cli.HTTP = &http.Client{Transport: &cancelAfter{inner: cli.HTTP.Transport, n: 4, cancel: cancel}}
-	tc := &crawler.TootCrawler{Client: cli, Workers: 2, Local: true}
-	crawls := tc.Crawl(ctx, domains)
+	tc := &TootCrawler{Client: cli, Workers: 2, Local: true}
+	crawls, _, err := tc.Crawl(ctx, domains)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
 
 	unvisited := 0
 	for i, c := range crawls {
@@ -208,7 +195,7 @@ func TestFlatCrawlCancelledMidRun(t *testing.T) {
 	if unvisited == 0 {
 		t.Fatal("the cancellation left no domain unvisited; the test exercises nothing")
 	}
-	if sum := crawler.Summarize(crawls); sum.Online+unvisited > len(domains) {
+	if sum := Summarize(crawls); sum.Online+unvisited > len(domains) {
 		t.Errorf("%d online of %d instances with %d never visited", sum.Online, len(domains), unvisited)
 	}
 	for dom := range Marks(crawls) {
@@ -218,36 +205,33 @@ func TestFlatCrawlCancelledMidRun(t *testing.T) {
 	}
 }
 
-// TestFrontierStealOrder: the deterministic parts of the frontier protocol
-// — round-robin dealing, own-queue-first pops, tail steals from the longest
-// victim queue.
-func TestFrontierStealOrder(t *testing.T) {
-	fr := newFrontier(5, 2, vclock.System(), time.Minute)
-	// Deal: worker 0 holds [0 2 4], worker 1 holds [1 3].
-	l0, ok := fr.pop(context.Background(), 0)
-	if !ok || l0.Domain != 0 || l0.Epoch != 1 {
-		t.Fatalf("first pop for worker 0: %+v", l0)
-	}
-	for _, want := range []int{1, 3} {
-		l, ok := fr.pop(context.Background(), 1)
-		if !ok || l.Domain != want {
-			t.Fatalf("worker 1 popped %+v, want domain %d", l, want)
+// TestFrontierInOrder: the frontier hands out never-leased domains in
+// index order, each under epoch 1, accepts one report per domain and
+// rejects a duplicate, and reports exhaustion once every domain is done.
+func TestFrontierInOrder(t *testing.T) {
+	ctx := context.Background()
+	fr := newFrontier(3, vclock.System())
+	var held []*lease
+	for want := range 3 {
+		l, ok := fr.pop(ctx)
+		if !ok || l.domain != want || l.epoch != 1 {
+			t.Fatalf("pop %d: %+v, want domain %d epoch 1", want, l, want)
 		}
-		if !fr.report(l) {
-			t.Fatal("live report rejected")
+		held = append(held, l)
+	}
+	for _, l := range held {
+		if !fr.report(l, false) {
+			t.Fatalf("live report for domain %d rejected", l.domain)
 		}
 	}
-	// Worker 1's queue is dry: it must steal the tail of worker 0's queue.
-	l4, ok := fr.pop(context.Background(), 1)
-	if !ok || l4.Domain != 4 {
-		t.Fatalf("steal popped %+v, want domain 4 (victim tail)", l4)
-	}
-	if st := fr.snapshot(); st.Steals != 1 {
-		t.Fatalf("stats %+v, want exactly one steal", st)
-	}
-	// Double-report of the same domain is rejected.
-	if !fr.report(l4) || fr.report(l4) {
+	if fr.report(held[1], false) {
 		t.Fatal("duplicate report accepted")
+	}
+	if l, ok := fr.pop(ctx); ok {
+		t.Fatalf("pop after every domain reported: %+v", l)
+	}
+	if fr.stats != (CrawlStats{Domains: 3, Leases: 3}) {
+		t.Fatalf("stats %+v", fr.stats)
 	}
 }
 
@@ -255,47 +239,41 @@ func TestFrontierStealOrder(t *testing.T) {
 // abandoned lease is only re-issued once virtual time crosses its deadline,
 // and a stale report from the dead holder is discarded.
 func TestFrontierLeaseExpiry(t *testing.T) {
-	start := dataset.Day(0)
-	clk := vclock.NewSim(start)
-	const ttl = 3 * time.Minute
-	fr := newFrontier(1, 2, clk, ttl)
+	clk := vclock.NewSim(dataset.Day(0))
+	fr := newFrontier(1, clk)
 
-	dead, ok := fr.pop(context.Background(), 0)
-	if !ok || dead.Domain != 0 {
+	dead, ok := fr.pop(context.Background())
+	if !ok || dead.domain != 0 {
 		t.Fatalf("pop: %+v", dead)
 	}
 	fr.abandon(dead)
 
-	type popRes struct {
-		l  *Lease
-		ok bool
-	}
-	got := make(chan popRes, 1)
+	got := make(chan *lease, 1)
 	go func() {
-		l, ok := fr.pop(context.Background(), 1)
-		got <- popRes{l, ok}
+		l, _ := fr.pop(context.Background())
+		got <- l
 	}()
 	// The reclaiming worker must park on the clock until the deadline.
 	for clk.WaiterCount() == 0 {
 		time.Sleep(time.Millisecond)
 	}
 	select {
-	case r := <-got:
-		t.Fatalf("lease re-issued before its deadline: %+v", r.l)
+	case l := <-got:
+		t.Fatalf("lease re-issued before its deadline: %+v", l)
 	default:
 	}
-	clk.Advance(ttl)
-	r := <-got
-	if !r.ok || r.l.Domain != 0 || r.l.Epoch != 2 || r.l.Worker != 1 {
-		t.Fatalf("re-issued lease %+v, want domain 0 epoch 2 worker 1", r.l)
+	clk.Advance(leaseTTL)
+	l := <-got
+	if l == nil || l.domain != 0 || l.epoch != 2 {
+		t.Fatalf("re-issued lease %+v, want domain 0 epoch 2", l)
 	}
-	if fr.report(dead) {
+	if fr.report(dead, false) {
 		t.Fatal("stale report from the dead holder was accepted")
 	}
-	if !fr.report(r.l) {
+	if !fr.report(l, false) {
 		t.Fatal("current lease's report rejected")
 	}
-	if st := fr.snapshot(); st.Abandoned != 1 || st.Reassigned != 1 || st.Leases != 2 {
+	if st := fr.stats; st.Abandoned != 1 || st.Dead != 1 || st.Reassigned != 1 || st.Leases != 2 {
 		t.Fatalf("stats %+v", st)
 	}
 }
@@ -303,7 +281,7 @@ func TestFrontierLeaseExpiry(t *testing.T) {
 // TestMarksRoundTrip: the marks file format is byte-stable and round-trips,
 // and Marks applies the no-partial-checkpoint rule.
 func TestMarksRoundTrip(t *testing.T) {
-	crawls := []crawler.InstanceCrawl{
+	crawls := []InstanceCrawl{
 		{Domain: "a.sim", MaxID: 41},
 		{Domain: "b.sim", MaxID: 7, Blocked: true},
 		{Domain: "c.sim", MaxID: 9, Offline: true},

@@ -1,24 +1,21 @@
-package fleet
+package crawler
 
 import (
 	"encoding/json"
 	"fmt"
-
-	"repro/internal/crawler"
 )
 
-// This file is the fleet's half of the shared checkpoint format: the
-// per-domain since_id high-water marks that PR 5's incremental recrawl
-// subsystem established. Three consumers must agree on it byte for byte —
-// simnet.Checkpoint.HighWater, fedicrawl's -since/-write-since JSON files,
-// and fleet results — so the marshalling lives here and fedicrawl calls in.
+// This file is the checkpoint format of incremental recrawls: per-domain
+// since_id high-water marks. simnet.Checkpoint.HighWater and fedicrawl's
+// -since/-write-since JSON files must agree on it byte for byte, so both
+// compute and marshal marks here.
 
 // Marks computes the per-domain high-water marks of a crawl: domain →
 // largest seen toot id, for every domain whose timeline was harvested
 // completely. A blocked, offline or partially-failed harvest contributes no
 // mark — resuming past history that was never fetched would silently drop
 // toots — so those domains are refetched in full next run.
-func Marks(crawls []crawler.InstanceCrawl) map[string]int64 {
+func Marks(crawls []InstanceCrawl) map[string]int64 {
 	marks := make(map[string]int64, len(crawls))
 	for i := range crawls {
 		if c := &crawls[i]; !c.Blocked && !c.Offline && c.Err == nil {
@@ -44,7 +41,7 @@ func EncodeMarks(marks map[string]int64) ([]byte, error) {
 func DecodeMarks(data []byte) (map[string]int64, error) {
 	marks := map[string]int64{}
 	if err := json.Unmarshal(data, &marks); err != nil {
-		return nil, fmt.Errorf("fleet: bad marks file: %w", err)
+		return nil, fmt.Errorf("crawler: bad marks file: %w", err)
 	}
 	return marks, nil
 }

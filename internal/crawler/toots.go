@@ -45,11 +45,14 @@ type InstanceCrawl struct {
 // TootCrawler pages through the public timelines of many instances
 // concurrently — the "multi-threaded crawler ... parallelised across 10
 // threads" of §3, with a token bucket standing in for its artificial delays.
+// Crawl (lease.go) runs it; the client's Clock drives the lease deadlines.
 type TootCrawler struct {
 	Client   *Client
-	Workers  int  // concurrent instances (0 = 10, matching the paper)
+	Workers  int  // leased workers, one instance each (0 = 10, matching the paper)
 	MaxToots int  // per-instance harvest cap (0 = unlimited)
 	Local    bool // crawl the local timeline (true) or federated (false)
+	// Kill scripts worker deaths mid-domain, for churn experiments.
+	Kill []Kill
 	// Since, when set, turns the crawl incremental: a domain with a
 	// positive high-water mark only fetches toots with id greater than it
 	// (Mastodon's since_id parameter), so a recrawl pays for new content
@@ -270,27 +273,6 @@ func daysIn(month, year int) int {
 		return 30
 	}
 	return 31
-}
-
-// Crawl harvests all given domains with the configured worker pool. A
-// domain the crawl never reached because ctx was cancelled first is reported
-// Offline with ctx's error, not as an empty harvest of an online instance.
-func (tc *TootCrawler) Crawl(ctx context.Context, domains []string) []InstanceCrawl {
-	workers := tc.Workers
-	if workers < 1 {
-		workers = 10
-	}
-	results := make([]InstanceCrawl, len(domains))
-	unrun := forEach(ctx, len(domains), workers, func(ctx context.Context, i int) error {
-		results[i] = tc.CrawlInstance(ctx, domains[i])
-		return nil
-	})
-	for i, err := range unrun {
-		if err != nil {
-			results[i] = InstanceCrawl{Domain: domains[i], Offline: true, Err: err}
-		}
-	}
-	return results
 }
 
 // CrawlSummary aggregates a crawl for reporting (the §3 coverage numbers).

@@ -17,7 +17,7 @@ import (
 
 // DefaultMaxIdlePerHost is the idle keep-alive connection budget per host
 // when PooledTransport is given no explicit size: comfortably above the
-// widest worker pool in the repo (fleet benchmarks run ≤ 64 workers).
+// widest worker pool in the repo (crawl benchmarks run ≤ 64 workers).
 const DefaultMaxIdlePerHost = 128
 
 // PooledTransport returns a keep-alive HTTP transport holding up to

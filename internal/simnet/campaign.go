@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/crawler"
-	"repro/internal/crawler/fleet"
 	"repro/internal/dataset"
 	"repro/internal/sim"
 	"repro/internal/vclock"
@@ -22,7 +21,8 @@ type CampaignConfig struct {
 	// Slots is the number of probe rounds; 14 days = 14*288 = 4032.
 	Slots int
 	// ProbeWorkers / CrawlWorkers / ScrapeWorkers bound concurrency in the
-	// three phases (0 = the crawler defaults).
+	// three phases (0 = the crawler defaults). CrawlWorkers is the toot
+	// crawl's leased worker count.
 	ProbeWorkers  int
 	CrawlWorkers  int
 	ScrapeWorkers int
@@ -32,12 +32,10 @@ type CampaignConfig struct {
 	// the union of carried and newly seen authors. StartSlot must be the
 	// slot right after the checkpointed window.
 	Resume *Checkpoint
-	// Fleet, when set, runs the toot-crawl phase through the distributed
-	// crawler fleet (coordinator + leased workers over the work-stealing
-	// frontier) instead of the flat TootCrawler worker pool. CrawlWorkers
-	// is ignored in that case; Fleet.Workers rules. The harvest is
-	// byte-identical either way — that is TestFleetEquivalence's oracle.
-	Fleet *fleet.Options
+	// Kill scripts toot-crawl workers dying mid-domain; their leases are
+	// re-issued and the harvest is unchanged — TestFleetEquivalence's
+	// oracle.
+	Kill []crawler.Kill
 	// Faults, when set, arms the harness's chaos transport with a
 	// byzantine fault schedule aligned to the probed population (row i
 	// scripts domain i, like the availability traces). Transient-only
@@ -63,9 +61,8 @@ type CampaignResult struct {
 	// availability was live during the crawl and scrape phases.
 	StartSlot int
 	FinalSlot int
-	// FleetStats holds the fleet coordination counters when the crawl
-	// phase ran through CampaignConfig.Fleet (nil otherwise).
-	FleetStats *fleet.Stats
+	// CrawlStats counts the toot crawl's leases.
+	CrawlStats crawler.CrawlStats
 }
 
 // Campaign is the §3 probe loop, written once: the injector that replays
@@ -203,21 +200,15 @@ func (h *Harness) RunCampaign(ctx context.Context, cfg CampaignConfig) (*Campaig
 // CrawlPhase runs the second half of the §3 pipeline against the network as
 // it stands — the toot crawl of res.Domains, then the follower scrape of the
 // authors it saw — and records it in res (Crawls, Authors, Scrape,
-// FleetStats). Of cfg it reads CrawlWorkers, ScrapeWorkers, Fleet and Resume.
+// CrawlStats). Of cfg it reads CrawlWorkers, ScrapeWorkers, Kill and Resume.
 func (h *Harness) CrawlPhase(ctx context.Context, cfg CampaignConfig, res *CampaignResult) error {
-	tc := &crawler.TootCrawler{Client: h.Client, Workers: cfg.CrawlWorkers, Local: true}
+	tc := &crawler.TootCrawler{Client: h.Client, Workers: cfg.CrawlWorkers, Local: true, Kill: cfg.Kill}
 	if cfg.Resume != nil {
 		tc.Since = cfg.Resume.HighWater
 	}
-	if cfg.Fleet != nil {
-		fl := &fleet.Fleet{Crawler: tc, Clock: h.Clock, Options: *cfg.Fleet}
-		fres, err := fl.Crawl(ctx, res.Domains)
-		if err != nil {
-			return err
-		}
-		res.Crawls, res.FleetStats = fres.Crawls, &fres.Stats
-	} else {
-		res.Crawls, res.FleetStats = tc.Crawl(ctx, res.Domains), nil
+	var err error
+	if res.Crawls, res.CrawlStats, err = tc.Crawl(ctx, res.Domains); err != nil {
+		return err
 	}
 	if cfg.Resume != nil {
 		res.Authors = UnionAuthors(cfg.Resume, res.Crawls)

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/crawler"
-	"repro/internal/crawler/fleet"
 	"repro/internal/dataset"
 	"repro/internal/gen"
 	"repro/internal/sim"
@@ -105,8 +104,8 @@ func chaosOptions(budget int) Options {
 	}
 }
 
-// runChaosCampaign runs one campaign (flat when workers <= 1, fleet
-// otherwise) under the given fault schedule on a fresh harness.
+// runChaosCampaign runs one campaign with workers toot-crawl workers under
+// the given fault schedule on a fresh harness.
 func runChaosCampaign(t *testing.T, opts Options, fs *sim.FaultSet, workers int) (*CampaignResult, *Harness) {
 	t.Helper()
 	ctx := context.Background()
@@ -118,11 +117,8 @@ func runChaosCampaign(t *testing.T, opts Options, fs *sim.FaultSet, workers int)
 		StartSlot:    chaosStartSlot,
 		Slots:        chaosSlots,
 		ProbeWorkers: 4,
-		CrawlWorkers: 1,
+		CrawlWorkers: workers,
 		Faults:       fs,
-	}
-	if workers > 1 {
-		cfg.Fleet = &fleet.Options{Workers: workers}
 	}
 	res, err := h.RunCampaign(ctx, cfg)
 	if err != nil {
@@ -289,9 +285,6 @@ func TestChaosConvergence(t *testing.T) {
 				if q := quarantined(h); !equalStrings(q, baseQuar) {
 					t.Fatalf("transient faults changed the quarantine set: %v, baseline %v", q, baseQuar)
 				}
-				if workers > 1 && res.FleetStats == nil {
-					t.Fatal("fleet campaign reported no stats")
-				}
 			})
 			t.Run(fmt.Sprintf("procs=%d/workers=%d/persistent", procs, workers), func(t *testing.T) {
 				res, h := runChaosCampaign(t, chaosOptions(budget), persistent, workers)
@@ -320,17 +313,11 @@ func TestChaosConvergence(t *testing.T) {
 						t.Fatalf("quarantined %s carries no fault provenance", dom)
 					}
 				}
-				if workers > 1 {
-					st := res.FleetStats
-					if st == nil {
-						t.Fatal("fleet campaign reported no stats")
-					}
-					// Quarantine ends a domain's crawl; its lease still
-					// completes. Every quarantined domain must be a normal
-					// completion, not an abandoned lease.
-					if st.Quarantined != len(baseQuar)+len(targetDomains) {
-						t.Fatalf("fleet quarantined-lease count %d, want %d", st.Quarantined, len(baseQuar)+len(targetDomains))
-					}
+				// Quarantine ends a domain's crawl; its lease still
+				// completes. Every quarantined domain must be a normal
+				// completion, not an abandoned lease.
+				if q := res.CrawlStats.Quarantined; q != len(baseQuar)+len(targetDomains) {
+					t.Fatalf("quarantined-lease count %d, want %d", q, len(baseQuar)+len(targetDomains))
 				}
 			})
 		}

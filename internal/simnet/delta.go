@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/crawler"
-	"repro/internal/crawler/fleet"
 	"repro/internal/dataset"
 )
 
@@ -37,13 +36,13 @@ type Checkpoint struct {
 }
 
 // NewCheckpoint summarises a campaign result into the resume state for the
-// next window. Its marks are fleet.Marks, the one statement of which
+// next window. Its marks are crawler.Marks, the one statement of which
 // harvests count as complete; only those domains carry authors.
 func NewCheckpoint(res *CampaignResult) *Checkpoint {
 	ck := &Checkpoint{
 		StartSlot: res.StartSlot,
 		Slots:     res.Traces.Slots(),
-		HighWater: fleet.Marks(res.Crawls),
+		HighWater: crawler.Marks(res.Crawls),
 		Authors:   make(map[string][]string),
 	}
 	for i := range res.Crawls {

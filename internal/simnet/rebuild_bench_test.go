@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/crawler/fleet"
 	"repro/internal/dataset"
 	"repro/internal/gen"
 )
@@ -53,15 +52,15 @@ func BenchmarkRebuild(b *testing.B) {
 
 // BenchmarkCrawlPhase is bench's simnet.crawl_s plus simnet.scrape_s: every
 // timeline and every author's follower pages over the in-memory transport,
-// the toot crawl by the flat worker pool and by the leased fleet.
+// the toot crawl at two widths.
 func BenchmarkCrawlPhase(b *testing.B) {
 	h := benchHarness(b)
 	for _, bc := range []struct {
 		name string
 		cfg  CampaignConfig
 	}{
-		{"flat", CampaignConfig{CrawlWorkers: 2, ScrapeWorkers: 2}},
-		{"fleet", CampaignConfig{ScrapeWorkers: 2, Fleet: &fleet.Options{Workers: 2}}},
+		{"workers=2", CampaignConfig{CrawlWorkers: 2, ScrapeWorkers: 2}},
+		{"workers=10", CampaignConfig{CrawlWorkers: 10, ScrapeWorkers: 2}},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			res := &CampaignResult{Domains: h.Net.Domains()}

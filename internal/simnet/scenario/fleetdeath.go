@@ -4,19 +4,18 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"time"
 
-	"repro/internal/crawler/fleet"
+	"repro/internal/crawler"
 	"repro/internal/dataset"
 	"repro/internal/simnet"
 )
 
-// FleetWorkerDeath replays the distributed crawl under churn: the §3 toot
-// crawl runs as a crawler fleet, two workers are killed mid-domain by the
-// script, their leases expire at the virtual-time deadline and are
-// re-assigned, the discarded partial harvests are re-crawled in full — and
-// the recovered world must still be byte-identical to a flat single-worker
-// crawl of the same network. The differential oracle runs inside Collect,
+// FleetWorkerDeath replays the leased crawl under churn: the §3 toot crawl
+// runs on four workers, two are killed mid-domain by the script, their
+// leases expire at the virtual-time deadline and are re-assigned, the
+// discarded partial harvests are re-crawled in full — and the recovered
+// world must still be byte-identical to a single-worker crawl of the same
+// network. The differential oracle runs inside Collect,
 // so the scenario fails loudly if worker death ever shows through in the
 // output bytes.
 func FleetWorkerDeath(seed uint64) *Scenario {
@@ -29,27 +28,24 @@ func FleetWorkerDeath(seed uint64) *Scenario {
 		workers   = 4
 		outageAt  = 60
 	)
-	kill := []fleet.Kill{{Domain: 2}, {Domain: 9}}
+	kill := []crawler.Kill{{Domain: 2}, {Domain: 9}}
 
 	var victim string
 
 	sc := &Scenario{
-		Name:      "fleet-worker-death",
-		Title:     "Crawler fleet losing workers mid-domain, leases re-assigned",
-		Paper:     "§3 (crawl methodology, scaled out)",
-		Seed:      seed,
-		World:     quietWorld(14, 220, 5),
-		Options:   baseOptions,
-		StartSlot: startSlot,
-		Slots:     slots,
-		Fleet: &fleet.Options{
-			Workers:  workers,
-			LeaseTTL: 10 * time.Minute,
-			Kill:     kill,
-		},
+		Name:         "fleet-worker-death",
+		Title:        "Crawler fleet losing workers mid-domain, leases re-assigned",
+		Paper:        "§3 (crawl methodology, scaled out)",
+		Seed:         seed,
+		World:        quietWorld(14, 220, 5),
+		Options:      baseOptions,
+		StartSlot:    startSlot,
+		Slots:        slots,
+		CrawlWorkers: workers,
+		Kill:         kill,
 	}
 
-	// An instance dies mid-campaign too: the fleet must crawl through a
+	// An instance dies mid-campaign too: the crawl must get through a
 	// population that has real outages on top of its own worker churn.
 	sc.Events = []Event{{
 		At:   outageAt,
@@ -63,12 +59,7 @@ func FleetWorkerDeath(seed uint64) *Scenario {
 
 	sc.Collect = func(r *Run, rep *Report) error {
 		res := r.Result
-		st := res.FleetStats
-		if st == nil {
-			return fmt.Errorf("fleet crawl reported no stats")
-		}
-		// Only script-determined counters go into the byte-reproducible
-		// report: Steals depends on goroutine scheduling and must not.
+		st := res.CrawlStats
 		rep.Add("fleet.workers", float64(st.Workers))
 		rep.Add("fleet.domains", float64(st.Domains))
 		rep.Add("fleet.leases", float64(st.Leases))
@@ -76,21 +67,21 @@ func FleetWorkerDeath(seed uint64) *Scenario {
 		rep.Add("fleet.abandoned", float64(st.Abandoned))
 		rep.Add("fleet.reassigned", float64(st.Reassigned))
 
-		// The differential oracle: a flat single-worker crawl of the same
-		// quiescent network, rebuilt and serialised, must match the fleet's
-		// harvest byte for byte.
+		// The differential oracle: a single-worker crawl of the same
+		// quiescent network, rebuilt and serialised, must match the killed
+		// crawl's harvest byte for byte.
 		oracle := *res
-		flat := simnet.CampaignConfig{CrawlWorkers: 1}
-		if err := r.H.CrawlPhase(context.Background(), flat, &oracle); err != nil {
+		solo := simnet.CampaignConfig{CrawlWorkers: 1}
+		if err := r.H.CrawlPhase(context.Background(), solo, &oracle); err != nil {
 			return err
 		}
-		fleetWorld, fleetNames := simnet.Rebuild(res)
-		flatWorld, flatNames := simnet.Rebuild(&oracle)
-		identical, err := sameBytes(fleetWorld, flatWorld)
+		killedWorld, killedNames := simnet.Rebuild(res)
+		soloWorld, soloNames := simnet.Rebuild(&oracle)
+		identical, err := sameBytes(killedWorld, soloWorld)
 		if err != nil {
 			return err
 		}
-		rep.Add("equivalence.byte_identical", b2f(identical && slices.Equal(fleetNames, flatNames)))
+		rep.Add("equivalence.byte_identical", b2f(identical && slices.Equal(killedNames, soloNames)))
 
 		// The victim's flatline and the harvest volume, as sanity anchors.
 		idx := -1
@@ -110,7 +101,7 @@ func FleetWorkerDeath(seed uint64) *Scenario {
 
 	sc.Check = func(rep *Report) error {
 		if got := rep.MustMetric("equivalence.byte_identical"); got != 1 {
-			return fmt.Errorf("fleet harvest is not byte-identical to the flat crawl")
+			return fmt.Errorf("harvest with worker deaths is not byte-identical to the single-worker crawl")
 		}
 		if got := rep.MustMetric("fleet.dead"); got != float64(len(kill)) {
 			return fmt.Errorf("%.0f workers died, want the %d scripted deaths", got, len(kill))
@@ -129,7 +120,7 @@ func FleetWorkerDeath(seed uint64) *Scenario {
 			return fmt.Errorf("killed instance seen up after its death (down frac %.4f)", got)
 		}
 		if got := rep.MustMetric("crawl.toots"); got == 0 {
-			return fmt.Errorf("fleet crawl harvested nothing")
+			return fmt.Errorf("crawl harvested nothing")
 		}
 		return nil
 	}

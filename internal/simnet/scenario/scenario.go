@@ -19,7 +19,6 @@ import (
 	"sort"
 
 	"repro/internal/crawler"
-	"repro/internal/crawler/fleet"
 	"repro/internal/dataset"
 	"repro/internal/simnet"
 )
@@ -50,11 +49,11 @@ type Scenario struct {
 	// StartSlot/Slots bound the probing window, as in simnet.CampaignConfig.
 	StartSlot int
 	Slots     int
-	// Fleet, when set, routes every crawl phase (CrawlNow and the final
-	// crawl) through the distributed crawler fleet — coordinator, leased
-	// workers, work-stealing frontier — instead of the flat TootCrawler
-	// pool. The run's coordination counters land in Result.FleetStats.
-	Fleet *fleet.Options
+	// CrawlWorkers and Kill shape every toot crawl (CrawlNow and the final
+	// crawl), as in simnet.CampaignConfig. The lease counts land in
+	// Result.CrawlStats.
+	CrawlWorkers int
+	Kill         []crawler.Kill
 
 	// DiscoverEvery, when positive, runs a snowball discovery round
 	// (crawler.Discoverer over the initial domains as seeds) every that
@@ -121,7 +120,7 @@ type Snapshot struct {
 // wall, time; probing resumes at the next slot's pinned timestamp.
 func (r *Run) CrawlNow(ctx context.Context) (*Snapshot, error) {
 	res := r.Probed()
-	if err := r.H.CrawlPhase(ctx, simnet.CampaignConfig{Fleet: r.Scenario.Fleet}, res); err != nil {
+	if err := r.H.CrawlPhase(ctx, simnet.CampaignConfig{CrawlWorkers: r.Scenario.CrawlWorkers, Kill: r.Scenario.Kill}, res); err != nil {
 		return nil, err
 	}
 	w, names := simnet.Rebuild(res)

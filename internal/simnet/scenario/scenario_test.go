@@ -145,14 +145,14 @@ func TestScenarioIncrementalRecrawl(t *testing.T) {
 	}
 }
 
-// TestScenarioFleetWorkerDeath: the distributed crawl with scripted worker
+// TestScenarioFleetWorkerDeath: the leased crawl with scripted worker
 // deaths must re-assign the abandoned leases and still produce a world
-// byte-identical to a flat single-worker crawl — with a byte-identical
-// report across runs, despite the fleet's nondeterministic scheduling.
+// byte-identical to a single-worker crawl — with a byte-identical report
+// across runs, despite nondeterministic scheduling.
 func TestScenarioFleetWorkerDeath(t *testing.T) {
 	rep := runTwice(t, FleetWorkerDeath)
 	if rep.MustMetric("equivalence.byte_identical") != 1 {
-		t.Fatal("fleet harvest not byte-identical to the flat crawl")
+		t.Fatal("harvest with worker deaths not byte-identical to the single-worker crawl")
 	}
 	if got := rep.MustMetric("fleet.dead"); got != 2 {
 		t.Fatalf("%.0f workers died, want the 2 scripted deaths", got)

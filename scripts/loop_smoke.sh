@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # The binary witness for the live crawl loop: fedigen writes the tiny world
 # at seed 5, fediserve serves it on a loopback port, and fedicrawl crawls it
-# twice, once as a flat worker pool and once as a fleet. Both crawls must
-# print the toot and follower numbers below and write byte-identical
-# high-water marks, and a delta crawl over those marks must find nothing
-# new on the quiescent server.
+# twice, at one worker and at four. Both crawls must print the toot and
+# follower numbers below and write byte-identical high-water marks, and a
+# delta crawl over those marks must find nothing new on the quiescent
+# server.
 #
 # Usage: scripts/loop_smoke.sh
 set -euo pipefail
@@ -63,20 +63,20 @@ expect() { # log name, then the text it must contain
 	fi
 }
 
-crawl flat -workers 4 -write-since "$dir/flat.json"
-crawl fleet -fleet 4 -write-since "$dir/fleet.json"
-for run in flat fleet; do
+crawl one -workers 1 -write-since "$dir/one.json"
+crawl four -workers 4 -write-since "$dir/four.json"
+for run in one four; do
 	expect "$run" "$want_toots"
 	expect "$run" "$want_edges"
 done
-if ! cmp "$dir/flat.json" "$dir/fleet.json"; then
-	echo "loop_smoke: the flat and fleet crawls wrote different high-water marks" >&2
+if ! cmp "$dir/one.json" "$dir/four.json"; then
+	echo "loop_smoke: the 1-worker and 4-worker crawls wrote different high-water marks" >&2
 	fail=1
 fi
-crawl delta -fleet 4 -followers=false -since "$dir/fleet.json"
+crawl delta -workers 4 -followers=false -since "$dir/four.json"
 expect delta "): 0 toots from"
 
 if [ "$fail" -ne 0 ]; then
 	exit 1
 fi
-echo "loop_smoke: OK — flat and fleet agree ($want_toots; $want_edges), the delta crawl found nothing new"
+echo "loop_smoke: OK — 1 and 4 workers agree ($want_toots; $want_edges), the delta crawl found nothing new"
