@@ -18,13 +18,15 @@ import (
 // toot crawler consumed, the HTML follower pages the graph crawler scraped,
 // the homepage used as the availability probe, and the federation inbox.
 //
-// Every GET endpoint renders through a per-page byte cache: responses are
-// encoded once with the internal/wire append codecs and replayed verbatim
-// until a mutation that changes them bumps the generation of their page
-// kind. A crawler hammering a quiet instance — the §3 steady state — costs
-// one buffer write per request, no JSON encoder, no reflection; an inbox
+// Every GET endpoint renders through a per-page cache: responses are
+// encoded once with the internal/wire append codecs and replayed until a
+// mutation that changes them bumps the generation of their page kind. A
+// meta or follower page is kept as its bytes; a timeline page as the ids of
+// its statuses' renders, which the server keeps once each (memo.go). A
+// crawler hammering a quiet instance — the §3 steady state — costs one
+// buffer write per request, no JSON encoder, no reflection; an inbox
 // delivery — the write a live instance sees most — costs only the federated
-// timeline's pages.
+// timeline's pages, and renders only the statuses that are new.
 
 // pageKind groups the pages that the same mutations change. Each kind has
 // its own generation; a mutation names the kinds it dirtied.
@@ -38,18 +40,27 @@ const (
 	numKinds
 )
 
-// pageKey identifies one cacheable rendered response.
+// pageKey identifies one cached meta or follower page.
 type pageKey struct {
 	kind pageKind
 	page byte   // kindMeta: 'h' home, 'i' instance API, 'p' peers
 	name string // follower pages: the account
-	a, b int64  // timeline: maxID, limit; followers: page number
-	c    int64  // timeline: sinceID (delta-crawl pages cache separately)
+	n    int64  // follower pages: the page number
 }
 
-type pageEntry struct {
-	gen  uint64
-	body []byte
+// timelineKey identifies one cached timeline page (kindLocal or
+// kindFederated) by its query; delta-crawl pages cache separately.
+type timelineKey struct {
+	maxID, sinceID int64
+	limit          int32
+	kind           pageKind
+}
+
+// cached is a page as the cache keeps it: a body, or a timeline page's
+// render ids, stamped with the generation of its kind it was rendered under.
+type cached[V any] struct {
+	gen uint64
+	v   V
 }
 
 // maxCachedPages bounds the per-server cache; overflow resets it (the keys
@@ -61,9 +72,10 @@ const maxCachedPages = 4096
 // the entry's generation still is the kind's: a mutation invalidates every
 // page of the kinds it names at the cost of one atomic increment each.
 type pageCache struct {
-	gens    [numKinds]atomic.Uint64
-	mu      sync.Mutex
-	entries map[pageKey]pageEntry
+	gens      [numKinds]atomic.Uint64
+	mu        sync.Mutex
+	bodies    map[pageKey]cached[[]byte]
+	timelines map[timelineKey]cached[timelinePage]
 
 	// etag caches the rendered ETag for the generation vector it was built
 	// under, so the conditional-GET hot path costs one pointer load per
@@ -112,54 +124,67 @@ func (c *pageCache) invalidate(kinds ...pageKind) {
 	}
 }
 
-// get returns the entry's body if it is still fresh, else nil.
-func (c *pageCache) get(key pageKey, g uint64) []byte {
+// lookup returns the page cached under key in m, one of c's maps, if it
+// was rendered under generation g.
+func lookup[K comparable, V any](c *pageCache, m *map[K]cached[V], key K, g uint64) (V, bool) {
 	c.mu.Lock()
-	e, ok := c.entries[key]
+	e, ok := (*m)[key]
 	c.mu.Unlock()
-	if !ok || e.gen != g {
-		return nil
-	}
-	return e.body
+	return e.v, ok && e.gen == g
 }
 
-func (c *pageCache) put(key pageKey, g uint64, body []byte) {
+// store caches v, rendered under generation g, under key in m.
+func store[K comparable, V any](c *pageCache, m *map[K]cached[V], key K, g uint64, v V) {
 	c.mu.Lock()
-	if c.entries == nil {
-		c.entries = make(map[pageKey]pageEntry)
-	} else if len(c.entries) >= maxCachedPages {
-		clear(c.entries)
+	if *m == nil {
+		*m = make(map[K]cached[V])
+	}
+	if len(c.bodies)+len(c.timelines) >= maxCachedPages {
+		clear(c.bodies)
+		clear(c.timelines)
 	}
 	// Never clobber a page rendered under a newer generation: a renderer
 	// that raced a mutation holds the older stamp and must lose.
-	if e, ok := c.entries[key]; !ok || e.gen <= g {
-		c.entries[key] = pageEntry{gen: g, body: body}
+	if e, ok := (*m)[key]; !ok || e.gen <= g {
+		(*m)[key] = cached[V]{gen: g, v: v}
 	}
 	c.mu.Unlock()
 }
 
-// servePage writes one cacheable response: a cache hit replays stored
-// bytes; a miss renders under the generation of the page's kind read before
-// any state, so a concurrent mutation can only strand the entry stale, never
-// serve stale.
+// revalidate stamps a GET of a page of kind with the kind's current
+// generation and sets its ETag; it answers 304 and returns done when the
+// request's If-None-Match certifies that generation.
 //
-// Conditional GET rides the same counter: the page's component of the ETag
-// is the generation loaded at the top of the request, so an If-None-Match
-// hit (304) certifies "no mutation of this kind of page has completed since
-// that tag was issued" — the same linearization point the byte cache uses.
-// A write that completes before the load flips the component and forces a
-// full 200; a write that lands after the load is concurrent with this
-// request and may legitimately order after it.
-func (s *Server) servePage(w http.ResponseWriter, r *http.Request, ctype []string, key pageKey, render func(dst []byte) []byte) {
-	g := s.pages.gens[key.kind].Load()
-	w.Header()["Etag"] = s.pages.etagFor(key.kind, g)
-	if inm := r.Header.Get("If-None-Match"); inm != "" && etagMatch(inm, key.kind, g) {
+// Conditional GET rides the same counter as the cache: the page's
+// component of the ETag is the generation loaded at the top of the
+// request, so an If-None-Match hit (304) certifies "no mutation of this
+// kind of page has completed since that tag was issued" — the same
+// linearization point the cache uses. A write that completes before the
+// load flips the component and forces a full 200; a write that lands after
+// the load is concurrent with this request and may legitimately order
+// after it.
+func (s *Server) revalidate(w http.ResponseWriter, r *http.Request, kind pageKind) (g uint64, done bool) {
+	g = s.pages.gens[kind].Load()
+	w.Header()["Etag"] = s.pages.etagFor(kind, g)
+	if inm := r.Header.Get("If-None-Match"); inm != "" && etagMatch(inm, kind, g) {
 		w.WriteHeader(http.StatusNotModified)
+		return g, true
+	}
+	return g, false
+}
+
+// servePage writes one cacheable meta or follower response: a cache hit
+// replays stored bytes; a miss renders under the generation revalidate
+// read before any state, so a concurrent mutation can only strand the
+// entry stale, never serve stale.
+func (s *Server) servePage(w http.ResponseWriter, r *http.Request, ctype []string, key pageKey, render func(dst []byte) []byte) {
+	g, done := s.revalidate(w, r, key.kind)
+	if done {
 		return
 	}
 	w.Header()["Content-Type"] = ctype
-	body := s.pages.get(key, g)
-	if body == nil {
+	body, ok := lookup(&s.pages, &s.pages.bodies, key, g)
+	if !ok {
 		// Rendered into a pooled buffer and cached as an exact copy, a page
 		// rests at its length and costs one allocation.
 		buf := renderBufs.Get().(*[]byte)
@@ -167,12 +192,32 @@ func (s *Server) servePage(w http.ResponseWriter, r *http.Request, ctype []strin
 		body = make([]byte, len(*buf))
 		copy(body, *buf)
 		renderBufs.Put(buf)
-		s.pages.put(key, g, body)
+		store(&s.pages, &s.pages.bodies, key, g, body)
 	}
 	w.Write(body)
 }
 
-// renderBufs holds the scratch buffers servePage renders misses into.
+// serveTimelinePage is servePage for a timeline page, which the cache
+// keeps as render ids: a hit or a miss alike joins the renders into a
+// pooled buffer and writes it once.
+func (s *Server) serveTimelinePage(w http.ResponseWriter, r *http.Request, key timelineKey, kind Timeline) {
+	g, done := s.revalidate(w, r, key.kind)
+	if done {
+		return
+	}
+	w.Header()["Content-Type"] = ctypeJSON
+	p, ok := lookup(&s.pages, &s.pages.timelines, key, g)
+	if !ok {
+		p = s.renderTimeline(kind, key.maxID, key.sinceID, int(key.limit))
+		store(&s.pages, &s.pages.timelines, key, g, p)
+	}
+	buf := renderBufs.Get().(*[]byte)
+	*buf = p.appendJSON((*buf)[:0])
+	w.Write(*buf)
+	renderBufs.Put(buf)
+}
+
+// renderBufs holds the scratch buffers pages are rendered and joined into.
 var renderBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // etagMatch reports whether the If-None-Match header value certifies
@@ -367,13 +412,11 @@ func (s *Server) serveTimeline(w http.ResponseWriter, r *http.Request) {
 		}
 		limit = n
 	}
-	key := pageKey{kind: kindFederated, a: maxID, b: int64(limit), c: sinceID}
+	key := timelineKey{maxID: maxID, sinceID: sinceID, limit: int32(limit), kind: kindFederated}
 	if kind == TimelineLocal {
 		key.kind = kindLocal
 	}
-	s.servePage(w, r, ctypeJSON, key, func(dst []byte) []byte {
-		return append(s.appendTimelineJSON(dst, kind, maxID, sinceID, limit), '\n')
-	})
+	s.serveTimelinePage(w, r, key, kind)
 }
 
 // query reads a URL's raw query the way r.URL.Query() does. Without '%',
@@ -464,7 +507,7 @@ func (s *Server) serveFollowers(w http.ResponseWriter, r *http.Request) {
 		notFound(w)
 		return
 	}
-	s.servePage(w, r, ctypeHTML, pageKey{kind: kindFollowers, name: name, a: int64(page)},
+	s.servePage(w, r, ctypeHTML, pageKey{kind: kindFollowers, name: name, n: int64(page)},
 		func(dst []byte) []byte {
 			actors, hasNext, err := s.Followers(name, page, 40)
 			if err != nil {

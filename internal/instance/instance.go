@@ -10,7 +10,6 @@ package instance
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -389,32 +388,12 @@ func (s *Server) PublicTimeline(kind Timeline, maxID int64, limit int) []Toot {
 // the server half of incremental recrawls — a delta crawl resuming from a
 // high-water mark pages only the content that appeared after it.
 func (s *Server) PublicTimelineSince(kind Timeline, maxID, sinceID int64, limit int) []Toot {
-	if limit <= 0 {
-		limit = 20
-	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	src := s.store.local
-	if kind == TimelineFederated {
-		src = s.store.federated
-	}
-	// src is ascending by ID; find the first index with ID >= maxID.
-	hi := len(src)
-	if maxID > 0 {
-		hi = sort.Search(len(src), func(i int) bool { return s.store.rows[src[i]].id >= maxID })
-	}
-	out := make([]Toot, 0, limit)
-	for i := hi - 1; i >= 0 && len(out) < limit; i-- {
-		row := &s.store.rows[src[i]]
-		if row.id <= sinceID {
-			break // ascending ids: everything below is older still
-		}
-		if row.flags&tootRemote == 0 {
-			if acct := s.accounts[s.store.actors[row.author].User]; acct != nil && acct.Private {
-				continue
-			}
-		}
-		out = append(out, s.store.get(src[i], s.cfg.Domain))
+	rows := s.pageRows(nil, kind, maxID, sinceID, limit, nil)
+	out := make([]Toot, len(rows))
+	for i, ri := range rows {
+		out[i] = s.store.get(ri, s.cfg.Domain)
 	}
 	return out
 }

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -259,9 +260,11 @@ func FuzzQueryGet(f *testing.F) {
 
 // BenchmarkServePage is one GET through ServeHTTP, per endpoint: replayed
 // from the page cache (hit), rendered because a write came first (miss: every
-// kind invalidated before each request), and revalidated with the tag the
-// client holds (304). bench's instance.serve_200_us / serve_304_us are the
-// same three seen from outside.
+// kind invalidated before each request, no status render memoised anew), and
+// revalidated with the tag the client holds (304). overlap is the miss an
+// inbox delivery causes: the federated head page after one delivery, every
+// status on it but the newest already rendered. bench's
+// instance.serve_200_us / serve_304_us are the same seen from outside.
 func BenchmarkServePage(b *testing.B) {
 	s := populatedServer(b)
 	for _, mode := range []string{"hit", "miss", "304"} {
@@ -293,4 +296,30 @@ func BenchmarkServePage(b *testing.B) {
 			})
 		}
 	}
+	b.Run("overlap/timeline", func(b *testing.B) {
+		s := NewServer(Config{Domain: populatedConfig.Domain, Open: true}, nil) // no trim, so no compaction
+		populate(b, s)
+		req := httptest.NewRequest(http.MethodGet, "/api/v1/timelines/public?limit=40", nil)
+		s.ServeHTTP(httptest.NewRecorder(), req)
+		far := federation.Actor{User: "u", Domain: "far.test"}
+		b.ReportAllocs()
+		b.ResetTimer()
+		// A b.N loop: b.Loop, on go1.24, did not terminate with the timer
+		// stopped for part of every iteration.
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			err := s.Receive(context.Background(), &federation.Activity{Type: federation.TypeCreate, From: far, Note: &federation.Note{
+				ID: "far.test/" + strconv.Itoa(i), Author: far, Content: "one more", CreatedAt: t0,
+			}})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+			rec := httptest.NewRecorder()
+			s.ServeHTTP(rec, req)
+			if rec.Code != http.StatusOK {
+				b.Fatalf("status %d", rec.Code)
+			}
+		}
+	})
 }

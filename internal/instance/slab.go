@@ -38,18 +38,22 @@ const (
 // tootRow is the fixed-width resting form of one Toot. The author is an
 // index into the actor intern table. text spans, in the arena, the boosted
 // note id and the tags when the flags say so, then the content; note is
-// what the flags say it is (see noteID).
+// what the flags say it is (see noteID). memo sits in what would be padding
+// and names the row's render in the store's render memo (memo.go).
 type tootRow struct {
 	id       int64
 	unixNano int64
 	author   uint32
 	flags    uint8
+	memo     [3]byte
 	text     span
 	note     uint64
 }
 
-// tootStore owns the arena, the rows and the two timeline index slices.
-// All methods must be called with the owning Server's mutex held.
+// tootStore owns the arena, the rows, the two timeline index slices and
+// the render memo. All methods must be called with the owning Server's
+// mutex held. A holder of its read lock may still write the memo and the
+// rows' memo slots, under the memo's own lock.
 type tootStore struct {
 	arena     []byte
 	rows      []tootRow
@@ -58,6 +62,7 @@ type tootStore struct {
 	local     []uint32 // home-authored rows, ascending id
 	federated []uint32 // home + remote rows, ascending id
 	dead      int      // rows referenced by neither timeline
+	memo      renderMemo
 }
 
 // intern returns the stable index of an actor, registering it on first use.
@@ -282,6 +287,8 @@ func (st *tootStore) appendFederated(ri uint32, max int) {
 
 // compact rewrites the rows and arena keeping only rows still referenced by
 // a timeline, remapping both index slices. Runs in one pass over the rows.
+// The render memo starts over, since it is indexed by row: pages cached
+// before keep the old renders alive until their generation dies.
 func (st *tootStore) compact() {
 	keep := make([]bool, len(st.rows))
 	for _, ri := range st.local {
@@ -306,6 +313,7 @@ func (st *tootStore) compact() {
 			continue
 		}
 		r := st.rows[ri]
+		r.memo = [3]byte{}
 		r.text = move(r.text)
 		if r.flags&(tootSynthNote|tootNoteNum) == 0 {
 			r.note = move(unpackSpan(r.note)).pack()
@@ -320,4 +328,5 @@ func (st *tootStore) compact() {
 		st.federated[i] = remap[ri]
 	}
 	st.rows, st.arena, st.dead = newRows, newArena, 0
+	st.memo.cur = nil
 }

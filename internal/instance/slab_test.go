@@ -119,6 +119,29 @@ func TestSlabCompactionBoundsMemory(t *testing.T) {
 	if local := s.PublicTimeline(TimelineLocal, 0, 40); len(local) != 5 || local[4].NoteID != "a.test/1" {
 		t.Fatalf("local timeline after the boosts: %+v", local)
 	}
+
+	// Sustained inbox delivery with the paged API read between deliveries:
+	// each head page renders the one new status, and compaction starts the
+	// render memo over, so the memo stays within a small factor of what the
+	// live rows render to, however many statuses have passed through.
+	const rounds = 64 * maxFed
+	for i := 0; i < rounds; i++ {
+		deliverRemote(t, s, 10_000+i)
+		mid := s.PublicTimeline(TimelineFederated, 0, maxFed)[maxFed/2].ID
+		for _, maxID := range []int64{0, mid} {
+			path := "/api/v1/timelines/public"
+			if maxID > 0 {
+				path += "?max_id=" + strconv.FormatInt(maxID, 10)
+			}
+			if got, want := fetchBody(t, s, path), refTimelineBody(s, TimelineFederated, maxID, 0, 20); got != want {
+				t.Fatalf("delivery %d, %s:\n  served:       %q\n  materialised: %q", i, path, got, want)
+			}
+		}
+		if _, held := memoBytes(s); held > 3*liveRenderBytes(s) {
+			t.Fatalf("delivery %d: the render memo holds %d bytes, live rows render to %d", i, held, liveRenderBytes(s))
+		}
+	}
+	bounded(fmt.Sprintf("after %d deliveries read between", rounds))
 }
 
 // A resting row is 40 bytes: the note id, the boosted id and the tags live

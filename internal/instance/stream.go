@@ -8,28 +8,28 @@ import (
 	"repro/internal/wire"
 )
 
-// The streamed timeline encoder: the public-timeline page is appended
-// straight from the slab store's rows and arena through the wire string
-// codecs, without materialising the []Toot page or the []wire.Status shadow
-// slice the pre-stream path built (two slices, five string conversions and
-// a tag slice per toot, all dead the moment the buffer was rendered). The
-// output is byte-identical to wire.AppendStatuses over the materialised
-// page — pinned by TestTimelineStreamByteIdentity against refTimelineBody —
-// so the page cache and the crawler's decoder agree on the bytes.
+// The streamed timeline encoder: a status is appended straight from the
+// slab store's row and arena through the wire string codecs, without
+// materialising a Toot or a wire.Status (two slices, five string
+// conversions and a tag slice per toot, all dead the moment the buffer was
+// rendered). A page is its statuses' renders, joined (memo.go), and is
+// byte-identical to wire.AppendStatuses over the materialised page —
+// pinned by TestTimelineStreamByteIdentity against refTimelineBody — so
+// the page cache and the crawler's decoder agree on the bytes.
 
 // statusTimeLayout is the created_at format of the wire Status shape.
 const statusTimeLayout = "2006-01-02T15:04:05.000Z"
 
-// appendTimelineJSON appends the JSON status page for one timeline query.
-// Selection logic mirrors PublicTimelineSince exactly: newest-first from
-// the first id below maxID, stopping at sinceID or limit, private local
-// authors skipped.
-func (s *Server) appendTimelineJSON(dst []byte, kind Timeline, maxID, sinceID int64, limit int) []byte {
+// pageRows appends to dst the rows of one timeline page as the paged API
+// selects them: newest first from the first id below maxID (0: from the
+// newest), stopping at an id at or below sinceID or once limit rows are
+// taken (limit ≤ 0 means 20), private local authors skipped. A row that
+// known reports true for is taken without the privacy check; known may be
+// nil. Must be called with s.mu held.
+func (s *Server) pageRows(dst []uint32, kind Timeline, maxID, sinceID int64, limit int, known func(*tootRow) bool) []uint32 {
 	if limit <= 0 {
 		limit = 20
 	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	src := s.store.local
 	if kind == TimelineFederated {
 		src = s.store.federated
@@ -38,25 +38,20 @@ func (s *Server) appendTimelineJSON(dst []byte, kind Timeline, maxID, sinceID in
 	if maxID > 0 {
 		hi = sortSearchRows(src, s.store.rows, maxID)
 	}
-	dst = append(dst, '[')
-	n := 0
-	for i := hi - 1; i >= 0 && n < limit; i-- {
+	for i, n := hi-1, 0; i >= 0 && n < limit; i-- {
 		row := &s.store.rows[src[i]]
 		if row.id <= sinceID {
 			break // ascending ids: everything below is older still
 		}
-		if row.flags&tootRemote == 0 {
+		if row.flags&tootRemote == 0 && (known == nil || !known(row)) {
 			if acct := s.accounts[s.store.actors[row.author].User]; acct != nil && acct.Private {
 				continue
 			}
 		}
-		if n > 0 {
-			dst = append(dst, ',')
-		}
-		dst = s.appendStatusRow(dst, row)
+		dst = append(dst, src[i])
 		n++
 	}
-	return append(dst, ']')
+	return dst
 }
 
 // sortSearchRows finds the first index in src whose row id is ≥ maxID

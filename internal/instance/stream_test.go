@@ -76,7 +76,7 @@ func buildStreamServer(t *testing.T, cfg Config) *Server {
 
 // refTimelineBody is the materialised render the streamed encoder
 // replaced: the page as []Toot, then []wire.Status, then
-// wire.AppendStatuses — the reference appendTimelineJSON is held to.
+// wire.AppendStatuses — the reference a served timeline page is held to.
 func refTimelineBody(s *Server, kind Timeline, maxID, sinceID int64, limit int) string {
 	toots := s.PublicTimelineSince(kind, maxID, sinceID, limit)
 	page := make([]wire.Status, len(toots))
