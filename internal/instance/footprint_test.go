@@ -80,9 +80,9 @@ func TestLoadWorldRestingBytes(t *testing.T) {
 }
 
 // A cached page is stored at its length: after every GET page of the
-// bench-size world has been rendered once, what the caches hold — meta and
-// follower bodies, each server's status renders (counted once, with the
-// index that finds them) and the timeline pages' render ids — is within a
+// bench-size world has been rendered once, what the caches hold — meta
+// page bodies, each server's status renders (counted once, with the index
+// that finds them) and the timeline pages' render ids — is within a
 // tenth of its length in capacity (append-grown bodies sat 13% over).
 func TestPageCacheStoresExactBodies(t *testing.T) {
 	if testing.Short() {
@@ -109,9 +109,11 @@ func TestPageCacheStoresExactBodies(t *testing.T) {
 		})
 		srv.pages.mu.Lock()
 		stores := map[*memoStore]bool{}
-		for _, e := range srv.pages.bodies {
-			pages++
-			add(0, len(e.v), cap(e.v))
+		for _, e := range srv.pages.meta {
+			if e.v != nil {
+				pages++
+				add(0, len(e.v), cap(e.v))
+			}
 		}
 		for _, e := range srv.pages.timelines {
 			pages, statuses = pages+1, statuses+len(e.v.refs)

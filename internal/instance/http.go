@@ -18,15 +18,16 @@ import (
 // toot crawler consumed, the HTML follower pages the graph crawler scraped,
 // the homepage used as the availability probe, and the federation inbox.
 //
-// Every GET endpoint renders through a per-page cache: responses are
-// encoded once with the internal/wire append codecs and replayed until a
-// mutation that changes them bumps the generation of their page kind. A
-// meta or follower page is kept as its bytes; a timeline page as the ids of
-// its statuses' renders, which the server keeps once each (memo.go). A
-// crawler hammering a quiet instance — the §3 steady state — costs one
-// buffer write per request, no JSON encoder, no reflection; an inbox
-// delivery — the write a live instance sees most — costs only the federated
-// timeline's pages, and renders only the statuses that are new.
+// Meta and timeline pages are cached: encoded once with the internal/wire
+// append codecs and replayed until a mutation that changes them bumps the
+// generation of their page kind. A meta page is kept as its bytes; a
+// timeline page as the ids of its statuses' renders, which the server keeps
+// once each (memo.go). A follower page is not cached: the follower table is
+// its content already, so a 200 renders the page's slice of it. A crawler
+// hammering a quiet instance — the §3 steady state — costs one buffer write
+// per request, no JSON encoder, no reflection; an inbox delivery — the
+// write a live instance sees most — costs only the federated timeline's
+// pages, and renders only the statuses that are new.
 
 // pageKind groups the pages that the same mutations change. Each kind has
 // its own generation; a mutation names the kinds it dirtied.
@@ -40,13 +41,16 @@ const (
 	numKinds
 )
 
-// pageKey identifies one cached meta or follower page.
-type pageKey struct {
-	kind pageKind
-	page byte   // kindMeta: 'h' home, 'i' instance API, 'p' peers
-	name string // follower pages: the account
-	n    int64  // follower pages: the page number
-}
+// metaPage is one of the three pages of kindMeta, each cached in a slot
+// of its own.
+type metaPage uint8
+
+const (
+	metaHome     metaPage = iota // the homepage
+	metaInstance                 // the instance API
+	metaPeers                    // the peers list
+	numMeta
+)
 
 // timelineKey identifies one cached timeline page (kindLocal or
 // kindFederated) by its query; delta-crawl pages cache separately.
@@ -56,15 +60,16 @@ type timelineKey struct {
 	kind           pageKind
 }
 
-// cached is a page as the cache keeps it: a body, or a timeline page's
-// render ids, stamped with the generation of its kind it was rendered under.
+// cached is a page as the cache keeps it: a meta page's body, or a
+// timeline page's render ids, stamped with the generation of its kind it
+// was rendered under.
 type cached[V any] struct {
 	gen uint64
 	v   V
 }
 
-// maxCachedPages bounds the per-server cache; overflow resets it (the keys
-// in play rebuild on the next pass).
+// maxCachedPages bounds the cached timeline pages of a server; overflow
+// resets them (the keys in play rebuild on the next pass).
 const maxCachedPages = 4096
 
 // pageCache holds rendered pages, each stamped with the generation of its
@@ -74,7 +79,7 @@ const maxCachedPages = 4096
 type pageCache struct {
 	gens      [numKinds]atomic.Uint64
 	mu        sync.Mutex
-	bodies    map[pageKey]cached[[]byte]
+	meta      [numMeta]cached[[]byte] // v is nil until the page is first rendered
 	timelines map[timelineKey]cached[timelinePage]
 
 	// etag caches the rendered ETag for the generation vector it was built
@@ -124,29 +129,42 @@ func (c *pageCache) invalidate(kinds ...pageKind) {
 	}
 }
 
-// lookup returns the page cached under key in m, one of c's maps, if it
-// was rendered under generation g.
-func lookup[K comparable, V any](c *pageCache, m *map[K]cached[V], key K, g uint64) (V, bool) {
+// metaBody returns meta page p if it was rendered under generation g.
+func (c *pageCache) metaBody(p metaPage, g uint64) ([]byte, bool) {
 	c.mu.Lock()
-	e, ok := (*m)[key]
+	e := c.meta[p]
+	c.mu.Unlock()
+	return e.v, e.v != nil && e.gen == g
+}
+
+// storeMeta caches body, meta page p rendered under generation g.
+// Neither store clobbers a page rendered under a newer generation: a
+// renderer that raced a mutation holds the older stamp and must lose.
+func (c *pageCache) storeMeta(p metaPage, g uint64, body []byte) {
+	c.mu.Lock()
+	if e := &c.meta[p]; e.v == nil || e.gen <= g {
+		*e = cached[[]byte]{gen: g, v: body}
+	}
+	c.mu.Unlock()
+}
+
+// timeline returns the timeline page cached under key if it was rendered
+// under generation g.
+func (c *pageCache) timeline(key timelineKey, g uint64) (timelinePage, bool) {
+	c.mu.Lock()
+	e, ok := c.timelines[key]
 	c.mu.Unlock()
 	return e.v, ok && e.gen == g
 }
 
-// store caches v, rendered under generation g, under key in m.
-func store[K comparable, V any](c *pageCache, m *map[K]cached[V], key K, g uint64, v V) {
+// storeTimeline caches p, rendered under generation g, under key.
+func (c *pageCache) storeTimeline(key timelineKey, g uint64, p timelinePage) {
 	c.mu.Lock()
-	if *m == nil {
-		*m = make(map[K]cached[V])
+	if c.timelines == nil || len(c.timelines) >= maxCachedPages {
+		c.timelines = make(map[timelineKey]cached[timelinePage])
 	}
-	if len(c.bodies)+len(c.timelines) >= maxCachedPages {
-		clear(c.bodies)
-		clear(c.timelines)
-	}
-	// Never clobber a page rendered under a newer generation: a renderer
-	// that raced a mutation holds the older stamp and must lose.
-	if e, ok := (*m)[key]; !ok || e.gen <= g {
-		(*m)[key] = cached[V]{gen: g, v: v}
+	if e, ok := c.timelines[key]; !ok || e.gen <= g {
+		c.timelines[key] = cached[timelinePage]{gen: g, v: p}
 	}
 	c.mu.Unlock()
 }
@@ -173,17 +191,16 @@ func (s *Server) revalidate(w http.ResponseWriter, r *http.Request, kind pageKin
 	return g, false
 }
 
-// servePage writes one cacheable meta or follower response: a cache hit
-// replays stored bytes; a miss renders under the generation revalidate
-// read before any state, so a concurrent mutation can only strand the
-// entry stale, never serve stale.
-func (s *Server) servePage(w http.ResponseWriter, r *http.Request, ctype []string, key pageKey, render func(dst []byte) []byte) {
-	g, done := s.revalidate(w, r, key.kind)
+// serveMeta writes meta page p: a cache hit replays stored bytes; a miss
+// renders under the generation revalidate read before any state, so a
+// concurrent mutation can only strand the entry stale, never serve stale.
+func (s *Server) serveMeta(w http.ResponseWriter, r *http.Request, ctype []string, p metaPage, render func(dst []byte) []byte) {
+	g, done := s.revalidate(w, r, kindMeta)
 	if done {
 		return
 	}
 	w.Header()["Content-Type"] = ctype
-	body, ok := lookup(&s.pages, &s.pages.bodies, key, g)
+	body, ok := s.pages.metaBody(p, g)
 	if !ok {
 		// Rendered into a pooled buffer and cached as an exact copy, a page
 		// rests at its length and costs one allocation.
@@ -192,12 +209,12 @@ func (s *Server) servePage(w http.ResponseWriter, r *http.Request, ctype []strin
 		body = make([]byte, len(*buf))
 		copy(body, *buf)
 		renderBufs.Put(buf)
-		store(&s.pages, &s.pages.bodies, key, g, body)
+		s.pages.storeMeta(p, g, body)
 	}
 	w.Write(body)
 }
 
-// serveTimelinePage is servePage for a timeline page, which the cache
+// serveTimelinePage is serveMeta for a timeline page, which the cache
 // keeps as render ids: a hit or a miss alike joins the renders into a
 // pooled buffer and writes it once.
 func (s *Server) serveTimelinePage(w http.ResponseWriter, r *http.Request, key timelineKey, kind Timeline) {
@@ -206,10 +223,10 @@ func (s *Server) serveTimelinePage(w http.ResponseWriter, r *http.Request, key t
 		return
 	}
 	w.Header()["Content-Type"] = ctypeJSON
-	p, ok := lookup(&s.pages, &s.pages.timelines, key, g)
+	p, ok := s.pages.timeline(key, g)
 	if !ok {
 		p = s.renderTimeline(kind, key.maxID, key.sinceID, int(key.limit))
-		store(&s.pages, &s.pages.timelines, key, g, p)
+		s.pages.storeTimeline(key, g, p)
 	}
 	buf := renderBufs.Get().(*[]byte)
 	*buf = p.appendJSON((*buf)[:0])
@@ -326,7 +343,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) serveHome(w http.ResponseWriter, r *http.Request) {
-	s.servePage(w, r, ctypeHTML, pageKey{kind: kindMeta, page: 'h'}, func(dst []byte) []byte {
+	s.serveMeta(w, r, ctypeHTML, metaHome, func(dst []byte) []byte {
 		st := s.Stats()
 		dst = append(dst, "<html><head><title>"...)
 		dst = wire.AppendHTMLEscaped(dst, st.Domain)
@@ -341,7 +358,7 @@ func (s *Server) serveHome(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) serveInstanceAPI(w http.ResponseWriter, r *http.Request) {
-	s.servePage(w, r, ctypeJSON, pageKey{kind: kindMeta, page: 'i'}, func(dst []byte) []byte {
+	s.serveMeta(w, r, ctypeJSON, metaInstance, func(dst []byte) []byte {
 		st := s.Stats()
 		info := wire.InstanceInfo{
 			URI:           st.Domain,
@@ -367,7 +384,7 @@ func versionString(st Stats) string {
 }
 
 func (s *Server) servePeers(w http.ResponseWriter, r *http.Request) {
-	s.servePage(w, r, ctypeJSON, pageKey{kind: kindMeta, page: 'p'}, func(dst []byte) []byte {
+	s.serveMeta(w, r, ctypeJSON, metaPeers, func(dst []byte) []byte {
 		return append(wire.AppendPeers(dst, s.subs.PeerDomains()), '\n')
 	})
 }
@@ -484,8 +501,13 @@ func (s *Server) serveInbox(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusAccepted)
 }
 
+// followerPageSize is the number of followers a follower page lists.
+const followerPageSize = 40
+
 // serveFollowers renders the paged HTML follower list
-// (https://<domain>/users/<name>/followers, §3 footnote 1).
+// (https://<domain>/users/<name>/followers, §3 footnote 1). The page is not
+// cached: a 200 copies its followers out of the follower table under the
+// read lock and renders them into a pooled buffer.
 func (s *Server) serveFollowers(w http.ResponseWriter, r *http.Request) {
 	name := strings.TrimSuffix(strings.TrimPrefix(r.URL.Path, "/users/"), "/followers")
 	if name == "" || strings.Contains(name, "/") {
@@ -501,18 +523,31 @@ func (s *Server) serveFollowers(w http.ResponseWriter, r *http.Request) {
 		}
 		page = p
 	}
-	// The existence check stays outside the cache so unknown accounts are
-	// 404s, not cached pages.
-	if s.Account(name) == nil {
+	// An unknown account is a 404 with no ETag. Accounts are never
+	// removed, so a is still the account when the page is rendered.
+	a := s.Account(name)
+	if a == nil {
 		notFound(w)
 		return
 	}
-	s.servePage(w, r, ctypeHTML, pageKey{kind: kindFollowers, name: name, n: int64(page)},
-		func(dst []byte) []byte {
-			actors, hasNext, err := s.Followers(name, page, 40)
-			if err != nil {
-				actors, hasNext = nil, false // account vanished mid-render
-			}
-			return wire.AppendFollowerPage(dst, name, actors, page, hasNext)
-		})
+	if _, done := s.revalidate(w, r, kindFollowers); done {
+		return
+	}
+	w.Header()["Content-Type"] = ctypeHTML
+	var actors [followerPageSize]federation.Actor
+	s.mu.RLock()
+	// A page past the end is the empty page. Clamping to the first such page
+	// before multiplying keeps a hostile page number from overflowing the
+	// offset negative.
+	n := len(a.followers)
+	lo := min(min(page-1, n/followerPageSize+1)*followerPageSize, n)
+	hi := min(lo+followerPageSize, n)
+	for i, ai := range a.followers[lo:hi] {
+		actors[i] = s.store.actors[ai]
+	}
+	s.mu.RUnlock()
+	buf := renderBufs.Get().(*[]byte)
+	*buf = wire.AppendFollowerPage((*buf)[:0], name, actors[:hi-lo], page, hi < n)
+	w.Write(*buf)
+	renderBufs.Put(buf)
 }

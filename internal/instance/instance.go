@@ -398,37 +398,6 @@ func (s *Server) PublicTimelineSince(kind Timeline, maxID, sinceID int64, limit 
 	return out
 }
 
-// Followers pages through an account's follower list (page size pageSize,
-// 1-based pages), mirroring the HTML pages the paper scraped.
-func (s *Server) Followers(name string, page, pageSize int) (actors []federation.Actor, hasNext bool, err error) {
-	if pageSize <= 0 {
-		pageSize = 40
-	}
-	if page < 1 {
-		page = 1
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	a, ok := s.accounts[name]
-	if !ok {
-		return nil, false, fmt.Errorf("instance %s: no account %q", s.cfg.Domain, name)
-	}
-	// A page past the end is the empty page. Clamping to the first such page
-	// before multiplying keeps a hostile page number from overflowing the
-	// offset negative.
-	n := len(a.followers)
-	lo := min(page-1, n/pageSize+1) * pageSize
-	if lo >= n {
-		return nil, false, nil
-	}
-	hi := min(lo+pageSize, n)
-	actors = make([]federation.Actor, 0, hi-lo)
-	for _, ai := range a.followers[lo:hi] {
-		actors = append(actors, s.store.actors[ai])
-	}
-	return actors, hi < n, nil
-}
-
 // FollowerCount returns the number of followers of a local account.
 func (s *Server) FollowerCount(name string) int {
 	s.mu.RLock()

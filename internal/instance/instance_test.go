@@ -2,10 +2,14 @@ package instance
 
 import (
 	"context"
+	"net/http"
+	"net/http/httptest"
+	"strconv"
 	"testing"
 	"time"
 
 	"repro/internal/federation"
+	"repro/internal/wire"
 )
 
 var t0 = time.Date(2018, 5, 1, 0, 0, 0, 0, time.UTC)
@@ -174,24 +178,30 @@ func TestFollowersPaging(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var all []federation.Actor
+	get := func(path string) (code, followers int, more bool) {
+		rec := httptest.NewRecorder()
+		a.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		wire.ScanFollowerPage(rec.Body.Bytes(), func(_, _ []byte) { followers++ })
+		return rec.Code, followers, wire.FollowerPageHasNext(rec.Body.Bytes())
+	}
+	all := 0
 	for page := 1; ; page++ {
-		actors, more, err := a.Followers("celebrity", page, 40)
-		if err != nil {
-			t.Fatal(err)
+		code, n, more := get("/users/celebrity/followers?page=" + strconv.Itoa(page))
+		if code != http.StatusOK {
+			t.Fatalf("page %d: status %d", page, code)
 		}
-		all = append(all, actors...)
+		all += n
 		if !more {
 			break
 		}
 	}
-	if len(all) != 95 {
-		t.Fatalf("followers = %d, want 95", len(all))
+	if all != 95 {
+		t.Fatalf("followers = %d, want 95", all)
 	}
-	if _, _, err := a.Followers("ghost", 1, 40); err == nil {
-		t.Fatal("expected error for unknown account")
+	if code, _, _ := get("/users/ghost/followers"); code != http.StatusNotFound {
+		t.Fatalf("unknown account: status %d, want 404", code)
 	}
-	if actors, more, _ := a.Followers("celebrity", 99, 40); len(actors) != 0 || more {
+	if code, n, more := get("/users/celebrity/followers?page=99"); code != http.StatusOK || n != 0 || more {
 		t.Fatal("past-the-end page should be empty")
 	}
 }

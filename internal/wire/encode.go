@@ -19,6 +19,7 @@ package wire
 
 import (
 	"errors"
+	"math/bits"
 	"strconv"
 	"time"
 	"unicode/utf8"
@@ -137,10 +138,11 @@ func AppendJSONStringBytes(dst []byte, s []byte) []byte {
 }
 
 // AppendHTMLEscaped appends s with html.EscapeString's five escapes
-// (&amp; &#39; &lt; &gt; &#34;) applied in one pass.
+// (&amp; &#39; &lt; &gt; &#34;) applied in one pass, stepping over plain
+// bytes eight at a time (skipHTMLPlain).
 func AppendHTMLEscaped(dst []byte, s string) []byte {
 	start := 0
-	for i := 0; i < len(s); i++ {
+	for i := skipHTMLPlain(s, 0); i < len(s); i++ {
 		var esc string
 		switch s[i] {
 		case '&':
@@ -159,8 +161,28 @@ func AppendHTMLEscaped(dst []byte, s string) []byte {
 		dst = append(dst, s[start:i]...)
 		dst = append(dst, esc...)
 		start = i + 1
+		i = skipHTMLPlain(s, start) - 1
 	}
 	return append(dst, s[start:]...)
+}
+
+// skipHTMLPlain returns the offset of the first byte from i on that
+// AppendHTMLEscaped escapes — or where fewer than eight bytes are left, if
+// none of the whole words before that holds one. It is skipPlain's word
+// test (decode.go) for bytes equal to 0x22 ("), to 0x27 (') once bit 0 is
+// set (& is 0x26) and to 0x3e (>) once bit 1 is set (< is 0x3c). Setting a
+// bit touches one byte, so every flag under the first escaped byte stays
+// exact.
+func skipHTMLPlain(s string, i int) int {
+	for ; i+8 <= len(s); i += 8 {
+		w := uint64(s[i]) | uint64(s[i+1])<<8 | uint64(s[i+2])<<16 | uint64(s[i+3])<<24 |
+			uint64(s[i+4])<<32 | uint64(s[i+5])<<40 | uint64(s[i+6])<<48 | uint64(s[i+7])<<56
+		q, a, g := w^('"'*ones), (w|ones)^('\''*ones), (w|2*ones)^('>'*ones)
+		if m := ((q-ones)&^q | (a-ones)&^a | (g-ones)&^g) & highs; m != 0 {
+			return i + bits.TrailingZeros64(m)/8
+		}
+	}
+	return i
 }
 
 // appendTimeJSON appends the quoted RFC 3339 form of t exactly as

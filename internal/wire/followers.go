@@ -24,14 +24,20 @@ func AppendFollowerPage(dst []byte, name string, followers []Actor, page int, ha
 	dst = append(dst, "</h1><ul>\n"...)
 	for i := range followers {
 		a := &followers[i]
+		// The user and the domain are escaped once each and their escaped
+		// bytes copied for the second occurrence.
 		dst = append(dst, `<li><a class="follower" href="https://`...)
+		d0 := len(dst)
 		dst = AppendHTMLEscaped(dst, a.Domain)
+		d1 := len(dst)
 		dst = append(dst, "/users/"...)
+		u0 := len(dst)
 		dst = AppendHTMLEscaped(dst, a.User)
+		u1 := len(dst)
 		dst = append(dst, `">`...)
-		dst = AppendHTMLEscaped(dst, a.User)
+		dst = append(dst, dst[u0:u1]...)
 		dst = append(dst, '@')
-		dst = AppendHTMLEscaped(dst, a.Domain)
+		dst = append(dst, dst[d0:d1]...)
 		dst = append(dst, "</a></li>\n"...)
 	}
 	dst = append(dst, "</ul>\n"...)

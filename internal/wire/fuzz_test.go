@@ -3,6 +3,7 @@ package wire
 import (
 	"encoding/json"
 	"fmt"
+	"html"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -368,6 +369,26 @@ func FuzzJSONString(f *testing.F) {
 		}
 		if got := AppendJSONStringBytes(nil, []byte(s)); string(got) != string(want) {
 			t.Fatalf("bytes encoder diverges:\n wire %q\n json %q", got, want)
+		}
+	})
+}
+
+// FuzzAppendHTMLEscaped pins the HTML escaper, which steps over plain
+// bytes a word at a time, against html.EscapeString. The seeds put each
+// escaped byte at every offset from 0 to 16, so at each place in and
+// across the first two words, followed by bytes one off an escaped one
+// (% = ?), a byte ≥ 0x80 and a second escape.
+func FuzzAppendHTMLEscaped(f *testing.F) {
+	for _, c := range `&'<>"` {
+		for off := 0; off <= 16; off++ {
+			f.Add(strings.Repeat("a", off) + string(c) + "%=?é&x" + strings.Repeat("b", 16-off))
+		}
+	}
+	f.Add("")
+	f.Add("plain ascii only, longer than a word")
+	f.Fuzz(func(t *testing.T, s string) {
+		if got, want := AppendHTMLEscaped(nil, s), html.EscapeString(s); string(got) != want {
+			t.Fatalf("escape of %q diverges:\n wire %q\n html %q", s, got, want)
 		}
 	})
 }

@@ -237,6 +237,7 @@ var (
 
 func BenchmarkEncode(b *testing.B) {
 	page := benchStatusPage()
+	followers := benchFollowers()
 	var buf []byte
 	for _, bc := range []struct {
 		name string
@@ -245,6 +246,7 @@ func BenchmarkEncode(b *testing.B) {
 		{"statuses", func() { buf = AppendStatuses(buf[:0], page) }},
 		{"instance", func() { buf = AppendInstanceInfo(buf[:0], &benchInfo) }},
 		{"activity", func() { buf, _ = AppendActivity(buf[:0], &benchActivity) }},
+		{"followers", func() { buf = AppendFollowerPage(buf[:0], "alice", followers, 1, true) }},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
@@ -307,12 +309,17 @@ func BenchmarkScan(b *testing.B) {
 	})
 }
 
-func BenchmarkScanFollowerPage(b *testing.B) {
+// benchFollowers is a full follower page's followers.
+func benchFollowers() []Actor {
 	actors := make([]Actor, 40)
 	for i := range actors {
 		actors[i] = Actor{User: fmt.Sprintf("f%d", i), Domain: fmt.Sprintf("far-%02d.test", i%7)}
 	}
-	page := AppendFollowerPage(nil, "alice", actors, 1, true)
+	return actors
+}
+
+func BenchmarkScanFollowerPage(b *testing.B) {
+	page := AppendFollowerPage(nil, "alice", benchFollowers(), 1, true)
 	b.ReportAllocs()
 	for b.Loop() {
 		n := 0
