@@ -40,7 +40,7 @@ func Fig7Downtime(w *dataset.World) DowntimeResult {
 		d := w.Traces.Traces[i].DownFraction(from, to)
 		downs = append(downs, d)
 		tootCounts = append(tootCounts, float64(w.Instances[i].Toots))
-		if len(w.Traces.Traces[i].Outages(from, to)) > 0 {
+		if d > 0 { // the window holds an outage
 			users = append(users, float64(w.Instances[i].Users))
 			toots = append(toots, float64(w.Instances[i].Toots))
 			boosts = append(boosts, float64(w.Instances[i].Boosts))

@@ -81,9 +81,9 @@ func TestLoadWorldRestingBytes(t *testing.T) {
 
 // A cached page is stored at its length: after every GET page of the
 // bench-size world has been rendered once, what the caches hold — meta
-// page bodies, each server's status renders (counted once, with the index
-// that finds them) and the timeline pages' render ids — is within a
-// tenth of its length in capacity (append-grown bodies sat 13% over).
+// page bodies, and each server's status renders with the index that finds
+// them — is within a tenth of its length in capacity (append-grown bodies
+// sat 13% over).
 func TestPageCacheStoresExactBodies(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large world")
@@ -93,13 +93,13 @@ func TestPageCacheStoresExactBodies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// bodies, renders, render index, references: length and capacity in bytes
-	var parts [4]struct{ length, capacity int }
+	// bodies, renders, render index: length and capacity in bytes
+	var parts [3]struct{ length, capacity int }
 	add := func(part, length, capacity int) {
 		parts[part].length += length
 		parts[part].capacity += capacity
 	}
-	pages, statuses, renders := 0, 0, 0
+	pages, renders := 0, 0
 	for _, d := range n.Domains() {
 		srv := n.Server(d)
 		walkPages(srv, func(path string) (int, []byte) {
@@ -108,20 +108,16 @@ func TestPageCacheStoresExactBodies(t *testing.T) {
 			return rec.Code, rec.Body.Bytes()
 		})
 		srv.pages.mu.Lock()
-		stores := map[*memoStore]bool{}
 		for _, e := range srv.pages.meta {
-			if e.v != nil {
+			if e.body != nil {
 				pages++
-				add(0, len(e.v), cap(e.v))
+				add(0, len(e.body), cap(e.body))
 			}
 		}
-		for _, e := range srv.pages.timelines {
-			pages, statuses = pages+1, statuses+len(e.v.refs)
-			add(3, 4*len(e.v.refs), 4*cap(e.v.refs))
-			stores[e.v.memo] = true
-		}
 		srv.pages.mu.Unlock()
-		for ms := range stores {
+		m := &srv.store.memo
+		m.mu.Lock()
+		if ms := m.cur; ms != nil {
 			blocks := ms.blocks.all()
 			for _, b := range blocks[:ms.blocks.n] {
 				add(1, len(b), cap(b))
@@ -129,14 +125,15 @@ func TestPageCacheStoresExactBodies(t *testing.T) {
 			renders += ms.locs.n
 			add(2, 8*ms.locs.n+24*ms.blocks.n, 8*len(ms.locs.all())+24*len(blocks))
 		}
+		m.mu.Unlock()
 	}
 	var length, capacity int
 	for _, p := range parts {
 		length, capacity = length+p.length, capacity+p.capacity
 	}
-	t.Logf("%d cached pages: %.1f MB in %.1f MB of capacity; %d statuses shown, %d rendered", pages,
-		float64(length)/1e6, float64(capacity)/1e6, statuses, renders)
-	for i, name := range []string{"bodies", "renders", "render index", "references"} {
+	t.Logf("%d cached meta pages and %d status renders: %.1f MB in %.1f MB of capacity", pages, renders,
+		float64(length)/1e6, float64(capacity)/1e6)
+	for i, name := range []string{"bodies", "renders", "render index"} {
 		t.Logf("  %-12s %6.2f MB %5.1f%%", name, float64(parts[i].length)/1e6, 100*float64(parts[i].length)/float64(length))
 	}
 	if pages == 0 || 10*capacity > 11*length {

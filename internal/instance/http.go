@@ -18,16 +18,16 @@ import (
 // toot crawler consumed, the HTML follower pages the graph crawler scraped,
 // the homepage used as the availability probe, and the federation inbox.
 //
-// Meta and timeline pages are cached: encoded once with the internal/wire
-// append codecs and replayed until a mutation that changes them bumps the
-// generation of their page kind. A meta page is kept as its bytes; a
-// timeline page as the ids of its statuses' renders, which the server keeps
-// once each (memo.go). A follower page is not cached: the follower table is
-// its content already, so a 200 renders the page's slice of it. A crawler
-// hammering a quiet instance — the §3 steady state — costs one buffer write
-// per request, no JSON encoder, no reflection; an inbox delivery — the
-// write a live instance sees most — costs only the federated timeline's
-// pages, and renders only the statuses that are new.
+// Meta pages are cached: encoded once with the internal/wire append codecs
+// and replayed until a mutation that changes them bumps the generation of
+// their page kind. Timeline and follower pages are not: a timeline 200
+// joins its statuses' renders, which the server keeps once each (memo.go),
+// and a follower 200 renders its slice of the follower table. Every page
+// kind's generation names its ETag. A crawler hammering a quiet
+// instance — the §3 steady state — costs a join or a render into one
+// buffer per request, no JSON encoder, no reflection, and leaves nothing
+// behind per query; an inbox delivery — the write a live instance sees
+// most — renders only the statuses that are new.
 
 // pageKind groups the pages that the same mutations change. Each kind has
 // its own generation; a mutation names the kinds it dirtied.
@@ -52,35 +52,18 @@ const (
 	numMeta
 )
 
-// timelineKey identifies one cached timeline page (kindLocal or
-// kindFederated) by its query; delta-crawl pages cache separately.
-type timelineKey struct {
-	maxID, sinceID int64
-	limit          int32
-	kind           pageKind
-}
-
-// cached is a page as the cache keeps it: a meta page's body, or a
-// timeline page's render ids, stamped with the generation of its kind it
-// was rendered under.
-type cached[V any] struct {
-	gen uint64
-	v   V
-}
-
-// maxCachedPages bounds the cached timeline pages of a server; overflow
-// resets them (the keys in play rebuild on the next pass).
-const maxCachedPages = 4096
-
-// pageCache holds rendered pages, each stamped with the generation of its
-// kind that was current before its render started. A lookup only hits when
-// the entry's generation still is the kind's: a mutation invalidates every
-// page of the kinds it names at the cost of one atomic increment each.
+// pageCache holds the page kinds' generations and the rendered meta pages,
+// each stamped with the generation of meta that was current before its
+// render started. A lookup only hits when the stamp still is the
+// generation: a mutation invalidates every page of the kinds it names at
+// the cost of one atomic increment each.
 type pageCache struct {
-	gens      [numKinds]atomic.Uint64
-	mu        sync.Mutex
-	meta      [numMeta]cached[[]byte] // v is nil until the page is first rendered
-	timelines map[timelineKey]cached[timelinePage]
+	gens [numKinds]atomic.Uint64
+	mu   sync.Mutex
+	meta [numMeta]struct {
+		gen  uint64
+		body []byte // nil until the page is first rendered
+	}
 
 	// etag caches the rendered ETag for the generation vector it was built
 	// under, so the conditional-GET hot path costs one pointer load per
@@ -134,37 +117,16 @@ func (c *pageCache) metaBody(p metaPage, g uint64) ([]byte, bool) {
 	c.mu.Lock()
 	e := c.meta[p]
 	c.mu.Unlock()
-	return e.v, e.v != nil && e.gen == g
+	return e.body, e.body != nil && e.gen == g
 }
 
-// storeMeta caches body, meta page p rendered under generation g.
-// Neither store clobbers a page rendered under a newer generation: a
-// renderer that raced a mutation holds the older stamp and must lose.
+// storeMeta caches body, meta page p rendered under generation g. It does
+// not clobber a page rendered under a newer generation: a renderer that
+// raced a mutation holds the older stamp and must lose.
 func (c *pageCache) storeMeta(p metaPage, g uint64, body []byte) {
 	c.mu.Lock()
-	if e := &c.meta[p]; e.v == nil || e.gen <= g {
-		*e = cached[[]byte]{gen: g, v: body}
-	}
-	c.mu.Unlock()
-}
-
-// timeline returns the timeline page cached under key if it was rendered
-// under generation g.
-func (c *pageCache) timeline(key timelineKey, g uint64) (timelinePage, bool) {
-	c.mu.Lock()
-	e, ok := c.timelines[key]
-	c.mu.Unlock()
-	return e.v, ok && e.gen == g
-}
-
-// storeTimeline caches p, rendered under generation g, under key.
-func (c *pageCache) storeTimeline(key timelineKey, g uint64, p timelinePage) {
-	c.mu.Lock()
-	if c.timelines == nil || len(c.timelines) >= maxCachedPages {
-		c.timelines = make(map[timelineKey]cached[timelinePage])
-	}
-	if e, ok := c.timelines[key]; !ok || e.gen <= g {
-		c.timelines[key] = cached[timelinePage]{gen: g, v: p}
+	if e := &c.meta[p]; e.body == nil || e.gen <= g {
+		e.gen, e.body = g, body
 	}
 	c.mu.Unlock()
 }
@@ -173,14 +135,14 @@ func (c *pageCache) storeTimeline(key timelineKey, g uint64, p timelinePage) {
 // generation and sets its ETag; it answers 304 and returns done when the
 // request's If-None-Match certifies that generation.
 //
-// Conditional GET rides the same counter as the cache: the page's
+// Conditional GET rides the same counter as the meta cache: the page's
 // component of the ETag is the generation loaded at the top of the
-// request, so an If-None-Match hit (304) certifies "no mutation of this
-// kind of page has completed since that tag was issued" — the same
-// linearization point the cache uses. A write that completes before the
-// load flips the component and forces a full 200; a write that lands after
-// the load is concurrent with this request and may legitimately order
-// after it.
+// request, before any state is read, so an If-None-Match hit (304)
+// certifies "no mutation of this kind of page has completed since that tag
+// was issued" — and a 200 is at least as new as the tag it carries. A write
+// that completes before the load flips the component and forces a full
+// 200; a write that lands after the load is concurrent with this request
+// and may legitimately order after it.
 func (s *Server) revalidate(w http.ResponseWriter, r *http.Request, kind pageKind) (g uint64, done bool) {
 	g = s.pages.gens[kind].Load()
 	w.Header()["Etag"] = s.pages.etagFor(kind, g)
@@ -212,26 +174,6 @@ func (s *Server) serveMeta(w http.ResponseWriter, r *http.Request, ctype []strin
 		s.pages.storeMeta(p, g, body)
 	}
 	w.Write(body)
-}
-
-// serveTimelinePage is serveMeta for a timeline page, which the cache
-// keeps as render ids: a hit or a miss alike joins the renders into a
-// pooled buffer and writes it once.
-func (s *Server) serveTimelinePage(w http.ResponseWriter, r *http.Request, key timelineKey, kind Timeline) {
-	g, done := s.revalidate(w, r, key.kind)
-	if done {
-		return
-	}
-	w.Header()["Content-Type"] = ctypeJSON
-	p, ok := s.pages.timeline(key, g)
-	if !ok {
-		p = s.renderTimeline(kind, key.maxID, key.sinceID, int(key.limit))
-		s.pages.storeTimeline(key, g, p)
-	}
-	buf := renderBufs.Get().(*[]byte)
-	*buf = p.appendJSON((*buf)[:0])
-	w.Write(*buf)
-	renderBufs.Put(buf)
 }
 
 // renderBufs holds the scratch buffers pages are rendered and joined into.
@@ -424,16 +366,20 @@ func (s *Server) serveTimeline(w http.ResponseWriter, r *http.Request) {
 			refuse(w, http.StatusBadRequest, "bad limit")
 			return
 		}
-		if n > 40 {
-			n = 40 // Mastodon caps page size at 40
-		}
-		limit = n
+		limit = min(n, maxPageStatuses)
 	}
-	key := timelineKey{maxID: maxID, sinceID: sinceID, limit: int32(limit), kind: kindFederated}
+	pk := kindFederated
 	if kind == TimelineLocal {
-		key.kind = kindLocal
+		pk = kindLocal
 	}
-	s.serveTimelinePage(w, r, key, kind)
+	if _, done := s.revalidate(w, r, pk); done {
+		return
+	}
+	w.Header()["Content-Type"] = ctypeJSON
+	buf := renderBufs.Get().(*[]byte)
+	*buf = s.appendTimeline((*buf)[:0], kind, maxID, sinceID, limit)
+	w.Write(*buf)
+	renderBufs.Put(buf)
 }
 
 // query reads a URL's raw query the way r.URL.Query() does. Without '%',

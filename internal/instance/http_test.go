@@ -113,8 +113,8 @@ func TestHTTPTimelinePagingAndValidation(t *testing.T) {
 
 // TestHTTPTimelineSinceID: the delta-crawl lower bound. A recrawl resuming
 // from a high-water mark must get exactly the toots that appeared after
-// it, newest first, and the cached page for a since_id query must not
-// shadow (or be shadowed by) the unbounded page.
+// it, newest first, and the page for a since_id query must not shadow (or
+// be shadowed by) the unbounded page.
 func TestHTTPTimelineSinceID(t *testing.T) {
 	s, ts := liveServer(t, Config{Domain: "x.test", Open: true})
 	s.CreateAccount("alice", false, false, t0)
@@ -140,9 +140,9 @@ func TestHTTPTimelineSinceID(t *testing.T) {
 	if page := decode(body); len(page) != 3 || page[0].ID != "10" || page[2].ID != "8" {
 		t.Fatalf("since_id=7 page = %+v, want ids 10,9,8", page)
 	}
-	// The unbounded page renders independently of the cached delta page.
+	// The unbounded page renders independently of the delta page.
 	if _, body := get(t, ts, "/api/v1/timelines/public?local=true&limit=40"); len(decode(body)) != 10 {
-		t.Fatal("unbounded page shadowed by a cached since_id page")
+		t.Fatal("unbounded page shadowed by a since_id page")
 	}
 	// since_id at (or past) the newest toot is an empty page, not an error.
 	if code, body := get(t, ts, "/api/v1/timelines/public?local=true&since_id=10"); code != 200 || len(decode(body)) != 0 {
@@ -152,10 +152,10 @@ func TestHTTPTimelineSinceID(t *testing.T) {
 	if _, body := get(t, ts, "/api/v1/timelines/public?local=true&since_id=2&max_id=5"); len(decode(body)) != 2 {
 		t.Fatalf("since_id+max_id window = %s", body)
 	}
-	// New content past the mark invalidates the cached delta page.
+	// New content past the mark shows on the delta page.
 	s.PostToot(context.Background(), "alice", "fresh", nil, t0)
 	if _, body := get(t, ts, "/api/v1/timelines/public?local=true&limit=40&since_id=7"); len(decode(body)) != 4 {
-		t.Fatalf("cached since_id page served stale after a post: %s", body)
+		t.Fatalf("since_id page served stale after a post: %s", body)
 	}
 }
 

@@ -72,7 +72,8 @@ type Server struct {
 
 	transport federation.Transport
 
-	// pages caches rendered HTTP responses; every visible mutation calls
+	// pages holds the page kinds' generations, which name the ETags, and
+	// the rendered meta pages; every visible mutation calls
 	// pages.invalidate, naming the page kinds it changed, after the state
 	// change lands (see http.go).
 	pages pageCache
@@ -390,7 +391,7 @@ func (s *Server) PublicTimeline(kind Timeline, maxID int64, limit int) []Toot {
 func (s *Server) PublicTimelineSince(kind Timeline, maxID, sinceID int64, limit int) []Toot {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	rows := s.pageRows(nil, kind, maxID, sinceID, limit, nil)
+	rows := s.pageRows(nil, kind, maxID, sinceID, limit, false)
 	out := make([]Toot, len(rows))
 	for i, ri := range rows {
 		out[i] = s.store.get(ri, s.cfg.Domain)

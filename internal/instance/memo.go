@@ -5,32 +5,34 @@ import (
 	"sync/atomic"
 )
 
-// The render memo. One server's paged API shows a status again on every
-// overlapping max_id page, and again on the head page after each delivery,
-// so a server renders a status once, the first time a timeline page needs
-// it, and a cached timeline page holds the ids of its statuses' renders,
-// not bytes. A hit joins the renders into one buffer; a miss renders only
-// the rows the memo lacks.
+// The render memo, which is the timeline cache. One server's paged API
+// shows a status again on every overlapping max_id page, and again on the
+// head page after each delivery, so a server renders a status once, the
+// first time a timeline page needs it. A timeline page itself is not kept:
+// a 200 selects its rows and joins their renders into one buffer, rendering
+// only the rows the memo lacks. So a query leaves nothing behind but the
+// renders of the statuses it showed.
 //
 // A row names its render in its memo slot: the render's id in the store
 // that takes new renders, plus one (0: none). A store keeps renders in
-// blocks, one per miss that rendered anything, each holding that miss's
+// blocks, one per page that rendered anything, each holding that page's
 // renders in page order, separated by commas, and exactly as long; ids
 // count up through a block, and locs maps an id to its block and offset. So
 // page statuses whose renders are consecutive in a block, as a page that
 // rendered them all has them, join as one copy. Nothing a store has
-// published is written again, so a hit reads it without taking a lock.
-// Compaction renumbers rows and so starts a new store; a page cached before
-// keeps the store it refers to alive until its own generation dies.
+// published is written again, so a join reads it without taking a lock.
+// Compaction renumbers rows and so starts a new store; the old one is
+// garbage once the pages joining from it are written.
 
 // memoCapacity is the number of ids a row's three-byte slot can name. The
-// next miss after a store holds that many renders starts a new store. It is
-// a variable so that a test can fill a store.
+// next timeline page served after a store holds that many renders starts a
+// new store. It is a variable so that a test can fill a store.
 var memoCapacity = 1<<24 - 1
 
 // renderMemo is a tootStore's memo. mu guards cur, the appends to it and
-// every row's memo slot, so that misses, which hold the Server's read lock
-// only, can add renders; compaction, under the write lock, replaces cur.
+// every row's memo slot, so that timeline pages, which hold the Server's
+// read lock only, can add renders; compaction, under the write lock,
+// replaces cur.
 type renderMemo struct {
 	mu  sync.Mutex
 	cur *memoStore
@@ -53,9 +55,9 @@ func renderEnd(locs []uint64, id uint32, b []byte) int {
 // pubVec is an append-only vector that readers index without a lock. Its
 // owner appends under a lock; a reader loads the array and reads only
 // elements published to it through something that synchronises, here the
-// page cache's lock. An element is never written after its append, and
-// growth copies into a new array, so an array loaded before a growth still
-// reads the same.
+// memo's lock, under which the reader took the ids it reads. An element is
+// never written after its append, and growth copies into a new array, so an
+// array loaded before a growth still reads the same.
 type pubVec[T any] struct {
 	arr atomic.Pointer[[]T] // the whole backing array
 	n   int                 // elements appended; guarded by the owner's lock
@@ -109,118 +111,95 @@ func (st *tootStore) openMemo() *memoStore {
 	return m.cur
 }
 
-// timelinePage is a cached timeline page: its statuses' render ids, newest
-// first, and the store that holds them.
-type timelinePage struct {
-	memo *memoStore
-	refs []uint32
-}
+// maxPageStatuses is the most statuses a timeline page shows: Mastodon caps
+// limit at 40.
+const maxPageStatuses = 40
 
-// appendJSON appends the page as the API serves it: "[", the renders
-// separated by ",", "]\n". A run of ids consecutive in one block is one
-// copy, its commas included.
-func (p timelinePage) appendJSON(dst []byte) []byte {
-	dst = append(dst, '[')
-	if len(p.refs) > 0 {
-		blocks, locs := p.memo.blocks.all(), p.memo.locs.all()
-		for i := 0; i < len(p.refs); i++ {
-			if i > 0 {
-				dst = append(dst, ',')
-			}
-			first := p.refs[i]
-			for i+1 < len(p.refs) && p.refs[i+1] == p.refs[i]+1 && locs[p.refs[i]]&1 == 0 {
-				i++
-			}
-			b := blocks[locs[first]>>32]
-			dst = append(dst, b[uint32(locs[first])>>1:renderEnd(locs, p.refs[i], b)]...)
+// appendTimeline appends one timeline page as the API serves it: "[", its
+// statuses' renders separated by ",", "]\n"; limit is at most
+// maxPageStatuses. A status the memo holds is copied from its render, a run
+// of renders consecutive in one block as one copy, commas included; one the
+// memo lacks is rendered into dst and then stored, with the others this page
+// rendered, in one new block.
+func (s *Server) appendTimeline(dst []byte, kind Timeline, maxID, sinceID int64, limit int) []byte {
+	var (
+		rowBuf [maxPageStatuses]uint32
+		ids    [maxPageStatuses]uint32 // by page position: the render's id plus one, 0 if it is rendered here
+		missed [maxPageStatuses]struct {
+			row        uint32
+			start, end int // the render, in dst
 		}
-	}
-	return append(dst, "]\n"...)
-}
-
-// memoScratch is one miss's working memory.
-type memoScratch struct {
-	rows    []uint32 // the page's rows
-	missing []int    // positions in rows this miss renders; -1 once another miss has
-	ends    []int    // by missing: where its render ends in buf
-	buf     []byte
-}
-
-var memoScratches = sync.Pool{New: func() any { return new(memoScratch) }}
-
-// renderTimeline selects one timeline page and returns it as render ids,
-// rendering and storing the statuses the memo lacks in one new block.
-func (s *Server) renderTimeline(kind Timeline, maxID, sinceID int64, limit int) timelinePage {
-	sc := memoScratches.Get().(*memoScratch)
-	defer memoScratches.Put(sc)
+	)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	st, m := &s.store, &s.store.memo
 
 	m.mu.Lock()
 	ms := st.openMemo()
-	sc.rows = s.pageRows(sc.rows[:0], kind, maxID, sinceID, limit, (*tootRow).memoised)
-	p := timelinePage{memo: ms, refs: make([]uint32, len(sc.rows))}
-	sc.missing = sc.missing[:0]
-	for i, ri := range sc.rows {
-		if v := st.rows[ri].memoID(); v != 0 {
-			p.refs[i] = v - 1
-		} else {
-			sc.missing = append(sc.missing, i)
-		}
+	rows := s.pageRows(rowBuf[:0], kind, maxID, sinceID, limit, true)
+	for i, ri := range rows {
+		ids[i] = st.rows[ri].memoID()
 	}
 	m.mu.Unlock()
-	if len(sc.missing) == 0 {
-		return p
-	}
 
-	// Rendered outside the memo's lock: misses on one server render in
-	// parallel, as they did before there was a memo.
-	sc.buf, sc.ends = sc.buf[:0], sc.ends[:0]
-	for _, i := range sc.missing {
-		sc.buf = s.appendStatusRow(sc.buf, &st.rows[sc.rows[i]])
-		sc.ends = append(sc.ends, len(sc.buf))
+	// The renders the slots named are published, so they are read without
+	// the lock; the misses render outside it, so that misses on one server
+	// render in parallel.
+	blocks, locs := ms.blocks.all(), ms.locs.all()
+	n := 0
+	dst = append(dst, '[')
+	for i := 0; i < len(rows); i++ {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		if ids[i] == 0 {
+			start := len(dst)
+			dst = s.appendStatusRow(dst, &st.rows[rows[i]])
+			missed[n].row, missed[n].start, missed[n].end = rows[i], start, len(dst)
+			n++
+			continue
+		}
+		first := ids[i] - 1
+		for i+1 < len(rows) && ids[i+1] == ids[i]+1 && locs[ids[i]-1]&1 == 0 {
+			i++
+		}
+		b := blocks[locs[first]>>32]
+		dst = append(dst, b[uint32(locs[first])>>1:renderEnd(locs, ids[i]-1, b)]...)
+	}
+	dst = append(dst, "]\n"...)
+	if n == 0 {
+		return dst
 	}
 
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	// A render another miss stored meanwhile is used, not stored twice;
-	// while the store has not been replaced as full, the slots still name it.
-	live := m.cur == ms
-	size, kept, start := 0, 0, 0
-	for j, i := range sc.missing {
-		if v := st.rows[sc.rows[i]].memoID(); live && v != 0 {
-			p.refs[i], sc.missing[j] = v-1, -1
-		} else {
-			size, kept = size+sc.ends[j]-start, kept+1
+	// A render another page stored meanwhile is not stored twice. The store
+	// may have filled meanwhile; the renders go to the one that takes them now.
+	ms = st.openMemo()
+	keep, size := missed[:0], 0
+	for _, r := range missed[:n] {
+		if !st.rows[r.row].memoised() {
+			keep, size = append(keep, r), size+r.end-r.start
 		}
-		start = sc.ends[j]
 	}
-	if kept == 0 {
-		return p
+	if len(keep) == 0 {
+		return dst
 	}
-	block, bi := make([]byte, 0, size+kept-1), uint64(ms.blocks.n)
-	start = 0
-	for j, i := range sc.missing {
-		r := sc.buf[start:sc.ends[j]]
-		start = sc.ends[j]
-		if i < 0 {
-			continue
-		}
-		if len(block) > 0 {
+	block, bi := make([]byte, 0, size+len(keep)-1), uint64(ms.blocks.n)
+	for j, r := range keep {
+		if j > 0 {
 			block = append(block, ',')
 		}
 		loc := bi<<32 | uint64(len(block))<<1
-		if kept--; kept == 0 {
+		if j == len(keep)-1 {
 			loc |= 1
 		}
 		id := ms.locs.push(loc)
-		block = append(block, r...)
-		p.refs[i] = uint32(id)
-		if live && id < memoCapacity {
-			st.rows[sc.rows[i]].setMemoID(uint32(id + 1))
+		block = append(block, dst[r.start:r.end]...)
+		if id < memoCapacity {
+			st.rows[r.row].setMemoID(uint32(id + 1))
 		}
 	}
 	ms.blocks.push(block)
-	return p
+	return dst
 }

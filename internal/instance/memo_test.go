@@ -28,8 +28,8 @@ func memoBytes(s *Server) (renders, bytes int) {
 	return m.cur.locs.n, bytes
 }
 
-// A store that is full starts over at the next miss, and a page cached
-// before still reads from the store it refers to: with room for seven
+// A store that is full starts over at the next page that renders, and a
+// page joins from the store its render ids name: with room for seven
 // renders, every page of the stream server, fetched twice over, is the
 // materialised reference.
 func TestRenderMemoStartsOverWhenFull(t *testing.T) {
@@ -174,4 +174,53 @@ func liveRenderBytes(s *Server) int {
 		}
 	}
 	return len(buf)
+}
+
+// TestTimelineQueriesHoldNoState: a timeline page is not kept, so ten
+// thousand distinct queries on a quiet server leave behind only the memo's
+// renders, one per public status they showed, and every page is the
+// materialised reference.
+func TestTimelineQueriesHoldNoState(t *testing.T) {
+	s := populatedServer(t)
+	shown := map[string]bool{}
+	before := heapAfterGC()
+	for i := 0; i < 10000; i++ {
+		// Every query differs in (local, limit, max_id); since_id varies too.
+		local := []string{"", "&local=true", "&local=1", "&local=false"}[i%4]
+		kind := TimelineFederated
+		if i%4 == 1 || i%4 == 2 {
+			kind = TimelineLocal
+		}
+		limit, maxID, sinceID := 1+i/4%40, int64(i/160*2), int64(i%9)
+		path := "/api/v1/timelines/public?limit=" + strconv.Itoa(limit) + "&max_id=" + strconv.FormatInt(maxID, 10) +
+			"&since_id=" + strconv.FormatInt(sinceID, 10) + local
+		body := fetchBody(t, s, path)
+		if want := refTimelineBody(s, kind, maxID, sinceID, limit); body != want {
+			t.Fatalf("%s:\n  served:       %q\n  materialised: %q", path, body, want)
+		}
+		if err := wire.ScanStatuses([]byte(body), func(v *wire.StatusView) { shown[string(v.ID)] = true }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	grown := heapAfterGC() - before
+
+	renders, rendered := memoBytes(s)
+	if renders == 0 || renders > len(shown) {
+		t.Fatalf("the memo holds %d renders for %d distinct statuses shown", renders, len(shown))
+	}
+	s.pages.mu.Lock()
+	for p, e := range s.pages.meta {
+		if e.body != nil {
+			t.Errorf("meta slot %d holds %d bytes, and no meta page was asked for", p, len(e.body))
+		}
+	}
+	s.pages.mu.Unlock()
+	// What the memo holds — renders, a block header and a location each at
+	// most, vectors at most twice their length — and the set of ids shown,
+	// with room for the pooled buffers a collection has not yet freed.
+	held := int64(rendered + 2*renders*(24+8) + len(shown)*64 + 64<<10)
+	if grown > held {
+		t.Fatalf("%d timeline queries left %d B on the heap; the memo and the test hold at most %d", 10000, grown, held)
+	}
+	t.Logf("%d distinct statuses shown, %d rendered in %d B; the heap grew %d B", len(shown), renders, rendered, grown)
 }

@@ -258,9 +258,10 @@ func FuzzQueryGet(f *testing.F) {
 	})
 }
 
-// BenchmarkServePage is one GET through ServeHTTP, per endpoint: replayed
-// from the page cache (hit), rendered because a write came first (miss: every
-// kind invalidated before each request, no status render memoised anew), and
+// BenchmarkServePage is one GET through ServeHTTP, per endpoint: served warm
+// (hit: a meta page replayed from its slot, a timeline page joined from
+// memoised renders), served after a write came first (miss: every kind
+// invalidated before each request, no status render memoised anew), and
 // revalidated with the tag the client holds (304). overlap is the miss an
 // inbox delivery causes: the federated head page after one delivery, every
 // status on it but the newest already rendered. bench's

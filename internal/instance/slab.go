@@ -287,8 +287,7 @@ func (st *tootStore) appendFederated(ri uint32, max int) {
 
 // compact rewrites the rows and arena keeping only rows still referenced by
 // a timeline, remapping both index slices. Runs in one pass over the rows.
-// The render memo starts over, since it is indexed by row: pages cached
-// before keep the old renders alive until their generation dies.
+// The render memo starts over, since it is indexed by row.
 func (st *tootStore) compact() {
 	keep := make([]bool, len(st.rows))
 	for _, ri := range st.local {

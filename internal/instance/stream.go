@@ -15,7 +15,7 @@ import (
 // rendered). A page is its statuses' renders, joined (memo.go), and is
 // byte-identical to wire.AppendStatuses over the materialised page —
 // pinned by TestTimelineStreamByteIdentity against refTimelineBody — so
-// the page cache and the crawler's decoder agree on the bytes.
+// the memo and the crawler's decoder agree on the bytes.
 
 // statusTimeLayout is the created_at format of the wire Status shape.
 const statusTimeLayout = "2006-01-02T15:04:05.000Z"
@@ -23,10 +23,11 @@ const statusTimeLayout = "2006-01-02T15:04:05.000Z"
 // pageRows appends to dst the rows of one timeline page as the paged API
 // selects them: newest first from the first id below maxID (0: from the
 // newest), stopping at an id at or below sinceID or once limit rows are
-// taken (limit ≤ 0 means 20), private local authors skipped. A row that
-// known reports true for is taken without the privacy check; known may be
-// nil. Must be called with s.mu held.
-func (s *Server) pageRows(dst []uint32, kind Timeline, maxID, sinceID int64, limit int, known func(*tootRow) bool) []uint32 {
+// taken (limit ≤ 0 means 20), private local authors skipped. With
+// memoised, a row the render memo holds is taken without the privacy
+// check, since only public rows are rendered; the caller then holds the
+// memo's lock too. Must be called with s.mu held.
+func (s *Server) pageRows(dst []uint32, kind Timeline, maxID, sinceID int64, limit int, memoised bool) []uint32 {
 	if limit <= 0 {
 		limit = 20
 	}
@@ -43,7 +44,7 @@ func (s *Server) pageRows(dst []uint32, kind Timeline, maxID, sinceID int64, lim
 		if row.id <= sinceID {
 			break // ascending ids: everything below is older still
 		}
-		if row.flags&tootRemote == 0 && (known == nil || !known(row)) {
+		if row.flags&tootRemote == 0 && !(memoised && row.memoised()) {
 			if acct := s.accounts[s.store.actors[row.author].User]; acct != nil && acct.Private {
 				continue
 			}
