@@ -186,13 +186,21 @@ func run() int {
 	if !*scrapeFollowers {
 		return 0
 	}
-	authors := crawler.Authors(results)
+	authors, _ := crawler.Authors(results)
 	fs := &crawler.FollowerScraper{Client: cli, Workers: *workers}
 	start = time.Now()
 	res := fs.Scrape(ctx, authors)
-	_, names := crawler.AccountIndex(res.Edges)
+	// The accounts counted are the follows' ends: an author with no
+	// followers is in res.Accounts but not in the graph.
+	edges, inGraph := 0, make(map[int32]bool)
+	for i, followers := range res.Followers {
+		edges += len(followers)
+		for _, f := range followers {
+			inGraph[f], inGraph[int32(i)] = true, true
+		}
+	}
 	fmt.Printf("follower scrape (%v): %d edges over %d accounts (%d scrape errors)\n",
-		time.Since(start).Round(time.Millisecond), len(res.Edges), len(names), len(res.Errors))
+		time.Since(start).Round(time.Millisecond), edges, len(inGraph), len(res.Errors))
 	if ctx.Err() != nil {
 		return cutShort("follower scrape")
 	}

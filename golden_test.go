@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"flag"
 	"fmt"
+	"hash"
 	"os"
 	"regexp"
 	"runtime"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -27,14 +30,23 @@ var update = flag.Bool("update", false, "rewrite "+goldenReportFile+" with this 
 // kept as text in goldenReportFile. This test is where a slip in the
 // generator, the world file or an experiment shows up in seconds rather
 // than in the benchmark gate, and a report that moved shows the lines that
-// moved. A change that means to alter the world updates goldenWorld; one
-// that means to alter the report runs this test with -update and updates
-// bench/pipeline.go's goldenReport, which TestGoldenReportPinsBench holds
-// to the file's hash.
-const (
-	goldenWorld      = "2f7c2f300f6231e36473c4c6b87518fb9a3394e9ccdf87576a95b1dcadbe325a"
-	goldenReportFile = "testdata/golden_report.txt"
-)
+// moved. The world file is held one section at a time (worldSections), so
+// a world that moved names the section that moved. A change that means to
+// alter the world updates goldenWorld; one that means to alter the report
+// runs this test with -update and updates bench/pipeline.go's goldenReport,
+// which TestGoldenReportPinsBench holds to the file's hash.
+var goldenWorld = sectionSums{
+	"header":           "a068dc0f2375ba1a680cddd67582edb0148007bef2cc3acfb872451741f8ffc8",
+	"ASes":             "071fca1fc11b02759e369aa60de4c3ed249629e63ee04d4d62c4688690e27cf0",
+	"instances":        "770f787338bff0aa99d4d44d786908c4a84b2f6c9af79c49a3957122100cf4e5",
+	"users":            "8cccc7211d769f37dbdccfe85af2d6b0733f4a57613aeb2b72464923895b8858",
+	"social graph":     "0c0bfd99714628f684b15815a54432698291a49f2fe2db9835d7715305efe852",
+	"federation graph": "a14ae30782bedac3e4bb12c55adf9cca8875af3dd52e9356cdc54eaee205b172",
+	"traces":           "e8d1246d679b5eb5dbd4762a41aeec40bc14e86a68337783663bc2df15ba30d9",
+	"cert outages":     "5fb9513cc03a9bc0223762ebef7064a96ddd5f6d2338619112e7b2fabc993a61",
+}
+
+const goldenReportFile = "testdata/golden_report.txt"
 
 func TestGoldenWorldAndReport(t *testing.T) {
 	want, err := os.ReadFile(goldenReportFile)
@@ -49,10 +61,7 @@ func TestGoldenWorldAndReport(t *testing.T) {
 		if err := gen.Generate(cfg).Save(&file); err != nil {
 			t.Fatal(err)
 		}
-		sum := sha256.Sum256(file.Bytes())
-		if got := hex.EncodeToString(sum[:]); got != goldenWorld {
-			t.Errorf("shards=%d: world file hashes to %s, want %s", shards, got, goldenWorld)
-		}
+		goldenWorld.check(t, fmt.Sprintf("shards=%d: world file", shards), file.Bytes())
 
 		w, err := dataset.Load(&file)
 		if err != nil {
@@ -137,7 +146,16 @@ func TestGoldenReportPinsBench(t *testing.T) {
 // the commit before Assemble sorted ids instead of names, and does not move
 // with it. Which worker serves which request depends on the scheduler; the
 // bytes must not.
-const goldenRebuilt = "f3cd8bcafcedb6235a4e523c3508ee21c629ba403d2b38264c9d78839abfccbb"
+var goldenRebuilt = sectionSums{
+	"header":           "82c4aeb38fa3592187d68b45f6e36c7ab1fd1c6ac17ad7e3cb4523dad1384ec4",
+	"ASes":             "27c481628200c5ed2467af54a9a4128daede2cd8afe1acc2670a104645381067",
+	"instances":        "824a9c21390d0d9106e9b68df5884fbadd86287b93dc67e781f708c95e2cd500",
+	"users":            "d45f519c53b7595fe708f28adeda1ab271f57825bfd3df42fb18142bf693e0be",
+	"social graph":     "d2bb08f87950a62635d08e3ff85d4147cfa1d1f34d8b10901c5f4c0b70664cd0",
+	"federation graph": "96e85c8e66259fc6f2f22aee7d4bbc3f59752f24904b7ad4f43a5f16573bae43",
+	"traces":           "43db78a6d423cbe14c32661f7b707336fd901f036a4db93f518e5abe7625e0f7",
+	"cert outages":     "", // none: a rebuilt world records no certificate outages
+}
 
 func TestGoldenRebuiltWorld(t *testing.T) {
 	w := gen.Generate(gen.TinyConfig(1))
@@ -165,9 +183,82 @@ func TestGoldenRebuiltWorld(t *testing.T) {
 		if len(rebuilt.Users) == 0 || rebuilt.Social.NumEdges() == 0 {
 			t.Fatalf("GOMAXPROCS=%d: the campaign recovered %d users and %d follows", procs, len(rebuilt.Users), rebuilt.Social.NumEdges())
 		}
-		sum := sha256.Sum256(file.Bytes())
-		if got := hex.EncodeToString(sum[:]); got != goldenRebuilt {
-			t.Errorf("GOMAXPROCS=%d: rebuilt world hashes to %s, want %s", procs, got, goldenRebuilt)
+		goldenRebuilt.check(t, fmt.Sprintf("GOMAXPROCS=%d: rebuilt world", procs), file.Bytes())
+	}
+}
+
+// sectionSums is the SHA-256 of each part of a world file, by part name.
+type sectionSums map[string]string
+
+// worldSections splits a world file on its framing — the four magic bytes
+// and a uvarint version, then sections of [tag][uvarint length][payload] —
+// and hashes each part: the preamble and the closing section count belong
+// to the header, a graph's sections to the graph their first payload byte
+// names, and the trace head to the traces. The tags are dataset's
+// (columnar.go).
+func worldSections(file []byte) (sectionSums, error) {
+	names := map[byte]string{1: "header", 2: "ASes", 3: "instances", 4: "users", 7: "traces", 8: "traces", 9: "cert outages", 0xFF: "header"}
+	graphs := []string{"social graph", "federation graph"}
+	if len(file) < 5 {
+		return nil, fmt.Errorf("%d bytes: no preamble", len(file))
+	}
+	_, k := binary.Uvarint(file[4:])
+	if k <= 0 {
+		return nil, fmt.Errorf("no version after the magic")
+	}
+	hashes := map[string]hash.Hash{"header": sha256.New()}
+	hashes["header"].Write(file[:4+k])
+	for off := 4 + k; off < len(file); {
+		tag := file[off]
+		n, k := binary.Uvarint(file[off+1:])
+		end := off + 1 + k + int(n)
+		if k <= 0 || n > uint64(len(file)) || end > len(file) {
+			return nil, fmt.Errorf("section at byte %d is cut short", off)
+		}
+		name := names[tag]
+		if tag == 5 || tag == 6 { // a graph's head and rows: the graph id leads the payload
+			if n == 0 || int(file[off+1+k]) >= len(graphs) {
+				return nil, fmt.Errorf("graph section at byte %d names no graph", off)
+			}
+			name = graphs[file[off+1+k]]
+		}
+		if name == "" {
+			return nil, fmt.Errorf("unknown section tag %d at byte %d", tag, off)
+		}
+		if hashes[name] == nil {
+			hashes[name] = sha256.New()
+		}
+		hashes[name].Write(file[off:end])
+		off = end
+	}
+	sums := sectionSums{}
+	for name, h := range hashes {
+		sums[name] = hex.EncodeToString(h.Sum(nil))
+	}
+	return sums, nil
+}
+
+// check holds file's sections to want, naming every section that moved,
+// appeared or went missing.
+func (want sectionSums) check(t *testing.T, what string, file []byte) {
+	t.Helper()
+	got, err := worldSections(file)
+	if err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+	names := make([]string, 0, len(want)+len(got))
+	for name := range want {
+		names = append(names, name)
+	}
+	for name := range got {
+		if _, ok := want[name]; !ok {
+			names = append(names, name)
+		}
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		if got[name] != want[name] {
+			t.Errorf("%s: section %q hashes to %q, want %q", what, name, got[name], want[name])
 		}
 	}
 }

@@ -4,10 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync/atomic"
 	"testing"
@@ -397,16 +399,40 @@ func TestFollowerPageParsing(t *testing.T) {
 	}
 }
 
-func TestAccountIndex(t *testing.T) {
-	idx, names := AccountIndex([]Edge{
-		{From: "b@y", To: "a@x"},
-		{From: "c@z", To: "a@x"},
-	})
-	if len(names) != 3 {
-		t.Fatalf("names = %v", names)
-	}
-	// Sorted order: a@x, b@y, c@z.
-	if idx["a@x"] != 0 || idx["b@y"] != 1 || idx["c@z"] != 2 {
-		t.Fatalf("idx = %v", idx)
+// TestInternerMatchesMap holds the scrape's interner to a map from name to
+// id: the known names keep their positions (a name known twice answers with
+// its first), and each new name gets the next id in the order asked, through
+// enough names that the table grows several times.
+func TestInternerMatchesMap(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	name := func() string { return fmt.Sprintf("u%d@d%d", rng.IntN(300), rng.IntN(4)) }
+	for _, n := range []int{0, 1, 5, 100} {
+		known := make([]string, n)
+		for i := range known {
+			known[i] = name()
+		}
+		ref := map[string]int32{}
+		for i, k := range known {
+			if _, dup := ref[k]; !dup {
+				ref[k] = int32(i)
+			}
+		}
+		in := newInterner(known)
+		want := slices.Clone(known)
+		for range 3000 {
+			s := name()
+			id, ok := ref[s]
+			if !ok {
+				id = int32(len(want))
+				ref[s] = id
+				want = append(want, s)
+			}
+			if got := in.id([]byte(s)); got != id {
+				t.Fatalf("%d known: %q got id %d, want %d", n, s, got, id)
+			}
+		}
+		if got := in.accounts(); !slices.Equal(got, want) {
+			t.Fatalf("%d known: accounts %q, want %q", n, got, want)
+		}
 	}
 }

@@ -30,29 +30,36 @@ func FuzzFollowerPage(f *testing.F) {
 	f.Add([]byte("<html>no followers here</html>"))
 	f.Add([]byte{0xff, 0xfe, 0x00})
 	f.Fuzz(func(t *testing.T, body []byte) {
-		const acct = "alice@a.test"
-		edges, hasNext := ParseFollowerPage(acct, body)
-		for _, e := range edges {
-			if e.To != acct {
-				t.Fatalf("edge target %q != %q", e.To, acct)
-			}
-			if _, _, ok := SplitAcct(e.From); !ok {
-				t.Fatalf("malformed follower acct %q", e.From)
+		followers, hasNext := parseFollowerPage(body)
+		for _, f := range followers {
+			if _, _, ok := SplitAcct(f); !ok {
+				t.Fatalf("malformed follower acct %q", f)
 			}
 		}
 		// Parsing is pure: a second pass sees exactly the same page.
-		edges2, hasNext2 := ParseFollowerPage(acct, body)
-		if hasNext != hasNext2 || !reflect.DeepEqual(edges, edges2) {
+		followers2, hasNext2 := parseFollowerPage(body)
+		if hasNext != hasNext2 || !reflect.DeepEqual(followers, followers2) {
 			t.Fatal("parser is not deterministic")
 		}
 	})
+}
+
+// parseFollowerPage reads one follower page the way a scrape does and
+// returns the follower names it collected.
+func parseFollowerPage(body []byte) (followers []string, hasNext bool) {
+	var a nameList
+	hasNext = a.appendPage(body)
+	for k := range a.ends {
+		followers = append(followers, string(a.name(k)))
+	}
+	return followers, hasNext
 }
 
 var safeName = regexp.MustCompile(`^[a-zA-Z0-9.-]{1,40}$`)
 
 // FuzzFollowerPageRoundTrip drives fuzzed follower populations through the
 // real renderer (instance.Server's HTML follower pages) and back through
-// the real parser, asserting the scraped edges reproduce the follower list
+// the real parser, asserting the scraped names reproduce the follower list
 // exactly — the §3 graph-crawl loop in one invariant.
 func FuzzFollowerPageRoundTrip(f *testing.F) {
 	f.Add("alice", "remote", uint8(3))
@@ -66,8 +73,7 @@ func FuzzFollowerPageRoundTrip(f *testing.F) {
 		if _, err := srv.CreateAccount(user, false, true, time.Time{}); err != nil {
 			t.Skip("unusable account name")
 		}
-		want := make([]Edge, 0, int(n))
-		acct := user + "@home.test"
+		want := make([]string, 0, int(n))
 		for i := 0; i < int(n); i++ {
 			follower := federation.Actor{User: fmt.Sprintf("f%d", i), Domain: fmt.Sprintf("%s%d.test", domain, i)}
 			err := srv.Receive(context.Background(), &federation.Activity{
@@ -78,9 +84,9 @@ func FuzzFollowerPageRoundTrip(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want = append(want, Edge{From: follower.String(), To: acct})
+			want = append(want, follower.String())
 		}
-		var got []Edge
+		var got []string
 		for page := 1; ; page++ {
 			req := httptest.NewRequest("GET", fmt.Sprintf("/users/%s/followers?page=%d", user, page), nil)
 			req.Host = "home.test"
@@ -89,8 +95,8 @@ func FuzzFollowerPageRoundTrip(f *testing.F) {
 			if rec.Code != 200 {
 				t.Fatalf("page %d: status %d", page, rec.Code)
 			}
-			edges, hasNext := ParseFollowerPage(acct, rec.Body.Bytes())
-			got = append(got, edges...)
+			followers, hasNext := parseFollowerPage(rec.Body.Bytes())
+			got = append(got, followers...)
 			if !hasNext {
 				break
 			}
@@ -99,7 +105,7 @@ func FuzzFollowerPageRoundTrip(f *testing.F) {
 			want = nil
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("round trip lost edges: got %d, want %d", len(got), len(want))
+			t.Fatalf("round trip lost followers: got %d, want %d", len(got), len(want))
 		}
 	})
 }
@@ -184,15 +190,15 @@ var (
 )
 
 // refParseFollowerPage is the original regex-based parser.
-func refParseFollowerPage(acct string, body []byte) (edges []Edge, hasNext bool) {
+func refParseFollowerPage(body []byte) (followers []string, hasNext bool) {
 	for _, m := range followerLink.FindAllSubmatch(body, -1) {
-		edges = append(edges, Edge{From: string(m[2]) + "@" + string(m[1]), To: acct})
+		followers = append(followers, string(m[2])+"@"+string(m[1]))
 	}
-	return edges, nextLink.Find(body) != nil
+	return followers, nextLink.Find(body) != nil
 }
 
 // FuzzFollowerPageScan holds the wire follower-page scanner against the
-// original regexes on arbitrary bytes: same edges in the same order, same
+// original regexes on arbitrary bytes: same followers in the same order, same
 // next-page verdict.
 func FuzzFollowerPageScan(f *testing.F) {
 	f.Add([]byte(`<html><body><ul>
@@ -204,14 +210,13 @@ func FuzzFollowerPageScan(f *testing.F) {
 	f.Add([]byte(`<a rel="next" href="?page=12x"`))
 	f.Add([]byte{0xff, 0xfe, 0x00})
 	f.Fuzz(func(t *testing.T, body []byte) {
-		const acct = "alice@a.test"
-		got, gotNext := ParseFollowerPage(acct, body)
-		want, wantNext := refParseFollowerPage(acct, body)
+		got, gotNext := parseFollowerPage(body)
+		want, wantNext := refParseFollowerPage(body)
 		if gotNext != wantNext {
 			t.Fatalf("hasNext: scanner %v, regex %v", gotNext, wantNext)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("edges diverge:\n scanner %v\n regex   %v", got, want)
+			t.Fatalf("followers diverge:\n scanner %v\n regex   %v", got, want)
 		}
 	})
 }

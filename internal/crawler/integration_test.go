@@ -211,8 +211,8 @@ func TestFollowerScrapeAgainstLiveWorld(t *testing.T) {
 		t.Fatalf("scrape errors: %v", res.Errors)
 	}
 	got := make(map[string]int)
-	for _, e := range res.Edges {
-		got[e.To]++
+	for i, fs := range res.Followers {
+		got[res.Accounts[i]] = len(fs)
 	}
 	for acct, want := range wantFollowers {
 		if got[acct] != want {

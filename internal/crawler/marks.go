@@ -18,7 +18,7 @@ import (
 func Marks(crawls []InstanceCrawl) map[string]int64 {
 	marks := make(map[string]int64, len(crawls))
 	for i := range crawls {
-		if c := &crawls[i]; !c.Blocked && !c.Offline && c.Err == nil {
+		if c := &crawls[i]; c.Complete() {
 			marks[c.Domain] = c.MaxID
 		}
 	}

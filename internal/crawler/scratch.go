@@ -6,8 +6,8 @@ import (
 )
 
 // A scratch accumulates a result whose length is unknown until it is
-// complete — a timeline's toots, an account's followers — without growing a
-// slice all the way there, which allocates the result several times over.
+// complete — a timeline's toots — without growing a slice all the way
+// there, which allocates the result several times over.
 // Records are appended to a pooled chunk of fixed capacity; a chunk that
 // fills up is copied aside at its exact size; result copies everything out
 // once. A result that fits the chunk, as nearly all do, is allocated once,
@@ -20,8 +20,8 @@ type scratch[T any] struct {
 }
 
 // scratchChunk is the capacity of a pooled chunk, in records: 0.75 MiB of
-// toots, 0.25 MiB of edges — bodyPool's order of bound on what a worker
-// keeps between fetches.
+// toots — bodyPool's order of bound on what a worker keeps between
+// fetches.
 const scratchChunk = 8192
 
 // scratchPool recycles the scratches of one record type.

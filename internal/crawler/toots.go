@@ -310,20 +310,33 @@ func Summarize(results []InstanceCrawl) CrawlSummary {
 // Authors returns the distinct toot authors seen in a crawl, as
 // user@domain strings in first-seen order — the user population whose
 // follower lists the graph crawl scrapes (§3: "the 239K users we
-// encountered who have tooted at least once").
-func Authors(results []InstanceCrawl) []string {
-	seen := make(map[string]struct{})
-	var out []string
-	for _, r := range results {
+// encountered who have tooted at least once") — and, aligned with them,
+// how many of each author's toots complete harvests hold.
+func Authors(results []InstanceCrawl) (authors []string, toots []int) {
+	id := make(map[string]int)
+	for i := range results {
+		r := &results[i]
 		for _, t := range r.Toots {
-			if _, ok := seen[t.Acct]; ok {
-				continue
+			k, ok := id[t.Acct]
+			if !ok {
+				k = len(authors)
+				id[t.Acct] = k
+				authors = append(authors, t.Acct)
+				toots = append(toots, 0)
 			}
-			seen[t.Acct] = struct{}{}
-			out = append(out, t.Acct)
+			if r.Complete() {
+				toots[k]++
+			}
 		}
 	}
-	return out
+	return authors, toots
+}
+
+// Complete reports whether c harvested the whole timeline: the instance
+// was reachable, did not refuse crawling, and no page failed. Only a
+// complete harvest's toots are counted, and only it leaves a mark.
+func (c *InstanceCrawl) Complete() bool {
+	return !c.Blocked && !c.Offline && c.Err == nil
 }
 
 // SplitAcct splits user@domain; it returns ok=false for malformed accts.

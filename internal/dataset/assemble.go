@@ -2,7 +2,6 @@ package dataset
 
 import (
 	"slices"
-	"sort"
 	"strings"
 
 	"repro/internal/graph"
@@ -16,26 +15,22 @@ import (
 // harness; the incremental-recrawl merge (merge.go) needs the same
 // construction, so it moved down to the dataset layer.
 
-// FollowEdge is one observed follower relationship: From follows To (both
-// user@domain strings). The crawler's scrape edges are exactly this shape.
-type FollowEdge struct {
-	From string
-	To   string
-}
-
 // WorldParts is the normalised input of Assemble: instance records in probe
-// order, every observed account, per-account public toot counts, follower
-// edges, and the availability traces of the observation window.
+// order, the observed accounts with their public toot counts and follower
+// lists, and the availability traces of the observation window. An
+// account's id is its index in Accounts; Toots and Followers are indexed by
+// it and may stop short of Accounts' end (the accounts past it have no
+// toots, or no followers).
 type WorldParts struct {
 	Instances []Instance
-	Accounts  map[string]struct{} // every observed user@domain
-	TootsOf   map[string]int      // public toots per account
-	Edges     []FollowEdge        // follower → followee
+	Accounts  []string  // user@domain; a name listed twice is one account
+	Toots     []int     // public toots per account
+	Followers [][]int32 // each account's followers, as ids, duplicates kept
 	Traces    *sim.TraceSet
 	Days      int
 	// Provenance, when non-nil, records how each instance's harvest ended,
 	// aligned with Instances. A CrawlPartial entry carries the fault that
-	// cut the harvest short; its salvaged toots are excluded from TootsOf
+	// cut the harvest short; its salvaged toots are excluded from Toots
 	// by the caller (a partial harvest is not trustworthy data).
 	Provenance []CrawlProvenance
 }
@@ -60,56 +55,93 @@ func SplitAcct(acct string) (user, domain string, ok bool) {
 	return acct[:i], acct[i+1:], true
 }
 
-// Assemble builds the world one canonical way: dense user ids in sorted
-// account order, the social graph with each user's follows in ascending id
-// order (duplicates kept), and the federation graph induced from it.
-// Accounts whose domain is not an instance are dropped, as are edges
-// touching them. It returns the world plus the account name of every user
+// Assemble builds the world one canonical way: a user for every account
+// that has a toot or takes part in a follow and lives on one of the
+// instances, dense user ids in sorted account order, the social graph with
+// each user's follows in ascending id order (duplicates kept), and the
+// federation graph induced from it. A malformed account or one on an
+// unknown domain is dropped with its follows, but still lets the other end
+// of a follow in. It returns the world plus the account name of every user
 // id.
 func Assemble(p WorldParts) (*World, []string) {
 	instIdx := make(map[string]int32, len(p.Instances))
 	for i := range p.Instances {
 		instIdx[p.Instances[i].Domain] = int32(i)
 	}
-	names := make([]string, 0, len(p.Accounts))
-	for acct := range p.Accounts {
-		if _, domain, ok := SplitAcct(acct); ok {
+	userOf := make([]int32, len(p.Accounts)) // 1 once the account takes part, then its user id or -1
+	for a, n := range p.Toots {
+		if n > 0 {
+			userOf[a] = 1
+		}
+	}
+	for a, fs := range p.Followers {
+		if len(fs) > 0 {
+			userOf[a] = 1
+		}
+		for _, f := range fs {
+			userOf[f] = 1
+		}
+	}
+	keep := make([]int32, 0, len(p.Accounts))
+	for a, in := range userOf {
+		userOf[a] = -1
+		if in == 0 {
+			continue
+		}
+		if _, domain, ok := SplitAcct(p.Accounts[a]); ok {
 			if _, known := instIdx[domain]; known {
-				names = append(names, acct)
+				keep = append(keep, int32(a))
 			}
 		}
 	}
-	sort.Strings(names)
-	idx := make(map[string]int32, len(names))
-	users := make([]User, len(names))
-	for i, acct := range names {
-		idx[acct] = int32(i)
-		_, domain, _ := SplitAcct(acct)
-		users[i] = User{
-			ID:       int32(i),
-			Instance: instIdx[domain],
-			Toots:    p.TootsOf[acct],
+	slices.SortFunc(keep, func(a, b int32) int { return strings.Compare(p.Accounts[a], p.Accounts[b]) })
+	names := make([]string, 0, len(keep))
+	users := make([]User, 0, len(keep))
+	for _, a := range keep {
+		if name := p.Accounts[a]; len(names) == 0 || names[len(names)-1] != name {
+			_, domain, _ := SplitAcct(name)
+			names = append(names, name)
+			users = append(users, User{ID: int32(len(users)), Instance: instIdx[domain]})
+		}
+		u := int32(len(users) - 1)
+		userOf[a] = u
+		if int(a) < len(p.Toots) {
+			users[u].Toots += p.Toots[a]
 		}
 	}
 
-	// Ids were handed out in sort.Strings order, so (From, To) byte order
-	// is (from, to) id order: resolving first and sorting each row's ids
-	// yields the rows a sort of the string pairs would, duplicates and
-	// dropped edges included. A scrape lists one account's followers
-	// together, so To is looked up once per run of equal values.
-	rows := make([][]int32, len(users))
-	var to int32
-	var okT bool
-	for i := range p.Edges {
-		e := &p.Edges[i]
-		if i == 0 || e.To != p.Edges[i-1].To {
-			to, okT = idx[e.To]
-		}
-		if !okT {
+	// A follow goes from the follower's row to the followee. The rows share
+	// one array, sized by a first pass; sorting each row's ids yields the
+	// rows a sort of the (follower, followee) name pairs would, since ids
+	// are in name order.
+	off := make([]int, len(users)+1)
+	for a, fs := range p.Followers {
+		if userOf[a] < 0 {
 			continue
 		}
-		if from, okF := idx[e.From]; okF {
-			rows[from] = append(rows[from], to)
+		for _, f := range fs {
+			if from := userOf[f]; from >= 0 {
+				off[from+1]++
+			}
+		}
+	}
+	for u := range users {
+		off[u+1] += off[u]
+	}
+	all := make([]int32, off[len(users)])
+	rows := make([][]int32, len(users))
+	for u := range rows {
+		rows[u] = all[off[u]:off[u]:off[u+1]]
+	}
+	for a, fs := range p.Followers {
+		to := userOf[a]
+		if to < 0 {
+			continue
+		}
+		for _, f := range fs {
+			if from := userOf[f]; from >= 0 {
+				rows[from] = append(rows[from], to)
+			}
 		}
 	}
 	for _, row := range rows {

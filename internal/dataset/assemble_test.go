@@ -3,6 +3,7 @@ package dataset_test
 import (
 	"bytes"
 	"fmt"
+	"maps"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -15,12 +16,26 @@ import (
 	"repro/internal/sim"
 )
 
-// refAssemble is Assemble as it was before edges were resolved to ids ahead
-// of the sort: copy the edges, sort them globally as (From, To) string
-// pairs, insert them in that order, drop the ones with an unknown endpoint.
-// It is the specification TestAssembleMatchesReference and FuzzAssemble
-// hold Assemble against.
-func refAssemble(p dataset.WorldParts) (*dataset.World, []string) {
+// edgeParts are the observations of WorldParts in the form Assemble took
+// before it worked on ids: every observed account in a set, toot counts by
+// name, and one follower → followee pair of names per follow.
+type edgeParts struct {
+	Instances  []dataset.Instance
+	Accounts   map[string]struct{}
+	TootsOf    map[string]int
+	Edges      []followEdge
+	Traces     *sim.TraceSet
+	Days       int
+	Provenance []dataset.CrawlProvenance
+}
+
+type followEdge struct{ From, To string }
+
+// refAssemble is the string-edge Assemble: sort the accounts by name, sort
+// the follows globally as (From, To) name pairs, insert them in that order,
+// drop the ones with an endpoint on no instance. It is the specification
+// TestAssembleMatchesReference and FuzzAssemble hold Assemble against.
+func refAssemble(p edgeParts) (*dataset.World, []string) {
 	instIdx := make(map[string]int32, len(p.Instances))
 	for i := range p.Instances {
 		instIdx[p.Instances[i].Domain] = int32(i)
@@ -42,7 +57,7 @@ func refAssemble(p dataset.WorldParts) (*dataset.World, []string) {
 		users[i] = dataset.User{ID: int32(i), Instance: instIdx[domain], Toots: p.TootsOf[acct]}
 	}
 
-	edges := append([]dataset.FollowEdge(nil), p.Edges...)
+	edges := append([]followEdge(nil), p.Edges...)
 	sort.Slice(edges, func(i, j int) bool {
 		if edges[i].From != edges[j].From {
 			return edges[i].From < edges[j].From
@@ -73,19 +88,51 @@ func refAssemble(p dataset.WorldParts) (*dataset.World, []string) {
 	}, names
 }
 
+// byName is what Rebuild, ExpectedWorld and Merge handed the string-edge
+// Assemble for the observations p holds: the accounts with a counted toot
+// or a follow either way, their toots by name, and a pair per follow.
+func byName(p dataset.WorldParts) edgeParts {
+	e := edgeParts{
+		Instances: p.Instances, Accounts: map[string]struct{}{}, TootsOf: map[string]int{},
+		Traces: p.Traces, Days: p.Days, Provenance: p.Provenance,
+	}
+	for a, n := range p.Toots {
+		if n > 0 {
+			e.Accounts[p.Accounts[a]] = struct{}{}
+			e.TootsOf[p.Accounts[a]] += n
+		}
+	}
+	for a, fs := range p.Followers {
+		for _, f := range fs {
+			e.Accounts[p.Accounts[f]] = struct{}{}
+			e.Accounts[p.Accounts[a]] = struct{}{}
+			e.Edges = append(e.Edges, followEdge{From: p.Accounts[f], To: p.Accounts[a]})
+		}
+	}
+	return e
+}
+
 // sameAssembly holds Assemble to refAssemble on one input: the same names
-// and the same world file, byte for byte. Both get their own copy of the
-// edge list, and Assemble's must come back untouched.
+// and the same world file, byte for byte. Assemble must leave its caller's
+// follower lists as they were.
 func sameAssembly(t testing.TB, p dataset.WorldParts) {
 	t.Helper()
-	edges := append([]dataset.FollowEdge(nil), p.Edges...)
-	want, wantNames := refAssemble(p)
-	got, gotNames := dataset.Assemble(p)
-	if !reflect.DeepEqual(p.Edges, edges) {
-		t.Fatal("Assemble reordered or rewrote its caller's edges")
+	followers := slices.Clone(p.Followers)
+	for a, fs := range followers {
+		followers[a] = slices.Clone(fs)
 	}
-	if !reflect.DeepEqual(gotNames, wantNames) {
-		t.Fatalf("names differ:\n got %q\nwant %q", gotNames, wantNames)
+	want, wantNames := refAssemble(byName(p))
+	got, gotNames := dataset.Assemble(p)
+	if !reflect.DeepEqual(p.Followers, followers) {
+		t.Fatal("Assemble reordered or rewrote its caller's follower lists")
+	}
+	if !slices.Equal(gotNames, wantNames) {
+		k := 0
+		for k < len(gotNames) && k < len(wantNames) && gotNames[k] == wantNames[k] {
+			k++
+		}
+		t.Fatalf("names differ from user %d on: got %q, want %q (%d users, want %d)",
+			k, gotNames[k:min(k+3, len(gotNames))], wantNames[k:min(k+3, len(wantNames))], len(gotNames), len(wantNames))
 	}
 	var g, w bytes.Buffer
 	if err := want.Save(&w); err != nil {
@@ -96,12 +143,12 @@ func sameAssembly(t testing.TB, p dataset.WorldParts) {
 	}
 	if !bytes.Equal(g.Bytes(), w.Bytes()) {
 		for u := int32(0); int(u) < len(wantNames); u++ {
-			if !reflect.DeepEqual(got.Social.Out(u), want.Social.Out(u)) {
-				t.Fatalf("world files differ; first at %s: follows %v, want %v",
-					wantNames[u], got.Social.Out(u), want.Social.Out(u))
+			if !reflect.DeepEqual(got.Social.Out(u), want.Social.Out(u)) || got.Users[u] != want.Users[u] {
+				t.Fatalf("world files differ; first at %s: %+v follows %v, want %+v follows %v",
+					wantNames[u], got.Users[u], got.Social.Out(u), want.Users[u], want.Social.Out(u))
 			}
 		}
-		t.Fatalf("world files differ (%d vs %d bytes) with equal follow rows", g.Len(), w.Len())
+		t.Fatalf("world files differ (%d vs %d bytes) with equal users and follow rows", g.Len(), w.Len())
 	}
 }
 
@@ -113,38 +160,79 @@ func flatTraces(n, slots int) *sim.TraceSet {
 	return ts
 }
 
-// campaignParts derives from a generated world what a campaign over it
-// would hand to Assemble: every public author with a toot, their followers,
-// and one follower → author edge per follow, an author's followers listed
-// together the way a scrape lists them. With shuffle set the edges arrive
-// in random order instead, and some are doubled.
-func campaignParts(w *dataset.World, shuffle bool, seed int64) dataset.WorldParts {
-	acct := func(u int32) string {
-		return fmt.Sprintf("u%d@%s", u, w.Instances[w.Users[u].Instance].Domain)
+// observed writes follower → followee pairs and toot counts in WorldParts'
+// id form: the accounts in first-seen order (the pairs', then the counted
+// ones'), and each followee's followers in the order given.
+func observed(p dataset.WorldParts, tootsOf map[string]int, pairs ...[2]string) dataset.WorldParts {
+	id := map[string]int32{}
+	of := func(acct string) int32 {
+		k, ok := id[acct]
+		if !ok {
+			k = int32(len(p.Accounts))
+			id[acct] = k
+			p.Accounts = append(p.Accounts, acct)
+			p.Toots = append(p.Toots, 0)
+			p.Followers = append(p.Followers, nil)
+		}
+		return k
 	}
+	for _, e := range pairs {
+		from, to := of(e[0]), of(e[1])
+		p.Followers[to] = append(p.Followers[to], from)
+	}
+	accts := slices.Sorted(maps.Keys(tootsOf))
+	for _, acct := range accts {
+		p.Toots[of(acct)] = tootsOf[acct]
+	}
+	return p
+}
+
+// campaignParts derives from a generated world what a campaign over it
+// hands to Assemble: every public user as a scraped author with its toots
+// (none for some) and followers (none for some), the followers listed in
+// scrape order. With shuffle set the account ids are permuted, each
+// follower list shuffled, and some follows doubled.
+func campaignParts(w *dataset.World, shuffle bool, seed int64) dataset.WorldParts {
 	p := dataset.WorldParts{
 		Instances: append([]dataset.Instance(nil), w.Instances...),
-		Accounts:  map[string]struct{}{},
-		TootsOf:   map[string]int{},
 		Traces:    flatTraces(len(w.Instances), 4),
 	}
+	id := make([]int32, len(w.Users)) // account id + 1
+	of := func(u int32) int32 {
+		if id[u] == 0 {
+			p.Accounts = append(p.Accounts, fmt.Sprintf("u%d@%s", u, w.Instances[w.Users[u].Instance].Domain))
+			p.Toots = append(p.Toots, 0)
+			p.Followers = append(p.Followers, nil)
+			id[u] = int32(len(p.Accounts))
+		}
+		return id[u] - 1
+	}
 	for u := range w.Users {
-		if w.Users[u].Private || w.Users[u].Toots == 0 {
+		if w.Users[u].Private {
 			continue
 		}
-		a := acct(int32(u))
-		p.Accounts[a] = struct{}{}
-		p.TootsOf[a] = w.Users[u].Toots
+		a := of(int32(u))
+		p.Toots[a] = w.Users[u].Toots
 		for _, v := range w.Social.In(int32(u)) {
-			f := acct(v)
-			p.Accounts[f] = struct{}{}
-			p.Edges = append(p.Edges, dataset.FollowEdge{From: f, To: a})
+			p.Followers[a] = append(p.Followers[a], of(v))
 		}
 	}
 	if shuffle {
 		rng := rand.New(rand.NewSource(seed))
-		p.Edges = append(p.Edges, p.Edges[:len(p.Edges)/10]...)
-		rng.Shuffle(len(p.Edges), func(i, j int) { p.Edges[i], p.Edges[j] = p.Edges[j], p.Edges[i] })
+		perm := rng.Perm(len(p.Accounts))
+		accounts, toots, followers := make([]string, len(perm)), make([]int, len(perm)), make([][]int32, len(perm))
+		for a, to := range perm {
+			accounts[to], toots[to] = p.Accounts[a], p.Toots[a]
+			for _, f := range p.Followers[a] {
+				followers[to] = append(followers[to], int32(perm[f]))
+			}
+			fs := followers[to]
+			followers[to] = append(fs, fs[:len(fs)/10]...)
+			rng.Shuffle(len(followers[to]), func(i, j int) {
+				followers[to][i], followers[to][j] = followers[to][j], followers[to][i]
+			})
+		}
+		p.Accounts, p.Toots, p.Followers = accounts, toots, followers
 	}
 	return p
 }
@@ -154,86 +242,59 @@ func TestAssembleMatchesReference(t *testing.T) {
 		{ID: 0, Domain: "x", GoneDay: -1},
 		{ID: 1, Domain: "y.example", GoneDay: -1},
 	}
-	accounts := func(names ...string) map[string]struct{} {
-		m := map[string]struct{}{}
-		for _, n := range names {
-			m[n] = struct{}{}
-		}
-		return m
+	parts := func(instances []dataset.Instance, slots int) dataset.WorldParts {
+		return dataset.WorldParts{Instances: instances, Traces: flatTraces(len(instances), slots)}
 	}
-	edge := func(from, to string) dataset.FollowEdge { return dataset.FollowEdge{From: from, To: to} }
+	edge := func(from, to string) [2]string { return [2]string{from, to} }
 	// Names whose byte order is none of the "natural" ones: '-' sorts
 	// before letters, upper case before lower, 'ä' (two bytes ≥ 0x80) after
 	// every ASCII name, a name before its own extensions, '@' (0x40)
 	// between digits and letters.
 	odd := []string{"a@x", "a-b@x", "A@x", "ä@x", "a@y.example", "ab@x", "a0@x", "aa@x", "Z@x"}
-	var oddAll []dataset.FollowEdge
+	var oddAll [][2]string
 	for _, f := range odd {
 		for _, to := range odd {
 			oddAll = append(oddAll, edge(f, to))
 		}
 	}
 	long := "averyveryveryveryveryverylongsharedprefix"
+	withProvenance := observed(parts(two, 2), nil, edge("b@y.example", "a@x"))
+	withProvenance.Days = 3
+	withProvenance.Provenance = []dataset.CrawlProvenance{
+		{Outcome: dataset.CrawlFull}, {Outcome: dataset.CrawlPartial, Fault: "torn page"},
+	}
 	cases := []struct {
 		name string
 		p    dataset.WorldParts
 	}{
-		{"empty", dataset.WorldParts{Traces: flatTraces(0, 1)}},
-		{"no edges", dataset.WorldParts{
-			Instances: two, Accounts: accounts("a@x", "b@x"), TootsOf: map[string]int{"a@x": 2},
-			Traces: flatTraces(2, 3),
-		}},
-		{"duplicate and self edges", dataset.WorldParts{
-			Instances: two, Accounts: accounts("a@x", "b@x", "c@y.example"),
-			Edges: []dataset.FollowEdge{
-				edge("b@x", "a@x"), edge("a@x", "a@x"), edge("b@x", "a@x"), edge("c@y.example", "a@x"),
-				edge("a@x", "b@x"), edge("b@x", "b@x"), edge("b@x", "a@x"), edge("a@x", "a@x"),
-			},
-			Traces: flatTraces(2, 3),
-		}},
-		{"unknown endpoints and domains", dataset.WorldParts{
-			Instances: two,
-			// d@z is on no instance, "nodomain" and "@x" are malformed:
-			// all three are dropped from the users, and their edges with them.
-			Accounts: accounts("a@x", "b@x", "d@z", "nodomain", "@x", "e@"),
-			Edges: []dataset.FollowEdge{
-				edge("ghost@x", "a@x"), edge("a@x", "ghost@x"), edge("d@z", "a@x"), edge("a@x", "d@z"),
-				edge("nodomain", "a@x"), edge("b@x", "a@x"), edge("ghost@x", "ghost@x"), edge("a@x", "b@x"),
-				edge("", ""), edge("b@x", ""), edge("", "b@x"),
-			},
-			Traces: flatTraces(2, 3),
-		}},
-		{"byte order is not natural order", dataset.WorldParts{
-			Instances: two, Accounts: accounts(odd...), Edges: oddAll, Traces: flatTraces(2, 2),
-		}},
-		{"byte order, reversed arrival", dataset.WorldParts{
-			Instances: two, Accounts: accounts(odd...), Edges: reversed(oddAll), Traces: flatTraces(2, 2),
-		}},
-		{"shared long prefix", dataset.WorldParts{
-			Instances: two,
-			Accounts:  accounts(long+"@x", long+"a@x", long+"b@x", long+"@y.example", long[:len(long)-1]+"@x"),
-			Edges: []dataset.FollowEdge{
-				edge(long+"b@x", long+"@x"), edge(long+"a@x", long+"@x"), edge(long+"@y.example", long+"@x"),
-				edge(long+"@x", long+"b@x"), edge(long+"@x", long+"a@x"), edge(long[:len(long)-1]+"@x", long+"a@x"),
-				edge(long+"@x", long[:len(long)-1]+"@x"),
-			},
-			Traces: flatTraces(2, 2),
-		}},
-		{"to repeats in runs, then returns", dataset.WorldParts{
-			Instances: two, Accounts: accounts("a@x", "b@x", "c@x"),
-			Edges: []dataset.FollowEdge{
-				edge("b@x", "a@x"), edge("c@x", "a@x"), edge("a@x", "ghost@x"), edge("b@x", "ghost@x"),
-				edge("a@x", "c@x"), edge("b@x", "a@x"), edge("c@x", "ghost@x"), edge("c@x", "c@x"),
-			},
-			Traces: flatTraces(2, 2),
-		}},
-		{"provenance set", dataset.WorldParts{
-			Instances: two, Accounts: accounts("a@x", "b@y.example"), Edges: []dataset.FollowEdge{edge("b@y.example", "a@x")},
-			Traces: flatTraces(2, 2), Days: 3,
-			Provenance: []dataset.CrawlProvenance{
-				{Outcome: dataset.CrawlFull}, {Outcome: dataset.CrawlPartial, Fault: "torn page"},
-			},
-		}},
+		{"empty", parts(nil, 1)},
+		// b@x and c@y.example have neither a toot nor a follow: no users.
+		{"no edges", observed(parts(two, 3), map[string]int{"a@x": 2, "b@x": 0, "c@y.example": 0})},
+		{"duplicate and self edges", observed(parts(two, 3), nil,
+			edge("b@x", "a@x"), edge("a@x", "a@x"), edge("b@x", "a@x"), edge("c@y.example", "a@x"),
+			edge("a@x", "b@x"), edge("b@x", "b@x"), edge("b@x", "a@x"), edge("a@x", "a@x"),
+		)},
+		// d@z is on no instance, "nodomain", "@x", "e@" and "" are
+		// malformed: all are dropped from the users, and their follows with
+		// them, but the accounts at the other end stay. f@x only has a
+		// toot, g@x nothing.
+		{"unknown endpoints and domains", observed(parts(two, 3), map[string]int{"f@x": 1, "g@x": 0, "d@z": 3, "@x": 1},
+			edge("ghost@x", "a@x"), edge("a@x", "ghost@x"), edge("d@z", "a@x"), edge("a@x", "d@z"),
+			edge("nodomain", "a@x"), edge("b@x", "a@x"), edge("ghost@x", "ghost@x"), edge("a@x", "b@x"),
+			edge("", ""), edge("b@x", ""), edge("", "b@x"), edge("e@", "h@x"), edge("i@x", "@x"),
+		)},
+		{"byte order is not natural order", observed(parts(two, 2), nil, oddAll...)},
+		{"byte order, reversed arrival", observed(parts(two, 2), nil, reversed(oddAll)...)},
+		{"shared long prefix", observed(parts(two, 2), nil,
+			edge(long+"b@x", long+"@x"), edge(long+"a@x", long+"@x"), edge(long+"@y.example", long+"@x"),
+			edge(long+"@x", long+"b@x"), edge(long+"@x", long+"a@x"), edge(long[:len(long)-1]+"@x", long+"a@x"),
+			edge(long+"@x", long[:len(long)-1]+"@x"),
+		)},
+		{"to repeats in runs, then returns", observed(parts(two, 2), nil,
+			edge("b@x", "a@x"), edge("c@x", "a@x"), edge("a@x", "ghost@x"), edge("b@x", "ghost@x"),
+			edge("a@x", "c@x"), edge("b@x", "a@x"), edge("c@x", "ghost@x"), edge("c@x", "c@x"),
+		)},
+		{"provenance set", withProvenance},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) { sameAssembly(t, tc.p) })
@@ -246,8 +307,17 @@ func TestAssembleMatchesReference(t *testing.T) {
 		for _, shuffle := range []bool{false, true} {
 			t.Run(fmt.Sprintf("generated %d users, shuffle=%v", cfg.Users, shuffle), func(t *testing.T) {
 				p := campaignParts(w, shuffle, int64(cfg.Seed))
-				if len(p.Edges) < cfg.Users/4 {
-					t.Fatalf("only %d edges: the generated parts exercise nothing", len(p.Edges))
+				follows, idle := 0, 0
+				for a := range p.Accounts {
+					if a < len(p.Followers) {
+						follows += len(p.Followers[a])
+					}
+					if p.Toots[a] == 0 && len(p.Followers[a]) == 0 {
+						idle++
+					}
+				}
+				if follows < cfg.Users/4 || idle == 0 {
+					t.Fatalf("%d follows and %d authors with no toots and no followers: the generated parts exercise little", follows, idle)
 				}
 				sameAssembly(t, p)
 			})
@@ -255,7 +325,7 @@ func TestAssembleMatchesReference(t *testing.T) {
 	}
 }
 
-func reversed(es []dataset.FollowEdge) []dataset.FollowEdge {
+func reversed(es [][2]string) [][2]string {
 	out := slices.Clone(es)
 	slices.Reverse(out)
 	return out
@@ -263,13 +333,15 @@ func reversed(es []dataset.FollowEdge) []dataset.FollowEdge {
 
 // FuzzAssemble reads the input as a list of account names drawn from a
 // small alphabet that straddles '@' in byte order — so that names are
-// prefixes of each other, collide, or are malformed — and a list of edges
-// between them, and holds Assemble to refAssemble.
+// prefixes of each other, repeat, or are malformed — each with a toot
+// count that may be zero, and a list of follows between them, and holds
+// Assemble to refAssemble.
 func FuzzAssemble(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 1, 2, 0, 9, 0x81, 7, 7, 7, 0, 1, 1, 0, 2, 1, 2, 1})
 	f.Add([]byte("\x08abcdefghijklmnopqrstuvwxyz0123456789\x00\x01\x01\x00\x02\x00\x00\x02\x03\x07\x07\x03"))
 	f.Add(bytes.Repeat([]byte{5, 0xf3, 0x1c}, 40))
+	f.Add([]byte{0, 1, 1, 4, 0, 1, 0, 0, 0}) // a@x: scraped, with no counted toot and no follower
 	f.Fuzz(func(t *testing.T, data []byte) {
 		pos := 0
 		next := func() int {
@@ -285,28 +357,29 @@ func FuzzAssemble(f *testing.F) {
 			Instances: []dataset.Instance{
 				{ID: 0, Domain: "x", GoneDay: -1}, {ID: 1, Domain: "y", GoneDay: -1}, {ID: 2, Domain: "x.y", GoneDay: -1},
 			},
-			Accounts: map[string]struct{}{},
-			TootsOf:  map[string]int{},
-			Traces:   flatTraces(3, 2),
+			Traces: flatTraces(3, 2),
 		}
 		if next()&1 == 1 {
 			p.Provenance = make([]dataset.CrawlProvenance, 3)
 		}
-		var pool []string
 		for n := next() % 24; n > 0; n-- {
 			var user []byte
 			for k := next() % 5; k > 0; k-- {
 				user = append(user, alphabet[next()%len(alphabet)])
 			}
-			name := string(user) + "@" + domains[next()%len(domains)]
-			pool = append(pool, name)
-			if next()%8 != 0 { // some names appear in edges only
-				p.Accounts[name] = struct{}{}
-				p.TootsOf[name] = next() % 4
+			p.Accounts = append(p.Accounts, string(user)+"@"+domains[next()%len(domains)])
+			if next()%8 != 0 { // some accounts have no count at all
+				p.Toots = append(p.Toots, next()%4)
 			}
 		}
-		for n := next() % 64; n > 0 && len(pool) > 0; n-- {
-			p.Edges = append(p.Edges, dataset.FollowEdge{From: pool[next()%len(pool)], To: pool[next()%len(pool)]})
+		p.Toots = p.Toots[:min(len(p.Toots), len(p.Accounts))]
+		p.Followers = make([][]int32, len(p.Accounts))
+		if k := next(); k&1 == 1 && len(p.Followers) > 0 { // some lists stop short of the accounts
+			p.Followers = p.Followers[:k/2%len(p.Followers)]
+		}
+		for n := next() % 64; n > 0 && len(p.Followers) > 0; n-- {
+			to := next() % len(p.Followers)
+			p.Followers[to] = append(p.Followers[to], int32(next()%len(p.Accounts)))
 		}
 		sameAssembly(t, p)
 	})
@@ -319,7 +392,7 @@ func BenchmarkAssemble(b *testing.B) {
 	cfg := gen.SmallConfig(1)
 	cfg.Instances, cfg.Users, cfg.Days, cfg.MassExpiryDay = 500, 20000, 8, -1
 	p := campaignParts(gen.Generate(cfg), false, 0)
-	b.Logf("%d accounts, %d edges", len(p.Accounts), len(p.Edges))
+	b.Logf("%d accounts", len(p.Accounts))
 	b.ReportAllocs()
 	for b.Loop() {
 		dataset.Assemble(p)

@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/sim"
@@ -93,9 +94,12 @@ type WindowDelta struct {
 	// CrawlDelta.
 	TootsOf map[string]int
 
-	// Edges is the window-end follower scrape over the union author set.
-	// The edges of the latest window replace all earlier ones.
-	Edges []FollowEdge
+	// Accounts and Followers are the window-end follower scrape over the
+	// union author set, in WorldParts' form: Followers[id] lists the ids of
+	// Accounts[id]'s followers. The scrape of the latest window replaces
+	// all earlier ones.
+	Accounts  []string
+	Followers [][]int32
 }
 
 func (d *WindowDelta) validate() error {
@@ -124,6 +128,18 @@ func (d *WindowDelta) validate() error {
 			return fmt.Errorf("dataset: merge: window at slot %d probes %q twice", d.StartSlot, dom)
 		}
 		seen[dom] = struct{}{}
+	}
+	if len(d.Followers) > len(d.Accounts) {
+		return fmt.Errorf("dataset: merge: window at slot %d: follower lists for %d of %d accounts",
+			d.StartSlot, len(d.Followers), len(d.Accounts))
+	}
+	for a, fs := range d.Followers {
+		for _, f := range fs {
+			if f < 0 || int(f) >= len(d.Accounts) {
+				return fmt.Errorf("dataset: merge: window at slot %d: %q has follower id %d of %d accounts",
+					d.StartSlot, d.Accounts[a], f, len(d.Accounts))
+			}
+		}
 	}
 	for acct, n := range d.TootsOf {
 		if n <= 0 {
@@ -208,7 +224,7 @@ func Merge(prev *World, prevNames []string, deltas ...*WindowDelta) (*World, []s
 		}
 	}
 
-	var edges []FollowEdge
+	var scrape *WindowDelta
 	for _, d := range ordered {
 		present := make(map[string]CrawlOutcome, len(d.Domains))
 		for i, dom := range d.Domains {
@@ -245,7 +261,7 @@ func Merge(prev *World, prevNames []string, deltas ...*WindowDelta) (*World, []s
 					d.StartSlot, acct, dom, present[dom])
 			}
 		}
-		edges = d.Edges
+		scrape = d
 	}
 
 	// Concatenated traces: unobserved windows (a domain missing from a
@@ -280,23 +296,22 @@ func Merge(prev *World, prevNames []string, deltas ...*WindowDelta) (*World, []s
 		ts.Traces[i] = tr
 	}
 
+	// The accounts are the final scrape's, then every account with toots:
+	// one that is both is named twice, and Assemble makes it one user.
 	parts := WorldParts{
 		Instances: insts,
-		Accounts:  make(map[string]struct{}, len(counts)),
-		TootsOf:   counts,
-		Edges:     edges,
+		Accounts:  slices.Grow(slices.Clone(scrape.Accounts), len(counts)),
+		Followers: scrape.Followers,
 		Traces:    ts,
 		Days:      totalSlots / spd,
 	}
 	for i := range insts {
 		insts[i].ID = int32(i)
 	}
-	for acct := range counts {
-		parts.Accounts[acct] = struct{}{}
-	}
-	for _, e := range edges {
-		parts.Accounts[e.From] = struct{}{}
-		parts.Accounts[e.To] = struct{}{}
+	parts.Toots = make([]int, len(parts.Accounts), cap(parts.Accounts))
+	for acct, n := range counts {
+		parts.Accounts = append(parts.Accounts, acct)
+		parts.Toots = append(parts.Toots, n)
 	}
 	w, names := Assemble(parts)
 	w.Seed = prev.Seed

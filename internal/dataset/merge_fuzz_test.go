@@ -44,9 +44,7 @@ func fuzzBase(c *fuzzCursor) (*World, []string) {
 	ndom := 1 + c.intn(4)
 	slots := 1 + c.intn(6)
 	parts := WorldParts{
-		Accounts: map[string]struct{}{},
-		TootsOf:  map[string]int{},
-		Traces:   &sim.TraceSet{SlotsPerDay: SlotsPerDay, Traces: make([]*sim.Trace, ndom)},
+		Traces: &sim.TraceSet{SlotsPerDay: SlotsPerDay, Traces: make([]*sim.Trace, ndom)},
 	}
 	var accts []string
 	for i := 0; i < ndom; i++ {
@@ -59,16 +57,15 @@ func fuzzBase(c *fuzzCursor) (*World, []string) {
 		parts.Traces.Traces[i] = c.trace(slots)
 		for k := 0; k < c.intn(3); k++ {
 			a := fuzzAcct(dom, k)
-			parts.Accounts[a] = struct{}{}
-			parts.TootsOf[a] = 1 + c.intn(3)
+			parts.Toots = append(parts.Toots, 1+c.intn(3))
 			accts = append(accts, a)
 		}
 	}
+	parts.Accounts = accts
+	parts.Followers = make([][]int32, len(accts))
 	for e := 0; e < c.intn(4) && len(accts) > 0; e++ {
-		parts.Edges = append(parts.Edges, FollowEdge{
-			From: accts[c.intn(len(accts))],
-			To:   accts[c.intn(len(accts))],
-		})
+		from, to := c.intn(len(accts)), c.intn(len(accts))
+		parts.Followers[to] = append(parts.Followers[to], int32(from))
 	}
 	return Assemble(parts)
 }
@@ -118,12 +115,11 @@ func fuzzDelta(c *fuzzCursor, prev *World, start, windowIdx int) *WindowDelta {
 			accts = append(accts, a)
 		}
 	}
+	var pairs [][2]string
 	for e := 0; e < c.intn(4) && len(accts) > 0; e++ {
-		d.Edges = append(d.Edges, FollowEdge{
-			From: accts[c.intn(len(accts))],
-			To:   accts[c.intn(len(accts))],
-		})
+		pairs = append(pairs, [2]string{accts[c.intn(len(accts))], accts[c.intn(len(accts))]})
 	}
+	d.Accounts, d.Followers = scrape(pairs...)
 	return d
 }
 

@@ -24,15 +24,35 @@ func mergeBase(t *testing.T) (*World, []string) {
 			{ID: 2, Domain: "c.x", GoneDay: -1, Software: SoftwareMastodon, Users: 1, Toots: 4},
 			{ID: 3, Domain: "d.x", GoneDay: -1},
 		},
-		Accounts: map[string]struct{}{
-			"u1@a.x": {}, "u2@a.x": {}, "w@c.x": {}, "f1@b.x": {},
-		},
-		TootsOf: map[string]int{"u1@a.x": 3, "u2@a.x": 2, "w@c.x": 4},
-		Edges:   []FollowEdge{{From: "f1@b.x", To: "u1@a.x"}},
-		Traces:  ts,
-		Days:    0,
+		Accounts:  []string{"u1@a.x", "u2@a.x", "w@c.x", "f1@b.x"},
+		Toots:     []int{3, 2, 4},
+		Followers: [][]int32{{3}},
+		Traces:    ts,
+		Days:      0,
 	}
 	return Assemble(parts)
+}
+
+// scrape is the id form of follower → followee pairs, as a window delta
+// carries a follower scrape: every account once, in first-seen order, and
+// each followee's followers in the order given.
+func scrape(pairs ...[2]string) (accounts []string, followers [][]int32) {
+	id := map[string]int32{}
+	of := func(acct string) int32 {
+		k, ok := id[acct]
+		if !ok {
+			k = int32(len(accounts))
+			id[acct] = k
+			accounts = append(accounts, acct)
+			followers = append(followers, nil)
+		}
+		return k
+	}
+	for _, p := range pairs {
+		from, to := of(p[0]), of(p[1])
+		followers[to] = append(followers[to], from)
+	}
+	return accounts, followers
 }
 
 func window(start, slots int, domains ...string) *WindowDelta {
@@ -78,7 +98,7 @@ func TestMergeFoldSemantics(t *testing.T) {
 	d.Crawl[3] = CrawlFull
 	d.TootsOf["n1@d.x"] = 2
 	d.Meta[3] = WindowMeta{Seen: true, Software: SoftwareMastodon, Open: true, Users: 1, Toots: 2}
-	d.Edges = []FollowEdge{{From: "f2@b.x", To: "u1@a.x"}}
+	d.Accounts, d.Followers = scrape([2]string{"f2@b.x", "u1@a.x"})
 
 	w, names, err := Merge(prev, prevNames, d)
 	if err != nil {
@@ -203,7 +223,7 @@ func TestMergeCommutesAndIsDeterministic(t *testing.T) {
 		}
 		d1.Crawl[3] = CrawlFull
 		d1.TootsOf["u1@a.x"] = 1
-		d1.Edges = []FollowEdge{{From: "u2@a.x", To: "u1@a.x"}}
+		d1.Accounts, d1.Followers = scrape([2]string{"u2@a.x", "u1@a.x"})
 		d1.Traces.Traces[1].SetDown(0)
 
 		d2 := window(6, 3, "a.x", "b.x", "c.x", "d.x")
@@ -213,7 +233,7 @@ func TestMergeCommutesAndIsDeterministic(t *testing.T) {
 		d2.Crawl[2] = CrawlOffline
 		d2.TootsOf["u1@a.x"] = 2
 		d2.Meta[0] = WindowMeta{Seen: true, Software: SoftwareMastodon, Users: 4, Toots: 9}
-		d2.Edges = []FollowEdge{{From: "f1@b.x", To: "u1@a.x"}, {From: "u2@a.x", To: "u1@a.x"}}
+		d2.Accounts, d2.Followers = scrape([2]string{"f1@b.x", "u1@a.x"}, [2]string{"u2@a.x", "u1@a.x"})
 
 		var w *World
 		var err error
@@ -269,6 +289,11 @@ func TestMergeRejectsBadInput(t *testing.T) {
 		"non-positive count": func() ([]*WindowDelta, *World, []string) {
 			d := window(4, 2, "a.x")
 			d.TootsOf["u1@a.x"] = 0
+			return []*WindowDelta{d}, prev, prevNames
+		},
+		"follower id out of range": func() ([]*WindowDelta, *World, []string) {
+			d := window(4, 2, "a.x")
+			d.Accounts, d.Followers = []string{"u1@a.x"}, [][]int32{{1}}
 			return []*WindowDelta{d}, prev, prevNames
 		},
 		"misaligned traces": func() ([]*WindowDelta, *World, []string) {

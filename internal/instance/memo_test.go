@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -155,6 +156,51 @@ func TestRenderMemoConcurrent(t *testing.T) {
 	// Past capacity, a store takes at most the misses already under way.
 	if renders, _ := memoBytes(s); renders > memoCapacity+4*40 {
 		t.Fatalf("the current store holds %d renders, capacity %d", renders, memoCapacity)
+	}
+}
+
+// Misses that race on one cold page render its statuses each, but the memo
+// keeps one render per status: the store path re-checks, under the lock,
+// whether another page stored a row's render meanwhile. Each round
+// releases several readers of one 40-status page on a fresh server at
+// once, then counts the renders; a store path that skipped the re-check
+// would keep a status once per reader that raced for it.
+func TestRenderMemoStoresOnceUnderConcurrentMisses(t *testing.T) {
+	ctx := context.Background()
+	const rounds, readers, statuses = 20, 8, maxPageStatuses
+	path := "/api/v1/timelines/public?limit=" + strconv.Itoa(statuses)
+	for round := 0; round < rounds; round++ {
+		s := NewServer(Config{Domain: "a.test", Open: true}, nil)
+		if _, err := s.CreateAccount("alice", false, false, t0); err != nil {
+			t.Fatal(err)
+		}
+		long := strings.Repeat("<&> a status long enough to take a while to escape ", 20)
+		for i := 0; i < statuses; i++ {
+			if _, err := s.PostToot(ctx, "alice", long+strconv.Itoa(i), []string{"t"}, t0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want := refTimelineBody(s, TimelineFederated, 0, 0, statuses)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for r := 0; r < readers; r++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				rec := httptest.NewRecorder()
+				s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+				if got := rec.Body.String(); rec.Code != http.StatusOK || got != want {
+					t.Errorf("round %d: status %d, body differs from the materialised page", round, rec.Code)
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+		if renders, _ := memoBytes(s); renders != statuses {
+			t.Fatalf("round %d: %d readers of one cold page of %d statuses left %d renders in the memo",
+				round, readers, statuses, renders)
+		}
 	}
 }
 

@@ -53,10 +53,13 @@ type CampaignResult struct {
 	Log    *crawler.ProbeLog
 	Traces *sim.TraceSet
 	// Crawls holds the per-instance toot harvests; Authors the distinct
-	// toot authors in first-seen order; Scrape their follower lists.
-	Crawls  []crawler.InstanceCrawl
-	Authors []string
-	Scrape  crawler.ScrapeResult
+	// toot authors in first-seen order; AuthorToots how many toots of
+	// each the complete harvests hold; Scrape their follower lists, whose
+	// accounts begin with Authors.
+	Crawls      []crawler.InstanceCrawl
+	Authors     []string
+	AuthorToots []int
+	Scrape      crawler.ScrapeResult
 	// StartSlot/FinalSlot bound the probed window; FinalSlot's
 	// availability was live during the crawl and scrape phases.
 	StartSlot int
@@ -199,8 +202,8 @@ func (h *Harness) RunCampaign(ctx context.Context, cfg CampaignConfig) (*Campaig
 
 // CrawlPhase runs the second half of the §3 pipeline against the network as
 // it stands — the toot crawl of res.Domains, then the follower scrape of the
-// authors it saw — and records it in res (Crawls, Authors, Scrape,
-// CrawlStats). Of cfg it reads CrawlWorkers, ScrapeWorkers, Kill and Resume.
+// authors it saw — and records it in res (Crawls, Authors, AuthorToots,
+// Scrape, CrawlStats). Of cfg it reads CrawlWorkers, ScrapeWorkers, Kill and Resume.
 func (h *Harness) CrawlPhase(ctx context.Context, cfg CampaignConfig, res *CampaignResult) error {
 	tc := &crawler.TootCrawler{Client: h.Client, Workers: cfg.CrawlWorkers, Local: true, Kill: cfg.Kill}
 	if cfg.Resume != nil {
@@ -211,9 +214,9 @@ func (h *Harness) CrawlPhase(ctx context.Context, cfg CampaignConfig, res *Campa
 		return err
 	}
 	if cfg.Resume != nil {
-		res.Authors = UnionAuthors(cfg.Resume, res.Crawls)
+		res.Authors, res.AuthorToots = UnionAuthors(cfg.Resume, res.Crawls)
 	} else {
-		res.Authors = crawler.Authors(res.Crawls)
+		res.Authors, res.AuthorToots = crawler.Authors(res.Crawls)
 	}
 	fs := &crawler.FollowerScraper{Client: h.Client, Workers: cfg.ScrapeWorkers}
 	res.Scrape = fs.Scrape(ctx, res.Authors)

@@ -108,9 +108,12 @@ func TestCampaignRecoversGroundTruth(t *testing.T) {
 		t.Fatalf("population too clean: down=%v blocked=%v private=%v (pick another seed)",
 			sawDown, sawBlocked, sawPrivate)
 	}
-	if len(res.Authors) == 0 || len(res.Scrape.Edges) == 0 {
-		t.Fatalf("campaign collected nothing: %d authors, %d edges",
-			len(res.Authors), len(res.Scrape.Edges))
+	follows := 0
+	for _, fs := range res.Scrape.Followers {
+		follows += len(fs)
+	}
+	if len(res.Authors) == 0 || follows == 0 {
+		t.Fatalf("campaign collected nothing: %d authors, %d follows", len(res.Authors), follows)
 	}
 	if len(res.Scrape.Errors) != 0 {
 		t.Fatalf("scrape errors: %v", res.Scrape.Errors)

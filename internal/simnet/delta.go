@@ -69,16 +69,19 @@ func NewCheckpoint(res *CampaignResult) *Checkpoint {
 // carried from the checkpoint (when the crawl resumed from a high-water
 // mark) followed by the window's new authors. Domains offline or blocked
 // at the delta crawl contribute nothing — a full crawl at the same instant
-// would not have seen their timelines either.
-func UnionAuthors(ck *Checkpoint, crawls []crawler.InstanceCrawl) []string {
-	var out []string
-	seen := make(map[string]struct{})
-	add := func(acct string) {
-		if _, dup := seen[acct]; dup {
-			return
+// would not have seen their timelines either. Aligned with the authors, it
+// returns how many toots of each this window's complete harvests hold.
+func UnionAuthors(ck *Checkpoint, crawls []crawler.InstanceCrawl) (authors []string, toots []int) {
+	id := make(map[string]int)
+	add := func(acct string) int {
+		k, ok := id[acct]
+		if !ok {
+			k = len(authors)
+			id[acct] = k
+			authors = append(authors, acct)
+			toots = append(toots, 0)
 		}
-		seen[acct] = struct{}{}
-		out = append(out, acct)
+		return k
 	}
 	for i := range crawls {
 		c := &crawls[i]
@@ -91,10 +94,12 @@ func UnionAuthors(ck *Checkpoint, crawls []crawler.InstanceCrawl) []string {
 			}
 		}
 		for _, t := range c.Toots {
-			add(t.Acct)
+			if k := add(t.Acct); c.Complete() {
+				toots[k]++
+			}
 		}
 	}
-	return out
+	return authors, toots
 }
 
 // DeltaOf converts a delta campaign's artefacts into the dataset-layer
@@ -121,7 +126,13 @@ func DeltaOf(res *CampaignResult, ck *Checkpoint) (*dataset.WindowDelta, error) 
 		Meta:      make([]dataset.WindowMeta, len(res.Domains)),
 		Crawl:     make([]dataset.CrawlOutcome, len(res.Domains)),
 		TootsOf:   make(map[string]int),
-		Edges:     res.Scrape.Edges,
+		Accounts:  res.Scrape.Accounts,
+		Followers: res.Scrape.Followers,
+	}
+	for i, acct := range res.Authors {
+		if n := res.AuthorToots[i]; n > 0 {
+			d.TootsOf[acct] = n
+		}
 	}
 	for i, dom := range res.Domains {
 		d.Meta[i] = probedMeta(res.Log, dom)
@@ -143,12 +154,6 @@ func DeltaOf(res *CampaignResult, ck *Checkpoint) (*dataset.WindowDelta, error) 
 			// (offline or unknown last window) or its timeline was empty;
 			// both resume as a full harvest.
 			d.Crawl[i] = dataset.CrawlFull
-		}
-		switch d.Crawl[i] {
-		case dataset.CrawlFull, dataset.CrawlDelta:
-			for _, t := range c.Toots {
-				d.TootsOf[t.Acct]++
-			}
 		}
 	}
 	return d, nil

@@ -96,7 +96,7 @@ func refFleetCampaign(t *testing.T) *CampaignResult {
 	}
 	res := c.Probed()
 	res.Crawls = refFlatCrawl(ctx, h.Client, res.Domains)
-	res.Authors = crawler.Authors(res.Crawls)
+	res.Authors, res.AuthorToots = crawler.Authors(res.Crawls)
 	res.Scrape = (&crawler.FollowerScraper{Client: h.Client, Workers: 1}).Scrape(ctx, res.Authors)
 	return res
 }

@@ -37,13 +37,15 @@ func probedMeta(log *crawler.ProbeLog, domain string) dataset.WindowMeta {
 // the generator crosses this boundary. Instance metadata comes from the
 // last online probe sample, toot counts and authorship from the toot
 // crawl, the social graph from the follower scrape, and the availability
-// traces from the probe log.
+// traces from the probe log. The scrape's accounts begin with the authors,
+// so the authors' toot counts are the accounts' first.
 func Rebuild(res *CampaignResult) (*dataset.World, []string) {
 	parts := dataset.WorldParts{
-		Accounts: make(map[string]struct{}, len(res.Authors)),
-		TootsOf:  make(map[string]int, len(res.Authors)),
-		Traces:   res.Traces,
-		Days:     res.Traces.Slots() / dataset.SlotsPerDay,
+		Accounts:  res.Scrape.Accounts,
+		Toots:     res.AuthorToots,
+		Followers: res.Scrape.Followers,
+		Traces:    res.Traces,
+		Days:      res.Traces.Slots() / dataset.SlotsPerDay,
 	}
 	parts.Instances = make([]dataset.Instance, len(res.Domains))
 	for i, d := range res.Domains {
@@ -67,9 +69,10 @@ func Rebuild(res *CampaignResult) (*dataset.World, []string) {
 		case c.Err != nil || c.Offline:
 			// A harvest that died mid-paging is a partial prefix of
 			// unknown coverage; an unreachable instance harvested nothing.
-			// Neither contributes toots — exactly what a clean crawl of an
-			// offline instance records — but the provenance keeps the
-			// distinction (and the fault) for the analysis layer.
+			// Neither contributes toots (AuthorToots counts complete
+			// harvests only) — exactly what a clean crawl of an offline
+			// instance records — but the provenance keeps the distinction
+			// (and the fault) for the analysis layer.
 			outcome := dataset.CrawlOffline
 			if len(c.Toots) > 0 {
 				outcome = dataset.CrawlPartial
@@ -82,23 +85,7 @@ func Rebuild(res *CampaignResult) (*dataset.World, []string) {
 			continue
 		}
 		parts.Provenance[i] = dataset.CrawlProvenance{Outcome: dataset.CrawlFull}
-		for _, t := range c.Toots {
-			parts.TootsOf[t.Acct]++
-		}
 	}
-	for acct := range parts.TootsOf {
-		parts.Accounts[acct] = struct{}{}
-	}
-	// A scrape lists one account's followers together, so To changes once
-	// per scraped account, not once per edge.
-	for i := range res.Scrape.Edges {
-		e := &res.Scrape.Edges[i]
-		parts.Accounts[e.From] = struct{}{}
-		if i == 0 || e.To != res.Scrape.Edges[i-1].To {
-			parts.Accounts[e.To] = struct{}{}
-		}
-	}
-	parts.Edges = res.Scrape.Edges
 	return dataset.Assemble(parts)
 }
 
@@ -125,11 +112,7 @@ func ExpectedWorld(w *dataset.World, cfg ExpectedConfig) (*dataset.World, []stri
 	finalSlot := cfg.StartSlot + cfg.Slots - 1
 	upAt := func(i int32, slot int) bool { return !w.Traces.Traces[i].IsDown(slot) }
 
-	parts := dataset.WorldParts{
-		Accounts: make(map[string]struct{}),
-		TootsOf:  make(map[string]int),
-		Days:     cfg.Slots / dataset.SlotsPerDay,
-	}
+	parts := dataset.WorldParts{Days: cfg.Slots / dataset.SlotsPerDay}
 
 	// Per-instance loaded toot counters (what the live servers report).
 	loadedToots := make([]int64, len(w.Instances))
@@ -164,28 +147,40 @@ func ExpectedWorld(w *dataset.World, cfg ExpectedConfig) (*dataset.World, []stri
 		parts.Instances[i] = in
 	}
 
-	// Visible authors and their followers.
-	acctOf := func(u *dataset.User) string {
-		return instance.UserName(u.ID) + "@" + w.Instances[u.Instance].Domain
+	// Visible authors and their followers, one account name per user
+	// involved. Every list is cut from one array of the follows.
+	id := make([]int32, len(w.Users)) // account id + 1
+	of := func(u int32) int32 {
+		if id[u] == 0 {
+			parts.Accounts = append(parts.Accounts, instance.UserName(u)+"@"+w.Instances[w.Users[u].Instance].Domain)
+			id[u] = int32(len(parts.Accounts))
+		}
+		return id[u] - 1
 	}
+	type author struct {
+		id              int32
+		toots, from, to int // follows[from:to] are its followers
+	}
+	var authors []author
+	var follows []int32
 	for ui := range w.Users {
 		u := &w.Users[ui]
 		truth := &w.Instances[u.Instance]
 		if u.Private || u.Toots == 0 || truth.BlocksCrawl || !upAt(u.Instance, finalSlot) {
 			continue
 		}
-		acct := acctOf(u)
-		parts.Accounts[acct] = struct{}{}
-		c := u.Toots
-		if c > cap {
-			c = cap
-		}
-		parts.TootsOf[acct] = c
+		au := author{id: of(int32(ui)), toots: min(u.Toots, cap), from: len(follows)}
 		for _, v := range w.Social.In(int32(ui)) {
-			follower := acctOf(&w.Users[v])
-			parts.Accounts[follower] = struct{}{}
-			parts.Edges = append(parts.Edges, crawler.Edge{From: follower, To: acct})
+			follows = append(follows, of(v))
 		}
+		au.to = len(follows)
+		authors = append(authors, au)
+	}
+	parts.Toots = make([]int, len(parts.Accounts))
+	parts.Followers = make([][]int32, len(parts.Accounts))
+	for _, au := range authors {
+		parts.Toots[au.id] = au.toots
+		parts.Followers[au.id] = follows[au.from:au.to:au.to]
 	}
 
 	// The trace window a perfect prober records.

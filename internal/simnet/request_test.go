@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"net/http"
 	"reflect"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -46,19 +48,88 @@ func TestScrapeAccountHostileAccts(t *testing.T) {
 		{"a@d.test:", ""},
 	} {
 		saw = nil
-		edges, err := fs.ScrapeAccount(context.Background(), tc.acct)
+		res := fs.Scrape(context.Background(), []string{tc.acct})
+		err := res.Errors[tc.acct]
 		if tc.saw == "" {
-			if err == nil || !strings.Contains(err.Error(), "malformed acct") || len(saw) != 0 || edges != nil {
-				t.Errorf("%q: err %v, edges %v, and the server saw %q; want it refused unsent", tc.acct, err, edges, saw)
+			if err == nil || !strings.Contains(err.Error(), "malformed acct") || len(saw) != 0 || len(res.Followers[0]) != 0 {
+				t.Errorf("%q: err %v, followers %v, and the server saw %q; want it refused unsent", tc.acct, err, res.Followers, saw)
 			}
 			continue
 		}
-		if want := []crawler.Edge{{From: "f@far.test", To: tc.acct}}; err != nil || !reflect.DeepEqual(edges, want) {
-			t.Errorf("%q: edges %v, err %v", tc.acct, edges, err)
+		want := crawler.ScrapeResult{
+			Accounts: []string{tc.acct, "f@far.test"}, Followers: [][]int32{{1}}, Errors: map[string]error{},
+		}
+		if !reflect.DeepEqual(res, want) {
+			t.Errorf("%q: scraped %+v, want %+v", tc.acct, res, want)
 		}
 		if len(saw) != 1 || saw[0] != tc.saw {
 			t.Errorf("%q: the server saw %q, want %q", tc.acct, saw, tc.saw)
 		}
+	}
+}
+
+// TestScrapeIdsIgnoreWorkers: a scrape's workers collect names in whatever
+// order they are scheduled, and ids are handed out only after they join, so
+// the account table and every follower list must be the same at any worker
+// count and GOMAXPROCS. Every other user is scraped, so that followers are
+// both scraped accounts and new names. The lists must also be the follow
+// graph's, and new ids must be handed out in the order the lists first
+// name them.
+func TestScrapeIdsIgnoreWorkers(t *testing.T) {
+	cfg := gen.TinyConfig(2)
+	cfg.Instances, cfg.Users = 30, 600
+	w := gen.Generate(cfg)
+	h, err := New(context.Background(), w, Options{Retries: 2, Backoff: 50 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	acct := func(u int32) string { return instance.UserName(u) + "@" + w.Instances[w.Users[u].Instance].Domain }
+	var accts []string
+	var scraped []int32
+	for u := int32(0); int(u) < len(w.Users); u += 2 {
+		accts, scraped = append(accts, acct(u)), append(scraped, u)
+	}
+	var ref crawler.ScrapeResult
+	for _, procs := range []int{1, 4} {
+		for _, workers := range []int{1, 2, 10} {
+			prev := runtime.GOMAXPROCS(procs)
+			res := (&crawler.FollowerScraper{Client: h.Client, Workers: workers}).Scrape(context.Background(), accts)
+			runtime.GOMAXPROCS(prev)
+			if ref.Accounts == nil {
+				ref = res
+				continue
+			}
+			if !reflect.DeepEqual(res, ref) {
+				t.Fatalf("GOMAXPROCS=%d, %d workers: the scrape differs from one worker's at GOMAXPROCS=1", procs, workers)
+			}
+		}
+	}
+	if len(ref.Errors) != 0 || !slices.Equal(ref.Accounts[:len(accts)], accts) {
+		t.Fatalf("errors %v; the account table does not start with the scraped accounts", ref.Errors)
+	}
+	next, follows := int32(len(accts)), 0
+	for i, u := range scraped {
+		var got, want []string
+		for _, f := range ref.Followers[i] {
+			if f > next {
+				t.Fatalf("%s: follower id %d handed out before id %d", accts[i], f, next)
+			}
+			next = max(next, f+1)
+			got = append(got, ref.Accounts[f])
+		}
+		for _, v := range w.Social.In(u) {
+			want = append(want, acct(v))
+		}
+		slices.Sort(got)
+		slices.Sort(want)
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: scraped followers %v, the graph's %v", accts[i], got, want)
+		}
+		follows += len(got)
+	}
+	if int(next) != len(ref.Accounts) || next == int32(len(accts)) || follows < len(accts) {
+		t.Fatalf("%d accounts for %d new ids past %d scraped, %d follows: the world exercises little",
+			len(ref.Accounts), next-int32(len(accts)), len(accts), follows)
 	}
 }
 
@@ -104,14 +175,15 @@ func requestHarness(t *testing.T) *Harness {
 // Allocations of one more campaign request through the harness's client,
 // everything included — the request, net/http's client, the fault and memory
 // transports, the handler, the body read, the decode into what the crawler
-// keeps — as measured (go1.24). The last two carry what the crawler keeps of
-// 40 statuses (content, tag slice, tag) and of 40 followers (the edge's
-// From).
+// keeps — as measured (go1.24). The timeline page carries what the crawler
+// keeps of 40 statuses (content, tag slice, tag). A follower page keeps
+// nothing per follower: names go into a pooled arena and are interned into
+// one buffer, so what is left is the request and the interner's growth.
 const (
 	probeUpAllocs      = 6
 	probeDownAllocs    = 16 // two attempts: the harness retries once
 	timelinePageAllocs = 128
-	followerPageAllocs = 47
+	followerPageAllocs = 9
 )
 
 // TestCampaignRequestAllocs makes those counts a bound. Each is a
@@ -146,8 +218,8 @@ func TestCampaignRequestAllocs(t *testing.T) {
 	followers := func(acct string, n int) func() {
 		fs := &crawler.FollowerScraper{Client: h.Client}
 		return func() {
-			if edges, err := fs.ScrapeAccount(ctx, acct); len(edges) != n || err != nil {
-				t.Fatalf("%s: %d followers, err %v", acct, len(edges), err)
+			if res := fs.Scrape(ctx, []string{acct}); len(res.Followers[0]) != n || len(res.Errors) != 0 {
+				t.Fatalf("%s: %d followers, errors %v", acct, len(res.Followers[0]), res.Errors)
 			}
 		}
 	}

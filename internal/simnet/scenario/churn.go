@@ -112,9 +112,12 @@ func ChurnDuringCrawl(seed uint64) *Scenario {
 			}
 		}
 		newbieEdges := 0
-		for _, e := range res.Scrape.Edges {
-			if strings.Contains(e.From, "@newbie-") || strings.Contains(e.To, "@newbie-") {
-				newbieEdges++
+		for i, fs := range res.Scrape.Followers {
+			newbie := strings.Contains(res.Scrape.Accounts[i], "@newbie-")
+			for _, f := range fs {
+				if newbie || strings.Contains(res.Scrape.Accounts[f], "@newbie-") {
+					newbieEdges++
+				}
 			}
 		}
 		rep.Add("crawl.newbie_authors", float64(newbieAuthors))

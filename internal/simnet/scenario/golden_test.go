@@ -1,35 +1,33 @@
 package scenario
 
 import (
+	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
+	"flag"
 	"fmt"
+	"os"
+	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 )
 
-// goldenReports pins the SHA-256 of every default-seed report's Encode
-// bytes — what `fediscenario -out d` writes. A refactor of the engine or a
-// scenario must leave all seven unchanged; a deliberate behaviour change
-// re-pins them in the PR that makes it, and says so.
-var goldenReports = map[string]string{
-	"chaos-storm":         "07cd007fc034a1b94c2f6167ef9e24d30f0a3492cef967522430a9242f7e37e6",
-	"churn-during-crawl":  "e74b9279791fe44994268a82d02092ca2990ec4f500bfddbbfaa771eac117564",
-	"dht-churn":           "10e7fff73709cc4b6581986c80545519e3ad6493c8a60911a84d0f08eb4de24d",
-	"fleet-worker-death":  "86511797456e8dfb17a018a6e3005e318f0b258cd4c43a4e8551d53bceab0c0b",
-	"incremental-recrawl": "99a07e373b9a8738408f378fbf648db201fb07a285f4325b1dce7584575a885e",
-	"live-replication":    "68f65d194bce49c72e29be8c636f40ccd3260e4950b71494cbe42b7e70771fd3",
-	"outage-storm":        "fb89c3f23c4d8d798ef4fdb920824d47f0bac40f85dfad35fb2ddb8708866cf0",
-}
+var update = flag.Bool("update", false, "rewrite testdata/<name>.json with this tree's reports")
 
 // TestScenarioReportsGolden runs all seven scenarios at their default seeds
-// under GOMAXPROCS 1 and 4 and compares each report's hash with the pinned
-// one: the reports are byte-reproducible across core counts, not just run
-// over run.
+// under GOMAXPROCS 1 and 4 and compares each report's Encode bytes — what
+// `fediscenario -out d` writes — with testdata/<name>.json: the reports are
+// byte-reproducible across core counts, not just run over run. A refactor
+// of the engine or a scenario must leave all seven unchanged; a deliberate
+// behaviour change runs this test with -update in the PR that makes it,
+// and says so.
 func TestScenarioReportsGolden(t *testing.T) {
-	if len(goldenReports) != len(Names()) {
-		t.Fatalf("%d pinned reports for %d scenarios", len(goldenReports), len(Names()))
+	files, err := filepath.Glob(filepath.Join("testdata", "*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) != len(Names()) && !*update {
+		t.Fatalf("%d pinned reports for %d scenarios", len(files), len(Names()))
 	}
 	for _, procs := range []int{1, 4} {
 		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
@@ -43,15 +41,58 @@ func TestScenarioReportsGolden(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
-				b, err := rep.Encode()
+				got, err := rep.Encode()
 				if err != nil {
 					t.Fatal(err)
 				}
-				sum := sha256.Sum256(b)
-				if got := hex.EncodeToString(sum[:]); got != goldenReports[name] {
-					t.Errorf("%s: report sha256 %s, want %s", name, got, goldenReports[name])
+				file := filepath.Join("testdata", name+".json")
+				if *update && procs == 1 {
+					if err := os.WriteFile(file, got, 0o644); err != nil {
+						t.Fatal(err)
+					}
+				}
+				want, err := os.ReadFile(file)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if diff := firstDiff(want, got); diff != "" {
+					t.Errorf("%s: the report differs from %s:\n%s", name, file, diff)
 				}
 			}
 		})
 	}
+}
+
+// firstDiff shows where got first departs from want, line by line: three
+// lines of context, the differing run of lines of each side (at most ten),
+// and three lines of got after it. It is "" when the two are equal. (Root
+// golden_test.go holds the same function for the paper report.)
+func firstDiff(want, got []byte) string {
+	if bytes.Equal(want, got) {
+		return ""
+	}
+	w, g := strings.Split(string(want), "\n"), strings.Split(string(got), "\n")
+	k := 0
+	for k < len(w) && k < len(g) && w[k] == g[k] {
+		k++
+	}
+	end := k // past the run of differing lines, at most ten
+	for end < k+10 && end < max(len(w), len(g)) && (end >= min(len(w), len(g)) || w[end] != g[end]) {
+		end++
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "first difference at line %d\n", k+1)
+	for _, l := range w[max(0, k-3):k] {
+		fmt.Fprintf(&b, "    %s\n", l)
+	}
+	for _, l := range w[k:min(end, len(w))] {
+		fmt.Fprintf(&b, "  - %s\n", l)
+	}
+	for _, l := range g[k:min(end, len(g))] {
+		fmt.Fprintf(&b, "  + %s\n", l)
+	}
+	for _, l := range g[min(end, len(g)):min(end+3, len(g))] {
+		fmt.Fprintf(&b, "    %s\n", l)
+	}
+	return b.String()
 }
