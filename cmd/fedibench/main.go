@@ -6,23 +6,23 @@
 //
 //	fedibench -scale small                # generate and run everything
 //	fedibench -world world.fedi -run fig12,tab1
-//	fedibench -cpuprofile cpu.out -memprofile mem.out -run fig12
+//	fedibench -cpuprofile cpu.out -memprofile mem.out -trace trace.out -run fig12
 //
-// The profile flags snapshot pprof data over the run, so a codec or sweep
-// regression can be diagnosed from a production-shaped workload without
-// editing code: `go tool pprof cpu.out`.
+// The profile flags (internal/profile, on every command) snapshot pprof
+// data and an execution trace over the run, so a codec or sweep regression
+// can be diagnosed from a production-shaped workload without editing code:
+// `go tool pprof cpu.out`, `go tool trace trace.out`.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"strings"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/profile"
 )
 
 func main() { os.Exit(realMain()) }
@@ -35,39 +35,15 @@ func realMain() int {
 	worldFile := flag.String("world", "", "load a world file instead of generating")
 	run := flag.String("run", "", "comma-separated experiment ids (default: all); see -list")
 	list := flag.Bool("list", false, "list experiment ids and exit")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
+	prof := profile.Register(flag.CommandLine)
 	flag.Parse()
 
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "fedibench:", err)
-			return 2
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "fedibench:", err)
-			return 2
-		}
-		defer func() {
-			pprof.StopCPUProfile()
-			f.Close()
-		}()
+	stop, err := prof.Start("fedibench")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "fedibench:", err)
+		return 2
 	}
-	if *memProfile != "" {
-		defer func() {
-			f, err := os.Create(*memProfile)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "fedibench:", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC() // settle allocations so the heap profile is sharp
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "fedibench:", err)
-			}
-		}()
-	}
+	defer stop()
 
 	if *list {
 		for _, e := range core.Experiments() {
@@ -77,7 +53,6 @@ func realMain() int {
 	}
 
 	var w *dataset.World
-	var err error
 	if *worldFile != "" {
 		w, err = dataset.LoadFile(*worldFile)
 	} else {

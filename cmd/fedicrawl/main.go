@@ -41,6 +41,7 @@ import (
 
 	"repro/internal/crawler"
 	"repro/internal/dataset"
+	"repro/internal/profile"
 )
 
 func main() { os.Exit(run()) }
@@ -57,7 +58,15 @@ func run() int {
 	sinceFile := flag.String("since", "", "JSON high-water-mark file from a previous -write-since run; crawl only newer toots")
 	writeSince := flag.String("write-since", "", "write the crawl's per-domain high-water marks to this JSON file")
 	breakerStats := flag.Bool("breaker-stats", false, "print the per-host circuit-breaker table after the crawl")
+	prof := profile.Register(flag.CommandLine)
 	flag.Parse()
+
+	stop, err := prof.Start("fedicrawl")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "fedicrawl:", err)
+		return 2
+	}
+	defer stop()
 
 	since := map[string]int64{}
 	if *sinceFile != "" {

@@ -14,19 +14,32 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/gen"
+	"repro/internal/profile"
 )
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run returns the exit code instead of calling os.Exit, so that the
+// deferred profile writers run.
+func run() int {
 	config := flag.String("config", "small", "world preset: tiny | small | paper")
 	seed := flag.Uint64("seed", 1, "generator seed")
 	shards := flag.Int("shards", 0, "generation shards (0 = one per CPU; output is identical for any value)")
 	out := flag.String("out", "world.fedi", "output world file")
+	prof := profile.Register(flag.CommandLine)
 	flag.Parse()
+
+	stop, err := prof.Start("fedigen")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "fedigen:", err)
+		return 2
+	}
+	defer stop()
 
 	cfg, err := core.ConfigForScale(core.Scale(*config), *seed)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "fedigen:", err)
-		os.Exit(2)
+		return 2
 	}
 	cfg.Shards = *shards
 
@@ -34,7 +47,7 @@ func main() {
 	w := gen.Generate(cfg)
 	if err := w.SaveFile(*out); err != nil {
 		fmt.Fprintln(os.Stderr, "fedigen:", err)
-		os.Exit(1)
+		return 1
 	}
 	written := int64(-1)
 	if st, err := os.Stat(*out); err == nil {
@@ -44,4 +57,5 @@ func main() {
 		len(w.Instances), len(w.Users), w.TotalToots(), written,
 		time.Since(start).Round(time.Millisecond), *out)
 	fmt.Print(core.Summary(w))
+	return 0
 }

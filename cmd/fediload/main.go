@@ -27,9 +27,14 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/instance"
 	"repro/internal/loadgen"
+	"repro/internal/profile"
 )
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run returns the exit code instead of calling os.Exit, so that the
+// deferred profile writers run.
+func run() int {
 	scale := flag.String("scale", "tiny", "world scale when generating: tiny | small | paper")
 	seed := flag.Uint64("seed", 1, "generator seed; also drives the request plan")
 	worldFile := flag.String("world", "", "load a world file instead of generating")
@@ -41,17 +46,23 @@ func main() {
 	timeout := flag.Duration("timeout", 10*time.Second, "per-request timeout")
 	maxToots := flag.Int("max-toots", 10, "self-serve: toot objects materialised per user")
 	jsonOut := flag.String("json", "", "write the JSON report here ('-' = stdout)")
+	prof := profile.Register(flag.CommandLine)
 	flag.Parse()
 
+	stop, err := prof.Start("fediload")
+	if err != nil {
+		return fail(err)
+	}
+	defer stop()
+
 	var w *dataset.World
-	var err error
 	if *worldFile != "" {
 		w, err = dataset.LoadFile(*worldFile)
 	} else {
 		w, err = core.BuildWorld(core.Scale(*scale), *seed)
 	}
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 
 	plan, err := loadgen.BuildPlan(w, loadgen.Config{
@@ -61,7 +72,7 @@ func main() {
 		Count:    *count,
 	})
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 
 	base := *target
@@ -70,11 +81,11 @@ func main() {
 		// listener — real TCP, no external process to coordinate.
 		liveNet, err := instance.LoadWorld(context.Background(), w, instance.LoadOptions{MaxTootsPerUser: *maxToots})
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		srv := &http.Server{Handler: liveNet, ReadHeaderTimeout: 10 * time.Second}
 		go srv.Serve(ln)
@@ -91,7 +102,7 @@ func main() {
 		Timeout: *timeout,
 	})
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	rep.Seed = *seed
 	rep.TargetRateRPS = *rate
@@ -110,18 +121,19 @@ func main() {
 	if *jsonOut != "" {
 		buf, err := json.MarshalIndent(rep, "", "  ")
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		buf = append(buf, '\n')
 		if *jsonOut == "-" {
 			os.Stdout.Write(buf)
 		} else if err := os.WriteFile(*jsonOut, buf, 0o644); err != nil {
-			fatal(err)
+			return fail(err)
 		}
 	}
+	return 0
 }
 
-func fatal(err error) {
+func fail(err error) int {
 	fmt.Fprintln(os.Stderr, "fediload:", err)
-	os.Exit(1)
+	return 1
 }

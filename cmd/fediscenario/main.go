@@ -28,6 +28,7 @@ import (
 	"path/filepath"
 	"strings"
 
+	"repro/internal/profile"
 	"repro/internal/simnet/scenario"
 )
 
@@ -38,7 +39,15 @@ func realMain() int {
 	run := flag.String("run", "", "comma-separated scenario names (default: all)")
 	seed := flag.Uint64("seed", 0, "seed override (0 = each scenario's default seed)")
 	out := flag.String("out", "", "directory for per-scenario <name>.json reports (default: stdout)")
+	prof := profile.Register(flag.CommandLine)
 	flag.Parse()
+
+	stop, err := prof.Start("fediscenario")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "fediscenario:", err)
+		return 2
+	}
+	defer stop()
 
 	if *list {
 		for _, name := range scenario.Names() {

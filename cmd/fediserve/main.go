@@ -24,9 +24,14 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/instance"
+	"repro/internal/profile"
 )
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run returns the exit code instead of calling os.Exit, so that the
+// deferred profile writers run.
+func run() int {
 	scale := flag.String("scale", "tiny", "world scale when generating: tiny | small | paper")
 	seed := flag.Uint64("seed", 1, "generator seed")
 	worldFile := flag.String("world", "", "load a world file instead of generating")
@@ -34,10 +39,17 @@ func main() {
 	maxToots := flag.Int("max-toots", 10, "toot objects materialised per user")
 	offlineGone := flag.Bool("offline-gone", true, "serve churned instances as offline")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (empty: off)")
+	prof := profile.Register(flag.CommandLine)
 	flag.Parse()
 
+	stop, err := prof.Start("fediserve")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "fediserve:", err)
+		return 2
+	}
+	defer stop()
+
 	var w *dataset.World
-	var err error
 	if *worldFile != "" {
 		w, err = dataset.LoadFile(*worldFile)
 	} else {
@@ -45,7 +57,7 @@ func main() {
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "fediserve:", err)
-		os.Exit(2)
+		return 2
 	}
 
 	start := time.Now()
@@ -55,7 +67,7 @@ func main() {
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "fediserve:", err)
-		os.Exit(1)
+		return 1
 	}
 
 	// Bind before announcing readiness: scripts wait for the "serving on"
@@ -63,7 +75,7 @@ func main() {
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "fediserve:", err)
-		os.Exit(1)
+		return 1
 	}
 	took := time.Since(start)
 	runtime.GC()
@@ -73,7 +85,7 @@ func main() {
 		pl, err := net.Listen("tcp", *pprofAddr)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "fediserve:", err)
-			os.Exit(1)
+			return 1
 		}
 		fmt.Printf("pprof on http://%s/debug/pprof/\n", pl.Addr())
 		// No read or write timeout: a CPU profile or trace streams for as
@@ -89,8 +101,8 @@ func main() {
 	}
 
 	srv := newServer(liveNet)
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
+	ctx, unnotify := signal.NotifyContext(context.Background(), os.Interrupt)
+	defer unnotify()
 	go func() {
 		<-ctx.Done()
 		shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -99,8 +111,9 @@ func main() {
 	}()
 	if err := srv.Serve(ln); err != nil && err != http.ErrServerClosed {
 		fmt.Fprintln(os.Stderr, "fediserve:", err)
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
 // newServer returns the HTTP server for a live network, with every limit a

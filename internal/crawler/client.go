@@ -323,7 +323,7 @@ func (c *Client) getOnce(ctx context.Context, domain, path string, buf []byte) (
 	defer fetchPool.Put(f) // after the Close below: defers run last first
 	defer resp.Body.Close()
 	if resp.StatusCode/100 != 2 {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
+		f.discard(resp.Body)
 		se := &StatusError{Domain: domain, Path: path, Code: resp.StatusCode}
 		if se.Code == http.StatusTooManyRequests || se.Code == http.StatusServiceUnavailable {
 			se.RetryAfter = c.parseRetryAfter(resp.Header.Get("Retry-After"))
@@ -343,6 +343,24 @@ type fetch struct {
 	req   *http.Request
 	url   url.URL
 	bound context.Context
+	drain [512]byte // what discard reads into
+}
+
+// maxDiscard is how much of a refused response's body discard reads, so
+// that the connection can carry the next request.
+const maxDiscard = 4096
+
+// discard reads up to maxDiscard bytes of body into f's own buffer and
+// drops them: io.Copy through an io.LimitReader, without allocating the
+// reader.
+func (f *fetch) discard(body io.Reader) {
+	for n := 0; n < maxDiscard; {
+		k, err := body.Read(f.drain[:min(len(f.drain), maxDiscard-n)])
+		n += k
+		if err != nil {
+			return
+		}
+	}
 }
 
 var fetchPool = sync.Pool{New: func() any {
@@ -495,13 +513,14 @@ func readBody(r io.Reader, buf []byte) ([]byte, error) {
 // goroutines (workers < 1 means one) and returns when all of them have
 // exited. Each goroutine claims the next unclaimed index until none is
 // left, so an index runs exactly once and at most workers calls of fn are
-// in flight. fn sees the caller's ctx. errs[i] is what fn returned for i;
-// an index claimed after ctx is cancelled gets ctx.Err() and fn is not
-// called for it. A long-lived worker, not a goroutine per item: a newborn
-// goroutine regrows its stack on the way down through the HTTP client,
-// which cost more than the request it carried.
-func forEach(ctx context.Context, n, workers int, fn func(ctx context.Context, i int) error) []error {
-	errs := make([]error, n)
+// in flight. fn sees the caller's ctx. errs, when not nil, has room for n
+// errors, and errs[i] becomes what fn returned for i; an index claimed
+// after ctx is cancelled gets ctx.Err() there, and fn is not called for
+// it. A caller that wants no errors passes nil and pays for no slice. A
+// long-lived worker, not a goroutine per item: a newborn goroutine regrows
+// its stack on the way down through the HTTP client, which cost more than
+// the request it carried.
+func forEach(ctx context.Context, n, workers int, errs []error, fn func(ctx context.Context, i int) error) {
 	workers = min(max(workers, 1), n)
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -514,14 +533,15 @@ func forEach(ctx context.Context, n, workers int, fn func(ctx context.Context, i
 				if i >= n {
 					return
 				}
-				if err := ctx.Err(); err != nil {
-					errs[i] = err
-					continue
+				err := ctx.Err()
+				if err == nil {
+					err = fn(ctx, i)
 				}
-				errs[i] = fn(ctx, i)
+				if errs != nil {
+					errs[i] = err
+				}
 			}
 		}()
 	}
 	wg.Wait()
-	return errs
 }

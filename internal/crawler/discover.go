@@ -35,7 +35,7 @@ func (d *Discoverer) Discover(ctx context.Context, seeds []string) []string {
 	}
 	return discoveryWalk(ctx, seeds, d.MaxHosts, func(ctx context.Context, frontier []string) (found, failed []string) {
 		var mu sync.Mutex
-		forEach(ctx, len(frontier), workers, func(ctx context.Context, i int) error {
+		forEach(ctx, len(frontier), workers, nil, func(ctx context.Context, i int) error {
 			domain := frontier[i]
 			bp := getBuf()
 			// Decode inside the integrity check so a corrupt peer list is

@@ -135,7 +135,8 @@ func (fs *FollowerScraper) Scrape(ctx context.Context, accts []string) ScrapeRes
 		from, to int // the arena's names from..to-1
 	}
 	spans := make([]span, len(accts))
-	errs := forEach(ctx, len(accts), workers, func(ctx context.Context, i int) error {
+	errs := make([]error, len(accts))
+	forEach(ctx, len(accts), workers, errs, func(ctx context.Context, i int) error {
 		a := <-free // at most workers calls run at once, so one is always there
 		defer func() { free <- a }()
 		from := len(a.ends)

@@ -110,21 +110,19 @@ func FuzzFollowerPageRoundTrip(f *testing.F) {
 	})
 }
 
-// scanToots reads one page the way the harvest does: the records ahead of
-// the first status that is not a toot, that status's error, and the page's
-// own.
-func scanToots(data []byte) (recs []TootRec, statusErr, pageErr error) {
+// scanToots reads one page the way the harvest does: a crawl of the
+// records ahead of the first status that is not a toot, that status's
+// error, and the page's own.
+func scanToots(data []byte) (c InstanceCrawl, statusErr, pageErr error) {
+	h := getHarvest()
+	defer putHarvest(h)
 	pageErr = wire.ScanStatuses(data, func(v *wire.StatusView) {
-		if statusErr != nil {
-			return
-		}
-		var rec TootRec
-		if rec, statusErr = tootOf(v); statusErr == nil {
-			rec.Acct = string(v.Acct)
-			recs = append(recs, rec)
+		if statusErr == nil {
+			statusErr = h.add(v)
 		}
 	})
-	return recs, statusErr, pageErr
+	h.result(&c)
+	return c, statusErr, pageErr
 }
 
 // FuzzDecodeStatuses pins the status-page reader: it refuses the bytes
@@ -146,18 +144,19 @@ func FuzzDecodeStatuses(f *testing.F) {
 		if jerr != nil {
 			return
 		}
-		var want []TootRec
+		var want []refToot
 		var wantErr error
 		for _, ws := range page {
-			var rec TootRec
+			var rec refToot
 			if rec, wantErr = refDecodeStatus(ws); wantErr != nil {
 				break
 			}
 			want = append(want, rec)
 		}
-		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || !reflect.DeepEqual(got, want) {
-			t.Fatalf("records differ:\n scan %+v, %v\n ref  %+v, %v", got, gotErr, want, wantErr)
+		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+			t.Fatalf("errors differ: scan %v, ref %v", gotErr, wantErr)
 		}
+		sameToots(t, &got, want)
 	})
 }
 

@@ -14,6 +14,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/sim"
 	"repro/internal/wire"
@@ -345,17 +346,28 @@ func FuzzMastodonTime(f *testing.F) {
 	f.Fuzz(func(t *testing.T, s string) { sameTime(t, s) })
 }
 
+// refToot is a harvested toot as a record held it before records were
+// rows: a string per field, a slice of tags per toot.
+type refToot struct {
+	ID        int64
+	Acct      string
+	CreatedAt time.Time
+	Content   string
+	Hashtags  []string
+	Boost     bool
+}
+
 // refDecodeStatus is how a materialised status became a record.
-func refDecodeStatus(ws wire.Status) (TootRec, error) {
+func refDecodeStatus(ws wire.Status) (refToot, error) {
 	id, err := strconv.ParseInt(ws.ID, 10, 64)
 	if err != nil {
-		return TootRec{}, fmt.Errorf("crawler: bad status id %q: %w", ws.ID, err)
+		return refToot{}, fmt.Errorf("crawler: bad status id %q: %w", ws.ID, err)
 	}
 	at, err := refCreatedAt(ws.CreatedAt)
 	if err != nil {
-		return TootRec{}, fmt.Errorf("crawler: bad created_at %q", ws.CreatedAt)
+		return refToot{}, fmt.Errorf("crawler: bad created_at %q", ws.CreatedAt)
 	}
-	rec := TootRec{
+	rec := refToot{
 		ID:        id,
 		Acct:      ws.Account.Acct,
 		CreatedAt: at,
@@ -371,8 +383,9 @@ func refDecodeStatus(ws wire.Status) (TootRec, error) {
 // refCrawlInstance is CrawlInstance as it was: every page decoded into a
 // []wire.Status (by encoding/json here; FuzzStatusesCodec in internal/wire
 // holds the decoder it used to that), converted status by status into a
-// slice per page, and the pages concatenated at the end.
-func refCrawlInstance(tc *TootCrawler, ctx context.Context, domain string) (out InstanceCrawl) {
+// slice per page, and the pages concatenated at the end. The records are
+// returned beside a crawl that holds everything but them.
+func refCrawlInstance(tc *TootCrawler, ctx context.Context, domain string) (out InstanceCrawl, toots []refToot) {
 	out.Domain = domain
 	local := "false"
 	if tc.Local {
@@ -381,8 +394,8 @@ func refCrawlInstance(tc *TootCrawler, ctx context.Context, domain string) (out 
 	since := tc.Since[domain]
 	out.SinceID = since
 	out.MaxID = since
-	var pages [][]TootRec
-	defer func() { out.Toots = slices.Concat(pages...) }()
+	var pages [][]refToot
+	defer func() { toots = slices.Concat(pages...) }()
 	var maxID int64
 	harvested := 0
 	base := "/api/v1/timelines/public?local=" + local + "&limit=40"
@@ -418,13 +431,13 @@ func refCrawlInstance(tc *TootCrawler, ctx context.Context, domain string) (out 
 				out.Offline = true
 				out.Err = err
 			}
-			return out
+			return out, nil
 		}
 		out.Pages++
 		if len(page) == 0 {
-			return out
+			return out, nil
 		}
-		recs := make([]TootRec, 0, len(page))
+		recs := make([]refToot, 0, len(page))
 		done := false
 		for _, ws := range page {
 			rec, err := refDecodeStatus(ws)
@@ -454,8 +467,50 @@ func refCrawlInstance(tc *TootCrawler, ctx context.Context, domain string) (out 
 			harvested += len(recs)
 		}
 		if done {
-			return out
+			return out, nil
 		}
+	}
+}
+
+// tootsOf reads a crawl's records back through its accessors.
+func tootsOf(c *InstanceCrawl) []refToot {
+	var toots []refToot
+	for _, t := range c.Toots {
+		toots = append(toots, refToot{
+			ID: t.ID, Acct: c.Acct(t), CreatedAt: t.CreatedAt,
+			Content: c.Content(t), Hashtags: c.Hashtags(t), Boost: t.Boost,
+		})
+	}
+	return toots
+}
+
+// sameToots fails unless c's records read as want, Hashtags nil where
+// want's are, and c holds no storage past them: its Authors are the
+// distinct accts of want in first-seen order, and its content and tags are
+// want's, back to back.
+func sameToots(t testing.TB, c *InstanceCrawl, want []refToot) {
+	t.Helper()
+	got := tootsOf(c)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("records differ:\n got  %+v\n want %+v", got, want)
+	}
+	var authors, tags []string
+	var content strings.Builder
+	for i, w := range want {
+		if (got[i].Hashtags == nil) != (w.Hashtags == nil) {
+			t.Fatalf("toot %d: Hashtags %#v, want %#v", i, got[i].Hashtags, w.Hashtags)
+		}
+		if !slices.Contains(authors, w.Acct) {
+			authors = append(authors, w.Acct)
+		}
+		content.WriteString(w.Content)
+		tags = append(tags, w.Hashtags...)
+	}
+	if !reflect.DeepEqual(c.Authors, authors) {
+		t.Fatalf("Authors %q, the records' are %q", c.Authors, authors)
+	}
+	if c.content != content.String() || !reflect.DeepEqual(c.tags, tags) {
+		t.Fatalf("storage holds content %q and tags %q, the records' are %q and %q", c.content, c.tags, content.String(), tags)
 	}
 }
 
@@ -516,7 +571,12 @@ func TestHarvestMatchesReference(t *testing.T) {
 		return fmt.Sprintf(`{"id":"%d","created_at":"2018-05-01T10:00:00.000Z","content":"toot %d","account":{"username":"u%d","acct":"u%d@x.test"}%s}`,
 			id, id, id%3, id%3, rest)
 	}
+	byNew := func(id int, rest string) string { // by an author no other status has
+		return fmt.Sprintf(`{"id":"%d","created_at":"2018-05-01T10:00:00.000Z","content":"new %d","account":{"acct":"new@x.test"}%s}`, id, id, rest)
+	}
 	page := func(statuses ...string) string { return "[" + strings.Join(statuses, ",") + "]" }
+	// torn damages a page's last status.
+	torn := func(page string) string { return page[:len(page)-10] }
 	run := func(from, to int) (out []string) { // ids from down to to
 		for id := from; id >= to; id-- {
 			out = append(out, st(id, ""))
@@ -563,6 +623,11 @@ func TestHarvestMatchesReference(t *testing.T) {
 			ok(page(st(9, ""), `{"id":"8","created_at":"2018-05-01T10:00:00.000Z","account":{"username":8}}`)), ok(page(run(9, 8)...))}, toots: 2},
 		{name: "a corrupt page with a bad id in it and its retry", replies: []reply{
 			ok(page(st(9, ""), `{"id":"x"}`, st(7, ""))[:150]), ok(page(run(9, 8)...))}, toots: 2},
+		{name: "a retried page drops a new author", replies: []reply{ok(page(run(9, 5)...)),
+			ok(torn(page(byNew(4, `,"tags":[{"name":"fresh"}]`), st(3, "")))), ok(page(run(4, 1)...))}, toots: 9},
+		{name: "since cut-off drops a new author", since: 5, replies: []reply{ok(page(st(7, ""), byNew(5, `,"tags":[{"name":"fresh"}]`), st(4, "")))}, toots: 1},
+		{name: "MaxToots drops a new author", maxToots: 2, replies: []reply{ok(page(st(9, ""), st(8, `,"tags":[{"name":"a"}]`), byNew(7, `,"tags":[{"name":"fresh"}]`)))}, toots: 2},
+		{name: "a bad id drops a new author", replies: []reply{ok(page(st(9, ""), `{"id":"x","content":"lost","account":{"acct":"new@x.test"}}`))}, toots: 1},
 		{name: "a page that stays corrupt", replies: []reply{ok(page(run(9, 5)...)),
 			ok(page(run(4, 3)...) + "]"), ok(`[{"id":"4","account":7}]`), ok(page(run(4, 1)...)[:150]), ok(page(run(4, 1)...))}, toots: 5},
 		{name: "more than a scratch chunk", replies: pagesOf(scratchChunk+500, st), toots: scratchChunk + 500},
@@ -573,7 +638,7 @@ func TestHarvestMatchesReference(t *testing.T) {
 		{name: "gone after a page", replies: []reply{ok(page(run(9, 5)...)), {code: 404}}, toots: 5},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			crawl := func(harvest func(*TootCrawler, context.Context, string) InstanceCrawl) (InstanceCrawl, []string) {
+			crawler := func() (*TootCrawler, *scripted) {
 				rt := &scripted{replies: tc.replies}
 				c := &TootCrawler{
 					Client:   &Client{HTTP: &http.Client{Transport: rt}, Retries: 3, Backoff: time.Microsecond},
@@ -582,33 +647,42 @@ func TestHarvestMatchesReference(t *testing.T) {
 				if tc.since > 0 {
 					c.Since = map[string]int64{"x.test": tc.since}
 				}
-				return harvest(c, context.Background(), "x.test"), rt.asked
+				return c, rt
 			}
-			got, gotAsked := crawl((*TootCrawler).CrawlInstance)
-			want, wantAsked := crawl(refCrawlInstance)
-			if !reflect.DeepEqual(gotAsked, wantAsked) {
-				t.Fatalf("requests differ:\n got  %q\n want %q", gotAsked, wantAsked)
+			c, rt := crawler()
+			got := c.CrawlInstance(context.Background(), "x.test")
+			c, wantRT := crawler()
+			want, wantToots := refCrawlInstance(c, context.Background(), "x.test")
+			if !reflect.DeepEqual(rt.asked, wantRT.asked) {
+				t.Fatalf("requests differ:\n got  %q\n want %q", rt.asked, wantRT.asked)
 			}
-			if g, w := crawlText(got), crawlText(want); g != w || (got.Toots == nil) != (want.Toots == nil) {
+			header := got
+			header.Toots, header.Authors, header.content, header.tags = nil, nil, "", nil
+			if g, w := crawlText(header), crawlText(want); g != w || (got.Toots == nil) != (wantToots == nil) {
 				t.Fatalf("harvests differ:\n got  %s\n want %s", g, w)
 			}
 			if len(got.Toots) != tc.toots {
 				t.Fatalf("harvested %d toots, the script holds %d", len(got.Toots), tc.toots)
 			}
-			for i := range got.Toots {
-				if (got.Toots[i].Hashtags == nil) != (want.Toots[i].Hashtags == nil) {
-					t.Fatalf("toot %d: Hashtags %#v, want %#v", i, got.Toots[i].Hashtags, want.Toots[i].Hashtags)
-				}
+			sameToots(t, &got, wantToots)
+			if strings.Contains(tc.name, "new author") && slices.Contains(got.Authors, "new@x.test") {
+				t.Fatalf("Authors %q name the author of a dropped toot", got.Authors)
 			}
 		})
 	}
 }
 
+// TestTootRecSize: a harvested toot is a fixed row of at most 56 bytes.
+func TestTootRecSize(t *testing.T) {
+	if n := unsafe.Sizeof(TootRec{}); n > 56 {
+		t.Fatalf("a TootRec is %d bytes", n)
+	}
+}
+
 // TestScratchMatchesAppend: whatever mix of pages, cuts and spills fills a
 // scratch, its result is what appending the same records to one slice
-// gives, and what goes back to the pool holds none of them.
+// gives, and a reset scratch holds none of them.
 func TestScratchMatchesAppend(t *testing.T) {
-	var pool scratchPool[*int]
 	// Every page appends two records more than it keeps, so a page of 40
 	// needs room for 42. The pages marked grow are longer than that room.
 	for _, tc := range []struct {
@@ -621,7 +695,7 @@ func TestScratchMatchesAppend(t *testing.T) {
 		{pages: []int{4000, 4000, 4000, 4000, 4000, 9}, grows: true},
 	} {
 		pages := tc.pages
-		s := pool.get()
+		s := &scratch[*int]{chunk: make([]*int, 0, scratchChunk)}
 		var want []*int
 		for p, n := range pages {
 			s.spill(42)
@@ -638,18 +712,17 @@ func TestScratchMatchesAppend(t *testing.T) {
 		if got := s.result(); !reflect.DeepEqual(got, want) || (got == nil) != (want == nil) {
 			t.Fatalf("pages %v: result has %d records, want %d", pages, len(got), len(want))
 		}
-		if grew := cap(s.chunk) != scratchChunk; grew != tc.grows {
-			t.Fatalf("pages %v: the chunk holds %d records", pages, cap(s.chunk))
-		}
 		chunk := s.chunk[:cap(s.chunk)]
-		pool.put(s)
+		if keep := s.reset(); keep == tc.grows {
+			t.Fatalf("pages %v: reset keeps a chunk of %d records: %v", pages, cap(chunk), keep)
+		}
 		for i, p := range chunk {
 			if p != nil {
 				t.Fatalf("pages %v: slot %d of the chunk still points at a record", pages, i)
 			}
 		}
-		if s.full != nil && cap(chunk) == scratchChunk {
-			t.Fatalf("pages %v: a pooled scratch keeps its spilled chunks", pages)
+		if s.full != nil || s.n != 0 {
+			t.Fatalf("pages %v: a reset scratch keeps its spilled chunks", pages)
 		}
 	}
 }

@@ -13,22 +13,32 @@ import (
 
 // TootRec is one harvested toot: the fields the paper collected (username,
 // toot URL, creation date, contents, hashtags; engagement counters are
-// carried by the follower crawl).
+// carried by the follower crawl), as a fixed row. The author is an index
+// into the crawl's Authors, and content and hashtags are spans into
+// storage the crawl owns: read them with the crawl's Acct, Content and
+// Hashtags.
 type TootRec struct {
 	ID        int64
-	Acct      string // author as user@domain
 	CreatedAt time.Time
-	Content   string
-	Hashtags  []string
+	Author    int32  // index into InstanceCrawl.Authors
+	text      uint32 // content[text:textEnd]
+	textEnd   uint32
+	tag       uint32 // tags[tag:tagEnd]
+	tagEnd    uint32
 	Boost     bool
 }
 
 // InstanceCrawl is the harvest of one instance.
 type InstanceCrawl struct {
-	Domain  string
-	Toots   []TootRec
-	Blocked bool // instance refuses crawling (403)
-	Offline bool // instance unreachable
+	Domain string
+	Toots  []TootRec
+	// Authors are the distinct authors of Toots as user@domain, in
+	// first-seen order.
+	Authors []string
+	content string   // the toots' contents, back to back
+	tags    []string // the toots' hashtags, back to back; a name is one string per crawl
+	Blocked bool     // instance refuses crawling (403)
+	Offline bool     // instance unreachable
 	// Quarantined marks a crawl cut short because the shared circuit
 	// breaker exhausted the host's failure budget.
 	Quarantined bool
@@ -40,6 +50,21 @@ type InstanceCrawl struct {
 	// checkpoint an incremental recrawl passes to the next campaign.
 	SinceID int64
 	MaxID   int64
+}
+
+// Acct returns t's author as user@domain.
+func (c *InstanceCrawl) Acct(t TootRec) string { return c.Authors[t.Author] }
+
+// Content returns t's content.
+func (c *InstanceCrawl) Content(t TootRec) string { return c.content[t.text:t.textEnd] }
+
+// Hashtags returns t's hashtag names, in order, or nil when it has none.
+// The slice is the crawl's: a caller must not write to it.
+func (c *InstanceCrawl) Hashtags(t TootRec) []string {
+	if t.tag == t.tagEnd {
+		return nil
+	}
+	return c.tags[t.tag:t.tagEnd:t.tagEnd]
 }
 
 // TootCrawler pages through the public timelines of many instances
@@ -62,24 +87,22 @@ type TootCrawler struct {
 
 // CrawlInstance harvests one instance's entire toot history by paging
 // max_id backwards until the beginning of time. One pooled body buffer and
-// one pooled scratch serve the whole paging loop.
+// one pooled harvest serve the whole paging loop.
 func (tc *TootCrawler) CrawlInstance(ctx context.Context, domain string) InstanceCrawl {
 	out := InstanceCrawl{Domain: domain}
-	s := tootScratch.get()
-	tc.harvest(ctx, &out, s)
-	out.Toots = s.result()
-	tootScratch.put(s)
+	h := getHarvest()
+	tc.harvest(ctx, &out, h)
+	h.result(&out)
+	putHarvest(h)
 	return out
 }
-
-var tootScratch scratchPool[TootRec]
 
 // statusPage is Mastodon's cap on a timeline page, and what harvest asks for.
 const statusPage = 40
 
 // harvest is CrawlInstance's paging loop: it fills in everything but
-// out.Toots and leaves the accepted records, newest first, in acc.
-func (tc *TootCrawler) harvest(ctx context.Context, out *InstanceCrawl, acc *scratch[TootRec]) {
+// the toots and leaves the accepted ones, newest first, in h.
+func (tc *TootCrawler) harvest(ctx context.Context, out *InstanceCrawl, h *harvest) {
 	domain := out.Domain
 	local := "false"
 	if tc.Local {
@@ -92,9 +115,6 @@ func (tc *TootCrawler) harvest(ctx context.Context, out *InstanceCrawl, acc *scr
 	var body []byte
 	defer func() { putBuf(bp, body) }()
 	var maxID int64
-	// One string per author, not per toot: a timeline names the same few
-	// accounts page after page.
-	var accts map[string]string
 	base := "/api/v1/timelines/public?local=" + local + "&limit=" + strconv.Itoa(statusPage)
 	if since > 0 {
 		base += "&since_id=" + strconv.FormatInt(since, 10)
@@ -109,33 +129,18 @@ func (tc *TootCrawler) harvest(ctx context.Context, out *InstanceCrawl, acc *scr
 		// attempt starts from the records accepted before it. A status that
 		// is valid JSON but not a toot (pageErr) is not corruption: it ends
 		// the harvest after the records ahead of it.
-		acc.spill(statusPage)
-		kept := len(acc.chunk)
+		h.recs.spill(statusPage)
+		m := h.mark()
 		var pageErr error
 		var err error
 		// GetChecked always returns the current (possibly regrown) buffer.
 		body, err = tc.Client.GetChecked(ctx, domain, path, (*bp)[:0], func(b []byte) error {
-			acc.cut(kept)
+			h.cut(m, m.recs)
 			pageErr = nil
 			return wire.ScanStatuses(b, func(v *wire.StatusView) {
-				if pageErr != nil {
-					return
+				if pageErr == nil {
+					pageErr = h.add(v)
 				}
-				rec, err := tootOf(v)
-				if err != nil {
-					pageErr = err
-					return
-				}
-				acct, ok := accts[string(v.Acct)]
-				if !ok {
-					if accts == nil {
-						accts = make(map[string]string)
-					}
-					acct = string(v.Acct)
-					accts[acct] = acct
-				}
-				rec.Acct = acct
-				acc.chunk = append(acc.chunk, rec)
 			})
 		})
 		*bp = body[:0]
@@ -162,19 +167,20 @@ func (tc *TootCrawler) harvest(ctx context.Context, out *InstanceCrawl, acc *scr
 				out.Offline = true
 				out.Err = err
 			}
-			acc.cut(kept)
+			h.cut(m, m.recs)
 			return
 		}
 		out.Pages++
-		if len(acc.chunk) == kept && pageErr == nil {
+		recs := h.recs.chunk
+		if len(recs) == m.recs && pageErr == nil {
 			return
 		}
-		for i := kept; i < len(acc.chunk); i++ {
-			id := acc.chunk[i].ID
+		for i := m.recs; i < len(recs); i++ {
+			id := recs[i].ID
 			if since > 0 && id <= since {
 				// A server without since_id support paged past the mark:
 				// everything from here back was already harvested.
-				acc.cut(i)
+				h.cut(m, i)
 				return
 			}
 			if id > out.MaxID {
@@ -183,8 +189,8 @@ func (tc *TootCrawler) harvest(ctx context.Context, out *InstanceCrawl, acc *scr
 			if maxID == 0 || id < maxID {
 				maxID = id
 			}
-			if tc.MaxToots > 0 && acc.n+i+1 >= tc.MaxToots {
-				acc.cut(i + 1)
+			if tc.MaxToots > 0 && h.recs.n+i+1 >= tc.MaxToots {
+				h.cut(m, i+1)
 				return
 			}
 		}
@@ -195,8 +201,8 @@ func (tc *TootCrawler) harvest(ctx context.Context, out *InstanceCrawl, acc *scr
 	}
 }
 
-// tootOf reads one scanned status as a record, all of it but Acct: the
-// caller has the string for that.
+// tootOf reads one scanned status's id, time and boost flag as a record:
+// the rest of it goes to the harvest's storage.
 func tootOf(v *wire.StatusView) (TootRec, error) {
 	id, err := strconv.ParseInt(string(v.ID), 10, 64)
 	if err != nil {
@@ -213,13 +219,7 @@ func tootOf(v *wire.StatusView) (TootRec, error) {
 			return TootRec{}, fmt.Errorf("crawler: bad created_at %q", v.CreatedAt)
 		}
 	}
-	return TootRec{
-		ID:        id,
-		CreatedAt: at,
-		Content:   string(v.Content),
-		Hashtags:  v.Tags,
-		Boost:     v.Boost,
-	}, nil
+	return TootRec{ID: id, CreatedAt: at, Boost: v.Boost}, nil
 }
 
 // mastodonLayout is the created_at format Mastodon serialises: UTC,
@@ -288,8 +288,9 @@ type CrawlSummary struct {
 // Summarize computes totals over crawl results.
 func Summarize(results []InstanceCrawl) CrawlSummary {
 	s := CrawlSummary{Instances: len(results)}
-	authors := make(map[string]struct{})
-	for _, r := range results {
+	authors := make(map[string]struct{}, authorsIn(results))
+	for i := range results {
+		r := &results[i]
 		switch {
 		case r.Blocked:
 			s.Blocked++
@@ -299,8 +300,8 @@ func Summarize(results []InstanceCrawl) CrawlSummary {
 			s.Online++
 		}
 		s.Toots += len(r.Toots)
-		for _, t := range r.Toots {
-			authors[t.Acct] = struct{}{}
+		for _, a := range r.Authors {
+			authors[a] = struct{}{}
 		}
 	}
 	s.Authors = len(authors)
@@ -313,23 +314,43 @@ func Summarize(results []InstanceCrawl) CrawlSummary {
 // encountered who have tooted at least once") — and, aligned with them,
 // how many of each author's toots complete harvests hold.
 func Authors(results []InstanceCrawl) (authors []string, toots []int) {
-	id := make(map[string]int)
+	n := authorsIn(results)
+	if n == 0 {
+		return nil, nil
+	}
+	id := make(map[string]int, n)
+	authors, toots = make([]string, 0, n), make([]int, 0, n)
+	var ids []int // the crawl's author indexes, as ids
 	for i := range results {
 		r := &results[i]
-		for _, t := range r.Toots {
-			k, ok := id[t.Acct]
+		ids = ids[:0]
+		for _, a := range r.Authors {
+			k, ok := id[a]
 			if !ok {
 				k = len(authors)
-				id[t.Acct] = k
-				authors = append(authors, t.Acct)
+				id[a] = k
+				authors = append(authors, a)
 				toots = append(toots, 0)
 			}
-			if r.Complete() {
-				toots[k]++
+			ids = append(ids, k)
+		}
+		if r.Complete() {
+			for _, t := range r.Toots {
+				toots[ids[t.Author]]++
 			}
 		}
 	}
 	return authors, toots
+}
+
+// authorsIn is how many authors the crawls' tables name between them: the
+// distinct authors over all of them, or more when a crawl names another's.
+func authorsIn(results []InstanceCrawl) int {
+	n := 0
+	for i := range results {
+		n += len(results[i].Authors)
+	}
+	return n
 }
 
 // Complete reports whether c harvested the whole timeline: the instance

@@ -50,16 +50,7 @@ func NewCheckpoint(res *CampaignResult) *Checkpoint {
 		if _, marked := ck.HighWater[c.Domain]; !marked {
 			continue
 		}
-		seen := make(map[string]struct{}, len(c.Toots))
-		var authors []string
-		for _, t := range c.Toots {
-			if _, dup := seen[t.Acct]; dup {
-				continue
-			}
-			seen[t.Acct] = struct{}{}
-			authors = append(authors, t.Acct)
-		}
-		ck.Authors[c.Domain] = authors
+		ck.Authors[c.Domain] = c.Authors
 	}
 	return ck
 }
@@ -73,6 +64,7 @@ func NewCheckpoint(res *CampaignResult) *Checkpoint {
 // returns how many toots of each this window's complete harvests hold.
 func UnionAuthors(ck *Checkpoint, crawls []crawler.InstanceCrawl) (authors []string, toots []int) {
 	id := make(map[string]int)
+	var ids []int // a crawl's author indexes, as ids
 	add := func(acct string) int {
 		k, ok := id[acct]
 		if !ok {
@@ -93,9 +85,13 @@ func UnionAuthors(ck *Checkpoint, crawls []crawler.InstanceCrawl) (authors []str
 				add(a)
 			}
 		}
-		for _, t := range c.Toots {
-			if k := add(t.Acct); c.Complete() {
-				toots[k]++
+		ids = ids[:0]
+		for _, a := range c.Authors {
+			ids = append(ids, add(a))
+		}
+		if c.Complete() {
+			for _, t := range c.Toots {
+				toots[ids[t.Author]]++
 			}
 		}
 	}

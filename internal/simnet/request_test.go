@@ -175,14 +175,15 @@ func requestHarness(t *testing.T) *Harness {
 // Allocations of one more campaign request through the harness's client,
 // everything included — the request, net/http's client, the fault and memory
 // transports, the handler, the body read, the decode into what the crawler
-// keeps — as measured (go1.24). The timeline page carries what the crawler
-// keeps of 40 statuses (content, tag slice, tag). A follower page keeps
-// nothing per follower: names go into a pooled arena and are interned into
-// one buffer, so what is left is the request and the interner's growth.
+// keeps — as measured (go1.24). A timeline page keeps nothing per status:
+// its row, content and tags go into a pooled harvest, which the crawl's
+// result copies out once. A follower page keeps nothing per follower: names
+// go into a pooled arena and are interned into one buffer, so what is left
+// is the request and the interner's growth.
 const (
 	probeUpAllocs      = 6
-	probeDownAllocs    = 16 // two attempts: the harness retries once
-	timelinePageAllocs = 128
+	probeDownAllocs    = 14 // two attempts: the harness retries once
+	timelinePageAllocs = 9
 	followerPageAllocs = 9
 )
 

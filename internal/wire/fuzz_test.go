@@ -136,7 +136,7 @@ func viewsOf(data []byte) ([]Status, error) {
 			s.ID = "an empty Tags must be nil"
 		}
 		for _, name := range v.Tags {
-			s.Tags = append(s.Tags, StatusTag{Name: name})
+			s.Tags = append(s.Tags, StatusTag{Name: string(name)})
 		}
 		page = append(page, s)
 	})

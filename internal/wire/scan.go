@@ -8,14 +8,14 @@ package wire
 // its type checked — "title":7 is an error whether or not the title is kept.
 
 // StatusView is one status of a timeline page as ScanStatuses hands it to
-// its callback. ID, CreatedAt, Content and Acct alias the page or the
-// scanner's scratch and are valid until the callback returns. Tags is
-// freshly allocated and the callback's to keep; it is nil for a status
-// without tags.
+// its callback. ID, CreatedAt, Content, Acct and every tag name alias the
+// page or the scanner's scratch, and Tags itself a slice the scanner
+// reuses: all are valid until the callback returns. Tags is nil for a
+// status without tags.
 type StatusView struct {
 	ID, CreatedAt, Content, Acct []byte
 	Boost                        bool     // "reblog" holds an object
-	Tags                         []string // the tag names, in order
+	Tags                         [][]byte // the tag names, in order
 }
 
 // ScanStatuses validates a status page and calls fn once per element, in
@@ -26,11 +26,15 @@ type StatusView struct {
 func ScanStatuses(data []byte, fn func(*StatusView)) error {
 	d := &decoder{data: data}
 	var v StatusView
+	var tags [][]byte // every status's Tags, reused
 	if _, err := d.arrayValue(func() {}, func() error {
-		v = StatusView{}
+		v = StatusView{Tags: tags[:0]}
 		d.scratch = d.scratch[:0]
 		if err := d.scanStatus(&v); err != nil {
 			return err
+		}
+		if cap(v.Tags) > cap(tags) {
+			tags = v.Tags
 		}
 		if len(v.Tags) == 0 {
 			v.Tags = nil
@@ -81,19 +85,20 @@ func (d *decoder) scanStatus(v *StatusView) error {
 			})
 		case fieldIs(key, "tags"):
 			// The stdlib's slice semantics, as in stringSliceValue: a second
-			// "tags" key decodes into the first one's elements in place.
+			// "tags" key decodes into the first one's elements in place. null
+			// empties the slice but keeps its array for the next status.
 			tags, n := v.Tags, 0
 			handled, err := d.arrayValue(
-				func() { tags, n = nil, -1 },
+				func() { tags, n = tags[:0], -1 },
 				func() error {
 					if n >= len(tags) {
-						tags = append(tags, "")
+						tags = append(tags, nil)
 					}
 					n++
 					name := &tags[n-1]
 					return d.object(func(key []byte) (bool, error) {
 						if fieldIs(key, "name") {
-							return d.stringValue(name)
+							return d.viewValue(name)
 						}
 						return false, nil
 					})
