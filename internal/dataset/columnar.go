@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
+	"unsafe"
 
 	"repro/internal/graph"
 	"repro/internal/sim"
@@ -18,9 +20,9 @@ import (
 // fixed-budget chunk sections, so both Save and Load touch one section's
 // worth of scratch memory at a time regardless of world size. Within a
 // chunk the payload is column-major: every value of a field, then every
-// value of the next, which keeps like bytes together and the codecs
-// branch-free. Integers are uvarint (zigzag where negative values are
-// legal), strings are length-prefixed, floats are fixed 8-byte LE.
+// value of the next, which keeps like bytes together. Integers are uvarint
+// (zigzag where negative values are legal), each string carries its own
+// length prefix, floats are fixed 8-byte LE.
 //
 // Compatibility rule: a reader accepts exactly its own version; any layout
 // change bumps colVersion.
@@ -72,7 +74,7 @@ const (
 // colDecodeBudget caps the total memory a file's header rows may commit the
 // decoder to, so a corrupt or hostile header cannot OOM the process before
 // any row data is validated. A package var (not const) so the fuzz target
-// can shrink it.
+// and tests can shrink it.
 var colDecodeBudget = int64(8) << 30
 
 // LoadStats reports the decoder's transient memory behaviour: how many
@@ -84,33 +86,6 @@ type LoadStats struct {
 	Sections   int
 	MaxSection int
 	ScratchCap int
-}
-
-// ---------------------------------------------------------------------------
-// Primitive append codecs (Save side).
-
-func appendUvarint(dst []byte, v uint64) []byte {
-	return binary.AppendUvarint(dst, v)
-}
-
-func appendZigzag(dst []byte, v int64) []byte {
-	return binary.AppendUvarint(dst, uint64(v)<<1^uint64(v>>63))
-}
-
-func appendString(dst []byte, s string) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(s)))
-	return append(dst, s...)
-}
-
-func appendBool(dst []byte, b bool) []byte {
-	if b {
-		return append(dst, 1)
-	}
-	return append(dst, 0)
-}
-
-func appendFloat64(dst []byte, f float64) []byte {
-	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(f))
 }
 
 // ---------------------------------------------------------------------------
@@ -209,14 +184,182 @@ func (r *colReader) float64() float64 {
 func (r *colReader) done() bool { return r.err == nil && r.off == len(r.b) }
 
 // ---------------------------------------------------------------------------
+// The schema, written once: every table's layout is a function over a
+// colCodec, and Save and Load both run it. A codec has one branch per side.
+
+// colCodec is the cursor the schema runs on: Save appends a section's
+// payload to buf, Load (load set) reads one through r.
+type colCodec struct {
+	load  bool
+	buf   []byte
+	r     colReader
+	nInst int // Load: every instance id must index [0, nInst)
+}
+
+func zigzag[T ~int | ~int32 | ~int64](c *colCodec, v *T) {
+	if c.load {
+		*v = T(c.r.zigzag())
+		return
+	}
+	x := int64(*v)
+	c.buf = binary.AppendUvarint(c.buf, uint64(x)<<1^uint64(x>>63))
+}
+
+func str[S ~string](c *colCodec, v *S) {
+	if c.load {
+		*v = S(c.r.str())
+		return
+	}
+	c.buf = binary.AppendUvarint(c.buf, uint64(len(*v)))
+	c.buf = append(c.buf, string(*v)...)
+}
+
+func flag(c *colCodec, v *bool) {
+	switch {
+	case c.load:
+		*v = c.r.bool()
+	case *v:
+		c.buf = append(c.buf, 1)
+	default:
+		c.buf = append(c.buf, 0)
+	}
+}
+
+func float(c *colCodec, v *float64) {
+	if c.load {
+		*v = c.r.float64()
+		return
+	}
+	c.buf = binary.LittleEndian.AppendUint64(c.buf, math.Float64bits(*v))
+}
+
+// count is a table size; Load refuses one above max.
+func count(c *colCodec, v *int, max int, what string) {
+	if c.load {
+		*v = c.r.count(max, what)
+		return
+	}
+	c.buf = binary.AppendUvarint(c.buf, uint64(*v))
+}
+
+// list is a length-prefixed run of elem values; an empty list loads as nil.
+func list[T any](elem func(*colCodec, *T)) func(*colCodec, *[]T) {
+	return func(c *colCodec, v *[]T) {
+		if !c.load {
+			c.buf = binary.AppendUvarint(c.buf, uint64(len(*v)))
+		} else if k := c.r.count(len(c.r.b), "list element"); k > 0 {
+			*v = make([]T, k)
+		}
+		for i := range *v {
+			elem(c, &(*v)[i])
+		}
+	}
+}
+
+// instanceID is an index into the instance table. Load fails the section
+// unless it indexes the table the header announced, so no reader that
+// indexes one table by another can be handed an id out of range.
+func instanceID(what string) func(*colCodec, *int32) {
+	return func(c *colCodec, v *int32) {
+		if !c.load {
+			zigzag(c, v)
+			return
+		}
+		id := c.r.zigzag()
+		if c.r.err == nil && (id < 0 || id >= int64(c.nInst)) {
+			c.r.fail("%s id %d out of range [0,%d)", what, id, c.nInst)
+		}
+		*v = int32(id)
+	}
+}
+
+// col is one column: the field get picks out of every row, through codec.
+func col[R, T any](c *colCodec, rows []R, get func(*R) *T, codec func(*colCodec, *T)) {
+	for i := range rows {
+		codec(c, get(&rows[i]))
+	}
+}
+
+// header is the first section: seed, days, the three table sizes and the
+// presence flags.
+func header(c *colCodec, w *World, nInst, nUsers, nAS *int, flags *byte) {
+	if c.load {
+		w.Seed = c.r.uvarint()
+	} else {
+		c.buf = binary.AppendUvarint(c.buf, w.Seed)
+	}
+	zigzag(c, &w.Days)
+	count(c, nInst, maxWorldRows, "instance")
+	count(c, nUsers, maxWorldRows, "user")
+	count(c, nAS, maxWorldRows, "AS")
+	if !c.load {
+		c.buf = append(c.buf, *flags)
+	} else if b := c.r.take(1); c.r.err == nil {
+		*flags = b[0]
+	}
+}
+
+// asRow is one row of the AS section, which is row-major: the registry is a
+// few hundred rows at most.
+func asRow(c *colCodec, a *AS) {
+	zigzag(c, &a.ASN)
+	str(c, &a.Name)
+	str(c, &a.Country)
+	zigzag(c, &a.Rank)
+	zigzag(c, &a.Peers)
+}
+
+func instanceColumns(c *colCodec, rows []Instance) {
+	col(c, rows, func(r *Instance) *int32 { return &r.ID }, zigzag[int32])
+	col(c, rows, func(r *Instance) *string { return &r.Domain }, str[string])
+	col(c, rows, func(r *Instance) *Software { return &r.Software }, str[Software])
+	col(c, rows, func(r *Instance) *string { return &r.Country }, str[string])
+	col(c, rows, func(r *Instance) *int { return &r.ASN }, zigzag[int])
+	col(c, rows, func(r *Instance) *string { return &r.IP }, str[string])
+	col(c, rows, func(r *Instance) *string { return &r.CA }, str[string])
+	col(c, rows, func(r *Instance) *bool { return &r.Open }, flag)
+	col(c, rows, func(r *Instance) *bool { return &r.Categorized }, flag)
+	col(c, rows, func(r *Instance) *[]Category { return &r.Categories }, list(str[Category]))
+	col(c, rows, func(r *Instance) *[]Activity { return &r.Allowed }, list(str[Activity]))
+	col(c, rows, func(r *Instance) *[]Activity { return &r.Prohibited }, list(str[Activity]))
+	col(c, rows, func(r *Instance) *Operator { return &r.Operator }, str[Operator])
+	col(c, rows, func(r *Instance) *[]int32 { return &r.Blocks }, list(instanceID("block")))
+	col(c, rows, func(r *Instance) *int { return &r.CreatedDay }, zigzag[int])
+	col(c, rows, func(r *Instance) *int { return &r.GoneDay }, zigzag[int])
+	col(c, rows, func(r *Instance) *bool { return &r.BlocksCrawl }, flag)
+	col(c, rows, func(r *Instance) *int { return &r.Users }, zigzag[int])
+	col(c, rows, func(r *Instance) *int64 { return &r.Toots }, zigzag[int64])
+	col(c, rows, func(r *Instance) *int64 { return &r.Boosts }, zigzag[int64])
+	col(c, rows, func(r *Instance) *float64 { return &r.MaxWeeklyActivePct }, float)
+	col(c, rows, func(r *Instance) *int { return &r.CertIssuedDay }, zigzag[int])
+}
+
+func userColumns(c *colCodec, rows []User) {
+	col(c, rows, func(r *User) *int32 { return &r.ID }, zigzag[int32])
+	col(c, rows, func(r *User) *int32 { return &r.Instance }, instanceID("user instance"))
+	col(c, rows, func(r *User) *int { return &r.JoinDay }, zigzag[int])
+	col(c, rows, func(r *User) *int { return &r.Toots }, zigzag[int])
+	col(c, rows, func(r *User) *int { return &r.Boosts }, zigzag[int])
+	col(c, rows, func(r *User) *bool { return &r.Private }, flag)
+}
+
+// certRow is one entry of the cert-outage section: an instance id, then
+// the outage days. Entries are sorted by id, and an empty day list is not
+// stored.
+func certRow(c *colCodec, id *int32, days *[]int) {
+	instanceID("cert-outage")(c, id)
+	list(zigzag[int])(c, days)
+}
+
+// ---------------------------------------------------------------------------
 // Save.
 
 // sectionWriter frames finished section payloads onto the output stream.
 // The payload buffer is reused across sections, so Save's transient memory
 // is the largest single section.
 type sectionWriter struct {
-	w        *bufio.Writer
-	buf      []byte
+	w *bufio.Writer
+	colCodec
 	sections int
 }
 
@@ -250,7 +393,8 @@ func (w *World) Save(out io.Writer) error {
 	if _, err := bw.Write(verBuf[:n]); err != nil {
 		return err
 	}
-	sw := &sectionWriter{w: bw, buf: make([]byte, 0, 64<<10)}
+	sw := &sectionWriter{w: bw, colCodec: colCodec{buf: make([]byte, 0, 64<<10)}}
+	c := &sw.colCodec
 
 	var flags byte
 	if w.Social != nil {
@@ -262,145 +406,40 @@ func (w *World) Save(out io.Writer) error {
 	if w.Traces != nil {
 		flags |= colFlagTraces
 	}
-	sw.buf = appendUvarint(sw.buf, w.Seed)
-	sw.buf = appendZigzag(sw.buf, int64(w.Days))
-	sw.buf = appendUvarint(sw.buf, uint64(len(w.Instances)))
-	sw.buf = appendUvarint(sw.buf, uint64(len(w.Users)))
-	sw.buf = appendUvarint(sw.buf, uint64(len(w.ASes)))
-	sw.buf = append(sw.buf, flags)
+	nInst, nUsers, nAS := len(w.Instances), len(w.Users), len(w.ASes)
+	header(c, w, &nInst, &nUsers, &nAS, &flags)
 	if err := sw.flush(secHeader); err != nil {
 		return err
 	}
 
-	sw.buf = appendUvarint(sw.buf, uint64(len(w.ASes)))
+	sw.buf = binary.AppendUvarint(sw.buf, uint64(nAS))
 	for i := range w.ASes {
-		a := &w.ASes[i]
-		sw.buf = appendZigzag(sw.buf, int64(a.ASN))
-		sw.buf = appendString(sw.buf, a.Name)
-		sw.buf = appendString(sw.buf, a.Country)
-		sw.buf = appendZigzag(sw.buf, int64(a.Rank))
-		sw.buf = appendZigzag(sw.buf, int64(a.Peers))
+		asRow(c, &w.ASes[i])
 	}
 	if err := sw.flush(secASes); err != nil {
 		return err
 	}
 
-	for start := 0; start < len(w.Instances); start += instChunkRows {
-		end := min(start+instChunkRows, len(w.Instances))
-		rows := w.Instances[start:end]
-		sw.buf = appendUvarint(sw.buf, uint64(start))
-		sw.buf = appendUvarint(sw.buf, uint64(len(rows)))
-		for i := range rows {
-			sw.buf = appendZigzag(sw.buf, int64(rows[i].ID))
-		}
-		for i := range rows {
-			sw.buf = appendString(sw.buf, rows[i].Domain)
-		}
-		for i := range rows {
-			sw.buf = appendString(sw.buf, string(rows[i].Software))
-		}
-		for i := range rows {
-			sw.buf = appendString(sw.buf, rows[i].Country)
-		}
-		for i := range rows {
-			sw.buf = appendZigzag(sw.buf, int64(rows[i].ASN))
-		}
-		for i := range rows {
-			sw.buf = appendString(sw.buf, rows[i].IP)
-		}
-		for i := range rows {
-			sw.buf = appendString(sw.buf, rows[i].CA)
-		}
-		for i := range rows {
-			sw.buf = appendBool(sw.buf, rows[i].Open)
-		}
-		for i := range rows {
-			sw.buf = appendBool(sw.buf, rows[i].Categorized)
-		}
-		for i := range rows {
-			sw.buf = appendUvarint(sw.buf, uint64(len(rows[i].Categories)))
-			for _, c := range rows[i].Categories {
-				sw.buf = appendString(sw.buf, string(c))
-			}
-		}
-		for i := range rows {
-			sw.buf = appendUvarint(sw.buf, uint64(len(rows[i].Allowed)))
-			for _, a := range rows[i].Allowed {
-				sw.buf = appendString(sw.buf, string(a))
-			}
-		}
-		for i := range rows {
-			sw.buf = appendUvarint(sw.buf, uint64(len(rows[i].Prohibited)))
-			for _, a := range rows[i].Prohibited {
-				sw.buf = appendString(sw.buf, string(a))
-			}
-		}
-		for i := range rows {
-			sw.buf = appendString(sw.buf, string(rows[i].Operator))
-		}
-		for i := range rows {
-			sw.buf = appendUvarint(sw.buf, uint64(len(rows[i].Blocks)))
-			for _, b := range rows[i].Blocks {
-				sw.buf = appendZigzag(sw.buf, int64(b))
-			}
-		}
-		for i := range rows {
-			sw.buf = appendZigzag(sw.buf, int64(rows[i].CreatedDay))
-		}
-		for i := range rows {
-			sw.buf = appendZigzag(sw.buf, int64(rows[i].GoneDay))
-		}
-		for i := range rows {
-			sw.buf = appendBool(sw.buf, rows[i].BlocksCrawl)
-		}
-		for i := range rows {
-			sw.buf = appendZigzag(sw.buf, int64(rows[i].Users))
-		}
-		for i := range rows {
-			sw.buf = appendZigzag(sw.buf, rows[i].Toots)
-		}
-		for i := range rows {
-			sw.buf = appendZigzag(sw.buf, rows[i].Boosts)
-		}
-		for i := range rows {
-			sw.buf = appendFloat64(sw.buf, rows[i].MaxWeeklyActivePct)
-		}
-		for i := range rows {
-			sw.buf = appendZigzag(sw.buf, int64(rows[i].CertIssuedDay))
-		}
+	// Instance and user sections: the first row's index, the row count,
+	// then the columns.
+	for start := 0; start < nInst; start += instChunkRows {
+		rows := w.Instances[start:min(start+instChunkRows, nInst)]
+		sw.buf = binary.AppendUvarint(sw.buf, uint64(start))
+		sw.buf = binary.AppendUvarint(sw.buf, uint64(len(rows)))
+		instanceColumns(c, rows)
 		if err := sw.flush(secInstances); err != nil {
 			return err
 		}
 	}
-
-	for start := 0; start < len(w.Users); start += userChunkRows {
-		end := min(start+userChunkRows, len(w.Users))
-		rows := w.Users[start:end]
-		sw.buf = appendUvarint(sw.buf, uint64(start))
-		sw.buf = appendUvarint(sw.buf, uint64(len(rows)))
-		for i := range rows {
-			sw.buf = appendZigzag(sw.buf, int64(rows[i].ID))
-		}
-		for i := range rows {
-			sw.buf = appendZigzag(sw.buf, int64(rows[i].Instance))
-		}
-		for i := range rows {
-			sw.buf = appendZigzag(sw.buf, int64(rows[i].JoinDay))
-		}
-		for i := range rows {
-			sw.buf = appendZigzag(sw.buf, int64(rows[i].Toots))
-		}
-		for i := range rows {
-			sw.buf = appendZigzag(sw.buf, int64(rows[i].Boosts))
-		}
-		for i := range rows {
-			sw.buf = appendBool(sw.buf, rows[i].Private)
-		}
+	for start := 0; start < nUsers; start += userChunkRows {
+		rows := w.Users[start:min(start+userChunkRows, nUsers)]
+		sw.buf = binary.AppendUvarint(sw.buf, uint64(start))
+		sw.buf = binary.AppendUvarint(sw.buf, uint64(len(rows)))
+		userColumns(c, rows)
 		if err := sw.flush(secUsers); err != nil {
 			return err
 		}
 	}
-
 	if err := saveGraphSections(sw, gidSocial, w.Social); err != nil {
 		return err
 	}
@@ -410,21 +449,21 @@ func (w *World) Save(out io.Writer) error {
 
 	if w.Traces != nil {
 		ts := w.Traces
-		sw.buf = appendZigzag(sw.buf, int64(ts.SlotsPerDay))
-		sw.buf = appendUvarint(sw.buf, uint64(len(ts.Traces)))
+		zigzag(c, &ts.SlotsPerDay)
+		sw.buf = binary.AppendUvarint(sw.buf, uint64(len(ts.Traces)))
 		if err := sw.flush(secTraceHead); err != nil {
 			return err
 		}
 		start := 0
 		for start < len(ts.Traces) {
 			chunkStart := start
-			sw.buf = appendUvarint(sw.buf, uint64(chunkStart))
+			sw.buf = binary.AppendUvarint(sw.buf, uint64(chunkStart))
 			countAt := len(sw.buf)
 			sw.buf = append(sw.buf, 0, 0, 0, 0) // fixed 4-byte count patched below
 			n := 0
 			for start < len(ts.Traces) && (n == 0 || len(sw.buf) < chunkTargetBytes) {
 				t := ts.Traces[start]
-				sw.buf = appendUvarint(sw.buf, uint64(t.EncodedSize()))
+				sw.buf = binary.AppendUvarint(sw.buf, uint64(t.EncodedSize()))
 				sw.buf = t.AppendBinary(sw.buf)
 				start++
 				n++
@@ -436,31 +475,25 @@ func (w *World) Save(out io.Writer) error {
 		}
 	}
 
-	if len(w.CertOutageDays) > 0 {
-		ids := make([]int32, 0, len(w.CertOutageDays))
-		for id := range w.CertOutageDays {
+	ids := make([]int32, 0, len(w.CertOutageDays))
+	for id, days := range w.CertOutageDays {
+		if len(days) > 0 {
 			ids = append(ids, id)
 		}
-		for i := 1; i < len(ids); i++ { // insertion sort; the table is small
-			for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-				ids[j], ids[j-1] = ids[j-1], ids[j]
-			}
-		}
-		sw.buf = appendUvarint(sw.buf, uint64(len(ids)))
+	}
+	if len(ids) > 0 {
+		slices.Sort(ids)
+		sw.buf = binary.AppendUvarint(sw.buf, uint64(len(ids)))
 		for _, id := range ids {
 			days := w.CertOutageDays[id]
-			sw.buf = appendZigzag(sw.buf, int64(id))
-			sw.buf = appendUvarint(sw.buf, uint64(len(days)))
-			for _, d := range days {
-				sw.buf = appendZigzag(sw.buf, int64(d))
-			}
+			certRow(c, &id, &days)
 		}
 		if err := sw.flush(secCertOutages); err != nil {
 			return err
 		}
 	}
 
-	sw.buf = appendUvarint(sw.buf, uint64(sw.sections))
+	sw.buf = binary.AppendUvarint(sw.buf, uint64(sw.sections))
 	if err := sw.flush(secEnd); err != nil {
 		return err
 	}
@@ -472,27 +505,29 @@ func saveGraphSections(sw *sectionWriter, gid byte, g *graph.CSR) error {
 		return nil
 	}
 	sw.buf = append(sw.buf, gid)
-	sw.buf = appendUvarint(sw.buf, uint64(g.NumNodes()))
-	sw.buf = appendUvarint(sw.buf, uint64(g.NumEdges()))
+	sw.buf = binary.AppendUvarint(sw.buf, uint64(g.NumNodes()))
+	sw.buf = binary.AppendUvarint(sw.buf, uint64(g.NumEdges()))
 	if err := sw.flush(secGraphHead); err != nil {
 		return err
 	}
 	v, nodes := int32(0), int32(g.NumNodes())
 	for v < nodes {
 		sw.buf = append(sw.buf, gid)
-		sw.buf = appendUvarint(sw.buf, uint64(v))
+		sw.buf = binary.AppendUvarint(sw.buf, uint64(v))
 		countAt := len(sw.buf)
 		sw.buf = append(sw.buf, 0, 0, 0, 0) // fixed 4-byte count patched below
 		n := 0
-		for v < nodes && (n == 0 || len(sw.buf) < chunkTargetBytes) {
+		buf := sw.buf // a local, so the per-edge appends keep it in registers
+		for v < nodes && (n == 0 || len(buf) < chunkTargetBytes) {
 			row := g.Out(v)
-			sw.buf = appendUvarint(sw.buf, uint64(len(row)))
+			buf = binary.AppendUvarint(buf, uint64(len(row)))
 			for _, t := range row {
-				sw.buf = appendUvarint(sw.buf, uint64(uint32(t)))
+				buf = binary.AppendUvarint(buf, uint64(uint32(t)))
 			}
 			v++
 			n++
 		}
+		sw.buf = buf
 		binary.LittleEndian.PutUint32(sw.buf[countAt:], uint32(n))
 		if err := sw.flush(secGraphRows); err != nil {
 			return err
@@ -521,8 +556,8 @@ type graphDecode struct {
 
 type colDecoder struct {
 	w          *World
+	c          colCodec // the schema's Load side; c.r is the section being read
 	budget     int64
-	nInst      int
 	nUsers     int
 	nAS        int
 	flags      byte
@@ -574,7 +609,7 @@ func LoadWithStats(in io.Reader) (*World, LoadStats, error) {
 			colMagic, version, colVersion)
 	}
 
-	d := &colDecoder{w: &World{}, budget: colDecodeBudget, traceCount: -1}
+	d := &colDecoder{w: &World{}, c: colCodec{load: true}, budget: colDecodeBudget, traceCount: -1}
 	var scratch []byte
 	for {
 		secOff := off
@@ -601,7 +636,8 @@ func LoadWithStats(in io.Reader) (*World, LoadStats, error) {
 		stats.Sections++
 		stats.MaxSection = max(stats.MaxSection, int(size))
 
-		r := &colReader{b: scratch}
+		d.c.r = colReader{b: scratch}
+		r := &d.c.r
 		if tag == secEnd {
 			want := r.uvarint()
 			if r.err == nil && !r.done() {
@@ -670,22 +706,18 @@ func (d *colDecoder) section(tag byte, r *colReader) error {
 			return fmt.Errorf("duplicate header section")
 		}
 		d.seenHeader = true
-		d.w.Seed = r.uvarint()
-		d.w.Days = int(r.zigzag())
-		d.nInst = r.count(maxWorldRows, "instance")
-		d.nUsers = r.count(maxWorldRows, "user")
-		d.nAS = r.count(maxWorldRows, "AS")
-		flags := r.take(1)
+		header(&d.c, d.w, &d.c.nInst, &d.nUsers, &d.nAS, &d.flags)
 		if r.err != nil {
 			return nil
 		}
-		d.flags = flags[0]
-		if err := d.alloc(int64(d.nInst)*300+int64(d.nUsers)*32+int64(d.nAS)*64, "header tables"); err != nil {
+		if err := d.alloc(int64(d.c.nInst)*int64(unsafe.Sizeof(Instance{}))+
+			int64(d.nUsers)*int64(unsafe.Sizeof(User{}))+
+			int64(d.nAS)*int64(unsafe.Sizeof(AS{})), "header tables"); err != nil {
 			return err
 		}
 		// nil stays nil so a round trip lands on the same world shape.
-		if d.nInst > 0 {
-			d.w.Instances = make([]Instance, d.nInst)
+		if d.c.nInst > 0 {
+			d.w.Instances = make([]Instance, d.c.nInst)
 		}
 		if d.nUsers > 0 {
 			d.w.Users = make([]User, d.nUsers)
@@ -703,142 +735,23 @@ func (d *colDecoder) section(tag byte, r *colReader) error {
 			return fmt.Errorf("AS section holds %d rows, header promised %d", n, d.nAS)
 		}
 		for i := 0; i < n && r.err == nil; i++ {
-			a := &d.w.ASes[i]
-			a.ASN = int(r.zigzag())
-			a.Name = r.str()
-			a.Country = r.str()
-			a.Rank = int(r.zigzag())
-			a.Peers = int(r.zigzag())
+			asRow(&d.c, &d.w.ASes[i])
 		}
 	case secInstances:
-		start := int(r.uvarint())
-		n := r.count(instChunkRows, "instance chunk row")
-		if r.err != nil {
-			return nil
+		start, n, err := d.chunk(d.instRows, d.c.nInst, instChunkRows, "instance")
+		if err != nil || r.err != nil {
+			return err
 		}
-		if start != d.instRows || start+n > d.nInst {
-			return fmt.Errorf("instance chunk [%d,%d) out of order (have %d of %d rows)",
-				start, start+n, d.instRows, d.nInst)
-		}
-		rows := d.w.Instances[start : start+n]
-		for i := range rows {
-			rows[i].ID = int32(r.zigzag())
-		}
-		for i := range rows {
-			rows[i].Domain = r.str()
-		}
-		for i := range rows {
-			rows[i].Software = Software(r.str())
-		}
-		for i := range rows {
-			rows[i].Country = r.str()
-		}
-		for i := range rows {
-			rows[i].ASN = int(r.zigzag())
-		}
-		for i := range rows {
-			rows[i].IP = r.str()
-		}
-		for i := range rows {
-			rows[i].CA = r.str()
-		}
-		for i := range rows {
-			rows[i].Open = r.bool()
-		}
-		for i := range rows {
-			rows[i].Categorized = r.bool()
-		}
-		for i := range rows {
-			if k := r.count(len(r.b), "category"); k > 0 {
-				rows[i].Categories = make([]Category, k)
-				for j := range rows[i].Categories {
-					rows[i].Categories[j] = Category(r.str())
-				}
-			}
-		}
-		for i := range rows {
-			if k := r.count(len(r.b), "allowed activity"); k > 0 {
-				rows[i].Allowed = make([]Activity, k)
-				for j := range rows[i].Allowed {
-					rows[i].Allowed[j] = Activity(r.str())
-				}
-			}
-		}
-		for i := range rows {
-			if k := r.count(len(r.b), "prohibited activity"); k > 0 {
-				rows[i].Prohibited = make([]Activity, k)
-				for j := range rows[i].Prohibited {
-					rows[i].Prohibited[j] = Activity(r.str())
-				}
-			}
-		}
-		for i := range rows {
-			rows[i].Operator = Operator(r.str())
-		}
-		for i := range rows {
-			if k := r.count(len(r.b), "block"); k > 0 {
-				rows[i].Blocks = make([]int32, k)
-				for j := range rows[i].Blocks {
-					rows[i].Blocks[j] = d.instanceID(r, "block")
-				}
-			}
-		}
-		for i := range rows {
-			rows[i].CreatedDay = int(r.zigzag())
-		}
-		for i := range rows {
-			rows[i].GoneDay = int(r.zigzag())
-		}
-		for i := range rows {
-			rows[i].BlocksCrawl = r.bool()
-		}
-		for i := range rows {
-			rows[i].Users = int(r.zigzag())
-		}
-		for i := range rows {
-			rows[i].Toots = r.zigzag()
-		}
-		for i := range rows {
-			rows[i].Boosts = r.zigzag()
-		}
-		for i := range rows {
-			rows[i].MaxWeeklyActivePct = r.float64()
-		}
-		for i := range rows {
-			rows[i].CertIssuedDay = int(r.zigzag())
-		}
+		instanceColumns(&d.c, d.w.Instances[start:start+n])
 		if r.err == nil {
 			d.instRows += n
 		}
 	case secUsers:
-		start := int(r.uvarint())
-		n := r.count(userChunkRows, "user chunk row")
-		if r.err != nil {
-			return nil
+		start, n, err := d.chunk(d.userRows, d.nUsers, userChunkRows, "user")
+		if err != nil || r.err != nil {
+			return err
 		}
-		if start != d.userRows || start+n > d.nUsers {
-			return fmt.Errorf("user chunk [%d,%d) out of order (have %d of %d rows)",
-				start, start+n, d.userRows, d.nUsers)
-		}
-		rows := d.w.Users[start : start+n]
-		for i := range rows {
-			rows[i].ID = int32(r.zigzag())
-		}
-		for i := range rows {
-			rows[i].Instance = d.instanceID(r, "user instance")
-		}
-		for i := range rows {
-			rows[i].JoinDay = int(r.zigzag())
-		}
-		for i := range rows {
-			rows[i].Toots = int(r.zigzag())
-		}
-		for i := range rows {
-			rows[i].Boosts = int(r.zigzag())
-		}
-		for i := range rows {
-			rows[i].Private = r.bool()
-		}
+		userColumns(&d.c, d.w.Users[start:start+n])
 		if r.err == nil {
 			d.userRows += n
 		}
@@ -862,7 +775,7 @@ func (d *colDecoder) section(tag byte, r *colReader) error {
 		// instance id, so each must be exactly as large as its table.
 		table := d.nUsers
 		if gid == gidFederation {
-			table = d.nInst
+			table = d.c.nInst
 		}
 		if nodes != table {
 			return fmt.Errorf("graph %d has %d nodes, its table has %d rows", gid, nodes, table)
@@ -968,27 +881,22 @@ func (d *colDecoder) section(tag byte, r *colReader) error {
 			return fmt.Errorf("duplicate cert-outage section")
 		}
 		d.seenCert = true
-		n := r.count(d.nInst, "cert-outage instance")
+		n := r.count(d.c.nInst, "cert-outage instance")
 		if r.err == nil && n > 0 {
 			d.w.CertOutageDays = make(map[int32][]int, n)
 		}
-		prev := int64(math.MinInt64)
+		prev := int32(-1)
 		for i := 0; i < n && r.err == nil; i++ {
-			id := r.zigzag()
-			if id <= prev {
+			var id int32
+			var days []int
+			certRow(&d.c, &id, &days)
+			if r.err == nil && id <= prev {
 				r.fail("cert-outage ids not strictly ascending at entry %d", i)
-				break
+			}
+			if r.err == nil && len(days) > 0 {
+				d.w.CertOutageDays[id] = days
 			}
 			prev = id
-			k := r.count(len(r.b), "cert-outage day")
-			if r.err != nil || k == 0 {
-				continue
-			}
-			days := make([]int, k)
-			for j := range days {
-				days[j] = int(r.zigzag())
-			}
-			d.w.CertOutageDays[int32(id)] = days
 		}
 	default:
 		return fmt.Errorf("unknown section tag")
@@ -996,14 +904,15 @@ func (d *colDecoder) section(tag byte, r *colReader) error {
 	return nil
 }
 
-// instanceID reads an instance id and fails the section unless it indexes
-// the instance table the header announced.
-func (d *colDecoder) instanceID(r *colReader, what string) int32 {
-	id := r.zigzag()
-	if r.err == nil && (id < 0 || id >= int64(d.nInst)) {
-		r.fail("%s id %d out of range [0,%d)", what, id, d.nInst)
+// chunk reads an instance or user section's first row and row count, and
+// fails unless the section continues its table where the last one ended.
+func (d *colDecoder) chunk(have, table, chunkRows int, what string) (start, n int, err error) {
+	start = int(d.c.r.uvarint())
+	n = d.c.r.count(chunkRows, "chunk row")
+	if d.c.r.err == nil && (start != have || start+n > table) {
+		err = fmt.Errorf("%s chunk [%d,%d) out of order (have %d of %d rows)", what, start, start+n, have, table)
 	}
-	return int32(id)
+	return start, n, err
 }
 
 func (d *colDecoder) graphFor(r *colReader) (int, *graphDecode, error) {
@@ -1031,8 +940,8 @@ func (d *colDecoder) finish() (*World, error) {
 	if !d.seenASes {
 		return nil, fmt.Errorf("AS section missing")
 	}
-	if d.instRows != d.nInst {
-		return nil, fmt.Errorf("instance rows incomplete: %d of %d", d.instRows, d.nInst)
+	if d.instRows != d.c.nInst {
+		return nil, fmt.Errorf("instance rows incomplete: %d of %d", d.instRows, d.c.nInst)
 	}
 	if d.userRows != d.nUsers {
 		return nil, fmt.Errorf("user rows incomplete: %d of %d", d.userRows, d.nUsers)

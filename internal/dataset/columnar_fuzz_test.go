@@ -8,9 +8,10 @@ import (
 // FuzzWorldFile throws arbitrary bytes at the world-file decoder. The
 // contract under fuzz: Load never panics and never allocates past the
 // decode budget; any input it does accept is a consistent world — graphs as
-// large as their tables, every instance id in range — and re-encodes into a
-// byte-stable, re-loadable file (decode is a retraction onto the canonical
-// encoding). Nothing that opens with the gzip magic is accepted.
+// large as their tables, every instance id in range, cert-outage keys
+// included — and re-encodes into a byte-stable, re-loadable file (decode is
+// a retraction onto the canonical encoding). Nothing that opens with the
+// gzip magic is accepted.
 func FuzzWorldFile(f *testing.F) {
 	valid := func(w *World) []byte {
 		var buf bytes.Buffer
@@ -52,6 +53,11 @@ func FuzzWorldFile(f *testing.F) {
 				if !inRange(b) {
 					t.Fatalf("accepted instance %d blocking %d of %d", i, b, len(w.Instances))
 				}
+			}
+		}
+		for id := range w.CertOutageDays {
+			if !inRange(id) {
+				t.Fatalf("accepted cert outages on instance %d of %d", id, len(w.Instances))
 			}
 		}
 		var first bytes.Buffer

@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/graph"
 	"repro/internal/sim"
@@ -145,9 +146,8 @@ func saveColumnar(t *testing.T, w *World) []byte {
 }
 
 // The round-trip oracle: Save→Load must land on a world equivalent to the
-// original, and Save→Load→Save must be byte-identical. (The name dates from
-// when a gob round trip was a third leg; these two subsumed it.)
-func TestColumnarMatchesGobOracle(t *testing.T) {
+// original, and Save→Load→Save must be byte-identical.
+func TestSaveLoadRoundTrip(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		world *World
@@ -173,7 +173,7 @@ func TestColumnarMatchesGobOracle(t *testing.T) {
 
 // A gzip stream — the framing of the deleted gob format — is no longer
 // sniffed: it gets the bad-magic error like any other foreign file.
-func TestLoadLegacyGobFormat(t *testing.T) {
+func TestLoadRejectsGzip(t *testing.T) {
 	var buf bytes.Buffer
 	zw := gzip.NewWriter(&buf)
 	zw.Write([]byte("a gob-encoded world"))
@@ -198,6 +198,8 @@ func TestLoadRejectsInconsistentWorld(t *testing.T) {
 		{"user-instance", func(w *World) { w.Users[2].Instance = 7 }, "user instance id 7 out of range"},
 		{"user-instance-negative", func(w *World) { w.Users[0].Instance = -1 }, "user instance id -1 out of range"},
 		{"block", func(w *World) { w.Instances[1].Blocks = []int32{0, 2} }, "block id 2 out of range"},
+		{"cert-outage", func(w *World) { w.CertOutageDays[7] = []int{1} }, "cert-outage id 7 out of range"},
+		{"cert-outage-negative", func(w *World) { w.CertOutageDays[-3] = []int{1} }, "cert-outage id -3 out of range"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			w := sampleWorld()
@@ -212,6 +214,94 @@ func TestLoadRejectsInconsistentWorld(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// Every field of every row type must survive Save→Load. Each field is set
+// to a distinct non-zero value by reflection, so a field added without a
+// column fails here.
+func TestSchemaCoversEveryField(t *testing.T) {
+	next := 0
+	var fill func(v reflect.Value)
+	fill = func(v reflect.Value) {
+		next++ // small, so an id field stays inside the instance table below
+		switch v.Kind() {
+		case reflect.Int, reflect.Int32, reflect.Int64:
+			v.SetInt(int64(next))
+		case reflect.String:
+			v.SetString(fmt.Sprint("s", next))
+		case reflect.Bool:
+			v.SetBool(true)
+		case reflect.Float64:
+			v.SetFloat(float64(next) + 0.5)
+		case reflect.Slice:
+			v.Set(reflect.MakeSlice(v.Type(), 1, 1))
+			fill(v.Index(0))
+		case reflect.Struct:
+			for i := range v.NumField() {
+				fill(v.Field(i))
+			}
+		default:
+			t.Fatalf("no non-zero value for a %s field", v.Type())
+		}
+	}
+	var inst Instance
+	var user User
+	var as AS
+	for _, row := range []any{&inst, &user, &as} {
+		fill(reflect.ValueOf(row).Elem())
+	}
+	w := &World{Instances: make([]Instance, 64), Users: []User{user}, ASes: []AS{as}}
+	for i := range w.Instances {
+		w.Instances[i] = inst
+	}
+	back, err := Load(bytes.NewReader(saveColumnar(t, w)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range []struct{ saved, loaded any }{
+		{inst, back.Instances[63]}, {user, back.Users[0]}, {as, back.ASes[0]},
+	} {
+		if !reflect.DeepEqual(row.saved, row.loaded) {
+			t.Fatalf("Save→Load lost a field:\nsaved  %+v\nloaded %+v", row.saved, row.loaded)
+		}
+	}
+}
+
+// An empty cert-outage day list is not stored, so a world holding one
+// re-saves to the same bytes once loaded.
+func TestSaveDropsEmptyCertOutageDays(t *testing.T) {
+	w := sampleWorld()
+	w.CertOutageDays = map[int32][]int{0: {}, 1: {1}}
+	b1 := saveColumnar(t, w)
+	back, err := Load(bytes.NewReader(b1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := map[int32][]int{1: {1}}; !reflect.DeepEqual(back.CertOutageDays, want) {
+		t.Fatalf("cert outages = %v, want %v", back.CertOutageDays, want)
+	}
+	if b2 := saveColumnar(t, back); !bytes.Equal(b1, b2) {
+		t.Fatal("Save→Load→Save is not byte-identical")
+	}
+}
+
+// The decode budget charges a header each row's real size, so a user table
+// that fits the budget only at less than unsafe.Sizeof(User{}) a row is
+// refused before anything is allocated for it.
+func TestLoadBudgetChargesRowSizes(t *testing.T) {
+	const nUsers = 1000
+	w := &World{Instances: []Instance{{}}, Users: make([]User, nUsers)}
+	b := saveColumnar(t, w)
+	defer func(old int64) { colDecodeBudget = old }(colDecodeBudget)
+	need := int64(unsafe.Sizeof(Instance{})) + nUsers*int64(unsafe.Sizeof(User{}))
+	colDecodeBudget = need
+	if _, err := Load(bytes.NewReader(b)); err != nil {
+		t.Fatalf("budget of exactly the header's rows: %v", err)
+	}
+	colDecodeBudget = need - nUsers // one byte a row short
+	if _, err := Load(bytes.NewReader(b)); err == nil || !strings.Contains(err.Error(), "over the decode budget") {
+		t.Fatalf("budget short by a byte a user row: %v", err)
 	}
 }
 
