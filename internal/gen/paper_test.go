@@ -2,6 +2,7 @@ package gen
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 	"time"
 
@@ -25,6 +26,13 @@ func TestPaperScaleWorld(t *testing.T) {
 
 	w := Generate(PaperConfig(1))
 	t.Logf("paper world generated in %v", time.Since(start))
+	// The heap the generated world holds at rest, which CI's paper-scale
+	// job reports.
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	t.Logf("paper world resident: %.1f MB (social graph %d nodes, %d edges)",
+		float64(ms.HeapAlloc)/(1<<20), w.Social.NumNodes(), w.Social.NumEdges())
 
 	if len(w.Instances) != 4328 {
 		t.Fatalf("instances = %d, want 4328", len(w.Instances))

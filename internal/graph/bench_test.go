@@ -17,6 +17,23 @@ import (
 
 var smallWorld = sync.OnceValue(func() *dataset.World { return gen.Generate(gen.SmallConfig(1)) })
 
+// BenchmarkFromRows builds the social graph of the world bench/ runs
+// paper-pipeline on (500 instances, 20,000 users) from its out-rows: what
+// gen.Generate and dataset.Load pay per graph.
+func BenchmarkFromRows(b *testing.B) {
+	cfg := gen.SmallConfig(1)
+	cfg.Instances, cfg.Users = 500, 20000
+	social := gen.Generate(cfg).Social
+	rows := make([][]int32, social.NumNodes())
+	for v := range rows {
+		rows[v] = social.Out(int32(v))
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		graph.FromRows(rows)
+	}
+}
+
 func BenchmarkWeaklyConnected(b *testing.B) {
 	w := smallWorld()
 	b.ReportAllocs()

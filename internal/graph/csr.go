@@ -9,8 +9,8 @@ package graph
 // CSR is a frozen directed graph in compressed-sparse-row form. Neighbour
 // ids live in flat []int32 arrays indexed by per-node offsets, so every
 // traversal is a sequential scan — no per-node slice headers, no pointer
-// chasing. A merged undirected view (out- then in-neighbours per node)
-// backs component analysis and alive-degree counting.
+// chasing. Each edge is stored once per direction; undirected scans read
+// the out-row and then the in-row.
 //
 // A CSR is immutable and safe for concurrent use.
 type CSR struct {
@@ -21,8 +21,6 @@ type CSR struct {
 	outAdj []int32
 	inOff  []int64
 	inAdj  []int32
-	undOff []int64 // merged view: und degree of v = outDeg(v)+inDeg(v)
-	undAdj []int32
 }
 
 // NumNodes returns the number of nodes.
@@ -39,10 +37,6 @@ func (c *CSR) Out(v int32) []int32 { return c.outAdj[c.outOff[v]:c.outOff[v+1]] 
 // must not be modified.
 func (c *CSR) In(v int32) []int32 { return c.inAdj[c.inOff[v]:c.inOff[v+1]] }
 
-// Und returns the merged undirected neighbour list of v (out- then
-// in-neighbours; reciprocal edges appear twice). It must not be modified.
-func (c *CSR) Und(v int32) []int32 { return c.undAdj[c.undOff[v]:c.undOff[v+1]] }
-
 // OutDegree returns the out-degree of v.
 func (c *CSR) OutDegree(v int32) int { return int(c.outOff[v+1] - c.outOff[v]) }
 
@@ -50,14 +44,14 @@ func (c *CSR) OutDegree(v int32) int { return int(c.outOff[v+1] - c.outOff[v]) }
 func (c *CSR) InDegree(v int32) int { return int(c.inOff[v+1] - c.inOff[v]) }
 
 // Degree returns the total degree (in + out) of v.
-func (c *CSR) Degree(v int32) int { return int(c.undOff[v+1] - c.undOff[v]) }
+func (c *CSR) Degree(v int32) int { return c.OutDegree(v) + c.InDegree(v) }
 
 // MaxDegree returns the largest total degree of any node (0 for an empty
 // graph). Sweeper sizes its counting-sort buckets with it.
 func (c *CSR) MaxDegree() int {
 	max := 0
-	for v := 0; v < c.n; v++ {
-		if d := int(c.undOff[v+1] - c.undOff[v]); d > max {
+	for v := int32(0); int(v) < c.n; v++ {
+		if d := c.Degree(v); d > max {
 			max = d
 		}
 	}

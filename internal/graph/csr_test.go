@@ -8,6 +8,148 @@ import (
 	"testing/quick"
 )
 
+// residentBytes sums the capacities of every slice the CSR holds, found by
+// reflection so that an array added to the struct is counted too.
+func residentBytes(c *CSR) (bytes, arrays int) {
+	v := reflect.ValueOf(c).Elem()
+	for i := range v.NumField() {
+		if f := v.Field(i); f.Kind() == reflect.Slice {
+			bytes += f.Cap() * int(f.Type().Elem().Size())
+			if f.Cap() > 0 {
+				arrays++
+			}
+		}
+	}
+	return bytes, arrays
+}
+
+var csrSink *CSR
+
+// A CSR keeps each edge once per direction and nothing else: its slices
+// hold two offset arrays and two adjacency arrays, 16·(n+1) + 8·E bytes,
+// and FromRows allocates the CSR and those slices and nothing more — no
+// scratch. Graphs with isolated nodes, self-loops and reciprocal edges, and
+// one with no edges at all.
+func TestCSRResidentBytes(t *testing.T) {
+	graphs := [][][]int32{make([][]int32, 50)}
+	for seed := uint64(1); seed <= 4; seed++ {
+		r := rand.New(rand.NewPCG(seed, 3))
+		n := 1 + r.IntN(300)
+		out := make([][]int32, n, n+n/4+1) // the tail stays isolated
+		for range r.IntN(4 * n) {
+			u, v := int32(r.IntN(n)), int32(r.IntN(n))
+			out[u] = append(out[u], v)
+			switch r.IntN(8) {
+			case 0:
+				out[v] = append(out[v], u)
+			case 1:
+				out[u] = append(out[u], u)
+			}
+		}
+		graphs = append(graphs, out[:cap(out)])
+	}
+	for _, out := range graphs {
+		c := FromRows(out)
+		n, e := c.NumNodes(), c.NumEdges()
+		bytes, arrays := residentBytes(c)
+		if want := 16*(n+1) + 8*e; bytes != want {
+			t.Errorf("%d nodes, %d edges: the CSR holds %d bytes, want 16·(n+1) + 8·E = %d", n, e, bytes, want)
+		}
+		allocs := testing.AllocsPerRun(10, func() { csrSink = FromRows(out) })
+		if want := float64(1 + arrays); allocs != want {
+			t.Errorf("%d nodes, %d edges: FromRows allocates %g times, want %g (the CSR and its %d slices)", n, e, allocs, want, arrays)
+		}
+	}
+}
+
+// FuzzCSR holds the CSR's rows, degrees, components and both sweeps to the
+// references in reference_test.go. The first byte sets the node count
+// (1..64), the second the sweep's fraction, the third its rounds (low four
+// bits) and options (0x10 adds the SCC axis, 0x20 node weights), and the
+// fourth how many edges follow, two bytes each, taken modulo the node
+// count, so self-loops and repeats occur. Every later byte below 0xC0 is a
+// node of the current removal batch and one at or above it starts the next
+// batch. The first batch is also the alive mask's dead set and the nodes
+// the iterative sweep finds dead; the seeds are in testdata/fuzz/FuzzCSR.
+func FuzzCSR(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 4 || len(data) > 1024 {
+			return
+		}
+		n := int(data[0])%64 + 1
+		fraction := float64(int(data[1])%100+1) / 100
+		rounds := int(data[2] & 0x0f)
+		opt := SweepOptions{WithSCC: data[2]&0x10 != 0}
+		if data[2]&0x20 != 0 {
+			opt.Weights = make([]float64, n)
+			for v := range opt.Weights {
+				opt.Weights[v] = float64(v * 7 % 5)
+			}
+		}
+		rest := data[4:]
+		out := make([][]int32, n)
+		for range data[3] {
+			if len(rest) < 2 {
+				break
+			}
+			u, v := int(rest[0])%n, int(rest[1])%n
+			out[u] = append(out[u], int32(v))
+			rest = rest[2:]
+		}
+		batches := [][]int32{nil}
+		for _, b := range rest {
+			if b >= 0xc0 {
+				batches = append(batches, nil)
+				continue
+			}
+			batches[len(batches)-1] = append(batches[len(batches)-1], int32(int(b)%n))
+		}
+		in := make([][]int32, n)
+		for u := range out {
+			for _, v := range out[u] {
+				in[v] = append(in[v], int32(u))
+			}
+		}
+
+		c := FromRows(out)
+		maxDeg := 0
+		for v := int32(0); int(v) < n; v++ {
+			if !slices.Equal(c.Out(v), out[v]) || !slices.Equal(c.In(v), in[v]) {
+				t.Fatalf("node %d: Out %v In %v, want %v and %v", v, c.Out(v), c.In(v), out[v], in[v])
+			}
+			d := len(out[v]) + len(in[v])
+			if c.Degree(v) != d {
+				t.Fatalf("Degree(%d) = %d, want %d", v, c.Degree(v), d)
+			}
+			maxDeg = max(maxDeg, d)
+		}
+		if c.MaxDegree() != maxDeg {
+			t.Fatalf("MaxDegree = %d, want %d", c.MaxDegree(), maxDeg)
+		}
+
+		dead := batches[0]
+		var alive []bool
+		if len(dead) > 0 {
+			alive = allAlive(n)
+			for _, v := range dead {
+				alive[v] = false
+			}
+		}
+		if !sameWCC(c.WeaklyConnected(alive), refWCC(c, alive)) {
+			t.Fatalf("WeaklyConnected differs from the BFS reference")
+		}
+		s := NewSweeper(c)
+		removeAll(s, dead)
+		if got, want := s.IterativeDegreeRemoval(fraction, rounds, opt), refIterativeDegreeRemoval(c, dead, fraction, rounds, opt); !reflect.DeepEqual(got, want) {
+			t.Fatalf("IterativeDegreeRemoval(%g, %d):\n got %v\nwant %v", fraction, rounds, got, want)
+		}
+		if got, want := RemoveBatches(c, batches, opt), refRemoveBatches(c, batches, opt); !reflect.DeepEqual(got, want) {
+			t.Fatalf("RemoveBatches(%v):\n got %v\nwant %v", batches, got, want)
+		}
+	})
+}
+
 // randomMask returns an alive mask (sometimes nil) derived from seed,
 // matching the shape used by the seed property tests.
 func randomMask(n int, seed uint64) []bool {
@@ -23,8 +165,8 @@ func randomMask(n int, seed uint64) []bool {
 }
 
 // Property: whatever order the edges are added in, Freeze keeps every
-// out-row in insertion order, lists In(v) by ascending source with ties in
-// row order, and lays Und(v) out as the out-row then the in-row.
+// out-row in insertion order and lists In(v) by ascending source with ties
+// in row order.
 func TestCSRFreezePreservesStructure(t *testing.T) {
 	f := func(seed uint64, nRaw, mRaw uint16) bool {
 		n := int(nRaw%120) + 1
@@ -47,8 +189,7 @@ func TestCSRFreezePreservesStructure(t *testing.T) {
 		}
 		outDegs := c.OutDegrees()
 		for v := int32(0); int(v) < n; v++ {
-			if !slices.Equal(c.Out(v), out[v]) || !slices.Equal(c.In(v), in[v]) ||
-				!slices.Equal(c.Und(v), append(slices.Clone(out[v]), in[v]...)) {
+			if !slices.Equal(c.Out(v), out[v]) || !slices.Equal(c.In(v), in[v]) {
 				return false
 			}
 			if c.OutDegree(v) != len(out[v]) || c.InDegree(v) != len(in[v]) || c.Degree(v) != len(out[v])+len(in[v]) ||
@@ -64,7 +205,7 @@ func TestCSRFreezePreservesStructure(t *testing.T) {
 }
 
 // The *MatchesAdjList properties hold each engine to its reference in
-// reference_test.go, which walks the Out/In/Und adjacency rows the obvious
+// reference_test.go, which walks the Out/In adjacency rows the obvious
 // way and rebuilds all state at every step.
 
 func TestCSRSCCMatchesAdjList(t *testing.T) {

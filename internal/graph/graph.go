@@ -40,18 +40,16 @@ func (b *Builder) Freeze() *CSR { return FromRows(b.out) }
 // order (the rows are copied). The in-neighbours are derived canonically:
 // In(v) lists sources in ascending order, ties in row order — the order in
 // which the edges into v would arrive were every edge added source by
-// source. Und(v) is Out(v) followed by In(v). It panics on a target outside
-// [0, len(out)). The construction is two passes over the rows and a fixed
-// number of allocations regardless of node count; sharded generators and
-// the streaming file decoder use it to assemble a graph from independently
-// produced rows.
+// source. It panics on a target outside [0, len(out)). The construction is
+// two passes over the rows and allocates only what the CSR keeps; sharded
+// generators and the streaming file decoder use it to assemble a graph from
+// independently produced rows.
 func FromRows(out [][]int32) *CSR {
 	n := len(out)
 	c := &CSR{
 		n:      n,
 		outOff: make([]int64, n+1),
 		inOff:  make([]int64, n+1),
-		undOff: make([]int64, n+1),
 	}
 	for u, row := range out {
 		c.outOff[u+1] = c.outOff[u] + int64(len(row))
@@ -65,24 +63,19 @@ func FromRows(out [][]int32) *CSR {
 	c.edges = int(c.outOff[n])
 	for v := 0; v < n; v++ {
 		c.inOff[v+1] += c.inOff[v]
-		c.undOff[v+1] = c.outOff[v+1] + c.inOff[v+1]
 	}
 	c.outAdj = make([]int32, c.edges)
 	c.inAdj = make([]int32, c.edges)
-	c.undAdj = make([]int32, 2*c.edges)
-	next := make([]int64, n) // next free slot of each in-row
-	copy(next, c.inOff)
+	// inOff[v] is the fill cursor of v's in-row: afterwards it holds the
+	// row's end, which is inOff[v+1], so one shift puts the offsets back.
 	for u, row := range out {
 		copy(c.outAdj[c.outOff[u]:], row)
 		for _, v := range row {
-			c.inAdj[next[v]] = int32(u)
-			next[v]++
+			c.inAdj[c.inOff[v]] = int32(u)
+			c.inOff[v]++
 		}
 	}
-	for v := int32(0); int(v) < n; v++ {
-		k := c.undOff[v]
-		k += int64(copy(c.undAdj[k:], c.Out(v)))
-		copy(c.undAdj[k:], c.In(v))
-	}
+	copy(c.inOff[1:], c.inOff[:n])
+	c.inOff[0] = 0
 	return c
 }

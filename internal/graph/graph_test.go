@@ -127,31 +127,36 @@ func TestWCCUnionFindMatchesBFS(t *testing.T) {
 		m := int(mRaw % 600)
 		g := randomGraph(n, m, seed)
 		alive := randomMask(n, maskSeed)
-		got, want := g.WeaklyConnected(alive), refWCC(g, alive)
-		if got.NumComponents != want.NumComponents || got.LargestSize != want.LargestSize ||
-			got.AliveNodes != want.AliveNodes {
-			return false
-		}
-		// Root labels differ between the engines, so relabel each union-find
-		// root by its component's smallest member — what the BFS's roots
-		// already are — before comparing the partitions.
-		smallest := make(map[int32]int32)
-		for v, r := range got.roots {
-			if r >= 0 {
-				if _, ok := smallest[r]; !ok {
-					smallest[r] = int32(v)
-				}
-				r = smallest[r]
-			}
-			if r != want.roots[v] || got.InLargest(int32(v)) != want.InLargest(int32(v)) {
-				return false
-			}
-		}
-		return true
+		return sameWCC(g.WeaklyConnected(alive), refWCC(g, alive))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// sameWCC reports whether a union-find result and refWCC's agree on the
+// counts, the partition of the alive nodes and the largest component.
+func sameWCC(got, want WCCResult) bool {
+	if got.NumComponents != want.NumComponents || got.LargestSize != want.LargestSize ||
+		got.AliveNodes != want.AliveNodes {
+		return false
+	}
+	// Root labels differ between the engines, so relabel each union-find
+	// root by its component's smallest member — what the BFS's roots
+	// already are — before comparing the partitions.
+	smallest := make(map[int32]int32)
+	for v, r := range got.roots {
+		if r >= 0 {
+			if _, ok := smallest[r]; !ok {
+				smallest[r] = int32(v)
+			}
+			r = smallest[r]
+		}
+		if r != want.roots[v] || got.InLargest(int32(v)) != want.InLargest(int32(v)) {
+			return false
+		}
+	}
+	return true
 }
 
 func TestWCCKnownGraph(t *testing.T) {

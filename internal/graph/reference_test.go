@@ -3,7 +3,7 @@ package graph
 import "sort"
 
 // One obviously-correct reference per algorithm, written against the
-// CSR's public rows (Out/In/Und) and nothing else. The property tests hold
+// CSR's public rows (Out/In) and nothing else. The property tests hold
 // the production engines to these; they allocate freely and rebuild all
 // state at every step, which is what makes them easy to believe.
 
@@ -196,9 +196,11 @@ func refIterativeDegreeRemoval(c *CSR, dead []int32, fraction float64, rounds in
 		}
 		top := refTopBy(c, k, alive, func(v int32) int {
 			d := 0
-			for _, w := range c.Und(v) {
-				if alive[w] {
-					d++
+			for _, row := range [][]int32{c.Out(v), c.In(v)} {
+				for _, w := range row {
+					if alive[w] {
+						d++
+					}
 				}
 			}
 			return d

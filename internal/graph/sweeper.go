@@ -97,18 +97,20 @@ func (s *Sweeper) IterativeDegreeRemoval(fraction float64, rounds int, opt Sweep
 }
 
 // countDegrees sets deg[v] to the alive-degree of every alive node — one
-// scan of the merged undirected rows, which counts each surviving edge at
+// scan of each out-row and in-row, which counts each surviving edge at
 // both endpoints — and returns the largest.
 func (s *Sweeper) countDegrees() (maxDeg int) {
 	c := s.c
-	for v := 0; v < c.n; v++ {
+	for v := int32(0); int(v) < c.n; v++ {
 		if !s.alive[v] {
 			continue
 		}
 		d := 0
-		for _, w := range c.undAdj[c.undOff[v]:c.undOff[v+1]] {
-			if s.alive[w] {
-				d++
+		for _, row := range [2][]int32{c.Out(v), c.In(v)} {
+			for _, w := range row {
+				if s.alive[w] {
+					d++
+				}
 			}
 		}
 		s.deg[v] = int32(d)
@@ -159,8 +161,10 @@ func (s *Sweeper) removeTopK(k, maxDeg int, batch []int32) []int32 {
 		k--
 	}
 	for _, v := range batch {
-		for _, w := range c.undAdj[c.undOff[v]:c.undOff[v+1]] {
-			s.deg[w]-- // also on dead w, whose deg is never read again
+		for _, row := range [2][]int32{c.Out(v), c.In(v)} {
+			for _, w := range row {
+				s.deg[w]-- // also on dead w, whose deg is never read again
+			}
 		}
 	}
 	return batch
@@ -262,32 +266,42 @@ func reverseSweep(c *CSR, survivors []int32, batches [][]int32, removedBefore in
 		}
 		comps++
 		updateBest(v, 1)
-		// Union with already-active neighbours over the merged undirected
-		// view: each surviving edge is unioned exactly when its later
-		// endpoint activates.
+		// Union with already-active neighbours, out-row then in-row: each
+		// surviving edge is unioned exactly when its later endpoint
+		// activates. The finds are written out, as in csrUnionFind: a
+		// closure call per edge costs more.
 		rv := v
-		for _, w := range c.undAdj[c.undOff[v]:c.undOff[v+1]] {
-			if !active[w] {
-				continue
+		for _, row := range [2][]int32{c.Out(v), c.In(v)} {
+			for _, w := range row {
+				if !active[w] {
+					continue
+				}
+				for parent[rv] != rv {
+					parent[rv] = parent[parent[rv]]
+					rv = parent[rv]
+				}
+				rw := w
+				for parent[rw] != rw {
+					parent[rw] = parent[parent[rw]]
+					rw = parent[rw]
+				}
+				if rv == rw {
+					continue
+				}
+				if size[rv] < size[rw] {
+					rv, rw = rw, rv
+				}
+				parent[rw] = rv
+				size[rv] += size[rw]
+				if minMem[rw] < minMem[rv] {
+					minMem[rv] = minMem[rw]
+				}
+				if wsum != nil {
+					wsum[rv] += wsum[rw]
+				}
+				comps--
+				updateBest(rv, int(size[rv]))
 			}
-			rv = find(rv)
-			rw := find(w)
-			if rv == rw {
-				continue
-			}
-			if size[rv] < size[rw] {
-				rv, rw = rw, rv
-			}
-			parent[rw] = rv
-			size[rv] += size[rw]
-			if minMem[rw] < minMem[rv] {
-				minMem[rv] = minMem[rw]
-			}
-			if wsum != nil {
-				wsum[rv] += wsum[rw]
-			}
-			comps--
-			updateBest(rv, int(size[rv]))
 		}
 	}
 	// removed counts down from the schedule's end as batches come back.

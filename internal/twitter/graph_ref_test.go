@@ -64,8 +64,8 @@ func refGraph(cfg GraphConfig) *graph.CSR {
 	return g.Freeze()
 }
 
-// The arena graph is the Builder graph: the same out-, in- and merged
-// neighbour arrays at every node, for three seeds and five sizes.
+// The arena graph is the Builder graph: the same out- and in-neighbour
+// arrays at every node, for three seeds and five sizes.
 func TestGraphMatchesBuilder(t *testing.T) {
 	for seed := uint64(1); seed <= 3; seed++ {
 		for _, n := range []int{0, 1, 2, 1000, 20000} {
@@ -83,7 +83,6 @@ func TestGraphMatchesBuilder(t *testing.T) {
 				}{
 					{"Out", got.Out(v), want.Out(v)},
 					{"In", got.In(v), want.In(v)},
-					{"Und", got.Und(v), want.Und(v)},
 				} {
 					if !slices.Equal(a.got, a.want) {
 						t.Fatalf("%s: %s(%d) = %v, Builder gives %v", what, a.name, v, a.got, a.want)
