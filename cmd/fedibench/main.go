@@ -15,73 +15,65 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/dataset"
 	"repro/internal/profile"
 )
 
-func main() { os.Exit(realMain()) }
+func main() { os.Exit(run(context.Background(), os.Args[1:], os.Stdout, os.Stderr)) }
 
-// realMain returns the exit code instead of calling os.Exit directly, so
-// the deferred profile writers always run.
-func realMain() int {
-	scale := flag.String("scale", "small", "world scale when generating: tiny | small | paper")
-	seed := flag.Uint64("seed", 1, "generator seed")
-	worldFile := flag.String("world", "", "load a world file instead of generating")
-	run := flag.String("run", "", "comma-separated experiment ids (default: all); see -list")
-	list := flag.Bool("list", false, "list experiment ids and exit")
-	prof := profile.Register(flag.CommandLine)
-	flag.Parse()
-
-	stop, err := prof.Start("fedibench")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "fedibench:", err)
-		return 2
+// run is the command, writing only to stdout and stderr; it returns the exit code.
+func run(_ context.Context, args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("fedibench", flag.ContinueOnError)
+	scale := fs.String("scale", "small", "world scale when generating: tiny | small | paper")
+	seed := fs.Uint64("seed", 1, "generator seed")
+	worldFile := fs.String("world", "", "load a world file instead of generating")
+	runIDs := fs.String("run", "", "comma-separated experiment ids (default: all); see -list")
+	list := fs.Bool("list", false, "list experiment ids and exit")
+	stop, code := profile.Parse(fs, args, stderr)
+	if stop == nil {
+		return code
 	}
 	defer stop()
 
 	if *list {
 		for _, e := range core.Experiments() {
-			fmt.Printf("%-7s %s\n", e.ID, e.Title)
+			fmt.Fprintf(stdout, "%-7s %s\n", e.ID, e.Title)
 		}
 		return 0
 	}
 
-	var w *dataset.World
-	if *worldFile != "" {
-		w, err = dataset.LoadFile(*worldFile)
-	} else {
-		w, err = core.BuildWorld(core.Scale(*scale), *seed)
-	}
+	w, err := core.LoadOrBuild(*worldFile, core.Scale(*scale), *seed)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "fedibench:", err)
+		fmt.Fprintln(stderr, "fedibench:", err)
 		return 2
 	}
 
-	if *run == "" {
-		if err := core.RunAll(w, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "fedibench:", err)
+	if *runIDs == "" {
+		if err := core.RunAll(w, stdout); err != nil {
+			fmt.Fprintln(stderr, "fedibench:", err)
 			return 1
 		}
 		return 0
 	}
-	for _, id := range strings.Split(*run, ",") {
+	for _, id := range strings.Split(*runIDs, ",") {
 		e, err := core.Find(strings.TrimSpace(id))
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "fedibench:", err)
+			fmt.Fprintln(stderr, "fedibench:", err)
 			return 2
 		}
-		fmt.Printf("==== %s — %s\n", e.ID, e.Title)
-		if err := e.Run(w, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "fedibench:", err)
+		fmt.Fprintf(stdout, "==== %s — %s\n", e.ID, e.Title)
+		if err := e.Run(w, stdout); err != nil {
+			fmt.Fprintln(stderr, "fedibench:", err)
 			return 1
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
 	return 0
 }

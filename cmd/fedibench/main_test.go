@@ -1,0 +1,93 @@
+package main
+
+import (
+	"bytes"
+	"context"
+	"fmt"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"repro/internal/core"
+)
+
+func fedibench(t *testing.T, args ...string) string {
+	t.Helper()
+	var stdout, stderr bytes.Buffer
+	if code := run(context.Background(), args, &stdout, &stderr); code != 0 {
+		t.Fatalf("fedibench %v: exit %d: %s", args, code, stderr.String())
+	}
+	return stdout.String()
+}
+
+// -list prints one line per experiment, in index order.
+func TestList(t *testing.T) {
+	var want strings.Builder
+	for _, e := range core.Experiments() {
+		fmt.Fprintf(&want, "%-7s %s\n", e.ID, e.Title)
+	}
+	if got := fedibench(t, "-list"); got != want.String() {
+		t.Errorf("-list printed\n%s\nwant\n%s", got, want.String())
+	}
+}
+
+// -run prints each named experiment under its header, exactly as the
+// experiment writes it; no -run prints core.RunAll's report. A world file
+// and the generated world it holds print the same.
+func TestRun(t *testing.T) {
+	w, err := core.LoadOrBuild("", core.ScaleTiny, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want strings.Builder
+	for _, id := range []string{"fig1", "tab1"} {
+		e, err := core.Find(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&want, "==== %s — %s\n", e.ID, e.Title)
+		if err := e.Run(w, &want); err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintln(&want)
+	}
+	if got := fedibench(t, "-scale", "tiny", "-run", "fig1, tab1"); got != want.String() {
+		t.Errorf("-run fig1,tab1 printed\n%s\nwant\n%s", got, want.String())
+	}
+
+	path := filepath.Join(t.TempDir(), "w.fedi")
+	if err := w.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	var all bytes.Buffer
+	if err := core.RunAll(w, &all); err != nil {
+		t.Fatal(err)
+	}
+	if got := fedibench(t, "-world", path); got != all.String() {
+		t.Errorf("the full report of the world file differs from core.RunAll's:\n%s", got)
+	}
+}
+
+// A bad invocation exits 2 and says why on stderr; -h prints the flags and
+// exits 0.
+func TestBadInvocation(t *testing.T) {
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		args []string
+		code int
+		want string // on stderr
+	}{
+		{[]string{"-h"}, 0, "-list"},
+		{[]string{"-no-such-flag"}, 2, "flag provided but not defined"},
+		{[]string{"-cpuprofile", filepath.Join(dir, "no", "cpu")}, 2, "fedibench: "},
+		{[]string{"-scale", "galactic"}, 2, "fedibench: core: unknown scale"},
+		{[]string{"-world", filepath.Join(dir, "missing.fedi")}, 2, "fedibench: "},
+		{[]string{"-scale", "tiny", "-run", "fig99"}, 2, "fedibench: "},
+	} {
+		var stdout, stderr bytes.Buffer
+		code := run(context.Background(), tc.args, &stdout, &stderr)
+		if code != tc.code || !strings.Contains(stderr.String(), tc.want) {
+			t.Errorf("fedibench %v: exit %d, stderr %q; want exit %d and %q", tc.args, code, stderr.String(), tc.code, tc.want)
+		}
+	}
+}

@@ -35,6 +35,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -44,29 +45,31 @@ import (
 	"repro/internal/profile"
 )
 
-func main() { os.Exit(run()) }
+func main() { os.Exit(run(context.Background(), os.Args[1:], os.Stdout, os.Stderr)) }
 
-func run() int {
-	base := flag.String("base", "http://localhost:8080", "base URL all domains resolve to")
-	seeds := flag.String("seeds", "", "comma-separated seed domains for snowball discovery")
-	worldFile := flag.String("world", "", "take the domain list from a world file instead of discovering")
-	workers := flag.Int("workers", 10, "concurrent crawl workers (the paper used 10 threads)")
-	rate := flag.Float64("rate", 50, "per-host request rate limit (req/s)")
-	maxToots := flag.Int("max-toots", 0, "per-instance toot cap (0 = full history)")
-	scrapeFollowers := flag.Bool("followers", true, "also scrape follower lists of toot authors")
-	timeout := flag.Duration("timeout", 10*time.Minute, "overall crawl deadline")
-	sinceFile := flag.String("since", "", "JSON high-water-mark file from a previous -write-since run; crawl only newer toots")
-	writeSince := flag.String("write-since", "", "write the crawl's per-domain high-water marks to this JSON file")
-	breakerStats := flag.Bool("breaker-stats", false, "print the per-host circuit-breaker table after the crawl")
-	prof := profile.Register(flag.CommandLine)
-	flag.Parse()
-
-	stop, err := prof.Start("fedicrawl")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "fedicrawl:", err)
-		return 2
+// run is the command, writing only to stdout and stderr; it returns the exit code.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("fedicrawl", flag.ContinueOnError)
+	base := fs.String("base", "http://localhost:8080", "base URL all domains resolve to")
+	seeds := fs.String("seeds", "", "comma-separated seed domains for snowball discovery")
+	worldFile := fs.String("world", "", "take the domain list from a world file instead of discovering")
+	workers := fs.Int("workers", 10, "concurrent crawl workers (the paper used 10 threads)")
+	rate := fs.Float64("rate", 50, "per-host request rate limit (req/s)")
+	maxToots := fs.Int("max-toots", 0, "per-instance toot cap (0 = full history)")
+	scrapeFollowers := fs.Bool("followers", true, "also scrape follower lists of toot authors")
+	timeout := fs.Duration("timeout", 10*time.Minute, "overall crawl deadline")
+	sinceFile := fs.String("since", "", "JSON high-water-mark file from a previous -write-since run; crawl only newer toots")
+	writeSince := fs.String("write-since", "", "write the crawl's per-domain high-water marks to this JSON file")
+	breakerStats := fs.Bool("breaker-stats", false, "print the per-host circuit-breaker table after the crawl")
+	stop, code := profile.Parse(fs, args, stderr)
+	if stop == nil {
+		return code
 	}
 	defer stop()
+	if !(*rate > 0) {
+		fmt.Fprintf(stderr, "fedicrawl: -rate must be a positive number of requests per second, not %v\n", *rate)
+		return 2
+	}
 
 	since := map[string]int64{}
 	if *sinceFile != "" {
@@ -75,18 +78,18 @@ func run() int {
 			since, err = crawler.DecodeMarks(b)
 		}
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "fedicrawl:", err)
+			fmt.Fprintln(stderr, "fedicrawl:", err)
 			return 2
 		}
 	}
 
-	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
+	ctx, cancel := context.WithTimeout(ctx, *timeout)
 	defer cancel()
 	// cutShort reports that the deadline expired during phase; instances the
 	// crawl never reached are counted offline in whatever was printed, and a
 	// toot crawl that was cut writes no marks file.
 	cutShort := func(phase string) int {
-		fmt.Fprintf(os.Stderr, "fedicrawl: the -timeout %v deadline cut the %s short: the numbers above are partial\n", *timeout, phase)
+		fmt.Fprintf(stderr, "fedicrawl: the -timeout %v deadline cut the %s short: the numbers above are partial\n", *timeout, phase)
 		return 1
 	}
 
@@ -102,7 +105,7 @@ func run() int {
 		}
 		rows := cli.Breaker.Snapshot()
 		st := cli.Breaker.Stats()
-		fmt.Printf("breaker: %d hosts with failures, %d failures, %d opens, %d quarantined\n",
+		fmt.Fprintf(stdout, "breaker: %d hosts with failures, %d failures, %d opens, %d quarantined\n",
 			st.Hosts, st.Failures, st.Opens, st.Quarantined)
 		for _, r := range rows {
 			state := "closed"
@@ -112,7 +115,7 @@ func run() int {
 			case r.Open:
 				state = "open"
 			}
-			fmt.Printf("breaker: %-40s %s (%d failures, %d opens)\n", r.Host, state, r.Failures, r.Opens)
+			fmt.Fprintf(stdout, "breaker: %-40s %s (%d failures, %d opens)\n", r.Host, state, r.Failures, r.Opens)
 		}
 	}()
 
@@ -122,7 +125,7 @@ func run() int {
 	case *worldFile != "":
 		w, err := dataset.LoadFile(*worldFile)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "fedicrawl:", err)
+			fmt.Fprintln(stderr, "fedicrawl:", err)
 			return 2
 		}
 		for i := range w.Instances {
@@ -132,10 +135,10 @@ func run() int {
 		d := &crawler.Discoverer{Client: cli, Workers: *workers}
 		domains = d.Discover(ctx, strings.Split(*seeds, ","))
 	default:
-		fmt.Fprintln(os.Stderr, "fedicrawl: need -seeds or -world")
+		fmt.Fprintln(stderr, "fedicrawl: need -seeds or -world")
 		return 2
 	}
-	fmt.Printf("domain list: %d instances\n", len(domains))
+	fmt.Fprintf(stdout, "domain list: %d instances\n", len(domains))
 	if ctx.Err() != nil {
 		return cutShort("discovery")
 	}
@@ -151,7 +154,7 @@ func run() int {
 			totalToots += s.Toots
 		}
 	}
-	fmt.Printf("monitor: %d/%d online, %d toots reported\n", online, len(domains), totalToots)
+	fmt.Fprintf(stdout, "monitor: %d/%d online, %d toots reported\n", online, len(domains), totalToots)
 	if ctx.Err() != nil {
 		return cutShort("monitor round")
 	}
@@ -166,10 +169,10 @@ func run() int {
 	if len(since) > 0 {
 		mode = fmt.Sprintf("delta over %d marks", len(since))
 	}
-	fmt.Printf("toot crawl (%v, %s): %d toots from %d authors; %d online, %d blocked, %d offline\n",
+	fmt.Fprintf(stdout, "toot crawl (%v, %s): %d toots from %d authors; %d online, %d blocked, %d offline\n",
 		time.Since(start).Round(time.Millisecond), mode, sum.Toots, sum.Authors, sum.Online, sum.Blocked, sum.Offline)
 	if totalToots > 0 && len(since) == 0 {
-		fmt.Printf("coverage: %.1f%% of reported toots (paper: 62%%)\n",
+		fmt.Fprintf(stdout, "coverage: %.1f%% of reported toots (paper: 62%%)\n",
 			100*float64(sum.Toots)/float64(totalToots))
 	}
 	if err != nil {
@@ -185,10 +188,10 @@ func run() int {
 			err = os.WriteFile(*writeSince, b, 0o644)
 		}
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "fedicrawl:", err)
+			fmt.Fprintln(stderr, "fedicrawl:", err)
 			return 2
 		}
-		fmt.Printf("high-water marks: %d domains -> %s\n", len(marks), *writeSince)
+		fmt.Fprintf(stdout, "high-water marks: %d domains -> %s\n", len(marks), *writeSince)
 	}
 
 	// 4. Follower graph.
@@ -196,9 +199,9 @@ func run() int {
 		return 0
 	}
 	authors, _ := crawler.Authors(results)
-	fs := &crawler.FollowerScraper{Client: cli, Workers: *workers}
+	scraper := &crawler.FollowerScraper{Client: cli, Workers: *workers}
 	start = time.Now()
-	res := fs.Scrape(ctx, authors)
+	res := scraper.Scrape(ctx, authors)
 	// The accounts counted are the follows' ends: an author with no
 	// followers is in res.Accounts but not in the graph.
 	edges, inGraph := 0, make(map[int32]bool)
@@ -208,7 +211,7 @@ func run() int {
 			inGraph[f], inGraph[int32(i)] = true, true
 		}
 	}
-	fmt.Printf("follower scrape (%v): %d edges over %d accounts (%d scrape errors)\n",
+	fmt.Fprintf(stdout, "follower scrape (%v): %d edges over %d accounts (%d scrape errors)\n",
 		time.Since(start).Round(time.Millisecond), edges, len(inGraph), len(res.Errors))
 	if ctx.Err() != nil {
 		return cutShort("follower scrape")

@@ -7,8 +7,10 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -17,28 +19,24 @@ import (
 	"repro/internal/profile"
 )
 
-func main() { os.Exit(run()) }
+func main() { os.Exit(run(context.Background(), os.Args[1:], os.Stdout, os.Stderr)) }
 
-// run returns the exit code instead of calling os.Exit, so that the
-// deferred profile writers run.
-func run() int {
-	config := flag.String("config", "small", "world preset: tiny | small | paper")
-	seed := flag.Uint64("seed", 1, "generator seed")
-	shards := flag.Int("shards", 0, "generation shards (0 = one per CPU; output is identical for any value)")
-	out := flag.String("out", "world.fedi", "output world file")
-	prof := profile.Register(flag.CommandLine)
-	flag.Parse()
-
-	stop, err := prof.Start("fedigen")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "fedigen:", err)
-		return 2
+// run is the command, writing only to stdout and stderr; it returns the exit code.
+func run(_ context.Context, args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("fedigen", flag.ContinueOnError)
+	config := fs.String("config", "small", "world preset: tiny | small | paper")
+	seed := fs.Uint64("seed", 1, "generator seed")
+	shards := fs.Int("shards", 0, "generation shards (0 = one per CPU; output is identical for any value)")
+	out := fs.String("out", "world.fedi", "output world file")
+	stop, code := profile.Parse(fs, args, stderr)
+	if stop == nil {
+		return code
 	}
 	defer stop()
 
 	cfg, err := core.ConfigForScale(core.Scale(*config), *seed)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "fedigen:", err)
+		fmt.Fprintln(stderr, "fedigen:", err)
 		return 2
 	}
 	cfg.Shards = *shards
@@ -46,16 +44,16 @@ func run() int {
 	start := time.Now()
 	w := gen.Generate(cfg)
 	if err := w.SaveFile(*out); err != nil {
-		fmt.Fprintln(os.Stderr, "fedigen:", err)
+		fmt.Fprintln(stderr, "fedigen:", err)
 		return 1
 	}
 	written := int64(-1)
 	if st, err := os.Stat(*out); err == nil {
 		written = st.Size()
 	}
-	fmt.Printf("generated %d instances / %d accounts / %d toots, %d bytes written in %v → %s\n",
+	fmt.Fprintf(stdout, "generated %d instances / %d accounts / %d toots, %d bytes written in %v → %s\n",
 		len(w.Instances), len(w.Users), w.TotalToots(), written,
 		time.Since(start).Round(time.Millisecond), *out)
-	fmt.Print(core.Summary(w))
+	fmt.Fprint(stdout, core.Summary(w))
 	return 0
 }

@@ -18,49 +18,44 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"net"
-	"net/http"
 	"os"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/dataset"
 	"repro/internal/instance"
 	"repro/internal/loadgen"
 	"repro/internal/profile"
 )
 
-func main() { os.Exit(run()) }
+func main() { os.Exit(run(context.Background(), os.Args[1:], os.Stdout, os.Stderr)) }
 
-// run returns the exit code instead of calling os.Exit, so that the
-// deferred profile writers run.
-func run() int {
-	scale := flag.String("scale", "tiny", "world scale when generating: tiny | small | paper")
-	seed := flag.Uint64("seed", 1, "generator seed; also drives the request plan")
-	worldFile := flag.String("world", "", "load a world file instead of generating")
-	target := flag.String("target", "", "base URL of a running fediserve (empty = self-serve on a loopback listener)")
-	rate := flag.Float64("rate", 1000, "target open-loop arrival rate, requests/second")
-	duration := flag.Duration("duration", 5*time.Second, "load window (ignored when -count is set)")
-	count := flag.Int("count", 0, "exact request count (0 = rate*duration)")
-	workers := flag.Int("workers", 16, "request workers (keep-alive connections)")
-	timeout := flag.Duration("timeout", 10*time.Second, "per-request timeout")
-	maxToots := flag.Int("max-toots", 10, "self-serve: toot objects materialised per user")
-	jsonOut := flag.String("json", "", "write the JSON report here ('-' = stdout)")
-	prof := profile.Register(flag.CommandLine)
-	flag.Parse()
-
-	stop, err := prof.Start("fediload")
-	if err != nil {
-		return fail(err)
+// run is the command, writing only to stdout and stderr; it returns the exit code.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("fediload", flag.ContinueOnError)
+	scale := fs.String("scale", "tiny", "world scale when generating: tiny | small | paper")
+	seed := fs.Uint64("seed", 1, "generator seed; also drives the request plan")
+	worldFile := fs.String("world", "", "load a world file instead of generating")
+	target := fs.String("target", "", "base URL of a running fediserve (empty = self-serve on a loopback listener)")
+	rate := fs.Float64("rate", 1000, "target open-loop arrival rate, requests/second")
+	duration := fs.Duration("duration", 5*time.Second, "load window (ignored when -count is set)")
+	count := fs.Int("count", 0, "exact request count (0 = rate*duration)")
+	workers := fs.Int("workers", 16, "request workers (keep-alive connections)")
+	timeout := fs.Duration("timeout", 10*time.Second, "per-request timeout")
+	maxToots := fs.Int("max-toots", 10, "self-serve: toot objects materialised per user")
+	jsonOut := fs.String("json", "", "write the JSON report here ('-' = stdout)")
+	stop, code := profile.Parse(fs, args, stderr)
+	if stop == nil {
+		return code
 	}
 	defer stop()
-
-	var w *dataset.World
-	if *worldFile != "" {
-		w, err = dataset.LoadFile(*worldFile)
-	} else {
-		w, err = core.BuildWorld(core.Scale(*scale), *seed)
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "fediload:", err)
+		return 1
 	}
+
+	w, err := core.LoadOrBuild(*worldFile, core.Scale(*scale), *seed)
 	if err != nil {
 		return fail(err)
 	}
@@ -79,24 +74,25 @@ func run() int {
 	if base == "" {
 		// Self-serve: load the world into live servers behind one loopback
 		// listener — real TCP, no external process to coordinate.
-		liveNet, err := instance.LoadWorld(context.Background(), w, instance.LoadOptions{MaxTootsPerUser: *maxToots})
-		if err != nil {
-			return fail(err)
-		}
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			return fail(err)
 		}
-		srv := &http.Server{Handler: liveNet, ReadHeaderTimeout: 10 * time.Second}
-		go srv.Serve(ln)
-		defer srv.Close()
+		serveCtx, cancel := context.WithCancel(ctx)
+		liveNet, wait, err := instance.ServeWorld(serveCtx, ln, w, instance.LoadOptions{MaxTootsPerUser: *maxToots})
+		if err != nil {
+			cancel()
+			return fail(err)
+		}
+		defer wait() // after cancel
+		defer cancel()
 		base = "http://" + ln.Addr().String()
-		fmt.Fprintf(os.Stderr, "fediload: self-serving %d instances on %s\n", len(liveNet.Domains()), base)
+		fmt.Fprintf(stderr, "fediload: self-serving %d instances on %s\n", len(liveNet.Domains()), base)
 	}
 
-	fmt.Fprintf(os.Stderr, "fediload: %d requests at %.0f req/s over %d workers → %s\n",
+	fmt.Fprintf(stderr, "fediload: %d requests at %.0f req/s over %d workers → %s\n",
 		len(plan), *rate, *workers, base)
-	rep, err := loadgen.Run(context.Background(), plan, loadgen.RunConfig{
+	rep, err := loadgen.Run(ctx, plan, loadgen.RunConfig{
 		Target:  base,
 		Workers: *workers,
 		Timeout: *timeout,
@@ -109,9 +105,9 @@ func run() int {
 
 	// With -json - the report owns stdout; the human summary moves to
 	// stderr so the JSON stays pipeable.
-	sum := os.Stdout
+	sum := stdout
 	if *jsonOut == "-" {
-		sum = os.Stderr
+		sum = stderr
 	}
 	fmt.Fprintf(sum, "requests %d  (2xx %d, 304 %d, other %d, errors %d)  %.0f req/s achieved\n",
 		rep.Requests, rep.Status2xx, rep.Status304, rep.StatusOther, rep.Errors, rep.ThroughputRPS)
@@ -125,15 +121,10 @@ func run() int {
 		}
 		buf = append(buf, '\n')
 		if *jsonOut == "-" {
-			os.Stdout.Write(buf)
+			stdout.Write(buf)
 		} else if err := os.WriteFile(*jsonOut, buf, 0o644); err != nil {
 			return fail(err)
 		}
 	}
 	return 0
-}
-
-func fail(err error) int {
-	fmt.Fprintln(os.Stderr, "fediload:", err)
-	return 1
 }

@@ -24,6 +24,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -32,20 +33,18 @@ import (
 	"repro/internal/simnet/scenario"
 )
 
-func main() { os.Exit(realMain()) }
+func main() { os.Exit(run(context.Background(), os.Args[1:], os.Stdout, os.Stderr)) }
 
-func realMain() int {
-	list := flag.Bool("list", false, "list scenario names and exit")
-	run := flag.String("run", "", "comma-separated scenario names (default: all)")
-	seed := flag.Uint64("seed", 0, "seed override (0 = each scenario's default seed)")
-	out := flag.String("out", "", "directory for per-scenario <name>.json reports (default: stdout)")
-	prof := profile.Register(flag.CommandLine)
-	flag.Parse()
-
-	stop, err := prof.Start("fediscenario")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "fediscenario:", err)
-		return 2
+// run is the command, writing only to stdout and stderr; it returns the exit code.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("fediscenario", flag.ContinueOnError)
+	list := fs.Bool("list", false, "list scenario names and exit")
+	runNames := fs.String("run", "", "comma-separated scenario names (default: all)")
+	seed := fs.Uint64("seed", 0, "seed override (0 = each scenario's default seed)")
+	out := fs.String("out", "", "directory for per-scenario <name>.json reports (default: stdout)")
+	stop, code := profile.Parse(fs, args, stderr)
+	if stop == nil {
+		return code
 	}
 	defer stop()
 
@@ -53,57 +52,57 @@ func realMain() int {
 		for _, name := range scenario.Names() {
 			sc, err := scenario.ByName(name, 0)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "fediscenario:", err)
+				fmt.Fprintln(stderr, "fediscenario:", err)
 				return 2
 			}
-			fmt.Printf("%-20s %s\n", name, sc.Title)
+			fmt.Fprintf(stdout, "%-20s %s\n", name, sc.Title)
 		}
 		return 0
 	}
 
 	names := scenario.Names()
-	if *run != "" {
-		names = strings.Split(*run, ",")
+	if *runNames != "" {
+		names = strings.Split(*runNames, ",")
 	}
 	if *out != "" {
 		if err := os.MkdirAll(*out, 0o755); err != nil {
-			fmt.Fprintln(os.Stderr, "fediscenario:", err)
+			fmt.Fprintln(stderr, "fediscenario:", err)
 			return 2
 		}
 	}
 
-	code := 0
+	exit := 0
 	for _, name := range names {
 		sc, err := scenario.ByName(strings.TrimSpace(name), *seed)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "fediscenario:", err)
+			fmt.Fprintln(stderr, "fediscenario:", err)
 			return 2
 		}
-		rep, err := sc.Run(context.Background())
+		rep, err := sc.Run(ctx)
 		if rep == nil {
-			fmt.Fprintln(os.Stderr, "fediscenario:", err)
+			fmt.Fprintln(stderr, "fediscenario:", err)
 			return 2
 		}
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "fediscenario:", err)
-			code = 1
+			fmt.Fprintln(stderr, "fediscenario:", err)
+			exit = 1
 		}
 		b, err := rep.Encode()
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "fediscenario:", err)
+			fmt.Fprintln(stderr, "fediscenario:", err)
 			return 2
 		}
 		if *out == "" {
-			os.Stdout.Write(b)
+			stdout.Write(b)
 		} else {
 			path := filepath.Join(*out, sc.Name+".json")
 			if err := os.WriteFile(path, b, 0o644); err != nil {
-				fmt.Fprintln(os.Stderr, "fediscenario:", err)
+				fmt.Fprintln(stderr, "fediscenario:", err)
 				return 2
 			}
-			fmt.Printf("%-20s passed=%v  %d metrics  -> %s\n",
+			fmt.Fprintf(stdout, "%-20s passed=%v  %d metrics  -> %s\n",
 				sc.Name, rep.Passed, len(rep.Metrics), path)
 		}
 	}
-	return code
+	return exit
 }

@@ -48,8 +48,12 @@ func ConfigForScale(s Scale, seed uint64) (gen.Config, error) {
 	}
 }
 
-// BuildWorld generates a world at the given scale.
-func BuildWorld(s Scale, seed uint64) (*dataset.World, error) {
+// LoadOrBuild loads the world file path or, when path is empty, generates
+// the world at scale s and seed: every command's -world / -scale / -seed.
+func LoadOrBuild(path string, s Scale, seed uint64) (*dataset.World, error) {
+	if path != "" {
+		return dataset.LoadFile(path)
+	}
 	cfg, err := ConfigForScale(s, seed)
 	if err != nil {
 		return nil, err

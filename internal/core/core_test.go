@@ -22,7 +22,7 @@ var (
 func world(t *testing.T) *dataset.World {
 	t.Helper()
 	worldOnce.Do(func() {
-		w, err := BuildWorld(ScaleTiny, 1)
+		w, err := LoadOrBuild("", ScaleTiny, 1)
 		if err != nil {
 			panic(err)
 		}
@@ -44,7 +44,7 @@ func TestConfigForScale(t *testing.T) {
 	if _, err := ConfigForScale("galactic", 1); err == nil {
 		t.Fatal("expected error for unknown scale")
 	}
-	if _, err := BuildWorld("galactic", 1); err == nil {
+	if _, err := LoadOrBuild("", "galactic", 1); err == nil {
 		t.Fatal("expected error for unknown scale")
 	}
 }
@@ -157,7 +157,7 @@ func BenchmarkRunAll(b *testing.B) {
 
 func smallWorld(b *testing.B) *dataset.World {
 	b.Helper()
-	w, err := BuildWorld(ScaleSmall, 1)
+	w, err := LoadOrBuild("", ScaleSmall, 1)
 	if err != nil {
 		b.Fatal(err)
 	}

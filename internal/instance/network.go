@@ -1,11 +1,15 @@
 package instance
 
 import (
+	"context"
 	"fmt"
+	"net"
 	"net/http"
 	"strings"
 	"sync"
+	"time"
 
+	"repro/internal/dataset"
 	"repro/internal/federation"
 	"repro/internal/vclock"
 )
@@ -84,4 +88,45 @@ func (n *Network) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.ServeHTTP(w, r)
+}
+
+// ServeWorld loads w (LoadWorld) and serves it on ln, which it closes on
+// every path, until ctx is done; then it shuts down, giving open requests
+// five seconds. It returns once the network serves, with wait, which blocks
+// until the server stops and says why: nil after a clean shutdown.
+func ServeWorld(ctx context.Context, ln net.Listener, w *dataset.World, opts LoadOptions) (n *Network, wait func() error, err error) {
+	if n, err = LoadWorld(ctx, w, opts); err != nil {
+		ln.Close()
+		return nil, nil, err
+	}
+	srv := httpServer(n)
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+	return n, func() error {
+		select {
+		case err := <-served:
+			return err
+		case <-ctx.Done():
+		}
+		shutdown, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		err := srv.Shutdown(shutdown)
+		<-served
+		return err
+	}, nil
+}
+
+// httpServer returns the HTTP server for a live network, with every limit
+// a client could otherwise hold a connection open past: a request's headers
+// and body must arrive, and its response leave, within bounded times, an
+// idle keep-alive connection is closed, and headers are capped in size.
+func httpServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: 10 * time.Second,
+		ReadTimeout:       30 * time.Second, // an inbox body is at most 1 MB
+		WriteTimeout:      30 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+		MaxHeaderBytes:    64 << 10,
+	}
 }

@@ -16,7 +16,7 @@ import (
 // the earlier campaigns. A Server instead keeps one flat text arena, one
 // fixed-width row table, and an actor intern table; the local and federated
 // timelines are just row-index slices. Toot values are materialised only at
-// the API surface (PostToot's return, PublicTimeline pages), so the resting
+// the API surface (PostToot's return, the tests' read-backs), so the resting
 // cost per toot is one 40-byte tootRow plus its text bytes. A note id is
 // text only when it cannot be derived: a local toot's is "<domain>/<ID>",
 // and a remote toot's is almost always "<author domain>/<n>", kept as n.

@@ -15,7 +15,7 @@ import (
 
 func buildWorld(t *testing.T) *dataset.World {
 	t.Helper()
-	w, err := core.BuildWorld(core.ScaleTiny, 1)
+	w, err := core.LoadOrBuild("", core.ScaleTiny, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

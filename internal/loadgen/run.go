@@ -83,7 +83,11 @@ func Run(ctx context.Context, plan []Request, cfg RunConfig) (*Report, error) {
 	}
 	client := cfg.HTTP
 	if client == nil {
-		client = &http.Client{Transport: crawler.PooledTransport(workers)}
+		// Run closes its own pool: a graceful server shutdown waits for a
+		// connection that outlives the run without sending a request.
+		tr := crawler.PooledTransport(workers)
+		defer tr.CloseIdleConnections()
+		client = &http.Client{Transport: tr}
 	}
 
 	// The queue holds the whole plan so the dispatcher can never block on

@@ -1,45 +1,59 @@
 // Package profile gives every command the same three profiling flags:
 // -cpuprofile, -memprofile and -trace. Each writes a file for `go tool
 // pprof` or `go tool trace`, so a slow or hungry run can be read from a
-// production-shaped workload without editing code.
+// production-shaped workload without editing code. Parse adds them to a
+// command's flag set and parses it, so every command treats -h and a bad
+// flag alike.
 package profile
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
 	"runtime/trace"
 )
 
-// Flags are the profiling flags one command registered.
-type Flags struct {
-	cpu, mem, trace *string
-}
-
-// Register defines the flags on fs, flag.CommandLine for a command.
-func Register(fs *flag.FlagSet) *Flags {
-	return &Flags{
-		cpu:   fs.String("cpuprofile", "", "write a CPU profile to this file"),
-		mem:   fs.String("memprofile", "", "write a heap profile to this file on exit"),
-		trace: fs.String("trace", "", "write an execution trace to this file"),
+// Parse defines the profiling flags on fs, a command's own flag set, parses
+// args into it and starts the profiles the flags ask for. Usage and errors
+// go to stderr, after fs.Name(). It returns stop, which ends the profiles
+// and writes the heap profile on the command's way out; or, when the
+// command must not go on, a nil stop and the exit code: 0 after -h, 2 after
+// a bad flag or a profile that cannot start. On error nothing is left
+// running.
+func Parse(fs *flag.FlagSet, args []string, stderr io.Writer) (stop func(), code int) {
+	fs.SetOutput(stderr)
+	cpu := fs.String("cpuprofile", "", "write a CPU profile to this file")
+	mem := fs.String("memprofile", "", "write a heap profile to this file on exit")
+	tr := fs.String("trace", "", "write an execution trace to this file")
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return nil, 0
+	} else if err != nil {
+		return nil, 2
 	}
+	report := func(err error) { fmt.Fprintf(stderr, "%s: %v\n", fs.Name(), err) }
+	stop, err := start(*cpu, *mem, *tr, report)
+	if err != nil {
+		report(err)
+		return nil, 2
+	}
+	return stop, 0
 }
 
-// Start begins the CPU profile and the execution trace the flags ask for.
-// stop ends them and writes the heap profile; a command calls it on its way
-// out, and it reports what fails to stderr after prog. On error nothing is
-// left running.
-func (f *Flags) Start(prog string) (stop func(), err error) {
+// start begins the CPU profile and the execution trace at the paths that
+// are set; stop ends them and writes the heap profile, handing report what
+// fails. On error nothing is left running.
+func start(cpu, mem, tr string, report func(error)) (stop func(), err error) {
 	var stops []func()
 	stop = func() {
 		for i := len(stops) - 1; i >= 0; i-- {
 			stops[i]()
 		}
 	}
-	if *f.cpu != "" {
-		file, err := os.Create(*f.cpu)
+	if cpu != "" {
+		file, err := os.Create(cpu)
 		if err != nil {
 			return nil, err
 		}
@@ -52,8 +66,8 @@ func (f *Flags) Start(prog string) (stop func(), err error) {
 			file.Close()
 		})
 	}
-	if *f.trace != "" {
-		file, err := os.Create(*f.trace)
+	if tr != "" {
+		file, err := os.Create(tr)
 		if err == nil {
 			if err = trace.Start(file); err != nil {
 				file.Close()
@@ -68,11 +82,10 @@ func (f *Flags) Start(prog string) (stop func(), err error) {
 			file.Close()
 		})
 	}
-	if *f.mem != "" {
-		path := *f.mem
+	if mem != "" {
 		stops = append(stops, func() {
-			if err := writeHeap(path); err != nil {
-				fmt.Fprintf(os.Stderr, "%s: %v\n", prog, err)
+			if err := writeHeap(mem); err != nil {
+				report(err)
 			}
 		})
 	}

@@ -1,21 +1,20 @@
 package profile
 
 import (
+	"bytes"
 	"flag"
 	"os"
 	"path/filepath"
 	"runtime/pprof"
+	"strings"
 	"testing"
 )
 
-func flags(t *testing.T, args ...string) *Flags {
-	t.Helper()
-	fs := flag.NewFlagSet("cmd", flag.ContinueOnError)
-	f := Register(fs)
-	if err := fs.Parse(args); err != nil {
-		t.Fatal(err)
-	}
-	return f
+// parse runs Parse on a fresh flag set named cmd and returns its stderr.
+func parse(args ...string) (stop func(), code int, stderr string) {
+	var buf bytes.Buffer
+	stop, code = Parse(flag.NewFlagSet("cmd", flag.ContinueOnError), args, &buf)
+	return stop, code, buf.String()
 }
 
 // TestStartWritesEachFile: every flag that is set leaves its file, written
@@ -23,9 +22,9 @@ func flags(t *testing.T, args ...string) *Flags {
 func TestStartWritesEachFile(t *testing.T) {
 	dir := t.TempDir()
 	paths := []string{filepath.Join(dir, "cpu"), filepath.Join(dir, "mem"), filepath.Join(dir, "trace")}
-	stop, err := flags(t, "-cpuprofile", paths[0], "-memprofile", paths[1], "-trace", paths[2]).Start("cmd")
-	if err != nil {
-		t.Fatal(err)
+	stop, code, stderr := parse("-cpuprofile", paths[0], "-memprofile", paths[1], "-trace", paths[2])
+	if stop == nil {
+		t.Fatalf("exit %d: %s", code, stderr)
 	}
 	stop()
 	for _, p := range paths {
@@ -33,20 +32,21 @@ func TestStartWritesEachFile(t *testing.T) {
 			t.Errorf("%s: %v, %v", filepath.Base(p), st, err)
 		}
 	}
-	stop, err = flags(t).Start("cmd")
-	if err != nil {
-		t.Fatal(err)
+	stop, code, stderr = parse()
+	if stop == nil {
+		t.Fatalf("exit %d: %s", code, stderr)
 	}
 	stop()
 }
 
 // TestStartFailureLeavesNothingRunning: a trace file that cannot be made
-// fails Start and stops the CPU profile it had begun.
+// stops the command with exit 2, a reason after its name, and the CPU
+// profile it had begun stopped.
 func TestStartFailureLeavesNothingRunning(t *testing.T) {
 	dir := t.TempDir()
-	_, err := flags(t, "-cpuprofile", filepath.Join(dir, "cpu"), "-trace", filepath.Join(dir, "no", "trace")).Start("cmd")
-	if err == nil {
-		t.Fatal("Start made a trace file in a missing directory")
+	stop, code, stderr := parse("-cpuprofile", filepath.Join(dir, "cpu"), "-trace", filepath.Join(dir, "no", "trace"))
+	if stop != nil || code != 2 || !strings.HasPrefix(stderr, "cmd: ") {
+		t.Fatalf("a trace file in a missing directory: stop %v, exit %d, stderr %q", stop != nil, code, stderr)
 	}
 	f, err := os.Create(filepath.Join(dir, "again"))
 	if err != nil {
@@ -57,4 +57,22 @@ func TestStartFailureLeavesNothingRunning(t *testing.T) {
 		t.Fatalf("the CPU profile is still running: %v", err)
 	}
 	pprof.StopCPUProfile()
+}
+
+// -h lists the flags and exits 0; a bad flag exits 2. Neither starts a
+// profile.
+func TestParseStops(t *testing.T) {
+	for _, tc := range []struct {
+		arg  string
+		code int
+		want string
+	}{
+		{"-h", 0, "-cpuprofile"},
+		{"-no-such-flag", 2, "flag provided but not defined"},
+	} {
+		stop, code, stderr := parse(tc.arg)
+		if stop != nil || code != tc.code || !strings.Contains(stderr, tc.want) {
+			t.Errorf("%s: stop %v, exit %d, stderr %q; want exit %d and %q", tc.arg, stop != nil, code, stderr, tc.code, tc.want)
+		}
+	}
 }

@@ -2,7 +2,8 @@
 # Fails if README.md's command table drifts from the actual cmd/* tree:
 # every cmd/<name> directory must appear in the table, every `cmd/<name>`
 # the table mentions must exist, and every -flag in a row's example
-# command must be defined by that binary's main.go. Keeps the operator
+# command must be defined by that binary's main.go, on the flag set every
+# command names fs (`fs.String("base", ...)`). Keeps the operator
 # docs honest (CI runs this in the docs job). It also fails when DESIGN.md
 # has more lines than design_max: the design notes may only shrink, so a
 # change that adds a paragraph removes as much elsewhere, and one that
@@ -43,7 +44,7 @@ while IFS= read -r row; do
 	[ -r "cmd/$c/main.go" ] || continue
 	example="$(printf '%s\n' "$row" | awk -F'|' '{print $4}')"
 	for f in $(printf '%s\n' "$example" | tr ' `' '\n\n' | sed -n 's/^--\{0,1\}\([a-z][a-z0-9-]*\).*/\1/p' | sort -u); do
-		if ! grep -q "flag\.[A-Za-z0-9]*(\"$f\"" "cmd/$c/main.go"; then
+		if ! grep -q "\bfs\.[A-Za-z0-9]*(\"$f\"" "cmd/$c/main.go"; then
 			echo "docs_check: README.md's example for cmd/$c uses -$f, which cmd/$c/main.go does not define"
 			drift=1
 		fi
