@@ -278,9 +278,7 @@ func runFig2a(w *dataset.World, out io.Writer) error {
 	fmt.Fprintf(out, "users/instance  closed: %s\n", analysis.CDFSummary(r.ClosedUsers))
 	fmt.Fprintf(out, "toots/instance  open:   %s\n", analysis.CDFSummary(r.OpenToots))
 	fmt.Fprintf(out, "toots/instance  closed: %s\n", analysis.CDFSummary(r.ClosedToots))
-	fmt.Fprintf(out, "top-5%% instances hold %.1f%% of users, %.1f%% of toots (paper: 90.6%% / 94.8%%)\n",
-		r.Top5UserPct, r.Top5TootPct)
-	return nil
+	return analysis.WriteFidelity(out, "fig2a", r)
 }
 
 func runFig2b(w *dataset.World, out io.Writer) error {
@@ -298,9 +296,7 @@ func runFig2c(w *dataset.World, out io.Writer) error {
 	fmt.Fprintf(out, "active%%  all:    %s\n", analysis.CDFSummary(r.All))
 	fmt.Fprintf(out, "active%%  open:   %s\n", analysis.CDFSummary(r.Open))
 	fmt.Fprintf(out, "active%%  closed: %s\n", analysis.CDFSummary(r.Closed))
-	fmt.Fprintf(out, "median active users: open %.0f%%, closed %.0f%% (paper: 50%% / 75%%)\n",
-		r.MedianOpen, r.MedianClosed)
-	return nil
+	return analysis.WriteFidelity(out, "fig2c", r)
 }
 
 func runFig3(w *dataset.World, out io.Writer) error {
@@ -310,14 +306,18 @@ func runFig3(w *dataset.World, out io.Writer) error {
 		cells = append(cells, []string{string(r.Category),
 			analysis.F(r.InstancesPct, 1), analysis.F(r.TootsPct, 1), analysis.F(r.UsersPct, 1)})
 	}
-	fmt.Fprintf(out, "categorised instances: %.1f%% (paper: 16.1%%)\n", categorized)
+	if err := analysis.WriteFidelity(out, "fig3", categorized); err != nil {
+		return err
+	}
 	_, err := io.WriteString(out, analysis.Table("", []string{"category", "instances%", "toots%", "users%"}, cells))
 	return err
 }
 
 func runFig4(w *dataset.World, out io.Writer) error {
 	prohibited, allowed, allowAll := analysis.Fig4Activities(w)
-	fmt.Fprintf(out, "instances allowing all activities: %.1f%% (paper: 17.5%%)\n", allowAll)
+	if err := analysis.WriteFidelity(out, "fig4", allowAll); err != nil {
+		return err
+	}
 	mk := func(title string, rows []analysis.ActivityRow) string {
 		var cells [][]string
 		for _, r := range rows {
@@ -349,8 +349,7 @@ func runFig5(w *dataset.World, out io.Writer) error {
 	if _, err := io.WriteString(out, mk("top-5 ASes:", ases)); err != nil {
 		return err
 	}
-	fmt.Fprintf(out, "top-3 ASes hold %.1f%% of users (paper: 62%%)\n", analysis.TopASUserShare(w, 3))
-	return nil
+	return analysis.WriteFidelity(out, "fig5", analysis.TopASUserShare(w, 3))
 }
 
 func runFig6(w *dataset.World, out io.Writer) error {
@@ -365,19 +364,15 @@ func runFig6(w *dataset.World, out io.Writer) error {
 	if _, err := io.WriteString(out, analysis.Table("", []string{"from", "to", "links%"}, cells)); err != nil {
 		return err
 	}
-	fmt.Fprintf(out, "same-country federated links: %.1f%% (paper: 32%%); top-5-country links: %.1f%% (paper: 93.7%%)\n",
-		r.SameCountryPct, r.Top5CountryLink)
-	return nil
+	return analysis.WriteFidelity(out, "fig6", r)
 }
 
 func runFig7(w *dataset.World, out io.Writer) error {
 	r := analysis.Fig7Downtime(w)
 	fmt.Fprintf(out, "downtime: %s\n", analysis.CDFSummary(r.Downtime))
-	fmt.Fprintf(out, "<5%% downtime: %.1f%% of instances (paper: ≈50%%)\n", r.Under5Pct)
-	fmt.Fprintf(out, ">50%% downtime: %.1f%% (paper: 11%%)\n", r.Over50Pct)
-	fmt.Fprintf(out, "≥99.5%% uptime: %.1f%% (paper: 4.5%%)\n", r.Excellent995Pct)
-	fmt.Fprintf(out, "mean downtime: %.2f%% (paper: 10.95%%)\n", r.MeanDowntimePct)
-	fmt.Fprintf(out, "corr(toots, downtime) = %.3f (paper: -0.04)\n", r.TootDownCorr)
+	if err := analysis.WriteFidelity(out, "fig7", r); err != nil {
+		return err
+	}
 	fmt.Fprintf(out, "unavailable mass when failing — users: %s\n", analysis.CDFSummary(r.Users))
 	fmt.Fprintf(out, "                               toots: %s\n", analysis.CDFSummary(r.Toots))
 	return nil
@@ -400,9 +395,7 @@ func runFig8(w *dataset.World, out io.Writer) error {
 		[]string{"bin", "days", "median", "mean", "p75"}, cells)); err != nil {
 		return err
 	}
-	fmt.Fprintf(out, "mean daily downtime: Mastodon %.2f%% vs Twitter %.2f%% (paper: 10.95%% vs 1.25%%)\n",
-		r.MastodonMean, r.TwitterMean)
-	return nil
+	return analysis.WriteFidelity(out, "fig8", r)
 }
 
 func runFig9a(w *dataset.World, out io.Writer) error {
@@ -416,10 +409,8 @@ func runFig9a(w *dataset.World, out io.Writer) error {
 
 func runFig9b(w *dataset.World, out io.Writer) error {
 	r := analysis.Fig9bCertOutages(w, 90)
-	fmt.Fprintf(out, "worst day: %s with %d instances down on certificate expiry (paper: 105 on 2018-07-23)\n",
-		dataset.Day(r.WorstDay).Format("2006-01-02"), r.WorstCount)
-	fmt.Fprintf(out, "share of ≥1-day outages caused by cert expiry: %.1f%% (paper: 6.3%%)\n", r.CertSharePct)
-	return nil
+	fmt.Fprintf(out, "worst day: %s with ", dataset.Day(r.WorstDay).Format("2006-01-02"))
+	return analysis.WriteFidelity(out, "fig9b", r)
 }
 
 func runTab1(w *dataset.World, out io.Writer) error {
@@ -440,10 +431,7 @@ func runTab1(w *dataset.World, out io.Writer) error {
 func runFig10(w *dataset.World, out io.Writer) error {
 	r := analysis.Fig10OutageDurations(w)
 	fmt.Fprintf(out, "continuous outages ≥1 day: %s\n", analysis.CDFSummary(r.Durations))
-	fmt.Fprintf(out, "instances with any outage: %.1f%% (paper: 98%%)\n", r.AnyOutagePct)
-	fmt.Fprintf(out, "instances with ≥1-day outage: %.1f%% (paper: 25%%)\n", r.InstancesWithDayOutagePct)
-	fmt.Fprintf(out, "instances with ≥1-month outage: %.1f%% (paper: 7%%)\n", r.InstancesWithMonthOutagePct)
-	return nil
+	return analysis.WriteFidelity(out, "fig10", r)
 }
 
 // twitterBaseline builds the Twitter baseline graph that Figs 11 and 12
@@ -573,8 +561,9 @@ func (p *placement) runFig15(w *dataset.World, out io.Writer) error {
 func (p *placement) runFig16(w *dataset.World, out io.Writer) error {
 	topInst := minInt(100, len(w.Instances)/4)
 	r := analysis.Fig16RandomReplication(w, p.experiment(w), topInst, 20, []int{1, 2, 3, 4, 7, 9})
-	fmt.Fprintf(out, "toots with no replica under S-Rep: %.1f%% (paper: 9.7%%); with >10 replicas: %.1f%% (paper: 23%%)\n",
-		r.NoReplicaTootPct, r.Over10ReplicaTootPct)
+	if err := analysis.WriteFidelity(out, "fig16", r); err != nil {
+		return err
+	}
 	if err := writeAvailability(out, "instance removal (by toots):", r.InstanceSweeps, maxInt(topInst/10, 1)); err != nil {
 		return err
 	}
@@ -620,10 +609,7 @@ func runFig14(w *dataset.World, out io.Writer) error {
 	r := analysis.Fig14HomeRemote(w)
 	e := stats.NewECDF(r.HomeSharePct)
 	fmt.Fprintf(out, "home share of federated timeline: %s\n", analysis.CDFSummary(e))
-	fmt.Fprintf(out, "instances producing <10%% of their own timeline: %.1f%% (paper: 78%%)\n", r.Under10Pct)
-	fmt.Fprintf(out, "pure consumers (no home toots): %.1f%% (paper: 5%%)\n", r.PureConsumersPct)
-	fmt.Fprintf(out, "corr(toots generated, toots replicated out) = %.2f (paper: 0.97)\n", r.GenerationReplicationCorr)
-	return nil
+	return analysis.WriteFidelity(out, "fig14", r)
 }
 
 // twitterBaselineUsers sizes the Twitter comparison graph relative to the

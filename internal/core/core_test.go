@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"io"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -68,6 +69,27 @@ func TestExperimentIndexComplete(t *testing.T) {
 		}
 		if exps[i].Title == "" || exps[i].Run == nil {
 			t.Fatalf("experiment %s incomplete", id)
+		}
+	}
+}
+
+// Every experiment either has ledger rows or is named as having no paper
+// value on file, and every ledger figure is an experiment (or the world).
+func TestFidelityCoversExperiments(t *testing.T) {
+	inLedger := map[string]bool{}
+	for _, row := range analysis.Ledger {
+		inLedger[row.Figure] = true
+	}
+	ids := map[string]bool{"world": true}
+	for _, e := range Experiments() {
+		ids[e.ID] = true
+		if inLedger[e.ID] == slices.Contains(analysis.NoPaperValue, e.ID) {
+			t.Errorf("%s: in the ledger %v, named as having no paper value %v", e.ID, inLedger[e.ID], !inLedger[e.ID])
+		}
+	}
+	for fig := range inLedger {
+		if !ids[fig] {
+			t.Errorf("ledger figure %s is no experiment", fig)
 		}
 	}
 }

@@ -27,6 +27,9 @@ func FuzzWorldFile(f *testing.F) {
 	f.Add(append([]byte{0x1f, 0x8b, 8}, sample...))
 	f.Add([]byte("FDWC"))
 	f.Add([]byte{'F', 'D', 'W', 'C', 1, secHeader, 0})
+	for _, tc := range hostileTraceFiles(f) {
+		f.Add(tc.file)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		defer func(old int64) { colDecodeBudget = old }(colDecodeBudget)

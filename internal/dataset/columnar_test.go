@@ -217,6 +217,51 @@ func TestLoadRejectsInconsistentWorld(t *testing.T) {
 	}
 }
 
+type hostileFile struct {
+	name, want string
+	file       []byte
+}
+
+// hostileTraceFiles returns world files whose trace rows hold what Save
+// never writes, each with the error Load must give: a down bit past a
+// trace's 70 slots, and a length past int32 that wraps to -64 slots as an
+// int, which passed the word-count check of a bitset decoder.
+func hostileTraceFiles(tb testing.TB) []hostileFile {
+	w := sampleWorld()
+	odd, empty := sim.NewTrace(70), sim.NewTrace(0)
+	odd.SetDownRange(64, 70)
+	w.Traces = &sim.TraceSet{SlotsPerDay: SlotsPerDay, Traces: []*sim.Trace{odd, empty}}
+	var buf bytes.Buffer
+	if err := w.Save(&buf); err != nil {
+		tb.Fatal(err)
+	}
+	good := buf.Bytes()
+	oddEnc, _ := odd.MarshalBinary()
+	at := bytes.Index(good, oddEnc)
+	if at < 0 || good[at+len(oddEnc)] != 8 {
+		tb.Fatal("trace rows not found in the saved file")
+	}
+	pastN := bytes.Clone(good)
+	pastN[at+len(oddEnc)-8] |= 1 << 6 // slot 70
+	wraps := bytes.Clone(good)
+	copy(wraps[at+len(oddEnc)+1:], []byte{0xc0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
+	return []hostileFile{
+		{"bit-past-n", "trace 0: sim: trace of 70 slots has down slots past its end", pastN},
+		{"n-past-int32", "trace 1: sim: trace length 18446744073709551552 past 2147483647 slots", wraps},
+	}
+}
+
+func TestLoadRejectsHostileTraces(t *testing.T) {
+	for _, tc := range hostileTraceFiles(t) {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := Load(bytes.NewReader(tc.file))
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Load = %v, want an error with %q", err, tc.want)
+			}
+		})
+	}
+}
+
 // Every field of every row type must survive Save→Load. Each field is set
 // to a distinct non-zero value by reflection, so a field added without a
 // column fails here.

@@ -185,7 +185,7 @@ type World struct {
 	// Social exactly as §3 defines it.
 	Federation *graph.CSR
 
-	// Traces holds one availability bitset per instance at 5-minute
+	// Traces holds one availability trace per instance at 5-minute
 	// resolution (the mnm.social probe record).
 	Traces *sim.TraceSet
 

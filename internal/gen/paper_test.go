@@ -31,8 +31,9 @@ func TestPaperScaleWorld(t *testing.T) {
 	runtime.GC()
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
-	t.Logf("paper world resident: %.1f MB (social graph %d nodes, %d edges)",
-		float64(ms.HeapAlloc)/(1<<20), w.Social.NumNodes(), w.Social.NumEdges())
+	traceBytes, outages := traceSetBytes(w.Traces)
+	t.Logf("paper world resident: %.1f MB (social graph %d nodes, %d edges; traces %.1f MB, %d outages)",
+		float64(ms.HeapAlloc)/(1<<20), w.Social.NumNodes(), w.Social.NumEdges(), float64(traceBytes)/(1<<20), outages)
 
 	if len(w.Instances) != 4328 {
 		t.Fatalf("instances = %d, want 4328", len(w.Instances))

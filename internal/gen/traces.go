@@ -107,6 +107,7 @@ func genTraces(cfg Config, insts []dataset.Instance) (*sim.TraceSet, map[int32][
 		}
 	}
 	injectASOutages(cfg, subSeed(cfg.Seed, stageASOutage), insts, ts)
+	ts.Trim()
 	return ts, certOutages
 }
 

@@ -1,6 +1,9 @@
 package graph
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // This file holds the vocabulary of the node-removal resilience sweeps of
 // §5.1 — Fig 12 (iteratively removing the top 1% of remaining users by
@@ -36,12 +39,14 @@ func RankDescending(scores []float64) []int32 {
 	for i := range order {
 		order[i] = int32(i)
 	}
-	sort.Slice(order, func(i, j int) bool {
-		si, sj := scores[order[i]], scores[order[j]]
-		if si != sj {
-			return si > sj
+	slices.SortFunc(order, func(a, b int32) int {
+		switch sa, sb := scores[a], scores[b]; {
+		case sa > sb:
+			return -1
+		case sa < sb:
+			return 1
 		}
-		return order[i] < order[j]
+		return cmp.Compare(a, b)
 	})
 	return order
 }

@@ -1,31 +1,64 @@
 package sim
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"slices"
 	"testing"
 )
 
-// The bit-at-a-time loops Outages, SetDownRange, TraceSet.Window and
-// dataset.Merge ran before the word-wise scanner, kept as references.
+// bitTrace is the one-bit-per-slot trace the run list replaced, kept as the
+// reference every run operation is held to: bit i of words is set when
+// slot i is down, and the encoding is those words as they are.
+type bitTrace struct {
+	n     int
+	words []uint64
+}
 
-func refOutages(t *Trace, from, to int) []Outage {
-	if from < 0 {
-		from = 0
+func newBitTrace(n int) *bitTrace { return &bitTrace{n: n, words: make([]uint64, (n+63)/64)} }
+
+func (b *bitTrace) setDown(i int) { b.words[i>>6] |= 1 << (uint(i) & 63) }
+
+func (b *bitTrace) setDownRange(from, to int) {
+	for i := max(from, 0); i < min(to, b.n); i++ {
+		b.setDown(i)
 	}
-	if to > t.n {
-		to = t.n
+}
+
+func (b *bitTrace) isDown(i int) bool {
+	return i >= 0 && i < b.n && b.words[i>>6]&(1<<(uint(i)&63)) != 0
+}
+
+func (b *bitTrace) countDown(from, to int) int {
+	count := 0
+	for i := max(from, 0); i < min(to, b.n); i++ {
+		if b.isDown(i) {
+			count++
+		}
 	}
+	return count
+}
+
+func (b *bitTrace) downFraction(from, to int) float64 {
+	from, to = max(from, 0), min(to, b.n)
+	if from >= to {
+		return 0
+	}
+	return float64(b.countDown(from, to)) / float64(to-from)
+}
+
+func (b *bitTrace) outages(from, to int) []Outage {
 	var outs []Outage
-	i := from
-	for i < to {
-		if !t.IsDown(i) {
+	for i := max(from, 0); i < min(to, b.n); {
+		if !b.isDown(i) {
 			i++
 			continue
 		}
 		start := i
-		for i < to && t.IsDown(i) {
+		for i < min(to, b.n) && b.isDown(i) {
 			i++
 		}
 		outs = append(outs, Outage{Start: start, End: i})
@@ -33,49 +66,114 @@ func refOutages(t *Trace, from, to int) []Outage {
 	return outs
 }
 
-func refSetDownRange(t *Trace, from, to int) {
-	if from < 0 {
-		from = 0
-	}
-	if to > t.n {
-		to = t.n
-	}
-	for i := from; i < to; i++ {
-		t.SetDown(i)
-	}
-}
-
-func refCopyDown(dst, src *Trace, from, to, at int) {
+func (b *bitTrace) copyDown(src *bitTrace, from, to, at int) {
 	for s := from; s < to; s++ {
-		if src.IsDown(s) && at+s-from >= 0 && at+s-from < dst.n {
-			dst.SetDown(at + s - from)
+		if src.isDown(s) && at+s-from >= 0 && at+s-from < b.n {
+			b.setDown(at + s - from)
 		}
 	}
 }
 
-func cloneTrace(t *Trace) *Trace {
-	return &Trace{n: t.n, words: slices.Clone(t.words)}
+func (b *bitTrace) and(o *bitTrace) *bitTrace {
+	out := newBitTrace(b.n)
+	for w := range out.words {
+		out.words[w] = b.words[w] & o.words[w]
+	}
+	return out
 }
 
-// checkRuns holds the three word-wise operations to their references on one
-// trace and one window [from, to), copying to offset at of a fresh trace of
-// dstN slots.
-func checkRuns(t *testing.T, tr *Trace, from, to, dstN, at int) {
+func (b *bitTrace) encode() []byte {
+	out := binary.LittleEndian.AppendUint64(nil, uint64(b.n))
+	for _, w := range b.words {
+		out = binary.LittleEndian.AppendUint64(out, w)
+	}
+	return out
+}
+
+// checkShape fails unless tr's runs are sorted, disjoint, non-touching and
+// inside [0, n): the form every operation relies on.
+func checkShape(t *testing.T, tr *Trace) {
 	t.Helper()
-	if got, want := tr.Outages(from, to), refOutages(tr, from, to); !slices.Equal(got, want) {
-		t.Fatalf("n=%d Outages(%d,%d) = %v, slot by slot %v", tr.n, from, to, got, want)
+	for k, r := range tr.runs {
+		if r.start < 0 || r.start >= r.end || int(r.end) > tr.n || k > 0 && tr.runs[k-1].end >= r.start {
+			t.Fatalf("n=%d run %d of %v is not a maximal run after its predecessor", tr.n, k, tr.runs)
+		}
 	}
-	got, want := cloneTrace(tr), cloneTrace(tr)
-	got.SetDownRange(from, to)
-	refSetDownRange(want, from, to)
-	if !slices.Equal(got.words, want.words) {
-		t.Fatalf("n=%d SetDownRange(%d,%d) = %x, slot by slot %x", tr.n, from, to, got.words, want.words)
+}
+
+// checkAgainstBits holds tr to its bitset reference on every read, on the
+// window [from, to) and the days around it, and on a copy of that window to offset at of a fresh
+// trace of dstN slots.
+func checkAgainstBits(t *testing.T, tr *Trace, ref *bitTrace, from, to, dstN, at int) {
+	t.Helper()
+	checkShape(t, tr)
+	for i := -1; i <= tr.n; i++ {
+		if tr.IsDown(i) != ref.isDown(i) {
+			t.Fatalf("n=%d IsDown(%d) = %v, bitset %v", tr.n, i, tr.IsDown(i), ref.isDown(i))
+		}
 	}
-	got, want = NewTrace(dstN), NewTrace(dstN)
+	if got, want := tr.CountDown(from, to), ref.countDown(from, to); got != want {
+		t.Fatalf("n=%d CountDown(%d,%d) = %d, bitset %d", tr.n, from, to, got, want)
+	}
+	if got, want := tr.DownFraction(from, to), ref.downFraction(from, to); got != want {
+		t.Fatalf("n=%d DownFraction(%d,%d) = %g, bitset %g", tr.n, from, to, got, want)
+	}
+	if got, want := tr.Outages(from, to), ref.outages(from, to); !slices.Equal(got, want) {
+		t.Fatalf("n=%d Outages(%d,%d) = %v, bitset %v", tr.n, from, to, got, want)
+	}
+	for _, spd := range []int{1, 7, 64} {
+		fromDay, toDay := from/spd, to/spd+1
+		got := (&TraceSet{SlotsPerDay: spd, Traces: []*Trace{tr}}).AppendDailyDowntime(nil, 0, fromDay, toDay)
+		for d := fromDay; d < toDay; d++ {
+			if want := ref.downFraction(d*spd, (d+1)*spd); got[d-fromDay] != want {
+				t.Fatalf("n=%d day %d of %d slots: AppendDailyDowntime %g, bitset %g", tr.n, d, spd, got[d-fromDay], want)
+			}
+		}
+	}
+	enc := ref.encode()
+	if got, _ := tr.MarshalBinary(); !bytes.Equal(got, enc) || tr.EncodedSize() != len(enc) {
+		t.Fatalf("n=%d encoding = %x (size %d), bitset %x", tr.n, got, tr.EncodedSize(), enc)
+	}
+	var back Trace
+	if err := back.UnmarshalBinary(enc); err != nil {
+		t.Fatalf("n=%d bitset encoding rejected: %v", tr.n, err)
+	}
+	if back.n != tr.n || !slices.Equal(back.runs, tr.runs) || cap(back.runs) != len(back.runs) {
+		t.Fatalf("n=%d decoded runs %v (cap %d), want %v", tr.n, back.runs, cap(back.runs), tr.runs)
+	}
+	got, want := NewTrace(dstN), newBitTrace(dstN)
 	got.CopyDown(tr, from, to, at)
-	refCopyDown(want, tr, from, to, at)
-	if !slices.Equal(got.words, want.words) {
-		t.Fatalf("n=%d CopyDown(%d,%d → %d of %d) = %x, slot by slot %x", tr.n, from, to, at, dstN, got.words, want.words)
+	want.copyDown(ref, from, to, at)
+	checkShape(t, got)
+	if enc, _ := got.MarshalBinary(); !bytes.Equal(enc, want.encode()) {
+		t.Fatalf("n=%d CopyDown(%d,%d → %d of %d) = %v, bitset %x", tr.n, from, to, at, dstN, got.runs, want.words)
+	}
+	if 0 <= from && from <= to && to <= tr.n {
+		w := (&TraceSet{Traces: []*Trace{tr}}).Window(from, to).Traces[0]
+		wantW := newBitTrace(to - from)
+		wantW.copyDown(ref, from, to, 0)
+		checkShape(t, w)
+		if enc, _ := w.MarshalBinary(); !bytes.Equal(enc, wantW.encode()) {
+			t.Fatalf("n=%d Window(%d,%d) = %v, bitset %x", tr.n, from, to, w.runs, wantW.words)
+		}
+	}
+}
+
+// checkSimultaneous holds SimultaneousDown over two traces of one length to
+// the AND of their bitsets.
+func checkSimultaneous(t *testing.T, a, b *Trace, refA, refB *bitTrace) {
+	t.Helper()
+	ts := &TraceSet{Traces: []*Trace{a, b}}
+	for _, ids := range [][]int32{{0, 1}, {1, 0}, {0}, {1, 1}} {
+		got := ts.SimultaneousDown(ids)
+		want := []*bitTrace{refA, refB}[ids[0]]
+		for _, id := range ids[1:] {
+			want = want.and([]*bitTrace{refA, refB}[id])
+		}
+		checkShape(t, got)
+		if enc, _ := got.MarshalBinary(); !bytes.Equal(enc, want.encode()) {
+			t.Fatalf("n=%d SimultaneousDown(%v) = %v, bitset %x", a.n, ids, got.runs, want.words)
+		}
 	}
 }
 
@@ -94,10 +192,11 @@ func TestTraceRunsMatchSlotBySlot(t *testing.T) {
 			"up then down": func(i int) bool { return i >= n/2 },
 		}
 		for name, down := range fills {
-			tr := NewTrace(n)
+			tr, ref := NewTrace(n), newBitTrace(n)
 			for i := 0; i < n; i++ {
 				if down(i) {
 					tr.SetDown(i)
+					ref.setDown(i)
 				}
 			}
 			t.Run(fmt.Sprintf("%s/%d", name, n), func(t *testing.T) {
@@ -106,8 +205,15 @@ func TestTraceRunsMatchSlotBySlot(t *testing.T) {
 				edges := []int{-3, 0, 1, n / 3, 62, 63, 64, 65, 127, 128, n - 65, n - 64, n - 1, n, n + 5}
 				for _, from := range edges {
 					for _, to := range edges {
-						checkRuns(t, tr, from, to, n+70, 37)
-						checkRuns(t, tr, from, to, n/2, 0)
+						checkAgainstBits(t, tr, ref, from, to, n+70, 37)
+						checkAgainstBits(t, tr, ref, from, to, n/2, 0)
+						// SetDownRange over the window, written into copies.
+						got, want := NewTrace(n), newBitTrace(n)
+						got.CopyDown(tr, 0, n, 0)
+						want.copyDown(ref, 0, n, 0)
+						got.SetDownRange(from, to)
+						want.setDownRange(from, to)
+						checkAgainstBits(t, got, want, 0, n, n, 0)
 					}
 				}
 			})
@@ -115,41 +221,109 @@ func TestTraceRunsMatchSlotBySlot(t *testing.T) {
 	}
 }
 
-// A loaded trace may carry set bits past n in its last word; no scan may
-// report them.
-func TestTraceRunsIgnoreBitsPastN(t *testing.T) {
-	tr := &Trace{n: 70, words: []uint64{0, ^uint64(0)}}
+// A world file's trace is the bitset encoding; a length past int32 or a
+// down bit at or past the length is no trace Save writes, and is refused
+// before it can become a run.
+func TestTraceRejectsBitsPastN(t *testing.T) {
+	enc := func(n uint64, words ...uint64) []byte {
+		b := binary.LittleEndian.AppendUint64(nil, n)
+		for _, w := range words {
+			b = binary.LittleEndian.AppendUint64(b, w)
+		}
+		return b
+	}
+	var tr Trace
+	if err := tr.UnmarshalBinary(enc(70, 0, 63)); err != nil {
+		t.Fatalf("slots 64..69 down: %v", err)
+	}
 	if got, want := tr.Outages(0, 100), []Outage{{Start: 64, End: 70}}; !slices.Equal(got, want) {
 		t.Fatalf("Outages = %v, want %v", got, want)
 	}
-	tr.words[1] = ^uint64(63) // slots 70..127
-	if got := tr.Outages(0, 70); got != nil {
-		t.Fatalf("Outages = %v over a trace that is down only past its end", got)
+	for name, b := range map[string][]byte{
+		"bit 70 of 70":         enc(70, 0, 1<<6),
+		"top bit of 70":        enc(70, 0, 1<<63),
+		"slots 64..127 of 70":  enc(70, 0, ^uint64(0)),
+		"length past int32":    enc(math.MaxInt32 + 1),
+		"length wraps to -64":  enc(math.MaxUint64 - 63),
+		"length 2^58 no words": enc(1 << 58),
+	} {
+		if err := new(Trace).UnmarshalBinary(b); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
 	}
 }
 
 // FuzzTraceRuns takes the trace's bits from the input, so the fuzzer steers
-// run lengths and word alignment directly.
+// run lengths and word alignment directly. The trace is written by SetDown
+// in slot order, the monitor's walk.
 func FuzzTraceRuns(f *testing.F) {
 	f.Add([]byte{}, 0, 0, 0, 0, 0)
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}, 7, 1, 70, 80, 3)
 	f.Add([]byte{0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x80, 0x01, 0xf0}, 0, 60, 68, 10, -2)
 	f.Add([]byte{0xaa, 0x55, 0xaa, 0x55, 0xaa, 0x55, 0xaa, 0x55, 0xaa, 0x55, 0xaa, 0x55, 0xaa, 0x55, 0xaa, 0x55, 0xaa}, 3, 64, 128, 200, 64)
-	f.Fuzz(func(t *testing.T, bits []byte, trim, from, to, dstN, at int) {
+	f.Fuzz(func(t *testing.T, data []byte, trim, from, to, dstN, at int) {
 		const lim = 1 << 14
-		if len(bits) > 1<<10 || dstN < 0 || dstN > lim || min(at, from, to) < -lim || max(at, from, to) > lim {
+		if len(data) > 1<<10 || dstN < 0 || dstN > lim || min(at, from, to) < -lim || max(at, from, to) > lim {
 			t.Skip()
 		}
-		n := len(bits) * 8
+		n := len(data) * 8
 		if trim > 0 {
 			n -= min(trim%8, n)
 		}
-		tr := NewTrace(n)
+		tr, ref := NewTrace(n), newBitTrace(n)
 		for i := 0; i < n; i++ {
-			if bits[i>>3]&(1<<(i&7)) != 0 {
+			if data[i>>3]&(1<<(i&7)) != 0 {
 				tr.SetDown(i)
+				ref.setDown(i)
 			}
 		}
-		checkRuns(t, tr, from, to, dstN, at)
+		checkAgainstBits(t, tr, ref, from, to, dstN, at)
+		// The same bits as a second trace, shifted by one slot, so the
+		// intersection cuts every run.
+		b, refB := NewTrace(n), newBitTrace(n)
+		b.CopyDown(tr, 0, n, 1)
+		refB.copyDown(ref, 0, n, 1)
+		checkSimultaneous(t, tr, b, ref, refB)
+	})
+}
+
+// FuzzTraceWrites applies an input-chosen sequence of SetDown and
+// SetDownRange writes, overlapping and touching, in any order, to two
+// traces of n slots and to their bitsets, then holds every read, the
+// encoding and SimultaneousDown to the bitsets. Each write is five bytes:
+// the trace it goes to and its kind, a start, and a length.
+func FuzzTraceWrites(f *testing.F) {
+	f.Add(uint16(0), []byte{})
+	f.Add(uint16(100), []byte{0, 10, 0, 5, 0, 0, 20, 0, 5, 0, 0, 15, 0, 5, 0}) // three runs that touch into one
+	f.Add(uint16(130), []byte{2, 63, 0, 0, 0, 2, 64, 0, 0, 0, 2, 62, 0, 0, 0, 1, 0, 0, 130, 0})
+	f.Add(uint16(300), []byte{0, 250, 0, 40, 0, 0, 10, 0, 30, 0, 0, 100, 0, 20, 0, 0, 5, 0, 200, 0, 1, 60, 0, 64, 1})
+	f.Add(uint16(64), []byte{0, 255, 255, 90, 0, 3, 63, 0, 0, 0, 2, 0, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, nRaw uint16, ops []byte) {
+		n := int(nRaw % 2048)
+		trs := []*Trace{NewTrace(n), NewTrace(n)}
+		refs := []*bitTrace{newBitTrace(n), newBitTrace(n)}
+		for ; len(ops) >= 5; ops = ops[5:] {
+			which, single := ops[0]&1, ops[0]&2 != 0
+			from := int(int16(binary.LittleEndian.Uint16(ops[1:])))
+			length := int(ops[3]) << (ops[4] & 7)
+			tr, ref := trs[which], refs[which]
+			if single {
+				if from < 0 || from >= n {
+					continue
+				}
+				tr.SetDown(from)
+				ref.setDown(from)
+			} else {
+				tr.SetDownRange(from, from+length)
+				ref.setDownRange(from, from+length)
+			}
+			checkShape(t, tr)
+		}
+		third := n / 3
+		for k := range trs {
+			checkAgainstBits(t, trs[k], refs[k], third, n-third, n+5, 3)
+			checkAgainstBits(t, trs[k], refs[k], -1, n+1, n/2, -7)
+		}
+		checkSimultaneous(t, trs[0], trs[1], refs[0], refs[1])
 	})
 }

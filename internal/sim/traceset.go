@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // TraceSet bundles one availability trace per instance plus the probing
@@ -40,11 +41,30 @@ func (ts *TraceSet) DaySlots(d int) (from, to int) {
 }
 
 // AppendDailyDowntime appends instance i's per-day downtime fractions
-// (Fig 8's raw data) over days [fromDay, toDay) to dst.
+// (Fig 8's raw data) over days [fromDay, toDay) to dst: each day's
+// DownFraction, from one walk over the runs those days overlap.
 func (ts *TraceSet) AppendDailyDowntime(dst []float64, i int32, fromDay, toDay int) []float64 {
+	t := ts.Traces[i]
+	rs := t.overlapping(fromDay*ts.SlotsPerDay, toDay*ts.SlotsPerDay)
 	for d := fromDay; d < toDay; d++ {
 		lo, hi := ts.DaySlots(d)
-		dst = append(dst, ts.Traces[i].DownFraction(lo, hi))
+		lo, hi = max(lo, 0), min(hi, t.n)
+		if lo >= hi {
+			dst = append(dst, 0)
+			continue
+		}
+		down := 0
+		for _, r := range rs {
+			if int(r.start) >= hi {
+				break
+			}
+			s, e := r.clip(lo, hi)
+			down += e - s
+		}
+		for len(rs) > 0 && int(rs[0].end) <= hi {
+			rs = rs[1:]
+		}
+		dst = append(dst, float64(down)/float64(hi-lo))
 	}
 	return dst
 }
@@ -58,31 +78,35 @@ func (ts *TraceSet) Window(from, to int) *TraceSet {
 	}
 	out := &TraceSet{SlotsPerDay: ts.SlotsPerDay, Traces: make([]*Trace, len(ts.Traces))}
 	for i, t := range ts.Traces {
-		w := NewTrace(to - from)
-		w.CopyDown(t, from, to, 0)
-		out.Traces[i] = w
+		out.Traces[i] = t.window(from, to)
 	}
 	return out
 }
 
 // SimultaneousDown returns the trace that is down exactly when every listed
 // instance is down — the signal used to declare an AS-wide failure
-// (Table 1). It panics on an empty id list.
+// (Table 1): the first trace's runs intersected with each other's in turn.
+// It panics on an empty id list.
 func (ts *TraceSet) SimultaneousDown(ids []int32) *Trace {
 	if len(ids) == 0 {
 		panic("sim: SimultaneousDown with no instances")
 	}
-	acc := ts.Traces[ids[0]]
-	// Copy-on-write: start from the first trace, AND the rest in.
-	result := NewTrace(acc.N())
-	copy(result.words, acc.words)
+	first := ts.Traces[ids[0]]
+	result := &Trace{n: first.n, runs: slices.Clone(first.runs)}
 	for _, id := range ids[1:] {
-		other := ts.Traces[id]
-		for w := range result.words {
-			result.words[w] &= other.words[w]
-		}
+		result.runs = intersect(result.runs, ts.Traces[id].runs)
 	}
 	return result
+}
+
+// Trim drops the spare capacity that writes in arbitrary order leave in
+// each trace's run list. The generator calls it once its traces are final.
+func (ts *TraceSet) Trim() {
+	for _, t := range ts.Traces {
+		if cap(t.runs) > len(t.runs) {
+			t.runs = append(make([]run, 0, len(t.runs)), t.runs...)
+		}
+	}
 }
 
 // MarshalBinary encodes the trace set.

@@ -49,7 +49,7 @@ type CampaignConfig struct {
 type CampaignResult struct {
 	// Domains is the probed population in probe order (world order).
 	Domains []string
-	// Log is the raw probe record; Traces its §4.4 bitset form.
+	// Log is the raw probe record; Traces its §4.4 trace form.
 	Log    *crawler.ProbeLog
 	Traces *sim.TraceSet
 	// Crawls holds the per-instance toot harvests; Authors the distinct

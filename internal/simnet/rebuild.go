@@ -187,11 +187,7 @@ func ExpectedWorld(w *dataset.World, cfg ExpectedConfig) (*dataset.World, []stri
 	ts := &sim.TraceSet{SlotsPerDay: dataset.SlotsPerDay, Traces: make([]*sim.Trace, len(w.Instances))}
 	for i := range w.Instances {
 		tr := sim.NewTrace(cfg.Slots)
-		for s := 0; s < cfg.Slots; s++ {
-			if w.Traces.Traces[i].IsDown(cfg.StartSlot + s) {
-				tr.SetDown(s)
-			}
-		}
+		tr.CopyDown(w.Traces.Traces[i], cfg.StartSlot, cfg.StartSlot+cfg.Slots, 0)
 		ts.Traces[i] = tr
 	}
 	parts.Traces = ts
