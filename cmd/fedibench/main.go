@@ -6,6 +6,7 @@
 //
 //	fedibench -scale small                # generate and run everything
 //	fedibench -world world.fedi -run fig12,tab1
+//	fedibench -fidelity -seeds 1-20 -scale small  # every paper value beside its seed band
 //	fedibench -cpuprofile cpu.out -memprofile mem.out -trace trace.out -run fig12
 //
 // The profile flags (internal/profile, on every command) snapshot pprof
@@ -19,9 +20,12 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
+	"strconv"
 	"strings"
 
+	"repro/internal/analysis"
 	"repro/internal/core"
 	"repro/internal/profile"
 )
@@ -36,6 +40,8 @@ func run(_ context.Context, args []string, stdout, stderr io.Writer) int {
 	worldFile := fs.String("world", "", "load a world file instead of generating")
 	runIDs := fs.String("run", "", "comma-separated experiment ids (default: all); see -list")
 	list := fs.Bool("list", false, "list experiment ids and exit")
+	fidelity := fs.Bool("fidelity", false, "print every ledger row's paper value beside its band over -seeds, and exit")
+	seedRange := fs.String("seeds", "", "-fidelity's seeds: n or first-last (default: -seed)")
 	stop, code := profile.Parse(fs, args, stderr)
 	if stop == nil {
 		return code
@@ -45,6 +51,21 @@ func run(_ context.Context, args []string, stdout, stderr io.Writer) int {
 	if *list {
 		for _, e := range core.Experiments() {
 			fmt.Fprintf(stdout, "%-7s %s\n", e.ID, e.Title)
+		}
+		return 0
+	}
+	if *fidelity {
+		if *worldFile != "" {
+			fmt.Fprintln(stderr, "fedibench: -fidelity generates its worlds; it takes no -world")
+			return 2
+		}
+		seeds, err := parseSeeds(*seedRange, *seed)
+		if err == nil {
+			err = writeBands(stdout, core.Scale(*scale), seeds)
+		}
+		if err != nil {
+			fmt.Fprintln(stderr, "fedibench:", err)
+			return 2
 		}
 		return 0
 	}
@@ -76,4 +97,66 @@ func run(_ context.Context, args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stdout)
 	}
 	return 0
+}
+
+// maxSeeds bounds a -seeds range.
+const maxSeeds = 1000
+
+// parseSeeds reads -seeds: one seed n, or the range first-last; empty
+// means def alone.
+func parseSeeds(s string, def uint64) ([]uint64, error) {
+	if s == "" {
+		return []uint64{def}, nil
+	}
+	lo, hi, isRange := strings.Cut(s, "-")
+	first, err := strconv.ParseUint(lo, 10, 64)
+	last := first
+	if err == nil && isRange {
+		last, err = strconv.ParseUint(hi, 10, 64)
+	}
+	if err != nil || last < first || last-first >= maxSeeds {
+		return nil, fmt.Errorf("bad -seeds %q: want n or first-last, at most %d seeds", s, maxSeeds)
+	}
+	seeds := make([]uint64, 0, last-first+1)
+	for sd := first; sd <= last; sd++ {
+		seeds = append(seeds, sd)
+	}
+	return seeds, nil
+}
+
+// writeBands generates one world at scale per seed, reads every ledger row
+// off it, and prints a line a row: its id, the paper value, the median and
+// [min, max] band of its values, and its verdict, "match" or the gap in
+// widths of the band widened by the row's tolerance.
+func writeBands(out io.Writer, scale core.Scale, seeds []uint64) error {
+	vals := make([][]float64, len(analysis.Ledger))
+	for _, seed := range seeds {
+		w, err := core.LoadOrBuild("", scale, seed)
+		if err != nil {
+			return err
+		}
+		res := analysis.LedgerResults(w)
+		for i, row := range analysis.Ledger {
+			vals[i] = append(vals[i], row.Ours(res[row.Figure]))
+		}
+	}
+	for i, row := range analysis.Ledger {
+		b := analysis.NewBand(vals[i])
+		verdict := "match"
+		if gap := analysis.Gap(row.Paper, row.Tol, b); gap > 0 {
+			verdict = fmt.Sprintf("gap %.2f", gap)
+		}
+		fmt.Fprintf(out, "%-34s paper %-9s median %-9s [%s, %s] %s\n",
+			row.ID, num(row.Paper), num(b.Median), num(b.Min), num(b.Max), verdict)
+	}
+	return nil
+}
+
+// num prints a ledger value to four significant digits, or whole when it
+// is a count of ten thousand or more.
+func num(v float64) string {
+	if math.Abs(v) >= 1e4 {
+		return strconv.FormatFloat(v, 'f', 0, 64)
+	}
+	return strconv.FormatFloat(v, 'g', 4, 64)
 }

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/analysis"
 	"repro/internal/core"
 )
 
@@ -68,6 +69,25 @@ func TestRun(t *testing.T) {
 	}
 }
 
+// -fidelity prints one line per ledger row, in ledger order: the row's id,
+// its paper value, and the median and band of its values over the seeds.
+// Every tiny world runs 120 days, so world.days has a band of one value,
+// 120, a gap of (473 − 238.25) / 236.5 widths from the paper's 473 ± 118.25.
+func TestFidelityBands(t *testing.T) {
+	lines := strings.Split(strings.TrimSuffix(fedibench(t, "-fidelity", "-scale", "tiny", "-seeds", "1-3"), "\n"), "\n")
+	if len(lines) != len(analysis.Ledger) {
+		t.Fatalf("%d lines for %d ledger rows:\n%s", len(lines), len(analysis.Ledger), strings.Join(lines, "\n"))
+	}
+	for i, row := range analysis.Ledger {
+		if f := strings.Fields(lines[i]); len(f) < 7 || f[0] != row.ID || f[1] != "paper" || f[3] != "median" {
+			t.Errorf("line %d is %q, want row %s", i, lines[i], row.ID)
+		}
+	}
+	if got, want := lines[len(lines)-1], "paper 473       median 120       [120, 120] gap 0.99"; !strings.HasSuffix(got, want) {
+		t.Errorf("world.days line is %q, want it to end %q", got, want)
+	}
+}
+
 // A bad invocation exits 2 and says why on stderr; -h prints the flags and
 // exits 0.
 func TestBadInvocation(t *testing.T) {
@@ -83,6 +103,10 @@ func TestBadInvocation(t *testing.T) {
 		{[]string{"-scale", "galactic"}, 2, "fedibench: core: unknown scale"},
 		{[]string{"-world", filepath.Join(dir, "missing.fedi")}, 2, "fedibench: "},
 		{[]string{"-scale", "tiny", "-run", "fig99"}, 2, "fedibench: "},
+		{[]string{"-fidelity", "-seeds", "3-1"}, 2, "fedibench: bad -seeds"},
+		{[]string{"-fidelity", "-seeds", "1-x"}, 2, "fedibench: bad -seeds"},
+		{[]string{"-fidelity", "-scale", "galactic"}, 2, "fedibench: core: unknown scale"},
+		{[]string{"-fidelity", "-world", filepath.Join(dir, "w.fedi")}, 2, "fedibench: -fidelity"},
 	} {
 		var stdout, stderr bytes.Buffer
 		code := run(context.Background(), tc.args, &stdout, &stderr)

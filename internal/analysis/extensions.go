@@ -128,8 +128,7 @@ type CapacityResult struct {
 // ExtCapacity runs the placement comparison with n replicas per toot on
 // the world's placement state exp.
 func ExtCapacity(w *dataset.World, exp *replication.Experiment, n, topN, samples int) CapacityResult {
-	order := graph.RankDescending(w.InstanceTootWeights())
-	batches := graph.SingletonBatches(order, topN)
+	batches := graph.SingletonBatches(graph.TopK(w.InstanceTootWeights(), topN), topN)
 
 	users := w.InstanceUserWeights()
 	inv := make([]float64, len(users))
@@ -185,8 +184,8 @@ func ExtDHT(w *dataset.World, exp *replication.Experiment, topN, checkEvery int)
 	ring.JoinAll(domains)
 
 	// falls[d]: how many removals domain d survives; at[i], instance i's.
-	order := graph.RankDescending(w.InstanceTootWeights())
-	removed := max(min(topN, len(order)), 0)
+	order := graph.TopK(w.InstanceTootWeights(), topN)
+	removed := len(order)
 	falls := make(map[string]int32, len(domains))
 	for k := removed - 1; k >= 0; k-- {
 		falls[domains[order[k]]] = int32(k)

@@ -176,8 +176,7 @@ func Fig13aInstanceRemoval(w *dataset.World, topN int) []RemovalSeries {
 		wg.Add(1)
 		go func(i int, scores []float64) {
 			defer wg.Done()
-			order := graph.RankDescending(scores)
-			series[i].Points = graph.RemoveBatches(w.Federation, graph.SingletonBatches(order, topN), opt)
+			series[i].Points = graph.RemoveBatches(w.Federation, graph.SingletonBatches(graph.TopK(scores, topN), topN), opt)
 		}(i, scores)
 	}
 	wg.Wait()
@@ -324,12 +323,9 @@ type TopInstanceRow struct {
 // Table2TopInstances returns the top-k instances by home toots.
 func Table2TopInstances(w *dataset.World, k int) []TopInstanceRow {
 	f := computeFlows(w)
-	order := graph.RankDescending(w.InstanceTootWeights())
-	if k > len(order) {
-		k = len(order)
-	}
-	rows := make([]TopInstanceRow, 0, k)
-	for _, id := range order[:k] {
+	order := graph.TopK(w.InstanceTootWeights(), k)
+	rows := make([]TopInstanceRow, 0, len(order))
+	for _, id := range order {
 		in := &w.Instances[id]
 		row := TopInstanceRow{
 			Domain:    in.Domain,

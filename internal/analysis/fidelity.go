@@ -4,8 +4,12 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"repro/internal/dataset"
+	"repro/internal/replication"
+	"repro/internal/stats"
+	"repro/internal/twitter"
 )
 
 // Fidelity is one value the paper reports, beside the value this
@@ -159,6 +163,55 @@ var Ledger = func() []Fidelity {
 	}
 	return rows
 }()
+
+// LedgerResults computes, on w, the result every ledger figure's rows read,
+// with the arguments core's experiments pass.
+func LedgerResults(w *dataset.World) map[string]any {
+	_, categorised := Fig3Categories(w)
+	_, _, allowAll := Fig4Activities(w)
+	tw := twitter.DailyDowntime(twitter.Uptime(twitter.DefaultUptimeConfig(w.Seed, w.Days)), dataset.SlotsPerDay)
+	exp := replication.New(w)
+	topInst := min(100, len(w.Instances)/4)
+	return map[string]any{
+		"fig2a": Fig2aOpenClosedCDF(w),
+		"fig2c": Fig2cActiveUsers(w),
+		"fig3":  categorised,
+		"fig4":  allowAll,
+		"fig5":  TopASUserShare(w, 3),
+		"fig6":  Fig6CountryFlows(w, 5),
+		"fig7":  Fig7Downtime(w),
+		"fig8":  Fig8DailyDowntime(w, tw),
+		"fig9b": Fig9bCertOutages(w, 90),
+		"fig10": Fig10OutageDurations(w),
+		"fig14": Fig14HomeRemote(w),
+		"fig15": Fig15Replication(w, exp, topInst, 20),
+		"fig16": Fig16RandomReplication(w, exp, topInst, 20, []int{1}),
+		"world": w,
+	}
+}
+
+// Band is a ledger row's values over several worlds: their median and
+// their range.
+type Band struct{ Median, Min, Max float64 }
+
+// NewBand returns the band of vals, which must not be empty.
+func NewBand(vals []float64) Band {
+	return Band{stats.Median(vals), slices.Min(vals), slices.Max(vals)}
+}
+
+// Gap is a row's verdict on band b: 0 when paper lies inside b widened by
+// tol on each side (the row matches), else how far outside the widened band
+// paper lies, in widths of that band (+Inf when it has no width).
+func Gap(paper, tol float64, b Band) float64 {
+	lo, hi := b.Min-tol, b.Max+tol
+	switch {
+	case paper < lo:
+		return (lo - paper) / (hi - lo)
+	case paper > hi:
+		return (paper - hi) / (hi - lo)
+	}
+	return 0
+}
 
 // NoPaperValue names the experiments the ledger has no row for: the
 // repository holds no value the paper reports for them, and the ledger

@@ -5,44 +5,14 @@ import (
 	"slices"
 	"strings"
 	"testing"
-
-	"repro/internal/dataset"
-	"repro/internal/replication"
-	"repro/internal/twitter"
 )
-
-// fidelityResults computes, on w, the result every ledger figure's rows
-// read, with the arguments core's experiments pass.
-func fidelityResults(w *dataset.World) map[string]any {
-	_, categorised := Fig3Categories(w)
-	_, _, allowAll := Fig4Activities(w)
-	tw := twitter.DailyDowntime(twitter.Uptime(twitter.DefaultUptimeConfig(w.Seed, w.Days)), dataset.SlotsPerDay)
-	exp := replication.New(w)
-	topInst := min(100, len(w.Instances)/4)
-	return map[string]any{
-		"fig2a": Fig2aOpenClosedCDF(w),
-		"fig2c": Fig2cActiveUsers(w),
-		"fig3":  categorised,
-		"fig4":  allowAll,
-		"fig5":  TopASUserShare(w, 3),
-		"fig6":  Fig6CountryFlows(w, 5),
-		"fig7":  Fig7Downtime(w),
-		"fig8":  Fig8DailyDowntime(w, tw),
-		"fig9b": Fig9bCertOutages(w, 90),
-		"fig10": Fig10OutageDurations(w),
-		"fig14": Fig14HomeRemote(w),
-		"fig15": Fig15Replication(w, exp, topInst, 20),
-		"fig16": Fig16RandomReplication(w, exp, topInst, 20, []int{1}),
-		"world": w,
-	}
-}
 
 // Every ledger row has a unique id under its figure, a tolerance, and
 // reads a finite value off its figure's result; every printed line renders
 // without a format error; and no figure is both in the ledger and named as
 // having no paper value.
 func TestFidelityLedger(t *testing.T) {
-	res := fidelityResults(smallWorld(t))
+	res := LedgerResults(smallWorld(t))
 	seen := map[string]bool{}
 	for _, row := range Ledger {
 		if seen[row.ID] || !strings.HasPrefix(row.ID, row.Figure+".") {
@@ -78,5 +48,33 @@ func TestFidelityLedger(t *testing.T) {
 		if err := WriteFidelity(&b, fig, r); err != nil || strings.Contains(b.String(), "%!") {
 			t.Errorf("%s renders %q, %v", fig, b.String(), err)
 		}
+	}
+}
+
+// A row matches when the paper value lies in its band widened by the
+// tolerance, edges included; otherwise the gap is the distance to the
+// widened band in widths of it, on either side.
+func TestGap(t *testing.T) {
+	for _, tc := range []struct {
+		paper, tol float64
+		band       Band
+		want       float64
+	}{
+		{5, 0, Band{5, 4, 6}, 0},                       // inside
+		{4, 0, Band{5, 4, 6}, 0},                       // on the lower edge
+		{8, 2, Band{5, 4, 6}, 0},                       // on the widened upper edge
+		{1, 1, Band{5, 4, 6}, 0.5},                     // widened to [3, 7]: 2 below, width 4
+		{15, 1, Band{5, 4, 6}, 2},                      // 8 above [3, 7]
+		{12, 2, Band{10, 10, 10}, 0},                   // one seed, inside its tolerance
+		{14, 2, Band{10, 10, 10}, 0.5},                 // [8, 12]: 2 above, width 4
+		{4328, 0, Band{1000, 1000, 1000}, math.Inf(1)}, // no width, outside
+		{1000, 0, Band{1000, 1000, 1000}, 0},           // no width, on it
+	} {
+		if got := Gap(tc.paper, tc.tol, tc.band); got != tc.want {
+			t.Errorf("Gap(%g, %g, %+v) = %g, want %g", tc.paper, tc.tol, tc.band, got, tc.want)
+		}
+	}
+	if b := NewBand([]float64{3, 1, 2, 10}); b != (Band{2.5, 1, 10}) {
+		t.Errorf("NewBand = %+v, want median 2.5 over [1, 10]", b)
 	}
 }

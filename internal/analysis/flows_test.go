@@ -69,7 +69,7 @@ func scatteredWorld(insts, users, edges int, seed uint64) *dataset.World {
 	r := rand.New(rand.NewPCG(seed, 21))
 	w := &dataset.World{Days: 1, Instances: make([]dataset.Instance, insts), Users: make([]dataset.User, users)}
 	for u := range w.Users {
-		w.Users[u] = dataset.User{ID: int32(u), Instance: int32(r.IntN(insts) * r.IntN(2)), Toots: r.IntN(4) * r.IntN(50)}
+		w.Users[u] = dataset.User{ID: int32(u), Instance: int32(r.IntN(insts) * r.IntN(2)), Toots: int32(r.IntN(4) * r.IntN(50))}
 	}
 	b := graph.NewBuilder(users)
 	for e := 0; e < edges && users > 0; e++ {

@@ -44,7 +44,7 @@ func Fig1Growth(w *dataset.World) []GrowthPoint {
 		if end < days {
 			userDelta[end]--
 		}
-		span := end - u.JoinDay
+		span := end - int(u.JoinDay)
 		if span <= 0 || u.Toots == 0 {
 			continue
 		}

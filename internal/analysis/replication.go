@@ -124,8 +124,7 @@ type RandomReplicationResult struct {
 // Fig16RandomReplication computes Fig 16 on the world's placement state
 // exp. ns lists the replication factors (the paper uses 1, 2, 3, 4, 7, 9).
 func Fig16RandomReplication(w *dataset.World, exp *replication.Experiment, topInst, topAS int, ns []int) RandomReplicationResult {
-	order := graph.RankDescending(w.InstanceTootWeights())
-	instBatches := graph.SingletonBatches(order, topInst)
+	instBatches := graph.SingletonBatches(graph.TopK(w.InstanceTootWeights(), topInst), topInst)
 	asBatches := ASRankings(w, topAS)["by Toots Posted"]
 
 	strategies := []replication.Strategy{replication.NoRep{}, replication.SubRep{}}

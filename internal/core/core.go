@@ -653,9 +653,8 @@ func Summary(w *dataset.World) string {
 	fmt.Fprintf(&b, "finding 3 (infrastructure centralisation): top-3 ASes hold %.1f%% of users\n",
 		analysis.TopASUserShare(w, 3))
 	// Finding 4: content centralisation.
-	order := graph.RankDescending(toots)
 	var top10 float64
-	for _, id := range order[:minInt(10, len(order))] {
+	for _, id := range graph.TopK(toots, 10) {
 		top10 += toots[id]
 	}
 	fmt.Fprintf(&b, "finding 4 (content centralisation): top-10 instances hold %.1f%% of toots\n",

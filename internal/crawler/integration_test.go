@@ -139,7 +139,7 @@ func TestTootCrawlAgainstLiveWorld(t *testing.T) {
 			want := 0
 			for _, u := range lw.w.Users {
 				if u.Instance == in.ID && !u.Private && u.Toots > 0 {
-					c := u.Toots
+					c := int(u.Toots)
 					if c > 5 {
 						c = 5
 					}
@@ -168,7 +168,7 @@ func TestTootCrawlAgainstLiveWorld(t *testing.T) {
 	// paper's 62%.
 	var totalLoaded int
 	for _, u := range lw.w.Users {
-		c := u.Toots
+		c := int(u.Toots)
 		if c > 5 {
 			c = 5
 		}

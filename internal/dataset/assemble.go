@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"math"
 	"slices"
 	"strings"
 
@@ -106,7 +107,8 @@ func Assemble(p WorldParts) (*World, []string) {
 		u := int32(len(users) - 1)
 		userOf[a] = u
 		if int(a) < len(p.Toots) {
-			users[u].Toots += p.Toots[a]
+			// A count saturates at math.MaxInt32: a row's counters are int32.
+			users[u].Toots = int32(min(int64(users[u].Toots)+int64(p.Toots[a]), math.MaxInt32))
 		}
 	}
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"maps"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -54,7 +55,7 @@ func refAssemble(p edgeParts) (*dataset.World, []string) {
 	for i, acct := range names {
 		idx[acct] = int32(i)
 		_, domain, _ := dataset.SplitAcct(acct)
-		users[i] = dataset.User{ID: int32(i), Instance: instIdx[domain], Toots: p.TootsOf[acct]}
+		users[i] = dataset.User{ID: int32(i), Instance: instIdx[domain], Toots: int32(min(p.TootsOf[acct], math.MaxInt32))}
 	}
 
 	edges := append([]followEdge(nil), p.Edges...)
@@ -212,7 +213,7 @@ func campaignParts(w *dataset.World, shuffle bool, seed int64) dataset.WorldPart
 			continue
 		}
 		a := of(int32(u))
-		p.Toots[a] = w.Users[u].Toots
+		p.Toots[a] = int(w.Users[u].Toots)
 		for _, v := range w.Social.In(int32(u)) {
 			p.Followers[a] = append(p.Followers[a], of(v))
 		}
@@ -295,6 +296,10 @@ func TestAssembleMatchesReference(t *testing.T) {
 			edge("a@x", "c@x"), edge("b@x", "a@x"), edge("c@x", "ghost@x"), edge("c@x", "c@x"),
 		)},
 		{"provenance set", withProvenance},
+		// A user's toot count is an int32: a@x's two counts, and b@x's
+		// one, saturate there.
+		{"toot counts saturate", dataset.WorldParts{Instances: two, Traces: flatTraces(2, 2),
+			Accounts: []string{"a@x", "b@x", "a@x"}, Toots: []int{math.MaxInt32 - 1, math.MaxInt32 + 7, 5}}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) { sameAssembly(t, tc.p) })

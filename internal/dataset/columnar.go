@@ -194,11 +194,17 @@ type colCodec struct {
 	buf   []byte
 	r     colReader
 	nInst int // Load: every instance id must index [0, nInst)
+	row   int // Load: the index the next rowID value must hold
 }
 
+// zigzag is a signed integer. Load fails the section on a value its field
+// cannot hold, rather than wrapping it.
 func zigzag[T ~int | ~int32 | ~int64](c *colCodec, v *T) {
 	if c.load {
-		*v = T(c.r.zigzag())
+		x := c.r.zigzag()
+		if *v = T(x); int64(*v) != x {
+			c.r.fail("value %d overflows a %d-bit column", x, 8*unsafe.Sizeof(*v))
+		}
 		return
 	}
 	x := int64(*v)
@@ -273,6 +279,19 @@ func instanceID(what string) func(*colCodec, *int32) {
 	}
 }
 
+// rowID is a row's index in its own table. Load fails the section unless
+// each value is that index: UserName(u.ID) and the DHT's author keys name a
+// user by its id.
+func rowID(c *colCodec, v *int32) {
+	zigzag(c, v)
+	if c.load {
+		if c.r.err == nil && int(*v) != c.row {
+			c.r.fail("row %d holds id %d", c.row, *v)
+		}
+		c.row++
+	}
+}
+
 // col is one column: the field get picks out of every row, through codec.
 func col[R, T any](c *colCodec, rows []R, get func(*R) *T, codec func(*colCodec, *T)) {
 	for i := range rows {
@@ -335,11 +354,11 @@ func instanceColumns(c *colCodec, rows []Instance) {
 }
 
 func userColumns(c *colCodec, rows []User) {
-	col(c, rows, func(r *User) *int32 { return &r.ID }, zigzag[int32])
+	col(c, rows, func(r *User) *int32 { return &r.ID }, rowID)
 	col(c, rows, func(r *User) *int32 { return &r.Instance }, instanceID("user instance"))
-	col(c, rows, func(r *User) *int { return &r.JoinDay }, zigzag[int])
-	col(c, rows, func(r *User) *int { return &r.Toots }, zigzag[int])
-	col(c, rows, func(r *User) *int { return &r.Boosts }, zigzag[int])
+	col(c, rows, func(r *User) *int32 { return &r.JoinDay }, zigzag[int32])
+	col(c, rows, func(r *User) *int32 { return &r.Toots }, zigzag[int32])
+	col(c, rows, func(r *User) *int32 { return &r.Boosts }, zigzag[int32])
 	col(c, rows, func(r *User) *bool { return &r.Private }, flag)
 }
 
@@ -751,6 +770,7 @@ func (d *colDecoder) section(tag byte, r *colReader) error {
 		if err != nil || r.err != nil {
 			return err
 		}
+		d.c.row = start
 		userColumns(&d.c, d.w.Users[start:start+n])
 		if r.err == nil {
 			d.userRows += n
@@ -844,6 +864,10 @@ func (d *colDecoder) section(tag byte, r *colReader) error {
 		n := r.count(maxWorldRows, "trace")
 		if r.err != nil {
 			return nil
+		}
+		// Every availability reader indexes the traces by instance id.
+		if n != d.c.nInst {
+			return fmt.Errorf("%d traces for %d instances", n, d.c.nInst)
 		}
 		d.traceCount = n
 		d.w.Traces = &sim.TraceSet{SlotsPerDay: slotsPerDay, Traces: make([]*sim.Trace, n)}

@@ -9,9 +9,9 @@ import (
 // contract under fuzz: Load never panics and never allocates past the
 // decode budget; any input it does accept is a consistent world — graphs as
 // large as their tables, every instance id in range, cert-outage keys
-// included — and re-encodes into a byte-stable, re-loadable file (decode is
-// a retraction onto the canonical encoding). Nothing that opens with the
-// gzip magic is accepted.
+// included, each user's id its row, one trace per instance — and re-encodes
+// into a byte-stable, re-loadable file (decode is a retraction onto the
+// canonical encoding). Nothing that opens with the gzip magic is accepted.
 func FuzzWorldFile(f *testing.F) {
 	valid := func(w *World) []byte {
 		var buf bytes.Buffer
@@ -27,7 +27,7 @@ func FuzzWorldFile(f *testing.F) {
 	f.Add(append([]byte{0x1f, 0x8b, 8}, sample...))
 	f.Add([]byte("FDWC"))
 	f.Add([]byte{'F', 'D', 'W', 'C', 1, secHeader, 0})
-	for _, tc := range hostileTraceFiles(f) {
+	for _, tc := range append(hostileTraceFiles(f), hostileColumnFiles(f)...) {
 		f.Add(tc.file)
 	}
 
@@ -47,9 +47,12 @@ func FuzzWorldFile(f *testing.F) {
 		}
 		inRange := func(id int32) bool { return id >= 0 && int(id) < len(w.Instances) }
 		for i := range w.Users {
-			if !inRange(w.Users[i].Instance) {
-				t.Fatalf("accepted user %d on instance %d of %d", i, w.Users[i].Instance, len(w.Instances))
+			if !inRange(w.Users[i].Instance) || w.Users[i].ID != int32(i) {
+				t.Fatalf("accepted user %d with id %d on instance %d of %d", i, w.Users[i].ID, w.Users[i].Instance, len(w.Instances))
 			}
+		}
+		if w.Traces != nil && w.Traces.Len() != len(w.Instances) {
+			t.Fatalf("accepted %d traces for %d instances", w.Traces.Len(), len(w.Instances))
 		}
 		for i := range w.Instances {
 			for _, b := range w.Instances[i].Blocks {

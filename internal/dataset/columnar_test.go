@@ -3,7 +3,9 @@ package dataset
 import (
 	"bytes"
 	"compress/gzip"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"reflect"
 	"strings"
@@ -57,9 +59,9 @@ func bigSyntheticWorld() *World {
 		users[i] = User{
 			ID:       int32(i),
 			Instance: int32(r.IntN(nInst)),
-			JoinDay:  r.IntN(days),
-			Toots:    r.IntN(200),
-			Boosts:   r.IntN(50),
+			JoinDay:  int32(r.IntN(days)),
+			Toots:    int32(r.IntN(200)),
+			Boosts:   int32(r.IntN(50)),
 			Private:  r.IntN(5) == 0,
 		}
 	}
@@ -222,10 +224,11 @@ type hostileFile struct {
 	file       []byte
 }
 
-// hostileTraceFiles returns world files whose trace rows hold what Save
-// never writes, each with the error Load must give: a down bit past a
-// trace's 70 slots, and a length past int32 that wraps to -64 slots as an
-// int, which passed the word-count check of a bitset decoder.
+// hostileTraceFiles returns world files whose traces hold what Save never
+// writes for a generated world, each with the error Load must give: a down
+// bit past a trace's 70 slots, a length past int32 that wraps to -64 slots
+// as an int, which passed the word-count check of a bitset decoder, and one
+// trace for two instances, which Fig 7 and Fig 8 would index past.
 func hostileTraceFiles(tb testing.TB) []hostileFile {
 	w := sampleWorld()
 	odd, empty := sim.NewTrace(70), sim.NewTrace(0)
@@ -245,9 +248,63 @@ func hostileTraceFiles(tb testing.TB) []hostileFile {
 	pastN[at+len(oddEnc)-8] |= 1 << 6 // slot 70
 	wraps := bytes.Clone(good)
 	copy(wraps[at+len(oddEnc)+1:], []byte{0xc0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
+	w.Traces.Traces = w.Traces.Traces[:1]
+	buf.Reset()
+	if err := w.Save(&buf); err != nil {
+		tb.Fatal(err)
+	}
 	return []hostileFile{
 		{"bit-past-n", "trace 0: sim: trace of 70 slots has down slots past its end", pastN},
 		{"n-past-int32", "trace 1: sim: trace length 18446744073709551552 past 2147483647 slots", wraps},
+		{"fewer-traces", "1 traces for 2 instances", buf.Bytes()},
+	}
+}
+
+// hostileColumnFiles returns world files whose user columns hold what no
+// world can, each with the error Load must give: a toot count one past
+// int32, a join day one below it (both the same length as the int32 bound
+// they replace, so only the value differs), and a user whose id is not its
+// row.
+func hostileColumnFiles(tb testing.TB) []hostileFile {
+	save := func(w *World) []byte {
+		var buf bytes.Buffer
+		if err := w.Save(&buf); err != nil {
+			tb.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	w := sampleWorld()
+	w.Users[1].Toots = math.MaxInt32
+	w.Users[2].JoinDay = math.MinInt32
+	good := save(w)
+	patch := func(from, to int64) []byte {
+		zz := func(x int64) []byte { return binary.AppendUvarint(nil, uint64(x)<<1^uint64(x>>63)) }
+		old, repl := zz(from), zz(to)
+		if len(old) != len(repl) || bytes.Count(good, old) != 1 {
+			tb.Fatalf("value %d is not once in the saved file, or not as long as %d", from, to)
+		}
+		return bytes.Replace(good, old, repl, 1)
+	}
+	w = sampleWorld()
+	w.Users[1].ID = 5
+	return []hostileFile{
+		{"toots-past-int32", "value 2147483648 overflows a 32-bit column", patch(math.MaxInt32, math.MaxInt32+1)},
+		{"join-day-below-int32", "value -2147483649 overflows a 32-bit column", patch(math.MinInt32, math.MinInt32-1)},
+		{"user-id-not-row", "row 1 holds id 5", save(w)},
+	}
+}
+
+// Load fails a user section holding a value its int32 field cannot hold,
+// which it used to wrap (a different world, and a Save→Load→Save that
+// changed bytes), or an id other than the user's row.
+func TestLoadRejectsHostileColumns(t *testing.T) {
+	for _, tc := range hostileColumnFiles(t) {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := Load(bytes.NewReader(tc.file))
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Load = %v, want an error with %q", err, tc.want)
+			}
+		})
 	}
 }
 
@@ -264,7 +321,8 @@ func TestLoadRejectsHostileTraces(t *testing.T) {
 
 // Every field of every row type must survive Save→Load. Each field is set
 // to a distinct non-zero value by reflection, so a field added without a
-// column fails here.
+// column fails here. A user's id is its row, so the filled user is the row
+// its id names.
 func TestSchemaCoversEveryField(t *testing.T) {
 	next := 0
 	var fill func(v reflect.Value)
@@ -296,16 +354,20 @@ func TestSchemaCoversEveryField(t *testing.T) {
 	for _, row := range []any{&inst, &user, &as} {
 		fill(reflect.ValueOf(row).Elem())
 	}
-	w := &World{Instances: make([]Instance, 64), Users: []User{user}, ASes: []AS{as}}
+	w := &World{Instances: make([]Instance, 64), Users: make([]User, user.ID+1), ASes: []AS{as}}
 	for i := range w.Instances {
 		w.Instances[i] = inst
+	}
+	for i := range w.Users {
+		w.Users[i] = user
+		w.Users[i].ID = int32(i)
 	}
 	back, err := Load(bytes.NewReader(saveColumnar(t, w)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, row := range []struct{ saved, loaded any }{
-		{inst, back.Instances[63]}, {user, back.Users[0]}, {as, back.ASes[0]},
+		{inst, back.Instances[63]}, {user, back.Users[user.ID]}, {as, back.ASes[0]},
 	} {
 		if !reflect.DeepEqual(row.saved, row.loaded) {
 			t.Fatalf("Save→Load lost a field:\nsaved  %+v\nloaded %+v", row.saved, row.loaded)
@@ -337,6 +399,9 @@ func TestSaveDropsEmptyCertOutageDays(t *testing.T) {
 func TestLoadBudgetChargesRowSizes(t *testing.T) {
 	const nUsers = 1000
 	w := &World{Instances: []Instance{{}}, Users: make([]User, nUsers)}
+	for i := range w.Users {
+		w.Users[i].ID = int32(i)
+	}
 	b := saveColumnar(t, w)
 	defer func(old int64) { colDecodeBudget = old }(colDecodeBudget)
 	need := int64(unsafe.Sizeof(Instance{})) + nUsers*int64(unsafe.Sizeof(User{}))

@@ -161,11 +161,11 @@ func (in *Instance) CertExpiryDays(days, renewEvery int) []int {
 // per-instance; same-named accounts on different instances are distinct
 // nodes).
 type User struct {
-	ID       int32
+	ID       int32 // the row's own index in World.Users
 	Instance int32
-	JoinDay  int
-	Toots    int // public toots authored
-	Boosts   int
+	JoinDay  int32
+	Toots    int32 // public toots authored
+	Boosts   int32
 	Private  bool // account's toots are not publicly crawlable (~20% of the gap)
 }
 

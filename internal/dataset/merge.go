@@ -220,7 +220,7 @@ func Merge(prev *World, prevNames []string, deltas ...*WindowDelta) (*World, []s
 	counts := make(map[string]int, len(prevNames))
 	for i, acct := range prevNames {
 		if prev.Users[i].Toots > 0 {
-			counts[acct] = prev.Users[i].Toots
+			counts[acct] = int(prev.Users[i].Toots)
 		}
 	}
 

@@ -82,7 +82,7 @@ func TestPopulationTotals(t *testing.T) {
 	sums := make([]int64, len(w.Instances))
 	for _, u := range w.Users {
 		sums[u.Instance] += int64(u.Toots)
-		if u.JoinDay < w.Instances[u.Instance].CreatedDay {
+		if int(u.JoinDay) < w.Instances[u.Instance].CreatedDay {
 			t.Fatalf("user %d joined before its instance existed", u.ID)
 		}
 	}

@@ -34,6 +34,8 @@ func TestPaperScaleWorld(t *testing.T) {
 	traceBytes, outages := traceSetBytes(w.Traces)
 	t.Logf("paper world resident: %.1f MB (social graph %d nodes, %d edges; traces %.1f MB, %d outages)",
 		float64(ms.HeapAlloc)/(1<<20), w.Social.NumNodes(), w.Social.NumEdges(), float64(traceBytes)/(1<<20), outages)
+	_, parts := worldParts(w)
+	t.Logf("paper world parts: %s", parts)
 
 	if len(w.Instances) != 4328 {
 		t.Fatalf("instances = %d, want 4328", len(w.Instances))

@@ -9,37 +9,12 @@ import (
 	"repro/internal/sim"
 )
 
-// heapBytes sums, by reflection, what v points at: each pointed-to value
-// and each slice's backing array at its capacity, recursively.
-func heapBytes(v reflect.Value) int {
-	switch v.Kind() {
-	case reflect.Pointer:
-		if v.IsNil() {
-			return 0
-		}
-		return int(v.Type().Elem().Size()) + heapBytes(v.Elem())
-	case reflect.Slice:
-		n := v.Cap() * int(v.Type().Elem().Size())
-		for i := range v.Len() {
-			n += heapBytes(v.Index(i))
-		}
-		return n
-	case reflect.Struct:
-		n := 0
-		for i := range v.NumField() {
-			n += heapBytes(v.Field(i))
-		}
-		return n
-	}
-	return 0
-}
-
 // traceSetBytes returns the bytes a trace set holds and its outage count.
 func traceSetBytes(ts *sim.TraceSet) (bytes, outages int) {
 	for _, tr := range ts.Traces {
 		outages += len(tr.Outages(0, tr.N()))
 	}
-	return heapBytes(reflect.ValueOf(ts)), outages
+	return heapBytes(reflect.ValueOf(ts), exactSize), outages
 }
 
 // A trace holds its outages and nothing per slot: a generated world's

@@ -51,7 +51,7 @@ func genUsers(cfg Config, m *instanceModel) ([]dataset.User, []float64) {
 				usr := dataset.User{
 					ID:       int32(idx),
 					Instance: int32(id),
-					JoinDay:  in.CreatedDay + r.IntN(span),
+					JoinDay:  int32(in.CreatedDay + r.IntN(span)),
 					Private:  r.Float64() < cfg.PrivateUserFrac,
 				}
 				// Fame: Pareto with tail index FameTail (<1 ⇒ the celebrity
@@ -78,14 +78,10 @@ func genUsers(cfg Config, m *instanceModel) ([]dataset.User, []float64) {
 				if r.Float64() >= zeroFrac {
 					noise := math.Exp(r.NormFloat64() * cfg.TootNoiseSigma)
 					t := cfg.TootScale * math.Pow(f, cfg.TootFameExponent) * noise * boost
-					if t > float64(cfg.TootMax) {
-						t = float64(cfg.TootMax)
-					}
-					usr.Toots = int(t)
-					if usr.Toots < 1 {
-						usr.Toots = 1
-					}
-					usr.Boosts = int(cfg.BoostRatio * float64(usr.Toots) * r.Float64() * 2)
+					// The counters are int32, so they saturate there too.
+					t = min(t, float64(cfg.TootMax), math.MaxInt32)
+					usr.Toots = max(int32(t), 1)
+					usr.Boosts = int32(min(cfg.BoostRatio*float64(usr.Toots)*r.Float64()*2, math.MaxInt32))
 				}
 				toots += int64(usr.Toots)
 				boosts += int64(usr.Boosts)

@@ -39,7 +39,13 @@ func RankDescending(scores []float64) []int32 {
 	for i := range order {
 		order[i] = int32(i)
 	}
-	slices.SortFunc(order, func(a, b int32) int {
+	slices.SortFunc(order, byRank(scores))
+	return order
+}
+
+// byRank orders node ids by descending score, ties by ascending id.
+func byRank(scores []float64) func(a, b int32) int {
+	return func(a, b int32) int {
 		switch sa, sb := scores[a], scores[b]; {
 		case sa > sb:
 			return -1
@@ -47,8 +53,48 @@ func RankDescending(scores []float64) []int32 {
 			return 1
 		}
 		return cmp.Compare(a, b)
-	})
-	return order
+	}
+}
+
+// TopK returns RankDescending(scores)[:k] (all of it when k ≥ len(scores))
+// without ranking the rest: a heap holds the k best ids seen so far, the
+// one ranked last at its root, and only those k are sorted. Scores must not
+// be NaN.
+func TopK(scores []float64, k int) []int32 {
+	k = max(0, min(k, len(scores)))
+	rank := byRank(scores)
+	h := make([]int32, k)
+	for i := range h {
+		h[i] = int32(i)
+	}
+	// down restores the heap below j: every parent ranks after its children.
+	down := func(j int) {
+		for {
+			c := 2*j + 1
+			if c >= k {
+				return
+			}
+			if c+1 < k && rank(h[c+1], h[c]) > 0 {
+				c++
+			}
+			if rank(h[j], h[c]) > 0 {
+				return
+			}
+			h[j], h[c] = h[c], h[j]
+			j = c
+		}
+	}
+	for j := k/2 - 1; j >= 0; j-- {
+		down(j)
+	}
+	for i := k; k > 0 && i < len(scores); i++ {
+		if rank(int32(i), h[0]) < 0 {
+			h[0] = int32(i)
+			down(0)
+		}
+	}
+	slices.SortFunc(h, rank)
+	return h
 }
 
 // SingletonBatches converts a ranked node list into size-1 batches for

@@ -1,6 +1,8 @@
 package graph
 
 import (
+	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -131,6 +133,27 @@ func TestRankDescending(t *testing.T) {
 	for i := range want {
 		if order[i] != want[i] {
 			t.Fatalf("order = %v, want %v", order, want)
+		}
+	}
+}
+
+// TopK is RankDescending's prefix: scores drawn from a few values, so most
+// ties fall to the id, at k = 0, 1, n/5, n and past n.
+func TestTopKMatchesRankDescending(t *testing.T) {
+	r := rand.New(rand.NewPCG(13, 1))
+	for _, n := range []int{0, 1, 2, 7, 100, 1000} {
+		for _, distinct := range []int{1, 3, n + 1} {
+			scores := make([]float64, n)
+			for i := range scores {
+				scores[i] = float64(r.IntN(distinct))
+			}
+			ranked := RankDescending(scores)
+			for _, k := range []int{0, 1, n / 5, n, n + 3} {
+				want := ranked[:min(k, n)]
+				if got := TopK(scores, k); !slices.Equal(got, want) {
+					t.Fatalf("n=%d, %d distinct scores, k=%d: TopK = %v, want %v", n, distinct, k, got, want)
+				}
+			}
 		}
 	}
 }

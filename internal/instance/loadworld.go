@@ -191,7 +191,7 @@ func (ld *loader) eachServer(workers []loadScratch, fn func(sc *loadScratch, s i
 }
 
 // toots returns how many of user u's toots are materialised.
-func (ld *loader) toots(u int32) int { return max(0, min(ld.w.Users[u].Toots, ld.maxT)) }
+func (ld *loader) toots(u int32) int { return max(0, min(int(ld.w.Users[u].Toots), ld.maxT)) }
 
 func (ld *loader) domainOf(u int32) string { return ld.w.Instances[ld.w.Users[u].Instance].Domain }
 
@@ -258,7 +258,7 @@ func (ld *loader) plan(sc *loadScratch, s int) {
 		a := &accts[i]
 		*a = Account{
 			Name:      name,
-			CreatedAt: dataset.Day(u.JoinDay),
+			CreatedAt: dataset.Day(int(u.JoinDay)),
 			Private:   u.Private,
 			followers: followers[:len(in):len(in)],
 			following: w.Social.OutDegree(v),

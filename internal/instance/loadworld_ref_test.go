@@ -52,7 +52,7 @@ func refLoadWorld(ctx context.Context, w *dataset.World, opts LoadOptions) (*Net
 	for i := range w.Users {
 		u := &w.Users[i]
 		srv := n.Server(w.Instances[u.Instance].Domain)
-		if _, err := srv.CreateAccount(UserName(u.ID), u.Private, true, dataset.Day(u.JoinDay)); err != nil {
+		if _, err := srv.CreateAccount(UserName(u.ID), u.Private, true, dataset.Day(int(u.JoinDay))); err != nil {
 			return nil, err
 		}
 	}
@@ -83,7 +83,7 @@ func refLoadWorld(ctx context.Context, w *dataset.World, opts LoadOptions) (*Net
 	// Toots: capped per user, timestamps spread over the user's lifetime.
 	for ui := range w.Users {
 		u := &w.Users[ui]
-		count := u.Toots
+		count := int(u.Toots)
 		if count > opts.MaxTootsPerUser {
 			count = opts.MaxTootsPerUser
 		}
@@ -448,7 +448,7 @@ func overflowWorld() *dataset.World {
 		// Interleaved homes, so every server's id order mixes local and
 		// remote authors all the way through.
 		w.Users = append(w.Users, dataset.User{
-			ID: int32(i), Instance: int32(i % len(w.Instances)), Toots: 10, Private: i%11 == 0, JoinDay: i % 5,
+			ID: int32(i), Instance: int32(i % len(w.Instances)), Toots: 10, Private: i%11 == 0, JoinDay: int32(i % 5),
 		})
 		for range 3 {
 			rows[i] = append(rows[i], int32(rng.IntN(n)))

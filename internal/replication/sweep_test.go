@@ -233,7 +233,7 @@ func fuzzWorld() *dataset.World {
 	w := &dataset.World{Days: 1, Instances: make([]dataset.Instance, insts), Users: make([]dataset.User, users)}
 	rows := make([][]int32, users)
 	for u := range w.Users {
-		home, toots := int32(u*u%insts), u%3*(u+2)
+		home, toots := int32(u*u%insts), int32(u%3*(u+2))
 		w.Users[u] = dataset.User{ID: int32(u), Instance: home, Toots: toots}
 		w.Instances[home].Users++
 		w.Instances[home].Toots += int64(toots)
@@ -277,12 +277,12 @@ func FuzzSweep(f *testing.F) {
 // last copy falls, and subtracts; the reference adds users up in order at
 // every point. The two agree because every partial sum is an exact float64
 // integer, which holds up to 2^53 toots in all: here each tooting user has
-// about 2^48, so the world holds about 2^52.
+// close to 2^31, the most an int32 counter holds.
 func TestHeldSweepExactAtLargeCounts(t *testing.T) {
 	w := fuzzWorld()
 	for u := range w.Users {
 		if w.Users[u].Toots != 0 {
-			w.Users[u].Toots = 1<<48 + u*7919 + 1
+			w.Users[u].Toots = math.MaxInt32 - int32(u*7919)
 		}
 	}
 	exp := New(w)

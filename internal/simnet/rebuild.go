@@ -117,7 +117,7 @@ func ExpectedWorld(w *dataset.World, cfg ExpectedConfig) (*dataset.World, []stri
 	// Per-instance loaded toot counters (what the live servers report).
 	loadedToots := make([]int64, len(w.Instances))
 	for _, u := range w.Users {
-		c := u.Toots
+		c := int(u.Toots)
 		if c > cap {
 			c = cap
 		}
@@ -169,7 +169,7 @@ func ExpectedWorld(w *dataset.World, cfg ExpectedConfig) (*dataset.World, []stri
 		if u.Private || u.Toots == 0 || truth.BlocksCrawl || !upAt(u.Instance, finalSlot) {
 			continue
 		}
-		au := author{id: of(int32(ui)), toots: min(u.Toots, cap), from: len(follows)}
+		au := author{id: of(int32(ui)), toots: min(int(u.Toots), cap), from: len(follows)}
 		for _, v := range w.Social.In(int32(ui)) {
 			follows = append(follows, of(v))
 		}
