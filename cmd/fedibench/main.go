@@ -144,7 +144,7 @@ func writeBands(out io.Writer, scale core.Scale, seeds []uint64) error {
 		b := analysis.NewBand(vals[i])
 		verdict := "match"
 		if gap := analysis.Gap(row.Paper, row.Tol, b); gap > 0 {
-			verdict = fmt.Sprintf("gap %.2f", gap)
+			verdict = "gap " + num(gap)
 		}
 		fmt.Fprintf(out, "%-34s paper %-9s median %-9s [%s, %s] %s\n",
 			row.ID, num(row.Paper), num(b.Median), num(b.Min), num(b.Max), verdict)

@@ -161,7 +161,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 
 	// 3. Toots (incremental when -since marks exist). With no kill script
 	// the crawl fails only when the deadline cuts it.
-	tc := &crawler.TootCrawler{Client: cli, Workers: *workers, Local: true, MaxToots: *maxToots, Since: since}
+	tc := &crawler.TootCrawler{Client: cli, Workers: *workers, MaxToots: *maxToots, Since: since}
 	start := time.Now()
 	results, _, err := tc.Crawl(ctx, domains)
 	sum := crawler.Summarize(results)

@@ -36,13 +36,13 @@ var update = flag.Bool("update", false, "rewrite "+goldenReportFile+" with this 
 // runs this test with -update and updates bench/pipeline.go's goldenReport,
 // which TestGoldenReportPinsBench holds to the file's hash.
 var goldenWorld = sectionSums{
-	"header":           "a068dc0f2375ba1a680cddd67582edb0148007bef2cc3acfb872451741f8ffc8",
+	"header":           "cedf836e74630d98b9bb5c49d0220ad552bd03e2d45616255cc9bcfb71759e21",
 	"ASes":             "071fca1fc11b02759e369aa60de4c3ed249629e63ee04d4d62c4688690e27cf0",
 	"instances":        "770f787338bff0aa99d4d44d786908c4a84b2f6c9af79c49a3957122100cf4e5",
 	"users":            "8cccc7211d769f37dbdccfe85af2d6b0733f4a57613aeb2b72464923895b8858",
 	"social graph":     "0c0bfd99714628f684b15815a54432698291a49f2fe2db9835d7715305efe852",
 	"federation graph": "a14ae30782bedac3e4bb12c55adf9cca8875af3dd52e9356cdc54eaee205b172",
-	"traces":           "e8d1246d679b5eb5dbd4762a41aeec40bc14e86a68337783663bc2df15ba30d9",
+	"traces":           "2917264ebdfb6f12fb797ad56e35a95925689d5c31b775d20409ce48fe597b57",
 	"cert outages":     "5fb9513cc03a9bc0223762ebef7064a96ddd5f6d2338619112e7b2fabc993a61",
 }
 
@@ -147,13 +147,13 @@ func TestGoldenReportPinsBench(t *testing.T) {
 // with it. Which worker serves which request depends on the scheduler; the
 // bytes must not.
 var goldenRebuilt = sectionSums{
-	"header":           "82c4aeb38fa3592187d68b45f6e36c7ab1fd1c6ac17ad7e3cb4523dad1384ec4",
+	"header":           "9be55c3a65f51b0d81cc47a59100deec9d1fe574b8e61aa46342b160196fe9b2",
 	"ASes":             "27c481628200c5ed2467af54a9a4128daede2cd8afe1acc2670a104645381067",
 	"instances":        "824a9c21390d0d9106e9b68df5884fbadd86287b93dc67e781f708c95e2cd500",
 	"users":            "d45f519c53b7595fe708f28adeda1ab271f57825bfd3df42fb18142bf693e0be",
 	"social graph":     "d2bb08f87950a62635d08e3ff85d4147cfa1d1f34d8b10901c5f4c0b70664cd0",
 	"federation graph": "96e85c8e66259fc6f2f22aee7d4bbc3f59752f24904b7ad4f43a5f16573bae43",
-	"traces":           "43db78a6d423cbe14c32661f7b707336fd901f036a4db93f518e5abe7625e0f7",
+	"traces":           "1cb94553830fbf96223dabf7f41784c37d83dded140ef8ed8d1b1ac0ca97bd48",
 	"cert outages":     "", // none: a rebuilt world records no certificate outages
 }
 

@@ -111,7 +111,7 @@ func TestMonitorAgainstLiveWorld(t *testing.T) {
 
 func TestTootCrawlAgainstLiveWorld(t *testing.T) {
 	lw := liveFediverse(t)
-	tc := &TootCrawler{Client: lw.cli, Workers: 10, Local: true}
+	tc := &TootCrawler{Client: lw.cli, Workers: 10}
 	results, _, err := tc.Crawl(context.Background(), domainsOf(lw.w))
 	if err != nil {
 		t.Fatal(err)
@@ -257,7 +257,7 @@ func TestCrawlRespectsRateLimit(t *testing.T) {
 		Limiter: NewHostLimiter(5, 1),
 		Retries: 1,
 	}
-	tc := &TootCrawler{Client: limited, Workers: 2, Local: true, MaxToots: 1000}
+	tc := &TootCrawler{Client: limited, Workers: 2, MaxToots: 1000}
 	var domains []string
 	for i := range lw.w.Instances {
 		if lw.w.Instances[i].GoneDay < 0 && !lw.w.Instances[i].BlocksCrawl {

@@ -43,7 +43,7 @@ func crawlNet(t *testing.T) (*Client, []string) {
 // flatCrawl is the oracle every leased crawl must reproduce: one
 // CrawlInstance per domain, in order, on one goroutine.
 func flatCrawl(cli *Client, domains []string) []InstanceCrawl {
-	tc := &TootCrawler{Client: cli, Local: true}
+	tc := &TootCrawler{Client: cli}
 	out := make([]InstanceCrawl, len(domains))
 	for i, d := range domains {
 		out[i] = tc.CrawlInstance(context.Background(), d)
@@ -59,7 +59,7 @@ func TestFleetMatchesFlatCrawl(t *testing.T) {
 	want := flatCrawl(cli, domains)
 	wantMarks := Marks(want)
 	for _, workers := range []int{1, 2, 3, 8, 16} {
-		tc := &TootCrawler{Client: cli, Workers: workers, Local: true}
+		tc := &TootCrawler{Client: cli, Workers: workers}
 		crawls, st, err := tc.Crawl(context.Background(), domains)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
@@ -87,7 +87,7 @@ func TestFleetKillReassigns(t *testing.T) {
 	start := dataset.Day(0)
 	clk := vclock.NewElastic(start)
 	cli.Clock = clk
-	tc := &TootCrawler{Client: cli, Workers: 3, Local: true, Kill: []Kill{{Domain: 7}}}
+	tc := &TootCrawler{Client: cli, Workers: 3, Kill: []Kill{{Domain: 7}}}
 	crawls, st, err := tc.Crawl(context.Background(), domains)
 	if err != nil {
 		t.Fatal(err)
@@ -121,7 +121,7 @@ func TestFleetAllWorkersDead(t *testing.T) {
 	for d := range domains {
 		kill[d] = Kill{Domain: d}
 	}
-	tc := &TootCrawler{Client: cli, Workers: 2, Local: true, Kill: kill}
+	tc := &TootCrawler{Client: cli, Workers: 2, Kill: kill}
 	crawls, _, err := tc.Crawl(context.Background(), domains)
 	if err == nil {
 		t.Fatal("crawl with every worker dead returned no error")
@@ -139,7 +139,7 @@ func TestFleetCancel(t *testing.T) {
 	cli, domains := crawlNet(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	tc := &TootCrawler{Client: cli, Workers: 4, Local: true}
+	tc := &TootCrawler{Client: cli, Workers: 4}
 	crawls, _, err := tc.Crawl(ctx, domains)
 	if err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -174,7 +174,7 @@ func TestFlatCrawlCancelledMidRun(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	cli.HTTP = &http.Client{Transport: &cancelAfter{inner: cli.HTTP.Transport, n: 4, cancel: cancel}}
-	tc := &TootCrawler{Client: cli, Workers: 2, Local: true}
+	tc := &TootCrawler{Client: cli, Workers: 2}
 	crawls, _, err := tc.Crawl(ctx, domains)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)

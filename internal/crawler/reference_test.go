@@ -387,10 +387,6 @@ func refDecodeStatus(ws wire.Status) (refToot, error) {
 // returned beside a crawl that holds everything but them.
 func refCrawlInstance(tc *TootCrawler, ctx context.Context, domain string) (out InstanceCrawl, toots []refToot) {
 	out.Domain = domain
-	local := "false"
-	if tc.Local {
-		local = "true"
-	}
 	since := tc.Since[domain]
 	out.SinceID = since
 	out.MaxID = since
@@ -398,7 +394,7 @@ func refCrawlInstance(tc *TootCrawler, ctx context.Context, domain string) (out 
 	defer func() { toots = slices.Concat(pages...) }()
 	var maxID int64
 	harvested := 0
-	base := "/api/v1/timelines/public?local=" + local + "&limit=40"
+	base := "/api/v1/timelines/public?local=true&limit=40"
 	if since > 0 {
 		base += "&since_id=" + strconv.FormatInt(since, 10)
 	}
@@ -642,7 +638,7 @@ func TestHarvestMatchesReference(t *testing.T) {
 				rt := &scripted{replies: tc.replies}
 				c := &TootCrawler{
 					Client:   &Client{HTTP: &http.Client{Transport: rt}, Retries: 3, Backoff: time.Microsecond},
-					MaxToots: tc.maxToots, Local: true,
+					MaxToots: tc.maxToots,
 				}
 				if tc.since > 0 {
 					c.Since = map[string]int64{"x.test": tc.since}

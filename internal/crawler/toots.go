@@ -67,15 +67,14 @@ func (c *InstanceCrawl) Hashtags(t TootRec) []string {
 	return c.tags[t.tag:t.tagEnd:t.tagEnd]
 }
 
-// TootCrawler pages through the public timelines of many instances
+// TootCrawler pages through the local public timelines of many instances
 // concurrently — the "multi-threaded crawler ... parallelised across 10
 // threads" of §3, with a token bucket standing in for its artificial delays.
 // Crawl (lease.go) runs it; the client's Clock drives the lease deadlines.
 type TootCrawler struct {
 	Client   *Client
-	Workers  int  // leased workers, one instance each (0 = 10, matching the paper)
-	MaxToots int  // per-instance harvest cap (0 = unlimited)
-	Local    bool // crawl the local timeline (true) or federated (false)
+	Workers  int // leased workers, one instance each (0 = 10, matching the paper)
+	MaxToots int // per-instance harvest cap (0 = unlimited)
 	// Kill scripts worker deaths mid-domain, for churn experiments.
 	Kill []Kill
 	// Since, when set, turns the crawl incremental: a domain with a
@@ -104,10 +103,6 @@ const statusPage = 40
 // the toots and leaves the accepted ones, newest first, in h.
 func (tc *TootCrawler) harvest(ctx context.Context, out *InstanceCrawl, h *harvest) {
 	domain := out.Domain
-	local := "false"
-	if tc.Local {
-		local = "true"
-	}
 	since := tc.Since[domain]
 	out.SinceID = since
 	out.MaxID = since
@@ -115,7 +110,7 @@ func (tc *TootCrawler) harvest(ctx context.Context, out *InstanceCrawl, h *harve
 	var body []byte
 	defer func() { putBuf(bp, body) }()
 	var maxID int64
-	base := "/api/v1/timelines/public?local=" + local + "&limit=" + strconv.Itoa(statusPage)
+	base := "/api/v1/timelines/public?local=true&limit=" + strconv.Itoa(statusPage)
 	if since > 0 {
 		base += "&since_id=" + strconv.FormatInt(since, 10)
 	}

@@ -13,7 +13,7 @@ import (
 	"repro/internal/sim"
 )
 
-// Columnar world files ("FDWC", v1), the one world-file format: a short
+// Columnar world files ("FDWC", v2), the one world-file format: a short
 // preamble (magic + version) followed by self-framed sections,
 // each [tag byte][uvarint payload length][payload]. Large tables —
 // instances, users, graph adjacency, traces — are split across multiple
@@ -31,7 +31,7 @@ import (
 const colMagic = "FDWC"
 
 // colVersion is the current format version.
-const colVersion = 1
+const colVersion = 2
 
 // Section tags.
 const (
@@ -42,7 +42,7 @@ const (
 	secGraphHead   byte = 5    // graph id, node count, edge count
 	secGraphRows   byte = 6    // graph id, start node, count, adjacency rows
 	secTraceHead   byte = 7    // slots per day, trace count
-	secTraceRows   byte = 8    // start trace, count, per-trace encodings
+	secTraceRows   byte = 8    // start trace, count, each trace's outage runs
 	secCertOutages byte = 9    // cert-expiry outage days, sorted by instance
 	secEnd         byte = 0xFF // section count, for truncation detection
 )
@@ -481,9 +481,7 @@ func (w *World) Save(out io.Writer) error {
 			sw.buf = append(sw.buf, 0, 0, 0, 0) // fixed 4-byte count patched below
 			n := 0
 			for start < len(ts.Traces) && (n == 0 || len(sw.buf) < chunkTargetBytes) {
-				t := ts.Traces[start]
-				sw.buf = binary.AppendUvarint(sw.buf, uint64(t.EncodedSize()))
-				sw.buf = t.AppendBinary(sw.buf)
+				sw.buf = ts.Traces[start].AppendBinary(sw.buf)
 				start++
 				n++
 			}
@@ -885,21 +883,15 @@ func (d *colDecoder) section(tag byte, r *colReader) error {
 			return fmt.Errorf("trace chunk [%d,%d) out of order (have %d of %d traces)",
 				start, start+n, d.tracesSeen, d.traceCount)
 		}
-		for i := start; i < start+n && r.err == nil; i++ {
-			sz := r.count(len(r.b), "trace byte")
-			body := r.take(sz)
-			if r.err != nil {
-				break
-			}
-			t := new(sim.Trace)
-			if err := t.UnmarshalBinary(body); err != nil {
+		for i := start; i < start+n; i++ {
+			t, k, err := sim.DecodeTrace(r.b[r.off:])
+			if err != nil {
 				return fmt.Errorf("trace %d: %w", i, err)
 			}
+			r.off += k
 			d.w.Traces.Traces[i] = t
 		}
-		if r.err == nil {
-			d.tracesSeen = start + n
-		}
+		d.tracesSeen = start + n
 	case secCertOutages:
 		if d.seenCert {
 			return fmt.Errorf("duplicate cert-outage section")

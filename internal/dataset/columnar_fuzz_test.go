@@ -26,7 +26,7 @@ func FuzzWorldFile(f *testing.F) {
 	f.Add(valid(&World{Seed: 1}))
 	f.Add(append([]byte{0x1f, 0x8b, 8}, sample...))
 	f.Add([]byte("FDWC"))
-	f.Add([]byte{'F', 'D', 'W', 'C', 1, secHeader, 0})
+	f.Add([]byte{'F', 'D', 'W', 'C', colVersion, secHeader, 0})
 	for _, tc := range append(hostileTraceFiles(f), hostileColumnFiles(f)...) {
 		f.Add(tc.file)
 	}

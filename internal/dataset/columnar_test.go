@@ -127,9 +127,9 @@ func requireWorldsEquivalent(t *testing.T, a, b *World) {
 		if ts == nil {
 			return nil
 		}
-		b, err := ts.MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
+		b := binary.AppendUvarint(nil, uint64(ts.SlotsPerDay))
+		for _, tr := range ts.Traces {
+			b = tr.AppendBinary(b)
 		}
 		return b
 	}
@@ -210,7 +210,7 @@ func TestLoadRejectsInconsistentWorld(t *testing.T) {
 			if err == nil {
 				t.Fatal("inconsistent world accepted")
 			}
-			for _, part := range []string{tc.want, "FDWC v1", "offset"} {
+			for _, part := range []string{tc.want, "FDWC v2", "offset"} {
 				if !strings.Contains(err.Error(), part) {
 					t.Fatalf("error lacks %q: %v", part, err)
 				}
@@ -225,39 +225,66 @@ type hostileFile struct {
 }
 
 // hostileTraceFiles returns world files whose traces hold what Save never
-// writes for a generated world, each with the error Load must give: a down
-// bit past a trace's 70 slots, a length past int32 that wraps to -64 slots
-// as an int, which passed the word-count check of a bitset decoder, and one
-// trace for two instances, which Fig 7 and Fig 8 would index past.
+// writes, each with the error Load must give. The first trace is 70 slots
+// down from 64 on, and the second is replaced in each file: by a length
+// past int32, by run counts its bytes or its slots cannot hold, by an
+// empty run, by two runs that touch, by a run past its end and by a run
+// cut short. The last file has one trace for two instances, which Fig 7
+// and Fig 8 would index past.
 func hostileTraceFiles(tb testing.TB) []hostileFile {
 	w := sampleWorld()
-	odd, empty := sim.NewTrace(70), sim.NewTrace(0)
+	odd := sim.NewTrace(70)
 	odd.SetDownRange(64, 70)
-	w.Traces = &sim.TraceSet{SlotsPerDay: SlotsPerDay, Traces: []*sim.Trace{odd, empty}}
+	w.Traces = &sim.TraceSet{SlotsPerDay: SlotsPerDay, Traces: []*sim.Trace{odd, sim.NewTrace(0)}}
 	var buf bytes.Buffer
 	if err := w.Save(&buf); err != nil {
 		tb.Fatal(err)
 	}
-	good := buf.Bytes()
-	oddEnc, _ := odd.MarshalBinary()
-	at := bytes.Index(good, oddEnc)
-	if at < 0 || good[at+len(oddEnc)] != 8 {
-		tb.Fatal("trace rows not found in the saved file")
+	good := bytes.Clone(buf.Bytes())
+	// second is good with its trace rows section holding odd, then trace.
+	second := func(trace []byte) []byte {
+		rows := odd.AppendBinary(binary.LittleEndian.AppendUint32([]byte{0}, 2))
+		return replaceSection(tb, good, secTraceRows, append(rows, trace...))
 	}
-	pastN := bytes.Clone(good)
-	pastN[at+len(oddEnc)-8] |= 1 << 6 // slot 70
-	wraps := bytes.Clone(good)
-	copy(wraps[at+len(oddEnc)+1:], []byte{0xc0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
+	uv := func(vs ...uint64) []byte {
+		var b []byte
+		for _, v := range vs {
+			b = binary.AppendUvarint(b, v)
+		}
+		return b
+	}
 	w.Traces.Traces = w.Traces.Traces[:1]
 	buf.Reset()
 	if err := w.Save(&buf); err != nil {
 		tb.Fatal(err)
 	}
 	return []hostileFile{
-		{"bit-past-n", "trace 0: sim: trace of 70 slots has down slots past its end", pastN},
-		{"n-past-int32", "trace 1: sim: trace length 18446744073709551552 past 2147483647 slots", wraps},
+		{"n-past-int32", "trace 1: sim: trace length 2147483648 past 2147483647 slots", second(uv(math.MaxInt32+1, 0))},
+		{"runs-past-bytes", "trace 1: sim: 3 runs cannot fit 70 slots in 4 bytes", second(uv(70, 3, 0, 1, 2, 1))},
+		{"runs-past-slots", "trace 1: sim: 3 runs cannot fit 4 slots in 6 bytes", second(uv(4, 3, 0, 1, 1, 1, 1, 1))},
+		{"empty-run", "trace 1: sim: run 0 is empty", second(uv(70, 1, 5, 0))},
+		{"touching-runs", "trace 1: sim: run 1 touches the one before it", second(uv(70, 2, 0, 3, 0, 6))},
+		{"run-past-n", "trace 1: sim: run 0 ends past slot 70", second(uv(70, 1, 64, 7))},
+		{"truncated-run", "trace 1: sim: trace truncated at byte 3", second(append(uv(70, 1, 64), 0x86))},
 		{"fewer-traces", "1 traces for 2 instances", buf.Bytes()},
 	}
+}
+
+// replaceSection returns file with the payload of its one section tagged
+// tag replaced by payload.
+func replaceSection(tb testing.TB, file []byte, tag byte, payload []byte) []byte {
+	_, k := binary.Uvarint(file[len(colMagic):])
+	for off := len(colMagic) + k; off < len(file); {
+		n, k := binary.Uvarint(file[off+1:])
+		end := off + 1 + k + int(n)
+		if file[off] == tag {
+			out := append(bytes.Clone(file[:off+1]), binary.AppendUvarint(nil, uint64(len(payload)))...)
+			return append(append(out, payload...), file[end:]...)
+		}
+		off = end
+	}
+	tb.Fatalf("no section tagged %d", tag)
+	return nil
 }
 
 // hostileColumnFiles returns world files whose user columns hold what no
@@ -467,7 +494,7 @@ func TestLoadTruncatedInput(t *testing.T) {
 			t.Fatalf("truncation at %d of %d accepted (world: %v)", cut, len(b), w != nil)
 		}
 		if cut > len(colMagic) {
-			if !strings.Contains(err.Error(), "FDWC v1") || !strings.Contains(err.Error(), "offset") {
+			if !strings.Contains(err.Error(), "FDWC v2") || !strings.Contains(err.Error(), "offset") {
 				t.Fatalf("truncation at %d: error lacks format/version/offset: %v", cut, err)
 			}
 		}

@@ -6,13 +6,15 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"runtime"
 	"slices"
+	"strings"
 	"testing"
 )
 
 // bitTrace is the one-bit-per-slot trace the run list replaced, kept as the
 // reference every run operation is held to: bit i of words is set when
-// slot i is down, and the encoding is those words as they are.
+// slot i is down.
 type bitTrace struct {
 	n     int
 	words []uint64
@@ -82,10 +84,18 @@ func (b *bitTrace) and(o *bitTrace) *bitTrace {
 	return out
 }
 
+// encode is the world-file encoding of the runs the bitset's slots make:
+// n, the run count, then each run's gap since the last one's end and its
+// length.
 func (b *bitTrace) encode() []byte {
-	out := binary.LittleEndian.AppendUint64(nil, uint64(b.n))
-	for _, w := range b.words {
-		out = binary.LittleEndian.AppendUint64(out, w)
+	outs := b.outages(0, b.n)
+	out := binary.AppendUvarint(nil, uint64(b.n))
+	out = binary.AppendUvarint(out, uint64(len(outs)))
+	end := 0
+	for _, o := range outs {
+		out = binary.AppendUvarint(out, uint64(o.Start-end))
+		out = binary.AppendUvarint(out, uint64(o.Slots()))
+		end = o.End
 	}
 	return out
 }
@@ -131,21 +141,21 @@ func checkAgainstBits(t *testing.T, tr *Trace, ref *bitTrace, from, to, dstN, at
 		}
 	}
 	enc := ref.encode()
-	if got, _ := tr.MarshalBinary(); !bytes.Equal(got, enc) || tr.EncodedSize() != len(enc) {
-		t.Fatalf("n=%d encoding = %x (size %d), bitset %x", tr.n, got, tr.EncodedSize(), enc)
+	if got := tr.AppendBinary([]byte{7}); !bytes.Equal(got[1:], enc) || got[0] != 7 {
+		t.Fatalf("n=%d encoding = %x, bitset %x", tr.n, got, enc)
 	}
-	var back Trace
-	if err := back.UnmarshalBinary(enc); err != nil {
-		t.Fatalf("n=%d bitset encoding rejected: %v", tr.n, err)
+	back, k, err := DecodeTrace(append(enc, 0xff))
+	if err != nil {
+		t.Fatalf("n=%d encoding %x rejected: %v", tr.n, enc, err)
 	}
-	if back.n != tr.n || !slices.Equal(back.runs, tr.runs) || cap(back.runs) != len(back.runs) {
-		t.Fatalf("n=%d decoded runs %v (cap %d), want %v", tr.n, back.runs, cap(back.runs), tr.runs)
+	if k != len(enc) || back.n != tr.n || !slices.Equal(back.runs, tr.runs) || cap(back.runs) != len(back.runs) {
+		t.Fatalf("n=%d decoded %d of %d bytes into runs %v (cap %d), want %v", tr.n, k, len(enc), back.runs, cap(back.runs), tr.runs)
 	}
 	got, want := NewTrace(dstN), newBitTrace(dstN)
 	got.CopyDown(tr, from, to, at)
 	want.copyDown(ref, from, to, at)
 	checkShape(t, got)
-	if enc, _ := got.MarshalBinary(); !bytes.Equal(enc, want.encode()) {
+	if enc := got.AppendBinary(nil); !bytes.Equal(enc, want.encode()) {
 		t.Fatalf("n=%d CopyDown(%d,%d → %d of %d) = %v, bitset %x", tr.n, from, to, at, dstN, got.runs, want.words)
 	}
 	if 0 <= from && from <= to && to <= tr.n {
@@ -153,7 +163,7 @@ func checkAgainstBits(t *testing.T, tr *Trace, ref *bitTrace, from, to, dstN, at
 		wantW := newBitTrace(to - from)
 		wantW.copyDown(ref, from, to, 0)
 		checkShape(t, w)
-		if enc, _ := w.MarshalBinary(); !bytes.Equal(enc, wantW.encode()) {
+		if enc := w.AppendBinary(nil); !bytes.Equal(enc, wantW.encode()) {
 			t.Fatalf("n=%d Window(%d,%d) = %v, bitset %x", tr.n, from, to, w.runs, wantW.words)
 		}
 	}
@@ -171,7 +181,7 @@ func checkSimultaneous(t *testing.T, a, b *Trace, refA, refB *bitTrace) {
 			want = want.and([]*bitTrace{refA, refB}[id])
 		}
 		checkShape(t, got)
-		if enc, _ := got.MarshalBinary(); !bytes.Equal(enc, want.encode()) {
+		if enc := got.AppendBinary(nil); !bytes.Equal(enc, want.encode()) {
 			t.Fatalf("n=%d SimultaneousDown(%v) = %v, bitset %x", a.n, ids, got.runs, want.words)
 		}
 	}
@@ -221,36 +231,93 @@ func TestTraceRunsMatchSlotBySlot(t *testing.T) {
 	}
 }
 
-// A world file's trace is the bitset encoding; a length past int32 or a
-// down bit at or past the length is no trace Save writes, and is refused
-// before it can become a run.
-func TestTraceRejectsBitsPastN(t *testing.T) {
-	enc := func(n uint64, words ...uint64) []byte {
-		b := binary.LittleEndian.AppendUint64(nil, n)
-		for _, w := range words {
-			b = binary.LittleEndian.AppendUint64(b, w)
+// A world file's trace is its runs; DecodeTrace refuses every encoding of
+// something that is not a trace, and names what is wrong.
+func TestDecodeTraceRejects(t *testing.T) {
+	enc := func(vs ...uint64) []byte {
+		var b []byte
+		for _, v := range vs {
+			b = binary.AppendUvarint(b, v)
 		}
 		return b
 	}
-	var tr Trace
-	if err := tr.UnmarshalBinary(enc(70, 0, 63)); err != nil {
-		t.Fatalf("slots 64..69 down: %v", err)
+	tr, k, err := DecodeTrace(enc(70, 2, 0, 3, 61, 6))
+	if err != nil || k != 6 {
+		t.Fatalf("slots 0..2 and 64..69 down: %d bytes, %v", k, err)
 	}
-	if got, want := tr.Outages(0, 100), []Outage{{Start: 64, End: 70}}; !slices.Equal(got, want) {
+	if got, want := tr.Outages(0, 100), []Outage{{Start: 0, End: 3}, {Start: 64, End: 70}}; !slices.Equal(got, want) {
 		t.Fatalf("Outages = %v, want %v", got, want)
 	}
-	for name, b := range map[string][]byte{
-		"bit 70 of 70":         enc(70, 0, 1<<6),
-		"top bit of 70":        enc(70, 0, 1<<63),
-		"slots 64..127 of 70":  enc(70, 0, ^uint64(0)),
-		"length past int32":    enc(math.MaxInt32 + 1),
-		"length wraps to -64":  enc(math.MaxUint64 - 63),
-		"length 2^58 no words": enc(1 << 58),
+	for _, tc := range []struct {
+		name, want string
+		b          []byte
+	}{
+		{"length past int32", "trace length 2147483648 past 2147483647 slots", enc(math.MaxInt32+1, 0)},
+		{"length wraps to -64", "trace length 18446744073709551552 past", enc(math.MaxUint64-63, 0)},
+		{"more runs than bytes", "2 runs cannot fit 70 slots in 3 bytes", enc(70, 2, 0, 3, 61)},
+		{"more runs than slots", "3 runs cannot fit 4 slots", enc(4, 3, 0, 1, 1, 1, 1, 1)},
+		{"zero-length run", "run 1 is empty", enc(70, 2, 0, 3, 1, 0)},
+		{"touching runs", "run 1 touches the one before it", enc(70, 2, 0, 3, 0, 6)},
+		{"run past n", "run 1 ends past slot 70", enc(70, 2, 0, 3, 61, 7)},
+		{"gap past n", "run 0 ends past slot 70", enc(70, 1, math.MaxUint64, 1)},
+		{"truncated run", "trace truncated at byte 3", append(enc(70, 1, 64), 0x86)},
+		{"no run count", "trace truncated at byte 1", enc(70)},
+		{"empty", "trace truncated at byte 0", nil},
 	} {
-		if err := new(Trace).UnmarshalBinary(b); err == nil {
-			t.Errorf("%s: accepted", name)
+		if _, _, err := DecodeTrace(tc.b); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: DecodeTrace(%x) = %v, want an error with %q", tc.name, tc.b, err, tc.want)
 		}
 	}
+}
+
+// A run count the bytes or the slots cannot hold is refused before the
+// run list is allocated: a 2^29-run claim in ten bytes costs the error and
+// nothing else, not the 4 GiB its runs would take, and so does a claim of
+// one run more than 2^20 slots hold, with bytes enough for it.
+func TestDecodeTraceRefusesBeforeAllocating(t *testing.T) {
+	for _, tc := range []struct{ n, runs, pad uint64 }{
+		{math.MaxInt32, 1 << 29, 10},
+		{1 << 20, 1<<19 + 1, 1<<20 + 2},
+	} {
+		b := binary.AppendUvarint(binary.AppendUvarint(nil, tc.n), tc.runs)
+		b = append(b, make([]byte, tc.pad)...)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, _, err := DecodeTrace(b)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("%d runs in %d slots accepted", tc.runs, tc.n)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<10 {
+			t.Fatalf("%d runs in %d slots: %d bytes allocated before the refusal", tc.runs, tc.n, grew)
+		}
+	}
+}
+
+// FuzzDecodeTrace feeds arbitrary bytes to the decoder: it refuses them, or
+// returns a trace of the runs' shape that re-encodes to bytes it decodes
+// to the same trace.
+func FuzzDecodeTrace(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{70, 2, 0, 3, 61, 6})
+	f.Add([]byte{70, 2, 0, 3, 0, 6})
+	f.Add([]byte{4, 2, 0, 1, 1, 1, 9})
+	f.Add([]byte{0x80, 0x80, 0x80, 0x80, 0x08, 1, 0xff, 0xff, 0xff, 0xff, 0x07, 1})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		tr, k, err := DecodeTrace(b)
+		if err != nil {
+			return
+		}
+		if k <= 0 || k > len(b) {
+			t.Fatalf("took %d of %d bytes", k, len(b))
+		}
+		checkShape(t, tr)
+		enc := tr.AppendBinary(nil)
+		back, k2, err := DecodeTrace(enc)
+		if err != nil || k2 != len(enc) || back.n != tr.n || !slices.Equal(back.runs, tr.runs) || cap(back.runs) != len(back.runs) {
+			t.Fatalf("%x decoded to n=%d %v, which re-encodes to %x: %v", b[:k], tr.n, tr.runs, enc, err)
+		}
+	})
 }
 
 // FuzzTraceRuns takes the trace's bits from the input, so the fuzzer steers

@@ -7,10 +7,8 @@ package sim
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math"
-	"math/bits"
 	"slices"
 )
 
@@ -212,96 +210,76 @@ func intersect(a, b []run) []run {
 	return out
 }
 
-// MarshalBinary encodes the trace (length + packed words).
-func (t *Trace) MarshalBinary() ([]byte, error) {
-	return t.AppendBinary(make([]byte, 0, t.EncodedSize())), nil
-}
-
-// EncodedSize returns the exact length of the MarshalBinary encoding.
-func (t *Trace) EncodedSize() int { return 8 + 8*((t.n+63)/64) }
-
-// AppendBinary appends the MarshalBinary encoding of t to dst and returns
-// the extended slice — the allocation-free form used when many traces are
-// packed into one buffer (the columnar world file writes thousands per
-// section). The encoding is the slot bitset, one little-endian uint64 per
-// 64 slots, bit i set when slot i is down; it is written straight from
-// the runs, a masked store at each run's end words and a whole one between.
+// AppendBinary appends t's world-file encoding to dst and returns the
+// extended slice: uvarints n and the run count, then for each run the gap
+// since the previous run's end (since slot 0 for the first) and its length.
 func (t *Trace) AppendBinary(dst []byte) []byte {
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(t.n))
-	at := len(dst)
-	dst = slices.Grow(dst, t.EncodedSize()-8)[:at+t.EncodedSize()-8]
-	words := dst[at:]
-	clear(words)
-	or := func(w int, mask uint64) {
-		b := words[8*w:]
-		binary.LittleEndian.PutUint64(b, binary.LittleEndian.Uint64(b)|mask)
-	}
+	dst = binary.AppendUvarint(dst, uint64(t.n))
+	dst = binary.AppendUvarint(dst, uint64(len(t.runs)))
+	var end int32
 	for _, r := range t.runs {
-		first, last := int(r.start)>>6, int(r.end-1)>>6
-		head := ^uint64(0) << (uint(r.start) & 63)
-		tail := ^uint64(0) >> (63 - uint(r.end-1)&63)
-		if first == last {
-			or(first, head&tail)
-			continue
-		}
-		or(first, head)
-		for w := first + 1; w < last; w++ {
-			binary.LittleEndian.PutUint64(words[8*w:], ^uint64(0))
-		}
-		or(last, tail)
+		dst = binary.AppendUvarint(dst, uint64(r.start-end))
+		dst = binary.AppendUvarint(dst, uint64(r.end-r.start))
+		end = r.end
 	}
 	return dst
 }
 
-// UnmarshalBinary decodes a trace produced by MarshalBinary. It rejects a
-// length past math.MaxInt32 and a down bit at or past the length, neither
-// of which MarshalBinary writes. One walk over the words finds the runs: a
-// run starts at a set bit after a clear one and ends at a clear bit after
-// a set one, and a word equal to its predecessor's last bit holds neither.
-// The runs gather in a stack buffer, then move to a list of exactly their
-// number.
-func (t *Trace) UnmarshalBinary(data []byte) error {
-	if len(data) < 8 {
-		return errors.New("sim: trace too short")
+// DecodeTrace reads one AppendBinary encoding from the front of b and
+// returns the trace and the bytes it took. It refuses what AppendBinary
+// never writes: a length past math.MaxInt32, more runs than the bytes left
+// could hold (two each) or than n slots could (ceil(n/2)), both before
+// anything is allocated; a zero-length run, a gap of 0 after the first run
+// (two runs that touch), and a run that ends past n. The runs go straight
+// into a list of exactly their number.
+func DecodeTrace(b []byte) (*Trace, int, error) {
+	off := 0
+	next := func() (uint64, error) {
+		v, k := binary.Uvarint(b[off:])
+		if k <= 0 {
+			return 0, fmt.Errorf("sim: trace truncated at byte %d", off)
+		}
+		off += k
+		return v, nil
 	}
-	n := binary.LittleEndian.Uint64(data)
+	n, err := next()
+	if err != nil {
+		return nil, 0, err
+	}
 	if n > math.MaxInt32 {
-		return fmt.Errorf("sim: trace length %d past %d slots", n, math.MaxInt32)
+		return nil, 0, fmt.Errorf("sim: trace length %d past %d slots", n, math.MaxInt32)
 	}
-	words := data[8:]
-	if uint64(len(words)) != 8*((n+63)/64) {
-		return fmt.Errorf("sim: trace length mismatch: n=%d bytes=%d", n, len(data))
+	k, err := next()
+	if err != nil {
+		return nil, 0, err
 	}
-	if tail := n & 63; tail != 0 && binary.LittleEndian.Uint64(words[len(words)-8:])>>tail != 0 {
-		return fmt.Errorf("sim: trace of %d slots has down slots past its end", n)
+	if k > uint64(len(b)-off)/2 || k > (n+1)/2 {
+		return nil, 0, fmt.Errorf("sim: %d runs cannot fit %d slots in %d bytes", k, n, len(b)-off)
 	}
-	var buf [256]run
-	runs := buf[:0]
-	var start, slot int32
-	var carry uint64 // the previous word's last bit
-	for ; len(words) >= 8; words, slot = words[8:], slot+64 {
-		w := binary.LittleEndian.Uint64(words)
-		if w == -carry {
-			continue
+	t := &Trace{n: int(n)}
+	if k > 0 {
+		t.runs = make([]run, k)
+	}
+	end := uint64(0)
+	for i := range t.runs {
+		gap, err := next()
+		if err != nil {
+			return nil, 0, err
 		}
-		prev := w<<1 | carry
-		starts := w &^ prev
-		for edges := starts | prev&^w; edges != 0; edges &= edges - 1 {
-			b := bits.TrailingZeros64(edges)
-			if starts&(1<<b) != 0 {
-				start = slot + int32(b)
-			} else {
-				runs = append(runs, run{start, slot + int32(b)})
-			}
+		length, err := next()
+		if err != nil {
+			return nil, 0, err
 		}
-		carry = w >> 63
+		switch {
+		case length == 0:
+			return nil, 0, fmt.Errorf("sim: run %d is empty", i)
+		case gap == 0 && i > 0:
+			return nil, 0, fmt.Errorf("sim: run %d touches the one before it", i)
+		case gap > n-end || length > n-end-gap:
+			return nil, 0, fmt.Errorf("sim: run %d ends past slot %d", i, n)
+		}
+		t.runs[i] = run{int32(end + gap), int32(end + gap + length)}
+		end += gap + length
 	}
-	if carry != 0 {
-		runs = append(runs, run{start, int32(n)})
-	}
-	t.n, t.runs = int(n), nil
-	if len(runs) > 0 {
-		t.runs = append(make([]run, 0, len(runs)), runs...)
-	}
-	return nil
+	return t, off, nil
 }

@@ -112,22 +112,19 @@ func TestTraceRoundTrip(t *testing.T) {
 	tr.SetDown(0)
 	tr.SetDown(129)
 	tr.SetDownRange(64, 70)
-	b, err := tr.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back Trace
-	if err := back.UnmarshalBinary(b); err != nil {
-		t.Fatal(err)
+	b := tr.AppendBinary(nil)
+	back, k, err := DecodeTrace(b)
+	if err != nil || k != len(b) {
+		t.Fatalf("decoded %d of %d bytes: %v", k, len(b), err)
 	}
 	if back.N() != 130 || !back.IsDown(0) || !back.IsDown(129) || !back.IsDown(65) || back.IsDown(70) {
 		t.Fatal("round trip mismatch")
 	}
-	if err := back.UnmarshalBinary(b[:4]); err == nil {
+	if _, _, err := DecodeTrace(b[:len(b)-1]); err == nil {
 		t.Fatal("expected error for truncated data")
 	}
-	if err := back.UnmarshalBinary(append(b, 0)); err == nil {
-		t.Fatal("expected error for trailing data")
+	if _, k, err := DecodeTrace(append(b, 0)); err != nil || k != len(b) {
+		t.Fatalf("with a byte after it: decoded %d of %d bytes: %v", k, len(b), err)
 	}
 }
 

@@ -1,9 +1,6 @@
 package sim
 
 import (
-	"bytes"
-	"encoding/binary"
-	"errors"
 	"fmt"
 	"slices"
 )
@@ -107,55 +104,4 @@ func (ts *TraceSet) Trim() {
 			t.runs = append(make([]run, 0, len(t.runs)), t.runs...)
 		}
 	}
-}
-
-// MarshalBinary encodes the trace set.
-func (ts *TraceSet) MarshalBinary() ([]byte, error) {
-	var buf bytes.Buffer
-	var hdr [16]byte
-	binary.LittleEndian.PutUint64(hdr[0:], uint64(ts.SlotsPerDay))
-	binary.LittleEndian.PutUint64(hdr[8:], uint64(len(ts.Traces)))
-	buf.Write(hdr[:])
-	for _, t := range ts.Traces {
-		b, err := t.MarshalBinary()
-		if err != nil {
-			return nil, err
-		}
-		var sz [8]byte
-		binary.LittleEndian.PutUint64(sz[:], uint64(len(b)))
-		buf.Write(sz[:])
-		buf.Write(b)
-	}
-	return buf.Bytes(), nil
-}
-
-// UnmarshalBinary decodes a trace set produced by MarshalBinary.
-func (ts *TraceSet) UnmarshalBinary(data []byte) error {
-	if len(data) < 16 {
-		return errors.New("sim: traceset too short")
-	}
-	ts.SlotsPerDay = int(binary.LittleEndian.Uint64(data[0:]))
-	n := int(binary.LittleEndian.Uint64(data[8:]))
-	data = data[16:]
-	ts.Traces = make([]*Trace, n)
-	for i := 0; i < n; i++ {
-		if len(data) < 8 {
-			return fmt.Errorf("sim: traceset truncated at trace %d", i)
-		}
-		sz := int(binary.LittleEndian.Uint64(data))
-		data = data[8:]
-		if len(data) < sz {
-			return fmt.Errorf("sim: traceset truncated at trace %d body", i)
-		}
-		t := new(Trace)
-		if err := t.UnmarshalBinary(data[:sz]); err != nil {
-			return err
-		}
-		ts.Traces[i] = t
-		data = data[sz:]
-	}
-	if len(data) != 0 {
-		return errors.New("sim: trailing bytes in traceset")
-	}
-	return nil
 }

@@ -106,33 +106,6 @@ func TestAttributeToCertExpiry(t *testing.T) {
 	}
 }
 
-func TestTraceSetRoundTrip(t *testing.T) {
-	ts := newTestSet()
-	b, err := ts.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back TraceSet
-	if err := back.UnmarshalBinary(b); err != nil {
-		t.Fatal(err)
-	}
-	if back.Len() != 3 || back.SlotsPerDay != 10 || back.Slots() != 20 {
-		t.Fatal("round trip geometry mismatch")
-	}
-	for i := int32(0); i < 3; i++ {
-		for s := 0; s < 20; s++ {
-			if back.Traces[i].IsDown(s) != ts.Traces[i].IsDown(s) {
-				t.Fatalf("bit mismatch at instance %d slot %d", i, s)
-			}
-		}
-	}
-	for _, bad := range [][]byte{nil, b[:10], b[:len(b)-1], append(append([]byte{}, b...), 1)} {
-		if err := new(TraceSet).UnmarshalBinary(bad); err == nil {
-			t.Fatalf("expected error for corrupted input of len %d", len(bad))
-		}
-	}
-}
-
 func TestTraceSetWindow(t *testing.T) {
 	ts := NewTraceSet(2, 1, 10)
 	ts.Traces[0].SetDownRange(2, 5)

@@ -205,7 +205,7 @@ func (h *Harness) RunCampaign(ctx context.Context, cfg CampaignConfig) (*Campaig
 // authors it saw — and records it in res (Crawls, Authors, AuthorToots,
 // Scrape, CrawlStats). Of cfg it reads CrawlWorkers, ScrapeWorkers, Kill and Resume.
 func (h *Harness) CrawlPhase(ctx context.Context, cfg CampaignConfig, res *CampaignResult) error {
-	tc := &crawler.TootCrawler{Client: h.Client, Workers: cfg.CrawlWorkers, Local: true, Kill: cfg.Kill}
+	tc := &crawler.TootCrawler{Client: h.Client, Workers: cfg.CrawlWorkers, Kill: cfg.Kill}
 	if cfg.Resume != nil {
 		tc.Since = cfg.Resume.HighWater
 	}

@@ -3,6 +3,7 @@ package simnet
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"reflect"
 	"testing"
 	"time"
@@ -58,11 +59,13 @@ func runCampaign(t *testing.T) (*Harness, *CampaignResult) {
 	return h, res
 }
 
+// marshalTraces is w's slots per day, then every trace of w in its
+// world-file encoding, one after another.
 func marshalTraces(t *testing.T, w *dataset.World) []byte {
 	t.Helper()
-	b, err := w.Traces.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
+	b := binary.AppendUvarint(nil, uint64(w.Traces.SlotsPerDay))
+	for _, tr := range w.Traces.Traces {
+		b = tr.AppendBinary(b)
 	}
 	return b
 }

@@ -72,7 +72,7 @@ func runFleetCampaign(t *testing.T, cfg CampaignConfig) *CampaignResult {
 // CrawlInstance per domain, in order, on one goroutine — the flat pool at
 // one worker, with no lease in sight.
 func refFlatCrawl(ctx context.Context, cli *crawler.Client, domains []string) []crawler.InstanceCrawl {
-	tc := &crawler.TootCrawler{Client: cli, Local: true}
+	tc := &crawler.TootCrawler{Client: cli}
 	out := make([]crawler.InstanceCrawl, len(domains))
 	for i, d := range domains {
 		out[i] = tc.CrawlInstance(ctx, d)

@@ -209,7 +209,7 @@ func TestCampaignRequestAllocs(t *testing.T) {
 		}
 	}
 	timeline := func(domain string, toots int) func() {
-		tc := &crawler.TootCrawler{Client: h.Client, Local: true}
+		tc := &crawler.TootCrawler{Client: h.Client}
 		return func() {
 			if c := tc.CrawlInstance(ctx, domain); len(c.Toots) != toots || c.Err != nil {
 				t.Fatalf("%s: %d toots, err %v", domain, len(c.Toots), c.Err)

@@ -67,9 +67,7 @@ func TestUptime(t *testing.T) {
 	}
 	// Deterministic.
 	tr2 := Uptime(cfg)
-	b1, _ := tr.MarshalBinary()
-	b2, _ := tr2.MarshalBinary()
-	if string(b1) != string(b2) {
+	if string(tr.AppendBinary(nil)) != string(tr2.AppendBinary(nil)) {
 		t.Fatal("same seed, different traces")
 	}
 }
