@@ -16,8 +16,8 @@
 //	fedicrawl -base ... -world world.fedi -since marks.json -write-since marks.json
 //
 // Concurrency: -workers sizes every phase (the paper used 10 threads). The
-// toot crawl hands domains to that many workers in order, one lease per
-// domain; its harvest, coverage numbers and -since marks do not depend on
+// toot crawl hands domains to that many workers in order, one domain at a
+// time each; its harvest, coverage numbers and -since marks do not depend on
 // the width.
 //
 // Robustness: every request runs behind a per-host circuit breaker with a

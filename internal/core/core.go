@@ -114,10 +114,10 @@ func runExtBlocking(w *dataset.World, out io.Writer) error {
 }
 
 func (p *placement) runExtCapacity(w *dataset.World, out io.Writer) error {
-	topN := minInt(50, len(w.Instances)/4)
+	topN := min(50, len(w.Instances)/4)
 	r := analysis.ExtCapacity(w, p.experiment(w), 2, topN, 12)
 	var cells [][]string
-	step := maxInt(topN/10, 1)
+	step := max(topN/10, 1)
 	for i := 0; i < len(r.Removed); i += step {
 		cells = append(cells, []string{
 			analysis.I(r.Removed[i]),
@@ -136,8 +136,8 @@ func (p *placement) runExtCapacity(w *dataset.World, out io.Writer) error {
 }
 
 func (p *placement) runExtDHT(w *dataset.World, out io.Writer) error {
-	topN := minInt(100, len(w.Instances)/4)
-	r := analysis.ExtDHT(w, p.experiment(w), topN, maxInt(topN/10, 1))
+	topN := min(100, len(w.Instances)/4)
+	r := analysis.ExtDHT(w, p.experiment(w), topN, max(topN/10, 1))
 	fmt.Fprintf(out, "ring: %d nodes, %d indexed authors, k=%d index replication\n",
 		r.Nodes, r.IndexedKeys, r.Replication)
 	fmt.Fprintf(out, "routing: mean %.1f hops, max %d (log2(n)=%.1f)\n",
@@ -488,7 +488,7 @@ func (tb *twitterBaseline) runFig12(w *dataset.World, out io.Writer) error {
 func runFig13a(w *dataset.World, out io.Writer) error {
 	topN := len(w.Instances) / 5
 	series := analysis.Fig13aInstanceRemoval(w, topN)
-	return writeRemoval(out, series, maxInt(topN/10, 1))
+	return writeRemoval(out, series, max(topN/10, 1))
 }
 
 func runFig13b(w *dataset.World, out io.Writer) error {
@@ -550,21 +550,21 @@ func (p *placement) experiment(w *dataset.World) *replication.Experiment {
 }
 
 func (p *placement) runFig15(w *dataset.World, out io.Writer) error {
-	topInst := minInt(100, len(w.Instances)/4)
+	topInst := min(100, len(w.Instances)/4)
 	r := analysis.Fig15Replication(w, p.experiment(w), topInst, 20)
-	if err := writeAvailability(out, "instance removal:", r.InstanceSweeps, maxInt(topInst/10, 1)); err != nil {
+	if err := writeAvailability(out, "instance removal:", r.InstanceSweeps, max(topInst/10, 1)); err != nil {
 		return err
 	}
 	return writeAvailability(out, "AS removal:", r.ASSweeps, 2)
 }
 
 func (p *placement) runFig16(w *dataset.World, out io.Writer) error {
-	topInst := minInt(100, len(w.Instances)/4)
+	topInst := min(100, len(w.Instances)/4)
 	r := analysis.Fig16RandomReplication(w, p.experiment(w), topInst, 20, []int{1, 2, 3, 4, 7, 9})
 	if err := analysis.WriteFidelity(out, "fig16", r); err != nil {
 		return err
 	}
-	if err := writeAvailability(out, "instance removal (by toots):", r.InstanceSweeps, maxInt(topInst/10, 1)); err != nil {
+	if err := writeAvailability(out, "instance removal (by toots):", r.InstanceSweeps, max(topInst/10, 1)); err != nil {
 		return err
 	}
 	return writeAvailability(out, "AS removal (by toots):", r.ASSweeps, 2)
@@ -623,20 +623,6 @@ func twitterBaselineUsers(w *dataset.World) int {
 		n = 1000
 	}
 	return n
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // Summary produces the headline findings list (§1) for a world — the quick

@@ -6,8 +6,8 @@
 //   - TootCrawler: the multi-worker harvester that pages through instance
 //     timelines ("we wrote a multi-threaded crawler ... iterating over the
 //     entire history of toots"), with per-host rate limiting so instances
-//     are not overwhelmed; its workers lease domains, so a worker that dies
-//     mid-domain hands the domain on (lease.go);
+//     are not overwhelmed; a domain whose worker dies mid-domain is
+//     re-crawled by the survivors once its TTL has passed (lease.go);
 //   - FollowerScraper: the follower-list collector that pages through the
 //     HTML follower pages and rebuilds the social graph;
 //   - Discoverer: snowball instance discovery over /api/v1/instance/peers.
@@ -188,29 +188,20 @@ func putBuf(bp *[]byte, last []byte) {
 	bodyPool.Put(bp)
 }
 
-// Get fetches path from domain, returning the body. It rate-limits,
-// retries retryable failures with exponential backoff, and honours ctx.
-func (c *Client) Get(ctx context.Context, domain, path string) ([]byte, error) {
-	return c.GetBuffered(ctx, domain, path, nil)
-}
-
-// GetBuffered is Get with an explicit reusable buffer: the body is read
-// into buf[:0] and the (possibly grown) slice returned, so a paging loop
-// pays for one buffer, not one allocation per page. The returned slice
-// aliases buf; callers must copy anything they keep.
-func (c *Client) GetBuffered(ctx context.Context, domain, path string, buf []byte) ([]byte, error) {
-	return c.GetChecked(ctx, domain, path, buf, nil)
-}
-
 // maxRetryAfter caps how long a server-supplied Retry-After can stall one
 // backoff step; a hostile header must not park a worker for an hour.
 const maxRetryAfter = 2 * time.Minute
 
-// GetChecked is GetBuffered with a payload integrity check folded into the
-// retry loop: check runs on every successful body, and a check failure is
-// retried like a torn read (a corrupt payload is indistinguishable from
-// transport damage). This is what lets a decode failure heal instead of
-// silently recording an instance as broken. A nil check accepts any body.
+// GetChecked fetches path from domain, returning the body. It rate-limits,
+// retries retryable failures with exponential backoff, and honours ctx. The
+// body is read into buf[:0] and the (possibly grown) slice returned, so a
+// paging loop pays for one buffer, not one allocation per page; the
+// returned slice aliases buf, and callers must copy anything they keep.
+// A payload integrity check is folded into the retry loop: check runs on
+// every successful body, and a check failure is retried like a torn read
+// (a corrupt payload is indistinguishable from transport damage). This is
+// what lets a decode failure heal instead of silently recording an
+// instance as broken. A nil check accepts any body.
 func (c *Client) GetChecked(ctx context.Context, domain, path string, buf []byte, check func(body []byte) error) ([]byte, error) {
 	clk := vclock.OrSystem(c.Clock)
 	var lastErr error
@@ -517,6 +508,8 @@ func readBody(r io.Reader, buf []byte) ([]byte, error) {
 // errors, and errs[i] becomes what fn returned for i; an index claimed
 // after ctx is cancelled gets ctx.Err() there, and fn is not called for
 // it. A caller that wants no errors passes nil and pays for no slice. A
+// worker whose fn returns errDied ends there; the indices it would have
+// claimed go to the others, or to none when every worker has ended. A
 // long-lived worker, not a goroutine per item: a newborn goroutine regrows
 // its stack on the way down through the HTTP client, which cost more than
 // the request it carried.
@@ -539,6 +532,9 @@ func forEach(ctx context.Context, n, workers int, errs []error, fn func(ctx cont
 				}
 				if errs != nil {
 					errs[i] = err
+				}
+				if err == errDied {
+					return
 				}
 			}
 		}()

@@ -40,7 +40,7 @@ func TestClientHonoursRetryAfterSeconds(t *testing.T) {
 	defer srv.Close()
 	c, clk := retryAfterClient(srv, 5)
 	start := clk.Now()
-	if _, err := c.Get(context.Background(), "x.test", "/thing"); err != nil {
+	if _, err := c.GetChecked(context.Background(), "x.test", "/thing", nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if calls.Load() != 3 {
@@ -67,7 +67,7 @@ func TestClientHonoursRetryAfterHTTPDate(t *testing.T) {
 	}))
 	defer srv.Close()
 	c, clk := retryAfterClient(srv, 3)
-	if _, err := c.Get(context.Background(), "x.test", "/thing"); err != nil {
+	if _, err := c.GetChecked(context.Background(), "x.test", "/thing", nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if calls.Load() != 2 {
@@ -94,7 +94,7 @@ func TestClientCapsRetryAfter(t *testing.T) {
 		}))
 		c, clk := retryAfterClient(srv, 3)
 		start := clk.Now()
-		if _, err := c.Get(context.Background(), "x.test", "/thing"); err != nil {
+		if _, err := c.GetChecked(context.Background(), "x.test", "/thing", nil, nil); err != nil {
 			t.Fatal(err)
 		}
 		srv.Close()
@@ -113,7 +113,7 @@ func TestClientRetryAfterNeverAddsAttempts(t *testing.T) {
 	}))
 	defer srv.Close()
 	c, _ := retryAfterClient(srv, 3)
-	_, err := c.Get(context.Background(), "x.test", "/thing")
+	_, err := c.GetChecked(context.Background(), "x.test", "/thing", nil, nil)
 	var se *StatusError
 	if !asStatusError(err, &se) || se.Code != http.StatusTooManyRequests {
 		t.Fatalf("err = %v, want a 429 StatusError", err)
@@ -139,7 +139,7 @@ func TestClientRetriesMidBodyReset(t *testing.T) {
 	}))
 	defer srv.Close()
 	c, _ := retryAfterClient(srv, 3)
-	body, err := c.Get(context.Background(), "x.test", "/api/v1/instance")
+	body, err := c.GetChecked(context.Background(), "x.test", "/api/v1/instance", nil, nil)
 	if err != nil {
 		t.Fatalf("short-body read did not heal: %v", err)
 	}

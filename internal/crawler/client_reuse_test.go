@@ -55,7 +55,7 @@ func TestRequestReuseCarriesNothingOver(t *testing.T) {
 	without := &Client{HTTP: &http.Client{Transport: rt}}
 	get := func(c *Client, ctx context.Context, domain, path string) {
 		t.Helper()
-		if _, err := c.Get(ctx, domain, path); err != nil {
+		if _, err := c.GetChecked(ctx, domain, path, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -122,7 +122,7 @@ func TestRequestReuseCarriesNothingOver(t *testing.T) {
 			})}}
 			ctx := context.WithValue(bg, ctxKey{}, w)
 			for i := 0; i < 50; i++ {
-				if _, err := c.Get(ctx, fmt.Sprintf("w%d.test", w), "/"+ua); err != nil {
+				if _, err := c.GetChecked(ctx, fmt.Sprintf("w%d.test", w), "/"+ua, nil, nil); err != nil {
 					t.Error(err)
 					return
 				}

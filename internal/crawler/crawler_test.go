@@ -100,7 +100,7 @@ func TestClientRetries(t *testing.T) {
 		Retries: 5,
 		Backoff: time.Millisecond,
 	}
-	body, err := c.GetBuffered(context.Background(), "x.test", "/thing", nil)
+	body, err := c.GetChecked(context.Background(), "x.test", "/thing", nil, nil)
 	if err != nil || string(body) != `{"ok":true}` {
 		t.Fatalf("err=%v body=%q", err, body)
 	}
@@ -125,7 +125,7 @@ func TestClientBackoffRunsOnInjectedClock(t *testing.T) {
 		Clock:   clk,
 	}
 	start := time.Now()
-	_, err := c.Get(context.Background(), "x.test", "/")
+	_, err := c.GetChecked(context.Background(), "x.test", "/", nil, nil)
 	if err == nil {
 		t.Fatal("expected failure")
 	}
@@ -149,7 +149,7 @@ func TestClientDoesNotRetryClientErrors(t *testing.T) {
 	}))
 	defer srv.Close()
 	c := &Client{Resolve: func(string) string { return srv.URL }, Retries: 5, Backoff: time.Millisecond}
-	_, err := c.Get(context.Background(), "x.test", "/blocked")
+	_, err := c.GetChecked(context.Background(), "x.test", "/blocked", nil, nil)
 	var se *StatusError
 	if !asStatusError(err, &se) || se.Code != 403 {
 		t.Fatalf("err = %v, want 403 StatusError", err)
@@ -170,7 +170,7 @@ func TestClientContextCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	c := &Client{Resolve: func(string) string { return srv.URL }, Retries: 10, Backoff: 10 * time.Millisecond}
-	if _, err := c.Get(ctx, "x.test", "/"); err == nil {
+	if _, err := c.GetChecked(ctx, "x.test", "/", nil, nil); err == nil {
 		t.Fatal("expected context error")
 	}
 }
@@ -268,6 +268,28 @@ func TestForEachCancelMidRun(t *testing.T) {
 	}
 }
 
+// TestForEachDied: a worker whose fn returns errDied ends, and the items
+// it would have claimed go to the others; once every worker has ended, the
+// items left are never claimed.
+func TestForEachDied(t *testing.T) {
+	const n = 20
+	for _, tc := range []struct{ workers, die, want int }{
+		{3, 1, n}, // two survivors finish the run
+		{2, 2, 2}, // both workers die on their first item
+	} {
+		var calls atomic.Int64
+		forEach(context.Background(), n, tc.workers, nil, func(context.Context, int) error {
+			if calls.Add(1) <= int64(tc.die) {
+				return errDied // the first tc.die calls
+			}
+			return nil
+		})
+		if got := calls.Load(); got != int64(tc.want) {
+			t.Fatalf("workers=%d, %d dying: fn ran %d times, want %d", tc.workers, tc.die, got, tc.want)
+		}
+	}
+}
+
 // roundTripFunc serves a Client's requests without a socket.
 type roundTripFunc func(*http.Request) (*http.Response, error)
 
@@ -347,18 +369,6 @@ func TestPollOnceVersions(t *testing.T) {
 		ss := mon.PollOnce(context.Background())
 		if !ss[0].Online || ss[0].Version != want || ss[1].Version != "b" || ss[1].Users != r {
 			t.Fatalf("round %d: samples %+v, want a.test at version %q", r, ss, want)
-		}
-	}
-}
-
-func TestSplitAcct(t *testing.T) {
-	u, d, ok := SplitAcct("alice@x.test")
-	if !ok || u != "alice" || d != "x.test" {
-		t.Fatalf("got %q %q %v", u, d, ok)
-	}
-	for _, bad := range []string{"", "alice", "@x", "alice@"} {
-		if _, _, ok := SplitAcct(bad); ok {
-			t.Fatalf("accepted %q", bad)
 		}
 	}
 }

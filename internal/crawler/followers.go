@@ -10,6 +10,7 @@ import (
 	"strconv"
 	"sync"
 
+	"repro/internal/dataset"
 	"repro/internal/wire"
 )
 
@@ -76,7 +77,7 @@ func (l *nameList) name(k int) []byte {
 // path segment, whatever it holds, and a domain part that is not a plain
 // host is refused before it can name another path or authority.
 func (fs *FollowerScraper) scrapeAccount(ctx context.Context, acct string, a *nameList) error {
-	user, domain, ok := SplitAcct(acct)
+	user, domain, ok := dataset.SplitAcct(acct)
 	if !ok || !plainHost(domain) {
 		return fmt.Errorf("crawler: malformed acct %q", acct)
 	}

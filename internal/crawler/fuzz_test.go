@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/dataset"
 	"repro/internal/federation"
 	"repro/internal/instance"
 	"repro/internal/wire"
@@ -32,7 +33,7 @@ func FuzzFollowerPage(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
 		followers, hasNext := parseFollowerPage(body)
 		for _, f := range followers {
-			if _, _, ok := SplitAcct(f); !ok {
+			if _, _, ok := dataset.SplitAcct(f); !ok {
 				t.Fatalf("malformed follower acct %q", f)
 			}
 		}

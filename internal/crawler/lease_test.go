@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -205,76 +206,69 @@ func TestFlatCrawlCancelledMidRun(t *testing.T) {
 	}
 }
 
-// TestFrontierInOrder: the frontier hands out never-leased domains in
-// index order, each under epoch 1, accepts one report per domain and
-// rejects a duplicate, and reports exhaustion once every domain is done.
-func TestFrontierInOrder(t *testing.T) {
-	ctx := context.Background()
-	fr := newFrontier(3, vclock.System())
-	var held []*lease
-	for want := range 3 {
-		l, ok := fr.pop(ctx)
-		if !ok || l.domain != want || l.epoch != 1 {
-			t.Fatalf("pop %d: %+v, want domain %d epoch 1", want, l, want)
-		}
-		held = append(held, l)
-	}
-	for _, l := range held {
-		if !fr.report(l, false) {
-			t.Fatalf("live report for domain %d rejected", l.domain)
-		}
-	}
-	if fr.report(held[1], false) {
-		t.Fatal("duplicate report accepted")
-	}
-	if l, ok := fr.pop(ctx); ok {
-		t.Fatalf("pop after every domain reported: %+v", l)
-	}
-	if fr.stats != (CrawlStats{Domains: 3, Leases: 3}) {
-		t.Fatalf("stats %+v", fr.stats)
-	}
+// countHosts counts the timeline requests that go out to each domain.
+type countHosts struct {
+	inner http.RoundTripper
+	mu    sync.Mutex
+	n     map[string]int
 }
 
-// TestFrontierLeaseExpiry drives expiry on a manual virtual clock: an
-// abandoned lease is only re-issued once virtual time crosses its deadline,
-// and a stale report from the dead holder is discarded.
-func TestFrontierLeaseExpiry(t *testing.T) {
+func (c *countHosts) RoundTrip(req *http.Request) (*http.Response, error) {
+	c.mu.Lock()
+	c.n[req.Host]++
+	c.mu.Unlock()
+	return c.inner.RoundTrip(req)
+}
+
+func (c *countHosts) get(host string) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.n[host]
+}
+
+// TestFleetKillWaitsForTTL drives a worker death on a manual virtual
+// clock: the killed domain is not fetched again until virtual time crosses
+// leaseTTL after the death, and then the crawl returns the flat crawl's
+// harvest.
+func TestFleetKillWaitsForTTL(t *testing.T) {
+	cli, domains := crawlNet(t)
+	want := flatCrawl(cli, domains)
+
+	const victim = 3
+	hosts := &countHosts{inner: cli.HTTP.Transport, n: map[string]int{}}
+	cli.HTTP = &http.Client{Transport: hosts}
 	clk := vclock.NewSim(dataset.Day(0))
-	fr := newFrontier(1, clk)
+	cli.Clock = clk
+	tc := &TootCrawler{Client: cli, Workers: 3, Kill: []Kill{{Domain: victim}}}
 
-	dead, ok := fr.pop(context.Background())
-	if !ok || dead.domain != 0 {
-		t.Fatalf("pop: %+v", dead)
+	type result struct {
+		crawls []InstanceCrawl
+		err    error
 	}
-	fr.abandon(dead)
-
-	got := make(chan *lease, 1)
+	got := make(chan result, 1)
 	go func() {
-		l, _ := fr.pop(context.Background())
-		got <- l
+		crawls, _, err := tc.Crawl(context.Background(), domains)
+		got <- result{crawls, err}
 	}()
-	// The reclaiming worker must park on the clock until the deadline.
-	for clk.WaiterCount() == 0 {
-		time.Sleep(time.Millisecond)
+	// The survivors must park on the clock until the killed domain's TTL.
+	for clk.WaiterCount() != 1 {
+		select {
+		case r := <-got:
+			t.Fatalf("crawl returned (err %v) without waiting on the clock for the killed domain", r.err)
+		default:
+			time.Sleep(time.Millisecond)
+		}
 	}
-	select {
-	case l := <-got:
-		t.Fatalf("lease re-issued before its deadline: %+v", l)
-	default:
+	if n := hosts.get(domains[victim]); n != 1 {
+		t.Fatalf("killed domain fetched %d times before its TTL, want the one page its worker died on", n)
 	}
 	clk.Advance(leaseTTL)
-	l := <-got
-	if l == nil || l.domain != 0 || l.epoch != 2 {
-		t.Fatalf("re-issued lease %+v, want domain 0 epoch 2", l)
+	r := <-got
+	if r.err != nil {
+		t.Fatal(r.err)
 	}
-	if fr.report(dead, false) {
-		t.Fatal("stale report from the dead holder was accepted")
-	}
-	if !fr.report(l, false) {
-		t.Fatal("current lease's report rejected")
-	}
-	if st := fr.stats; st.Abandoned != 1 || st.Dead != 1 || st.Reassigned != 1 || st.Leases != 2 {
-		t.Fatalf("stats %+v", st)
+	if !reflect.DeepEqual(r.crawls, want) {
+		t.Fatal("harvest after the TTL re-crawl differs from the flat crawl")
 	}
 }
 

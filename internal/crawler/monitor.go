@@ -205,7 +205,8 @@ func (p *ProbeLog) DowntimeFraction(domain string) float64 {
 }
 
 // ToTraceSet converts the probe log into the §4.4 trace representation:
-// one bit per recorded round per domain, in domain first-seen order. It
+// one trace per domain, in domain first-seen order, one slot per recorded
+// round and each run of down rounds an outage. It
 // bridges live monitoring to every availability analysis (downtime CDFs,
 // outage durations, AS-failure detection). Returns the trace set and the
 // domain order; domains probed an unequal number of rounds are padded as

@@ -7,7 +7,6 @@ import (
 	"strconv"
 	"time"
 
-	"repro/internal/dataset"
 	"repro/internal/wire"
 )
 
@@ -70,10 +69,11 @@ func (c *InstanceCrawl) Hashtags(t TootRec) []string {
 // TootCrawler pages through the local public timelines of many instances
 // concurrently — the "multi-threaded crawler ... parallelised across 10
 // threads" of §3, with a token bucket standing in for its artificial delays.
-// Crawl (lease.go) runs it; the client's Clock drives the lease deadlines.
+// Crawl (lease.go) runs it; the client's Clock times the re-crawl of a
+// domain whose worker died.
 type TootCrawler struct {
 	Client   *Client
-	Workers  int // leased workers, one instance each (0 = 10, matching the paper)
+	Workers  int // workers, one instance each at a time (0 = 10, matching the paper)
 	MaxToots int // per-instance harvest cap (0 = unlimited)
 	// Kill scripts worker deaths mid-domain, for churn experiments.
 	Kill []Kill
@@ -353,9 +353,4 @@ func authorsIn(results []InstanceCrawl) int {
 // complete harvest's toots are counted, and only it leaves a mark.
 func (c *InstanceCrawl) Complete() bool {
 	return !c.Blocked && !c.Offline && c.Err == nil
-}
-
-// SplitAcct splits user@domain; it returns ok=false for malformed accts.
-func SplitAcct(acct string) (user, domain string, ok bool) {
-	return dataset.SplitAcct(acct)
 }

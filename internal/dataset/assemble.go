@@ -47,7 +47,6 @@ type CrawlProvenance struct {
 }
 
 // SplitAcct splits user@domain; it returns ok=false for malformed accts.
-// (crawler.SplitAcct is an alias of this one.)
 func SplitAcct(acct string) (user, domain string, ok bool) {
 	i := strings.IndexByte(acct, '@')
 	if i <= 0 || i == len(acct)-1 {

@@ -432,3 +432,15 @@ func BenchmarkWorldLoad(b *testing.B) {
 		}
 	}
 }
+
+func TestSplitAcct(t *testing.T) {
+	u, d, ok := dataset.SplitAcct("alice@x.test")
+	if !ok || u != "alice" || d != "x.test" {
+		t.Fatalf("got %q %q %v", u, d, ok)
+	}
+	for _, bad := range []string{"", "alice", "@x", "alice@"} {
+		if _, _, ok := dataset.SplitAcct(bad); ok {
+			t.Fatalf("accepted %q", bad)
+		}
+	}
+}

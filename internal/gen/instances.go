@@ -77,19 +77,12 @@ func growthDay(r *rand.Rand, days int) int {
 	u := r.Float64()
 	switch {
 	case u < 0.64:
-		return r.IntN(maxInt(p1, 1))
+		return r.IntN(max(p1, 1))
 	case u < 0.70:
-		return p1 + r.IntN(maxInt(p2-p1, 1))
+		return p1 + r.IntN(max(p2-p1, 1))
 	default:
-		return p2 + r.IntN(maxInt(days-p2, 1))
+		return p2 + r.IntN(max(days-p2, 1))
 	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // genInstances builds the instance population: sizes, placement, policies
@@ -239,7 +232,7 @@ func genInstances(cfg Config) *instanceModel {
 			// they appeared early and survived the whole period (they failed
 			// *temporarily* with their AS and came back).
 			if plannedOutageASNs[in.ASN] {
-				in.CreatedDay = r.IntN(maxInt(int(float64(cfg.Days)*0.17), 1))
+				in.CreatedDay = r.IntN(max(int(float64(cfg.Days)*0.17), 1))
 				in.GoneDay = -1
 			} else {
 				in.CreatedDay = growthDay(r, cfg.Days)

@@ -178,7 +178,7 @@ func injectASOutages(cfg Config, r *rand.Rand, insts []dataset.Instance, ts *sim
 		}
 		for k := 0; k < plan.Count; k++ {
 			dur := expSlots(r, plan.MeanHours*12, 6)
-			at := lo + r.IntN(maxInt(hi-lo-dur, 1))
+			at := lo + r.IntN(max(hi-lo-dur, 1))
 			for _, id := range members {
 				ts.Traces[id].SetDownRange(at, at+dur)
 			}

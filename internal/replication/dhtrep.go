@@ -1,6 +1,8 @@
 package replication
 
 import (
+	"strconv"
+
 	"repro/internal/dataset"
 	"repro/internal/dht"
 )
@@ -44,7 +46,7 @@ func NewDHTRep(w *dataset.World, ring *dht.Ring) DHTRep {
 		}
 		placed[u] = insts
 	}
-	return DHTRep{placed: placed, label: "DHT-Rep(n=" + itoa(ring.Replication()) + ")"}
+	return DHTRep{placed: placed, label: "DHT-Rep(n=" + strconv.Itoa(ring.Replication()) + ")"}
 }
 
 // Name implements Strategy.

@@ -7,6 +7,7 @@ package replication
 
 import (
 	"slices"
+	"strconv"
 
 	"repro/internal/dataset"
 )
@@ -91,29 +92,7 @@ type RandRep struct {
 
 // Name implements Strategy.
 func (s RandRep) Name() string {
-	return "R-Rep(n=" + itoa(s.N) + ")"
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	neg := n < 0
-	if neg {
-		n = -n
-	}
-	var b [20]byte
-	i := len(b)
-	for n > 0 {
-		i--
-		b[i] = byte('0' + n%10)
-		n /= 10
-	}
-	if neg {
-		i--
-		b[i] = '-'
-	}
-	return string(b[i:])
+	return "R-Rep(n=" + strconv.Itoa(s.N) + ")"
 }
 
 // series: a toot survives iff at least one of its replicas is up.
@@ -220,7 +199,7 @@ func (s WeightedRep) Name() string {
 	if l == "" {
 		l = "weighted"
 	}
-	return "W-Rep(" + l + ",n=" + itoa(s.N) + ")"
+	return "W-Rep(" + l + ",n=" + strconv.Itoa(s.N) + ")"
 }
 
 // search returns sort.SearchFloat64s(s.cum, x), the smallest i with

@@ -157,9 +157,6 @@ func TestStrategyNames(t *testing.T) {
 	if (RandRep{N: 3}).Name() != "R-Rep(n=3)" {
 		t.Fatalf("name = %s", RandRep{N: 3}.Name())
 	}
-	if itoa(0) != "0" || itoa(-12) != "-12" || itoa(345) != "345" {
-		t.Fatal("itoa broken")
-	}
 }
 
 var (

@@ -22,7 +22,7 @@ type CampaignConfig struct {
 	Slots int
 	// ProbeWorkers / CrawlWorkers / ScrapeWorkers bound concurrency in the
 	// three phases (0 = the crawler defaults). CrawlWorkers is the toot
-	// crawl's leased worker count.
+	// crawl's worker count.
 	ProbeWorkers  int
 	CrawlWorkers  int
 	ScrapeWorkers int
@@ -32,8 +32,8 @@ type CampaignConfig struct {
 	// the union of carried and newly seen authors. StartSlot must be the
 	// slot right after the checkpointed window.
 	Resume *Checkpoint
-	// Kill scripts toot-crawl workers dying mid-domain; their leases are
-	// re-issued and the harvest is unchanged — TestFleetEquivalence's
+	// Kill scripts toot-crawl workers dying mid-domain; the survivors
+	// re-crawl their domains and the harvest is unchanged — TestFleetEquivalence's
 	// oracle.
 	Kill []crawler.Kill
 	// Faults, when set, arms the harness's chaos transport with a
@@ -64,7 +64,7 @@ type CampaignResult struct {
 	// availability was live during the crawl and scrape phases.
 	StartSlot int
 	FinalSlot int
-	// CrawlStats counts the toot crawl's leases.
+	// CrawlStats counts the toot crawl's domains, deaths and re-crawls.
 	CrawlStats crawler.CrawlStats
 }
 

@@ -509,7 +509,7 @@ func TestProbeAllocBudget(t *testing.T) {
 		{"up.test", probeAllocsOnline + 2},
 		{"down.test", probeAllocsOffline + 2},
 	} {
-		got := testing.AllocsPerRun(500, func() { cli.Get(ctx, tc.domain, "/api/v1/instance") })
+		got := testing.AllocsPerRun(500, func() { cli.GetChecked(ctx, tc.domain, "/api/v1/instance", nil, nil) })
 		t.Logf("%s: %.0f allocations a probe", tc.domain, got)
 		if got > tc.budget {
 			t.Errorf("%s: a probe allocates %.0f times, budget %.0f", tc.domain, got, tc.budget)
@@ -530,7 +530,7 @@ func BenchmarkProbeExchange(b *testing.B) {
 		b.Run(domain, func(b *testing.B) {
 			b.ReportAllocs()
 			for b.Loop() {
-				cli.Get(ctx, domain, "/api/v1/instance")
+				cli.GetChecked(ctx, domain, "/api/v1/instance", nil, nil)
 			}
 		})
 	}

@@ -55,7 +55,7 @@ func TestFlashCrowdFairness(t *testing.T) {
 			defer wg.Done()
 			defer live.Add(-1)
 			for issued.Add(1) <= budget {
-				if _, err := cli.Get(ctx, "hot.sim", "/api/v1/instance"); err != nil {
+				if _, err := cli.GetChecked(ctx, "hot.sim", "/api/v1/instance", nil, nil); err != nil {
 					t.Error(err)
 					return
 				}
@@ -148,7 +148,7 @@ func TestFlashCrowdBackoffMonotone(t *testing.T) {
 	wall := time.Now()
 	const chains = 6
 	for i := 0; i < chains; i++ {
-		if _, err := cli.Get(context.Background(), "hot.sim", "/"); err == nil {
+		if _, err := cli.GetChecked(context.Background(), "hot.sim", "/", nil, nil); err == nil {
 			t.Fatal("down instance served a request")
 		}
 	}

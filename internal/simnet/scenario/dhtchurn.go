@@ -11,6 +11,7 @@ import (
 	"repro/internal/dht"
 	"repro/internal/replication"
 	"repro/internal/simnet"
+	"repro/internal/stats"
 )
 
 // DHTChurn wakes the dht.Ring as the fediverse's decentralised directory
@@ -216,8 +217,8 @@ func DHTChurn(seed uint64) *Scenario {
 		// Directory vs registry lookup success over the campaign.
 		rep.AddSeries("dir.lookup_success.dht", dhtSuccess)
 		rep.AddSeries("dir.lookup_success.central", centralSuccess)
-		rep.Add("dir.lookup_success.dht_mean", mean(dhtSuccess))
-		rep.Add("dir.lookup_success.central_mean", mean(centralSuccess))
+		rep.Add("dir.lookup_success.dht_mean", stats.Mean(dhtSuccess))
+		rep.Add("dir.lookup_success.central_mean", stats.Mean(centralSuccess))
 		pubs, fails := dir.Stats()
 		rep.Add("dir.publishes", float64(pubs))
 		rep.Add("dir.publish_failures", float64(fails))

@@ -10,10 +10,10 @@ import (
 	"repro/internal/simnet"
 )
 
-// FleetWorkerDeath replays the leased crawl under churn: the §3 toot crawl
-// runs on four workers, two are killed mid-domain by the script, their
-// leases expire at the virtual-time deadline and are re-assigned, the
-// discarded partial harvests are re-crawled in full — and the recovered
+// FleetWorkerDeath replays the toot crawl under churn: the §3 toot crawl
+// runs on four workers, two are killed mid-domain by the script, the two
+// survivors wait out the TTL on the virtual clock and re-crawl the
+// discarded partial harvests in full — and the recovered
 // world must still be byte-identical to a single-worker crawl of the same
 // network. The differential oracle runs inside Collect,
 // so the scenario fails loudly if worker death ever shows through in the

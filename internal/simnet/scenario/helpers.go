@@ -191,18 +191,6 @@ func topASGroups(w *dataset.World, n int) [][]int32 {
 	return groups
 }
 
-// mean averages a series (0 for an empty one).
-func mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
-}
-
 func b2f(v bool) float64 {
 	if v {
 		return 1

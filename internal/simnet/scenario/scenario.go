@@ -50,7 +50,7 @@ type Scenario struct {
 	StartSlot int
 	Slots     int
 	// CrawlWorkers and Kill shape every toot crawl (CrawlNow and the final
-	// crawl), as in simnet.CampaignConfig. The lease counts land in
+	// crawl), as in simnet.CampaignConfig. The crawl's counts land in
 	// Result.CrawlStats.
 	CrawlWorkers int
 	Kill         []crawler.Kill

@@ -83,7 +83,7 @@ func TestHarnessServesWorld(t *testing.T) {
 	if got := len(h.Net.Domains()); got != 8 {
 		t.Fatalf("domains = %d", got)
 	}
-	body, err := h.Client.Get(context.Background(), w.Instances[0].Domain, "/api/v1/instance")
+	body, err := h.Client.GetChecked(context.Background(), w.Instances[0].Domain, "/api/v1/instance", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
