@@ -29,21 +29,6 @@ type WorldParts struct {
 	Followers [][]int32 // each account's followers, as ids, duplicates kept
 	Traces    *sim.TraceSet
 	Days      int
-	// Provenance, when non-nil, records how each instance's harvest ended,
-	// aligned with Instances. A CrawlPartial entry carries the fault that
-	// cut the harvest short; its salvaged toots are excluded from Toots
-	// by the caller (a partial harvest is not trustworthy data).
-	Provenance []CrawlProvenance
-}
-
-// CrawlProvenance is one instance's harvest outcome plus, for partial
-// harvests, the fault that caused it.
-type CrawlProvenance struct {
-	Outcome CrawlOutcome
-	// Fault describes what broke a CrawlPartial/CrawlOffline harvest
-	// (quarantine, decode failure, transport error); empty for clean
-	// outcomes.
-	Fault string
 }
 
 // SplitAcct splits user@domain; it returns ok=false for malformed accts.
@@ -160,7 +145,6 @@ func Assemble(p WorldParts) (*World, []string) {
 		Social:     social,
 		Federation: social.Induce(group, len(p.Instances)),
 		Traces:     p.Traces,
-		Provenance: p.Provenance,
 	}
 	return w, names
 }

@@ -21,13 +21,12 @@ import (
 // before it worked on ids: every observed account in a set, toot counts by
 // name, and one follower → followee pair of names per follow.
 type edgeParts struct {
-	Instances  []dataset.Instance
-	Accounts   map[string]struct{}
-	TootsOf    map[string]int
-	Edges      []followEdge
-	Traces     *sim.TraceSet
-	Days       int
-	Provenance []dataset.CrawlProvenance
+	Instances []dataset.Instance
+	Accounts  map[string]struct{}
+	TootsOf   map[string]int
+	Edges     []followEdge
+	Traces    *sim.TraceSet
+	Days      int
 }
 
 type followEdge struct{ From, To string }
@@ -85,7 +84,6 @@ func refAssemble(p edgeParts) (*dataset.World, []string) {
 		Social:     social,
 		Federation: social.Induce(group, len(p.Instances)),
 		Traces:     p.Traces,
-		Provenance: p.Provenance,
 	}, names
 }
 
@@ -95,7 +93,7 @@ func refAssemble(p edgeParts) (*dataset.World, []string) {
 func byName(p dataset.WorldParts) edgeParts {
 	e := edgeParts{
 		Instances: p.Instances, Accounts: map[string]struct{}{}, TootsOf: map[string]int{},
-		Traces: p.Traces, Days: p.Days, Provenance: p.Provenance,
+		Traces: p.Traces, Days: p.Days,
 	}
 	for a, n := range p.Toots {
 		if n > 0 {
@@ -259,11 +257,6 @@ func TestAssembleMatchesReference(t *testing.T) {
 		}
 	}
 	long := "averyveryveryveryveryverylongsharedprefix"
-	withProvenance := observed(parts(two, 2), nil, edge("b@y.example", "a@x"))
-	withProvenance.Days = 3
-	withProvenance.Provenance = []dataset.CrawlProvenance{
-		{Outcome: dataset.CrawlFull}, {Outcome: dataset.CrawlPartial, Fault: "torn page"},
-	}
 	cases := []struct {
 		name string
 		p    dataset.WorldParts
@@ -295,7 +288,6 @@ func TestAssembleMatchesReference(t *testing.T) {
 			edge("b@x", "a@x"), edge("c@x", "a@x"), edge("a@x", "ghost@x"), edge("b@x", "ghost@x"),
 			edge("a@x", "c@x"), edge("b@x", "a@x"), edge("c@x", "ghost@x"), edge("c@x", "c@x"),
 		)},
-		{"provenance set", withProvenance},
 		// A user's toot count is an int32: a@x's two counts, and b@x's
 		// one, saturate there.
 		{"toot counts saturate", dataset.WorldParts{Instances: two, Traces: flatTraces(2, 2),
@@ -343,10 +335,10 @@ func reversed(es [][2]string) [][2]string {
 // Assemble to refAssemble.
 func FuzzAssemble(f *testing.F) {
 	f.Add([]byte{})
-	f.Add([]byte{3, 1, 2, 0, 9, 0x81, 7, 7, 7, 0, 1, 1, 0, 2, 1, 2, 1})
-	f.Add([]byte("\x08abcdefghijklmnopqrstuvwxyz0123456789\x00\x01\x01\x00\x02\x00\x00\x02\x03\x07\x07\x03"))
-	f.Add(bytes.Repeat([]byte{5, 0xf3, 0x1c}, 40))
-	f.Add([]byte{0, 1, 1, 4, 0, 1, 0, 0, 0}) // a@x: scraped, with no counted toot and no follower
+	f.Add([]byte{1, 2, 0, 9, 0x81, 7, 7, 7, 0, 1, 1, 0, 2, 1, 2, 1})
+	f.Add([]byte("abcdefghijklmnopqrstuvwxyz0123456789\x00\x01\x01\x00\x02\x00\x00\x02\x03\x07\x07\x03"))
+	f.Add(bytes.Repeat([]byte{0xf3, 0x1c, 5}, 40))
+	f.Add([]byte{1, 1, 4, 0, 1, 0, 0, 0}) // a@x: scraped, with no counted toot and no follower
 	f.Fuzz(func(t *testing.T, data []byte) {
 		pos := 0
 		next := func() int {
@@ -363,9 +355,6 @@ func FuzzAssemble(f *testing.F) {
 				{ID: 0, Domain: "x", GoneDay: -1}, {ID: 1, Domain: "y", GoneDay: -1}, {ID: 2, Domain: "x.y", GoneDay: -1},
 			},
 			Traces: flatTraces(3, 2),
-		}
-		if next()&1 == 1 {
-			p.Provenance = make([]dataset.CrawlProvenance, 3)
 		}
 		for n := next() % 24; n > 0; n-- {
 			var user []byte

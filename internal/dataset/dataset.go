@@ -193,13 +193,6 @@ type World struct {
 	// caused by certificate expiry (ground truth for validating Fig 9b's
 	// detector).
 	CertOutageDays map[int32][]int
-
-	// Provenance, when non-nil, records per-instance harvest outcomes for
-	// crawled worlds (aligned with Instances; see CrawlProvenance). It is
-	// in-memory crawl metadata, not part of the serialised world: Save
-	// ignores it, which is also what keeps a partial-harvest world
-	// byte-comparable with its fault-free twin.
-	Provenance []CrawlProvenance
 }
 
 // NumSlots returns the total number of 5-minute probe slots in the

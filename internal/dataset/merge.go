@@ -39,9 +39,11 @@ type CrawlOutcome uint8
 
 // Crawl outcomes of one domain in a delta window.
 const (
-	// CrawlOffline: the instance was unreachable at the window-end crawl;
-	// it contributes no toots to the merged world (its carried harvest is
-	// dropped, as a full union-window crawl would have found nothing).
+	// CrawlOffline: the instance was unreachable at the window-end crawl,
+	// or its harvest died mid-paging (a quarantined host, a byzantine
+	// fault); it contributes no toots to the merged world (its carried
+	// harvest is dropped, as a full union-window crawl would have found
+	// nothing, and a salvaged prefix of unknown length is not trusted).
 	CrawlOffline CrawlOutcome = iota
 	// CrawlBlocked: the instance refused timeline crawling (403).
 	CrawlBlocked
@@ -51,14 +53,6 @@ const (
 	// CrawlDelta: only toots past the carried high-water mark were fetched;
 	// its toot counts extend the carried harvest.
 	CrawlDelta
-	// CrawlPartial: the crawl was cut short by byzantine faults (a
-	// quarantined host, a harvest that died mid-paging). Whatever toots
-	// were salvaged are NOT trusted — a partial harvest of an unknown
-	// prefix cannot be distinguished from a full one, so the merge treats
-	// the domain like CrawlOffline for toot counts and the provenance
-	// records why. Appended after CrawlDelta so earlier encoded values are
-	// unchanged.
-	CrawlPartial
 )
 
 // WindowMeta is the instance-API metadata recovered from a delta window's

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/vclock"
 	"repro/internal/wire"
 )
 
@@ -180,32 +179,5 @@ func TestBusDeliver(t *testing.T) {
 	}
 	if err := b.Deliver(context.Background(), "nowhere.test", follow("y", "n")); err == nil {
 		t.Fatal("expected error for unknown inbox")
-	}
-}
-
-func TestBusLatencyOnVirtualClock(t *testing.T) {
-	// 200 deliveries at 250ms simulated latency = 50s of virtual delay,
-	// but no real sleeping: wall time stays trivially small.
-	clk := vclock.NewElastic(time.Unix(0, 0))
-	b := NewBus()
-	b.SetLatency(clk, 250*time.Millisecond)
-	in := &sink{domain: "x.test"}
-	b.Register(in)
-	start := time.Now()
-	for i := 0; i < 200; i++ {
-		if err := b.Deliver(context.Background(), "x.test", follow("y.test", "x.test")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if wall := time.Since(start); wall > 2*time.Second {
-		t.Fatalf("latency slept %v of wall time", wall)
-	}
-	if got := clk.Now().Sub(time.Unix(0, 0)); got != 50*time.Second {
-		t.Fatalf("virtual time = %v, want 50s", got)
-	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	if len(in.got) != 200 {
-		t.Fatalf("delivered %d", len(in.got))
 	}
 }

@@ -40,7 +40,6 @@ type Account struct {
 	followers []uint32 // actor intern indices, in arrival order
 	following int
 	toots     int
-	boosts    int
 }
 
 // Toot is one status. Remote toots carry the remote author and a local
@@ -213,14 +212,12 @@ func (s *Server) PostToot(ctx context.Context, author, content string, hashtags 
 // delivering an Announce to the account's subscribers.
 func (s *Server) Boost(ctx context.Context, booster, noteID string, origAuthor federation.Actor, at time.Time) error {
 	s.mu.Lock()
-	acct, ok := s.accounts[booster]
-	if !ok {
+	if _, ok := s.accounts[booster]; !ok {
 		s.mu.Unlock()
 		return fmt.Errorf("instance %s: no account %q", s.cfg.Domain, booster)
 	}
 	s.nextID++
 	s.boosts++
-	acct.boosts++
 	actor := federation.Actor{User: booster, Domain: s.cfg.Domain}
 	ri := s.store.add(s.nextID, at, actor, "", "", noteID, nil, false)
 	s.store.appendFederated(ri, s.cfg.MaxFederated)

@@ -30,9 +30,6 @@ type LoadOptions struct {
 	// Clock is the network's time source (nil = the system clock); the
 	// simnet harness injects a vclock.Sim here.
 	Clock vclock.Clock
-	// FederationLatency, when positive, makes every bus delivery take this
-	// long on Clock.
-	FederationLatency time.Duration
 }
 
 // UserName returns the canonical account name for a world user id.
@@ -61,9 +58,6 @@ func LoadWorld(ctx context.Context, w *dataset.World, opts LoadOptions) (*Networ
 		opts.Now = dataset.Day(w.Days)
 	}
 	n := NewNetworkClock(opts.Clock)
-	if opts.FederationLatency > 0 {
-		n.Bus.SetLatency(opts.Clock, opts.FederationLatency)
-	}
 
 	ld := &loader{
 		w:       w,
@@ -111,17 +105,6 @@ func LoadWorld(ctx context.Context, w *dataset.World, opts LoadOptions) (*Networ
 		return nil, errAccountExists(w.Instances[w.Users[dup].Instance].Domain, ld.names[dup])
 	}
 	ld.eachServer(workers, ld.fill)
-
-	if opts.FederationLatency > 0 {
-		// What the handshakes and pushes would have spent on the bus.
-		var deliveries int64
-		for s := range ld.plans {
-			deliveries += ld.plans[s].deliveries
-		}
-		if err := n.Clock().Sleep(ctx, time.Duration(deliveries)*opts.FederationLatency); err != nil {
-			return nil, err
-		}
-	}
 	return n, nil
 }
 
@@ -147,10 +130,9 @@ type serverPlan struct {
 	// actors lists the users the server interns, in intern order: the
 	// authors whose toots it sees, ascending, then its users' remaining
 	// followers.
-	actors     []int32
-	authors    int   // actors[:authors] are the authors
-	deliveries int64 // bus deliveries the enactment makes from and to here
-	dupUser    int32 // first user whose account name was taken, or -1
+	actors  []int32
+	authors int   // actors[:authors] are the authors
+	dupUser int32 // first user whose account name was taken, or -1
 }
 
 // loadScratch is one worker's reusable memory.
@@ -325,7 +307,6 @@ func (ld *loader) plan(sc *loadScratch, s int) {
 	srv.pages.gens[kindFollowers].Store(uint64(inEdges))
 
 	p.actors = slices.Clone(actors)
-	p.deliveries = int64(remoteOut) + nextID - statuses
 	sc.actors = actors
 }
 

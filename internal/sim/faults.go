@@ -92,8 +92,6 @@ type FaultSet struct {
 	// Slots is the schedule length (absolute probe slots, same calendar as
 	// the world's traces).
 	Slots int
-	// SlotsPerDay is the probing cadence (288 = the paper's five minutes).
-	SlotsPerDay int
 	// Faults holds each instance's episodes, sorted by Start.
 	Faults [][]Fault
 }
@@ -167,8 +165,6 @@ type FaultConfig struct {
 	Seed uint64
 	// Slots is the schedule length (absolute slots, like StormConfig).
 	Slots int
-	// SlotsPerDay is the probing cadence (0 = 288).
-	SlotsPerDay int
 	// Faults is the number of transient episodes per instance (0 = 1).
 	Faults int
 	// MinSlots is the minimum episode duration (0 = 1 slot); MeanSlots the
@@ -179,22 +175,16 @@ type FaultConfig struct {
 	// budget (0 = 2). Keep it below the crawler's per-call retry attempts
 	// or the schedule stops being convergable.
 	Hits int
-	// Kinds is the episode kind population drawn from (empty = all seven).
-	Kinds []FaultKind
 	// WindowStart/WindowEnd bound the slots an episode may cover, clamped
 	// to [0, Slots). WindowEnd 0 means Slots.
 	WindowStart, WindowEnd int
 
 	// Persistent lists instance ids that additionally get one
-	// unlimited-hit PersistentKind fault covering [PersistentFrom, Slots)
-	// — the domains a budgeted crawler must quarantine. Out-of-range ids
-	// are ignored.
+	// unlimited-hit Fault5xx fault covering [PersistentFrom, Slots) — the
+	// domains a budgeted crawler must quarantine. Out-of-range ids are
+	// ignored.
 	Persistent     []int32
 	PersistentFrom int
-	// PersistentKind is the persistent failure mode (0 = Fault5xx).
-	// FaultFlap is rejected: flapping lets every other request through and
-	// can never be persistent pressure.
-	PersistentKind FaultKind
 }
 
 // GenFaultSchedule generates a fault schedule for n instances. Each
@@ -206,10 +196,6 @@ type FaultConfig struct {
 func GenFaultSchedule(n int, cfg FaultConfig) *FaultSet {
 	if n < 0 || cfg.Slots <= 0 {
 		panic("sim: GenFaultSchedule needs n >= 0 and positive Slots")
-	}
-	spd := cfg.SlotsPerDay
-	if spd <= 0 {
-		spd = 288
 	}
 	faults := cfg.Faults
 	if faults < 0 {
@@ -225,31 +211,12 @@ func GenFaultSchedule(n int, cfg FaultConfig) *FaultSet {
 	if hits <= 0 {
 		hits = 2
 	}
-	kinds := cfg.Kinds
-	if len(kinds) == 0 {
-		kinds = []FaultKind{FaultHang, FaultReset, FaultTruncate, FaultCorrupt, Fault5xx, Fault429, FaultFlap}
-	}
-	for _, k := range kinds {
-		if k <= FaultNone || k >= faultKinds {
-			panic("sim: GenFaultSchedule: invalid fault kind in Kinds")
-		}
-	}
 	lo, hi := cfg.WindowStart, cfg.WindowEnd
 	if lo < 0 {
 		lo = 0
 	}
 	if hi <= 0 || hi > cfg.Slots {
 		hi = cfg.Slots
-	}
-	pKind := cfg.PersistentKind
-	if pKind == FaultNone {
-		pKind = Fault5xx
-	}
-	if pKind == FaultFlap {
-		panic("sim: GenFaultSchedule: FaultFlap cannot be persistent")
-	}
-	if pKind >= faultKinds {
-		panic("sim: GenFaultSchedule: invalid PersistentKind")
 	}
 	pFrom := cfg.PersistentFrom
 	if pFrom < 0 {
@@ -259,7 +226,7 @@ func GenFaultSchedule(n int, cfg FaultConfig) *FaultSet {
 		pFrom = cfg.Slots
 	}
 
-	fs := &FaultSet{Slots: cfg.Slots, SlotsPerDay: spd, Faults: make([][]Fault, n)}
+	fs := &FaultSet{Slots: cfg.Slots, Faults: make([][]Fault, n)}
 	persistent := make(map[int]bool, len(cfg.Persistent))
 	for _, id := range cfg.Persistent {
 		if id >= 0 && int(id) < n {
@@ -287,8 +254,10 @@ func GenFaultSchedule(n int, cfg FaultConfig) *FaultSet {
 				dur = window
 			}
 			start := lo + r.IntN(window-dur+1)
-			kind := kinds[r.IntN(len(kinds))]
-			ra := 1 + r.IntN(8) // Retry-After seconds of a 429 episode
+			// Any kind but FaultNone; ra is a 429 episode's Retry-After
+			// seconds.
+			kind := FaultNone + 1 + FaultKind(r.IntN(int(faultKinds-FaultNone-1)))
+			ra := 1 + r.IntN(8)
 			fl = append(fl, Fault{
 				Kind:       kind,
 				Start:      start,
@@ -299,7 +268,7 @@ func GenFaultSchedule(n int, cfg FaultConfig) *FaultSet {
 		}
 		if persistent[i] && pFrom < cfg.Slots {
 			fl = append(fl, Fault{
-				Kind:       pKind,
+				Kind:       Fault5xx,
 				Start:      pFrom,
 				End:        cfg.Slots,
 				RetryAfter: 1,

@@ -38,7 +38,7 @@ func TestGenFaultScheduleShape(t *testing.T) {
 	cfg := FaultConfig{
 		Seed: 4, Slots: 400, Faults: 4, MinSlots: 3, MeanSlots: 10,
 		Hits: 2, WindowStart: 20, WindowEnd: 380,
-		Persistent: []int32{5}, PersistentFrom: 200, PersistentKind: Fault429,
+		Persistent: []int32{5}, PersistentFrom: 200,
 	}
 	fs := GenFaultSchedule(12, cfg)
 	if fs.Len() != 12 {
@@ -66,7 +66,7 @@ func TestGenFaultScheduleShape(t *testing.T) {
 				if i != 5 {
 					t.Fatalf("instance %d has an unscheduled persistent fault", i)
 				}
-				if f.Kind != Fault429 || f.Start != 200 || f.End != 400 {
+				if f.Kind != Fault5xx || f.Start != 200 || f.End != 400 {
 					t.Fatalf("persistent fault wrong shape: %+v", f)
 				}
 				continue
@@ -102,7 +102,7 @@ func TestGenFaultScheduleShape(t *testing.T) {
 }
 
 func TestFaultSetAt(t *testing.T) {
-	fs := &FaultSet{Slots: 100, SlotsPerDay: 288, Faults: [][]Fault{
+	fs := &FaultSet{Slots: 100, Faults: [][]Fault{
 		{
 			{Kind: FaultHang, Start: 10, End: 30, Hits: 2},
 			{Kind: Fault5xx, Start: 20, End: 40, Hits: 2},
@@ -140,12 +140,6 @@ func TestGenFaultSchedulePanics(t *testing.T) {
 	}
 	mustPanic("negative n", func() { GenFaultSchedule(-1, FaultConfig{Slots: 10}) })
 	mustPanic("zero slots", func() { GenFaultSchedule(5, FaultConfig{}) })
-	mustPanic("persistent flap", func() {
-		GenFaultSchedule(5, FaultConfig{Slots: 10, PersistentKind: FaultFlap})
-	})
-	mustPanic("invalid kind", func() {
-		GenFaultSchedule(5, FaultConfig{Slots: 10, Kinds: []FaultKind{FaultNone}})
-	})
 }
 
 // FuzzFaultSchedule drives GenFaultSchedule across its whole knob space and
@@ -153,22 +147,18 @@ func TestGenFaultSchedulePanics(t *testing.T) {
 // interval bounds, per-instance sort order, persistent bookkeeping, and At
 // consistency with the raw fault lists.
 func FuzzFaultSchedule(f *testing.F) {
-	f.Add(uint64(1), uint16(200), uint8(10), uint8(2), uint8(3), uint8(2), uint16(20), uint16(180), uint8(3), uint16(100), uint8(5))
-	f.Add(uint64(99), uint16(576), uint8(40), uint8(1), uint8(0), uint8(1), uint16(0), uint16(0), uint8(0), uint16(0), uint8(0))
-	f.Add(uint64(7), uint16(50), uint8(3), uint8(5), uint8(8), uint8(4), uint16(40), uint16(10), uint8(1), uint16(49), uint8(2))
-	f.Fuzz(func(t *testing.T, seed uint64, slots uint16, n, faults, meanSlots, hits uint8, winLo, winHi uint16, nPersistent uint8, pFrom uint16, pKind uint8) {
+	f.Add(uint64(1), uint16(200), uint8(10), uint8(2), uint8(3), uint8(2), uint16(20), uint16(180), uint8(3), uint16(100))
+	f.Add(uint64(99), uint16(576), uint8(40), uint8(1), uint8(0), uint8(1), uint16(0), uint16(0), uint8(0), uint16(0))
+	f.Add(uint64(7), uint16(50), uint8(3), uint8(5), uint8(8), uint8(4), uint16(40), uint16(10), uint8(1), uint16(49))
+	f.Fuzz(func(t *testing.T, seed uint64, slots uint16, n, faults, meanSlots, hits uint8, winLo, winHi uint16, nPersistent uint8, pFrom uint16) {
 		if slots == 0 {
 			slots = 1
-		}
-		kind := FaultKind(pKind % uint8(faultKinds))
-		if kind == FaultFlap {
-			kind = Fault5xx
 		}
 		cfg := FaultConfig{
 			Seed: seed, Slots: int(slots), Faults: int(faults),
 			MeanSlots: float64(meanSlots), Hits: int(hits),
 			WindowStart: int(winLo), WindowEnd: int(winHi),
-			PersistentFrom: int(pFrom), PersistentKind: kind,
+			PersistentFrom: int(pFrom),
 		}
 		for i := uint8(0); i < nPersistent; i++ {
 			cfg.Persistent = append(cfg.Persistent, int32(i))

@@ -37,12 +37,11 @@ func runCampaign(t *testing.T) (*Harness, *CampaignResult) {
 	t.Helper()
 	w := campaignWorld()
 	h, err := New(context.Background(), w, Options{
-		MaxTootsPerUser:   campTootCap,
-		Retries:           2, // a down instance costs one virtual backoff per probe
-		Backoff:           50 * time.Millisecond,
-		RatePerHost:       500,
-		Burst:             200,
-		FederationLatency: 20 * time.Millisecond,
+		MaxTootsPerUser: campTootCap,
+		Retries:         2, // a down instance costs one virtual backoff per probe
+		Backoff:         50 * time.Millisecond,
+		RatePerHost:     500,
+		Burst:           200,
 	})
 	if err != nil {
 		t.Fatal(err)

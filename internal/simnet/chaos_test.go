@@ -298,19 +298,19 @@ func TestChaosConvergence(t *testing.T) {
 				if q := quarantined(h); !equalStrings(q, want) {
 					t.Fatalf("quarantine set %v, want %v", q, want)
 				}
-				// Partial-harvest provenance: the quarantined targets are
-				// recorded with the fault that cut them off.
-				provByDomain := make(map[string]dataset.CrawlProvenance)
-				for i, p := range world.Provenance {
-					provByDomain[res.Domains[i]] = p
+				// The quarantined targets' crawls are not clean: each was
+				// cut off by the breaker and carries the fault.
+				crawlOf := make(map[string]*crawler.InstanceCrawl, len(res.Crawls))
+				for i := range res.Crawls {
+					crawlOf[res.Domains[i]] = &res.Crawls[i]
 				}
 				for _, dom := range targetDomains {
-					p := provByDomain[dom]
-					if p.Outcome == dataset.CrawlFull || p.Outcome == dataset.CrawlDelta {
-						t.Fatalf("quarantined %s recorded a clean outcome %d", dom, p.Outcome)
+					c := crawlOf[dom]
+					if !c.Quarantined {
+						t.Fatalf("quarantined %s's crawl is not marked quarantined", dom)
 					}
-					if p.Fault == "" {
-						t.Fatalf("quarantined %s carries no fault provenance", dom)
+					if c.Err == nil {
+						t.Fatalf("quarantined %s's crawl carries no fault", dom)
 					}
 				}
 				// Quarantine ends a domain's crawl; its lease still

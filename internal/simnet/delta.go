@@ -136,12 +136,9 @@ func DeltaOf(res *CampaignResult, ck *Checkpoint) (*dataset.WindowDelta, error) 
 		switch {
 		case c.Blocked:
 			d.Crawl[i] = dataset.CrawlBlocked
-		case c.Err != nil && len(c.Toots) > 0:
-			// The harvest died mid-paging (quarantine, byzantine fault):
-			// the salvaged prefix is not trustworthy delta data and is
-			// dropped, exactly as Merge drops a CrawlOffline domain.
-			d.Crawl[i] = dataset.CrawlPartial
 		case c.Offline || c.Err != nil:
+			// A harvest that died mid-paging (quarantine, byzantine fault)
+			// salvaged a prefix that is not trustworthy delta data.
 			d.Crawl[i] = dataset.CrawlOffline
 		case c.SinceID > 0:
 			d.Crawl[i] = dataset.CrawlDelta

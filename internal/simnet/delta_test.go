@@ -34,12 +34,11 @@ func TestIncrementalCampaignMatchesFull(t *testing.T) {
 		slotsB    = 1 * dataset.SlotsPerDay
 	)
 	opts := Options{
-		MaxTootsPerUser:   campTootCap,
-		Retries:           2,
-		Backoff:           50 * time.Millisecond,
-		RatePerHost:       500,
-		Burst:             200,
-		FederationLatency: 20 * time.Millisecond,
+		MaxTootsPerUser: campTootCap,
+		Retries:         2,
+		Backoff:         50 * time.Millisecond,
+		RatePerHost:     500,
+		Burst:           200,
 	}
 	ctx := context.Background()
 

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"time"
 
 	"repro/internal/dht"
 	"repro/internal/federation"
@@ -18,17 +17,15 @@ import (
 // member; presence records (the instance's federation peer list, under
 // dht.PresenceKey) and replica-holder records (per-author §5.2 index
 // entries, under dht.AuthorKey) are published to the key's index holders
-// over a federation bus: each delivery pays the configured virtual-time
-// latency and fails when the holder's instance is down, so a publish
-// during an outage storm visibly degrades. Liveness is driven by the
+// over a federation bus: each delivery fails when the holder's instance is
+// down, so a publish during an outage storm visibly degrades. Liveness is driven by the
 // outage injector: Sync mirrors every server's Online state into the
 // ring's SetDown, making the directory live through exactly the churn the
 // campaign scripts.
 //
 // The bus the records ride is the directory's own overlay (one inbox per
-// ring member, same clock and latency as the instance bus) — the DHT's
-// RPC plane, kept separate from the ActivityPub traffic so directory
-// chatter never competes with Follow/Create deliveries.
+// ring member) — the DHT's RPC plane, kept separate from the ActivityPub
+// traffic so directory chatter never competes with Follow/Create deliveries.
 type Directory struct {
 	// Ring is the underlying Chord-style index (exported for metrics:
 	// RouteStats, Keys).
@@ -43,28 +40,16 @@ type Directory struct {
 	publishFailures int // deliveries refused (holder down)
 }
 
-// DirectoryOptions configures NewDirectory.
-type DirectoryOptions struct {
-	// Replication is the index replication factor (0 = dht.DefaultReplication).
-	Replication int
-	// Latency is the virtual time each record delivery costs on the overlay
-	// bus (0 = instantaneous).
-	Latency time.Duration
-}
-
 // NewDirectory builds the directory over every instance the network
 // currently hosts: all domains join the ring (one bulk rebuild), each gets
 // an overlay inbox, and nothing is published yet — call PublishPresence /
 // PublishAll once the campaign is ready.
-func NewDirectory(net *instance.Network, opts DirectoryOptions) *Directory {
+func NewDirectory(net *instance.Network) *Directory {
 	d := &Directory{
-		Ring:    dht.NewRing(opts.Replication),
+		Ring:    dht.NewRing(dht.DefaultReplication),
 		net:     net,
 		bus:     federation.NewBus(),
 		members: make(map[string]bool),
-	}
-	if opts.Latency > 0 {
-		d.bus.SetLatency(net.Clock(), opts.Latency)
 	}
 	domains := net.Domains()
 	d.Ring.JoinAll(domains)

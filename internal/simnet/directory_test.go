@@ -25,7 +25,7 @@ func dirNetwork(t *testing.T, n int, clk vclock.Clock) *instance.Network {
 func TestDirectoryPublishResolve(t *testing.T) {
 	ctx := context.Background()
 	net := dirNetwork(t, 8, nil)
-	d := NewDirectory(net, DirectoryOptions{})
+	d := NewDirectory(net)
 
 	// Federate d0 with d1 and d2 so its peer list is non-trivial.
 	s0 := net.Server("d0.test")
@@ -63,7 +63,7 @@ func TestDirectoryPublishResolve(t *testing.T) {
 func TestDirectorySyncMirrorsOutages(t *testing.T) {
 	ctx := context.Background()
 	net := dirNetwork(t, 6, nil)
-	d := NewDirectory(net, DirectoryOptions{Replication: 2})
+	d := NewDirectory(net)
 
 	key := dht.AuthorKey(7)
 	if err := d.Publish(ctx, "d0.test", key, []string{"d0.test"}); err != nil {
@@ -100,7 +100,7 @@ func TestDirectorySyncMirrorsOutages(t *testing.T) {
 func TestDirectoryPublishFailuresCountDownHolders(t *testing.T) {
 	ctx := context.Background()
 	net := dirNetwork(t, 6, nil)
-	d := NewDirectory(net, DirectoryOptions{Replication: 3})
+	d := NewDirectory(net)
 
 	key := dht.AuthorKey(42)
 	holders, err := d.Ring.Holders(key)
@@ -122,26 +122,10 @@ func TestDirectoryPublishFailuresCountDownHolders(t *testing.T) {
 	}
 }
 
-func TestDirectoryLatencyPaysVirtualTime(t *testing.T) {
-	ctx := context.Background()
-	start := time.Unix(0, 0).UTC()
-	clk := vclock.NewElastic(start)
-	net := dirNetwork(t, 4, clk)
-	d := NewDirectory(net, DirectoryOptions{Replication: 2, Latency: 250 * time.Millisecond})
-
-	if err := d.Publish(ctx, "d0.test", "k", []string{"v"}); err != nil {
-		t.Fatal(err)
-	}
-	// Two holder deliveries, 250ms of virtual latency each, paid serially.
-	if got, want := clk.Now().Sub(start), 500*time.Millisecond; got != want {
-		t.Fatalf("virtual time advanced %v, want %v", got, want)
-	}
-}
-
 func TestDirectoryRegister(t *testing.T) {
 	ctx := context.Background()
 	net := dirNetwork(t, 4, nil)
-	d := NewDirectory(net, DirectoryOptions{Replication: 2})
+	d := NewDirectory(net)
 
 	// A newbie registers mid-campaign and becomes part of the index.
 	net.Add(instance.Config{Domain: "newbie.test", Open: true})

@@ -378,7 +378,7 @@ func TestFaultTransportOverExchange(t *testing.T) {
 			mem := &MemoryTransport{Handler: exchangeFixture(t)}
 			clk := vclock.NewElastic(dataset.Day(0))
 			ft := NewFaultTransport(mem, clk)
-			ft.Install(&sim.FaultSet{Slots: 1, SlotsPerDay: 1, Faults: [][]sim.Fault{
+			ft.Install(&sim.FaultSet{Slots: 1, Faults: [][]sim.Fault{
 				{{Kind: kind, Start: 0, End: 1, Hits: 2}},
 			}}, domains)
 			ft.SetSlotSource(func() int { return 0 })

@@ -32,12 +32,11 @@ const (
 
 func fleetOptions() Options {
 	return Options{
-		MaxTootsPerUser:   campTootCap,
-		Retries:           2,
-		Backoff:           50 * time.Millisecond,
-		RatePerHost:       500,
-		Burst:             200,
-		FederationLatency: 20 * time.Millisecond,
+		MaxTootsPerUser: campTootCap,
+		Retries:         2,
+		Backoff:         50 * time.Millisecond,
+		RatePerHost:     500,
+		Burst:           200,
 	}
 }
 

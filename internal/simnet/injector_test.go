@@ -126,7 +126,7 @@ func TestInjectorKillBeatsFlapAndOverlay(t *testing.T) {
 	inj := NewInjector(net, domains, ts)
 
 	// A flap covering the whole window on domain 0, with hits left to spend.
-	fs := &sim.FaultSet{Slots: 12, SlotsPerDay: 12, Faults: [][]sim.Fault{
+	fs := &sim.FaultSet{Slots: 12, Faults: [][]sim.Fault{
 		{{Kind: sim.FaultFlap, Start: 0, End: 12, Hits: 2}},
 		nil,
 	}}

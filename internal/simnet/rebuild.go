@@ -58,33 +58,12 @@ func Rebuild(res *CampaignResult) (*dataset.World, []string) {
 		}
 		parts.Instances[i] = in
 	}
-	parts.Provenance = make([]dataset.CrawlProvenance, len(res.Crawls))
+	// A harvest that died mid-paging is a partial prefix of unknown
+	// coverage and an unreachable instance harvested nothing: neither
+	// contributes toots (AuthorToots counts complete harvests only), and
+	// InstanceCrawl keeps the distinction and the fault.
 	for i := range res.Crawls {
-		c := &res.Crawls[i]
-		switch {
-		case c.Blocked:
-			parts.Instances[i].BlocksCrawl = true
-			parts.Provenance[i] = dataset.CrawlProvenance{Outcome: dataset.CrawlBlocked}
-			continue
-		case c.Err != nil || c.Offline:
-			// A harvest that died mid-paging is a partial prefix of
-			// unknown coverage; an unreachable instance harvested nothing.
-			// Neither contributes toots (AuthorToots counts complete
-			// harvests only) — exactly what a clean crawl of an offline
-			// instance records — but the provenance keeps the distinction
-			// (and the fault) for the analysis layer.
-			outcome := dataset.CrawlOffline
-			if len(c.Toots) > 0 {
-				outcome = dataset.CrawlPartial
-			}
-			var fault string
-			if c.Err != nil {
-				fault = c.Err.Error()
-			}
-			parts.Provenance[i] = dataset.CrawlProvenance{Outcome: outcome, Fault: fault}
-			continue
-		}
-		parts.Provenance[i] = dataset.CrawlProvenance{Outcome: dataset.CrawlFull}
+		parts.Instances[i].BlocksCrawl = res.Crawls[i].Blocked
 	}
 	return dataset.Assemble(parts)
 }

@@ -108,7 +108,7 @@ func DHTChurn(seed uint64) *Scenario {
 			Do: func(ctx context.Context, r *Run) error {
 				dhtSuccess, centralSuccess = nil, nil
 				snap = nil
-				dir = simnet.NewDirectory(r.H.Net, simnet.DirectoryOptions{})
+				dir = simnet.NewDirectory(r.H.Net)
 				if err := dir.PublishAllPresence(ctx); err != nil {
 					return err
 				}

@@ -38,8 +38,6 @@ type Options struct {
 	// the client — throttling that costs virtual, not wall, time.
 	RatePerHost float64
 	Burst       float64
-	// FederationLatency delays every bus delivery by this much virtual time.
-	FederationLatency time.Duration
 	// RequestTimeout bounds each individual crawler attempt (0 = none);
 	// under chaos schedules it is what turns a hang into one lost deadline
 	// instead of a stalled campaign.
@@ -69,9 +67,8 @@ type Harness struct {
 func New(ctx context.Context, w *dataset.World, opts Options) (*Harness, error) {
 	clk := vclock.NewElastic(dataset.Day(0))
 	net, err := instance.LoadWorld(ctx, w, instance.LoadOptions{
-		MaxTootsPerUser:   opts.MaxTootsPerUser,
-		Clock:             clk,
-		FederationLatency: opts.FederationLatency,
+		MaxTootsPerUser: opts.MaxTootsPerUser,
+		Clock:           clk,
 	})
 	if err != nil {
 		return nil, err

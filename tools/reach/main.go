@@ -1,18 +1,28 @@
 // Command reach reports what no binary in the repository can reach: every
 // non-test function outside bench/ that is not reachable from a func main
-// (cmd/*, bench/), an init or a package-level initialiser, and every
-// package-level type, constant and variable that reachable code never names.
+// (cmd/*, bench/), an init or a package-level initialiser, every
+// package-level type, constant and variable that reachable code never names,
+// and every struct field declared outside bench/ that reachable code never
+// writes.
 //
 // The analysis is rapid type analysis over the standard library's type
 // checker: a function is reached when reached code names it; a method is also
 // reached when reached code calls an interface method that a type reached code
 // mentions implements with it, or when such a type satisfies a standard
-// library interface (the library calls those itself).
+// library interface (the library calls those itself). Reached code writes a
+// field when it keys it in a composite literal, uses an unkeyed literal of its
+// struct, assigns to it (=, op=, ++, --, or an index of it on the left), takes
+// its address (&x.F, x.arr[:], or the implicit address of a pointer-receiver
+// call such as x.mu.Lock()).
 //
-// keep.txt lists what stays although unreachable, one per line as
-// "pkg.Recv.Name — TestName, what the test uses it for". The exit status is 1
-// when something unreachable is not listed, and when an entry is stale: the
-// name is reachable again or gone, or the test it cites does not exist.
+// keep.txt lists what stays although unreachable or unwritten, one per line
+// as "pkg.Recv.Name — TestName, what the test uses it for" (a field is
+// "pkg.Type.Field"). The exit status is 1 when something is not listed, and
+// when an entry is stale: the name is reachable or written again, or gone, or
+// the test it cites does not exist or does not reach it. A cited test reaches
+// a name when the same walk, started at the test with its package compiled
+// together with its _test.go files as go test builds it, names it; for a
+// field, when that walk writes it.
 //
 // Usage, from this directory: go run . [-root ../..] [-keep keep.txt]
 package main
@@ -27,6 +37,7 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -35,6 +46,7 @@ import (
 )
 
 type pkg struct {
+	path   string
 	files  []*ast.File
 	types  *types.Package
 	info   *types.Info
@@ -48,6 +60,9 @@ type loader struct {
 	std    types.Importer
 	pkgs   map[string]*pkg // by import path
 	errs   []error
+
+	testFiles map[string][]*ast.File // _test.go files by directory
+	worlds    map[string]*world      // by directory
 }
 
 func (l *loader) Import(path string) (*types.Package, error) {
@@ -62,7 +77,7 @@ func (l *loader) Import(path string) (*types.Package, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &pkg{report: !strings.HasPrefix(path, l.module+"/bench")}
+	p := &pkg{path: path, report: !strings.HasPrefix(path, l.module+"/bench")}
 	for _, name := range names {
 		if ok, _ := build.Default.MatchFile(dir, filepath.Base(name)); !ok || strings.HasSuffix(name, "_test.go") {
 			continue
@@ -76,14 +91,96 @@ func (l *loader) Import(path string) (*types.Package, error) {
 	if len(p.files) == 0 {
 		return nil, fmt.Errorf("no Go files in %s", dir)
 	}
-	p.info = &types.Info{
-		Defs: map[*ast.Ident]types.Object{},
-		Uses: map[*ast.Ident]types.Object{},
-	}
 	l.pkgs[path] = p
-	cfg := types.Config{Importer: l, Error: func(err error) { l.errs = append(l.errs, err) }}
-	p.types, _ = cfg.Check(path, l.fset, p.files, p.info)
+	l.check(p, l)
 	return p.types, nil
+}
+
+// check type-checks p's files, resolving its imports through imp.
+func (l *loader) check(p *pkg, imp types.Importer) {
+	p.info = &types.Info{
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Defs:       map[*ast.Ident]types.Object{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
+	}
+	cfg := types.Config{Importer: imp, Error: func(err error) { l.errs = append(l.errs, err) }}
+	p.types, _ = cfg.Check(p.path, l.fset, p.files, p.info)
+}
+
+// world is the program the tests of one directory see, as go test builds
+// it: the package there type-checked together with its internal _test.go
+// files, its external test package, and every package of the module the
+// external tests import that imports the package under test, recompiled
+// against it.
+type world struct {
+	l     *loader
+	under string          // import path of the package under test
+	pkgs  map[string]*pkg // this world's own type-checks, by import path
+	deps  map[string]bool // whether a package imports under, directly or not
+}
+
+func (w *world) Import(path string) (*types.Package, error) {
+	if p, ok := w.pkgs[path]; ok {
+		return p.types, nil
+	}
+	base, ok := w.l.pkgs[path]
+	if !ok || !w.imports(base.types) {
+		return w.l.Import(path)
+	}
+	p := &pkg{path: path, files: base.files, report: base.report}
+	w.pkgs[path] = p
+	w.l.check(p, w)
+	return p.types, nil
+}
+
+func (w *world) imports(t *types.Package) bool {
+	if v, ok := w.deps[t.Path()]; ok {
+		return v
+	}
+	w.deps[t.Path()] = false
+	for _, imp := range t.Imports() {
+		if imp.Path() == w.under || w.imports(imp) {
+			w.deps[t.Path()] = true
+			return true
+		}
+	}
+	return false
+}
+
+// testWorld returns the world of dir's tests.
+func (l *loader) testWorld(dir string) *world {
+	if w := l.worlds[dir]; w != nil {
+		return w
+	}
+	rel, _ := filepath.Rel(l.root, dir)
+	path := filepath.ToSlash(filepath.Join(l.module, rel))
+	w := &world{l: l, under: path, pkgs: map[string]*pkg{}, deps: map[string]bool{}}
+	l.worlds[dir] = w
+	in := &pkg{path: path}
+	names := map[string]bool{}
+	if base := l.pkgs[path]; base != nil {
+		in.files = append(in.files, base.files...)
+		names[base.types.Name()] = true
+	}
+	for _, f := range l.testFiles[dir] {
+		names[f.Name.Name] = true
+	}
+	ext := &pkg{path: path + "_test"}
+	for _, f := range l.testFiles[dir] {
+		if name := f.Name.Name; strings.HasSuffix(name, "_test") && names[strings.TrimSuffix(name, "_test")] {
+			ext.files = append(ext.files, f)
+		} else {
+			in.files = append(in.files, f)
+		}
+	}
+	w.pkgs[path] = in
+	l.check(in, w)
+	if len(ext.files) > 0 {
+		w.pkgs[ext.path] = ext
+		l.check(ext, w)
+	}
+	return w
 }
 
 // decl is one reportable declaration: a function, or a package-level type,
@@ -98,18 +195,30 @@ type decl struct {
 
 type analysis struct {
 	decls     map[types.Object]*decl
+	base      map[types.Object]*decl // consulted after decls
 	reached   map[types.Object]bool
 	work      []*decl
 	mentioned map[*types.Named]bool
 	called    map[*types.Func]bool // interface methods reached code calls
 	stdIfaces []*types.Interface
+	written   map[*types.Var]bool // fields reached code writes, as declared
+}
+
+func newAnalysis(stdIfaces []*types.Interface) *analysis {
+	return &analysis{decls: map[types.Object]*decl{}, reached: map[types.Object]bool{},
+		mentioned: map[*types.Named]bool{}, called: map[*types.Func]bool{}, stdIfaces: stdIfaces,
+		written: map[*types.Var]bool{}}
 }
 
 func (a *analysis) reach(obj types.Object) {
 	if f, ok := obj.(*types.Func); ok {
 		obj = f.Origin()
 	}
-	if d := a.decls[obj]; d != nil && !a.reached[obj] {
+	d := a.decls[obj]
+	if d == nil {
+		d = a.base[obj]
+	}
+	if d != nil && !a.reached[obj] {
 		a.reached[obj] = true
 		a.work = append(a.work, d)
 	}
@@ -146,27 +255,128 @@ func (a *analysis) mention(t types.Type) {
 	}
 }
 
-// walk reaches everything the syntax under n names.
+// walk reaches everything the syntax under n names, and records the fields
+// it writes.
 func (a *analysis) walk(n ast.Node, info *types.Info) {
 	ast.Inspect(n, func(n ast.Node) bool {
-		id, ok := n.(*ast.Ident)
-		if !ok {
-			return true
-		}
-		switch obj := info.Uses[id].(type) {
-		case *types.Func:
-			if recv := obj.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
-				a.called[obj] = true
+		switch n := n.(type) {
+		case *ast.Ident:
+			switch obj := info.Uses[n].(type) {
+			case *types.Func:
+				if recv := obj.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
+					a.called[obj] = true
+				}
+				a.reach(obj)
+			case *types.TypeName:
+				a.reach(obj)
+				a.mention(obj.Type())
+			case *types.Var, *types.Const:
+				a.reach(obj)
 			}
-			a.reach(obj)
-		case *types.TypeName:
-			a.reach(obj)
-			a.mention(obj.Type())
-		case *types.Var, *types.Const:
-			a.reach(obj)
+		case *ast.CompositeLit:
+			st, ok := deref(info.TypeOf(n)).Underlying().(*types.Struct)
+			if !ok || len(n.Elts) == 0 {
+				break
+			}
+			if _, keyed := n.Elts[0].(*ast.KeyValueExpr); !keyed {
+				for i := 0; i < st.NumFields(); i++ {
+					a.write(st.Field(i))
+				}
+				break
+			}
+			for _, e := range n.Elts {
+				if v, ok := info.Uses[e.(*ast.KeyValueExpr).Key.(*ast.Ident)].(*types.Var); ok {
+					a.write(v)
+				}
+			}
+		case *ast.AssignStmt:
+			if n.Tok != token.DEFINE {
+				for _, lhs := range n.Lhs {
+					a.assign(lhs, info)
+				}
+			}
+		case *ast.RangeStmt:
+			if n.Tok == token.ASSIGN {
+				a.assign(n.Key, info)
+				a.assign(n.Value, info)
+			}
+		case *ast.IncDecStmt:
+			a.assign(n.X, info)
+		case *ast.UnaryExpr:
+			if n.Op == token.AND {
+				a.assign(n.X, info)
+			}
+		case *ast.SliceExpr:
+			// Slicing an array takes its address.
+			if _, ok := info.TypeOf(n.X).Underlying().(*types.Array); ok {
+				a.assign(n.X, info)
+			}
+		case *ast.SelectorExpr:
+			// A pointer-receiver method of an addressable operand takes the
+			// operand's address, and that of every embedded field on the
+			// way to the method.
+			sel := info.Selections[n]
+			if sel == nil || sel.Kind() != types.MethodVal {
+				break
+			}
+			if _, ptr := sel.Obj().Type().(*types.Signature).Recv().Type().(*types.Pointer); ptr {
+				a.embedded(sel)
+				if _, isPtr := info.TypeOf(n.X).Underlying().(*types.Pointer); !isPtr {
+					a.assign(n.X, info)
+				}
+			}
 		}
 		return true
 	})
+}
+
+func deref(t types.Type) types.Type {
+	if p, ok := t.Underlying().(*types.Pointer); ok {
+		return p.Elem()
+	}
+	return t
+}
+
+func (a *analysis) write(v *types.Var) { a.written[v.Origin()] = true }
+
+// assign records the fields the addressable expression e names as written:
+// a field selection, its operand's fields, and what an index or a slice
+// operates on.
+func (a *analysis) assign(e ast.Expr, info *types.Info) {
+	for e != nil {
+		switch x := e.(type) {
+		case *ast.ParenExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.SliceExpr:
+			e = x.X
+		case *ast.SelectorExpr:
+			sel := info.Selections[x]
+			if sel == nil || sel.Kind() != types.FieldVal {
+				return
+			}
+			a.embedded(sel)
+			a.write(sel.Obj().(*types.Var))
+			e = x.X
+		default:
+			return
+		}
+	}
+}
+
+// embedded records the embedded fields a selection passes through as
+// written.
+func (a *analysis) embedded(sel *types.Selection) {
+	t := sel.Recv()
+	for _, i := range sel.Index()[:len(sel.Index())-1] {
+		st, ok := deref(t).Underlying().(*types.Struct)
+		if !ok {
+			return
+		}
+		a.write(st.Field(i))
+		t = st.Field(i).Type()
+	}
 }
 
 // dispatch reaches the methods that mentioned types supply for called or
@@ -209,17 +419,40 @@ func (a *analysis) dispatch() bool {
 	return len(a.work) > before
 }
 
+// run walks the work list and dispatches until nothing new is reached.
+func (a *analysis) run() {
+	for {
+		for len(a.work) > 0 {
+			d := a.work[len(a.work)-1]
+			a.work = a.work[:len(a.work)-1]
+			a.walk(d.node, d.info)
+		}
+		if !a.dispatch() {
+			return
+		}
+	}
+}
+
 func main() {
 	root := flag.String("root", "../..", "repository root (holds go.mod)")
 	keepPath := flag.String("keep", "keep.txt", "list of unreachable names that stay")
 	flag.Parse()
-	if err := run(*root, *keepPath); err != nil {
+	if err := run(*root, *keepPath, os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "reach:", err)
 		os.Exit(1)
 	}
 }
 
-func run(root, keepPath string) error {
+// finding is something unreachable or unwritten that keep.txt may list.
+type finding struct {
+	key   string
+	obj   types.Object
+	owner types.Object // a field's struct type
+	pos   token.Position
+	what  string // "N" lines of a declaration, or "field"
+}
+
+func run(root, keepPath string, out, log io.Writer) error {
 	root, err := filepath.Abs(root)
 	if err != nil {
 		return err
@@ -236,11 +469,12 @@ func run(root, keepPath string) error {
 	build.Default.CgoEnabled = false
 	fset := token.NewFileSet()
 	l := &loader{fset: fset, root: root, module: fields[1], pkgs: map[string]*pkg{},
-		std: importer.ForCompiler(fset, "source", nil)}
+		std: importer.ForCompiler(fset, "source", nil), testFiles: map[string][]*ast.File{},
+		worlds: map[string]*world{}}
 
-	// Load every package directory except this tool's own module; collect the
-	// test function names keep.txt may cite on the way.
-	tests := map[string]bool{}
+	// Load every package directory except this tool's own module; parse the
+	// test files, whose functions keep.txt may cite, on the way.
+	tests := map[string][]string{} // directories with a _test.go function of the name
 	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -260,14 +494,16 @@ func run(root, keepPath string) error {
 			}
 			return nil
 		}
-		if strings.HasSuffix(name, "_test.go") {
-			f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+		if ok, _ := build.Default.MatchFile(filepath.Dir(path), name); ok && strings.HasSuffix(name, "_test.go") {
+			f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
 			if err != nil {
 				return err
 			}
+			dir := filepath.Dir(path)
+			l.testFiles[dir] = append(l.testFiles[dir], f)
 			for _, d := range f.Decls {
 				if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv == nil {
-					tests[fd.Name.Name] = true
+					tests[fd.Name.Name] = append(tests[fd.Name.Name], dir)
 				}
 			}
 		}
@@ -280,9 +516,8 @@ func run(root, keepPath string) error {
 		return fmt.Errorf("type errors, first: %v", l.errs[0])
 	}
 
-	a := &analysis{decls: map[types.Object]*decl{}, reached: map[types.Object]bool{},
-		mentioned: map[*types.Named]bool{}, called: map[*types.Func]bool{}}
-	a.stdIfaces = append(a.stdIfaces, types.Universe.Lookup("error").Type().Underlying().(*types.Interface))
+	var stdIfaces []*types.Interface
+	stdIfaces = append(stdIfaces, types.Universe.Lookup("error").Type().Underlying().(*types.Interface))
 	seenStd := map[*types.Package]bool{}
 	var addStd func(p *types.Package)
 	addStd = func(p *types.Package) {
@@ -294,7 +529,7 @@ func run(root, keepPath string) error {
 			for _, name := range p.Scope().Names() {
 				if tn, ok := p.Scope().Lookup(name).(*types.TypeName); ok && types.IsInterface(tn.Type()) {
 					if named, ok := tn.Type().(*types.Named); !ok || named.TypeParams().Len() == 0 {
-						a.stdIfaces = append(a.stdIfaces, tn.Type().Underlying().(*types.Interface))
+						stdIfaces = append(stdIfaces, tn.Type().Underlying().(*types.Interface))
 					}
 				}
 			}
@@ -322,56 +557,47 @@ func run(root, keepPath string) error {
 			link(p.types)
 		}
 	}
+	a := newAnalysis(stdIfaces)
 	for _, p := range l.pkgs {
+		for _, spec := range a.declare(fset, p) {
+			if linked[p.types] {
+				a.work = append(a.work, &decl{node: spec, info: p.info})
+			}
+		}
 		for _, f := range p.files {
 			for _, d := range f.Decls {
-				switch d := d.(type) {
-				case *ast.FuncDecl:
-					obj := p.info.Defs[d.Name]
-					a.declare(fset, p, obj, d)
-					if name := d.Name.Name; linked[p.types] && d.Recv == nil &&
-						(name == "init" || name == "main" && p.types.Name() == "main") {
-						a.reach(obj)
-					}
-				case *ast.GenDecl:
-					for _, spec := range d.Specs {
-						switch spec := spec.(type) {
-						case *ast.TypeSpec:
-							a.declare(fset, p, p.info.Defs[spec.Name], spec)
-						case *ast.ValueSpec:
-							for _, name := range spec.Names {
-								if name.Name != "_" {
-									a.declare(fset, p, p.info.Defs[name], spec)
-								}
-							}
-							if linked[p.types] {
-								a.work = append(a.work, &decl{node: spec, info: p.info})
-							}
-						}
-					}
+				if fd, ok := d.(*ast.FuncDecl); ok && linked[p.types] && fd.Recv == nil &&
+					(fd.Name.Name == "init" || fd.Name.Name == "main" && p.types.Name() == "main") {
+					a.reach(p.info.Defs[fd.Name])
 				}
 			}
 		}
 	}
-	for {
-		for len(a.work) > 0 {
-			d := a.work[len(a.work)-1]
-			a.work = a.work[:len(a.work)-1]
-			a.walk(d.node, d.info)
-		}
-		if !a.dispatch() {
-			break
-		}
-	}
+	a.run()
 
 	keep, err := readKeep(keepPath)
 	if err != nil {
 		return err
 	}
-	var dead []*decl
+	// The fields no reached code writes, unless their type is unreachable
+	// (reported itself), and the unreachable declarations.
+	var dead []finding
+	for _, p := range l.pkgs {
+		if !p.report {
+			continue
+		}
+		for _, f := range structFields(fset, p) {
+			_, declared := a.decls[f.owner]
+			if !a.written[f.obj.(*types.Var)] && (a.reached[f.owner] || !declared) {
+				dead = append(dead, f)
+			}
+		}
+	}
+	unreachable := 0
 	for obj, d := range a.decls {
 		if !a.reached[obj] && d.key != "" {
-			dead = append(dead, d)
+			dead = append(dead, finding{key: d.key, obj: obj, pos: d.pos, what: fmt.Sprint(d.lines)})
+			unreachable++
 		}
 	}
 	sort.Slice(dead, func(i, j int) bool {
@@ -380,15 +606,15 @@ func run(root, keepPath string) error {
 		}
 		return dead[i].pos.Line < dead[j].pos.Line
 	})
-	findings, used := 0, map[string]bool{}
+	findings, used := 0, map[string]types.Object{}
 	for _, d := range dead {
 		if _, ok := keep[d.key]; ok {
-			used[d.key] = true
+			used[d.key] = d.obj
 			continue
 		}
 		findings++
 		rel, _ := filepath.Rel(root, d.pos.Filename)
-		fmt.Printf("%d %s:%d %s\n", d.lines, rel, d.pos.Line, d.key)
+		fmt.Fprintf(out, "%s %s:%d %s\n", d.what, rel, d.pos.Line, d.key)
 	}
 	keys := make([]string, 0, len(keep))
 	for key := range keep {
@@ -397,42 +623,175 @@ func run(root, keepPath string) error {
 	sort.Strings(keys)
 	for _, key := range keys {
 		test, reason, _ := strings.Cut(keep[key], ",")
+		test = strings.TrimSpace(test)
+		obj, ok := used[key]
 		switch {
-		case !used[key]:
-			fmt.Printf("%s: %s is reachable again, or gone\n", keepPath, key)
-		case !tests[strings.TrimSpace(test)] || strings.TrimSpace(reason) == "":
-			fmt.Printf("%s: %s wants \"TestName, what it is used for\" with a test that exists, has %q\n", keepPath, key, keep[key])
+		case !ok:
+			fmt.Fprintf(out, "%s: %s is reachable or written again, or gone\n", keepPath, key)
+		case len(tests[test]) == 0 || strings.TrimSpace(reason) == "":
+			fmt.Fprintf(out, "%s: %s wants \"TestName, what it is used for\" with a test that exists, has %q\n", keepPath, key, keep[key])
 		default:
-			continue
+			reaches, err := l.testReaches(a, test, tests[test], obj)
+			if err != nil {
+				return err
+			}
+			if reaches {
+				continue
+			}
+			verb := "reach"
+			if v, ok := obj.(*types.Var); ok && v.IsField() {
+				verb = "write"
+			}
+			fmt.Fprintf(out, "%s: %s cites %s, which does not %s it\n", keepPath, key, test, verb)
 		}
 		findings++
 	}
-	fmt.Fprintf(os.Stderr, "reach: %d packages, %d declarations, %d unreachable, %d of them kept\n",
-		len(l.pkgs), len(a.decls), len(dead), len(used))
+	fmt.Fprintf(log, "reach: %d packages, %d declarations, %d unreachable, %d fields unwritten, %d of them kept\n",
+		len(l.pkgs), len(a.decls), unreachable, len(dead)-unreachable, len(used))
 	if findings > 0 {
 		return fmt.Errorf("%d findings", findings)
 	}
 	return nil
 }
 
-// declare records obj, declared by the syntax n, as something to report when
-// nothing reaches it.
-func (a *analysis) declare(fset *token.FileSet, p *pkg, obj types.Object, n ast.Node) {
+// testReaches reports whether a test named test, in one of dirs, reaches obj
+// (writes it, for a field) in the world go test builds for it. main is the
+// binaries' analysis, whose declarations the walk falls back on.
+func (l *loader) testReaches(main *analysis, test string, dirs []string, obj types.Object) (bool, error) {
+	for _, dir := range dirs {
+		w := l.testWorld(dir)
+		if len(l.errs) > 0 {
+			return false, fmt.Errorf("type errors in the tests of %s, first: %v", dir, l.errs[0])
+		}
+		a := newAnalysis(main.stdIfaces)
+		a.base = main.decls
+		for _, p := range w.pkgs {
+			a.declare(l.fset, p)
+			for _, f := range p.files {
+				if !strings.HasSuffix(l.fset.Position(f.Pos()).Filename, "_test.go") {
+					continue
+				}
+				for _, d := range f.Decls {
+					if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv == nil && fd.Name.Name == test {
+						a.reach(p.info.Defs[fd.Name])
+					}
+				}
+			}
+		}
+		a.run()
+		// The world's own type-checks declare the same syntax again, so the
+		// object to look for is the one declared at obj's position.
+		if v, ok := obj.(*types.Var); ok && v.IsField() {
+			for f := range a.written {
+				if f.Pos() == obj.Pos() {
+					return true, nil
+				}
+			}
+			continue
+		}
+		for o := range a.reached {
+			if o.Pos() == obj.Pos() {
+				return true, nil
+			}
+		}
+	}
+	return false, nil
+}
+
+// declare records every top-level declaration of p as something to report
+// when nothing reaches it, and returns p's package-level variable specs.
+func (a *analysis) declare(fset *token.FileSet, p *pkg) []*ast.ValueSpec {
+	var vars []*ast.ValueSpec
+	for _, f := range p.files {
+		for _, d := range f.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				a.declareObj(fset, p, p.info.Defs[d.Name], d)
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch spec := spec.(type) {
+					case *ast.TypeSpec:
+						a.declareObj(fset, p, p.info.Defs[spec.Name], spec)
+					case *ast.ValueSpec:
+						for _, name := range spec.Names {
+							if name.Name != "_" {
+								a.declareObj(fset, p, p.info.Defs[name], spec)
+							}
+						}
+						vars = append(vars, spec)
+					}
+				}
+			}
+		}
+	}
+	return vars
+}
+
+func (a *analysis) declareObj(fset *token.FileSet, p *pkg, obj types.Object, n ast.Node) {
 	d := &decl{node: n, info: p.info, pos: fset.Position(n.Pos())}
 	d.lines = fset.Position(n.End()).Line - d.pos.Line + 1
 	if p.report {
 		d.key = p.types.Name() + "." + obj.Name()
 		if f, ok := obj.(*types.Func); ok {
 			if recv := f.Type().(*types.Signature).Recv(); recv != nil {
-				t := recv.Type()
-				if ptr, ok := t.(*types.Pointer); ok {
-					t = ptr.Elem()
-				}
-				d.key = p.types.Name() + "." + t.(*types.Named).Obj().Name() + "." + obj.Name()
+				d.key = p.types.Name() + "." + deref(recv.Type()).(*types.Named).Obj().Name() + "." + obj.Name()
 			}
 		}
 	}
 	a.decls[obj] = d
+}
+
+// structFields lists every named field of every struct type p declares,
+// package-level or local, as pkg.Type.Field.
+func structFields(fset *token.FileSet, p *pkg) []finding {
+	var out []finding
+	for _, f := range p.files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			spec, ok := n.(*ast.TypeSpec)
+			if !ok {
+				return true
+			}
+			st, ok := spec.Type.(*ast.StructType)
+			if !ok {
+				return true
+			}
+			for _, field := range st.Fields.List {
+				names := field.Names
+				if len(names) == 0 {
+					names = []*ast.Ident{embeddedName(field.Type)}
+				}
+				for _, name := range names {
+					if obj := p.info.Defs[name]; obj != nil && name.Name != "_" {
+						out = append(out, finding{key: p.types.Name() + "." + spec.Name.Name + "." + name.Name,
+							obj: obj, owner: p.info.Defs[spec.Name], pos: fset.Position(name.Pos()), what: "field"})
+					}
+				}
+			}
+			return true
+		})
+	}
+	return out
+}
+
+// embeddedName is the identifier an embedded field's type expression names
+// the field by.
+func embeddedName(e ast.Expr) *ast.Ident {
+	for {
+		switch x := e.(type) {
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.SelectorExpr:
+			return x.Sel
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.IndexListExpr:
+			e = x.X
+		case *ast.Ident:
+			return x
+		default:
+			return nil
+		}
+	}
 }
 
 // readKeep parses "name — reason" lines; blank lines and # comments are skipped.

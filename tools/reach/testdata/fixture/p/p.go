@@ -1,0 +1,55 @@
+// Package p has one struct field per way of writing one, two fields no
+// binary writes, and two functions no binary calls.
+package p
+
+import "sync"
+
+// T's fields are each written one way, except Unset and TestOnly.
+type T struct {
+	Keyed     int
+	Assigned  int
+	OpAssign  int
+	Inc       int
+	Addressed int
+	Indexed   [2]int
+	Sliced    [4]byte
+	mu        sync.Mutex
+	Unset     int // read, never written
+	TestOnly  int // written by a test only
+}
+
+// U is built by an unkeyed literal only.
+type U struct{ A, B int }
+
+// Run writes T's fields.
+func Run(n int) int {
+	t := &T{Keyed: n}
+	t.Assigned = n
+	t.OpAssign += n
+	t.Inc++
+	set(&t.Addressed)
+	t.Indexed[1] = n
+	copy(t.Sliced[:], "ab")
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	u := U{1, 2}
+	return t.Keyed + t.Assigned + t.OpAssign + t.Inc + t.Addressed + t.Indexed[1] + int(t.Sliced[0]) +
+		t.Unset + t.TestOnly + u.A + u.B
+}
+
+func set(p *int) { *p = 1 }
+
+// Client's Get is called by no binary.
+type Client struct{ Name string }
+
+// Get is what TestClientGet calls.
+func (c *Client) Get() string { return c.Name }
+
+// Other's Get is the binary's.
+type Other struct{}
+
+// Get shares its name with Client's.
+func (Other) Get() string { return "other" }
+
+// Dead is called by no binary.
+func Dead() int { return 0 }
