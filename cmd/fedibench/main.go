@@ -143,7 +143,7 @@ func writeBands(out io.Writer, scale core.Scale, seeds []uint64) error {
 	for i, row := range analysis.Ledger {
 		b := analysis.NewBand(vals[i])
 		verdict := "match"
-		if gap := analysis.Gap(row.Paper, row.Tol, b); gap > 0 {
+		if gap := analysis.Gap(row.Paper, row.Tol(), b); gap > 0 {
 			verdict = "gap " + num(gap)
 		}
 		fmt.Fprintf(out, "%-34s paper %-9s median %-9s [%s, %s] %s\n",

@@ -90,12 +90,19 @@ func TestFidelityBands(t *testing.T) {
 	}
 }
 
-// The ledger at small scale over seeds 1–5 misses the paper on eight rows,
-// named here so that a row which starts or stops matching shows: the three
-// Fig 8 daily-downtime rows, whose bands sit above the paper's, and the
-// five world.* rows, which hold the small preset's size against the
-// paper's counts and so are gaps by construction. Every gap prints nonzero:
-// fig8.over1m-daily-downtime's is about 0.002 widths.
+// The ledger at small scale over seeds 1–5 misses the paper on thirteen
+// rows, named here so that a row which starts or stops matching shows.
+// Every row has the one tolerance rule (a quarter of the paper's value):
+//   - fig7.mean-downtime and the three Fig 8 daily-downtime rows sit above
+//     the paper: the small worlds are down more than the paper measured;
+//   - fig9b.worst-day-instances counts instances, so 1,000 of them cannot
+//     reach the paper's 105 of 4,328, and fig9b.cert-share sits below;
+//   - fig10.day-outage sits above, fig15.no-rep-top10-instances below;
+//   - the five world.* rows hold the small preset's size against the
+//     paper's counts, and so are gaps by construction.
+//
+// Every gap prints nonzero: fig8.over1m-daily-downtime's is about 0.002
+// widths.
 func TestFidelitySmallGaps(t *testing.T) {
 	var gaps []string
 	for _, line := range strings.Split(strings.TrimSuffix(fedibench(t, "-fidelity", "-scale", "small", "-seeds", "1-5"), "\n"), "\n") {
@@ -109,7 +116,8 @@ func TestFidelitySmallGaps(t *testing.T) {
 		}
 	}
 	want := []string{
-		"fig8.mastodon-daily-downtime", "fig8.over1m-daily-downtime", "fig8.100k-1m-daily-downtime",
+		"fig7.mean-downtime", "fig8.mastodon-daily-downtime", "fig9b.worst-day-instances", "fig9b.cert-share",
+		"fig10.day-outage", "fig8.over1m-daily-downtime", "fig8.100k-1m-daily-downtime", "fig15.no-rep-top10-instances",
 		"world.instances", "world.accounts", "world.tooting-accounts", "world.follows", "world.days",
 	}
 	if !slices.Equal(gaps, want) {

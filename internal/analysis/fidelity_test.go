@@ -19,8 +19,8 @@ func TestFidelityLedger(t *testing.T) {
 			t.Errorf("row %q of %s: ids must be unique and start with the figure", row.ID, row.Figure)
 		}
 		seen[row.ID] = true
-		if row.Tol < 0 || math.IsNaN(row.Paper) {
-			t.Errorf("row %s: paper %g, tolerance %g", row.ID, row.Paper, row.Tol)
+		if !(row.Tol() > 0) || math.IsNaN(row.Paper) {
+			t.Errorf("row %s: paper %g, tolerance %g", row.ID, row.Paper, row.Tol())
 		}
 		r, ok := res[row.Figure]
 		if !ok {
@@ -76,5 +76,30 @@ func TestGap(t *testing.T) {
 	}
 	if b := NewBand([]float64{3, 1, 2, 10}); b != (Band{2.5, 1, 10}) {
 		t.Errorf("NewBand = %+v, want median 2.5 over [1, 10]", b)
+	}
+}
+
+// Every row's verdict can fail: with its reader swapped for one that reads
+// 0, twice the paper's value, or the paper's value with its sign flipped
+// (what a wrong sign would read near zero), the row is a gap. No row is
+// exempt.
+func TestLedgerRowsCanFail(t *testing.T) {
+	for _, row := range Ledger {
+		for _, wrong := range []float64{0, 2 * row.Paper, -row.Paper} {
+			row.Ours = func(any) float64 { return wrong }
+			if gap := Gap(row.Paper, row.Tol(), NewBand([]float64{row.Ours(nil)})); !(gap > 0) {
+				t.Errorf("row %s (paper %g, tolerance %g) matches a reader of %g", row.ID, row.Paper, row.Tol(), wrong)
+			}
+		}
+	}
+}
+
+// The rule is a quarter of the paper's value, floored at one unit in the
+// value's last written digit.
+func TestTolerance(t *testing.T) {
+	for paper, want := range map[float64]float64{90.6: 22.65, -0.04: 0.01, 0.34: 0.085, 4328: 1082, 2: 1, 0.002: 0.001} {
+		if got := (Fidelity{Paper: paper}).Tol(); math.Abs(got-want) > 1e-12 {
+			t.Errorf("Tol of paper value %g = %g, want %g", paper, got, want)
+		}
 	}
 }

@@ -10,7 +10,7 @@ func TestPowerLawBounds(t *testing.T) {
 	law := newPowerLaw(1.9, 100)
 	r := subSeed(42, 0)
 	for i := 0; i < 10000; i++ {
-		k := law.sample(r)
+		k := law.Sample(r) + 1
 		if k < 1 || k > 100 {
 			t.Fatalf("sample %d out of [1,100]", k)
 		}
@@ -23,7 +23,7 @@ func TestPowerLawSkew(t *testing.T) {
 	ones := 0
 	n := 20000
 	for i := 0; i < n; i++ {
-		if law.sample(r) == 1 {
+		if law.Sample(r) == 0 {
 			ones++
 		}
 	}
@@ -48,7 +48,7 @@ func TestPowerLawMean(t *testing.T) {
 	sum := 0.0
 	n := 200000
 	for i := 0; i < n; i++ {
-		sum += float64(law.sample(r))
+		sum += float64(law.Sample(r) + 1)
 	}
 	emp := sum / float64(n)
 	if math.Abs(emp-law.mean()) > 0.3*law.mean() {

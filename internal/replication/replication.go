@@ -10,6 +10,7 @@ import (
 	"strconv"
 
 	"repro/internal/dataset"
+	"repro/internal/stats"
 )
 
 // Strategy selects a toot-placement policy. Every policy keeps a user's
@@ -154,10 +155,7 @@ type WeightedRep struct {
 	Seed    uint64
 	label   string
 	cum     []float64 // cumulative weights
-	// guide[b] is the search result for the lower edge of the b-th of
-	// len(cum) equal slices of [0, total]; perUnit maps a draw to its slice.
-	guide   []int32
-	perUnit float64
+	pick    *stats.CumSampler
 }
 
 // NewWeightedRep builds the strategy. weights must have one non-negative
@@ -179,18 +177,8 @@ func NewWeightedRep(n int, weights []float64, samples int, seed uint64, label st
 	if samples <= 0 {
 		samples = 16
 	}
-	parts := float64(len(cum))
-	guide := make([]int32, len(cum)+1)
-	i := 0
-	for b := range guide {
-		edge := float64(b) * total / parts
-		for i < len(cum) && cum[i] < edge {
-			i++
-		}
-		guide[b] = int32(i)
-	}
 	return WeightedRep{N: n, Samples: samples, Seed: seed, label: label,
-		cum: cum, guide: guide, perUnit: parts / total}
+		cum: cum, pick: stats.NewCumSampler(cum)}
 }
 
 // Name implements Strategy.
@@ -200,23 +188,6 @@ func (s WeightedRep) Name() string {
 		l = "weighted"
 	}
 	return "W-Rep(" + l + ",n=" + strconv.Itoa(s.N) + ")"
-}
-
-// search returns sort.SearchFloat64s(s.cum, x), the smallest i with
-// cum[i] >= x. The guide table only picks where to start; the two walks
-// settle on the exact index however the slice index rounded, and the
-// expected walk is one step because a draw lands in each slice equally
-// often and the slices hold one entry on average.
-func (s *WeightedRep) search(x float64) int {
-	b := max(0, min(int(x*s.perUnit), len(s.guide)-1))
-	i := int(s.guide[b])
-	for i > 0 && s.cum[i-1] >= x {
-		i--
-	}
-	for i < len(s.cum) && s.cum[i] < x {
-		i++
-	}
-	return i
 }
 
 func (s WeightedRep) series(exp *Experiment, at []int32, points int) []float64 {
@@ -240,14 +211,13 @@ func (s *WeightedRep) place(sw *sweep) (int32, bool) {
 	if len(s.cum) != len(sw.at) {
 		panic("replication: WeightedRep weights length mismatch")
 	}
-	total := s.cum[len(s.cum)-1]
 	sw.seen = sw.seen[:0]
 	for len(sw.seen) < s.N {
 		inst := int32(-1)
 		for attempt := 0; attempt < 64; attempt++ {
 			i, ok := sw.replay()
 			if !ok {
-				i = sw.keep(int32(min(s.search(sw.rng.Float64()*total), len(s.cum)-1)))
+				i = sw.keep(int32(s.pick.Index(sw.rng.Float64())))
 			}
 			if !slices.Contains(sw.seen, i) {
 				inst = i

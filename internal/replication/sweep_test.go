@@ -194,38 +194,6 @@ func TestConcurrentSweeps(t *testing.T) {
 	wg.Wait()
 }
 
-// The guide-table search is sort.SearchFloat64s at every cumulative weight,
-// the floats either side of it, and the ends of the range.
-func TestGuideSearchMatchesSort(t *testing.T) {
-	w, _ := sharedWorld(t)
-	users := w.InstanceUserWeights()
-	for name, weights := range map[string][]float64{
-		"capacity":   users,
-		"inverse":    inverseWeights(users),
-		"single":     {3},
-		"zero runs":  {0, 0, 5, 0, 0, 0, 1e-9, 0, 7, 0},
-		"one giant":  {1e-12, 1e12, 1e-12, 1e-12, 1e-12, 1e-12},
-		"tiny total": {1e-300, 2e-300, 0, 1e-300},
-		"huge total": {1e300, 1e300, 1e299},
-	} {
-		s := NewWeightedRep(1, weights, 1, 1, name)
-		total := s.cum[len(s.cum)-1]
-		probes := []float64{0, math.SmallestNonzeroFloat64, total / 2, total, 2 * total, math.Inf(1), -1}
-		for _, c := range s.cum {
-			probes = append(probes, c, math.Nextafter(c, math.Inf(-1)), math.Nextafter(c, math.Inf(1)))
-		}
-		for b := range s.guide { // the slice edges, where the starting slice can round either way
-			edge := float64(b) / s.perUnit
-			probes = append(probes, edge, math.Nextafter(edge, math.Inf(-1)), math.Nextafter(edge, math.Inf(1)))
-		}
-		for _, x := range probes {
-			if got, want := s.search(x), sort.SearchFloat64s(s.cum, x); got != want {
-				t.Fatalf("%s weights: search(%v) = %d, sort.SearchFloat64s = %d", name, x, got, want)
-			}
-		}
-	}
-}
-
 // fuzzWorld is a world small enough to re-evaluate in full per fuzz input:
 // six instances, eighteen users, a third of them silent.
 func fuzzWorld() *dataset.World {

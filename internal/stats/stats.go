@@ -1,8 +1,9 @@
 // Package stats provides the descriptive-statistics substrate used by every
 // analysis in the reproduction: empirical CDFs, quantiles, latency
-// histograms, box-plot summaries, correlation, and top-k concentration
-// shares. All functions are deterministic and allocation-conscious; inputs are
-// never mutated unless the function name says so (e.g. SortInPlace).
+// histograms, box-plot summaries, correlation, top-k concentration
+// shares, and the cumulative-table sampler behind every weighted draw. All
+// functions are deterministic and allocation-conscious; inputs are never
+// mutated unless the function name says so (e.g. SortInPlace).
 package stats
 
 import (

@@ -7,8 +7,8 @@ import (
 	"slices"
 	"testing"
 
-	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/stats"
 )
 
 // refGraph is Graph as it was before the arena: every edge goes through a
@@ -37,7 +37,7 @@ func refGraph(cfg GraphConfig) *graph.CSR {
 		total += f
 		cum[i] = total
 	}
-	byFame := gen.NewCumSampler(cum)
+	byFame := stats.NewCumSampler(cum)
 
 	followedBy := make([]int32, n)
 	for u := 0; u < n; u++ {

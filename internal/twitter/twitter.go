@@ -14,9 +14,9 @@ import (
 	"math"
 	"math/rand/v2"
 
-	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/sim"
+	"repro/internal/stats"
 )
 
 // GraphConfig parameterises the baseline graph.
@@ -67,7 +67,7 @@ func Graph(cfg GraphConfig) *graph.CSR {
 		total += f
 		cum[i] = total
 	}
-	byFame := gen.NewCumSampler(cum)
+	byFame := stats.NewCumSampler(cum)
 
 	// Out-degrees: geometric-ish around the mean with a hard floor.
 	// followedBy[v] == u+1 iff u already follows v; user u's row is

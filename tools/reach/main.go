@@ -13,7 +13,9 @@
 // field when it keys it in a composite literal, uses an unkeyed literal of its
 // struct, assigns to it (=, op=, ++, --, or an index of it on the left), takes
 // its address (&x.F, x.arr[:], or the implicit address of a pointer-receiver
-// call such as x.mu.Lock()).
+// call such as x.mu.Lock()). A default is not a write: "if x.F <= 0 { x.F =
+// c }", or the same with == 0, c a constant, only fills in a zero value no
+// reached code set.
 //
 // keep.txt lists what stays although unreachable or unwritten, one per line
 // as "pkg.Recv.Name — TestName, what the test uses it for" (a field is
@@ -33,6 +35,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/build"
+	"go/constant"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -41,6 +44,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -258,8 +262,13 @@ func (a *analysis) mention(t types.Type) {
 // walk reaches everything the syntax under n names, and records the fields
 // it writes.
 func (a *analysis) walk(n ast.Node, info *types.Info) {
+	var defaults []*ast.AssignStmt // met at their if, before its body
 	ast.Inspect(n, func(n ast.Node) bool {
 		switch n := n.(type) {
+		case *ast.IfStmt:
+			if d := defaulting(n, info); d != nil {
+				defaults = append(defaults, d)
+			}
 		case *ast.Ident:
 			switch obj := info.Uses[n].(type) {
 			case *types.Func:
@@ -290,7 +299,7 @@ func (a *analysis) walk(n ast.Node, info *types.Info) {
 				}
 			}
 		case *ast.AssignStmt:
-			if n.Tok != token.DEFINE {
+			if n.Tok != token.DEFINE && !slices.Contains(defaults, n) {
 				for _, lhs := range n.Lhs {
 					a.assign(lhs, info)
 				}
@@ -328,6 +337,31 @@ func (a *analysis) walk(n ast.Node, info *types.Info) {
 		}
 		return true
 	})
+}
+
+// defaulting returns the assignment of "if x.F <= 0 { x.F = c }" (or ==
+// 0), c a constant: the statement that sets a field's default.
+func defaulting(n *ast.IfStmt, info *types.Info) *ast.AssignStmt {
+	cond, ok := n.Cond.(*ast.BinaryExpr)
+	if !ok || n.Init != nil || n.Else != nil || len(n.Body.List) != 1 ||
+		(cond.Op != token.LEQ && cond.Op != token.EQL) || !isZero(cond.Y, info) {
+		return nil
+	}
+	set, ok := n.Body.List[0].(*ast.AssignStmt)
+	if !ok || set.Tok != token.ASSIGN || len(set.Lhs) != 1 || info.Types[set.Rhs[0]].Value == nil {
+		return nil
+	}
+	field, ok := cond.X.(*ast.SelectorExpr)
+	if !ok || info.Selections[field] == nil || info.Selections[field].Kind() != types.FieldVal ||
+		types.ExprString(field) != types.ExprString(set.Lhs[0]) {
+		return nil
+	}
+	return set
+}
+
+func isZero(e ast.Expr, info *types.Info) bool {
+	v := info.Types[e].Value
+	return v != nil && (v.Kind() == constant.Int || v.Kind() == constant.Float) && constant.Sign(v) == 0
 }
 
 func deref(t types.Type) types.Type {

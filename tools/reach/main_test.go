@@ -12,10 +12,12 @@ import (
 // TestFixture runs the analysis over testdata/fixture with one keep list per
 // case and holds the lines it prints, in order, to the fragments wanted.
 func TestFixture(t *testing.T) {
-	unset := "field p/p.go:17 p.T.Unset"
-	testOnly := "field p/p.go:18 p.T.TestOnly"
-	clientGet := "1 p/p.go:46 p.Client.Get"
-	dead := "1 p/p.go:55 p.Dead"
+	unset := "field p/p.go:18 p.T.Unset"
+	testOnly := "field p/p.go:19 p.T.TestOnly"
+	defaulted := "field p/p.go:20 p.T.Defaulted"
+	zeroed := "field p/p.go:21 p.T.Zeroed"
+	clientGet := "1 p/p.go:59 p.Client.Get"
+	dead := "1 p/p.go:68 p.Dead"
 	for _, tc := range []struct {
 		name string
 		keep string
@@ -23,25 +25,26 @@ func TestFixture(t *testing.T) {
 	}{
 		// Keyed and unkeyed literals, =, op=, ++, &x.F, an index and a
 		// slice of x.F, and a pointer-receiver call each write a field; a
-		// write that only a test makes does not.
-		{"nothing kept", "", []string{unset, testOnly, clientGet, dead}},
+		// write that only a test makes does not, nor does a constant
+		// default for a zero value.
+		{"nothing kept", "", []string{unset, testOnly, defaulted, zeroed, clientGet, dead}},
 		{"citations reach", `
 p.T.TestOnly — TestSetsTestOnly, a field only the test writes
 p.Client.Get — TestClientGet, a method only the test calls
 p.Dead — TestDead, called from the external test package
-`, []string{unset}},
+`, []string{unset, defaulted, zeroed}},
 		{"citations do not reach", `
 p.T.TestOnly — TestReadsTestOnly, reads the field but never writes it
 p.Client.Get — TestOtherGet, calls a method of the same name on another type
 p.Dead — TestOtherGet, calls something else
-`, []string{unset,
+`, []string{unset, defaulted, zeroed,
 			"p.Client.Get cites TestOtherGet, which does not reach it",
 			"p.Dead cites TestOtherGet, which does not reach it",
 			"p.T.TestOnly cites TestReadsTestOnly, which does not write it"}},
 		{"stale and missing", `
 p.T.Keyed — TestSetsTestOnly, the binary writes it
 p.Dead — TestMissing, no such test
-`, []string{unset, testOnly, clientGet,
+`, []string{unset, testOnly, defaulted, zeroed, clientGet,
 			"p.Dead wants \"TestName, what it is used for\" with a test that exists",
 			"p.T.Keyed is reachable or written again, or gone"}},
 	} {

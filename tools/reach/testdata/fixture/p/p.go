@@ -1,10 +1,11 @@
-// Package p has one struct field per way of writing one, two fields no
+// Package p has one struct field per way of writing one, four fields no
 // binary writes, and two functions no binary calls.
 package p
 
 import "sync"
 
-// T's fields are each written one way, except Unset and TestOnly.
+// T's fields are each written one way, except Unset and TestOnly, and
+// Defaulted and Zeroed, which are only given a default.
 type T struct {
 	Keyed     int
 	Assigned  int
@@ -16,6 +17,9 @@ type T struct {
 	mu        sync.Mutex
 	Unset     int // read, never written
 	TestOnly  int // written by a test only
+	Defaulted int // if <= 0, set to a constant
+	Zeroed    int // if == 0, set to a constant
+	Computed  int // if == 0, set to a value: a write
 }
 
 // U is built by an unkeyed literal only.
@@ -32,9 +36,18 @@ func Run(n int) int {
 	copy(t.Sliced[:], "ab")
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	if t.Defaulted <= 0 {
+		t.Defaulted = 3
+	}
+	if t.Zeroed == 0 {
+		t.Zeroed = 1.0 // an untyped float constant
+	}
+	if t.Computed == 0 {
+		t.Computed = n
+	}
 	u := U{1, 2}
 	return t.Keyed + t.Assigned + t.OpAssign + t.Inc + t.Addressed + t.Indexed[1] + int(t.Sliced[0]) +
-		t.Unset + t.TestOnly + u.A + u.B
+		t.Unset + t.TestOnly + t.Defaulted + t.Zeroed + t.Computed + u.A + u.B
 }
 
 func set(p *int) { *p = 1 }
