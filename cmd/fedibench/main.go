@@ -127,9 +127,14 @@ func parseSeeds(s string, def uint64) ([]uint64, error) {
 // writeBands generates one world at scale per seed, reads every ledger row
 // off it, and prints a line a row: its id, the paper value, the median and
 // [min, max] band of its values, and its verdict, "match" or the gap in
-// widths of the band widened by the row's tolerance.
+// widths of the band widened by the row's tolerance. A row read over one
+// size bin also prints the [min, max] of the bin's instance count, and
+// "thin", not a verdict, when some world's bin holds fewer than
+// analysis.ThinBin; a row whose paper value is a crawl's count (Crawled)
+// prints "truth-vs-crawl" before its verdict.
 func writeBands(out io.Writer, scale core.Scale, seeds []uint64) error {
 	vals := make([][]float64, len(analysis.Ledger))
+	bins := make([][]float64, len(analysis.Ledger))
 	for _, seed := range seeds {
 		w, err := core.LoadOrBuild("", scale, seed)
 		if err != nil {
@@ -138,6 +143,9 @@ func writeBands(out io.Writer, scale core.Scale, seeds []uint64) error {
 		res := analysis.LedgerResults(w)
 		for i, row := range analysis.Ledger {
 			vals[i] = append(vals[i], row.Ours(res[row.Figure]))
+			if n, ok := row.BinInstances(res[row.Figure]); ok {
+				bins[i] = append(bins[i], float64(n))
+			}
 		}
 	}
 	for i, row := range analysis.Ledger {
@@ -145,6 +153,16 @@ func writeBands(out io.Writer, scale core.Scale, seeds []uint64) error {
 		verdict := "match"
 		if gap := analysis.Gap(row.Paper, row.Tol(), b); gap > 0 {
 			verdict = "gap " + num(gap)
+		}
+		if row.Crawled() {
+			verdict = "truth-vs-crawl " + verdict
+		}
+		if len(bins[i]) > 0 {
+			n := analysis.NewBand(bins[i])
+			if n.Min < analysis.ThinBin {
+				verdict = "thin"
+			}
+			verdict = fmt.Sprintf("instances [%s, %s] %s", num(n.Min), num(n.Max), verdict)
 		}
 		fmt.Fprintf(out, "%-34s paper %-9s median %-9s [%s, %s] %s\n",
 			row.ID, num(row.Paper), num(b.Median), num(b.Min), num(b.Max), verdict)

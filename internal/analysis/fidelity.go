@@ -125,8 +125,10 @@ var ledgerLines = []struct {
 		{"fig16.over10-replica-toots", "fig16", 23, ours(func(r RandomReplicationResult) float64 { return r.Over10ReplicaTootPct })},
 	}},
 	{"", []Fidelity{
-		{"fig8.over1m-daily-downtime", "fig8", 2.1, ours(func(r DailyDowntimeResult) float64 { return 100 * r.Bins[BinOver1M].Mean })},
-		{"fig8.100k-1m-daily-downtime", "fig8", 0.34, ours(func(r DailyDowntimeResult) float64 { return 100 * r.Bins[Bin100K1M].Mean })},
+		// Each bin's mean daily downtime (see binRows): the paper's text,
+		// as the repository holds it, does not say mean or median.
+		{"fig8.over1m-daily-downtime", "fig8", 2.1, binMean(BinOver1M)},
+		{"fig8.100k-1m-daily-downtime", "fig8", 0.34, binMean(Bin100K1M)},
 		{"fig15.no-rep-top10-instances", "fig15", 37.3, ours(func(r ReplicationResult) float64 {
 			return sweepAt(r.InstanceSweeps, "by Toots Posted", "No-Rep", 10)
 		})},
@@ -136,6 +138,7 @@ var ledgerLines = []struct {
 		{"fig15.no-rep-top10-ases", "fig15", 9.9, ours(func(r ReplicationResult) float64 {
 			return sweepAt(r.ASSweeps, "by Toots Posted", "No-Rep", 10)
 		})},
+		// The world.* rows read the generated world itself; see Crawled.
 		{"world.instances", "world", 4328, ours(func(w *dataset.World) float64 { return float64(len(w.Instances)) })},
 		{"world.accounts", "world", 853_000, ours(func(w *dataset.World) float64 { return float64(len(w.Users)) })},
 		{"world.tooting-accounts", "world", 239_000, ours(func(w *dataset.World) float64 {
@@ -150,6 +153,49 @@ var ledgerLines = []struct {
 		{"world.follows", "world", 9_250_000, ours(func(w *dataset.World) float64 { return float64(w.Social.NumEdges()) })},
 		{"world.days", "world", 473, ours(func(w *dataset.World) float64 { return float64(w.Days) })},
 	}},
+}
+
+// binMean reads the mean daily downtime of Fig 8's size bin, in percent.
+// The ledger reads the mean and not the median because most instance-days
+// see no downtime at all: a bin's median is 0.00% in most worlds, so it
+// cannot order the bins as the paper's 2.1% and 0.34% do, and the mean can.
+func binMean(bin SizeBin) func(any) float64 {
+	return ours(func(r DailyDowntimeResult) float64 { return 100 * r.Bins[bin].Mean })
+}
+
+// binRows names the size bin each row read over one Fig 8 bin reads.
+var binRows = map[string]SizeBin{
+	"fig8.over1m-daily-downtime":  BinOver1M,
+	"fig8.100k-1m-daily-downtime": Bin100K1M,
+}
+
+// ThinBin is the fewest instances a size bin holds for a value read over
+// it to be judged: below it, one or two instances make the bin's value.
+const ThinBin = 5
+
+// BinInstances returns, for a row read over one Fig 8 size bin, how many
+// instances that bin holds in res, the row's figure result; ok is false
+// for a row that reads no bin.
+func (f Fidelity) BinInstances(res any) (n int, ok bool) {
+	bin, ok := binRows[f.ID]
+	if !ok {
+		return 0, false
+	}
+	return res.(DailyDowntimeResult).BinInstances[bin], true
+}
+
+// Crawled reports whether the paper's value counts what its §3 crawl
+// observed while the row reads the generated world's truth. The crawl saw
+// part of the world (simnet.ExpectedWorld: the paper population's 2.4M
+// registered accounts against 853K crawled), so such a row compares two
+// different things, and its gap says so rather than that the generator
+// errs.
+func (f Fidelity) Crawled() bool {
+	switch f.ID {
+	case "world.accounts", "world.tooting-accounts", "world.follows":
+		return true
+	}
+	return false
 }
 
 // Ledger is every row of ledgerLines, in order.

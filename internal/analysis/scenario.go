@@ -73,7 +73,6 @@ func ratio(num, den float64) float64 {
 // experiment: the §5.2 toot-availability number plus what the strategy
 // preserves of the social graph when the masked instances die.
 type ConnectivityRow struct {
-	Strategy string
 	// AvailabilityPct is the classic Fig 15/16 measure: % of toot mass
 	// still reachable.
 	AvailabilityPct float64
@@ -107,7 +106,6 @@ func ReplicationConnectivity(w *dataset.World, exp *replication.Experiment, stra
 		}
 		wcc := w.Social.WeaklyConnected(alive)
 		row := ConnectivityRow{
-			Strategy:        s.Name(),
 			AvailabilityPct: exp.Availability(s, down),
 			SurvivorFrac:    ratio(float64(surv), float64(len(alive))),
 			ConnectedFrac:   ratio(float64(wcc.LargestSize), float64(len(w.Users))),

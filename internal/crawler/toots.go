@@ -272,17 +272,16 @@ func daysIn(month, year int) int {
 
 // CrawlSummary aggregates a crawl for reporting (the §3 coverage numbers).
 type CrawlSummary struct {
-	Instances int
-	Online    int
-	Blocked   int
-	Offline   int
-	Toots     int
-	Authors   int
+	Online  int
+	Blocked int
+	Offline int
+	Toots   int
+	Authors int
 }
 
 // Summarize computes totals over crawl results.
 func Summarize(results []InstanceCrawl) CrawlSummary {
-	s := CrawlSummary{Instances: len(results)}
+	var s CrawlSummary
 	authors := make(map[string]struct{}, authorsIn(results))
 	for i := range results {
 		r := &results[i]

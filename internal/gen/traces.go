@@ -114,7 +114,8 @@ func genTraces(cfg Config, insts []dataset.Instance) (*sim.TraceSet, map[int32][
 // downtimeTarget draws an instance's overall downtime fraction from the
 // Fig 7 mixture, with the Fig 8 size dependence: tiny instances skew
 // unreliable, the 100K-1M band is the most reliable, and the very largest
-// are slightly worse again (median 2.1% vs 0.34% in the paper).
+// are slightly worse again (2.1% vs 0.34% in the paper, which the ledger's
+// fig8 bin rows read as bin means; see analysis.binMean).
 func downtimeTarget(cfg Config, r *rand.Rand, toots int64) float64 {
 	exc, good, bad := cfg.ExcellentFrac, cfg.GoodFrac, cfg.BadFrac
 	switch {

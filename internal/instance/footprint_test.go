@@ -55,10 +55,17 @@ func restingBreakdown(t *testing.T, n *Network, base int64, accounts int) {
 }
 
 // maxRestingBytesPerAccount bounds what a loaded bench-size world leaves on
-// the heap: 1,842 B an account measured on go1.24, plus 5%. With 56-byte
-// toot rows and every remote note id as arena text it was 2,484; with a
-// map as the actor index and nested maps as the subscriber tables, 3,077.
-const maxRestingBytesPerAccount = 1934
+// the heap: 1,493 B an account measured on go1.24, plus 5%. With every
+// loaded toot's text in the arena it was 1,842; with 56-byte toot rows and
+// every remote note id as arena text, 2,484; with a map as the actor index
+// and nested maps as the subscriber tables, 3,077.
+const maxRestingBytesPerAccount = 1568
+
+// maxPaperRestingBytesPerAccount is the same bound for the 300,000-account
+// paper population (TestLoadWorldPaperPopulation): 1,103 B an account
+// measured on go1.24, plus 5%. With every loaded toot's text in the arena
+// it was 1,331.
+const maxPaperRestingBytesPerAccount = 1158
 
 // TestLoadWorldRestingBytes holds the heap a loaded bench-size world rests
 // at to maxRestingBytesPerAccount, and logs it by structure.

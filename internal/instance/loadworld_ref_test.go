@@ -175,12 +175,14 @@ func serverDiff(r, g *Server) string {
 }
 
 // sameRow compares two resting rows by what they say, not where they sit:
-// flags, content, boost id, tags and note id part by part.
+// flags, content, boost id, tags and note id part by part. Whether the text
+// is derived (tootSynthText) says where it sits, so that flag is masked.
 func sameRow(rs *tootStore, ri uint32, gs *tootStore, gi uint32, domain string) bool {
 	r, g := &rs.rows[ri], &gs.rows[gi]
-	rb, rt, rc := rs.parts(r)
-	gb, gt, gc := gs.parts(g)
-	return r.id == g.id && r.unixNano == g.unixNano && r.flags == g.flags &&
+	var rbuf, gbuf [64]byte
+	rb, rt, rc := rs.parts(r, rbuf[:0])
+	gb, gt, gc := gs.parts(g, gbuf[:0])
+	return r.id == g.id && r.unixNano == g.unixNano && (r.flags^g.flags)&^tootSynthText == 0 &&
 		rs.actors[r.author] == gs.actors[g.author] &&
 		bytes.Equal(rc, gc) && bytes.Equal(rb, gb) && bytes.Equal(rt, gt) &&
 		rs.noteID(r, domain) == gs.noteID(g, domain)
@@ -599,9 +601,10 @@ func TestLoadWorldAllocationBound(t *testing.T) {
 // paper` must bring up before its first request. Enacted event by event it
 // took over seven minutes (the largest instance overflows its federated
 // timeline many times over); the ceiling is generous for a shared runner.
-// Like the two scale tests it skips itself under -short, and CI's
-// paper-scale job prints its "loaded in" line; under -v it also logs the
-// resident heap by structure.
+// The heap it leaves is held to maxPaperRestingBytesPerAccount. Like the two
+// scale tests it skips itself under -short, and CI's paper-scale job prints
+// its "loaded in" line; under -v it also logs the resident heap by
+// structure.
 func TestLoadWorldPaperPopulation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paper-scale world")
@@ -624,8 +627,9 @@ func TestLoadWorldPaperPopulation(t *testing.T) {
 		users += st.Users
 		statuses += st.Statuses
 	}
+	perAccount := resident / int64(len(w.Users))
 	t.Logf("paper population of %d instances / %d users / %d statuses loaded in %v; %.0f MB resident, %d B an account",
-		len(w.Instances), users, statuses, took, float64(resident)/1e6, resident/int64(len(w.Users)))
+		len(w.Instances), users, statuses, took, float64(resident)/1e6, perAccount)
 	if users != len(w.Users) {
 		t.Fatalf("%d accounts loaded, want %d", users, len(w.Users))
 	}
@@ -635,5 +639,8 @@ func TestLoadWorldPaperPopulation(t *testing.T) {
 	}
 	if took > 60*time.Second {
 		t.Fatalf("load took %v, ceiling 60s", took)
+	}
+	if perAccount > maxPaperRestingBytesPerAccount {
+		t.Errorf("the paper population rests at %d B an account, bound %d", perAccount, maxPaperRestingBytesPerAccount)
 	}
 }

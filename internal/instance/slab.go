@@ -17,9 +17,10 @@ import (
 // fixed-width row table, and an actor intern table; the local and federated
 // timelines are just row-index slices. Toot values are materialised only at
 // the API surface (PostToot's return, the tests' read-backs), so the resting
-// cost per toot is one 40-byte tootRow plus its text bytes. A note id is
-// text only when it cannot be derived: a local toot's is "<domain>/<ID>",
-// and a remote toot's is almost always "<author domain>/<n>", kept as n.
+// cost per toot is one 40-byte tootRow plus its text bytes. Text is stored
+// only when it cannot be derived: a local toot's note id is "<domain>/<ID>",
+// a remote toot's is almost always "<author domain>/<n>", kept as n, and a
+// loaded toot's content is "toot <k> from <author>", kept as k.
 
 // span references a byte range in the store's arena.
 type span struct {
@@ -33,13 +34,15 @@ const (
 	tootBoost                 // text starts with the uvarint-prefixed boosted note id
 	tootTags                  // text then holds the packed tags
 	tootLocal                 // on the local timeline
+	tootSynthText             // content is loadedText(k), k in text.off; tags, if any, are loadTags
 )
 
 // tootRow is the fixed-width resting form of one Toot. The author is an
 // index into the actor intern table. text spans, in the arena, the boosted
-// note id and the tags when the flags say so, then the content; note is
-// what the flags say it is (see noteID). memo sits in what would be padding
-// and names the row's render in the store's render memo (memo.go).
+// note id and the tags when the flags say so, then the content, unless the
+// text is derived (tootSynthText); note is what the flags say it is (see
+// noteID). memo sits in what would be padding and names the row's render
+// in the store's render memo (memo.go).
 type tootRow struct {
 	id       int64
 	unixNano int64
@@ -123,10 +126,9 @@ func unpackSpan(v uint64) span           { return span{off: uint32(v >> 32), n: 
 func (st *tootStore) span(s span) []byte { return st.arena[s.off : s.off+s.n] }
 
 // openText starts a row's text in the arena with the boosted note id
-// (uvarint-length-prefixed) and the packed tags (a uvarint count, then each
-// tag uvarint-length-prefixed), each only if there is one; the caller
-// appends the content. It returns the flags that say which are there and
-// the offset the text starts at.
+// (uvarint-length-prefixed) and the packed tags (appendTags), each only if
+// there is one; the caller appends the content. It returns the flags that
+// say which are there and the offset the text starts at.
 func (st *tootStore) openText(boostOf string, tags []string) (flags uint8, off int) {
 	off = len(st.arena)
 	if boostOf != "" {
@@ -136,13 +138,31 @@ func (st *tootStore) openText(boostOf string, tags []string) (flags uint8, off i
 	}
 	if len(tags) > 0 {
 		flags |= tootTags
-		st.arena = binary.AppendUvarint(st.arena, uint64(len(tags)))
-		for _, t := range tags {
-			st.arena = binary.AppendUvarint(st.arena, uint64(len(t)))
-			st.arena = append(st.arena, t...)
-		}
+		st.arena = appendTags(st.arena, tags)
 	}
 	return flags, off
+}
+
+// appendTags appends the packed form of tags: a uvarint count, then each
+// tag uvarint-length-prefixed.
+func appendTags(dst []byte, tags []string) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(tags)))
+	for _, t := range tags {
+		dst = binary.AppendUvarint(dst, uint64(len(t)))
+		dst = append(dst, t...)
+	}
+	return dst
+}
+
+// loadTags is the packed tag list of every fifth toot LoadWorld loads.
+var loadTags = appendTags(nil, []string{"fediverse"})
+
+// loadedText appends the content LoadWorld gives an author's k-th toot.
+func loadedText(dst []byte, k uint32, author string) []byte {
+	dst = append(dst, "toot "...)
+	dst = strconv.AppendUint(dst, uint64(k), 10)
+	dst = append(dst, " from "...)
+	return append(dst, author...)
 }
 
 // prefixed splits a uvarint-length-prefixed string off the front of b.
@@ -152,8 +172,15 @@ func prefixed(b []byte) (s, rest []byte) {
 }
 
 // parts splits a row's text into the boosted note id, the packed tags and
-// the content. The first two are nil when the row has none.
-func (st *tootStore) parts(r *tootRow) (boostOf, tags, content []byte) {
+// the content. The first two are nil when the row has none. A derived
+// content is appended to scratch, which a caller can keep on its stack.
+func (st *tootStore) parts(r *tootRow, scratch []byte) (boostOf, tags, content []byte) {
+	if r.flags&tootSynthText != 0 {
+		if r.flags&tootTags != 0 {
+			tags = loadTags
+		}
+		return nil, tags, loadedText(scratch, r.text.off, st.actors[r.author].User)
+	}
 	b := st.span(r.text)
 	if r.flags&tootBoost != 0 {
 		boostOf, b = prefixed(b)
@@ -246,7 +273,8 @@ func (st *tootStore) pushLocal(ri uint32) {
 // get materialises the row as an API-surface Toot value.
 func (st *tootStore) get(ri uint32, domain string) Toot {
 	r := &st.rows[ri]
-	boostOf, tags, content := st.parts(r)
+	var scratch [64]byte
+	boostOf, tags, content := st.parts(r, scratch[:0])
 	t := Toot{
 		ID:        r.id,
 		Author:    st.actors[r.author],
@@ -313,7 +341,9 @@ func (st *tootStore) compact() {
 		}
 		r := st.rows[ri]
 		r.memo = [3]byte{}
-		r.text = move(r.text)
+		if r.flags&tootSynthText == 0 {
+			r.text = move(r.text)
+		}
 		if r.flags&(tootSynthNote|tootNoteNum) == 0 {
 			r.note = move(unpackSpan(r.note)).pack()
 		}

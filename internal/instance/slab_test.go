@@ -204,6 +204,65 @@ func FuzzTootRow(f *testing.F) {
 	})
 }
 
+// A loaded row derives its text (tootSynthText). The same toot stored as
+// arena text must say the same: the same status bytes and the same Toot,
+// and both again after a compaction, which moves the stored text and must
+// leave the derived row's k alone. The derived row is written as
+// LoadWorld's fill writes it. Rendering one allocates nothing.
+func TestSynthTextMatchesArenaText(t *testing.T) {
+	at := time.Unix(1_532_347_200, 123)
+	for _, tc := range []struct {
+		k      uint32
+		user   string
+		remote bool
+	}{
+		{0, "u1", false}, {4, "u1", true}, {5, "u12", false}, {5, "u7", true},
+		{1<<32 - 1, "u2399999", true},
+		{10, "a\"b\\c<d>&e\u2028\x01", false},  // escaped by AppendJSONStringBytes
+		{3, strings.Repeat("long", 30), false}, // outgrows the stack scratch
+	} {
+		s := NewServer(Config{Domain: "home.test"}, nil)
+		st := &s.store
+		author := federation.Actor{User: tc.user, Domain: "home.test"}
+		var tags []string
+		flags, noteID, note := uint8(tootSynthText|tootSynthNote), "", uint64(0)
+		if tc.k%5 == 0 {
+			tags, flags = []string{"fediverse"}, flags|tootTags
+		}
+		if tc.remote {
+			author.Domain, note = "far.test", uint64(tc.k)+1
+			noteID = "far.test/" + strconv.FormatUint(note, 10)
+			flags = flags&^tootSynthNote | tootRemote | tootNoteNum
+		}
+		// A row that compaction drops, so that the stored text moves.
+		st.add(1, at, federation.Actor{User: "x", Domain: "y"}, "gone", "y/01", "y/2", []string{"gone"}, true)
+		stored := st.add(2, at, author, string(loadedText(nil, tc.k, tc.user)), noteID, "", tags, tc.remote)
+		derived := st.addRow(2, at.UnixNano(), st.intern(author), flags, span{off: tc.k}, note)
+		want := st.get(stored, "home.test")
+		wantBody := s.appendStatusRow(nil, &st.rows[stored])
+		check := func(stage string, ri uint32) {
+			t.Helper()
+			if got := st.get(ri, "home.test"); !reflect.DeepEqual(got, want) {
+				t.Errorf("k %d, %q, %s: get = %+v, want %+v", tc.k, tc.user, stage, got, want)
+			}
+			if got := s.appendStatusRow(nil, &st.rows[ri]); string(got) != string(wantBody) {
+				t.Errorf("k %d, %q, %s: status\n%s\nwant\n%s", tc.k, tc.user, stage, got, wantBody)
+			}
+		}
+		check("derived", derived)
+		st.federated, st.dead = []uint32{stored, derived}, 1
+		st.compact()
+		check("stored, compacted", st.federated[0])
+		check("derived, compacted", st.federated[1])
+		if row := &st.rows[st.federated[1]]; len(tc.user) < 32 && !raceEnabled {
+			buf := make([]byte, 0, 1024)
+			if allocs := testing.AllocsPerRun(100, func() { buf = s.appendStatusRow(buf[:0], row) }); allocs != 0 {
+				t.Errorf("k %d, %q: rendering a derived row made %.0f allocations, want 0", tc.k, tc.user, allocs)
+			}
+		}
+	}
+}
+
 // Materialised toots must round-trip every field through the slab rows.
 func TestSlabMaterialisesAllFields(t *testing.T) {
 	s := NewServer(Config{Domain: "a.test", Open: true}, nil)

@@ -78,7 +78,8 @@ func (s *Server) appendStatusRow(dst []byte, row *tootRow) []byte {
 	dst = strconv.AppendInt(dst, row.id, 10) // decimal digits never need escaping
 	dst = append(dst, `","created_at":"`...)
 	dst = time.Unix(0, row.unixNano).UTC().AppendFormat(dst, statusTimeLayout)
-	boostOf, tags, content := s.store.parts(row)
+	var scratch [64]byte
+	boostOf, tags, content := s.store.parts(row, scratch[:0])
 	dst = append(dst, `","content":`...)
 	dst = wire.AppendJSONStringBytes(dst, content)
 	actor := &s.store.actors[row.author]

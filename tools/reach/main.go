@@ -3,7 +3,7 @@
 // (cmd/*, bench/), an init or a package-level initialiser, every
 // package-level type, constant and variable that reachable code never names,
 // and every struct field declared outside bench/ that reachable code never
-// writes.
+// writes, or writes and never reads.
 //
 // The analysis is rapid type analysis over the standard library's type
 // checker: a function is reached when reached code names it; a method is also
@@ -17,14 +17,22 @@
 // c }", or the same with == 0, c a constant, only fills in a zero value no
 // reached code set.
 //
+// Reached code reads a field when it selects it anywhere but as the target
+// of a plain assignment (= or a range clause's =) or of a default, or
+// selects through it as an embedded field. It reads every field of a struct
+// type it compares with == or !=, uses as a map key, or hands to a
+// parameter or conversion of interface type, where reflection (fmt,
+// encoding/json) can read them.
+//
 // keep.txt lists what stays although unreachable or unwritten, one per line
 // as "pkg.Recv.Name — TestName, what the test uses it for" (a field is
 // "pkg.Type.Field"). The exit status is 1 when something is not listed, and
-// when an entry is stale: the name is reachable or written again, or gone, or
-// the test it cites does not exist or does not reach it. A cited test reaches
-// a name when the same walk, started at the test with its package compiled
-// together with its _test.go files as go test builds it, names it; for a
-// field, when that walk writes it.
+// when an entry is stale: the name is reachable, written or read again, or
+// gone, or the test it cites does not exist or does not reach it. A cited
+// test reaches a name when the same walk, started at the test with its
+// package compiled together with its _test.go files as go test builds it,
+// names it; for an unwritten field, when that walk writes it, and for an
+// unread one, when it reads it.
 //
 // Usage, from this directory: go run . [-root ../..] [-keep keep.txt]
 package main
@@ -206,12 +214,14 @@ type analysis struct {
 	called    map[*types.Func]bool // interface methods reached code calls
 	stdIfaces []*types.Interface
 	written   map[*types.Var]bool // fields reached code writes, as declared
+	read      map[*types.Var]bool // fields reached code reads, as declared
+	whole     map[types.Type]bool // types whose fields readWhole has marked
 }
 
 func newAnalysis(stdIfaces []*types.Interface) *analysis {
 	return &analysis{decls: map[types.Object]*decl{}, reached: map[types.Object]bool{},
 		mentioned: map[*types.Named]bool{}, called: map[*types.Func]bool{}, stdIfaces: stdIfaces,
-		written: map[*types.Var]bool{}}
+		written: map[*types.Var]bool{}, read: map[*types.Var]bool{}, whole: map[types.Type]bool{}}
 }
 
 func (a *analysis) reach(obj types.Object) {
@@ -260,14 +270,22 @@ func (a *analysis) mention(t types.Type) {
 }
 
 // walk reaches everything the syntax under n names, and records the fields
-// it writes.
+// it writes and reads.
 func (a *analysis) walk(n ast.Node, info *types.Info) {
 	var defaults []*ast.AssignStmt // met at their if, before its body
+	targets := map[ast.Expr]bool{} // selections that are written, not read
+	target := func(e ast.Expr) {
+		if e != nil {
+			targets[ast.Unparen(e)] = true
+		}
+	}
 	ast.Inspect(n, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.IfStmt:
 			if d := defaulting(n, info); d != nil {
 				defaults = append(defaults, d)
+				target(n.Cond.(*ast.BinaryExpr).X)
+				target(d.Lhs[0])
 			}
 		case *ast.Ident:
 			switch obj := info.Uses[n].(type) {
@@ -302,13 +320,28 @@ func (a *analysis) walk(n ast.Node, info *types.Info) {
 			if n.Tok != token.DEFINE && !slices.Contains(defaults, n) {
 				for _, lhs := range n.Lhs {
 					a.assign(lhs, info)
+					if n.Tok == token.ASSIGN {
+						target(lhs)
+					}
 				}
 			}
 		case *ast.RangeStmt:
 			if n.Tok == token.ASSIGN {
 				a.assign(n.Key, info)
 				a.assign(n.Value, info)
+				target(n.Key)
+				target(n.Value)
 			}
+		case *ast.BinaryExpr:
+			if n.Op == token.EQL || n.Op == token.NEQ {
+				a.readWhole(info.TypeOf(n.X))
+			}
+		case *ast.IndexExpr:
+			if m, ok := typeUnder(info.TypeOf(n.X)).(*types.Map); ok {
+				a.readWhole(m.Key())
+			}
+		case *ast.CallExpr:
+			a.readPassed(n, info)
 		case *ast.IncDecStmt:
 			a.assign(n.X, info)
 		case *ast.UnaryExpr:
@@ -321,11 +354,18 @@ func (a *analysis) walk(n ast.Node, info *types.Info) {
 				a.assign(n.X, info)
 			}
 		case *ast.SelectorExpr:
+			sel := info.Selections[n]
+			if sel == nil {
+				break
+			}
+			a.readEmbedded(sel)
+			if sel.Kind() == types.FieldVal && !targets[n] {
+				a.read[sel.Obj().(*types.Var).Origin()] = true
+			}
 			// A pointer-receiver method of an addressable operand takes the
 			// operand's address, and that of every embedded field on the
 			// way to the method.
-			sel := info.Selections[n]
-			if sel == nil || sel.Kind() != types.MethodVal {
+			if sel.Kind() != types.MethodVal {
 				break
 			}
 			if _, ptr := sel.Obj().Type().(*types.Signature).Recv().Type().(*types.Pointer); ptr {
@@ -372,6 +412,87 @@ func deref(t types.Type) types.Type {
 }
 
 func (a *analysis) write(v *types.Var) { a.written[v.Origin()] = true }
+
+func typeUnder(t types.Type) types.Type {
+	if t == nil {
+		return nil
+	}
+	return t.Underlying()
+}
+
+// readEmbedded records the embedded fields a selection passes through as
+// read.
+func (a *analysis) readEmbedded(sel *types.Selection) {
+	t := sel.Recv()
+	for _, i := range sel.Index()[:len(sel.Index())-1] {
+		st, ok := deref(t).Underlying().(*types.Struct)
+		if !ok {
+			return
+		}
+		a.read[st.Field(i).Origin()] = true
+		t = st.Field(i).Type()
+	}
+}
+
+// readPassed reads whole every argument a call hands to a parameter of
+// interface type, and the operand of a conversion to one.
+func (a *analysis) readPassed(call *ast.CallExpr, info *types.Info) {
+	fun := info.Types[call.Fun]
+	if fun.IsType() {
+		if types.IsInterface(fun.Type) && len(call.Args) == 1 {
+			a.readWhole(info.TypeOf(call.Args[0]))
+		}
+		return
+	}
+	sig, ok := typeUnder(fun.Type).(*types.Signature)
+	if !ok {
+		return
+	}
+	params := sig.Params()
+	for i, arg := range call.Args {
+		var p types.Type
+		switch {
+		case sig.Variadic() && i >= params.Len()-1:
+			p = params.At(params.Len() - 1).Type()
+			if !call.Ellipsis.IsValid() {
+				p = p.(*types.Slice).Elem()
+			}
+		case i < params.Len():
+			p = params.At(i).Type()
+		}
+		if p != nil && types.IsInterface(p) {
+			a.readWhole(info.TypeOf(arg))
+		}
+	}
+}
+
+// readWhole records every field of every struct type inside t as read.
+func (a *analysis) readWhole(t types.Type) {
+	if t == nil || a.whole[t] {
+		return
+	}
+	a.whole[t] = true
+	switch t := t.(type) {
+	case *types.Named:
+		a.readWhole(t.Origin().Underlying())
+	case *types.Alias:
+		a.readWhole(types.Unalias(t))
+	case *types.Pointer:
+		a.readWhole(t.Elem())
+	case *types.Slice:
+		a.readWhole(t.Elem())
+	case *types.Array:
+		a.readWhole(t.Elem())
+	case *types.Map:
+		a.readWhole(t.Key())
+		a.readWhole(t.Elem())
+	case *types.Struct:
+		for i := 0; i < t.NumFields(); i++ {
+			a.read[t.Field(i).Origin()] = true
+			a.readWhole(t.Field(i).Type())
+		}
+	}
+}
 
 // assign records the fields the addressable expression e names as written:
 // a field selection, its operand's fields, and what an index or a slice
@@ -483,7 +604,7 @@ type finding struct {
 	obj   types.Object
 	owner types.Object // a field's struct type
 	pos   token.Position
-	what  string // "N" lines of a declaration, or "field"
+	what  string // "N" lines of a declaration, "field" (unwritten) or "unread"
 }
 
 func run(root, keepPath string, out, log io.Writer) error {
@@ -613,17 +734,27 @@ func run(root, keepPath string, out, log io.Writer) error {
 	if err != nil {
 		return err
 	}
-	// The fields no reached code writes, unless their type is unreachable
-	// (reported itself), and the unreachable declarations.
+	// The fields no reached code writes, or writes and never reads, unless
+	// their type is unreachable (reported itself), and the unreachable
+	// declarations.
 	var dead []finding
+	unread := 0
 	for _, p := range l.pkgs {
 		if !p.report {
 			continue
 		}
 		for _, f := range structFields(fset, p) {
-			_, declared := a.decls[f.owner]
-			if !a.written[f.obj.(*types.Var)] && (a.reached[f.owner] || !declared) {
+			v := f.obj.(*types.Var)
+			if _, declared := a.decls[f.owner]; !a.reached[f.owner] && declared {
+				continue
+			}
+			switch {
+			case !a.written[v]:
 				dead = append(dead, f)
+			case !a.read[v]:
+				f.what = "unread"
+				dead = append(dead, f)
+				unread++
 			}
 		}
 	}
@@ -640,10 +771,10 @@ func run(root, keepPath string, out, log io.Writer) error {
 		}
 		return dead[i].pos.Line < dead[j].pos.Line
 	})
-	findings, used := 0, map[string]types.Object{}
+	findings, used := 0, map[string]finding{}
 	for _, d := range dead {
 		if _, ok := keep[d.key]; ok {
-			used[d.key] = d.obj
+			used[d.key] = d
 			continue
 		}
 		findings++
@@ -658,40 +789,42 @@ func run(root, keepPath string, out, log io.Writer) error {
 	for _, key := range keys {
 		test, reason, _ := strings.Cut(keep[key], ",")
 		test = strings.TrimSpace(test)
-		obj, ok := used[key]
+		d, ok := used[key]
 		switch {
 		case !ok:
-			fmt.Fprintf(out, "%s: %s is reachable or written again, or gone\n", keepPath, key)
+			fmt.Fprintf(out, "%s: %s is reachable, written or read again, or gone\n", keepPath, key)
 		case len(tests[test]) == 0 || strings.TrimSpace(reason) == "":
 			fmt.Fprintf(out, "%s: %s wants \"TestName, what it is used for\" with a test that exists, has %q\n", keepPath, key, keep[key])
 		default:
-			reaches, err := l.testReaches(a, test, tests[test], obj)
+			reaches, err := l.testReaches(a, test, tests[test], d)
 			if err != nil {
 				return err
 			}
 			if reaches {
 				continue
 			}
-			verb := "reach"
-			if v, ok := obj.(*types.Var); ok && v.IsField() {
-				verb = "write"
+			verb := map[string]string{"field": "write", "unread": "read"}[d.what]
+			if verb == "" {
+				verb = "reach"
 			}
 			fmt.Fprintf(out, "%s: %s cites %s, which does not %s it\n", keepPath, key, test, verb)
 		}
 		findings++
 	}
-	fmt.Fprintf(log, "reach: %d packages, %d declarations, %d unreachable, %d fields unwritten, %d of them kept\n",
-		len(l.pkgs), len(a.decls), unreachable, len(dead)-unreachable, len(used))
+	fmt.Fprintf(log, "reach: %d packages, %d declarations, %d unreachable, %d fields unwritten, %d unread, %d of them kept\n",
+		len(l.pkgs), len(a.decls), unreachable, len(dead)-unreachable-unread, unread, len(used))
 	if findings > 0 {
 		return fmt.Errorf("%d findings", findings)
 	}
 	return nil
 }
 
-// testReaches reports whether a test named test, in one of dirs, reaches obj
-// (writes it, for a field) in the world go test builds for it. main is the
-// binaries' analysis, whose declarations the walk falls back on.
-func (l *loader) testReaches(main *analysis, test string, dirs []string, obj types.Object) (bool, error) {
+// testReaches reports whether a test named test, in one of dirs, reaches
+// what d found (writes an unwritten field, reads an unread one) in the world
+// go test builds for it. main is the binaries' analysis, whose declarations
+// the walk falls back on.
+func (l *loader) testReaches(main *analysis, test string, dirs []string, d finding) (bool, error) {
+	obj := d.obj
 	for _, dir := range dirs {
 		w := l.testWorld(dir)
 		if len(l.errs) > 0 {
@@ -715,8 +848,8 @@ func (l *loader) testReaches(main *analysis, test string, dirs []string, obj typ
 		a.run()
 		// The world's own type-checks declare the same syntax again, so the
 		// object to look for is the one declared at obj's position.
-		if v, ok := obj.(*types.Var); ok && v.IsField() {
-			for f := range a.written {
+		if fields := map[string]map[*types.Var]bool{"field": a.written, "unread": a.read}[d.what]; fields != nil {
+			for f := range fields {
 				if f.Pos() == obj.Pos() {
 					return true, nil
 				}

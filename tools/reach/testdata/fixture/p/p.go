@@ -1,11 +1,13 @@
 // Package p has one struct field per way of writing one, four fields no
-// binary writes, and two functions no binary calls.
+// binary writes, two it writes and never reads, and two functions no binary
+// calls.
 package p
 
 import "sync"
 
 // T's fields are each written one way, except Unset and TestOnly, and
-// Defaulted and Zeroed, which are only given a default.
+// Defaulted and Zeroed, which are only given a default. Each is read, except
+// WriteOnly, and DefaultOnly, which only a default's condition looks at.
 type T struct {
 	Keyed     int
 	Assigned  int
@@ -20,10 +22,16 @@ type T struct {
 	Defaulted int // if <= 0, set to a constant
 	Zeroed    int // if == 0, set to a constant
 	Computed  int // if == 0, set to a value: a write
+
+	WriteOnly   int // written, never read
+	DefaultOnly int // written, and looked at only to default it
 }
 
 // U is built by an unkeyed literal only.
 type U struct{ A, B int }
+
+// V's field is read only by comparing a V whole.
+type V struct{ C int }
 
 // Run writes T's fields.
 func Run(n int) int {
@@ -45,8 +53,16 @@ func Run(n int) int {
 	if t.Computed == 0 {
 		t.Computed = n
 	}
+	t.WriteOnly = n
+	t.DefaultOnly = n
+	if t.DefaultOnly <= 0 {
+		t.DefaultOnly = 1
+	}
+	if (V{n}) == (V{}) {
+		n++
+	}
 	u := U{1, 2}
-	return t.Keyed + t.Assigned + t.OpAssign + t.Inc + t.Addressed + t.Indexed[1] + int(t.Sliced[0]) +
+	return n + t.Keyed + t.Assigned + t.OpAssign + t.Inc + t.Addressed + t.Indexed[1] + int(t.Sliced[0]) +
 		t.Unset + t.TestOnly + t.Defaulted + t.Zeroed + t.Computed + u.A + u.B
 }
 

@@ -12,6 +12,11 @@ func TestReadsTestOnly(t *testing.T) {
 	_ = x.TestOnly
 }
 
+func TestReadsWriteOnly(t *testing.T) {
+	var x T
+	_ = x.WriteOnly
+}
+
 func TestClientGet(t *testing.T) {
 	c := &Client{}
 	_ = c.Get()
