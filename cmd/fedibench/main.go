@@ -7,6 +7,7 @@
 //	fedibench -scale small                # generate and run everything
 //	fedibench -world world.fedi -run fig12,tab1
 //	fedibench -fidelity -seeds 1-20 -scale small  # every paper value beside its seed band
+//	fedibench -fidelity -seeds 1-3 -scale small,paper  # each row's band at both scales
 //	fedibench -cpuprofile cpu.out -memprofile mem.out -trace trace.out -run fig12
 //
 // The profile flags (internal/profile, on every command) snapshot pprof
@@ -35,7 +36,7 @@ func main() { os.Exit(run(context.Background(), os.Args[1:], os.Stdout, os.Stder
 // run is the command, writing only to stdout and stderr; it returns the exit code.
 func run(_ context.Context, args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("fedibench", flag.ContinueOnError)
-	scale := fs.String("scale", "small", "world scale when generating: tiny | small | paper")
+	scale := fs.String("scale", "small", "world scale when generating: tiny | small | paper; -fidelity takes a comma list")
 	seed := fs.Uint64("seed", 1, "generator seed")
 	worldFile := fs.String("world", "", "load a world file instead of generating")
 	runIDs := fs.String("run", "", "comma-separated experiment ids (default: all); see -list")
@@ -54,20 +55,29 @@ func run(_ context.Context, args []string, stdout, stderr io.Writer) int {
 		}
 		return 0
 	}
+	scales := strings.Split(*scale, ",")
 	if *fidelity {
 		if *worldFile != "" {
 			fmt.Fprintln(stderr, "fedibench: -fidelity generates its worlds; it takes no -world")
 			return 2
 		}
 		seeds, err := parseSeeds(*seedRange, *seed)
-		if err == nil {
+		switch {
+		case err != nil:
+		case len(scales) == 1:
 			err = writeBands(stdout, core.Scale(*scale), seeds)
+		default:
+			err = writeScaleBands(stdout, scales, seeds)
 		}
 		if err != nil {
 			fmt.Fprintln(stderr, "fedibench:", err)
 			return 2
 		}
 		return 0
+	}
+	if len(scales) > 1 {
+		fmt.Fprintln(stderr, "fedibench: a -scale list needs -fidelity")
+		return 2
 	}
 
 	w, err := core.LoadOrBuild(*worldFile, core.Scale(*scale), *seed)
@@ -124,21 +134,16 @@ func parseSeeds(s string, def uint64) ([]uint64, error) {
 	return seeds, nil
 }
 
-// writeBands generates one world at scale per seed, reads every ledger row
-// off it, and prints a line a row: its id, the paper value, the median and
-// [min, max] band of its values, and its verdict, "match" or the gap in
-// widths of the band widened by the row's tolerance. A row read over one
-// size bin also prints the [min, max] of the bin's instance count, and
-// "thin", not a verdict, when some world's bin holds fewer than
-// analysis.ThinBin; a row whose paper value is a crawl's count (Crawled)
-// prints "truth-vs-crawl" before its verdict.
-func writeBands(out io.Writer, scale core.Scale, seeds []uint64) error {
-	vals := make([][]float64, len(analysis.Ledger))
-	bins := make([][]float64, len(analysis.Ledger))
+// ledgerValues generates one world at scale per seed and reads every
+// ledger row off each: vals[i] are row i's values, and bins[i] the
+// instance counts of its size bin when it reads one.
+func ledgerValues(scale core.Scale, seeds []uint64) (vals, bins [][]float64, _ error) {
+	vals = make([][]float64, len(analysis.Ledger))
+	bins = make([][]float64, len(analysis.Ledger))
 	for _, seed := range seeds {
 		w, err := core.LoadOrBuild("", scale, seed)
 		if err != nil {
-			return err
+			return nil, nil, err
 		}
 		res := analysis.LedgerResults(w)
 		for i, row := range analysis.Ledger {
@@ -147,6 +152,21 @@ func writeBands(out io.Writer, scale core.Scale, seeds []uint64) error {
 				bins[i] = append(bins[i], float64(n))
 			}
 		}
+	}
+	return vals, bins, nil
+}
+
+// writeBands prints a line a ledger row over the seeds' worlds at scale:
+// its id, the paper value, the median and [min, max] band of its values,
+// and its verdict, "match" or the gap in widths of the band widened by the
+// row's tolerance. A row read over one size bin also prints the [min, max]
+// of the bin's instance count, and "thin", not a verdict, when some world's
+// bin holds fewer than analysis.ThinBin; a row whose paper value is a
+// crawl's count (Crawled) prints "truth-vs-crawl" before its verdict.
+func writeBands(out io.Writer, scale core.Scale, seeds []uint64) error {
+	vals, bins, err := ledgerValues(scale, seeds)
+	if err != nil {
+		return err
 	}
 	for i, row := range analysis.Ledger {
 		b := analysis.NewBand(vals[i])
@@ -166,6 +186,40 @@ func writeBands(out io.Writer, scale core.Scale, seeds []uint64) error {
 		}
 		fmt.Fprintf(out, "%-34s paper %-9s median %-9s [%s, %s] %s\n",
 			row.ID, num(row.Paper), num(b.Median), num(b.Min), num(b.Max), verdict)
+	}
+	return nil
+}
+
+// writeScaleBands prints a line a ledger row: its id, the paper value, and
+// at each scale its median and [min, max] band over the seeds' worlds,
+// then "scale-dependent" when two of the bands do not overlap.
+func writeScaleBands(out io.Writer, scales []string, seeds []uint64) error {
+	for _, scale := range scales { // a typo in the last scale fails before the first's worlds
+		if _, err := core.ConfigForScale(core.Scale(scale), 0); err != nil {
+			return err
+		}
+	}
+	bands := make([][]analysis.Band, len(analysis.Ledger))
+	for _, scale := range scales {
+		vals, _, err := ledgerValues(core.Scale(scale), seeds)
+		if err != nil {
+			return err
+		}
+		for i := range bands {
+			bands[i] = append(bands[i], analysis.NewBand(vals[i]))
+		}
+	}
+	for i, row := range analysis.Ledger {
+		line := fmt.Sprintf("%-34s paper %-9s", row.ID, num(row.Paper))
+		lo, hi := math.Inf(-1), math.Inf(1)
+		for k, b := range bands[i] {
+			line += fmt.Sprintf(" %s median %-9s [%s, %s]", scales[k], num(b.Median), num(b.Min), num(b.Max))
+			lo, hi = max(lo, b.Min), min(hi, b.Max)
+		}
+		if lo > hi {
+			line += " scale-dependent"
+		}
+		fmt.Fprintln(out, line)
 	}
 	return nil
 }

@@ -143,6 +143,53 @@ func TestFidelitySmallGaps(t *testing.T) {
 	}
 }
 
+// -fidelity -scale tiny,small prints each ledger row's band at both
+// scales on one line, and flags the row scale-dependent exactly when the
+// two bands, as analysis.NewBand makes them from the rows' values, do not
+// overlap. Which rows depend on scale between small and paper is for a
+// lane that can afford three paper worlds to pin.
+func TestFidelityScales(t *testing.T) {
+	scales := []core.Scale{core.ScaleTiny, core.ScaleSmall}
+	bands := make([][]analysis.Band, len(analysis.Ledger))
+	for _, scale := range scales {
+		vals := make([][]float64, len(analysis.Ledger))
+		for seed := uint64(1); seed <= 3; seed++ {
+			w, err := core.LoadOrBuild("", scale, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res := analysis.LedgerResults(w)
+			for i, row := range analysis.Ledger {
+				vals[i] = append(vals[i], row.Ours(res[row.Figure]))
+			}
+		}
+		for i := range bands {
+			bands[i] = append(bands[i], analysis.NewBand(vals[i]))
+		}
+	}
+	lines := strings.Split(strings.TrimSuffix(fedibench(t, "-fidelity", "-scale", "tiny,small", "-seeds", "1-3"), "\n"), "\n")
+	if len(lines) != len(analysis.Ledger) {
+		t.Fatalf("%d lines for %d ledger rows:\n%s", len(lines), len(analysis.Ledger), strings.Join(lines, "\n"))
+	}
+	dependent := 0
+	for i, row := range analysis.Ledger {
+		want := []string{row.ID, "paper", num(row.Paper)}
+		for k, b := range bands[i] {
+			want = append(want, string(scales[k]), "median", num(b.Median), "["+num(b.Min)+",", num(b.Max)+"]")
+		}
+		if tiny, small := bands[i][0], bands[i][1]; tiny.Min > small.Max || small.Min > tiny.Max {
+			want = append(want, "scale-dependent")
+			dependent++
+		}
+		if got := strings.Fields(lines[i]); !slices.Equal(got, want) {
+			t.Errorf("line %d is\n  %s\nwant the fields\n  %s", i, lines[i], strings.Join(want, " "))
+		}
+	}
+	if dependent == 0 || dependent == len(analysis.Ledger) {
+		t.Errorf("%d of %d rows are scale-dependent between tiny and small; the flag tells nothing apart", dependent, len(analysis.Ledger))
+	}
+}
+
 // A bad invocation exits 2 and says why on stderr; -h prints the flags and
 // exits 0.
 func TestBadInvocation(t *testing.T) {
@@ -162,6 +209,8 @@ func TestBadInvocation(t *testing.T) {
 		{[]string{"-fidelity", "-seeds", "1-x"}, 2, "fedibench: bad -seeds"},
 		{[]string{"-fidelity", "-scale", "galactic"}, 2, "fedibench: core: unknown scale"},
 		{[]string{"-fidelity", "-world", filepath.Join(dir, "w.fedi")}, 2, "fedibench: -fidelity"},
+		{[]string{"-scale", "tiny,small"}, 2, "fedibench: a -scale list needs -fidelity"},
+		{[]string{"-fidelity", "-scale", "tiny,galactic"}, 2, "fedibench: core: unknown scale"},
 	} {
 		var stdout, stderr bytes.Buffer
 		code := run(context.Background(), tc.args, &stdout, &stderr)

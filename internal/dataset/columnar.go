@@ -2,11 +2,14 @@ package dataset
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
 	"slices"
+	"sync"
 	"unsafe"
 
 	"repro/internal/graph"
@@ -17,8 +20,8 @@ import (
 // preamble (magic + version) followed by self-framed sections,
 // each [tag byte][uvarint payload length][payload]. Large tables —
 // instances, users, graph adjacency, traces — are split across multiple
-// fixed-budget chunk sections, so both Save and Load touch one section's
-// worth of scratch memory at a time regardless of world size. Within a
+// fixed-budget chunk sections, so Save and Load hold a few sections' worth
+// of scratch memory at a time regardless of world size. Within a
 // chunk the payload is column-major: every value of a field, then every
 // value of the next, which keeps like bytes together. Integers are uvarint
 // (zigzag where negative values are legal), each string carries its own
@@ -373,9 +376,9 @@ func certRow(c *colCodec, id *int32, days *[]int) {
 // ---------------------------------------------------------------------------
 // Save.
 
-// sectionWriter frames finished section payloads onto the output stream.
-// The payload buffer is reused across sections, so Save's transient memory
-// is the largest single section.
+// sectionWriter frames finished section payloads onto the output stream,
+// in file order. Its own payload buffer is reused across the sections it
+// encodes itself.
 type sectionWriter struct {
 	w *bufio.Writer
 	colCodec
@@ -383,27 +386,152 @@ type sectionWriter struct {
 }
 
 func (s *sectionWriter) flush(tag byte) error {
-	if err := s.w.WriteByte(tag); err != nil {
+	if err := s.write(tag, s.buf); err != nil {
 		return err
 	}
-	var hdr [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(hdr[:], uint64(len(s.buf)))
-	if _, err := s.w.Write(hdr[:n]); err != nil {
-		return err
-	}
-	if _, err := s.w.Write(s.buf); err != nil {
-		return err
-	}
-	s.sections++
 	s.buf = s.buf[:0]
 	return nil
 }
 
+func (s *sectionWriter) write(tag byte, payload []byte) error {
+	if err := s.w.WriteByte(tag); err != nil {
+		return err
+	}
+	var hdr [binary.MaxVarintLen64]byte
+	n := binary.PutUvarint(hdr[:], uint64(len(payload)))
+	if _, err := s.w.Write(hdr[:n]); err != nil {
+		return err
+	}
+	if _, err := s.w.Write(payload); err != nil {
+		return err
+	}
+	s.sections++
+	return nil
+}
+
+// encodeBuffers is how many payload buffers an encoder goroutine owns:
+// while the writer writes one, the encoder fills the other, so it runs at
+// most one section ahead and its transient memory is two payloads.
+const encodeBuffers = 2
+
+// payloadCap caps a payload buffer's starting capacity: a chunk closes at
+// the first row past chunkTargetBytes, so one row's overshoot fits.
+const payloadCap = chunkTargetBytes + chunkTargetBytes/16
+
+// smallPayload is the size below which a finished payload is handed to the
+// writer as a copy, so a head section holds none of the encoder's buffers.
+const smallPayload = 4 << 10
+
+// section is one finished payload on its way to the writer.
+type section struct {
+	tag     byte
+	payload []byte
+}
+
+// aheadEncoder encodes a run of sections on its own goroutine and hands
+// each to the writer: every section starts with begin and ends with flush.
+type aheadEncoder struct {
+	colCodec
+	out   chan section // holds the one section the encoder may run ahead
+	free  chan []byte  // spent buffers; it never holds more than the encoder owns
+	stop  <-chan struct{}
+	owned int // buffers made so far
+	left  int // what the run is expected to encode beyond what it has flushed
+}
+
+// errSaveStopped ends an encoder whose writer has failed.
+var errSaveStopped = errors.New("dataset: save stopped")
+
+// encodeAhead starts encode on its own goroutine; wg counts it until it
+// has returned. size is what the whole run is expected to encode to, so a
+// new buffer is no larger than what is left of it.
+func encodeAhead(wg *sync.WaitGroup, stop <-chan struct{}, size int, encode func(*aheadEncoder) error) *aheadEncoder {
+	e := &aheadEncoder{out: make(chan section, 1), free: make(chan []byte, encodeBuffers), stop: stop, left: size}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer close(e.out)
+		encode(e) // a failed flush means the writer already has its error
+	}()
+	return e
+}
+
+// begin readies a buffer for the next section: the one flush kept, one the
+// writer has spent, or a new one while the encoder owns fewer than
+// encodeBuffers.
+func (e *aheadEncoder) begin() error {
+	switch {
+	case e.buf != nil:
+	case e.owned < encodeBuffers:
+		e.owned++
+		e.buf = make([]byte, 0, min(payloadCap, max(e.left, smallPayload)))
+	default:
+		select {
+		case b := <-e.free:
+			e.buf = b[:0]
+		case <-e.stop:
+			return errSaveStopped
+		}
+	}
+	return nil
+}
+
+// flush hands the finished payload to the writer. A small one goes as a
+// copy and the encoder keeps its buffer; a large one takes the buffer
+// along, and the next begin finds another.
+func (e *aheadEncoder) flush(tag byte) error {
+	e.left -= len(e.buf)
+	sec := section{tag, e.buf}
+	if len(e.buf) < smallPayload {
+		sec.payload = bytes.Clone(e.buf)
+		e.buf = e.buf[:0]
+	} else {
+		e.buf = nil
+	}
+	select {
+	case e.out <- sec:
+		return nil
+	case <-e.stop:
+		return errSaveStopped
+	}
+}
+
+// drain writes every section e encodes, in order, and hands each spent
+// buffer back to it.
+func (s *sectionWriter) drain(e *aheadEncoder) error {
+	for sec := range e.out {
+		if err := s.write(sec.tag, sec.payload); err != nil {
+			return err
+		}
+		if len(sec.payload) >= smallPayload {
+			e.free <- sec.payload
+		}
+	}
+	return nil
+}
+
 // Save writes the world to out in the columnar format. It streams
-// section-by-section: peak memory beyond the world itself is one section
-// payload (≤ a few hundred KB) regardless of world size.
+// section-by-section: the graph rows and the traces are encoded on their
+// own goroutines while Save encodes and writes the tables before them, and
+// every section is written in file order. Peak memory beyond the world
+// itself is a bounded number of section payloads (each ≤ a few hundred KB)
+// regardless of world size.
 func (w *World) Save(out io.Writer) error {
-	bw := bufio.NewWriterSize(out, 64<<10)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	defer close(stop)
+	graphs := encodeAhead(&wg, stop, graphBytes(w.Social)+graphBytes(w.Federation), func(e *aheadEncoder) error {
+		if err := encodeGraph(e, gidSocial, w.Social); err != nil {
+			return err
+		}
+		return encodeGraph(e, gidFederation, w.Federation)
+	})
+	traces := encodeAhead(&wg, stop, traceBytes(w.Traces), func(e *aheadEncoder) error { return encodeTraces(e, w.Traces) })
+
+	// Payloads past the buffer's size go to out directly, so it only
+	// gathers the section frames and the small sections.
+	bw := bufio.NewWriter(out)
 	if _, err := bw.WriteString(colMagic); err != nil {
 		return err
 	}
@@ -412,7 +540,7 @@ func (w *World) Save(out io.Writer) error {
 	if _, err := bw.Write(verBuf[:n]); err != nil {
 		return err
 	}
-	sw := &sectionWriter{w: bw, colCodec: colCodec{buf: make([]byte, 0, 64<<10)}}
+	sw := &sectionWriter{w: bw, colCodec: colCodec{buf: make([]byte, 0, tableBytes(w))}}
 	c := &sw.colCodec
 
 	var flags byte
@@ -459,37 +587,11 @@ func (w *World) Save(out io.Writer) error {
 			return err
 		}
 	}
-	if err := saveGraphSections(sw, gidSocial, w.Social); err != nil {
+	if err := sw.drain(graphs); err != nil {
 		return err
 	}
-	if err := saveGraphSections(sw, gidFederation, w.Federation); err != nil {
+	if err := sw.drain(traces); err != nil {
 		return err
-	}
-
-	if w.Traces != nil {
-		ts := w.Traces
-		zigzag(c, &ts.SlotsPerDay)
-		sw.buf = binary.AppendUvarint(sw.buf, uint64(len(ts.Traces)))
-		if err := sw.flush(secTraceHead); err != nil {
-			return err
-		}
-		start := 0
-		for start < len(ts.Traces) {
-			chunkStart := start
-			sw.buf = binary.AppendUvarint(sw.buf, uint64(chunkStart))
-			countAt := len(sw.buf)
-			sw.buf = append(sw.buf, 0, 0, 0, 0) // fixed 4-byte count patched below
-			n := 0
-			for start < len(ts.Traces) && (n == 0 || len(sw.buf) < chunkTargetBytes) {
-				sw.buf = ts.Traces[start].AppendBinary(sw.buf)
-				start++
-				n++
-			}
-			binary.LittleEndian.PutUint32(sw.buf[countAt:], uint32(n))
-			if err := sw.flush(secTraceRows); err != nil {
-				return err
-			}
-		}
 	}
 
 	ids := make([]int32, 0, len(w.CertOutageDays))
@@ -517,24 +619,69 @@ func (w *World) Save(out io.Writer) error {
 	return bw.Flush()
 }
 
-func saveGraphSections(sw *sectionWriter, gid byte, g *graph.CSR) error {
+// tableBytes guesses the largest section Save encodes itself: an
+// instance or user chunk, at some 300 bytes an instance row and 16 a user
+// row. Append grows a buffer past its capacity by a quarter at a time, so
+// a guess on the high side saves several copies of the section.
+func tableBytes(w *World) int {
+	return 1024 + max(300*min(len(w.Instances), instChunkRows), 16*min(len(w.Users), userChunkRows))
+}
+
+// graphBytes bounds what g's sections encode to: a degree is at most the
+// edge count and a target below the node count.
+func graphBytes(g *graph.CSR) int {
+	if g == nil {
+		return 0
+	}
+	n, e := g.NumNodes(), g.NumEdges()
+	return 64 + n*uvarintLen(e) + e*uvarintLen(n)
+}
+
+// traceBytes is what ts's sections encode to, near enough: every trace's
+// runs, and the section frames.
+func traceBytes(ts *sim.TraceSet) int {
+	if ts == nil {
+		return 0
+	}
+	size := 64
+	for _, t := range ts.Traces {
+		size += t.BinarySize()
+	}
+	return size
+}
+
+// uvarintLen is the length of x's uvarint encoding.
+func uvarintLen(x int) int {
+	var b [binary.MaxVarintLen64]byte
+	return binary.PutUvarint(b[:], uint64(x))
+}
+
+// encodeGraph encodes g's head section and its adjacency rows, each chunk
+// the rows that first reach chunkTargetBytes.
+func encodeGraph(e *aheadEncoder, gid byte, g *graph.CSR) error {
 	if g == nil {
 		return nil
 	}
-	sw.buf = append(sw.buf, gid)
-	sw.buf = binary.AppendUvarint(sw.buf, uint64(g.NumNodes()))
-	sw.buf = binary.AppendUvarint(sw.buf, uint64(g.NumEdges()))
-	if err := sw.flush(secGraphHead); err != nil {
+	if err := e.begin(); err != nil {
+		return err
+	}
+	e.buf = append(e.buf, gid)
+	e.buf = binary.AppendUvarint(e.buf, uint64(g.NumNodes()))
+	e.buf = binary.AppendUvarint(e.buf, uint64(g.NumEdges()))
+	if err := e.flush(secGraphHead); err != nil {
 		return err
 	}
 	v, nodes := int32(0), int32(g.NumNodes())
 	for v < nodes {
-		sw.buf = append(sw.buf, gid)
-		sw.buf = binary.AppendUvarint(sw.buf, uint64(v))
-		countAt := len(sw.buf)
-		sw.buf = append(sw.buf, 0, 0, 0, 0) // fixed 4-byte count patched below
+		if err := e.begin(); err != nil {
+			return err
+		}
+		e.buf = append(e.buf, gid)
+		e.buf = binary.AppendUvarint(e.buf, uint64(v))
+		countAt := len(e.buf)
+		e.buf = append(e.buf, 0, 0, 0, 0) // fixed 4-byte count patched below
 		n := 0
-		buf := sw.buf // a local, so the per-edge appends keep it in registers
+		buf := e.buf // a local, so the per-edge appends keep it in registers
 		for v < nodes && (n == 0 || len(buf) < chunkTargetBytes) {
 			row := g.Out(v)
 			buf = binary.AppendUvarint(buf, uint64(len(row)))
@@ -544,9 +691,44 @@ func saveGraphSections(sw *sectionWriter, gid byte, g *graph.CSR) error {
 			v++
 			n++
 		}
-		sw.buf = buf
-		binary.LittleEndian.PutUint32(sw.buf[countAt:], uint32(n))
-		if err := sw.flush(secGraphRows); err != nil {
+		e.buf = buf
+		binary.LittleEndian.PutUint32(e.buf[countAt:], uint32(n))
+		if err := e.flush(secGraphRows); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// encodeTraces encodes the trace head section and the traces' outage runs,
+// each chunk the traces that first reach chunkTargetBytes.
+func encodeTraces(e *aheadEncoder, ts *sim.TraceSet) error {
+	if ts == nil {
+		return nil
+	}
+	if err := e.begin(); err != nil {
+		return err
+	}
+	zigzag(&e.colCodec, &ts.SlotsPerDay)
+	e.buf = binary.AppendUvarint(e.buf, uint64(len(ts.Traces)))
+	if err := e.flush(secTraceHead); err != nil {
+		return err
+	}
+	for start := 0; start < len(ts.Traces); {
+		if err := e.begin(); err != nil {
+			return err
+		}
+		e.buf = binary.AppendUvarint(e.buf, uint64(start))
+		countAt := len(e.buf)
+		e.buf = append(e.buf, 0, 0, 0, 0) // fixed 4-byte count patched below
+		n := 0
+		for start < len(ts.Traces) && (n == 0 || len(e.buf) < chunkTargetBytes) {
+			e.buf = ts.Traces[start].AppendBinary(e.buf)
+			start++
+			n++
+		}
+		binary.LittleEndian.PutUint32(e.buf[countAt:], uint32(n))
+		if err := e.flush(secTraceRows); err != nil {
 			return err
 		}
 	}
@@ -563,12 +745,31 @@ func colError(off int, tag byte, err error) error {
 		colMagic, colVersion, tag, off, err)
 }
 
-// graphDecode accumulates one graph's adjacency rows across chunk sections.
+// graphDecode is one graph as Load streams it: its rows decode straight
+// into the out-offsets and out-adjacency its CSR adopts, and the CSR's
+// in-rows are built on their own goroutine once the last row has arrived.
 type graphDecode struct {
-	nodes, edges int
-	out          [][]int32
-	backing      []int32
-	next         int // next node id expected
+	nodes int
+	off   []int64 // off[v+1] is where node v's row ends in adj
+	adj   []int32 // every edge the header announced
+	fill  int     // edges decoded so far
+	next  int     // next node id expected
+	csr   *graph.CSR
+	built chan struct{} // closed once csr is set; nil until the rows are complete
+}
+
+// complete checks that the rows hold every announced edge and starts
+// building the CSR.
+func (gd *graphDecode) complete(gid int) error {
+	if gd.fill != len(gd.adj) {
+		return fmt.Errorf("graph %d edge count mismatch: header %d, rows %d", gid, len(gd.adj), gd.fill)
+	}
+	gd.built = make(chan struct{})
+	go func() {
+		defer close(gd.built)
+		gd.csr = graph.FromAdjacency(gd.off, gd.adj)
+	}()
+	return nil
 }
 
 type colDecoder struct {
@@ -586,6 +787,15 @@ type colDecoder struct {
 	graphs     [2]*graphDecode
 	traceCount int // -1 until the trace header arrives
 	tracesSeen int
+}
+
+// wait returns once no graph is being built, so no goroutine outlives Load.
+func (d *colDecoder) wait() {
+	for _, gd := range d.graphs {
+		if gd != nil && gd.built != nil {
+			<-gd.built
+		}
+	}
 }
 
 func (d *colDecoder) alloc(bytes int64, what string) error {
@@ -627,6 +837,7 @@ func LoadWithStats(in io.Reader) (*World, LoadStats, error) {
 	}
 
 	d := &colDecoder{w: &World{}, c: colCodec{load: true}, budget: colDecodeBudget, traceCount: -1}
+	defer d.wait()
 	var scratch []byte
 	for {
 		secOff := off
@@ -798,18 +1009,17 @@ func (d *colDecoder) section(tag byte, r *colReader) error {
 		if nodes != table {
 			return fmt.Errorf("graph %d has %d nodes, its table has %d rows", gid, nodes, table)
 		}
-		// What Load allocates for a graph: the decoded rows (a slice header
-		// per node, an int32 per edge) and the CSR built from them (three
-		// int64 offset arrays and a scatter cursor per node; out, in and the
-		// twice-as-long merged array per edge).
-		if err := d.alloc(int64(nodes)*(24+4*8)+int64(edges)*(4+4*4), "graph"); err != nil {
+		// What Load allocates for a graph is its CSR: the out-offsets and
+		// out-adjacency the rows decode into, and the in-offsets and
+		// in-adjacency built from them — an int64 pair a node, an int32
+		// pair an edge.
+		if err := d.alloc(int64(nodes+1)*16+int64(edges)*8, "graph"); err != nil {
 			return err
 		}
-		d.graphs[gid] = &graphDecode{
-			nodes:   nodes,
-			edges:   edges,
-			out:     make([][]int32, nodes),
-			backing: make([]int32, 0, edges),
+		gd = &graphDecode{nodes: nodes, off: make([]int64, nodes+1), adj: make([]int32, edges)}
+		d.graphs[gid] = gd
+		if nodes == 0 {
+			return gd.complete(gid)
 		}
 	case secGraphRows:
 		gid, gd, err := d.graphFor(r)
@@ -832,12 +1042,9 @@ func (d *colDecoder) section(tag byte, r *colReader) error {
 			return fmt.Errorf("graph %d chunk [%d,%d) out of order (have %d of %d nodes)",
 				gid, start, start+n, gd.next, gd.nodes)
 		}
+		adj, fill := gd.adj, gd.fill
 		for v := start; v < start+n && r.err == nil; v++ {
-			deg := r.count(gd.edges-len(gd.backing), "graph row edge")
-			if r.err != nil {
-				break
-			}
-			at := len(gd.backing)
+			deg := r.count(len(adj)-fill, "graph row edge")
 			for k := 0; k < deg; k++ {
 				t := r.uvarint()
 				if r.err != nil {
@@ -847,12 +1054,17 @@ func (d *colDecoder) section(tag byte, r *colReader) error {
 					r.fail("edge target %d out of range [0,%d)", t, gd.nodes)
 					break
 				}
-				gd.backing = append(gd.backing, int32(t))
+				adj[fill] = int32(t)
+				fill++
 			}
-			gd.out[v] = gd.backing[at:len(gd.backing):len(gd.backing)]
+			gd.off[v+1] = int64(fill)
 		}
+		gd.fill = fill
 		if r.err == nil {
 			gd.next = start + n
+			if gd.next == gd.nodes && gd.built == nil {
+				return gd.complete(gid)
+			}
 		}
 	case secTraceHead:
 		if d.traceCount >= 0 {
@@ -970,17 +1182,14 @@ func (d *colDecoder) finish() (*World, error) {
 		if gd == nil {
 			return nil, fmt.Errorf("graph %d announced but missing", gid)
 		}
-		if gd.next != gd.nodes {
+		if gd.built == nil {
 			return nil, fmt.Errorf("graph %d rows incomplete: %d of %d nodes", gid, gd.next, gd.nodes)
 		}
-		if len(gd.backing) != gd.edges {
-			return nil, fmt.Errorf("graph %d edge count mismatch: header %d, rows %d", gid, gd.edges, len(gd.backing))
-		}
-		g := graph.FromRows(gd.out)
+		<-gd.built
 		if gid == gidSocial {
-			d.w.Social = g
+			d.w.Social = gd.csr
 		} else {
-			d.w.Federation = g
+			d.w.Federation = gd.csr
 		}
 	}
 	if d.flags&colFlagTraces != 0 {

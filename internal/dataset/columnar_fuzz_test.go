@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 )
 
@@ -27,7 +28,7 @@ func FuzzWorldFile(f *testing.F) {
 	f.Add(append([]byte{0x1f, 0x8b, 8}, sample...))
 	f.Add([]byte("FDWC"))
 	f.Add([]byte{'F', 'D', 'W', 'C', colVersion, secHeader, 0})
-	for _, tc := range append(hostileTraceFiles(f), hostileColumnFiles(f)...) {
+	for _, tc := range slices.Concat(hostileTraceFiles(f), hostileColumnFiles(f), afterSocialRows(f, sampleWorld())) {
 		f.Add(tc.file)
 	}
 

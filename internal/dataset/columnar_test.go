@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"compress/gzip"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand/v2"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 	"unsafe"
 
 	"repro/internal/graph"
@@ -318,6 +321,108 @@ func hostileColumnFiles(tb testing.TB) []hostileFile {
 		{"toots-past-int32", "value 2147483648 overflows a 32-bit column", patch(math.MaxInt32, math.MaxInt32+1)},
 		{"join-day-below-int32", "value -2147483649 overflows a 32-bit column", patch(math.MinInt32, math.MinInt32-1)},
 		{"user-id-not-row", "row 1 holds id 5", save(w)},
+	}
+}
+
+// afterSocialRows cuts w's file at the end of its social graph's last rows
+// section, where Load starts building that graph's in-rows, and corrupts
+// the section tag there in a second file; each with the error Load must
+// give, which names the offset.
+func afterSocialRows(tb testing.TB, w *World) []hostileFile {
+	var buf bytes.Buffer
+	if err := w.Save(&buf); err != nil {
+		tb.Fatal(err)
+	}
+	file := buf.Bytes()
+	at := -1
+	_, k := binary.Uvarint(file[len(colMagic):])
+	for off := len(colMagic) + k; off < len(file); {
+		n, k := binary.Uvarint(file[off+1:])
+		end := off + 1 + k + int(n)
+		if file[off] == secGraphRows && file[off+1+k] == gidSocial {
+			at = end
+		}
+		off = end
+	}
+	if at < 0 {
+		tb.Fatal("no social rows section")
+	}
+	corrupt := bytes.Clone(file)
+	corrupt[at] = 0x42
+	return []hostileFile{
+		{"cut-after-social-rows", fmt.Sprintf("at offset %d: reading section tag: EOF", at), file[:at]},
+		{"bad-tag-after-social-rows", fmt.Sprintf("section 0x42 at offset %d: unknown section tag", at), corrupt},
+	}
+}
+
+// A file that fails after the social graph's rows are complete fails with
+// the offset of what follows them, and Load waits for the goroutine that
+// builds the graph's in-rows: none outlives it. That goroutine closes its
+// channel just before it exits, so the count gets a quarter of the time the
+// in-rows take to build to settle — a Load that did not wait would still
+// be building them.
+func TestLoadFailureAfterSocialRowsStopsItsGoroutine(t *testing.T) {
+	for _, w := range []*World{sampleWorld(), bigSyntheticWorld()} {
+		g := w.Social
+		off, adj := make([]int64, g.NumNodes()+1), make([]int32, 0, g.NumEdges())
+		for v := range int32(g.NumNodes()) {
+			adj = append(adj, g.Out(v)...)
+			off[v+1] = int64(len(adj))
+		}
+		began := time.Now()
+		graph.FromAdjacency(off, adj)
+		settle := time.Since(began) / 4
+
+		for _, tc := range afterSocialRows(t, w) {
+			start := runtime.NumGoroutine()
+			_, err := Load(bytes.NewReader(tc.file))
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("%s: Load = %v, want an error with %q", tc.name, err, tc.want)
+			}
+			for deadline := time.Now().Add(settle); runtime.NumGoroutine() > start && time.Now().Before(deadline); {
+				runtime.Gosched()
+			}
+			if n := runtime.NumGoroutine(); n > start {
+				t.Fatalf("%s of %d users: %d goroutines after Load, %d before", tc.name, len(w.Users), n, start)
+			}
+		}
+	}
+}
+
+// errDiskFull is what failingWriter fails with.
+var errDiskFull = errors.New("disk full")
+
+// failingWriter accepts left bytes and then fails.
+type failingWriter struct{ left int }
+
+func (f *failingWriter) Write(p []byte) (int, error) {
+	if len(p) > f.left {
+		n := f.left
+		f.left = 0
+		return n, errDiskFull
+	}
+	f.left -= len(p)
+	return len(p), nil
+}
+
+// A writer that fails stops Save with its error wherever in the file it
+// fails — in the tables Save encodes itself, in the graph rows or traces
+// its encoder goroutines run ahead on, or at the last flush — and Save
+// returns only once those goroutines have.
+func TestSaveStopsOnWriteError(t *testing.T) {
+	w := bigSyntheticWorld()
+	size := len(saveColumnar(t, w))
+	for _, at := range []int{0, 100, size / 8, size / 3, size / 2, 3 * size / 4, size - 10} {
+		start := runtime.NumGoroutine()
+		if err := w.Save(&failingWriter{left: at}); !errors.Is(err, errDiskFull) {
+			t.Fatalf("writer failing at byte %d of %d: Save = %v", at, size, err)
+		}
+		for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > start && time.Now().Before(deadline); {
+			runtime.Gosched()
+		}
+		if n := runtime.NumGoroutine(); n > start {
+			t.Fatalf("writer failing at byte %d: %d goroutines after Save, %d before", at, n, start)
+		}
 	}
 }
 

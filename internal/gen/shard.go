@@ -4,15 +4,16 @@ import (
 	"math/rand/v2"
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // Sharded generation. Every generation stage draws its randomness from a
 // per-unit stream — one independent PCG per (seed, stage, unit), where the
 // unit is the instance or user being synthesised — so the bytes a unit
 // produces depend only on the config and its own id, never on which worker
-// produced it or in what order. Shards are therefore a pure execution
-// knob: the work is split into contiguous unit ranges, workers fill
-// disjoint slices of preallocated output, and the merged result is
+// produced it or in what order. Shards is therefore a pure execution knob:
+// the workers claim fixed-size unit ranges until none is left, fill
+// disjoint slots of preallocated output, and the merged result is
 // byte-identical for any shard count or GOMAXPROCS. The stage constants
 // below are part of a world's identity: renumbering them changes every
 // generated world, exactly like changing the seed.
@@ -35,33 +36,68 @@ func (cfg Config) shardCount() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// runShards splits the units [0, n) into contiguous ranges, one per shard,
-// and runs fn concurrently on each with a worker-local unitSource. fn must
-// write only to unit-indexed output slots in [lo, hi).
+// claimUnits is how many units a worker claims at a time. A unit's cost is
+// heavy-tailed (an instance's size, a user's follow count), so contiguous
+// halves left one worker waiting on the other; ranges this small keep
+// every worker busy until the stage's last few units.
+const claimUnits = 16
+
+// runShards runs fn on every claimed range of [0, n) with the claiming
+// worker's unitSource. fn must write only to unit-indexed output slots in
+// [lo, hi).
 func (cfg Config) runShards(n int, fn func(src *unitSource, lo, hi int)) {
-	workers := cfg.shardCount()
-	if workers > n {
-		workers = n
-	}
+	cfg.runWorkers(n, func(src *unitSource) func(lo, hi int) {
+		return func(lo, hi int) { fn(src, lo, hi) }
+	})
+}
+
+// runWorkers starts up to shardCount workers over the units [0, n). Each
+// calls worker once, with its own unitSource, for the function it then runs
+// on every range it claims from a shared counter; worker is where a stage
+// allocates its per-worker scratch. One worker runs on the calling
+// goroutine, in one range.
+func (cfg Config) runWorkers(n int, worker func(src *unitSource) func(lo, hi int)) {
+	workers := min(cfg.shardCount(), (n+claimUnits-1)/claimUnits)
 	if workers <= 1 {
 		if n > 0 {
-			fn(newUnitSource(cfg.Seed), 0, n)
+			worker(newUnitSource(cfg.Seed))(0, n)
 		}
 		return
 	}
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	for s := 0; s < workers; s++ {
-		lo, hi := n*s/workers, n*(s+1)/workers
-		if lo == hi {
-			continue
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
+	wg.Add(workers)
+	for range workers {
+		go func() {
 			defer wg.Done()
-			fn(newUnitSource(cfg.Seed), lo, hi)
-		}(lo, hi)
+			run := worker(newUnitSource(cfg.Seed))
+			for {
+				lo := int(next.Add(claimUnits)) - claimUnits
+				if lo >= n {
+					return
+				}
+				run(lo, min(lo+claimUnits, n))
+			}
+		}()
 	}
 	wg.Wait()
+}
+
+// beside runs a and b, b on its own goroutine when there is more than one
+// shard, and returns once both are done.
+func (cfg Config) beside(a, b func()) {
+	if cfg.shardCount() <= 1 {
+		a()
+		b()
+		return
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		b()
+	}()
+	a()
+	<-done
 }
 
 // unitSource is a worker-local RNG reseeded per unit, so a shard walks its

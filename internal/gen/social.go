@@ -126,22 +126,24 @@ func newSocialPlan(cfg Config, insts []dataset.Instance, users []dataset.User, f
 }
 
 // grow runs row for every user and builds the graph from the rows. Each
-// shard grows its users' adjacency rows in a worker-local arena; rows are
-// immutable once cut, so later arena growth never aliases them. The
-// in-adjacency is rebuilt canonically from the rows at the end.
+// worker grows the rows of the ranges it claims in one worker-local arena;
+// rows are immutable once cut, so later arena growth never aliases them.
+// The in-adjacency is rebuilt canonically from the rows at the end.
 // followedBy[v] == u+1 iff u already follows v: user ids are dense, so one
-// array per shard dedups every row and is never cleared.
+// array per worker dedups every row and is never cleared.
 func (p *socialPlan) grow(cfg Config, row func(src *unitSource, ui int, followedBy, arena []int32) []int32) *graph.CSR {
 	n := len(p.users)
 	out := make([][]int32, n)
-	meanDeg := int(cfg.MeanFollows) + 2
-	cfg.runShards(n, func(src *unitSource, lo, hi int) {
-		arena := make([]int32, 0, (hi-lo)*meanDeg)
+	perWorker := n/cfg.shardCount() + claimUnits
+	cfg.runWorkers(n, func(src *unitSource) func(lo, hi int) {
+		arena := make([]int32, 0, perWorker*(int(cfg.MeanFollows)+2))
 		followedBy := make([]int32, n)
-		for ui := lo; ui < hi; ui++ {
-			rowStart := len(arena)
-			arena = row(src, ui, followedBy, arena)
-			out[ui] = arena[rowStart:len(arena):len(arena)]
+		return func(lo, hi int) {
+			for ui := lo; ui < hi; ui++ {
+				rowStart := len(arena)
+				arena = row(src, ui, followedBy, arena)
+				out[ui] = arena[rowStart:len(arena):len(arena)]
+			}
 		}
 	})
 	return graph.FromRows(out)

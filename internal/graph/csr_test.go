@@ -204,6 +204,75 @@ func TestCSRFreezePreservesStructure(t *testing.T) {
 	}
 }
 
+// Property: FromAdjacency on a flattened copy of the rows builds the CSR
+// FromRows builds, in-row order included, and keeps the arrays it was
+// handed as the out-rows instead of copying them: it allocates only the
+// CSR and its in-rows.
+func TestFromAdjacencyMatchesFromRows(t *testing.T) {
+	f := func(seed uint64, nRaw, mRaw uint16) bool {
+		n := int(nRaw % 120)
+		m := int(mRaw % 500)
+		out := make([][]int32, n)
+		if n > 0 {
+			for _, e := range randomEdges(n, m, seed) {
+				out[e[0]] = append(out[e[0]], e[1])
+			}
+		}
+		off := make([]int64, n+1)
+		var adj []int32
+		for u, row := range out {
+			adj = append(adj, row...)
+			off[u+1] = int64(len(adj))
+		}
+		want, got := FromRows(out), FromAdjacency(off, adj)
+		if got.NumNodes() != want.NumNodes() || got.NumEdges() != want.NumEdges() {
+			return false
+		}
+		for v := int32(0); int(v) < n; v++ {
+			if !slices.Equal(got.Out(v), want.Out(v)) || !slices.Equal(got.In(v), want.In(v)) {
+				return false
+			}
+		}
+		if len(adj) > 0 && &got.outAdj[0] != &adj[0] || &got.outOff[0] != &off[0] {
+			return false
+		}
+		arrays := 1 // inOff
+		if len(adj) > 0 {
+			arrays++ // inAdj
+		}
+		return testing.AllocsPerRun(5, func() { csrSink = FromAdjacency(off, adj) }) == float64(1+arrays)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// FromAdjacency refuses offsets that do not run from 0 to the adjacency's
+// length, and a target outside the graph.
+func TestFromAdjacencyPanics(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		off  []int64
+		adj  []int32
+	}{
+		{"no offsets", nil, nil},
+		{"short", []int64{0, 1}, []int32{0, 0}},
+		{"long", []int64{0, 3}, []int32{0, 0}},
+		{"nonzero start", []int64{1, 2}, []int32{0, 0}},
+		{"target", []int64{0, 1}, []int32{1}},
+		{"negative target", []int64{0, 1}, []int32{-1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("FromAdjacency accepted it")
+				}
+			}()
+			FromAdjacency(tc.off, tc.adj)
+		})
+	}
+}
+
 // The *MatchesAdjList properties hold each engine to its reference in
 // reference_test.go, which walks the Out/In adjacency rows the obvious
 // way and rebuilds all state at every step.

@@ -37,40 +37,57 @@ func (b *Builder) AddEdge(from, to int32) {
 func (b *Builder) Freeze() *CSR { return FromRows(b.out) }
 
 // FromRows builds the CSR whose out-neighbours of u are out[u], in row
-// order (the rows are copied). The in-neighbours are derived canonically:
-// In(v) lists sources in ascending order, ties in row order — the order in
-// which the edges into v would arrive were every edge added source by
-// source. It panics on a target outside [0, len(out)). The construction is
-// two passes over the rows and allocates only what the CSR keeps; sharded
-// generators and the streaming file decoder use it to assemble a graph from
-// independently produced rows.
+// order: it copies the rows into one contiguous array and hands that to
+// FromAdjacency, which derives the in-rows and panics on a target outside
+// [0, len(out)). It allocates only what the CSR keeps; the sharded
+// generator assembles a graph from independently produced rows with it.
 func FromRows(out [][]int32) *CSR {
-	n := len(out)
+	off := make([]int64, len(out)+1)
+	for u, row := range out {
+		off[u+1] = off[u] + int64(len(row))
+	}
+	adj := make([]int32, off[len(out)])
+	for u, row := range out {
+		copy(adj[off[u]:], row)
+	}
+	return FromAdjacency(off, adj)
+}
+
+// FromAdjacency builds the CSR whose out-neighbours of u are
+// adj[off[u]:off[u+1]]. It adopts both slices as the CSR's out-rows, so the
+// caller must not modify them afterwards, and allocates only the in-rows.
+// The in-neighbours are derived canonically: In(v) lists sources in
+// ascending order, ties in row order — the order in which the edges into v
+// would arrive were every edge added source by source. It panics unless
+// off runs from 0 to len(adj), or on a target outside [0, len(off)-1). The
+// streaming file decoder and the Twitter baseline build their rows in
+// place and hand them over with it.
+func FromAdjacency(off []int64, adj []int32) *CSR {
+	n := len(off) - 1
+	if n < 0 || off[0] != 0 || off[n] != int64(len(adj)) {
+		panic(fmt.Sprintf("graph: offsets of %d rows do not span %d edges", n, len(adj)))
+	}
 	c := &CSR{
 		n:      n,
-		outOff: make([]int64, n+1),
+		edges:  len(adj),
+		outOff: off,
+		outAdj: adj,
 		inOff:  make([]int64, n+1),
+		inAdj:  make([]int32, len(adj)),
 	}
-	for u, row := range out {
-		c.outOff[u+1] = c.outOff[u] + int64(len(row))
-		for _, v := range row {
-			if int(v) >= n || v < 0 {
-				panic(fmt.Sprintf("graph: edge (%d,%d) out of range [0,%d)", u, v, n))
-			}
-			c.inOff[v+1]++
+	for _, v := range adj {
+		if int(v) >= n || v < 0 {
+			panic(fmt.Sprintf("graph: edge target %d out of range [0,%d)", v, n))
 		}
+		c.inOff[v+1]++
 	}
-	c.edges = int(c.outOff[n])
 	for v := 0; v < n; v++ {
 		c.inOff[v+1] += c.inOff[v]
 	}
-	c.outAdj = make([]int32, c.edges)
-	c.inAdj = make([]int32, c.edges)
 	// inOff[v] is the fill cursor of v's in-row: afterwards it holds the
 	// row's end, which is inOff[v+1], so one shift puts the offsets back.
-	for u, row := range out {
-		copy(c.outAdj[c.outOff[u]:], row)
-		for _, v := range row {
+	for u := 0; u < n; u++ {
+		for _, v := range adj[off[u]:off[u+1]] {
 			c.inAdj[c.inOff[v]] = int32(u)
 			c.inOff[v]++
 		}

@@ -6,20 +6,31 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"testing"
+	"unsafe"
 )
 
-// restingParts are the structures a loaded server holds its world in, in the
-// order restingBreakdown drops them. A string shared by two of them (an
-// account name is also an actor's User) is counted with the later one.
-var restingParts = []struct {
+// flatParts are the structures a loaded server holds in flat slices of
+// pointer-free elements, each with the bytes its capacity holds: what
+// restingBreakdown logs for them is exact.
+var flatParts = []struct {
+	name  string
+	bytes func(*tootStore) int
+}{
+	{"toot rows", func(st *tootStore) int { return cap(st.rows) * int(unsafe.Sizeof(tootRow{})) }},
+	{"text arena", func(st *tootStore) int { return cap(st.arena) }},
+	{"actor index", func(st *tootStore) int { return cap(st.actorIdx) * 4 }},
+	{"timelines", func(st *tootStore) int { return (cap(st.local) + cap(st.federated)) * 4 }},
+}
+
+// pointerParts are the rest of what a loaded server holds its world in, in
+// the order restingBreakdown drops them to read each off the heap. A string
+// shared by two of them (an account name is also an actor's User) is
+// counted with the later one.
+var pointerParts = []struct {
 	name string
 	drop func(*Server)
 }{
-	{"toot rows", func(s *Server) { s.store.rows = nil }},
-	{"text arena", func(s *Server) { s.store.arena = nil }},
-	{"actor index", func(s *Server) { s.store.actorIdx = nil }},
 	{"subscriber tables", func(s *Server) { s.subs = nil }},
-	{"timelines", func(s *Server) { s.store.local, s.store.federated = nil, nil }},
 	{"actors", func(s *Server) { s.store.actors = nil }},
 	{"accounts", func(s *Server) { s.accounts = nil }},
 }
@@ -32,25 +43,40 @@ func heapAfterGC() int64 {
 	return int64(m.HeapAlloc)
 }
 
-// restingBreakdown logs what each of restingParts holds across every server
-// of n, by dropping it from all of them and collecting, and then what is
-// left above base, the heap before n was loaded. n is unusable afterwards.
+// restingBreakdown logs what each structure holds across every server of
+// n: flatParts from their capacities, then, with those dropped, each of
+// pointerParts as the heap it frees, and last what is left above base, the
+// heap before n was loaded. n is unusable afterwards.
 func restingBreakdown(t *testing.T, n *Network, base int64, accounts int) {
 	t.Helper()
 	var servers []*Server
 	for _, d := range n.Domains() {
 		servers = append(servers, n.Server(d))
 	}
+	logPart := func(name string, bytes int64) {
+		t.Logf("  %-17s %7.1f MB %5d B an account", name, float64(bytes)/1e6, bytes/int64(accounts))
+	}
+	for _, part := range flatParts {
+		bytes := 0
+		for _, s := range servers {
+			bytes += part.bytes(&s.store)
+		}
+		logPart(part.name, int64(bytes))
+	}
+	for _, s := range servers {
+		st := &s.store
+		st.rows, st.arena, st.actorIdx, st.local, st.federated = nil, nil, nil, nil, nil
+	}
 	left := heapAfterGC()
-	for _, part := range restingParts {
+	for _, part := range pointerParts {
 		for _, s := range servers {
 			part.drop(s)
 		}
 		now := heapAfterGC()
-		t.Logf("  %-17s %7.1f MB %5d B an account", part.name, float64(left-now)/1e6, (left-now)/int64(accounts))
+		logPart(part.name, left-now)
 		left = now
 	}
-	t.Logf("  %-17s %7.1f MB %5d B an account", "the rest", float64(left-base)/1e6, (left-base)/int64(accounts))
+	logPart("the rest", left-base)
 	runtime.KeepAlive(servers)
 }
 

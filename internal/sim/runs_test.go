@@ -144,6 +144,9 @@ func checkAgainstBits(t *testing.T, tr *Trace, ref *bitTrace, from, to, dstN, at
 	if got := tr.AppendBinary([]byte{7}); !bytes.Equal(got[1:], enc) || got[0] != 7 {
 		t.Fatalf("n=%d encoding = %x, bitset %x", tr.n, got, enc)
 	}
+	if size := tr.BinarySize(); size != len(enc) {
+		t.Fatalf("n=%d BinarySize = %d, encoding is %d bytes", tr.n, size, len(enc))
+	}
 	back, k, err := DecodeTrace(append(enc, 0xff))
 	if err != nil {
 		t.Fatalf("n=%d encoding %x rejected: %v", tr.n, enc, err)
@@ -313,6 +316,9 @@ func FuzzDecodeTrace(f *testing.F) {
 		}
 		checkShape(t, tr)
 		enc := tr.AppendBinary(nil)
+		if size := tr.BinarySize(); size != len(enc) {
+			t.Fatalf("%x: BinarySize = %d, encoding is %d bytes", b[:k], size, len(enc))
+		}
 		back, k2, err := DecodeTrace(enc)
 		if err != nil || k2 != len(enc) || back.n != tr.n || !slices.Equal(back.runs, tr.runs) || cap(back.runs) != len(back.runs) {
 			t.Fatalf("%x decoded to n=%d %v, which re-encodes to %x: %v", b[:k], tr.n, tr.runs, enc, err)

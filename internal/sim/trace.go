@@ -9,6 +9,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 )
 
@@ -224,6 +225,20 @@ func (t *Trace) AppendBinary(dst []byte) []byte {
 	}
 	return dst
 }
+
+// BinarySize returns how many bytes AppendBinary appends for t.
+func (t *Trace) BinarySize() int {
+	size := uvarintLen(uint64(t.n)) + uvarintLen(uint64(len(t.runs)))
+	var end int32
+	for _, r := range t.runs {
+		size += uvarintLen(uint64(r.start-end)) + uvarintLen(uint64(r.end-r.start))
+		end = r.end
+	}
+	return size
+}
+
+// uvarintLen is the length of x's uvarint encoding.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
 // DecodeTrace reads one AppendBinary encoding from the front of b and
 // returns the trace and the bytes it took. It refuses what AppendBinary

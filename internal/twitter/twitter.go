@@ -42,13 +42,13 @@ func DefaultGraphConfig(seed uint64, users int) GraphConfig {
 }
 
 // Graph builds the baseline follower graph. Every row is appended to one
-// arena, user by user, and cut from it once all are drawn.
+// arena, user by user, and the CSR adopts the arena as its out-rows.
 func Graph(cfg GraphConfig) *graph.CSR {
 	r := rand.New(rand.NewPCG(cfg.Seed, 0x7777))
 	n := cfg.Users
-	rows := make([][]int32, n)
+	off := make([]int64, n+1)
 	if n < 2 {
-		return graph.FromRows(rows)
+		return graph.FromAdjacency(off, nil)
 	}
 
 	fame := make([]float64, n)
@@ -71,10 +71,9 @@ func Graph(cfg GraphConfig) *graph.CSR {
 
 	// Out-degrees: geometric-ish around the mean with a hard floor.
 	// followedBy[v] == u+1 iff u already follows v; user u's row is
-	// arena[end[u-1]:end[u]].
+	// arena[off[u]:off[u+1]].
 	followedBy := make([]int32, n)
 	arena := make([]int32, 0, int(float64(n)*cfg.MeanFollows))
-	end := make([]int, n)
 	for u := 0; u < n; u++ {
 		k := cfg.MinFollows + int(r.ExpFloat64()*(cfg.MeanFollows-float64(cfg.MinFollows)))
 		if k > n-1 {
@@ -95,13 +94,9 @@ func Graph(cfg GraphConfig) *graph.CSR {
 			arena = append(arena, v)
 			added++
 		}
-		end[u] = len(arena)
+		off[u+1] = int64(len(arena))
 	}
-	start := 0
-	for u, e := range end {
-		rows[u], start = arena[start:e], e
-	}
-	return graph.FromRows(rows)
+	return graph.FromAdjacency(off, arena)
 }
 
 // UptimeConfig parameterises the 2007-style availability trace.
