@@ -11,6 +11,7 @@ import (
 	"runtime"
 	"slices"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -297,15 +298,14 @@ func (f roundTripFunc) RoundTrip(req *http.Request) (*http.Response, error) { re
 
 // TestPollOnceCancelled: forEach does not run an index claimed after the
 // context is cancelled, and a round used to return the zero Sample for
-// each — no domain, no time — which ProbeLog then filed under a domain
-// named "". An instance nobody probed must read as offline at the round's
-// time, whether the round was cancelled before it began or half-way.
+// each — no domain — which ProbeLog then filed under a domain named "".
+// An instance nobody probed must read as offline, whether the round was
+// cancelled before it began or half-way.
 func TestPollOnceCancelled(t *testing.T) {
 	var domains []string
 	for i := 0; i < 40; i++ {
 		domains = append(domains, fmt.Sprintf("d%d.test", i))
 	}
-	at := time.Date(2018, 5, 1, 12, 0, 0, 0, time.UTC)
 	for _, cancelAt := range []int64{0, 1, 13} {
 		ctx, cancel := context.WithCancel(context.Background())
 		var calls atomic.Int64
@@ -320,7 +320,7 @@ func TestPollOnceCancelled(t *testing.T) {
 		if cancelAt == 0 {
 			cancel()
 		}
-		mon := &Monitor{Client: cli, Domains: domains, Workers: 3, Now: func() time.Time { return at }}
+		mon := &Monitor{Client: cli, Domains: domains, Workers: 3}
 		samples := mon.PollOnce(ctx)
 		cancel()
 		if len(samples) != len(domains) {
@@ -328,8 +328,8 @@ func TestPollOnceCancelled(t *testing.T) {
 		}
 		online := 0
 		for i, s := range samples {
-			if s.Domain != domains[i] || s.At != at {
-				t.Fatalf("cancel at %d: sample %d is %+v, want domain %q at %v", cancelAt, i, s, domains[i], at)
+			if s.Domain != domains[i] {
+				t.Fatalf("cancel at %d: sample %d is %+v, want domain %q", cancelAt, i, s, domains[i])
 			}
 			if s.Online {
 				online++
@@ -374,24 +374,47 @@ func TestPollOnceVersions(t *testing.T) {
 }
 
 func TestDecodeStatus(t *testing.T) {
-	v := wire.StatusView{ID: []byte("17"), CreatedAt: []byte("2018-05-01T10:00:00.000Z"), Content: []byte("hi")}
-	rec, err := tootOf(&v)
-	if err != nil || rec != (TootRec{ID: 17, CreatedAt: time.Date(2018, 5, 1, 10, 0, 0, 0, time.UTC)}) {
-		t.Fatalf("rec=%+v err=%v", rec, err)
+	v := wire.StatusView{ID: []byte("17"), CreatedAt: []byte("2018-05-01T10:00:00.000Z")}
+	if id, err := tootID(&v); err != nil || id != 17 {
+		t.Fatalf("id=%d err=%v", id, err)
 	}
 	// RFC3339 fallback.
 	v.CreatedAt = []byte("2018-05-01T10:00:00Z")
-	if _, err := tootOf(&v); err != nil {
+	if _, err := tootID(&v); err != nil {
 		t.Fatalf("RFC3339 fallback failed: %v", err)
 	}
 	v.CreatedAt = []byte("yesterday")
-	if _, err := tootOf(&v); err == nil {
+	if _, err := tootID(&v); err == nil {
 		t.Fatal("bad timestamp accepted")
 	}
 	v.CreatedAt = []byte("2018-05-01T10:00:00Z")
 	v.ID = []byte("xyz")
-	if _, err := tootOf(&v); err == nil {
+	if _, err := tootID(&v); err == nil {
 		t.Fatal("bad id accepted")
+	}
+}
+
+// TestHarvestEndsWhenMaxIDIgnored: a server that answers every page with
+// the same statuses, whatever max_id asks, does not hold the harvest until
+// its deadline. The second page shows a status not below max_id, which ends
+// the harvest with an error, so the crawl leaves no mark.
+func TestHarvestEndsWhenMaxIDIgnored(t *testing.T) {
+	var requests atomic.Int32
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		requests.Add(1)
+		fmt.Fprint(w, `[{"id":"9","created_at":"2018-05-01T10:00:00.000Z","account":{"acct":"a@x.test"}},`+
+			`{"id":"8","created_at":"2018-05-01T10:00:00.000Z","account":{"acct":"b@x.test"}}]`)
+	}))
+	defer srv.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	tc := &TootCrawler{Client: &Client{Resolve: func(string) string { return srv.URL }}}
+	c := tc.CrawlInstance(ctx, "x.test")
+	if n := requests.Load(); n > 2 || c.Toots != 2 || c.Err == nil || c.Offline || !strings.Contains(c.Err.Error(), "x.test") {
+		t.Fatalf("%d requests, %d toots, offline %v, err %v", n, c.Toots, c.Offline, c.Err)
+	}
+	if marks := Marks([]InstanceCrawl{c}); len(marks) != 0 {
+		t.Fatalf("an unfinished harvest left marks %v", marks)
 	}
 }
 

@@ -3,6 +3,7 @@ package crawler
 import (
 	"context"
 	"net/http/httptest"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -135,25 +136,21 @@ func TestTootCrawlAgainstLiveWorld(t *testing.T) {
 			}
 		default:
 			// Harvest must equal the ground truth: capped public toots of
-			// non-private users.
-			want := 0
+			// non-private users, counted per author. A page out of id order
+			// would have ended the harvest with an error.
+			want := map[string]int{}
 			for _, u := range lw.w.Users {
 				if u.Instance == in.ID && !u.Private && u.Toots > 0 {
-					c := int(u.Toots)
-					if c > 5 {
-						c = 5
-					}
-					want += c
+					want[instance.UserName(u.ID)+"@"+in.Domain] = min(int(u.Toots), 5)
 				}
 			}
-			if len(r.Toots) != want {
-				t.Fatalf("%s harvested %d toots, ground truth %d", in.Domain, len(r.Toots), want)
+			got, total := map[string]int{}, 0
+			for k, a := range r.Authors {
+				got[a] = r.AuthorToots[k]
+				total += r.AuthorToots[k]
 			}
-			// Paging: newest first, strictly descending ids.
-			for k := 1; k < len(r.Toots); k++ {
-				if r.Toots[k].ID >= r.Toots[k-1].ID {
-					t.Fatalf("%s toots not strictly descending", in.Domain)
-				}
+			if !r.Complete() || !reflect.DeepEqual(got, want) || r.Toots != total {
+				t.Fatalf("%s harvested %d toots by %v (err %v), ground truth %v", in.Domain, r.Toots, got, r.Err, want)
 			}
 		}
 	}

@@ -3,10 +3,8 @@ package crawler
 import (
 	"context"
 	"sync"
-	"time"
 
 	"repro/internal/sim"
-	"repro/internal/vclock"
 	"repro/internal/wire"
 )
 
@@ -14,11 +12,9 @@ import (
 // every five minutes (§3).
 type Sample struct {
 	Domain  string
-	At      time.Time
 	Online  bool
 	Users   int
 	Toots   int64
-	Peers   int
 	Open    bool
 	Version string
 }
@@ -28,13 +24,6 @@ type Monitor struct {
 	Client  *Client
 	Domains []string
 	Workers int
-	// Clock supplies the default sample timestamps (nil = the system
-	// clock).
-	Clock vclock.Clock
-	// Now overrides the sample timestamp source (defaults to Clock.Now);
-	// campaign drivers pin it per round so replayed probes carry exact
-	// slot times.
-	Now func() time.Time
 
 	// versions[i] is the version string Domains[i] last reported. An
 	// instance reports the same one round after round, so its samples share
@@ -49,18 +38,12 @@ type Monitor struct {
 // thousands of times per campaign and never touches encoding/json. One
 // PollOnce runs at a time on a Monitor.
 func (m *Monitor) PollOnce(ctx context.Context) []Sample {
-	now := vclock.OrSystem(m.Clock).Now
-	if m.Now != nil {
-		now = m.Now
-	}
-	// Every sample carries its domain and the round's time before any
-	// fetch starts: forEach does not run an index claimed after ctx is
-	// cancelled, and such an instance must read as offline, not as a
-	// sample of a domain named "".
+	// Every sample carries its domain before any fetch starts: forEach
+	// does not run an index claimed after ctx is cancelled, and such an
+	// instance must read as offline, not as a sample of a domain named "".
 	samples := make([]Sample, len(m.Domains))
-	at := now()
 	for i, d := range m.Domains {
-		samples[i] = Sample{Domain: d, At: at}
+		samples[i].Domain = d
 	}
 	if len(m.versions) != len(m.Domains) {
 		m.versions = make([]string, len(m.Domains))
@@ -71,7 +54,7 @@ func (m *Monitor) PollOnce(ctx context.Context) []Sample {
 	}
 	forEach(ctx, len(m.Domains), workers, nil, func(ctx context.Context, i int) error {
 		domain := m.Domains[i]
-		s := Sample{Domain: domain, At: now()}
+		s := Sample{Domain: domain}
 		bp := getBuf()
 		// The decode runs inside the fetch's integrity check so a corrupt
 		// payload is retried like a torn read instead of silently recording
@@ -86,7 +69,6 @@ func (m *Monitor) PollOnce(ctx context.Context) []Sample {
 			s.Online = true
 			s.Users = info.Stats.UserCount
 			s.Toots = info.Stats.StatusCount
-			s.Peers = info.Stats.DomainCount
 			s.Open = info.Registrations
 			// info.Version points into body, which is still this worker's.
 			if string(info.Version) != m.versions[i] {

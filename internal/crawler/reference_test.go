@@ -14,7 +14,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-	"unsafe"
 
 	"repro/internal/sim"
 	"repro/internal/wire"
@@ -81,14 +80,12 @@ func (p *refProbeLog) ToTraceSet(slotsPerDay int) (*sim.TraceSet, []string) {
 // not arrive the way a Monitor's do — the case the positional filing must
 // fall back on its index for — and compares every answer after every round.
 func TestProbeLogMatchesReference(t *testing.T) {
-	at := time.Date(2018, 5, 1, 0, 0, 0, 0, time.UTC)
 	round := func(r int, spec string) []Sample {
 		// "a+ b- c+": domain, then + for online and - for offline.
 		var out []Sample
 		for _, f := range strings.Fields(spec) {
 			out = append(out, Sample{
-				Domain: f[:len(f)-1], Online: f[len(f)-1] == '+',
-				At: at.Add(time.Duration(r) * 5 * time.Minute), Users: r, Toots: int64(len(out)),
+				Domain: f[:len(f)-1], Online: f[len(f)-1] == '+', Users: r, Toots: int64(len(out)),
 			})
 		}
 		return out
@@ -274,19 +271,17 @@ func refCreatedAt(s string) (time.Time, error) {
 
 var strictMastodonTime = regexp.MustCompile(`^\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\.\d{3}Z$`)
 
-// sameTime holds tootOf's timestamp to refCreatedAt's, compared with
-// == (wall, ext and location pointer, not just the instant), and
+// sameTime holds tootID's verdict on a timestamp to refCreatedAt's, and
 // mastodonTime to its contract: it answers exactly the strings that are
-// written strictly in its layout and that time.Parse accepts.
+// written strictly in its layout and that time.Parse accepts, with the time
+// time.Parse reads, compared with == (wall, ext and location pointer, not
+// just the instant).
 func sameTime(t testing.TB, s string) {
 	t.Helper()
-	want, wantErr := refCreatedAt(s)
-	rec, gotErr := tootOf(&wire.StatusView{ID: []byte("1"), CreatedAt: []byte(s)})
+	_, wantErr := refCreatedAt(s)
+	_, gotErr := tootID(&wire.StatusView{ID: []byte("1"), CreatedAt: []byte(s)})
 	if (gotErr != nil) != (wantErr != nil) {
 		t.Fatalf("%q: error %v, want %v", s, gotErr, wantErr)
-	}
-	if wantErr == nil && rec.CreatedAt != want {
-		t.Fatalf("%q: read as %#v, want %#v", s, rec.CreatedAt, want)
 	}
 	fast, ok := mastodonTime([]byte(s))
 	strict, perr := time.Parse(mastodonLayout, s)
@@ -346,15 +341,11 @@ func FuzzMastodonTime(f *testing.F) {
 	f.Fuzz(func(t *testing.T, s string) { sameTime(t, s) })
 }
 
-// refToot is a harvested toot as a record held it before records were
-// rows: a string per field, a slice of tags per toot.
+// refToot is a harvested toot as a record held it before harvests were
+// per-author counts: its id and its author.
 type refToot struct {
-	ID        int64
-	Acct      string
-	CreatedAt time.Time
-	Content   string
-	Hashtags  []string
-	Boost     bool
+	ID   int64
+	Acct string
 }
 
 // refDecodeStatus is how a materialised status became a record.
@@ -363,35 +354,36 @@ func refDecodeStatus(ws wire.Status) (refToot, error) {
 	if err != nil {
 		return refToot{}, fmt.Errorf("crawler: bad status id %q: %w", ws.ID, err)
 	}
-	at, err := refCreatedAt(ws.CreatedAt)
-	if err != nil {
+	if _, err := refCreatedAt(ws.CreatedAt); err != nil {
 		return refToot{}, fmt.Errorf("crawler: bad created_at %q", ws.CreatedAt)
 	}
-	rec := refToot{
-		ID:        id,
-		Acct:      ws.Account.Acct,
-		CreatedAt: at,
-		Content:   ws.Content,
-		Boost:     ws.Reblog != nil,
-	}
-	for _, tg := range ws.Tags {
-		rec.Hashtags = append(rec.Hashtags, tg.Name)
-	}
-	return rec, nil
+	return refToot{ID: id, Acct: ws.Account.Acct}, nil
 }
 
 // refCrawlInstance is CrawlInstance as it was: every page decoded into a
 // []wire.Status (by encoding/json here; FuzzStatusesCodec in internal/wire
 // holds the decoder it used to that), converted status by status into a
-// slice per page, and the pages concatenated at the end. The records are
-// returned beside a crawl that holds everything but them.
-func refCrawlInstance(tc *TootCrawler, ctx context.Context, domain string) (out InstanceCrawl, toots []refToot) {
+// slice of records per page, the pages concatenated at the end and the
+// records counted by author.
+func refCrawlInstance(tc *TootCrawler, ctx context.Context, domain string) (out InstanceCrawl) {
 	out.Domain = domain
 	since := tc.Since[domain]
 	out.SinceID = since
 	out.MaxID = since
 	var pages [][]refToot
-	defer func() { toots = slices.Concat(pages...) }()
+	defer func() {
+		toots := slices.Concat(pages...)
+		out.Toots = len(toots)
+		for _, t := range toots {
+			k := slices.Index(out.Authors, t.Acct)
+			if k < 0 {
+				k = len(out.Authors)
+				out.Authors = append(out.Authors, t.Acct)
+				out.AuthorToots = append(out.AuthorToots, 0)
+			}
+			out.AuthorToots[k]++
+		}
+	}()
 	var maxID int64
 	harvested := 0
 	base := "/api/v1/timelines/public?local=true&limit=40"
@@ -427,18 +419,24 @@ func refCrawlInstance(tc *TootCrawler, ctx context.Context, domain string) (out 
 				out.Offline = true
 				out.Err = err
 			}
-			return out, nil
+			return out
 		}
 		out.Pages++
 		if len(page) == 0 {
-			return out, nil
+			return out
 		}
 		recs := make([]refToot, 0, len(page))
+		pageMax := maxID
 		done := false
 		for _, ws := range page {
 			rec, err := refDecodeStatus(ws)
 			if err != nil {
 				out.Err = err
+				done = true
+				break
+			}
+			if pageMax > 0 && rec.ID >= pageMax {
+				out.Err = fmt.Errorf("crawler: %s ignored max_id: status %d is not below %d", domain, rec.ID, pageMax)
 				done = true
 				break
 			}
@@ -463,50 +461,8 @@ func refCrawlInstance(tc *TootCrawler, ctx context.Context, domain string) (out 
 			harvested += len(recs)
 		}
 		if done {
-			return out, nil
+			return out
 		}
-	}
-}
-
-// tootsOf reads a crawl's records back through its accessors.
-func tootsOf(c *InstanceCrawl) []refToot {
-	var toots []refToot
-	for _, t := range c.Toots {
-		toots = append(toots, refToot{
-			ID: t.ID, Acct: c.Acct(t), CreatedAt: t.CreatedAt,
-			Content: c.Content(t), Hashtags: c.Hashtags(t), Boost: t.Boost,
-		})
-	}
-	return toots
-}
-
-// sameToots fails unless c's records read as want, Hashtags nil where
-// want's are, and c holds no storage past them: its Authors are the
-// distinct accts of want in first-seen order, and its content and tags are
-// want's, back to back.
-func sameToots(t testing.TB, c *InstanceCrawl, want []refToot) {
-	t.Helper()
-	got := tootsOf(c)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("records differ:\n got  %+v\n want %+v", got, want)
-	}
-	var authors, tags []string
-	var content strings.Builder
-	for i, w := range want {
-		if (got[i].Hashtags == nil) != (w.Hashtags == nil) {
-			t.Fatalf("toot %d: Hashtags %#v, want %#v", i, got[i].Hashtags, w.Hashtags)
-		}
-		if !slices.Contains(authors, w.Acct) {
-			authors = append(authors, w.Acct)
-		}
-		content.WriteString(w.Content)
-		tags = append(tags, w.Hashtags...)
-	}
-	if !reflect.DeepEqual(c.Authors, authors) {
-		t.Fatalf("Authors %q, the records' are %q", c.Authors, authors)
-	}
-	if c.content != content.String() || !reflect.DeepEqual(c.tags, tags) {
-		t.Fatalf("storage holds content %q and tags %q, the records' are %q and %q", c.content, c.tags, content.String(), tags)
 	}
 }
 
@@ -561,7 +517,8 @@ func crawlText(c InstanceCrawl) string {
 
 // TestHarvestMatchesReference scripts the timelines that make the scanning
 // harvest and the materialising one take different code: both must send the
-// same requests and come back with the same harvest.
+// same requests and come back with the same harvest — authors in order,
+// per-author counts, MaxID, pages and outcome.
 func TestHarvestMatchesReference(t *testing.T) {
 	st := func(id int, rest string) string {
 		return fmt.Sprintf(`{"id":"%d","created_at":"2018-05-01T10:00:00.000Z","content":"toot %d","account":{"username":"u%d","acct":"u%d@x.test"}%s}`,
@@ -580,6 +537,7 @@ func TestHarvestMatchesReference(t *testing.T) {
 		return out
 	}
 	ok := func(body string) reply { return reply{body: body} }
+	const long = 8192 // toots: two hundred pages
 	for _, tc := range []struct {
 		name     string
 		since    int64
@@ -626,9 +584,11 @@ func TestHarvestMatchesReference(t *testing.T) {
 		{name: "a bad id drops a new author", replies: []reply{ok(page(st(9, ""), `{"id":"x","content":"lost","account":{"acct":"new@x.test"}}`))}, toots: 1},
 		{name: "a page that stays corrupt", replies: []reply{ok(page(run(9, 5)...)),
 			ok(page(run(4, 3)...) + "]"), ok(`[{"id":"4","account":7}]`), ok(page(run(4, 1)...)[:150]), ok(page(run(4, 1)...))}, toots: 5},
-		{name: "more than a scratch chunk", replies: pagesOf(scratchChunk+500, st), toots: scratchChunk + 500},
-		{name: "MaxToots past a scratch chunk", maxToots: scratchChunk + 70, replies: pagesOf(scratchChunk+500, st), toots: scratchChunk + 70},
-		{name: "a bad id past a scratch chunk", replies: append(pagesOf(scratchChunk+8, st), ok(page(st(9, ""), `{"id":"x"}`))), toots: scratchChunk + 9},
+		{name: "a long timeline", replies: pagesOf(long+500, st), toots: long + 500},
+		{name: "MaxToots deep in a long timeline", maxToots: long + 70, replies: pagesOf(long+500, st), toots: long + 70},
+		{name: "a bad id deep in a long timeline", replies: append(pagesOf(long+8, st), ok(page(st(9, ""), `{"id":"x"}`))), toots: long + 9},
+		{name: "a server that ignores max_id", replies: []reply{ok(page(run(9, 8)...)), ok(page(run(9, 8)...))}, toots: 2},
+		{name: "a page that reaches back above max_id", replies: []reply{ok(page(run(9, 8)...)), ok(page(run(7, 6)...)), ok(page(st(5, ""), st(8, ""), st(4, "")))}, toots: 5},
 		{name: "blocked", replies: []reply{{code: 403, body: "no"}}},
 		{name: "down after a page", replies: []reply{ok(page(run(9, 5)...)), {code: 503}, {code: 503}, {code: 503}}, toots: 5},
 		{name: "gone after a page", replies: []reply{ok(page(run(9, 5)...)), {code: 404}}, toots: 5},
@@ -648,77 +608,19 @@ func TestHarvestMatchesReference(t *testing.T) {
 			c, rt := crawler()
 			got := c.CrawlInstance(context.Background(), "x.test")
 			c, wantRT := crawler()
-			want, wantToots := refCrawlInstance(c, context.Background(), "x.test")
+			want := refCrawlInstance(c, context.Background(), "x.test")
 			if !reflect.DeepEqual(rt.asked, wantRT.asked) {
 				t.Fatalf("requests differ:\n got  %q\n want %q", rt.asked, wantRT.asked)
 			}
-			header := got
-			header.Toots, header.Authors, header.content, header.tags = nil, nil, "", nil
-			if g, w := crawlText(header), crawlText(want); g != w || (got.Toots == nil) != (wantToots == nil) {
+			if g, w := crawlText(got), crawlText(want); g != w {
 				t.Fatalf("harvests differ:\n got  %s\n want %s", g, w)
 			}
-			if len(got.Toots) != tc.toots {
-				t.Fatalf("harvested %d toots, the script holds %d", len(got.Toots), tc.toots)
+			if got.Toots != tc.toots {
+				t.Fatalf("harvested %d toots, the script holds %d", got.Toots, tc.toots)
 			}
-			sameToots(t, &got, wantToots)
 			if strings.Contains(tc.name, "new author") && slices.Contains(got.Authors, "new@x.test") {
 				t.Fatalf("Authors %q name the author of a dropped toot", got.Authors)
 			}
 		})
-	}
-}
-
-// TestTootRecSize: a harvested toot is a fixed row of at most 56 bytes.
-func TestTootRecSize(t *testing.T) {
-	if n := unsafe.Sizeof(TootRec{}); n > 56 {
-		t.Fatalf("a TootRec is %d bytes", n)
-	}
-}
-
-// TestScratchMatchesAppend: whatever mix of pages, cuts and spills fills a
-// scratch, its result is what appending the same records to one slice
-// gives, and a reset scratch holds none of them.
-func TestScratchMatchesAppend(t *testing.T) {
-	// Every page appends two records more than it keeps, so a page of 40
-	// needs room for 42. The pages marked grow are longer than that room.
-	for _, tc := range []struct {
-		pages []int
-		grows bool
-	}{
-		{pages: []int{}}, {pages: []int{0}}, {pages: []int{3}}, {pages: []int{40, 40, 7}},
-		{pages: []int{scratchChunk - 2}}, {pages: []int{scratchChunk - 42, 40, 40}}, {pages: []int{scratchChunk - 41, 40, 40}},
-		{pages: []int{scratchChunk - 1}, grows: true}, {pages: []int{scratchChunk + 1, 5}, grows: true},
-		{pages: []int{4000, 4000, 4000, 4000, 4000, 9}, grows: true},
-	} {
-		pages := tc.pages
-		s := &scratch[*int]{chunk: make([]*int, 0, scratchChunk)}
-		var want []*int
-		for p, n := range pages {
-			s.spill(42)
-			kept := len(s.chunk)
-			for k := 0; k < n+2; k++ {
-				s.chunk = append(s.chunk, new(int))
-			}
-			s.cut(kept + n) // the page's last two records are not kept
-			want = append(want, s.chunk[kept:]...)
-			if got := s.n + len(s.chunk); got != len(want) {
-				t.Fatalf("pages %v: %d records counted after page %d, want %d", pages, got, p, len(want))
-			}
-		}
-		if got := s.result(); !reflect.DeepEqual(got, want) || (got == nil) != (want == nil) {
-			t.Fatalf("pages %v: result has %d records, want %d", pages, len(got), len(want))
-		}
-		chunk := s.chunk[:cap(s.chunk)]
-		if keep := s.reset(); keep == tc.grows {
-			t.Fatalf("pages %v: reset keeps a chunk of %d records: %v", pages, cap(chunk), keep)
-		}
-		for i, p := range chunk {
-			if p != nil {
-				t.Fatalf("pages %v: slot %d of the chunk still points at a record", pages, i)
-			}
-		}
-		if s.full != nil || s.n != 0 {
-			t.Fatalf("pages %v: a reset scratch keeps its spilled chunks", pages)
-		}
 	}
 }

@@ -4,40 +4,26 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
+	"sync"
 	"time"
 
 	"repro/internal/wire"
 )
 
-// TootRec is one harvested toot: the fields the paper collected (username,
-// toot URL, creation date, contents, hashtags; engagement counters are
-// carried by the follower crawl), as a fixed row. The author is an index
-// into the crawl's Authors, and content and hashtags are spans into
-// storage the crawl owns: read them with the crawl's Acct, Content and
-// Hashtags.
-type TootRec struct {
-	ID        int64
-	CreatedAt time.Time
-	Author    int32  // index into InstanceCrawl.Authors
-	text      uint32 // content[text:textEnd]
-	textEnd   uint32
-	tag       uint32 // tags[tag:tagEnd]
-	tagEnd    uint32
-	Boost     bool
-}
-
-// InstanceCrawl is the harvest of one instance.
+// InstanceCrawl is the harvest of one instance: who tooted on it and how
+// many toots each of them has — all the reproduction reads of a toot.
 type InstanceCrawl struct {
 	Domain string
-	Toots  []TootRec
-	// Authors are the distinct authors of Toots as user@domain, in
-	// first-seen order.
-	Authors []string
-	content string   // the toots' contents, back to back
-	tags    []string // the toots' hashtags, back to back; a name is one string per crawl
-	Blocked bool     // instance refuses crawling (403)
-	Offline bool     // instance unreachable
+	Toots  int // toots harvested
+	// Authors are the distinct authors of the harvested toots as
+	// user@domain, in first-seen order; AuthorToots, aligned with them,
+	// how many of the toots each wrote.
+	Authors     []string
+	AuthorToots []int
+	Blocked     bool // instance refuses crawling (403)
+	Offline     bool // instance unreachable
 	// Quarantined marks a crawl cut short because the shared circuit
 	// breaker exhausted the host's failure budget.
 	Quarantined bool
@@ -49,21 +35,6 @@ type InstanceCrawl struct {
 	// checkpoint an incremental recrawl passes to the next campaign.
 	SinceID int64
 	MaxID   int64
-}
-
-// Acct returns t's author as user@domain.
-func (c *InstanceCrawl) Acct(t TootRec) string { return c.Authors[t.Author] }
-
-// Content returns t's content.
-func (c *InstanceCrawl) Content(t TootRec) string { return c.content[t.text:t.textEnd] }
-
-// Hashtags returns t's hashtag names, in order, or nil when it has none.
-// The slice is the crawl's: a caller must not write to it.
-func (c *InstanceCrawl) Hashtags(t TootRec) []string {
-	if t.tag == t.tagEnd {
-		return nil
-	}
-	return c.tags[t.tag:t.tagEnd:t.tagEnd]
 }
 
 // TootCrawler pages through the local public timelines of many instances
@@ -89,18 +60,20 @@ type TootCrawler struct {
 // one pooled harvest serve the whole paging loop.
 func (tc *TootCrawler) CrawlInstance(ctx context.Context, domain string) InstanceCrawl {
 	out := InstanceCrawl{Domain: domain}
-	h := getHarvest()
+	h := harvestPool.Get().(*harvest)
 	tc.harvest(ctx, &out, h)
-	h.result(&out)
-	putHarvest(h)
+	if len(h.authors) > 0 {
+		out.Authors, out.AuthorToots = slices.Clone(h.authors), slices.Clone(h.counts)
+	}
+	h.release()
 	return out
 }
 
 // statusPage is Mastodon's cap on a timeline page, and what harvest asks for.
 const statusPage = 40
 
-// harvest is CrawlInstance's paging loop: it fills in everything but
-// the toots and leaves the accepted ones, newest first, in h.
+// harvest is CrawlInstance's paging loop: it fills in everything but the
+// authors, whom it leaves in h.
 func (tc *TootCrawler) harvest(ctx context.Context, out *InstanceCrawl, h *harvest) {
 	domain := out.Domain
 	since := tc.Since[domain]
@@ -121,16 +94,15 @@ func (tc *TootCrawler) harvest(ctx context.Context, out *InstanceCrawl, h *harve
 		}
 		// The page is read inside the fetch's integrity check: a corrupt page
 		// is retried like a torn read instead of ending the harvest, so each
-		// attempt starts from the records accepted before it. A status that
-		// is valid JSON but not a toot (pageErr) is not corruption: it ends
-		// the harvest after the records ahead of it.
-		h.recs.spill(statusPage)
-		m := h.mark()
+		// attempt starts from the authors known before it. A status that is
+		// valid JSON but not a toot (pageErr) is not corruption: it ends the
+		// harvest after the toots ahead of it.
+		m := len(h.authors)
 		var pageErr error
 		var err error
 		// GetChecked always returns the current (possibly regrown) buffer.
 		body, err = tc.Client.GetChecked(ctx, domain, path, (*bp)[:0], func(b []byte) error {
-			h.cut(m, m.recs)
+			h.keep(m, 0)
 			pageErr = nil
 			return wire.ScanStatuses(b, func(v *wire.StatusView) {
 				if pageErr == nil {
@@ -162,32 +134,42 @@ func (tc *TootCrawler) harvest(ctx context.Context, out *InstanceCrawl, h *harve
 				out.Offline = true
 				out.Err = err
 			}
-			h.cut(m, m.recs)
+			h.keep(m, 0)
 			return
 		}
 		out.Pages++
-		recs := h.recs.chunk
-		if len(recs) == m.recs && pageErr == nil {
+		if len(h.page) == 0 && pageErr == nil {
 			return
 		}
-		for i := m.recs; i < len(recs); i++ {
-			id := recs[i].ID
-			if since > 0 && id <= since {
+		pageMax := maxID
+		n, done := len(h.page), false
+		for i, t := range h.page {
+			if pageMax > 0 && t.id >= pageMax {
+				// The server ignored max_id: paging on would fetch the
+				// same toots until the deadline.
+				out.Err = fmt.Errorf("crawler: %s ignored max_id: status %d is not below %d", domain, t.id, pageMax)
+				n, done = i, true
+				break
+			}
+			if since > 0 && t.id <= since {
 				// A server without since_id support paged past the mark:
 				// everything from here back was already harvested.
-				h.cut(m, i)
-				return
+				n, done = i, true
+				break
 			}
-			if id > out.MaxID {
-				out.MaxID = id
+			out.MaxID = max(out.MaxID, t.id)
+			if maxID == 0 || t.id < maxID {
+				maxID = t.id
 			}
-			if maxID == 0 || id < maxID {
-				maxID = id
+			if tc.MaxToots > 0 && out.Toots+i+1 >= tc.MaxToots {
+				n, done = i+1, true
+				break
 			}
-			if tc.MaxToots > 0 && h.recs.n+i+1 >= tc.MaxToots {
-				h.cut(m, i+1)
-				return
-			}
+		}
+		h.keep(m, n)
+		out.Toots += n
+		if done {
+			return
 		}
 		if pageErr != nil {
 			out.Err = pageErr
@@ -196,25 +178,89 @@ func (tc *TootCrawler) harvest(ctx context.Context, out *InstanceCrawl, h *harve
 	}
 }
 
-// tootOf reads one scanned status's id, time and boost flag as a record:
-// the rest of it goes to the harvest's storage.
-func tootOf(v *wire.StatusView) (TootRec, error) {
+// A harvest is a toot crawl's working storage, pooled: the current page's
+// toots, and the crawl's authors with how many toots of each it has kept.
+type harvest struct {
+	page    []pageToot       // the current page's toots, in page order
+	authors []string         // the toots' distinct authors, in first-seen order
+	counts  []int            // kept toots per author
+	ids     map[string]int32 // authors' indexes
+}
+
+// A pageToot is one toot of the current page: its id and its author's
+// index.
+type pageToot struct {
+	id     int64
+	author int32
+}
+
+// maxHarvestTable caps the page and the authors a pooled harvest may have
+// held: a cleared map keeps its size, and one large crawl must not pin it.
+const maxHarvestTable = 8192
+
+var harvestPool = sync.Pool{New: func() any { return &harvest{ids: make(map[string]int32)} }}
+
+// release empties h and puts it back in the pool, holding no string of the
+// crawl, unless a large crawl grew it past maxHarvestTable.
+func (h *harvest) release() {
+	if cap(h.page) > maxHarvestTable || len(h.ids) > maxHarvestTable {
+		return
+	}
+	h.keep(0, 0)
+	harvestPool.Put(h)
+}
+
+// add appends a status to the page, or reports why it is not a toot.
+func (h *harvest) add(v *wire.StatusView) error {
+	id, err := tootID(v)
+	if err != nil {
+		return err
+	}
+	k, ok := h.ids[string(v.Acct)]
+	if !ok {
+		k = int32(len(h.authors))
+		acct := string(v.Acct)
+		h.ids[acct] = k
+		h.authors = append(h.authors, acct)
+		h.counts = append(h.counts, 0)
+	}
+	h.page = append(h.page, pageToot{id, k})
+	return nil
+}
+
+// keep counts the page's first n toots, m being how many authors the
+// harvest had before the page, and empties the page. The authors only the
+// page's other toots introduced — the ones numbered past every author the
+// kept toots name — are dropped.
+func (h *harvest) keep(m, n int) {
+	for _, t := range h.page[:n] {
+		h.counts[t.author]++
+		m = max(m, int(t.author)+1)
+	}
+	for _, a := range h.authors[m:] {
+		delete(h.ids, a)
+	}
+	clear(h.authors[m:])
+	h.authors, h.counts, h.page = h.authors[:m], h.counts[:m], h.page[:0]
+}
+
+// tootID reads one scanned status's id, and checks that its created_at is
+// a time: a status that is not a toot ends the harvest.
+func tootID(v *wire.StatusView) (int64, error) {
 	id, err := strconv.ParseInt(string(v.ID), 10, 64)
 	if err != nil {
-		return TootRec{}, fmt.Errorf("crawler: bad status id %q: %w", v.ID, err)
+		return 0, fmt.Errorf("crawler: bad status id %q: %w", v.ID, err)
 	}
-	at, ok := mastodonTime(v.CreatedAt)
-	if !ok {
-		at, err = time.Parse(mastodonLayout, string(v.CreatedAt))
+	if _, ok := mastodonTime(v.CreatedAt); ok {
+		return id, nil
 	}
-	if err != nil {
+	if _, err = time.Parse(mastodonLayout, string(v.CreatedAt)); err != nil {
 		// Fall back to RFC3339 for non-Mastodon implementations.
-		at, err = time.Parse(time.RFC3339, string(v.CreatedAt))
-		if err != nil {
-			return TootRec{}, fmt.Errorf("crawler: bad created_at %q", v.CreatedAt)
+		if _, err = time.Parse(time.RFC3339, string(v.CreatedAt)); err != nil {
+			return 0, fmt.Errorf("crawler: bad created_at %q", v.CreatedAt)
 		}
 	}
-	return TootRec{ID: id, CreatedAt: at, Boost: v.Boost}, nil
+	return id, nil
 }
 
 // mastodonLayout is the created_at format Mastodon serialises: UTC,
@@ -293,7 +339,7 @@ func Summarize(results []InstanceCrawl) CrawlSummary {
 		default:
 			s.Online++
 		}
-		s.Toots += len(r.Toots)
+		s.Toots += r.Toots
 		for _, a := range r.Authors {
 			authors[a] = struct{}{}
 		}
@@ -329,8 +375,8 @@ func Authors(results []InstanceCrawl) (authors []string, toots []int) {
 			ids = append(ids, k)
 		}
 		if r.Complete() {
-			for _, t := range r.Toots {
-				toots[ids[t.Author]]++
+			for k, n := range r.AuthorToots {
+				toots[ids[k]] += n
 			}
 		}
 	}

@@ -854,7 +854,9 @@ func LoadWithStats(in io.Reader) (*World, LoadStats, error) {
 			return nil, stats, colError(secOff, tag, fmt.Errorf("section length %d exceeds cap %d", size, maxSectionBytes))
 		}
 		if int(size) > cap(scratch) {
-			scratch = make([]byte, size)
+			// Regular sections all fit payloadCap, so the scratch is made
+			// once at that size; only a larger section makes one its size.
+			scratch = make([]byte, max(int(size), payloadCap))
 		}
 		scratch = scratch[:size]
 		if _, err := io.ReadFull(br, scratch); err != nil {

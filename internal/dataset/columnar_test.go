@@ -548,9 +548,9 @@ func TestLoadBudgetChargesRowSizes(t *testing.T) {
 }
 
 // The streaming contract: the decoder's scratch memory is exactly one
-// section — its final capacity equals the largest section in the file and
-// never exceeds the format's hard section cap, no matter how large the
-// world is.
+// section — its final capacity is a regular section's (payloadCap), or the
+// largest section in the file when that is larger, and never exceeds the
+// format's hard section cap, no matter how large the world is.
 func TestLoadScratchBoundedByOneSection(t *testing.T) {
 	w := bigSyntheticWorld()
 	b := saveColumnar(t, w)
@@ -562,9 +562,9 @@ func TestLoadScratchBoundedByOneSection(t *testing.T) {
 	if stats.Sections < 20 {
 		t.Fatalf("big world produced only %d sections; chunking is not happening", stats.Sections)
 	}
-	if stats.ScratchCap != stats.MaxSection {
-		t.Fatalf("scratch capacity %d != largest section %d: decode memory is not one-section bounded",
-			stats.ScratchCap, stats.MaxSection)
+	if want := max(stats.MaxSection, payloadCap); stats.ScratchCap != want {
+		t.Fatalf("scratch capacity %d != %d (largest section %d): decode memory is not one-section bounded",
+			stats.ScratchCap, want, stats.MaxSection)
 	}
 	if stats.MaxSection > maxSectionBytes {
 		t.Fatalf("section of %d bytes exceeds the format cap %d", stats.MaxSection, maxSectionBytes)

@@ -2,6 +2,7 @@ package instance
 
 import (
 	"context"
+	"encoding/json"
 	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
@@ -115,11 +116,13 @@ func TestRenderMemoConcurrent(t *testing.T) {
 				path := paths(rng)
 				rec := httptest.NewRecorder()
 				s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
-				err := wire.ScanStatuses(rec.Body.Bytes(), func(v *wire.StatusView) {
-					if string(v.Content) != "toot "+string(v.ID) {
-						t.Errorf("%s: status %s reads %q", path, v.ID, v.Content)
+				var page []wire.Status
+				err := json.Unmarshal(rec.Body.Bytes(), &page)
+				for _, st := range page {
+					if st.Content != "toot "+st.ID {
+						t.Errorf("%s: status %s reads %q", path, st.ID, st.Content)
 					}
-				})
+				}
 				if rec.Code != http.StatusOK || err != nil {
 					t.Errorf("%s: status %d, %v", path, rec.Code, err)
 					return

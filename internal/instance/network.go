@@ -44,13 +44,6 @@ func NewNetworkClock(clk vclock.Clock) *Network {
 	}
 }
 
-// Clock returns the clock the network was built with.
-func (n *Network) Clock() vclock.Clock {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return n.clk
-}
-
 // Add creates and registers a server.
 func (n *Network) Add(cfg Config) *Server {
 	s := NewServer(cfg, n.Bus)

@@ -60,10 +60,8 @@ type CampaignResult struct {
 	Authors     []string
 	AuthorToots []int
 	Scrape      crawler.ScrapeResult
-	// StartSlot/FinalSlot bound the probed window; FinalSlot's
-	// availability was live during the crawl and scrape phases.
+	// StartSlot is the probed window's first slot.
 	StartSlot int
-	FinalSlot int
 	// CrawlStats counts the toot crawl's domains, deaths and re-crawls.
 	CrawlStats crawler.CrawlStats
 }
@@ -81,7 +79,6 @@ type Campaign struct {
 	mon    crawler.Monitor
 	start  int
 	rounds int
-	at     time.Time       // the applied slot's calendar time
 	known  map[string]bool // the population as a set, built by the first AddDomain
 }
 
@@ -90,15 +87,13 @@ type Campaign struct {
 // concurrency (0 = the monitor's default).
 func (h *Harness) NewCampaign(start, probeWorkers int) *Campaign {
 	domains := h.Net.Domains()
-	c := &Campaign{
+	return &Campaign{
 		Injector: NewInjector(h.Net, domains, h.World.Traces),
 		Log:      crawler.NewProbeLog(),
 		clock:    h.Clock,
-		mon:      crawler.Monitor{Client: h.Client, Domains: domains, Workers: probeWorkers, Clock: h.Clock},
+		mon:      crawler.Monitor{Client: h.Client, Domains: domains, Workers: probeWorkers},
 		start:    start,
 	}
-	c.mon.Now = func() time.Time { return c.at }
-	return c
 }
 
 // SlotTime is an absolute probe slot's calendar time.
@@ -109,16 +104,15 @@ func SlotTime(slot int) time.Time {
 // Apply sets every server's availability to the next round's slot and moves
 // virtual time to that slot's calendar time. Virtual time may already be
 // past it (retry backoffs and mid-campaign crawls stretch the elastic
-// clock); the round's samples are stamped with the slot's time regardless.
+// clock).
 func (c *Campaign) Apply() {
 	slot := c.start + c.rounds
 	c.Injector.Apply(slot)
-	c.at = SlotTime(slot)
-	c.clock.AdvanceTo(c.at)
+	c.clock.AdvanceTo(SlotTime(slot))
 }
 
-// Probe polls the whole population once and files the round under the
-// applied slot's time.
+// Probe polls the whole population once and files the round as the
+// applied slot's.
 func (c *Campaign) Probe(ctx context.Context) {
 	c.Log.Add(c.mon.PollOnce(ctx))
 	c.rounds++
@@ -140,7 +134,7 @@ func (c *Campaign) AddDomain(domain string) bool {
 	}
 	c.known[domain] = true
 	for k := 0; k < c.rounds; k++ {
-		c.Log.Add([]crawler.Sample{{Domain: domain, At: SlotTime(c.start + k)}})
+		c.Log.Add([]crawler.Sample{{Domain: domain}})
 	}
 	c.mon.Domains = append(c.mon.Domains, domain)
 	return true
@@ -163,7 +157,6 @@ func (c *Campaign) Probed() *CampaignResult {
 		Log:       c.Log,
 		Traces:    traces,
 		StartSlot: c.start,
-		FinalSlot: c.start + c.rounds - 1,
 	}
 }
 

@@ -90,8 +90,8 @@ func UnionAuthors(ck *Checkpoint, crawls []crawler.InstanceCrawl) (authors []str
 			ids = append(ids, add(a))
 		}
 		if c.Complete() {
-			for _, t := range c.Toots {
-				toots[ids[t.Author]]++
+			for k, n := range c.AuthorToots {
+				toots[ids[k]] += n
 			}
 		}
 	}

@@ -107,7 +107,7 @@ func TestIncrementalCampaignMatchesFull(t *testing.T) {
 	deltaToots, fullToots := 0, 0
 	for i := range resB.Crawls {
 		if resB.Crawls[i].SinceID > 0 {
-			deltaToots += len(resB.Crawls[i].Toots)
+			deltaToots += resB.Crawls[i].Toots
 		}
 	}
 	if deltaToots != 0 {
@@ -128,7 +128,7 @@ func TestIncrementalCampaignMatchesFull(t *testing.T) {
 	}
 	full, fNames := Rebuild(resF)
 	for i := range resF.Crawls {
-		fullToots += len(resF.Crawls[i].Toots)
+		fullToots += resF.Crawls[i].Toots
 	}
 	if fullToots == 0 {
 		t.Fatal("full campaign harvested nothing")

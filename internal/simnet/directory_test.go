@@ -42,7 +42,7 @@ func TestDirectoryPublishResolve(t *testing.T) {
 		}
 	}
 
-	if err := d.PublishPresence(ctx, "d0.test"); err != nil {
+	if err := d.PublishPresence("d0.test"); err != nil {
 		t.Fatal(err)
 	}
 	val, hops, err := d.Resolve(dht.PresenceKey("d0.test"))
@@ -61,12 +61,11 @@ func TestDirectoryPublishResolve(t *testing.T) {
 }
 
 func TestDirectorySyncMirrorsOutages(t *testing.T) {
-	ctx := context.Background()
 	net := dirNetwork(t, 6, nil)
 	d := NewDirectory(net)
 
 	key := dht.AuthorKey(7)
-	if err := d.Publish(ctx, "d0.test", key, []string{"d0.test"}); err != nil {
+	if err := d.Publish(key, []string{"d0.test"}); err != nil {
 		t.Fatal(err)
 	}
 	holders, err := d.Ring.Holders(key)
@@ -92,13 +91,12 @@ func TestDirectorySyncMirrorsOutages(t *testing.T) {
 	// A down instance cannot refresh its own presence.
 	net.Server("d1.test").SetOnline(false)
 	d.Sync()
-	if err := d.PublishPresence(ctx, "d1.test"); err == nil {
+	if err := d.PublishPresence("d1.test"); err == nil {
 		t.Fatal("down instance published its own presence")
 	}
 }
 
 func TestDirectoryPublishFailuresCountDownHolders(t *testing.T) {
-	ctx := context.Background()
 	net := dirNetwork(t, 6, nil)
 	d := NewDirectory(net)
 
@@ -109,7 +107,7 @@ func TestDirectoryPublishFailuresCountDownHolders(t *testing.T) {
 	}
 	net.Server(holders[1]).SetOnline(false)
 	d.Sync()
-	if err := d.Publish(ctx, "d0.test", key, []string{"x"}); err != nil {
+	if err := d.Publish(key, []string{"x"}); err != nil {
 		t.Fatal(err)
 	}
 	if pubs, fails := d.Stats(); pubs != 3 || fails != 1 {
@@ -123,7 +121,6 @@ func TestDirectoryPublishFailuresCountDownHolders(t *testing.T) {
 }
 
 func TestDirectoryRegister(t *testing.T) {
-	ctx := context.Background()
 	net := dirNetwork(t, 4, nil)
 	d := NewDirectory(net)
 
@@ -134,7 +131,7 @@ func TestDirectoryRegister(t *testing.T) {
 	if got := len(d.Members()); got != 5 {
 		t.Fatalf("members = %d, want 5", got)
 	}
-	if err := d.PublishPresence(ctx, "newbie.test"); err != nil {
+	if err := d.PublishPresence("newbie.test"); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := d.Resolve(dht.PresenceKey("newbie.test")); err != nil {

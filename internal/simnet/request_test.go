@@ -176,14 +176,14 @@ func requestHarness(t *testing.T) *Harness {
 // everything included — the request, net/http's client, the fault and memory
 // transports, the handler, the body read, the decode into what the crawler
 // keeps — as measured (go1.24). A timeline page keeps nothing per status:
-// its row, content and tags go into a pooled harvest, which the crawl's
-// result copies out once. A follower page keeps nothing per follower: names
+// its id and author index go into a pooled harvest's page, and only a new
+// author is a string of its own. A follower page keeps nothing per follower: names
 // go into a pooled arena and are interned into one buffer, so what is left
 // is the request and the interner's growth.
 const (
 	probeUpAllocs      = 6
 	probeDownAllocs    = 14 // two attempts: the harness retries once
-	timelinePageAllocs = 9
+	timelinePageAllocs = 8
 	followerPageAllocs = 9
 )
 
@@ -211,8 +211,8 @@ func TestCampaignRequestAllocs(t *testing.T) {
 	timeline := func(domain string, toots int) func() {
 		tc := &crawler.TootCrawler{Client: h.Client}
 		return func() {
-			if c := tc.CrawlInstance(ctx, domain); len(c.Toots) != toots || c.Err != nil {
-				t.Fatalf("%s: %d toots, err %v", domain, len(c.Toots), c.Err)
+			if c := tc.CrawlInstance(ctx, domain); c.Toots != toots || c.Err != nil {
+				t.Fatalf("%s: %d toots, err %v", domain, c.Toots, c.Err)
 			}
 		}
 	}

@@ -109,7 +109,7 @@ func DHTChurn(seed uint64) *Scenario {
 				dhtSuccess, centralSuccess = nil, nil
 				snap = nil
 				dir = simnet.NewDirectory(r.H.Net)
-				if err := dir.PublishAllPresence(ctx); err != nil {
+				if err := dir.PublishAllPresence(); err != nil {
 					return err
 				}
 				// Per-author replica records: the §5.2 index entry mapping an
@@ -124,7 +124,7 @@ func DHTChurn(seed uint64) *Scenario {
 						return err
 					}
 					value := append([]string{home}, holders...)
-					if err := dir.Publish(ctx, home, key, value); err != nil {
+					if err := dir.Publish(key, value); err != nil {
 						return err
 					}
 				}
@@ -170,11 +170,11 @@ func DHTChurn(seed uint64) *Scenario {
 				// refresh of the anchors' records — their peer lists now carry
 				// the newbie, which is all the next DHT bootstrap walk needs.
 				dir.Register(domain)
-				if err := dir.PublishPresence(ctx, domain); err != nil {
+				if err := dir.PublishPresence(domain); err != nil {
 					return err
 				}
 				for _, anchor := range anchorActors {
-					if err := dir.PublishPresence(ctx, anchor.Domain); err != nil {
+					if err := dir.PublishPresence(anchor.Domain); err != nil {
 						return err
 					}
 				}

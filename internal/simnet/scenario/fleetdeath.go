@@ -93,7 +93,7 @@ func FleetWorkerDeath(seed uint64) *Scenario {
 		rep.Add("outage.victim_down_frac", res.Traces.Traces[idx].DownFraction(outageAt, slots))
 		toots := 0
 		for i := range res.Crawls {
-			toots += len(res.Crawls[i].Toots)
+			toots += res.Crawls[i].Toots
 		}
 		rep.Add("crawl.toots", float64(toots))
 		return nil

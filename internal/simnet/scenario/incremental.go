@@ -144,7 +144,6 @@ func IncrementalRecrawl(seed uint64) *Scenario {
 			Log:       logB,
 			Traces:    res.Traces.Window(checkpointAt, slots),
 			StartSlot: startSlot + checkpointAt,
-			FinalSlot: startSlot + slots - 1,
 		}
 		if err := r.H.CrawlPhase(ctx, simnet.CampaignConfig{Resume: ck}, resB); err != nil {
 			return err
@@ -173,19 +172,19 @@ func IncrementalRecrawl(seed uint64) *Scenario {
 		deltaDomains, refetchDomains := 0, 0
 		for i := range crawls {
 			c := &crawls[i]
-			deltaToots += len(c.Toots)
+			deltaToots += c.Toots
 			if c.Blocked || c.Offline {
 				continue
 			}
 			if c.SinceID > 0 {
 				deltaDomains++
-				newToots += len(c.Toots)
+				newToots += c.Toots
 			} else {
 				refetchDomains++
 			}
 		}
 		for i := range res.Crawls {
-			fullToots += len(res.Crawls[i].Toots)
+			fullToots += res.Crawls[i].Toots
 		}
 		rep.Add("crawl.delta_toots", float64(deltaToots))
 		rep.Add("crawl.new_toots", float64(newToots))

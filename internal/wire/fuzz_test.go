@@ -127,17 +127,8 @@ func sameError(t *testing.T, scan, ref error) bool {
 func viewsOf(data []byte) ([]Status, error) {
 	page := []Status{}
 	err := ScanStatuses(data, func(v *StatusView) {
-		s := Status{ID: string(v.ID), CreatedAt: string(v.CreatedAt), Content: string(v.Content)}
+		s := Status{ID: string(v.ID), CreatedAt: string(v.CreatedAt)}
 		s.Account.Acct = string(v.Acct)
-		if v.Boost {
-			s.Reblog = &StatusReblog{}
-		}
-		if v.Tags != nil && len(v.Tags) == 0 {
-			s.ID = "an empty Tags must be nil"
-		}
-		for _, name := range v.Tags {
-			s.Tags = append(s.Tags, StatusTag{Name: string(name)})
-		}
 		page = append(page, s)
 	})
 	return page, err
@@ -145,8 +136,8 @@ func viewsOf(data []byte) ([]Status, error) {
 
 // FuzzScanStatuses holds the page scanner to the materialising decoder:
 // the same error, or the same statuses in the fields a view has — the
-// fields it drops (username, reblog.uri) are blanked on the reference side,
-// which is also how their type errors are seen to survive.
+// fields it drops (content, username, reblog, tags) are blanked on the
+// reference side, which is also how their type errors are seen to survive.
 func FuzzScanStatuses(f *testing.F) {
 	addCorpus(f, "testdata/fuzz/FuzzStatusesCodec", "../crawler/testdata/fuzz/FuzzDecodeStatuses")
 	f.Add([]byte(`[{"id":"1","account":{"username":7}}]`))
@@ -172,13 +163,7 @@ func FuzzScanStatuses(f *testing.F) {
 			want = []Status{} // a null page: no statuses, as the scanner reports it
 		}
 		for i := range want {
-			want[i].Account.Username = ""
-			if want[i].Reblog != nil {
-				want[i].Reblog.URI = ""
-			}
-			if len(want[i].Tags) == 0 {
-				want[i].Tags = nil
-			}
+			want[i].Content, want[i].Account.Username, want[i].Reblog, want[i].Tags = "", "", nil, nil
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("scan diverges:\n scan %+v\n ref  %+v", got, want)

@@ -8,14 +8,10 @@ package wire
 // its type checked — "title":7 is an error whether or not the title is kept.
 
 // StatusView is one status of a timeline page as ScanStatuses hands it to
-// its callback. ID, CreatedAt, Content, Acct and every tag name alias the
-// page or the scanner's scratch, and Tags itself a slice the scanner
-// reuses: all are valid until the callback returns. Tags is nil for a
-// status without tags.
+// its callback: the fields a harvest keeps. Each aliases the page or the
+// scanner's scratch and is valid until the callback returns.
 type StatusView struct {
-	ID, CreatedAt, Content, Acct []byte
-	Boost                        bool     // "reblog" holds an object
-	Tags                         [][]byte // the tag names, in order
+	ID, CreatedAt, Acct []byte
 }
 
 // ScanStatuses validates a status page and calls fn once per element, in
@@ -26,18 +22,11 @@ type StatusView struct {
 func ScanStatuses(data []byte, fn func(*StatusView)) error {
 	d := &decoder{data: data}
 	var v StatusView
-	var tags [][]byte // every status's Tags, reused
 	if _, err := d.arrayValue(func() {}, func() error {
-		v = StatusView{Tags: tags[:0]}
+		v = StatusView{}
 		d.scratch = d.scratch[:0]
 		if err := d.scanStatus(&v); err != nil {
 			return err
-		}
-		if cap(v.Tags) > cap(tags) {
-			tags = v.Tags
-		}
-		if len(v.Tags) == 0 {
-			v.Tags = nil
 		}
 		fn(&v)
 		return nil
@@ -56,7 +45,7 @@ func (d *decoder) scanStatus(v *StatusView) error {
 		case fieldIs(key, "created_at"):
 			return d.viewValue(&v.CreatedAt)
 		case fieldIs(key, "content"):
-			return d.viewValue(&v.Content)
+			return d.checkString()
 		case fieldIs(key, "account"):
 			return true, d.object(func(key []byte) (bool, error) {
 				switch {
@@ -68,15 +57,6 @@ func (d *decoder) scanStatus(v *StatusView) error {
 				return false, nil
 			})
 		case fieldIs(key, "reblog"):
-			c, err := d.peek()
-			if err != nil {
-				return false, err
-			}
-			if c == 'n' {
-				v.Boost = false
-				return true, d.lit("null")
-			}
-			v.Boost = true
 			return true, d.object(func(key []byte) (bool, error) {
 				if fieldIs(key, "uri") {
 					return d.checkString()
@@ -84,33 +64,14 @@ func (d *decoder) scanStatus(v *StatusView) error {
 				return false, nil
 			})
 		case fieldIs(key, "tags"):
-			// The stdlib's slice semantics, as in stringSliceValue: a second
-			// "tags" key decodes into the first one's elements in place. null
-			// empties the slice but keeps its array for the next status.
-			tags, n := v.Tags, 0
-			handled, err := d.arrayValue(
-				func() { tags, n = tags[:0], -1 },
-				func() error {
-					if n >= len(tags) {
-						tags = append(tags, nil)
+			return d.arrayValue(func() {}, func() error {
+				return d.object(func(key []byte) (bool, error) {
+					if fieldIs(key, "name") {
+						return d.checkString()
 					}
-					n++
-					name := &tags[n-1]
-					return d.object(func(key []byte) (bool, error) {
-						if fieldIs(key, "name") {
-							return d.viewValue(name)
-						}
-						return false, nil
-					})
+					return false, nil
 				})
-			if err != nil || !handled {
-				return handled, err
-			}
-			if n >= 0 {
-				tags = tags[:n]
-			}
-			v.Tags = tags
-			return true, nil
+			})
 		}
 		return false, nil
 	})

@@ -333,7 +333,8 @@ func (a *analysis) walk(n ast.Node, info *types.Info) {
 				target(n.Value)
 			}
 		case *ast.BinaryExpr:
-			if n.Op == token.EQL || n.Op == token.NEQ {
+			// x == nil reads whether x points anywhere, not what it points at.
+			if (n.Op == token.EQL || n.Op == token.NEQ) && !isNil(n.X, info) && !isNil(n.Y, info) {
 				a.readWhole(info.TypeOf(n.X))
 			}
 		case *ast.IndexExpr:
@@ -403,6 +404,8 @@ func isZero(e ast.Expr, info *types.Info) bool {
 	v := info.Types[e].Value
 	return v != nil && (v.Kind() == constant.Int || v.Kind() == constant.Float) && constant.Sign(v) == 0
 }
+
+func isNil(e ast.Expr, info *types.Info) bool { return info.Types[e].IsNil() }
 
 func deref(t types.Type) types.Type {
 	if p, ok := t.Underlying().(*types.Pointer); ok {

@@ -18,8 +18,9 @@ func TestFixture(t *testing.T) {
 	zeroed := "field p/p.go:23 p.T.Zeroed"
 	writeOnly := "unread p/p.go:26 p.T.WriteOnly"
 	defaultOnly := "unread p/p.go:27 p.T.DefaultOnly"
-	clientGet := "1 p/p.go:75 p.Client.Get"
-	dead := "1 p/p.go:84 p.Dead"
+	nilOnly := "unread p/p.go:38 p.W.NilOnly"
+	clientGet := "1 p/p.go:82 p.Client.Get"
+	dead := "1 p/p.go:91 p.Dead"
 	for _, tc := range []struct {
 		name string
 		keep string
@@ -30,20 +31,21 @@ func TestFixture(t *testing.T) {
 		// write that only a test makes does not, nor does a constant
 		// default for a zero value. A field written and never read is
 		// unread, and so is one only a default's condition looks at; ==
-		// reads every field of what it compares (p.V).
-		{"nothing kept", "", []string{unset, testOnly, defaulted, zeroed, writeOnly, defaultOnly, clientGet, dead}},
+		// reads every field of what it compares (p.V), unless it compares
+		// with nil (p.W).
+		{"nothing kept", "", []string{unset, testOnly, defaulted, zeroed, writeOnly, defaultOnly, nilOnly, clientGet, dead}},
 		{"citations reach", `
 p.T.TestOnly — TestSetsTestOnly, a field only the test writes
 p.T.WriteOnly — TestReadsWriteOnly, a field only the test reads
 p.Client.Get — TestClientGet, a method only the test calls
 p.Dead — TestDead, called from the external test package
-`, []string{unset, defaulted, zeroed, defaultOnly}},
+`, []string{unset, defaulted, zeroed, defaultOnly, nilOnly}},
 		{"citations do not reach", `
 p.T.TestOnly — TestReadsTestOnly, reads the field but never writes it
 p.T.WriteOnly — TestSetsTestOnly, reads another field
 p.Client.Get — TestOtherGet, calls a method of the same name on another type
 p.Dead — TestOtherGet, calls something else
-`, []string{unset, defaulted, zeroed, defaultOnly,
+`, []string{unset, defaulted, zeroed, defaultOnly, nilOnly,
 			"p.Client.Get cites TestOtherGet, which does not reach it",
 			"p.Dead cites TestOtherGet, which does not reach it",
 			"p.T.TestOnly cites TestReadsTestOnly, which does not write it",
@@ -51,7 +53,7 @@ p.Dead — TestOtherGet, calls something else
 		{"stale and missing", `
 p.T.Keyed — TestSetsTestOnly, the binary writes it
 p.Dead — TestMissing, no such test
-`, []string{unset, testOnly, defaulted, zeroed, writeOnly, defaultOnly, clientGet,
+`, []string{unset, testOnly, defaulted, zeroed, writeOnly, defaultOnly, nilOnly, clientGet,
 			"p.Dead wants \"TestName, what it is used for\" with a test that exists",
 			"p.T.Keyed is reachable, written or read again, or gone"}},
 	} {

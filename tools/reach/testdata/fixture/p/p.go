@@ -1,6 +1,6 @@
 // Package p has one struct field per way of writing one, four fields no
-// binary writes, two it writes and never reads, and two functions no binary
-// calls.
+// binary writes, three it writes and never reads, and two functions no
+// binary calls.
 package p
 
 import "sync"
@@ -33,6 +33,10 @@ type U struct{ A, B int }
 // V's field is read only by comparing a V whole.
 type V struct{ C int }
 
+// W's field is written, and a W is looked at only to see that a pointer to
+// one is not nil.
+type W struct{ NilOnly int }
+
 // Run writes T's fields.
 func Run(n int) int {
 	t := &T{Keyed: n}
@@ -59,6 +63,9 @@ func Run(n int) int {
 		t.DefaultOnly = 1
 	}
 	if (V{n}) == (V{}) {
+		n++
+	}
+	if w := (&W{NilOnly: n}); w != nil {
 		n++
 	}
 	u := U{1, 2}
